@@ -30,6 +30,11 @@ class ConfusabilityGraph:
     ``conservative`` marks graphs whose edge set may overestimate the true
     one because unresolved support entries were treated as positive; such
     graphs are unusable for certified independence lower bounds.
+
+    Construction checks that every mask stays inside the vertex range, that
+    there are no self-loops and that adjacency is symmetric; the symmetry
+    check compares each 64x64 block of the adjacency matrix, transposed
+    with bit operations, against its mirror block.
     """
 
     vertices: tuple
@@ -39,15 +44,15 @@ class ConfusabilityGraph:
 
     def __post_init__(self):
         n = len(self.vertices)
+        if len(self.adjacency) != n:
+            raise ValueError("one adjacency mask per vertex")
         for i, mask in enumerate(self.adjacency):
             if mask >> n:
                 raise ValueError("adjacency mask outside vertex range")
             if mask & (1 << i):
                 raise ValueError("self-loop in confusability graph")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if bool(self.adjacency[i] & (1 << j)) != bool(self.adjacency[j] & (1 << i)):
-                    raise ValueError("adjacency must be symmetric")
+        if not _is_symmetric(self.adjacency):
+            raise ValueError("adjacency must be symmetric")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -64,6 +69,50 @@ class ConfusabilityGraph:
         indices = list(indices)
         return all(not self.are_adjacent(a, b)
                    for k, a in enumerate(indices) for b in indices[k + 1:])
+
+
+_BLOCK = 64
+# _TRANSPOSE_MASKS[j]: the entries (r, c) of a 64x64 bit block, packed as bit
+# 64*r + c, with bit j clear in both r and c: the word of columns with bit j
+# clear, repeated in the rows with bit j clear.
+_TRANSPOSE_MASKS = {
+    j: sum(columns << _BLOCK * r for r in range(_BLOCK) if not r & j)
+    for j, columns in ((32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF),
+                       (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+                       (2, 0x3333333333333333), (1, 0x5555555555555555))}
+
+
+def _transpose_block(x: int) -> int:
+    """Transpose a 64x64 bit matrix packed row-major (entry (r, c) at bit
+    64*r + c): swap the off-diagonal j x j sub-blocks for j = 32, ..., 1
+    (Hacker's Delight, section 7-3)."""
+    for j, mask in _TRANSPOSE_MASKS.items():
+        t = ((x >> j) ^ (x >> (_BLOCK * j))) & mask
+        x ^= (t << j) | (t << (_BLOCK * j))
+    return x
+
+
+def _is_symmetric(adjacency: tuple[int, ...]) -> bool:
+    """True iff bit j of row i equals bit i of row j for every i, j.
+
+    The rows become one little-endian byte string of 64-bit words, a block
+    row every 64 rows, so block (I, J) is a strided slice of 64 words.  Each
+    block on or above the diagonal is packed, transposed and compared with
+    its mirror block (J, I).
+    """
+    blocks = -(-len(adjacency) // _BLOCK)
+    row_bytes = blocks * _BLOCK // 8
+    padding = bytes(row_bytes) * (blocks * _BLOCK - len(adjacency))
+    words = memoryview(b"".join(mask.to_bytes(row_bytes, "little")
+                                for mask in adjacency) + padding).cast("Q")
+    stride = blocks * _BLOCK  # words per block row
+
+    def block(i: int, j: int) -> int:
+        start = i * stride + j
+        return int.from_bytes(words[start:start + stride:blocks].tobytes(), "little")
+
+    return all(_transpose_block(block(i, j)) == block(j, i)
+               for i in range(blocks) for j in range(i, blocks))
 
 
 def confusability_graph(cert: SupportCertificate, inputs: tuple,
@@ -99,26 +148,39 @@ def confusability_graph(cert: SupportCertificate, inputs: tuple,
 
 def strong_power(g: ConfusabilityGraph, n: int,
                  cap: int = DEFAULT_VERTEX_CAP) -> ConfusabilityGraph:
-    """n-th strong power: tuples adjacent iff equal-or-adjacent coordinatewise."""
+    """n-th strong power: tuples adjacent iff equal-or-adjacent coordinatewise.
+
+    Vertices are the n-tuples of base vertices in ``itertools.product``
+    order.  Closed neighbourhoods (adjacency plus the vertex itself) of a
+    strong product are Kronecker products of the factors' closed
+    neighbourhoods, so the masks are built one coordinate at a time: the
+    row of ``(a, rest)`` is the OR of ``rows[rest] << p * width`` over the
+    bits ``p`` of a's closed mask, where width is the size of the previous
+    power.  Clearing each vertex's own bit then gives the adjacency.
+    """
     if n < 1:
         raise ValueError("power must be >= 1")
     size = len(g) ** n
     if size > cap:
         raise ResourceCapError(f"{size} vertices exceed the cap of {cap}")
-    base = len(g)
-    tuples = list(product(range(base), repeat=n))
-    index = {t: k for k, t in enumerate(tuples)}
-    adjacency = [0] * size
-    for a_idx, a in enumerate(tuples):
-        for b_idx in range(a_idx + 1, size):
-            b = tuples[b_idx]
-            ok = all(x == y or g.are_adjacent(x, y) for x, y in zip(a, b))
-            if ok:
-                adjacency[a_idx] |= 1 << b_idx
-                adjacency[b_idx] |= 1 << a_idx
-    vertices = tuple(tuple(g.vertices[i] for i in t) for t in tuples)
-    return ConfusabilityGraph(vertices, tuple(adjacency),
+    closed = [mask | 1 << a for a, mask in enumerate(g.adjacency)]
+    rows = closed
+    for _ in range(n - 1):
+        width = len(rows)
+        rows = [_kronecker_row(c, row, width) for c in closed for row in rows]
+    adjacency = tuple(row ^ 1 << i for i, row in enumerate(rows))
+    return ConfusabilityGraph(tuple(product(g.vertices, repeat=n)), adjacency,
                               level=g.level, conservative=g.conservative)
+
+
+def _kronecker_row(closed: int, row: int, width: int) -> int:
+    """OR of ``row << p * width`` over the set bits p of ``closed``."""
+    out = 0
+    while closed:
+        low = closed & -closed
+        out |= row << (low.bit_length() - 1) * width
+        closed ^= low
+    return out
 
 
 def is_zero_capacity(g: ConfusabilityGraph) -> bool:
@@ -141,10 +203,14 @@ def max_independent_set(g: ConfusabilityGraph, *,
                         vertex_cap: int = DEFAULT_VERTEX_CAP) -> IndependenceResult:
     """Exact maximum independent set by branch and bound.
 
-    Runs as a maximum-clique search on the complement with a greedy-colouring
-    bound and degree ordering.  ``seed_witness`` (vertex labels) primes the
-    incumbent, and ``node_budget`` caps the search; when the budget runs out
-    the best set found is returned flagged as a lower bound only.
+    Runs as a maximum-clique search on the complement.  Each node paints
+    its candidates greedily, lowest index first, into colour classes of
+    vertices independent in the complement, and visits them from the last
+    painted back; a candidate whose colour number cannot lift the clique
+    above the incumbent cuts the node.  ``seed_witness`` (vertex labels)
+    primes the incumbent, and ``node_budget`` caps the search; when the
+    budget runs out the best set found is returned flagged as a lower bound
+    only.
     """
     n = len(g)
     if n > vertex_cap:
@@ -153,6 +219,8 @@ def max_independent_set(g: ConfusabilityGraph, *,
         return IndependenceResult(0, (), True)
     full = (1 << n) - 1
     comp = [(~g.adjacency[i]) & full & ~(1 << i) for i in range(n)]
+    # painting v removes v and its complement-neighbours from the colour class
+    drop = [full & ~(comp[v] | 1 << v) for v in range(n)]
 
     label_index = {v: i for i, v in enumerate(g.vertices)}
     best_mask = 0
@@ -162,7 +230,6 @@ def max_independent_set(g: ConfusabilityGraph, *,
         raise ValueError("seed witness is not independent")
     best = [best_mask.bit_count(), best_mask]
 
-    order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
     nodes = [node_budget if node_budget is not None else -1]
     exact = [True]
 
@@ -172,19 +239,28 @@ def max_independent_set(g: ConfusabilityGraph, *,
             return
         if nodes[0] > 0:
             nodes[0] -= 1
-        # greedy colouring of the candidate set for the pruning bound
-        colour_of: list[tuple[int, int]] = []  # (vertex, colour) in paint order
+        # greedy colouring of the candidate set for the pruning bound; the
+        # vertices of colours up to best - size would cut the node at once,
+        # so those colours are painted without recording them
         rest = candidates
         colour = 0
+        while rest and colour < best[0] - size:
+            colour += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                avail &= drop[low.bit_length() - 1]
+                rest ^= low
+        colour_of: list[tuple[int, int]] = []  # (vertex, colour) in paint order
         while rest:
             colour += 1
             avail = rest
             while avail:
-                v = (avail & -avail).bit_length() - 1
+                low = avail & -avail
+                v = low.bit_length() - 1
                 colour_of.append((v, colour))
-                avail &= ~comp[v]
-                avail &= ~(1 << v)
-                rest &= ~(1 << v)
+                avail &= drop[v]
+                rest ^= low
         for v, colour in reversed(colour_of):
             if size + colour <= best[0]:
                 return
@@ -197,12 +273,9 @@ def max_independent_set(g: ConfusabilityGraph, *,
             elif size + 1 > best[0]:
                 best[0] = size + 1
                 best[1] = new_mask
-            candidates &= ~(1 << v)
+            candidates ^= 1 << v
 
-    start = 0
-    for v in order:
-        start |= 1 << v
-    expand(start, 0, 0)
+    expand(full, 0, 0)
 
     witness_idx = sorted(i for i in range(n) if best[1] >> i & 1)
     witness = tuple(g.vertices[i] for i in witness_idx)
@@ -282,27 +355,32 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
 
 
 def _best_product_witness(ladder: CapacityLadder, n: int) -> tuple:
-    """Largest concatenation of recorded witnesses filling block length n."""
-    best: tuple = ()
-    sizes = {r.n: r for r in ladder.rungs}
+    """Largest concatenation of recorded witnesses filling block length n.
 
-    def build(remaining: int, parts: list) -> None:
-        nonlocal best
+    Every split of n into recorded block lengths, parts in non-increasing
+    order, is tried largest part first; a later split replaces the incumbent
+    only when its product of alphas is strictly larger, so on ties the
+    greedy largest-first split wins.
+    """
+    sizes = sorted({r.n: r for r in ladder.rungs}.items(), reverse=True)
+    best_parts: list = []
+    best_size = 0
+
+    def search(remaining: int, largest: int, parts: list, count: int) -> None:
+        nonlocal best_parts, best_size
         if remaining == 0:
-            combined = [tuple()]
-            for rung in parts:
-                combined = [prefix + _as_tuple(w)
-                            for prefix in combined for w in rung.witness]
-            if len(combined) > len(best):
-                best = tuple(combined)
+            if count > best_size:
+                best_parts, best_size = parts, count
             return
-        for k in sorted(sizes, reverse=True):
-            if k <= remaining:
-                build(remaining - k, parts + [sizes[k]])
-                break  # greedy largest-first split is enough for a seed
+        for k, rung in sizes:
+            if k <= min(remaining, largest):
+                search(remaining - k, k, parts + [rung], count * len(rung.witness))
 
-    build(n, [])
-    return best
+    search(n, n, [], 1)
+    combined = [()] if best_parts else []
+    for rung in best_parts:
+        combined = [prefix + _as_tuple(w) for prefix in combined for w in rung.witness]
+    return tuple(combined)
 
 
 def _as_tuple(vertex) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -24,16 +25,28 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact Fraction; reject anything else."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise DomainError(f"malformed rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # past the str-to-int digit limit
+        num, _, den = text.partition("/")
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
 def rational_str(value) -> str:
     """Serialize an exact rational as "p/q" (or "p" for integers).
 
     Accepts Fraction, int, or any canonical Rational (e.g. gmpy2.mpq);
-    all of them print in the same normalized form.
+    all of them print in the same normalized form, however many digits they
+    have: integers past the interpreter's int-to-str digit limit are
+    formatted through ``decimal.Decimal``, which converts them exactly.
     """
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # past the int-to-str digit limit
+        text = str(Decimal(int(value.numerator)))
+        if value.denominator == 1:
+            return text
+        return f"{text}/{Decimal(int(value.denominator))}"
 
 
 @dataclass(frozen=True)

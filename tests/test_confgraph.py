@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certcap.channel import certify_support, exact_channel, product_channel
-from certcap.confgraph import (CapacityLadder, LadderError, confusability_graph,
-                               extend_ladder, is_zero_capacity,
-                               max_independent_set, strong_power)
+from certcap.confgraph import (CapacityLadder, ConfusabilityGraph, LadderError,
+                               confusability_graph, extend_ladder,
+                               is_zero_capacity, max_independent_set,
+                               strong_power)
 from certcap.enclosure import log2_enclosure
 
 F = Fraction
@@ -31,6 +35,37 @@ def brute_force_alpha(g) -> int:
         if best == size:
             break
     return best
+
+
+def graph_from_edges(size, edges):
+    adjacency = [0] * size
+    for i, j in edges:
+        adjacency[i] |= 1 << j
+        adjacency[j] |= 1 << i
+    return ConfusabilityGraph(tuple(range(size)), tuple(adjacency))
+
+
+def cycle(size):
+    return graph_from_edges(size, [(i, (i + 1) % size) for i in range(size)])
+
+
+def brute_force_strong_power(g, n):
+    """Strong power straight from the definition, one vertex pair at a time."""
+    tuples = list(product(range(len(g)), repeat=n))
+    adjacency = [0] * len(tuples)
+    for a, x in enumerate(tuples):
+        for b, y in enumerate(tuples):
+            if a != b and all(i == j or g.are_adjacent(i, j) for i, j in zip(x, y)):
+                adjacency[a] |= 1 << b
+    return tuples, tuple(adjacency)
+
+
+@st.composite
+def small_graph(draw):
+    size = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(combinations(range(size), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graph_from_edges(size, edges)
 
 
 class TestGraphConstruction:
@@ -99,6 +134,55 @@ class TestStrongPowers:
 
         check()
 
+    @given(g=small_graph(), n=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pairwise_definition(self, g, n):
+        power = strong_power(g, n)
+        tuples, adjacency = brute_force_strong_power(g, n)
+        assert power.vertices == tuple(tuples)
+        assert power.adjacency == adjacency
+
+    @pytest.mark.parametrize("size,n", [(5, 3), (7, 3), (2, 7)])
+    def test_matches_pairwise_definition_past_one_word(self, size, n):
+        g = cycle(size)  # cycle(2) is K2
+        power = strong_power(g, n)
+        assert len(power) > 64
+        assert power.adjacency == brute_force_strong_power(g, n)[1]
+
+
+class TestSymmetryCheck:
+    @pytest.mark.parametrize("size", [65, 100, 128, 129, 200])
+    def test_one_flipped_bit_is_rejected(self, size):
+        rng = random.Random(size)
+        pairs = list(combinations(range(size), 2))
+        g = graph_from_edges(size, rng.sample(pairs, 3 * size))
+        ConfusabilityGraph(g.vertices, g.adjacency)  # the symmetric graph passes
+        for _ in range(8):
+            i = rng.randrange(64)
+            j = rng.randrange(64, size)  # another 64-bit block than i
+            for row, col in ((i, j), (j, i)):  # above, then below the diagonal
+                adjacency = list(g.adjacency)
+                adjacency[row] ^= 1 << col
+                with pytest.raises(ValueError, match="symmetric"):
+                    ConfusabilityGraph(g.vertices, tuple(adjacency))
+
+    @pytest.mark.parametrize("size", [5, 64, 130])
+    def test_flipped_bit_inside_a_diagonal_block_is_rejected(self, size):
+        g = cycle(size)
+        for row, col in ((0, 2), (2, 0), (size - 1, size - 3)):
+            adjacency = list(g.adjacency)
+            adjacency[row] ^= 1 << col
+            with pytest.raises(ValueError, match="symmetric"):
+                ConfusabilityGraph(g.vertices, tuple(adjacency))
+
+    def test_malformed_masks_rejected(self):
+        with pytest.raises(ValueError, match="per vertex"):
+            ConfusabilityGraph((0, 1), (0,))
+        with pytest.raises(ValueError, match="range"):
+            ConfusabilityGraph((0, 1), (1 << 2, 0))
+        with pytest.raises(ValueError, match="self-loop"):
+            ConfusabilityGraph((0, 1), (1, 0))
+
 
 class TestIndependence:
     def test_five_cycle(self, pentagon):
@@ -164,6 +248,18 @@ class TestLadder:
         for n in (1, 2, 3):
             ladder = extend_ladder(ladder, g, n, node_budget=2000)
         alphas = {r.n: r.alpha for r in ladder.rungs}
+        for m in alphas:
+            for n in alphas:
+                if m + n in alphas:
+                    assert alphas[m + n] >= alphas[m] * alphas[n]
+
+    def test_supermultiplicative_through_rung_four(self, pentagon):
+        g = graph_of(pentagon)
+        ladder = CapacityLadder()
+        for n in (1, 2, 3, 4):
+            ladder = extend_ladder(ladder, g, n, node_budget=20_000)
+        alphas = {r.n: r.alpha for r in ladder.rungs}
+        assert alphas[4] >= 25  # alpha(C5^2)^2, seeded by the 2+2 split
         for m in alphas:
             for n in alphas:
                 if m + n in alphas:

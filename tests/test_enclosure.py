@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -119,6 +120,18 @@ def test_rational_parsing():
     for bad in ("0.5", "5/0", "a/b", "1/-2", ""):
         with pytest.raises(DomainError):
             parse_rational(bad)
+
+
+def test_rational_str_past_the_digit_limit():
+    numerator = 7 ** 6000 + 2  # 5071 digits
+    value = Fraction(numerator, 2 ** 101)
+    text = rational_str(value)
+    num, den = text.split("/")
+    assert len(num) > 5000
+    assert int(Decimal(num)) == numerator and int(Decimal(den)) == 2 ** 101
+    assert parse_rational(text) == value
+    assert rational_str(-numerator) == "-" + num
+    assert parse_rational(rational_str(-numerator)) == -numerator
 
 
 def test_simplest_between():
