@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import Channel, SupportCertificate, certify_support
+from .channel import Channel, SupportCertificate, certify_support, support_sets
 from .confgraph import confusability_graph, is_zero_capacity
 from .enclosure import DomainError, Enclosure, log2_enclosure, rational_str
 from .linprog import LinearProgram, solve_lp
@@ -46,12 +46,16 @@ def minimax_support_mass(ch: Channel, cert: SupportCertificate | None = None) ->
         if not ch.is_exact:
             raise DomainError("stream channels need an explicit support certificate")
         cert = certify_support(ch, 0)
-    nx, ny = len(ch.inputs), len(ch.outputs)
-    support_sets = tuple(tuple(x for x in range(nx) if (x, y) in cert.positive)
-                         for y in range(ny))
-    if all(not s for s in support_sets):
+    nx = len(ch.inputs)
+    return _solve_minimax(nx, support_sets(cert, nx, len(ch.outputs)))
+
+
+def _solve_minimax(nx: int, supports: tuple[tuple[int, ...], ...]) -> MinimaxSolution:
+    """The minimax LP over fixed output supports; it depends on nothing else."""
+    ny = len(supports)
+    if all(not s for s in supports):
         return MinimaxSolution(Fraction(0), (Fraction(1),) + (Fraction(0),) * (nx - 1),
-                               (Fraction(0),) * ny, support_sets)
+                               (Fraction(0),) * ny, supports)
     names = [f"p{x}" for x in range(nx)] + ["t"]
     lp = LinearProgram("min", names, {"t": 1})
     lp.add({f"p{x}": 1 for x in range(nx)}, "=", 1)
@@ -59,8 +63,8 @@ def minimax_support_mass(ch: Channel, cert: SupportCertificate | None = None) ->
         lp.add({f"p{x}": 1}, ">=", 0)
     constraint_outputs = []
     for y in range(ny):
-        if support_sets[y]:
-            coeffs = {f"p{x}": Fraction(1) for x in support_sets[y]}
+        if supports[y]:
+            coeffs = {f"p{x}": Fraction(1) for x in supports[y]}
             coeffs["t"] = Fraction(-1)
             lp.add(coeffs, "<=", 0)
             constraint_outputs.append(y)
@@ -69,7 +73,7 @@ def minimax_support_mass(ch: Channel, cert: SupportCertificate | None = None) ->
     weights = [Fraction(0)] * ny
     for idx, y in enumerate(constraint_outputs):
         weights[y] = -sol.dual[1 + nx + idx]  # <=-row duals are nonpositive here
-    return MinimaxSolution(sol.optimum, dist, tuple(weights), support_sets)
+    return MinimaxSolution(sol.optimum, dist, tuple(weights), supports)
 
 
 def verify_minimax_lower_bound(solution: MinimaxSolution, value: Fraction) -> bool:
@@ -155,11 +159,22 @@ class MinimaxLadder:
 
 def minimax_ladder_step(ch: Channel, level: int, ladder: MinimaxLadder, *,
                         width: Fraction = DEFAULT_C0FB_WIDTH) -> MinimaxLadder:
+    """The ladder with one more rung: support certified at ``level``.
+
+    The minimax LP depends only on the support sets, so a level whose sets
+    equal the last rung's reuses that rung's solution and solves no LP.
+    ``upper`` is always enclosed afresh at the ``width`` given here.
+    """
     last = ladder.last
     if last is not None and level <= last.level:
         raise DomainError("ladder levels must increase")
     cert = certify_support(ch, level)
-    sol = minimax_support_mass(ch, cert)
+    nx = len(ch.inputs)
+    supports = support_sets(cert, nx, len(ch.outputs))
+    if last is not None and supports == last.solution.support_sets:
+        sol = last.solution
+    else:
+        sol = _solve_minimax(nx, supports)
     if last is not None and sol.value < last.mass:
         raise RuntimeError("support refinement decreased the minimax mass")
     upper = None if sol.value == 0 else log2_enclosure(1 / sol.value, width)

@@ -11,13 +11,13 @@ Undetermined with a progress report, never guessed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .capacity import (MinimaxLadder, certified_capacity_bounds,
                        feedback_zero_error_capacity, minimax_ladder_step,
                        next_distribution)
-from .channel import Channel, ResourceCapError, certify_support
+from .channel import Channel, ResourceCapError, certify_support, support_sets
 from .confgraph import CapacityLadder, confusability_graph, extend_ladder
 from .enclosure import Enclosure, exact_log2, log2_enclosure, parse_rational, rational_str
 from .linalg import Matrix, as_matrix
@@ -149,7 +149,12 @@ class FixedEtaTask:
 
 
 class FeedbackCapacityTask:
-    """Exact channel: one LP solve, then log-enclosure refinement."""
+    """Exact channel: one LP solve, then log-enclosure refinement.
+
+    The first step computes the feedback zero-error capacity; later steps
+    keep its exact 1/psi, minimax solution and zero-capacity flag and only
+    re-enclose log2(1/psi) at the narrower width.
+    """
 
     name = "fb-capacity"
 
@@ -168,7 +173,11 @@ class FeedbackCapacityTask:
         return self.result.enclosure.is_exact or self.width < _WIDTH_FLOOR
 
     def step(self) -> None:
-        self.result = feedback_zero_error_capacity(self.channel, self.width)
+        if self.result is None:
+            self.result = feedback_zero_error_capacity(self.channel, self.width)
+        else:  # log2 of a zero-capacity result's inverse mass 1 stays exactly 0
+            self.result = replace(self.result, enclosure=log2_enclosure(
+                self.result.inverse_mass, self.width))
         self.width /= 16
 
     def progress(self) -> dict:
@@ -177,7 +186,11 @@ class FeedbackCapacityTask:
 
 
 class MinimaxLadderTask:
-    """Stream channel: support level climbs, minimax mass rises monotonically."""
+    """Stream channel: support level climbs, minimax mass rises monotonically.
+
+    Each step certifies the support at the next level; the minimax LP is
+    solved only at levels where the support sets change.
+    """
 
     name = "psi-ladder"
 
@@ -663,9 +676,7 @@ def revalidate(verdict: Verdict, ch: Channel) -> bool:
 
 
 def _support_sets(ch: Channel, level: int):
-    cert = certify_support(ch, level)
-    return tuple(tuple(x for x in range(len(ch.inputs)) if (x, y) in cert.positive)
-                 for y in range(len(ch.outputs)))
+    return support_sets(certify_support(ch, level), len(ch.inputs), len(ch.outputs))
 
 
 def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool:

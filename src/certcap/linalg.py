@@ -98,13 +98,6 @@ def _row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list
     return rows, pivots
 
 
-def rank(m: Matrix) -> int:
-    if not m:
-        return 0
-    _, pivots = _row_echelon([list(r) for r in m])
-    return len(pivots)
-
-
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, as column vectors."""
     if not m:
@@ -120,19 +113,6 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
             vec[p] = -rows[r][f]
         basis.append(tuple(vec))
     return basis
-
-
-def solve(a: Matrix, b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Unique solution of A x = b; raises when singular/inconsistent."""
-    n = len(a)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    rows, pivots = _row_echelon(aug)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise ValueError("system is singular or inconsistent")
-    x = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][n]
-    return tuple(x)
 
 
 def restrict_to_invariant(a: Matrix, basis: list[tuple[Fraction, ...]]) -> Matrix:

@@ -56,12 +56,20 @@ class LpSolution:
 
 
 def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
+    """Gauss-Jordan pivot on (row, col), in place.
+
+    Other rows change only at the pivot row's nonzero columns: elsewhere
+    v - f * 0 == v exactly, so the tableau equals a dense update's.
+    """
     inv = 1 / tableau[row][col]
-    tableau[row] = [v * inv for v in tableau[row]]
+    pivot_line = [v * inv if v else v for v in tableau[row]]
+    tableau[row] = pivot_line
+    nonzero = [(j, w) for j, w in enumerate(pivot_line) if w]
     for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            f = line[col]
-            tableau[r] = [v - f * w for v, w in zip(line, tableau[row])]
+        f = line[col]
+        if r != row and f:
+            for j, w in nonzero:
+                line[j] -= f * w
 
 
 def _simplex(tableau: list[list[Fraction]], basis: list[int],

@@ -1,18 +1,28 @@
+import importlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from certcap.classify import (BudgetReport, IndependentSetCertificate,
-                              InternalInvariantViolation, PsiCertificate,
-                              Regime, RegimePreconditionError,
+from certcap import capacity
+from certcap.capacity import (DEFAULT_C0FB_WIDTH, MinimaxLadder,
+                              feedback_zero_error_capacity, minimax_ladder_step,
+                              minimax_support_mass)
+from certcap.channel import (certify_support, hovering_stream, load_channel,
+                             noiseless, support_sets, typewriter)
+from certcap.classify import (BudgetReport, FeedbackCapacityTask,
+                              IndependentSetCertificate,
+                              InternalInvariantViolation, MinimaxLadderTask,
+                              PsiCertificate, Regime, RegimePreconditionError,
                               SeparationCertificate, classify,
                               classify_fixed_plant, dovetail, dyadic_pow2_compare,
                               revalidate, _assert_monotone_predicates)
-from certcap.enclosure import Enclosure
+from certcap.enclosure import Enclosure, log2_enclosure
 from conftest import diagonal_plant, scalar_plant
 
 F = Fraction
+# the package re-exports the function classify, which hides the submodule
+classify_module = importlib.import_module("certcap.classify")
 
 
 class CountingTask:
@@ -286,3 +296,86 @@ def test_dyadic_pow2_compare():
     assert dyadic_pow2_compare(F(3), F(3, 2)) > 0   # 3 > 2^1.5
     assert dyadic_pow2_compare(F(5, 2), F(21, 16)) > 0  # log2 2.5 = 1.3219 > 21/16
     assert dyadic_pow2_compare(F(5, 2), F(43, 32)) < 0  # 43/32 = 1.34375
+
+
+class TestNoRepeatedSolves:
+    """Exact work is done once per classification, with the same results."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        real = capacity.solve_lp
+
+        def counting(lp):
+            calls.append(lp)
+            return real(lp)
+
+        monkeypatch.setattr(capacity, "solve_lp", counting)
+        return calls
+
+    def test_feedback_task_solves_once_and_refines_like_fresh(self, data_dir, monkeypatch):
+        ch = load_channel((data_dir / "pentagon.json").read_text())
+        calls = self._count_solves(monkeypatch)
+        task = FeedbackCapacityTask(ch)
+        steps = []
+        while not task.exhausted():
+            width = task.width
+            task.step()
+            steps.append((width, task.result))
+        assert len(calls) == 1
+        assert len(steps) > 20
+        for width, result in steps:
+            assert result == feedback_zero_error_capacity(ch, width)
+
+    def test_pentagon_tie_verdict_matches_resolving_task(self, data_dir, monkeypatch):
+        # a = 5/2 puts eta exactly on C0fb(pentagon) = log2(5/2): both tasks
+        # run until exhausted and the verdict is Undetermined
+        ch = load_channel((data_dir / "pentagon.json").read_text())
+        plant = scalar_plant(F(5, 2), disturbance=1)
+        calls = self._count_solves(monkeypatch)
+        verdict = classify(plant, ch, Regime("se-fb"), 500)
+        assert verdict.outcome == "Undetermined"
+        assert verdict.steps < 500
+        assert len(calls) == 1
+
+        class ResolvingTask(FeedbackCapacityTask):
+            def step(self):
+                self.result = feedback_zero_error_capacity(self.channel, self.width)
+                self.width /= 16
+
+        monkeypatch.setattr(classify_module, "FeedbackCapacityTask", ResolvingTask)
+        reference = classify(plant, ch, Regime("se-fb"), 500)
+        assert len(calls) > 2
+        assert verdict.to_text() == reference.to_text()
+
+    def test_minimax_ladder_solves_once_per_support_pattern(self, monkeypatch):
+        ch = hovering_stream(noiseless(2), [(0, 1)], 64)
+        calls = self._count_solves(monkeypatch)
+        task = MinimaxLadderTask(ch)
+        while not task.exhausted():
+            task.step()
+        rungs = task.ladder.rungs
+        assert [r.level for r in rungs] == list(range(64))
+        patterns = {support_sets(certify_support(ch, r.level), 2, 2) for r in rungs}
+        assert len(patterns) == 2
+        assert len(calls) == len(patterns)
+        for rung in rungs:
+            cert = certify_support(ch, rung.level)
+            fresh = minimax_support_mass(ch, cert)
+            assert rung.support_size == len(cert.positive)
+            assert rung.solution == fresh
+            assert rung.mass == fresh.value
+            assert rung.upper == (None if fresh.value == 0
+                                  else log2_enclosure(1 / fresh.value, DEFAULT_C0FB_WIDTH))
+
+    def test_reused_rung_encloses_at_the_new_width(self):
+        # typewriter(3) has psi = 2/3; its hovering zero leaves the support
+        # complete from level 2 on
+        ch = hovering_stream(typewriter(3), [(0, 2)], 8)
+        ladder = minimax_ladder_step(ch, 2, MinimaxLadder())
+        ladder = minimax_ladder_step(ch, 3, ladder, width=F(1, 1 << 40))
+        first, second = ladder.rungs
+        assert second.solution is first.solution
+        assert second.mass == F(2, 3)
+        assert second.upper == log2_enclosure(1 / second.mass, F(1, 1 << 40))
+        assert second.upper != first.upper

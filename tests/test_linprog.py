@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certcap import linprog
 from certcap.linprog import (Constraint, Infeasible, LinearProgram, Unbounded,
                              solve_lp)
 
@@ -122,6 +124,53 @@ def test_random_boxed_lps_satisfy_strong_duality(n, rows, objective, sense):
         assert (lhs <= con.rhs if con.relation == "<="
                 else lhs >= con.rhs if con.relation == ">=" else lhs == con.rhs)
     assert sum(d * con.rhs for d, con in zip(sol.dual, lp.constraints)) == sol.optimum
+
+
+def dense_pivot(tableau, row, col):
+    """Reference Gauss-Jordan pivot that rewrites every entry of every row."""
+    inv = 1 / tableau[row][col]
+    tableau[row] = [v * inv for v in tableau[row]]
+    for r, line in enumerate(tableau):
+        if r != row and line[col] != 0:
+            f = line[col]
+            tableau[r] = [v - f * w for v, w in zip(line, tableau[row])]
+
+
+def _solve_or_infeasible(lp):
+    try:
+        return solve_lp(lp)
+    except Infeasible:
+        return None
+
+
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    rows=st.lists(st.tuples(st.lists(coeffs, min_size=3, max_size=3),
+                            st.sampled_from(["<=", ">=", "="]),
+                            coeffs),
+                  min_size=0, max_size=3),
+    objective=st.lists(coeffs, min_size=3, max_size=3),
+    sense=st.sampled_from(["min", "max"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_sparse_pivot_matches_dense_pivot(n, rows, objective, sense):
+    """Same boxed LPs as above: skipping zero columns of the pivot row must
+    leave the optimum, assignment, duals and infeasibility unchanged."""
+    names = [f"x{i}" for i in range(n)]
+    lp = LinearProgram(sense, names, {names[i]: objective[i] for i in range(n)})
+    for i in range(n):
+        lp.add({names[i]: 1}, "<=", 10)
+        lp.add({names[i]: 1}, ">=", -10)
+    for coefficients, relation, rhs in rows:
+        lp.add({names[i]: coefficients[i] for i in range(n)}, relation, rhs)
+    sparse = _solve_or_infeasible(lp)
+    with mock.patch.object(linprog, "_pivot", dense_pivot):
+        dense = _solve_or_infeasible(lp)
+    assert (sparse is None) == (dense is None)
+    if sparse is not None:
+        assert sparse.optimum == dense.optimum
+        assert sparse.assignment == dense.assignment
+        assert sparse.dual == dense.dual
 
 
 def test_constraint_rejects_unknown_relation():
