@@ -245,7 +245,9 @@ class ZeroErrorLadderTask:
     def exhausted(self) -> bool:
         if self.graph is None:
             return self.level >= self.max_level
-        return self._capped
+        # alpha(G) = 1 means G is complete, and so is every strong power of G
+        first = self.ladder.recorded(1)
+        return self._capped or (first is not None and first.exact and first.alpha == 1)
 
     def step(self) -> None:
         if self.graph is None:

@@ -1,11 +1,12 @@
 """Plant descriptions and certified structural analysis.
 
-The instability exponent is computed through the symmetric Gram matrix
-A A^T (half the clamped log-spectrum), which keeps the whole pipeline inside
-the certified symmetric eigenvalue machinery.  Detectability and
-stabilizability are decided exactly: the unobservable (resp. uncontrollable)
-subspace is computed over the rationals and its induced dynamics are put
-through an exact all-roots-inside-the-unit-circle test.
+Everything here rests on one exact root count, roots.count_inside, applied
+to characteristic polynomials.  The instability exponent sums log2 of the
+eigenvalue moduli >= 1, bracketed by bisecting on the radius of the count.
+Stability, detectability and stabilizability are decided exactly: the
+unobservable (resp. uncontrollable) subspace is computed over the rationals
+and its induced dynamics are put through the all-roots-inside-the-unit-
+circle test schur_stable.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import DomainError, Enclosure, log2_enclosure, parse_rational, rational_str
-from .linalg import (Matrix, as_matrix, char_poly, gram, is_square, kernel_basis,
-                     mat_mul, restrict_to_invariant, transpose)
-from .roots import schur_stable, symmetric_eigenvalue_enclosures
+from .linalg import (Matrix, as_matrix, char_poly, is_square, kernel_basis, mat_mul,
+                     restrict_to_invariant, transpose)
+from .roots import schur_stable, unstable_moduli
 
 DEFAULT_ETA_WIDTH = Fraction(1, 1 << 30)
 
@@ -80,58 +81,43 @@ def load_plant(doc) -> Plant:
 def instability_exponent(a: Matrix, max_width: Fraction = DEFAULT_ETA_WIDTH) -> Enclosure:
     """Enclosure of the data rate generated by the plant's unstable part.
 
-    Half the sum of log2 of the Gram spectrum of A clamped below at one.
-    The clamp makes the quantity continuous where an eigenvalue sits exactly
-    on the unit circle, so no special casing is needed there; a matrix whose
-    Gram spectrum is certified below one yields exactly zero.
+    eta(A) = sum of log2 |lambda| over the eigenvalues of A with
+    |lambda| >= 1, counted with multiplicity.  The moduli come bracketed
+    from roots.unstable_moduli on the characteristic polynomial; each
+    bracket of k roots adds k * [log2 lo, log2 hi], with log2 taken as 0
+    below one.  Rational moduli are found exactly, so a plant whose unstable
+    moduli are powers of two, one, or all below one yields a zero-width
+    enclosure.
     """
     a = as_matrix(a)
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise DomainError("target width must be positive")
     n = len(a)
-    eig_width = max_width / (2 * n)
-    log_width = max_width / (8 * n)
-    spectrum = symmetric_eigenvalue_enclosures(gram(a), eig_width)
-    total = Enclosure.exact(Fraction(0))
-    one = Fraction(1)
-    for enc in spectrum:
-        lo = max(one, enc.lo)
-        hi = max(one, enc.hi)
-        if hi == one:
-            continue
-        lo_log = Enclosure.exact(Fraction(0)) if lo == one else log2_enclosure(lo, log_width)
-        hi_log = log2_enclosure(hi, log_width)
-        total = total + Enclosure(lo_log.lo, hi_log.hi)
-    result = total.scaled(Fraction(1, 2))
+    log_width = max_width / (16 * n)
+    lo_sum = hi_sum = Fraction(0)
+    # hi <= lo * (1 + max_width / (3n)) keeps log2(hi / lo) below max_width / (2n)
+    for lo, hi, k in unstable_moduli(char_poly(a), max_width / (3 * n)):
+        upper = log2_enclosure(hi, log_width)
+        if lo == hi:
+            lower = upper
+        else:
+            lower = log2_enclosure(lo, log_width) if lo > 1 else Enclosure.exact(Fraction(0))
+        lo_sum += k * lower.lo
+        hi_sum += k * upper.hi
+    result = Enclosure(lo_sum, hi_sum)
     if result.width > max_width:
         raise RuntimeError("width budget violated in exponent assembly")
     return result
 
 
-def is_unstable(a: Matrix, rounds: int = 8) -> str:
-    """"yes" / "no" / "undetermined" stability classification.
+def is_unstable(a: Matrix) -> str:
+    """"yes" when some eigenvalue of A has modulus >= 1, else "no".
 
-    Tests the Gram spectrum against one: certified above on some eigenvalue
-    (including exact hits, which the root machinery pins) means unstable,
-    certified below on all means stable.  The budget is a number of
-    width-halving rounds; a boundary eigenvalue that stays unresolved within
-    it yields "undetermined".
+    Exact: the negation of schur_stable on the characteristic polynomial,
+    so an eigenvalue on the unit circle (the identity, say) gives "yes".
     """
-    a = as_matrix(a)
-    width = Fraction(1, 16)
-    one = Fraction(1)
-    for _ in range(max(1, rounds)):
-        spectrum = symmetric_eigenvalue_enclosures(gram(a), width)
-        if any(enc.lo >= one for enc in spectrum):
-            return "yes"
-        if all(enc.hi < one for enc in spectrum):
-            return "no"
-        undecided = [enc for enc in spectrum if enc.lo < one <= enc.hi]
-        if all(enc.is_exact for enc in undecided):
-            return "yes" if any(enc.lo == one for enc in undecided) else "no"
-        width /= 16
-    return "undetermined"
+    return "no" if schur_stable(char_poly(as_matrix(a))) else "yes"
 
 
 def _unobservable_basis(a: Matrix, c: Matrix):

@@ -1,9 +1,13 @@
 """Exact polynomial root machinery over the rationals.
 
-Provides Sturm-sequence isolation and bisection of real roots, exact
-detection of rational roots, certified eigenvalue enclosures for symmetric
-rational matrices via the characteristic polynomial, and an exact test for
-all roots lying strictly inside the unit circle.
+The one root count everything else in the package uses is count_inside: the
+number of roots in an open disc |z| < r, by the Schur-Cohn-Jury reduction in
+exact integers.  On it rest the unit-circle (Schur) stability test and the
+bracketing of the root moduli >= 1 that the instability exponent sums.
+
+The Sturm-sequence isolation of real roots and the certified eigenvalue
+enclosures of symmetric rational matrices remain as an independent
+reference for tests.
 
 Polynomials are tuples of Fractions, low degree first, trailing zeros
 stripped.
@@ -12,6 +16,8 @@ stripped.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from .enclosure import DomainError, Enclosure, simplest_between
 from .linalg import Matrix, char_poly, is_symmetric
@@ -84,14 +90,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return poly_monic(a)
 
 
-def square_free_part(p: Poly) -> Poly:
-    if poly_degree(p) < 1:
-        return poly_monic(p)
-    g = poly_gcd(p, poly_deriv(p))
-    q, _ = poly_divmod(p, g)
-    return poly_monic(q)
-
-
 def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: p = prod f_i^i with the f_i square-free and coprime."""
     p = poly_monic(p)
@@ -121,12 +119,6 @@ def _poly_sub(a: Poly, b: Poly) -> Poly:
                      for i in range(n))
 
 
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                     for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # Sturm sequences and real root isolation
 
@@ -153,13 +145,6 @@ def _variations(values) -> int:
 
 def sturm_variations_at(seq: list[Poly], x: Fraction) -> int:
     return _variations(poly_eval(p, x) for p in seq)
-
-
-def count_roots_half_open(seq: list[Poly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b] for a square-free polynomial."""
-    if a >= b:
-        return 0
-    return sturm_variations_at(seq, a) - sturm_variations_at(seq, b)
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -233,20 +218,19 @@ def refine_root_interval(p: Poly, lo: Fraction, hi: Fraction,
     return lo, hi
 
 
-def _integer_leading_bound(p: Poly) -> int:
-    """|leading coefficient| of the primitive integer form of p.
+def _integer_form(p: Poly) -> list[int]:
+    """Coprime integer coefficients of a nonzero p: the same roots as p."""
+    denom = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (denom // c.denominator) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints]
 
-    Any rational root written in lowest terms has a denominator dividing it.
-    """
-    from math import gcd, lcm
-    denom = 1
-    for c in p:
-        denom = lcm(denom, c.denominator)
-    ints = [int(c * denom) for c in p]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return abs(ints[-1] // (g or 1))
+
+def _scaled(ints: list[int], r: Fraction) -> list[int]:
+    """Integer coefficients of v^n * q(r z) for q = ints and r = u/v."""
+    u, v = r.numerator, r.denominator
+    n = len(ints) - 1
+    return [c * u ** k * v ** (n - k) for k, c in enumerate(ints)]
 
 
 def rational_root_in_interval(p: Poly, lo: Fraction, hi: Fraction):
@@ -256,7 +240,7 @@ def rational_root_in_interval(p: Poly, lo: Fraction, hi: Fraction):
     denominator can divide the leading integer coefficient, then checks the
     unique candidate.  Certified either way.
     """
-    bmax = _integer_leading_bound(p)
+    bmax = abs(_integer_form(p)[-1])
     sep = Fraction(1, 2 * bmax * bmax)
     lo, hi = refine_root_interval(p, lo, hi, sep)
     if lo == hi:
@@ -346,164 +330,166 @@ def symmetric_eigenvalue_enclosures(m: Matrix, max_width: Fraction) -> list[Encl
 
 
 # ---------------------------------------------------------------------------
-# exact Schur stability (all roots strictly inside the unit circle)
+# roots in a disc (Schur-Cohn-Jury count), stability and unstable moduli
 
-def _pair_remainder(g: Poly):
-    """Remainder of g modulo x^2 - s*x + q as bivariate polynomials in (s, q).
+def count_inside(p: Poly, r) -> int | None:
+    """Number of roots of p, with multiplicity, strictly inside |z| < r.
 
-    Returns (r1, r0) with g = Q*(x^2 - s x + q) + r1(s,q)*x + r0(s,q).
-    Bivariate polynomials are dicts {(deg_s, deg_q): coeff}.
+    Exact Schur-Cohn-Jury reduction (after Marden, Geometry of Polynomials,
+    Thm 42.1) of q(z) = p(r z), kept in coprime integers a_0..a_n.  With
+    q* the reversed polynomial: while |a_0| < |a_n|, a_n q - a_0 q* has the
+    same roots in the unit disc as q (Rouche) and is z times a polynomial
+    of degree n - 1; while |a_0| > |a_n|, a_0 q - a_n q* has the same roots
+    in the disc and a lower degree.  A root of q on the unit circle is a
+    root of every later polynomial, so a reduction that ends in a constant
+    proves there is none, which the Rouche steps need.
+
+    A step with delta = a_n^2 - a_0^2 = 0 happens whenever p has a root on
+    |z| = r, and can happen at other radii too.  The count is then not
+    decided and None is returned; it is never guessed.
     """
-    u = {}
-    v = {(0, 0): Fraction(1)}  # x^0 = 0*x + 1
-    r1: dict = {}
-    r0: dict = {}
-
-    def add_into(dst, src, coeff):
-        for key, val in src.items():
-            dst[key] = dst.get(key, Fraction(0)) + coeff * val
-            if dst[key] == 0:
-                del dst[key]
-
-    for k, a_k in enumerate(g):
-        if a_k != 0:
-            add_into(r1, u, a_k)
-            add_into(r0, v, a_k)
-        # advance: x^(k+1) = (s*u + v) x - q*u
-        nu: dict = {}
-        for (ds, dq), val in u.items():
-            nu[(ds + 1, dq)] = nu.get((ds + 1, dq), Fraction(0)) + val
-        for key, val in v.items():
-            nu[key] = nu.get(key, Fraction(0)) + val
-            if nu[key] == 0:
-                del nu[key]
-        nv = {(ds, dq + 1): -val for (ds, dq), val in u.items()}
-        u, v = nu, nv
-    return r1, r0
+    r = Fraction(r)
+    if r <= 0:
+        raise DomainError("radius must be positive")
+    p = poly_trim(p)
+    if not p:
+        raise DomainError("the zero polynomial has no root count")
+    return _count_in_unit_disc(_scaled(_integer_form(p), r))
 
 
-def _bivar_to_s_poly(biv: dict, q: Fraction) -> Poly:
-    """Specialize the q variable, returning a univariate polynomial in s."""
-    if not biv:
-        return ()
-    out = [Fraction(0)] * (max(ds for ds, _ in biv) + 1)
-    for (ds, dq), val in biv.items():
-        out[ds] += val * q ** dq
-    return poly_trim(out)
-
-
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] * inv
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return det
-
-
-def _sylvester_resultant(a: Poly, b: Poly, deg_a: int, deg_b: int) -> Fraction:
-    """Resultant via the Sylvester determinant at fixed generic degrees."""
-    n = deg_a + deg_b
-    rows = []
-    ac = list(a) + [Fraction(0)] * (deg_a + 1 - len(a))
-    bc = list(b) + [Fraction(0)] * (deg_b + 1 - len(b))
-    for i in range(deg_b):
-        row = [Fraction(0)] * n
-        for j, c in enumerate(reversed(ac)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(deg_a):
-        row = [Fraction(0)] * n
-        for j, c in enumerate(reversed(bc)):
-            row[i + j] = c
-        rows.append(row)
-    return _det_fraction(rows)
-
-
-def _interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:
-    """Lagrange interpolation through exact points."""
-    result: Poly = ()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term: Poly = (yi,)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            factor = 1 / (xi - xj)
-            term = poly_mul(term, (-xj * factor, factor))
-        result = _poly_add(result, term)
-    return result
-
-
-def pair_product_poly(g: Poly) -> Poly:
-    """Polynomial in q vanishing at every product of two distinct roots of g.
-
-    In particular every complex-conjugate pair contributes its squared
-    modulus as a real root, and any real root q* >= 1 certifies a pair of
-    roots of g whose moduli multiply to at least one.
-    """
-    d = poly_degree(g)
-    if d < 2:
-        return (Fraction(1),)
-    g = poly_monic(g)
-    r1, r0 = _pair_remainder(g)
-    deg_s_r1 = d - 1
-    deg_s_r0 = d - 2
-    num_points = d * d + 2
-    points = []
-    for k in range(1, num_points + 1):
-        q = Fraction(k)
-        a = _bivar_to_s_poly(r1, q)
-        b = _bivar_to_s_poly(r0, q)
-        points.append((q, _sylvester_resultant(a, b, deg_s_r1, deg_s_r0)))
-    phi = _interpolate(points)
-    if not phi:
-        raise RuntimeError("degenerate pair-product polynomial")
-    return phi
+def _count_in_unit_disc(c: list[int]) -> int | None:
+    """count_inside(c, 1) for integer coefficients c, low degree first."""
+    inside = 0
+    while len(c) > 1:
+        a0, an = c[0], c[-1]
+        if abs(a0) == abs(an):
+            return None
+        rev = c[::-1]
+        if abs(a0) < abs(an):
+            c = [an * x - a0 * y for x, y in zip(c[1:], rev[1:])]
+            inside += 1
+        else:
+            c = [a0 * x - an * y for x, y in zip(c, rev)]
+            while c[-1] == 0:
+                c.pop()
+        g = gcd(*c)
+        c = [x // g for x in c]
+    return inside
 
 
 def schur_stable(p: Poly) -> bool:
     """True iff every root of p (real or complex) satisfies |root| < 1.
 
-    Exact decision: rational/irrational real roots via Sturm counts outside
-    (-1, 1); complex pairs via real roots >= 1 of the pair-product
-    polynomial, whose roots are products of root pairs of p.
+    Exact: count_inside(p, 1) == deg p.  For a stable p no reduction step
+    is singular (|a_0| < |a_n| holds all the way down), so an undecided
+    count means "not stable".
     """
     p = poly_trim(p)
     if poly_degree(p) < 1:
         return True
-    g = square_free_part(p)
-    while g and g[0] == 0:  # roots at the origin are stable
-        g = poly_trim(g[1:])
-    if poly_degree(g) < 1:
-        return True
-    if poly_eval(g, Fraction(1)) == 0 or poly_eval(g, Fraction(-1)) == 0:
+    return count_inside(p, 1) == poly_degree(p)
+
+
+def _regular_radius(ints: list[int], radii) -> tuple[Fraction, int]:
+    """The first of the radii where the count of ints is decided, and the count."""
+    for r in radii:
+        inside = _count_in_unit_disc(_scaled(ints, r))
+        if inside is not None:
+            return r, inside
+    raise RuntimeError("no radius with a decided root count among the candidates")
+
+
+def _split_radii(lo: Fraction, hi: Fraction):
+    """The midpoint of (lo, hi), then points approaching it from above."""
+    yield (lo + hi) / 2
+    for j in range(2, 64):
+        yield lo + (hi - lo) * Fraction((1 << (j - 1)) + 1, 1 << j)
+
+
+def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
+                   k: int) -> bool:
+    """Whether the k roots of p = ints in lo < |z| < hi add exactly k log2 r to eta.
+
+    With q(z) = p(r z) and p(0) != 0, g = gcd(q, q*) holds each root zeta of
+    q whose inverse is a root too, at the smaller of the two multiplicities,
+    so the roots of g are closed under inversion.  Its roots in the annulus
+    rho < |z| < 1/rho, rho = max(lo/r, r/hi), number deg g - 2 count(g, rho)
+    and lie among the k roots of q in lo/r < |z| < hi/r.  If that number is
+    k, those k roots are the inversion-closed set, so the moduli of p's
+    roots multiply to r^k; that settles a bracket with lo >= 1.
+
+    Around r = 1 (lo < 1) the k roots must moreover lie on the unit circle,
+    since a pair (t, 1/t) adds log2 |t| > 0.  The square-free part s of g is
+    self-inversive, so s' has no root on the circle, and s has as many
+    roots inside the circle as s' has outside (A. Cohn, 1922); none of
+    them may lie in rho < |z| < 1.  An undecided count gives False.
+    """
+    q = tuple(Fraction(c) for c in _scaled(ints, r))
+    g = poly_gcd(q, q[::-1])
+    rho = max(lo / r, r / hi)
+    inside = count_inside(g, rho)
+    if inside is None or poly_degree(g) - 2 * inside != k:
         return False
-    seq = sturm_sequence(g)
-    bound = cauchy_root_bound(g)
-    if bound > 1:
-        if count_roots_half_open(seq, Fraction(1), bound) > 0:
-            return False
-        if count_roots_half_open(seq, -bound, Fraction(-1)) > 0:
-            return False
-    if poly_degree(g) >= 2:
-        phi = square_free_part(pair_product_poly(g))
-        if poly_eval(phi, Fraction(1)) == 0:
-            return False
-        phi_seq = sturm_sequence(phi)
-        phi_bound = cauchy_root_bound(phi)
-        if phi_bound > 1 and count_roots_half_open(phi_seq, Fraction(1), phi_bound) > 0:
-            return False
-    return True
+    if lo >= 1:
+        return True
+    s, _ = poly_divmod(g, poly_gcd(g, poly_deriv(g)))
+    critical = count_inside(poly_deriv(s), 1)
+    inner = count_inside(s, rho)
+    return None not in (critical, inner) and poly_degree(s) - 1 - critical == inner
+
+
+def unstable_moduli(p: Poly, tolerance: Fraction) -> list[tuple[Fraction, Fraction, int]]:
+    """Brackets (lo, hi, k) that hold every root of p with modulus >= 1 once.
+
+    lo == hi: the k roots add exactly k log2 lo to eta; their moduli are
+    >= 1 and multiply to lo^k (each modulus is lo, or they pair up as lo*t
+    and lo/t).  lo < hi: the k roots have moduli in (lo, hi), with
+    hi <= max(1, lo) * (1 + tolerance); when lo < 1, some of them may have
+    modulus below 1.
+
+    Roots at 0 are dropped.  The moduli are isolated by bisecting on the
+    radius with count_inside, moving to a nearby radius where the count is
+    undecided.  A rational modulus u/v has v dividing the leading
+    coefficient L of p's primitive integer form (L^2 |lambda|^2 is an
+    algebraic integer), so a bracket narrower than 1/(2 L^2) has at most
+    one candidate, its simplest rational, which _exact_bracket tests once
+    per set of roots.
+    """
+    tolerance = Fraction(tolerance)
+    p = poly_trim(p)
+    while p and p[0] == 0:
+        p = p[1:]
+    n = poly_degree(p)
+    if n < 1:
+        return []
+    if n == 1:  # one rational root
+        modulus = abs(p[0] / p[1])
+        return [(modulus, modulus, 1)] if modulus >= 1 else []
+    top = Fraction(1 << int(cauchy_root_bound(p)).bit_length())
+    ints = _integer_form(p)
+    base, below = _regular_radius(
+        ints, chain([Fraction(1)], (1 - Fraction(1, 1 << j) for j in range(4, 64))))
+    lead = abs(ints[-1])
+    sep = Fraction(1, 2 * lead * lead)
+    out = []
+    # (lo, count(lo), hi, count(hi), whether this set of roots was tested)
+    stack = [(base, below, top, n, False)]
+    while stack:
+        lo, n_lo, hi, n_hi, tested = stack.pop()
+        k = n_hi - n_lo
+        if k == 0 or hi <= 1:
+            continue
+        if not tested and hi - lo < sep:
+            r = simplest_between(lo, hi)
+            if r.denominator <= lead and _exact_bracket(ints, r, lo, hi, k):
+                out.append((r, r, k))
+                continue
+            tested = True
+        floor = max(lo, Fraction(1))
+        if tested and hi - floor <= floor * tolerance:
+            out.append((lo, hi, k))
+            continue
+        mid, n_mid = _regular_radius(ints, _split_radii(lo, hi))
+        stack.append((lo, n_lo, mid, n_mid, tested and n_mid - n_lo == k))
+        stack.append((mid, n_mid, hi, n_hi, tested and n_hi - n_mid == k))
+    return sorted(out)

@@ -379,3 +379,22 @@ class TestNoRepeatedSolves:
         assert second.mass == F(2, 3)
         assert second.upper == log2_enclosure(1 / second.mass, F(1, 1 << 40))
         assert second.upper != first.upper
+
+
+def test_complete_graph_ladder_stops_after_rung_one(data_dir, monkeypatch):
+    # BSC(1/4) confuses its two inputs: alpha(K2^n) = 1 for every n, so one
+    # rung says all the ladder can ever say
+    ch = load_channel((data_dir / "bsc_1_4.json").read_text())
+    calls = []
+    real = classify_module.extend_ladder
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "extend_ladder", counting)
+    verdict = classify(scalar_plant(F(3, 2), disturbance=F(1, 10)), ch,
+                       Regime("se-nofb"), 200)
+    assert verdict.outcome == "Undetermined"
+    assert calls == [1]
+    assert verdict.certificate.progress["ladder"]["rungs"] == 1

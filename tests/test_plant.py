@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from certcap.classify import Regime, classify, revalidate
 from certcap.enclosure import Enclosure, log2_enclosure
 from certcap.linalg import as_matrix, char_poly, gram, mat_mul
 from certcap.plant import (Plant, PlantFormatError, instability_exponent,
@@ -162,3 +163,74 @@ def test_char_poly_poles():
     p = char_poly(as_matrix([[2, 0], [0, 3]]))
     # (t-2)(t-3) = 6 - 5t + t^2
     assert p == (F(6), F(-5), F(1))
+
+
+class TestNonNormalExponent:
+    """eta comes from eigenvalue moduli; singular values overstate it."""
+
+    def test_stable_jordan_like_block_is_exactly_zero(self, bsc14):
+        a = as_matrix([[F(1, 2), 4], [0, F(1, 2)]])  # singular values ~ 4.06, 0.06
+        enc = instability_exponent(a)
+        assert enc.lo == enc.hi == 0
+        plant = Plant(a, c=as_matrix([[1, 0], [0, 1]]), disturbance_bound=F(1, 10))
+        # eta = 0 = C0fb(BSC(1/4)) is a boundary
+        assert classify(plant, bsc14, Regime("se-fb"), 1_000).outcome == "Undetermined"
+
+    def test_unstable_shear_is_exactly_one(self, pentagon):
+        a = as_matrix([[2, 3], [0, F(1, 2)]])
+        enc = instability_exponent(a)
+        assert enc.lo == enc.hi == 1
+        plant = Plant(a, c=as_matrix([[1, 0], [0, 1]]), disturbance_bound=F(1, 10))
+        verdict = classify(plant, pentagon, Regime("se-fb"), 1_000)
+        assert verdict.outcome == "Solvable"  # 1 < log2(5/2) = C0fb(pentagon)
+        assert revalidate(verdict, pentagon)
+
+    def test_three_halves_shear_encloses_log3_minus_one(self):
+        width = F(1, 2 ** 24)
+        enc = instability_exponent(as_matrix([[F(3, 2), 2], [0, F(1, 3)]]), width)
+        assert enc.width <= width
+        value = mpmath.log(3, 2) - 1
+        assert float(enc.lo) <= value <= float(enc.hi)
+        assert mpmath.mpf(enc.lo.numerator) / enc.lo.denominator <= value
+        assert value <= mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
+
+    def test_companion_of_z2_plus_4_is_exactly_two(self):
+        # non-normal companion matrix, eigenvalues +-2i
+        a = as_matrix([[0, -4], [1, 0]])
+        assert char_poly(a) == (F(4), F(0), F(1))
+        enc = instability_exponent(a)
+        assert enc.lo == enc.hi == 2
+
+    def test_width_budget_and_exact_claims_on_random_plants(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            a = as_matrix([[F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+                           for _ in range(n)])
+            width = F(1, 2 ** rng.choice((4, 12, 30)))
+            enc = instability_exponent(a, width)
+            assert enc.width <= width
+            ev = mpmath.eig(mpmath.matrix([[mpmath.mpf(v.numerator) / v.denominator
+                                            for v in row] for row in a]),
+                            left=False, right=False)
+            ev = ev[0] if isinstance(ev, tuple) else ev
+            eta = sum(mpmath.log(abs(e), 2) for e in ev if abs(e) >= 1)
+            tiny = mpmath.mpf(10) ** -30
+            assert mpmath.mpf(enc.lo.numerator) / enc.lo.denominator - tiny <= eta
+            assert eta <= mpmath.mpf(enc.hi.numerator) / enc.hi.denominator + tiny
+
+
+def test_is_unstable_on_non_normal_and_circle_plants():
+    assert is_unstable(as_matrix([[F(1, 2), 4], [0, F(1, 2)]])) == "no"
+    assert is_unstable(as_matrix([[0, -1], [1, 0]])) == "yes"   # +-i on the circle
+    assert is_unstable(as_matrix([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]])) == "yes"
+
+
+def test_unit_circle_eigenvalues_give_exactly_zero():
+    for a in ([[0, -1], [1, 0]], [[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]],
+              [[1, 1], [0, 1]], [[-1, 0], [0, 1]]):
+        enc = instability_exponent(as_matrix(a))
+        assert enc.lo == enc.hi == 0
+    # a rotation block next to an expanding mode: exactly log2 of the mode
+    enc = instability_exponent(as_matrix([[0, -1, 0], [1, 0, 0], [0, 0, 4]]))
+    assert enc.lo == enc.hi == 2

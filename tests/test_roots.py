@@ -1,17 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certcap.enclosure import DomainError
 from certcap.linalg import as_matrix, char_poly, gram
-from certcap.roots import (isolate_real_roots, pair_product_poly, poly_degree,
-                           poly_eval, poly_mul, poly_trim,
+from certcap.roots import (_exact_bracket, _integer_form, count_inside,
+                           isolate_real_roots, poly_degree, poly_mul, poly_trim,
                            rational_root_in_interval,
                            real_roots_with_multiplicity, schur_stable,
                            square_free_decomposition,
-                           symmetric_eigenvalue_enclosures)
+                           symmetric_eigenvalue_enclosures, unstable_moduli)
 
 F = Fraction
 
@@ -140,11 +140,6 @@ class TestSchurStability:
                      poly_trim([F(1, 4), F(-1, 2), F(1)]))
         assert schur_stable(q) is True
 
-    def test_pair_product_poly_catches_conjugate_moduli(self):
-        p = poly_trim([F(5, 4), F(-1, 2), F(1)])
-        phi = pair_product_poly(p)
-        assert poly_eval(phi, F(5, 4)) == 0
-
 
 @given(m=symmetric_3x3())
 @settings(max_examples=25, deadline=None)
@@ -202,3 +197,124 @@ def test_schur_against_float_root_oracle(coeffs):
     if any(abs(m - 1.0) < 1e-6 for m in moduli):
         return
     assert schur_stable(p) is bool(moduli[-1] < 1.0)
+
+
+def _mpmath_moduli(p):
+    """Root moduli of p from mpmath, roots at the origin split off exactly."""
+    import mpmath
+    zeros = 0
+    while p[zeros] == 0:
+        zeros += 1
+    rest = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(p[zeros:])]
+    roots = mpmath.polyroots(rest, maxsteps=400, extraprec=400) if len(rest) > 1 else []
+    return [mpmath.mpf(0)] * zeros + [abs(z) for z in roots]
+
+
+@given(coeffs=st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6),
+       lead=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       radius=st.fractions(min_value=F(1, 16), max_value=6, max_denominator=16),
+       on_circle=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_count_inside_against_mpmath_moduli(coeffs, lead, radius, on_circle):
+    import mpmath
+    assume(radius > 0)
+    p = poly_trim([F(c) for c in coeffs] + [F(lead)])
+    if on_circle:  # roots +-i*radius lie on the circle: the count must be undecided
+        p = poly_mul(p, (radius * radius, F(0), F(1)))
+    count = count_inside(p, radius)
+    if on_circle:
+        assert count is None
+        return
+    mpmath.mp.dps = 50
+    try:
+        moduli = _mpmath_moduli(p)
+    except mpmath.libmp.libhyper.NoConvergence:
+        assume(False)
+    r = mpmath.mpf(radius.numerator) / radius.denominator
+    if any(abs(m - r) < mpmath.mpf(10) ** -30 for m in moduli):
+        assert count is None
+    elif count is not None:  # a singular step off the circle is reported, not guessed
+        assert count == sum(1 for m in moduli if m < r)
+
+
+class TestCountInside:
+    def test_singular_radii_are_reported(self):
+        # roots 3/2 and +-2i: radii 3/2 and 2 hit the roots, radius 1 hits
+        # no root but meets |a_0| = |a_n| for (z - 2)(z - 1/2)
+        p = poly_mul(poly_from_roots(F(3, 2)), poly_trim([F(4), F(0), F(1)]))
+        assert count_inside(p, F(3, 2)) is None
+        assert count_inside(p, F(2)) is None
+        assert [count_inside(p, r) for r in (F(1), F(7, 4), F(3))] == [0, 1, 3]
+        assert count_inside(poly_from_roots(F(2), F(1, 2)), F(1)) is None
+        assert count_inside(poly_from_roots(F(2), F(1, 2)), F(3, 4)) == 1
+
+    def test_roots_at_origin_and_constants(self):
+        assert count_inside(poly_trim([F(0), F(0), F(1)]), F(1, 100)) == 2
+        assert count_inside((F(5),), F(2)) == 0
+        with pytest.raises(DomainError):
+            count_inside((F(1), F(1)), F(0))
+        with pytest.raises(DomainError):
+            count_inside((), F(1))
+
+    def test_reciprocal_pair_about_two_in_one_bracket(self):
+        # 3 = 2 * 3/2 and 4/3 = 2 / (3/2): inversion-closed about 2, so the
+        # product of the two moduli is exactly 2^2
+        pair = _integer_form(poly_from_roots(F(3), F(4, 3)))
+        assert _exact_bracket(pair, F(2), F(1), F(4), 2) is True
+        assert F(3) * F(4, 3) == 2 ** 2
+        # 3 and 5/4 multiply to 15/4, not 4: no exact claim
+        lone = _integer_form(poly_from_roots(F(3), F(5, 4)))
+        assert _exact_bracket(lone, F(2), F(1), F(4), 2) is False
+        # the pair plus a lone root at exactly 2: three moduli multiplying to 2^3
+        triple = _integer_form(poly_mul(poly_from_roots(F(3), F(4, 3)), poly_from_roots(F(2))))
+        assert _exact_bracket(triple, F(2), F(1), F(4), 3) is True
+        # a bracket that splits the pair cannot hold an inversion-closed set
+        assert _exact_bracket(triple, F(2), F(3, 2), F(4), 2) is False
+
+    def test_bracket_around_one_needs_roots_on_the_circle(self):
+        on_circle = poly_trim([F(1), F(-6, 5), F(1)])   # 3/5 +- 4i/5
+        assert _exact_bracket(_integer_form(on_circle), F(1), F(1, 4), F(4), 2) is True
+        # 2 and 1/2 are inversion-closed about 1 but add log2 2 to eta
+        pair = poly_from_roots(F(2), F(1, 2))
+        assert _exact_bracket(_integer_form(pair), F(1), F(1, 4), F(4), 2) is False
+        both = _integer_form(poly_mul(on_circle, pair))
+        assert _exact_bracket(both, F(1), F(1, 4), F(4), 4) is False
+        assert _exact_bracket(both, F(1), F(3, 4), F(3, 2), 2) is True
+        # a double root on the circle
+        double = _integer_form(poly_mul(on_circle, on_circle))
+        assert _exact_bracket(double, F(1), F(1, 2), F(2), 4) is True
+        assert unstable_moduli(poly_mul(on_circle, pair), F(1, 100)) == [
+            (F(1), F(1), 2), (F(2), F(2), 1)]
+
+
+pair_scale = st.sampled_from([F(1), F(2), F(3, 2), F(5, 3)])
+pair_offset = st.fractions(min_value=F(1, 16), max_value=2, max_denominator=16)
+
+
+@given(scale=pair_scale, offsets=st.lists(pair_offset, min_size=1, max_size=2),
+       extra=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=8),
+                      max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_unstable_moduli_exact_claims_hold(scale, offsets, extra):
+    """Reciprocal pairs (s t, s / t) next to other roots: every exact bracket
+    is true, and every bracket holds the moduli mpmath finds."""
+    import mpmath
+    mpmath.mp.dps = 50
+    roots = []
+    for t in offsets:
+        roots += [scale * (1 + t), scale / (1 + t)]
+    roots += [x for x in extra if x != 0]
+    p = poly_from_roots(*roots)
+    moduli = sorted(abs(r) for r in roots if abs(r) >= 1)
+    brackets = unstable_moduli(p, F(1, 1000))
+    assert sum(k for _, _, k in brackets) >= len(moduli)
+    eta = sum(mpmath.log(mpmath.mpf(m.numerator) / m.denominator, 2) for m in moduli)
+    lo = sum(k * mpmath.log(max(1, mpmath.mpf(a.numerator) / a.denominator), 2)
+             for a, _, k in brackets)
+    hi = sum(k * mpmath.log(mpmath.mpf(b.numerator) / b.denominator, 2)
+             for _, b, k in brackets)
+    tiny = mpmath.mpf(10) ** -40
+    assert lo - tiny <= eta <= hi + tiny
+    for a, b, k in brackets:
+        if a < b:
+            assert b <= max(1, a) * (1 + F(1, 1000))
