@@ -76,22 +76,18 @@ def _solve_minimax(nx: int, supports: tuple[tuple[int, ...], ...]) -> MinimaxSol
     return MinimaxSolution(sol.optimum, dist, tuple(weights), supports)
 
 
-def verify_minimax_lower_bound(solution: MinimaxSolution, value: Fraction) -> bool:
-    """Re-check from raw rationals that the minimax value is >= value.
+def verify_minimax_lower_bound(weights, supports, nx: int, value: Fraction) -> bool:
+    """Re-check from raw rationals that the minimax value over ``supports``
+    (the inputs reaching each output) is >= value.
 
     Independent of the simplex path: the output weights must be a convex
-    combination, and for every input the weighted count of constraints it
-    appears in must reach value (then any distribution pays at least value).
+    combination, and for every input the weighted count of the outputs it
+    reaches must reach value (then any distribution pays at least value).
     """
-    w = solution.output_weights
-    if any(x < 0 for x in w) or sum(w) != 1:
+    if len(weights) != len(supports) or any(w < 0 for w in weights) or sum(weights) != 1:
         return False
-    nx = len(solution.distribution)
-    for x in range(nx):
-        covered = sum(w[y] for y, s in enumerate(solution.support_sets) if x in s)
-        if covered < value:
-            return False
-    return True
+    return all(sum(w for w, s in zip(weights, supports) if x in s) >= value
+               for x in range(nx))
 
 
 @dataclass(frozen=True)

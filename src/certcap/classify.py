@@ -16,10 +16,10 @@ from fractions import Fraction
 
 from .capacity import (MinimaxLadder, certified_capacity_bounds,
                        feedback_zero_error_capacity, minimax_ladder_step,
-                       next_distribution)
+                       next_distribution, verify_minimax_lower_bound)
 from .channel import Channel, ResourceCapError, certify_support, support_sets
 from .confgraph import CapacityLadder, confusability_graph, extend_ladder
-from .enclosure import Enclosure, exact_log2, log2_enclosure, parse_rational, rational_str
+from .enclosure import Enclosure, log2_enclosure, parse_rational, rational_str
 from .linalg import Matrix, as_matrix
 from .plant import Plant, instability_exponent, is_detectable, is_stabilizable
 
@@ -45,10 +45,6 @@ class Regime:
     def __post_init__(self):
         if self.kind not in REGIME_KINDS:
             raise ValueError(f"unknown regime {self.kind!r}")
-
-    @property
-    def disturbance(self) -> bool:
-        return self.kind != "weak"
 
     def validate(self, plant: Plant) -> None:
         if self.kind in ("se-nofb", "se-fb", "stab-fb"):
@@ -454,8 +450,13 @@ def classify(plant: Plant, ch: Channel, regime: Regime, budget: int) -> Verdict:
     threshold statements are strict on both sides.
     """
     regime.validate(plant)
-    eta_task = EtaTask(plant.a)
-    return _run_classification(eta_task, ch, regime, budget)
+    return _run_classification(EtaTask(plant.a), ch, regime.kind, budget)
+
+
+# a fixed-plant direction runs the tasks of one regime and reports only the
+# one outcome the direction can certify
+_FIXED_PLANT = {"fixed-plant:capacity-above": ("se-nofb", SOLVABLE),
+                "fixed-plant:capacity-below": ("se-fb", UNSOLVABLE)}
 
 
 def classify_fixed_plant(eta: Enclosure, ch: Channel, direction: str,
@@ -468,84 +469,58 @@ def classify_fixed_plant(eta: Enclosure, ch: Channel, direction: str,
     smaller alphabet size, no channel on these alphabets can beat it and
     "capacity-above" short-circuits to Unsolvable for every channel.
     """
-    if direction not in ("capacity-above", "capacity-below"):
+    kind = f"fixed-plant:{direction}"
+    if kind not in _FIXED_PLANT:
         raise ValueError(f"unknown direction {direction!r}")
-    regime_name = f"fixed-plant:{direction}"
-    alphabet = min(len(ch.inputs), len(ch.outputs))
     if direction == "capacity-above":
-        bound = _eta_reaches_alphabet_bound(eta, alphabet)
+        alphabet = min(len(ch.inputs), len(ch.outputs))
+        bound = _alphabet_bound(eta, alphabet)
         if bound is not None:
             cert = SeparationCertificate(
                 "alphabet-bound", "capacity-below-eta", eta, bound,
                 {"alphabet": alphabet,
                  "note": "no channel on these alphabets has zero-error rate "
                          "above log2 of the smaller alphabet"})
-            return Verdict(UNSOLVABLE, regime_name, cert, 0, budget)
-        tasks = [FixedEtaTask(eta), ZeroErrorLadderTask(ch)]
-        ladder = tasks[1]
-        predicates = [(SOLVABLE, lambda: ladder.best is not None
-                       and ladder.best.lo > eta.hi)]
-    else:
-        tasks = [FixedEtaTask(eta)]
-        if ch.is_exact:
-            cap_task = FeedbackCapacityTask(ch)
-            upper = lambda: cap_task.enclosure
-        else:
-            cap_task = MinimaxLadderTask(ch)
-            upper = lambda: cap_task.upper
-        tasks.append(cap_task)
-        predicates = [(UNSOLVABLE, lambda: upper() is not None
-                       and upper().hi < eta.lo)]
-    fired, steps = dovetail(tasks, predicates, budget)
-    if fired is None:
-        return _undetermined(regime_name, tasks, steps, budget)
-    if fired == SOLVABLE:
-        cert = _ladder_certificate(tasks[1], eta)
-    else:
-        cert = _capacity_below_certificate(tasks[1], eta, ch)
-    verdict = Verdict(fired, regime_name, cert, steps, budget)
-    _require_valid(verdict, ch)
-    return verdict
+            return Verdict(UNSOLVABLE, kind, cert, 0, budget)
+    return _run_classification(FixedEtaTask(eta), ch, kind, budget)
 
 
-def _run_classification(eta_task, ch: Channel, regime: Regime, budget: int) -> Verdict:
-    kind = regime.kind
+def _run_classification(eta_task, ch: Channel, kind: str, budget: int) -> Verdict:
+    regime, only = _FIXED_PLANT.get(kind, (kind, None))
     tasks: list = [eta_task]
     predicates: list = []
 
     def eta_enc() -> Enclosure | None:
         return eta_task.enclosure
 
-    if kind == "se-nofb":
+    if regime == "se-nofb":
         ladder = ZeroErrorLadderTask(ch)
         tasks.append(ladder)
         predicates.append((SOLVABLE, lambda: eta_enc() is not None
                            and ladder.best is not None
                            and ladder.best.lo > eta_enc().hi))
-    elif kind in ("se-fb", "stab-fb"):
+    elif regime in ("se-fb", "stab-fb"):
         if ch.is_exact:
             cap = FeedbackCapacityTask(ch)
-            tasks.append(cap)
-            upper = lambda: cap.enclosure
-            lower = lambda: cap.enclosure
+            cap_enc = lambda: cap.enclosure
             predicates.append((SOLVABLE, lambda: eta_enc() is not None
-                               and lower() is not None
-                               and eta_enc().hi < lower().lo))
+                               and cap_enc() is not None
+                               and eta_enc().hi < cap_enc().lo))
         else:
             cap = MinimaxLadderTask(ch)
-            tasks.append(cap)
-            upper = lambda: cap.upper
+            cap_enc = lambda: cap.upper
+        tasks.append(cap)
         predicates.append((UNSOLVABLE, lambda: eta_enc() is not None
-                           and upper() is not None
-                           and upper().hi < eta_enc().lo))
+                           and cap_enc() is not None
+                           and cap_enc().hi < eta_enc().lo))
         if ch.is_exact:
             # exact equality of exact values: the threshold statements are
             # strict on both sides, so no verdict can ever fire
             predicates.append(("boundary", lambda: eta_enc() is not None
-                               and upper() is not None
-                               and eta_enc().is_exact and upper().is_exact
-                               and eta_enc().lo == upper().lo))
-    elif kind == "weak":
+                               and cap_enc() is not None
+                               and eta_enc().is_exact and cap_enc().is_exact
+                               and eta_enc().lo == cap_enc().lo))
+    elif regime == "weak":
         if not ch.is_exact:
             raise RegimePreconditionError(
                 "weak regime needs exact channel entries for capacity bounds")
@@ -557,6 +532,8 @@ def _run_classification(eta_task, ch: Channel, regime: Regime, budget: int) -> V
         predicates.append((UNSOLVABLE, lambda: eta_enc() is not None
                            and ba.upper is not None
                            and ba.upper.hi < eta_enc().lo))
+    if only is not None:
+        predicates = [p for p in predicates if p[0] == only]
 
     fired, steps = dovetail(tasks, predicates, budget)
     if fired is None or fired == "boundary":
@@ -564,9 +541,9 @@ def _run_classification(eta_task, ch: Channel, regime: Regime, budget: int) -> V
         return _undetermined(kind, tasks, steps, budget, note)
     cap_task = tasks[1]
     eta = eta_task.enclosure
-    if kind == "se-nofb":
+    if regime == "se-nofb":
         cert = _ladder_certificate(cap_task, eta)
-    elif kind in ("se-fb", "stab-fb"):
+    elif regime in ("se-fb", "stab-fb"):
         if fired == UNSOLVABLE:
             cert = _capacity_below_certificate(cap_task, eta, ch)
         else:
@@ -592,20 +569,17 @@ def _undetermined(kind, tasks, steps, budget, note="") -> Verdict:
                    steps, budget)
 
 
-def _eta_reaches_alphabet_bound(eta: Enclosure, alphabet: int) -> Enclosure | None:
-    exact = exact_log2(Fraction(alphabet))
-    if exact is not None:
-        if eta.is_exact and eta.lo == exact:
-            return Enclosure.exact(Fraction(exact))
-        if eta.lo >= exact:
-            return Enclosure.exact(Fraction(exact))
-        return None
-    bound = log2_enclosure(Fraction(alphabet), Fraction(1, 1 << 20))
-    if eta.lo >= bound.hi:
-        return bound
-    if eta.is_exact and dyadic_pow2_compare(Fraction(alphabet), eta.lo) == 0:
-        return bound
-    return None
+_ALPHABET_BOUND_WIDTH = Fraction(1, 1 << 20)
+
+
+def _alphabet_bound(eta: Enclosure, alphabet: int) -> Enclosure | None:
+    """An enclosure of log2(alphabet) lying at or below eta.lo, if there is one.
+
+    No channel whose smaller alphabet has this size has a zero-error rate
+    above log2(alphabet).  The enclosure is exact for powers of two.
+    """
+    bound = log2_enclosure(Fraction(alphabet), _ALPHABET_BOUND_WIDTH)
+    return bound if eta.lo >= bound.hi else None
 
 
 def _ladder_certificate(ladder_task, eta: Enclosure) -> IndependentSetCertificate:
@@ -650,7 +624,8 @@ def _nonadjacent_pair(ch: Channel) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# certificate re-validation (independent of the solver paths)
+# certificate re-validation: it shares the support and adjacency derivation
+# with the solvers and trusts no solver state
 
 def _require_valid(verdict: Verdict, ch: Channel) -> None:
     if not revalidate(verdict, ch):
@@ -661,9 +636,10 @@ def revalidate(verdict: Verdict, ch: Channel) -> bool:
     """Re-check a halted verdict's certificate from raw rationals.
 
     Interval separations are recomputed by direct comparisons, witnesses are
-    re-verified pairwise against the channel support, minimax bounds are
-    re-derived from the stored dual weights, and dyadic log endpoints are
-    checked by exact integer powers.  No solver state is trusted.
+    re-verified pairwise against the confusability graph of the certified
+    support, minimax bounds are re-derived from the stored dual weights, and
+    dyadic log endpoints are checked by exact integer powers.  No solver
+    state is trusted.
     """
     cert = verdict.certificate
     if isinstance(cert, BudgetReport):
@@ -677,34 +653,21 @@ def revalidate(verdict: Verdict, ch: Channel) -> bool:
     return False
 
 
-def _support_sets(ch: Channel, level: int):
-    return support_sets(certify_support(ch, level), len(ch.inputs), len(ch.outputs))
-
-
 def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool:
-    if ch.is_exact:
-        support = _support_sets(ch, 0)
-    else:
-        level = ch.max_declared_level()
-        sc = certify_support(ch, level)
-        if sc.unresolved:
-            return False
-        support = _support_sets(ch, level)
+    support = certify_support(ch, 0 if ch.is_exact else ch.max_declared_level())
+    if support.unresolved:
+        return False
+    graph = confusability_graph(support, ch.inputs, len(ch.outputs))
+    index = {v: i for i, v in enumerate(ch.inputs)}
     labels = [v if isinstance(v, tuple) else (v,) for v in cert.witness]
     if len(labels) != cert.alpha or len(set(labels)) != cert.alpha:
         return False
-    index = {v: i for i, v in enumerate(ch.inputs)}
-    adjacent_single = _single_letter_adjacency(support, len(ch.inputs))
-
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            va, vb = labels[a], labels[b]
-            if len(va) != cert.n or len(vb) != cert.n:
-                return False
-            confusable = all(
-                x == y or adjacent_single[index[x]][index[y]]
-                for x, y in zip(va, vb))
-            if confusable:
+    if any(len(v) != cert.n or not all(x in index for x in v) for v in labels):
+        return False
+    for a, va in enumerate(labels):
+        for vb in labels[a + 1:]:
+            if all(x == y or graph.are_adjacent(index[x], index[y])
+                   for x, y in zip(va, vb)):
                 return False
     # rate endpoint: alpha >= 2**(n * rate_lo.lo), checked by exact powers
     rate_claim = cert.rate_lo.lo * cert.n
@@ -713,35 +676,15 @@ def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool
     return cert.eta.hi < cert.rate_lo.lo
 
 
-def _single_letter_adjacency(support, nx):
-    adj = [[False] * nx for _ in range(nx)]
-    for xs in support:
-        for i in xs:
-            for j in xs:
-                if i != j:
-                    adj[i][j] = True
-    return adj
-
-
 def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
+    nx, ny = len(ch.inputs), len(ch.outputs)
     if cert.complete_graph:
-        if not ch.is_exact:
-            return False
-        support = _support_sets(ch, 0)
-        adj = _single_letter_adjacency(support, len(ch.inputs))
-        n = len(ch.inputs)
-        complete = all(adj[i][j] for i in range(n) for j in range(n) if i != j)
-        return complete and cert.eta_lo > 0 and cert.c0fb_upper.hi == 0
-    support = _support_sets(ch, cert.support_level)
-    covered_ok = True
-    weights = cert.output_weights
-    if any(w < 0 for w in weights) or sum(weights) != 1:
-        return False
-    for x in range(len(ch.inputs)):
-        covered = sum(weights[y] for y, s in enumerate(support) if x in s)
-        if covered < cert.mass:
-            covered_ok = False
-    if not covered_ok:
+        return (ch.is_exact
+                and confusability_graph(certify_support(ch, 0), ch.inputs, ny).is_complete()
+                and cert.eta_lo > 0 and cert.c0fb_upper.hi == 0)
+    supports = support_sets(certify_support(ch, cert.support_level), nx, ny)
+    if cert.mass <= 0 or not verify_minimax_lower_bound(
+            cert.output_weights, supports, nx, cert.mass):
         return False
     # upper endpoint really bounds log2(1/mass)
     if not _log_endpoint_sound(1 / cert.mass, cert.c0fb_upper):
@@ -750,31 +693,33 @@ def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
 
 
 def _check_separation(cert: SeparationCertificate, ch: Channel) -> bool:
+    nx, ny = len(ch.inputs), len(ch.outputs)
+    if cert.quantity == "alphabet-bound":
+        alphabet = cert.payload["alphabet"]
+        return alphabet == min(nx, ny) and _alphabet_bound(cert.eta, alphabet) is not None
     if cert.relation == "eta-below-capacity":
         separated = cert.eta.hi < cert.capacity.lo
     else:
         separated = cert.capacity.hi < cert.eta.lo
-    if not separated and cert.quantity != "alphabet-bound":
+    if not separated:
         return False
-    if cert.quantity == "alphabet-bound":
-        alphabet = cert.payload["alphabet"]
-        if alphabet != min(len(ch.inputs), len(ch.outputs)):
-            return False
-        enc = log2_enclosure(Fraction(alphabet), Fraction(1, 1 << 20))
-        return cert.eta.lo >= enc.lo
     if cert.quantity == "c0fb":
+        # Shannon's formula needs the exact support, which a stream may not settle
+        if not ch.is_exact:
+            return False
         inverse = parse_rational(cert.payload["inverse_psi"])
         dist = [parse_rational(p) for p in cert.payload["distribution"]]
-        if any(p < 0 for p in dist) or sum(dist) != 1:
+        if len(dist) != nx or any(p < 0 for p in dist) or sum(dist) != 1:
             return False
-        support = _support_sets(ch, 0)
-        worst = max((sum(dist[x] for x in s) for s in support if s),
+        support = certify_support(ch, 0)
+        worst = max((sum(dist[x] for x in s) for s in support_sets(support, nx, ny) if s),
                     default=Fraction(1))
         if worst > 1 / inverse:
             return False
         i, j = cert.payload["nonadjacent_pair"]
-        adj = _single_letter_adjacency(support, len(ch.inputs))
-        if adj[i][j] or i == j:
+        # a bit test would read an out-of-range index as "not adjacent"
+        if not 0 <= i < j < nx or confusability_graph(
+                support, ch.inputs, ny).are_adjacent(i, j):
             return False
         # capacity enclosure really brackets log2(inverse)
         return _log_endpoint_sound(inverse, cert.capacity)

@@ -35,10 +35,10 @@ def parse_rational(text: str) -> Fraction:
 def rational_str(value) -> str:
     """Serialize an exact rational as "p/q" (or "p" for integers).
 
-    Accepts Fraction, int, or any canonical Rational (e.g. gmpy2.mpq);
-    all of them print in the same normalized form, however many digits they
-    have: integers past the interpreter's int-to-str digit limit are
-    formatted through ``decimal.Decimal``, which converts them exactly.
+    Accepts Fraction, int, or any canonical Rational; all of them print in
+    the same normalized form, however many digits they have: integers past
+    the interpreter's int-to-str digit limit are formatted through
+    ``decimal.Decimal``, which converts them exactly.
     """
     try:
         return str(value)
@@ -85,9 +85,6 @@ class Enclosure:
 
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
-
-    def encloses(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def intersects(self, other: "Enclosure") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi

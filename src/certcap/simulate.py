@@ -25,11 +25,6 @@ from .classify import Regime
 from .enclosure import rational_str
 from .plant import Plant
 
-try:  # GMP-backed rationals cut the long exact runs by ~5x when available
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover
-    _rational = Fraction
-
 
 class SimulationError(ValueError):
     """Configuration cannot run (bad shapes, impossible contraction, ...)."""
@@ -181,9 +176,9 @@ def sample_output(rng: random.Random, row) -> int:
 
 def _sample_disturbance(rng: random.Random, bound):
     if bound == 0:
-        return _rational(0)
+        return Fraction(0)
     k = rng.getrandbits(32)
-    return bound * _rational(2 * k - (1 << 32), 1 << 32)
+    return bound * Fraction(2 * k - (1 << 32), 1 << 32)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +246,8 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
                 or any(b[i][i] == 0 for i in range(dim)):
             raise SimulationError("stabilization supports diagonal invertible B only")
 
-    # hot loop runs on the fastest exact-rational type available
-    modes = tuple(_rational(a.numerator, a.denominator) for a in modes)
     bound = cfg.plant.disturbance_bound or Fraction(0)
-    bound = _rational(bound.numerator, bound.denominator)
-    gains = None
-    if with_control:
-        gains = tuple(_rational(b[i][i].numerator, b[i][i].denominator)
-                      for i in range(dim))
+    gains = tuple(b[i][i] for i in range(dim)) if with_control else None
 
     cells = _allocate_cells(modes, n, cfg.code.size, allow_boundary)
     used = 1
@@ -266,10 +255,9 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
         used *= m
 
     rng = random.Random(cfg.seed)
-    x = [_rational(v.numerator, v.denominator) for v in cfg.start_state()]
-    coder_center = [_rational(0)] * dim
-    r0 = _rational(cfg.initial_radius.numerator, cfg.initial_radius.denominator)
-    coder_radius = [r0] * dim
+    x = list(cfg.start_state())
+    coder_center = [Fraction(0)] * dim
+    coder_radius = [cfg.initial_radius] * dim
     dec_center = list(coder_center)
     dec_radius = list(coder_radius)
 
@@ -278,7 +266,7 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
     rows = cfg.channel.rows
     epoch = 0
     t = 0
-    max_error = _rational(0)
+    max_error = Fraction(0)
     diverged_at = None
 
     def record(u_now):
@@ -360,7 +348,7 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
         star = drift / shrink if shrink > 0 else None
         per_mode_bound.append(star)
     if all(s is not None for s in per_mode_bound):
-        analytic = max(max(r0, s) for s in per_mode_bound)
+        analytic = max(max(cfg.initial_radius, s) for s in per_mode_bound)
     else:
         analytic = None
 

@@ -18,7 +18,12 @@ class TestMinimaxMass:
         sol = minimax_support_mass(pentagon)
         assert sol.value == F(2, 5)
         assert sol.distribution == (F(1, 5),) * 5
-        assert verify_minimax_lower_bound(sol, sol.value)
+        assert verify_minimax_lower_bound(sol.output_weights, sol.support_sets, 5, sol.value)
+        assert not verify_minimax_lower_bound(sol.output_weights, sol.support_sets, 5,
+                                              sol.value + F(1, 100))
+        # one weight per output, or the coverage sums are not defined
+        assert not verify_minimax_lower_bound(sol.output_weights[:-1], sol.support_sets, 5,
+                                              sol.value)
 
     def test_noiseless_binary(self, nl2):
         assert minimax_support_mass(nl2).value == F(1, 2)

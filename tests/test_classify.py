@@ -1,5 +1,6 @@
 import importlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               IndependentSetCertificate,
                               InternalInvariantViolation, MinimaxLadderTask,
                               PsiCertificate, Regime, RegimePreconditionError,
-                              SeparationCertificate, classify,
+                              SeparationCertificate, Verdict, classify,
                               classify_fixed_plant, dovetail, dyadic_pow2_compare,
                               revalidate, _assert_monotone_predicates)
 from certcap.enclosure import Enclosure, log2_enclosure
@@ -263,6 +264,34 @@ class TestFixedPlant:
                                        "capacity-above", 100)
         assert verdict.outcome == "Unsolvable"  # 5/2 > log2(5) ~ 2.3219
 
+    def test_non_dyadic_eta_below_the_alphabet_bound(self, pentagon):
+        # 1/3 is not dyadic, so no exact power of two can be compared with it
+        verdict = classify_fixed_plant(Enclosure.exact(F(1, 3)), pentagon,
+                                       "capacity-above", 100)
+        assert verdict.outcome == "Solvable"
+        assert revalidate(verdict, pentagon)
+
+    def test_non_dyadic_eta_capacity_below(self):
+        nl3 = noiseless(3)
+        verdict = classify_fixed_plant(Enclosure.exact(F(5, 3)), nl3,
+                                       "capacity-below", 100)
+        assert verdict.outcome == "Unsolvable"  # 5/3 > log2(3) ~ 1.585
+        assert revalidate(verdict, nl3)
+
+    def test_capacity_below_reports_no_other_outcome(self, nl2):
+        # se-fb would halt Solvable at eta 1/2 and on the exact boundary at
+        # eta 1; this direction can only report Unsolvable
+        for eta in (F(1, 2), F(1)):
+            verdict = classify_fixed_plant(Enclosure.exact(eta), nl2,
+                                           "capacity-below", 100)
+            assert verdict.outcome == "Undetermined"
+            assert verdict.certificate.note == ""
+            assert verdict.regime == "fixed-plant:capacity-below"
+
+    def test_unknown_direction(self, nl2):
+        with pytest.raises(ValueError, match="direction"):
+            classify_fixed_plant(Enclosure.exact(F(1)), nl2, "capacity-sideways", 10)
+
 
 class TestCertificateTamperDetection:
     def test_tampered_witness_fails_revalidation(self, pentagon):
@@ -288,6 +317,72 @@ class TestCertificateTamperDetection:
         forged = Verdict(verdict.outcome, verdict.regime, bad,
                          verdict.steps, verdict.budget)
         assert not revalidate(forged, pentagon)
+
+
+def _with_certificate(verdict, cert):
+    return Verdict(verdict.outcome, verdict.regime, cert, verdict.steps, verdict.budget)
+
+
+class TestForgedCertificates:
+    def test_alphabet_bound_just_below_log2_alphabet(self):
+        nl3 = noiseless(3)
+        bound = log2_enclosure(F(3), F(1, 1 << 20))
+        eta = Enclosure.exact(bound.lo)  # a dyadic just below log2(3)
+        cert = SeparationCertificate(
+            "alphabet-bound", "capacity-below-eta", eta, bound, {"alphabet": 3})
+        forged = Verdict("Unsolvable", "fixed-plant:capacity-above", cert, 0, 100)
+        assert not revalidate(forged, nl3)
+        # the producer does not short-circuit here either
+        assert classify_fixed_plant(eta, nl3, "capacity-above", 0).outcome == "Undetermined"
+
+    @pytest.mark.parametrize("pair", [[0, 5], [1, 0], [-1, 1]])
+    def test_c0fb_pair_out_of_range_or_misordered(self, nl2, pair):
+        verdict = classify(scalar_plant(F(3, 2), disturbance=F(1, 10)), nl2,
+                           Regime("se-fb"), 100)
+        cert = verdict.certificate
+        assert cert.quantity == "c0fb" and revalidate(verdict, nl2)
+        bad = replace(cert, payload={**cert.payload, "nonadjacent_pair": pair})
+        assert revalidate(_with_certificate(verdict, bad), nl2) is False
+
+    def test_c0fb_on_a_stream_with_unsettled_support(self):
+        # (2, 0) never resolves; if it is positive, psi = 1/2 and C0fb = 1,
+        # below the claimed eta, although the proven support alone gives 1/3
+        ch = hovering_stream(noiseless(3), [(2, 0)])
+        cert = SeparationCertificate(
+            "c0fb", "eta-below-capacity", Enclosure.exact(F(6, 5)),
+            log2_enclosure(F(3), F(1, 1 << 20)),
+            {"inverse_psi": "3", "distribution": ["1/3"] * 3,
+             "nonadjacent_pair": [0, 1]})
+        assert not revalidate(Verdict("Solvable", "se-fb", cert, 1, 100), ch)
+
+    def test_c0fb_distribution_on_a_phantom_input(self, nl2):
+        # all mass on a third input that reaches no output would make every
+        # output's mass 0 and "prove" any capacity, here 10 bits for 5 claimed
+        cert = SeparationCertificate(
+            "c0fb", "eta-below-capacity", Enclosure.exact(F(5)), Enclosure.exact(F(10)),
+            {"inverse_psi": "1024", "distribution": ["0", "0", "1"],
+             "nonadjacent_pair": [0, 1]})
+        assert not revalidate(Verdict("Solvable", "se-fb", cert, 1, 100), nl2)
+
+    def test_zero_psi_mass(self, pentagon):
+        verdict = classify(diagonal_plant([3], disturbance=F(1, 10)),
+                           pentagon, Regime("se-fb"), 10_000)
+        bad = replace(verdict.certificate, mass=F(0))
+        assert revalidate(_with_certificate(verdict, bad), pentagon) is False
+
+    def test_psi_weights_of_the_wrong_length(self, pentagon):
+        verdict = classify(diagonal_plant([3], disturbance=F(1, 10)),
+                           pentagon, Regime("se-fb"), 10_000)
+        weights = verdict.certificate.output_weights
+        bad = replace(verdict.certificate, output_weights=weights[:-1])
+        assert revalidate(_with_certificate(verdict, bad), pentagon) is False
+
+    def test_witness_label_outside_the_alphabet(self, pentagon):
+        verdict = classify(diagonal_plant([2], disturbance=F(1, 10)),
+                           pentagon, Regime("se-nofb"), 10_000)
+        cert = verdict.certificate
+        bad = replace(cert, witness=((0, 7),) + cert.witness[1:])
+        assert revalidate(_with_certificate(verdict, bad), pentagon) is False
 
 
 def test_dyadic_pow2_compare():

@@ -127,6 +127,16 @@ def test_fixed_eta_analyze(capsys, data_dir):
     assert json.loads(out)["outcome"] == "Solvable"
 
 
+def test_fixed_eta_non_dyadic(capsys, data_dir):
+    code, out, _ = run_cli(capsys, "analyze",
+                           "--plant", str(data_dir / "plant_3_2.json"),
+                           "--channel", str(data_dir / "pentagon.json"),
+                           "--regime", "se-fb",
+                           "--fixed-eta", "1/3", "--direction", "capacity-above")
+    assert code == EXIT_OK
+    assert json.loads(out)["outcome"] == "Solvable"
+
+
 def test_stream_channel_analyze(capsys, data_dir):
     code, out, _ = run_cli(capsys, "analyze",
                            "--plant", str(data_dir / "plant_diag3.json"),
