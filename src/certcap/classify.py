@@ -19,7 +19,8 @@ from .capacity import (MinimaxLadder, certified_capacity_bounds,
                        next_distribution, verify_minimax_lower_bound)
 from .channel import Channel, ResourceCapError, certify_support, support_sets
 from .confgraph import CapacityLadder, confusability_graph, extend_ladder
-from .enclosure import Enclosure, log2_enclosure, parse_rational, rational_str
+from .enclosure import (Enclosure, exact_log2, log2_enclosure, parse_rational,
+                        rational_str)
 from .linalg import Matrix, as_matrix
 from .plant import Plant, instability_exponent, is_detectable, is_stabilizable
 
@@ -66,35 +67,49 @@ class Regime:
                 raise RegimePreconditionError("pair (A, B) is not stabilizable")
 
 
-def dyadic_pow2_compare(value: Fraction, exponent: Fraction) -> int:
-    """Exact sign of value - 2**exponent for a dyadic exponent p / 2**m."""
+def _is_dyadic(x: Fraction) -> bool:
+    return x.denominator & (x.denominator - 1) == 0
+
+
+def log2_compare(value: Fraction, exponent: Fraction) -> int:
+    """Exact sign of log2(value) - exponent for a dyadic exponent p / 2**m.
+
+    Brackets value**(2**m) by m fixed-point squarings rounded outward and
+    doubles the precision until the bracket clears 2**p.  The two sides can
+    be equal only when value is a power of two, which is compared directly,
+    so the loop terminates.  Independent of ``log2_enclosure``.
+    """
+    if not _is_dyadic(exponent):
+        raise ValueError("exponent must be dyadic")
+    p, denom = exponent.numerator, exponent.denominator
     if value <= 0:
         return -1
-    denom = exponent.denominator
-    if denom & (denom - 1):
-        raise ValueError("exponent must be dyadic")
+    k = exact_log2(value)
+    if k is not None:
+        return (k * denom > p) - (k * denom < p)
+    n, d = value.numerator, value.denominator
     m = denom.bit_length() - 1
-    if m > 64:
-        raise ValueError("dyadic exponent too deep to compare exactly")
-    p = exponent.numerator
-    left = Fraction(value) ** (1 << m)
-    right = Fraction(2) ** p
-    return (left > right) - (left < right)
+    precision = m + 64
+    while True:
+        # value**(2**j) lies in [lo, hi] * 2**e; lo keeps about `precision` bits
+        shift = max(0, precision - n.bit_length() + d.bit_length())
+        lo, hi, e = (n << shift) // d, -((-n << shift) // d), -shift
+        for _ in range(m):
+            lo, hi = lo * lo, hi * hi
+            drop = lo.bit_length() - precision
+            lo, hi, e = lo >> drop, -(-hi >> drop), 2 * e + drop
+        if lo.bit_length() - 1 + e >= p:
+            return 1
+        if (hi - 1).bit_length() + e <= p:
+            return -1
+        precision *= 2
 
 
 def _log_endpoint_sound(value: Fraction, enclosure: Enclosure) -> bool:
-    """Check lo <= log2(value) <= hi without trusting the stored interval.
-
-    Shallow dyadic endpoints are settled by exact integer powers; deeper
-    ones by re-deriving the digits, which is deterministic, so any
-    tampering shows up as a mismatch.
-    """
-    deepest = max(enclosure.lo.denominator, enclosure.hi.denominator)
-    if deepest.bit_length() - 1 <= 32:
-        return (dyadic_pow2_compare(value, enclosure.lo) >= 0
-                and dyadic_pow2_compare(value, enclosure.hi) <= 0)
-    fresh = log2_enclosure(value, Fraction(1, 1 << max(1, enclosure.level)))
-    return fresh.lo == enclosure.lo and fresh.hi == enclosure.hi
+    """Check lo <= log2(value) <= hi exactly; a non-dyadic endpoint fails."""
+    return (_is_dyadic(enclosure.lo) and _is_dyadic(enclosure.hi)
+            and log2_compare(value, enclosure.lo) >= 0
+            and log2_compare(value, enclosure.hi) <= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +473,8 @@ def classify(plant: Plant, ch: Channel, regime: Regime, budget: int) -> Verdict:
 _FIXED_PLANT = {"fixed-plant:capacity-above": ("se-nofb", SOLVABLE),
                 "fixed-plant:capacity-below": ("se-fb", UNSOLVABLE)}
 
+_ALPHABET_BOUND_WIDTH = Fraction(1, 1 << 20)
+
 
 def classify_fixed_plant(eta: Enclosure, ch: Channel, direction: str,
                          budget: int) -> Verdict:
@@ -474,8 +491,9 @@ def classify_fixed_plant(eta: Enclosure, ch: Channel, direction: str,
         raise ValueError(f"unknown direction {direction!r}")
     if direction == "capacity-above":
         alphabet = min(len(ch.inputs), len(ch.outputs))
-        bound = _alphabet_bound(eta, alphabet)
-        if bound is not None:
+        # exact for powers of two
+        bound = log2_enclosure(Fraction(alphabet), _ALPHABET_BOUND_WIDTH)
+        if eta.lo >= bound.hi:
             cert = SeparationCertificate(
                 "alphabet-bound", "capacity-below-eta", eta, bound,
                 {"alphabet": alphabet,
@@ -559,7 +577,8 @@ def _run_classification(eta_task, ch: Channel, kind: str, budget: int) -> Verdic
             {"input_distribution": [rational_str(p) for p in dist],
              "log_width": rational_str(width)})
     verdict = Verdict(fired, kind, cert, steps, budget)
-    _require_valid(verdict, ch)
+    if not revalidate(verdict, ch):
+        raise InternalInvariantViolation("certificate failed re-validation")
     return verdict
 
 
@@ -567,19 +586,6 @@ def _undetermined(kind, tasks, steps, budget, note="") -> Verdict:
     progress = {t.name: t.progress() for t in tasks}
     return Verdict(UNDETERMINED, kind, BudgetReport(steps, budget, progress, note),
                    steps, budget)
-
-
-_ALPHABET_BOUND_WIDTH = Fraction(1, 1 << 20)
-
-
-def _alphabet_bound(eta: Enclosure, alphabet: int) -> Enclosure | None:
-    """An enclosure of log2(alphabet) lying at or below eta.lo, if there is one.
-
-    No channel whose smaller alphabet has this size has a zero-error rate
-    above log2(alphabet).  The enclosure is exact for powers of two.
-    """
-    bound = log2_enclosure(Fraction(alphabet), _ALPHABET_BOUND_WIDTH)
-    return bound if eta.lo >= bound.hi else None
 
 
 def _ladder_certificate(ladder_task, eta: Enclosure) -> IndependentSetCertificate:
@@ -627,30 +633,46 @@ def _nonadjacent_pair(ch: Channel) -> tuple[int, int]:
 # certificate re-validation: it shares the support and adjacency derivation
 # with the solvers and trusts no solver state
 
-def _require_valid(verdict: Verdict, ch: Channel) -> None:
-    if not revalidate(verdict, ch):
-        raise InternalInvariantViolation("certificate failed re-validation")
+# Capacities ranked C0 <= C0fb <= C <= log2 of the smaller alphabet: the one
+# each regime compares eta with, and the one each certificate bounds.  A lower
+# bound proves Solvable up to its rank, an upper bound Unsolvable from it on.
+_REGIME_RANK = {"se-nofb": 0, "fixed-plant:capacity-above": 0, "se-fb": 1,
+                "stab-fb": 1, "fixed-plant:capacity-below": 1, "weak": 2}
+_SEPARATION_CLAIMS = {("c0fb", "eta-below-capacity"): (SOLVABLE, 1),
+                      ("shannon", "eta-below-capacity"): (SOLVABLE, 2),
+                      ("shannon", "capacity-below-eta"): (UNSOLVABLE, 2),
+                      ("alphabet-bound", "capacity-below-eta"): (UNSOLVABLE, 3)}
 
 
 def revalidate(verdict: Verdict, ch: Channel) -> bool:
     """Re-check a halted verdict's certificate from raw rationals.
 
-    Interval separations are recomputed by direct comparisons, witnesses are
-    re-verified pairwise against the confusability graph of the certified
-    support, minimax bounds are re-derived from the stored dual weights, and
-    dyadic log endpoints are checked by exact integer powers.  No solver
-    state is trusted.
+    A certificate proves one outcome, and only in the regimes whose capacity
+    it bounds from the right side.  Interval separations are recomputed by
+    direct comparisons, witnesses are re-verified pairwise against the
+    confusability graph of the certified support, minimax bounds are
+    re-derived from the stored dual weights, and dyadic log endpoints are
+    checked by ``log2_compare``.  No solver state is trusted.
     """
     cert = verdict.certificate
     if isinstance(cert, BudgetReport):
         return verdict.outcome == UNDETERMINED
+    # the one outcome the certificate proves, and the rank of the capacity it bounds
     if isinstance(cert, IndependentSetCertificate):
-        return _check_independent_set(cert, ch)
-    if isinstance(cert, PsiCertificate):
-        return _check_psi(cert, ch)
-    if isinstance(cert, SeparationCertificate):
-        return _check_separation(cert, ch)
-    return False
+        claim, check = (SOLVABLE, 0), _check_independent_set
+    elif isinstance(cert, PsiCertificate):
+        claim, check = (UNSOLVABLE, 1), _check_psi
+    elif isinstance(cert, SeparationCertificate):
+        claim = _SEPARATION_CLAIMS.get((cert.quantity, cert.relation))
+        check = _check_separation
+    else:
+        return False
+    rank = _REGIME_RANK.get(verdict.regime)
+    if claim is None or rank is None or claim[0] != verdict.outcome:
+        return False
+    if claim[1] > rank if claim[0] == SOLVABLE else claim[1] < rank:
+        return False
+    return check(cert, ch)
 
 
 def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool:
@@ -660,7 +682,7 @@ def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool
     graph = confusability_graph(support, ch.inputs, len(ch.outputs))
     index = {v: i for i, v in enumerate(ch.inputs)}
     labels = [v if isinstance(v, tuple) else (v,) for v in cert.witness]
-    if len(labels) != cert.alpha or len(set(labels)) != cert.alpha:
+    if cert.n < 1 or len(labels) != cert.alpha or len(set(labels)) != cert.alpha:
         return False
     if any(len(v) != cert.n or not all(x in index for x in v) for v in labels):
         return False
@@ -669,11 +691,9 @@ def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool
             if all(x == y or graph.are_adjacent(index[x], index[y])
                    for x, y in zip(va, vb)):
                 return False
-    # rate endpoint: alpha >= 2**(n * rate_lo.lo), checked by exact powers
-    rate_claim = cert.rate_lo.lo * cert.n
-    if dyadic_pow2_compare(Fraction(cert.alpha), rate_claim) < 0:
-        return False
-    return cert.eta.hi < cert.rate_lo.lo
+    # rate_lo really encloses log2(alpha) / n
+    return (_log_endpoint_sound(Fraction(cert.alpha), cert.rate_lo.scaled(cert.n))
+            and cert.eta.hi < cert.rate_lo.lo)
 
 
 def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
@@ -682,31 +702,30 @@ def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
         return (ch.is_exact
                 and confusability_graph(certify_support(ch, 0), ch.inputs, ny).is_complete()
                 and cert.eta_lo > 0 and cert.c0fb_upper.hi == 0)
+    if cert.mass <= 0 or cert.support_level < 0:
+        return False
     supports = support_sets(certify_support(ch, cert.support_level), nx, ny)
-    if cert.mass <= 0 or not verify_minimax_lower_bound(
-            cert.output_weights, supports, nx, cert.mass):
-        return False
-    # upper endpoint really bounds log2(1/mass)
-    if not _log_endpoint_sound(1 / cert.mass, cert.c0fb_upper):
-        return False
-    return cert.c0fb_upper.hi < cert.eta_lo
+    # the upper endpoint really bounds log2(1/mass)
+    return (verify_minimax_lower_bound(cert.output_weights, supports, nx, cert.mass)
+            and _log_endpoint_sound(1 / cert.mass, cert.c0fb_upper)
+            and cert.c0fb_upper.hi < cert.eta_lo)
 
 
 def _check_separation(cert: SeparationCertificate, ch: Channel) -> bool:
     nx, ny = len(ch.inputs), len(ch.outputs)
     if cert.quantity == "alphabet-bound":
-        alphabet = cert.payload["alphabet"]
-        return alphabet == min(nx, ny) and _alphabet_bound(cert.eta, alphabet) is not None
-    if cert.relation == "eta-below-capacity":
-        separated = cert.eta.hi < cert.capacity.lo
-    else:
-        separated = cert.capacity.hi < cert.eta.lo
-    if not separated:
+        # no zero-error rate exceeds log2 of the smaller alphabet, so the
+        # producer fires at equality
+        alphabet = cert.payload.get("alphabet")
+        return (alphabet == min(nx, ny)
+                and _log_endpoint_sound(Fraction(alphabet), cert.capacity)
+                and cert.capacity.hi <= cert.eta.lo)
+    below = cert.relation == "eta-below-capacity"
+    # Shannon's formulas need the exact support and rows, which a stream may not settle
+    if not ch.is_exact or not (cert.eta.hi < cert.capacity.lo if below
+                               else cert.capacity.hi < cert.eta.lo):
         return False
     if cert.quantity == "c0fb":
-        # Shannon's formula needs the exact support, which a stream may not settle
-        if not ch.is_exact:
-            return False
         inverse = parse_rational(cert.payload["inverse_psi"])
         dist = [parse_rational(p) for p in cert.payload["distribution"]]
         if len(dist) != nx or any(p < 0 for p in dist) or sum(dist) != 1:
@@ -714,7 +733,7 @@ def _check_separation(cert: SeparationCertificate, ch: Channel) -> bool:
         support = certify_support(ch, 0)
         worst = max((sum(dist[x] for x in s) for s in support_sets(support, nx, ny) if s),
                     default=Fraction(1))
-        if worst > 1 / inverse:
+        if inverse <= 0 or worst > 1 / inverse:
             return False
         i, j = cert.payload["nonadjacent_pair"]
         # a bit test would read an out-of-range index as "not adjacent"
@@ -723,11 +742,8 @@ def _check_separation(cert: SeparationCertificate, ch: Channel) -> bool:
             return False
         # capacity enclosure really brackets log2(inverse)
         return _log_endpoint_sound(inverse, cert.capacity)
-    if cert.quantity == "shannon":
-        dist = tuple(parse_rational(p) for p in cert.payload["input_distribution"])
-        width = parse_rational(cert.payload["log_width"])
-        lower, upper = certified_capacity_bounds(ch.rows, dist, width)
-        if cert.relation == "eta-below-capacity":
-            return cert.eta.hi < lower.lo
-        return upper.hi < cert.eta.lo
-    return False
+    # shannon: the stored bound is the one its distribution and width give
+    dist = tuple(parse_rational(p) for p in cert.payload["input_distribution"])
+    width = parse_rational(cert.payload["log_width"])
+    lower, upper = certified_capacity_bounds(ch.rows, dist, width)
+    return cert.capacity == (lower if below else upper)

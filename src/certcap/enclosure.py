@@ -116,12 +116,8 @@ class Enclosure:
 def exact_log2(x: Fraction) -> int | None:
     """Return k when x == 2**k exactly, else None."""
     n, d = x.numerator, x.denominator
-    if n <= 0:
-        return None
-    if d == 1 and n & (n - 1) == 0:
-        return n.bit_length() - 1
-    if n == 1 and d & (d - 1) == 0:
-        return -(d.bit_length() - 1)
+    if n > 0 and n & (n - 1) == 0 and d & (d - 1) == 0:
+        return n.bit_length() - d.bit_length()
     return None
 
 
@@ -129,22 +125,10 @@ def floor_log2(x: Fraction) -> int:
     """Largest k with 2**k <= x, for x > 0."""
     if x <= 0:
         raise DomainError("floor_log2 requires a positive argument")
-    k = x.numerator.bit_length() - x.denominator.bit_length()
-    while Fraction(2) ** k > x:
-        k -= 1
-    while Fraction(2) ** (k + 1) <= x:
-        k += 1
-    return k
-
-
-def bits_for_width(width: Fraction) -> int:
-    """Smallest m >= 0 with 2**-m <= width."""
-    if width <= 0:
-        raise DomainError("width must be positive")
-    m = 0
-    while Fraction(1, 1 << m) > width:
-        m += 1
-    return m
+    n, d = x.numerator, x.denominator
+    # n / d lies in [2**(k-1), 2**(k+1))
+    k = n.bit_length() - d.bit_length()
+    return k if n << max(-k, 0) >= d << max(k, 0) else k - 1
 
 
 def _extract_log_digits(y: Fraction, m: int, precision: int) -> int | None:
@@ -196,7 +180,7 @@ def log2_enclosure(x: Fraction, max_width: Fraction) -> Enclosure:
     if x < 1:
         return -log2_enclosure(1 / x, max_width)
 
-    m = max(1, bits_for_width(max_width))
+    m = max(1, -floor_log2(max_width))  # 2**-m <= max_width
     k = floor_log2(x)
     y = x / Fraction(2) ** k
     precision = m + 64

@@ -1,9 +1,13 @@
 import importlib
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from certcap import capacity
 from certcap.capacity import (DEFAULT_C0FB_WIDTH, MinimaxLadder,
@@ -16,7 +20,7 @@ from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               InternalInvariantViolation, MinimaxLadderTask,
                               PsiCertificate, Regime, RegimePreconditionError,
                               SeparationCertificate, Verdict, classify,
-                              classify_fixed_plant, dovetail, dyadic_pow2_compare,
+                              classify_fixed_plant, dovetail, log2_compare,
                               revalidate, _assert_monotone_predicates)
 from certcap.enclosure import Enclosure, log2_enclosure
 from conftest import diagonal_plant, scalar_plant
@@ -377,6 +381,50 @@ class TestForgedCertificates:
         bad = replace(verdict.certificate, output_weights=weights[:-1])
         assert revalidate(_with_certificate(verdict, bad), pentagon) is False
 
+    def test_alphabet_bound_checks_relation_and_capacity(self, pentagon):
+        verdict = classify_fixed_plant(Enclosure.exact(F(5, 2)), pentagon,
+                                       "capacity-above", 100)
+        cert = verdict.certificate
+        assert revalidate(verdict, pentagon)
+        zero = Enclosure.exact(F(0))
+        for bad in (replace(cert, relation="eta-below-capacity", capacity=zero),
+                    replace(cert, capacity=zero),
+                    replace(cert, capacity=Enclosure(cert.capacity.lo, F(3))),
+                    replace(cert, payload={"alphabet": 4})):
+            assert revalidate(_with_certificate(verdict, bad), pentagon) is False
+
+    def test_malformed_fields_fail_without_raising(self, pentagon):
+        psi = classify(diagonal_plant([3], disturbance=F(1, 10)),
+                       pentagon, Regime("se-fb"), 10_000)
+        ladder = classify(diagonal_plant([2], disturbance=F(1, 10)),
+                          pentagon, Regime("se-nofb"), 10_000)
+        p, w = psi.certificate, ladder.certificate
+        for verdict, bad in (
+                (psi, replace(p, support_level=-1)),
+                (psi, replace(p, c0fb_upper=Enclosure(F(1, 3), p.c0fb_upper.hi))),
+                (ladder, replace(w, rate_lo=Enclosure(F(1, 3), w.rate_lo.hi))),
+                (ladder, replace(w, rate_lo=Enclosure(F(1, 1 << 70), w.rate_lo.hi)))):
+            assert revalidate(_with_certificate(verdict, bad), pentagon) is False
+
+    def test_c0fb_zero_inverse_psi(self, nl2):
+        cert = SeparationCertificate(
+            "c0fb", "eta-below-capacity", Enclosure.exact(F(-1)), Enclosure.exact(F(0)),
+            {"inverse_psi": "0", "distribution": ["1/2", "1/2"], "nonadjacent_pair": [0, 1]})
+        assert revalidate(Verdict("Solvable", "se-fb", cert, 1, 100), nl2) is False
+
+    def test_shannon_bounds_on_a_stream(self, hover_channel):
+        # a stream has no rows to recompute the bounds from
+        cert = SeparationCertificate(
+            "shannon", "capacity-below-eta", Enclosure.exact(F(5)), Enclosure.exact(F(0)),
+            {"input_distribution": ["1/2", "1/2"], "log_width": "1/16"})
+        assert revalidate(Verdict("Unsolvable", "weak", cert, 1, 100), hover_channel) is False
+
+    def test_empty_words_prove_no_rate(self, nl2):
+        # with n = 0 the rate check alpha >= 2**(n * rate_lo.lo) holds for any rate
+        cert = IndependentSetCertificate(0, 1, ((),), Enclosure.exact(F(10)),
+                                         Enclosure.exact(F(5)))
+        assert revalidate(Verdict("Solvable", "se-nofb", cert, 1, 100), nl2) is False
+
     def test_witness_label_outside_the_alphabet(self, pentagon):
         verdict = classify(diagonal_plant([2], disturbance=F(1, 10)),
                            pentagon, Regime("se-nofb"), 10_000)
@@ -385,12 +433,129 @@ class TestForgedCertificates:
         assert revalidate(_with_certificate(verdict, bad), pentagon) is False
 
 
-def test_dyadic_pow2_compare():
-    assert dyadic_pow2_compare(F(4), F(2)) == 0
-    assert dyadic_pow2_compare(F(5, 2), F(1)) > 0   # 5/2 > 2^1
-    assert dyadic_pow2_compare(F(3), F(3, 2)) > 0   # 3 > 2^1.5
-    assert dyadic_pow2_compare(F(5, 2), F(21, 16)) > 0  # log2 2.5 = 1.3219 > 21/16
-    assert dyadic_pow2_compare(F(5, 2), F(43, 32)) < 0  # 43/32 = 1.34375
+class TestVerdictMatchesCertificate:
+    """A certificate proves one outcome, in the regimes whose capacity it bounds."""
+
+    def test_psi_certificate_cannot_prove_solvable(self, pentagon):
+        verdict = classify(diagonal_plant([3], disturbance=F(1, 10)),
+                           pentagon, Regime("se-fb"), 10_000)
+        assert revalidate(verdict, pentagon)
+        assert revalidate(replace(verdict, outcome="Solvable"), pentagon) is False
+
+    def test_alphabet_bound_cannot_prove_solvable(self, pentagon):
+        verdict = classify_fixed_plant(Enclosure.exact(F(5, 2)), pentagon,
+                                       "capacity-above", 100)
+        assert revalidate(verdict, pentagon)
+        assert revalidate(replace(verdict, outcome="Solvable"), pentagon) is False
+
+    def test_c0fb_certificate_is_not_a_zero_error_proof(self, pentagon):
+        # log2(12/5) ~ 1.263 lies between C0 = log2(5)/2 ~ 1.161 and
+        # C0fb = log2(5/2) ~ 1.322: Solvable with feedback, not without
+        verdict = classify(diagonal_plant([F(12, 5)], disturbance=F(1, 10)),
+                           pentagon, Regime("se-fb"), 10_000)
+        assert verdict.certificate.quantity == "c0fb" and revalidate(verdict, pentagon)
+        assert revalidate(replace(verdict, regime="se-nofb"), pentagon) is False
+        assert revalidate(replace(verdict, regime="weak"), pentagon)
+
+    def test_c0fb_lower_bound_cannot_prove_unsolvable(self, nl2):
+        # the distribution proves C0fb >= log2(1) = 0, which bounds nothing
+        # from above: C0fb(noiseless(2)) = 1 > 1/2
+        cert = SeparationCertificate(
+            "c0fb", "capacity-below-eta", Enclosure.exact(F(1, 2)), Enclosure.exact(F(0)),
+            {"inverse_psi": "1", "distribution": ["1", "0"], "nonadjacent_pair": [0, 1]})
+        assert revalidate(Verdict("Unsolvable", "se-fb", cert, 1, 100), nl2) is False
+
+    def test_psi_certificate_does_not_bound_the_ordinary_capacity(self, pentagon):
+        verdict = classify(diagonal_plant([3], disturbance=F(1, 10)),
+                           pentagon, Regime("se-fb"), 10_000)
+        assert revalidate(replace(verdict, regime="se-nofb"), pentagon)
+        assert revalidate(replace(verdict, regime="weak"), pentagon) is False
+
+
+class TestRevalidatorIndependence:
+    def test_no_log2_enclosure_outside_the_shannon_check(self, monkeypatch, pentagon,
+                                                         bsc14, nl2, hover_channel):
+        def fb(a):
+            return diagonal_plant([a], disturbance=F(1, 10))
+
+        cases = [
+            (classify(fb(2), pentagon, Regime("se-nofb"), 10_000), pentagon),
+            (classify(fb(3), pentagon, Regime("se-fb"), 10_000), pentagon),
+            (classify(fb(3), hover_channel, Regime("se-fb"), 500), hover_channel),
+            (classify(fb(2), bsc14, Regime("se-fb"), 10_000), bsc14),
+            (classify(fb(F(3, 2)), nl2, Regime("se-fb"), 100), nl2),
+            (classify_fixed_plant(Enclosure.exact(F(5, 2)), pentagon,
+                                  "capacity-above", 100), pentagon),
+        ]
+        kinds = [(type(v.certificate).__name__, getattr(v.certificate, "quantity", None),
+                  getattr(v.certificate, "complete_graph", None)) for v, _ in cases]
+        assert kinds == [("IndependentSetCertificate", None, None),
+                         ("PsiCertificate", None, False), ("PsiCertificate", None, False),
+                         ("PsiCertificate", None, True),
+                         ("SeparationCertificate", "c0fb", None),
+                         ("SeparationCertificate", "alphabet-bound", None)]
+        assert not hover_channel.is_exact
+
+        def forbidden(*args):
+            raise AssertionError("the re-validator called log2_enclosure")
+
+        monkeypatch.setattr(classify_module, "log2_enclosure", forbidden)
+        for verdict, ch in cases:
+            assert revalidate(verdict, ch)
+
+
+def test_log2_compare():
+    assert log2_compare(F(4), F(2)) == 0
+    assert log2_compare(F(5, 2), F(1)) > 0   # 5/2 > 2^1
+    assert log2_compare(F(3), F(3, 2)) > 0   # 3 > 2^1.5
+    assert log2_compare(F(5, 2), F(21, 16)) > 0  # log2 2.5 = 1.3219 > 21/16
+    assert log2_compare(F(5, 2), F(43, 32)) < 0  # 43/32 = 1.34375
+    assert log2_compare(F(0), F(-5)) < 0
+    with pytest.raises(ValueError, match="dyadic"):
+        log2_compare(F(3), F(1, 3))
+
+
+values = st.fractions(min_value=F(1, 1000), max_value=1000).filter(lambda f: f > 0)
+
+
+def _nearby_exponent(value, m, offset):
+    """A dyadic at depth m within a few steps of log2(value): the hard cases."""
+    guess = mpmath.log(mpmath.mpf(value.numerator) / value.denominator, 2)
+    return F(int(mpmath.floor(guess * 2 ** m)) + offset, 1 << m)
+
+
+@given(value=values, m=st.integers(0, 12), offset=st.integers(-3, 3))
+def test_log2_compare_matches_exact_powers(value, m, offset):
+    exponent = _nearby_exponent(value, m, offset)
+    left = value ** exponent.denominator  # value**(2**m) in lowest terms
+    right = F(2) ** exponent.numerator
+    assert log2_compare(value, exponent) == (left > right) - (left < right)
+
+
+@pytest.mark.parametrize("bits", [100, 300])
+@pytest.mark.parametrize("m", [1, 2])
+def test_log2_compare_within_the_first_bracket(bits, m):
+    # the neighbours of 2**(1/2**m) on a grid finer than the first bracket's
+    # precision make it straddle, so only outward rounding keeps the sign right
+    root = 2 << (bits << m)
+    for _ in range(m):
+        root = math.isqrt(root)
+    assert log2_compare(F(root, 1 << bits), F(1, 1 << m)) == -1
+    assert log2_compare(F(root + 1, 1 << bits), F(1, 1 << m)) == 1
+
+
+@given(value=values, m=st.integers(64, 200), offset=st.integers(-3, 3),
+       power=st.integers(-40, 40))
+def test_log2_compare_at_depth(value, m, offset, power):
+    with mpmath.workprec(m + 200):
+        exponent = _nearby_exponent(value, m, offset)
+        gap = mpmath.log(mpmath.mpf(value.numerator) / value.denominator, 2) - (
+            mpmath.mpf(exponent.numerator) / exponent.denominator)
+    assert log2_compare(value, exponent) == (gap > 0) - (gap < 0)
+    # a power of two is compared exactly, equality included
+    two = F(2) ** power
+    for shift in (-1, 0, 1):
+        assert log2_compare(two, F(power * (1 << m) + shift, 1 << m)) == -shift
 
 
 class TestNoRepeatedSolves:

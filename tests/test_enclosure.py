@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certcap.enclosure import (DomainError, Enclosure, log2_enclosure,
+from certcap.enclosure import (DomainError, Enclosure, floor_log2, log2_enclosure,
                                parse_rational, rational_str, simplest_between)
 
 mpmath.mp.dps = 60
@@ -99,6 +99,33 @@ def test_near_power_of_two_triggers_precision_retry():
         lhs = Fraction(2) ** endpoint.numerator
         rhs = x ** (1 << m)
         assert (lhs <= rhs) if below else (lhs >= rhs)
+
+
+def _floor_log2_by_powers(x: Fraction) -> int:
+    k = 0
+    while Fraction(2) ** k > x:
+        k -= 1
+    while Fraction(2) ** (k + 1) <= x:
+        k += 1
+    return k
+
+
+def _bits_for_width_by_powers(width: Fraction) -> int:
+    m = 0
+    while Fraction(1, 1 << m) > width:
+        m += 1
+    return m
+
+
+@given(x=st.one_of(
+    st.fractions(min_value=Fraction(1, 10 ** 40), max_value=10 ** 30).filter(lambda f: f > 0),
+    # exact powers of two and their nearest neighbours
+    st.builds(lambda k, off: Fraction(2) ** k + Fraction(off, 1 << 300),
+              st.integers(-200, 200), st.integers(-1, 1))))
+def test_bit_length_forms_match_the_power_loops(x):
+    assert floor_log2(x) == _floor_log2_by_powers(x)
+    # log2_enclosure's digit count is the smallest m >= 1 with 2**-m <= width
+    assert log2_enclosure(Fraction(3), x).level == max(1, _bits_for_width_by_powers(x))
 
 
 def test_enclosure_invariants():
