@@ -248,27 +248,27 @@ def _float_step(rows, dist):
     return [w / total for w in weights]
 
 
-def next_distribution(rows, dist, grid_bits=40):
+def next_distribution(rows, dist):
     """One heuristic update snapped to a positive rational distribution.
 
-    The snap keeps entries strictly positive (so output marginals never
-    vanish on reachable outputs) and renormalizes exactly.
+    The snap to a 2**-40 grid keeps entries strictly positive (so output
+    marginals never vanish on reachable outputs) and renormalizes exactly.
     """
     weights = _float_step(rows, dist)
-    scale = 1 << grid_bits
+    scale = 1 << 40
     nums = [max(1, round(w * scale)) for w in weights]
     total = sum(nums)
     return tuple(Fraction(v, total) for v in nums)
 
 
-def shannon_capacity(ch: Channel, tolerance, *, max_iterations: int = 100_000) -> ShannonBounds:
+def shannon_capacity(ch: Channel, tolerance) -> ShannonBounds:
     """Certified bracket [lower.lo, upper.hi] around the channel capacity.
 
     The input distribution evolves by the classic alternating-optimization
     update in floating point, but every reported bound is recomputed in
     exact rational arithmetic with interval log2 terms, so the bracket is
     sound regardless of how the iteration behaves.  Stops once the certified
-    gap is within tolerance.
+    gap is within tolerance, and fails after 100 000 iterations.
     """
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
@@ -293,8 +293,7 @@ def shannon_capacity(ch: Channel, tolerance, *, max_iterations: int = 100_000) -
             best_upper = upper
         if best_upper.hi - best_lower.lo <= tolerance:
             break
-        if iterations >= max_iterations:
-            raise RuntimeError(
-                f"no certified gap <= {tolerance} within {max_iterations} iterations")
+        if iterations >= 100_000:
+            raise RuntimeError(f"no certified gap <= {tolerance} within 100000 iterations")
         dist = next_distribution(rows, dist)
     return ShannonBounds(best_lower, best_upper, iterations, best_dist)

@@ -1,11 +1,16 @@
 """Budgeted semi-decision engine for estimation/stabilization solvability.
 
-Each regime pairs anytime refinement tasks (exponent enclosures, ladder
-rungs, minimax levels, capacity iterations) with one-sided halting
-predicates, interleaved fairly by a deterministic dovetailer.  A verdict is
-emitted only with a machine-checkable certificate that re-validates from raw
-rationals; anything that cannot fire within the step budget is reported as
-Undetermined with a progress report, never guessed.
+Each regime compares the instability exponent with one capacity: C0 for
+se-nofb, C0fb for se-fb and stab-fb, Shannon's C for weak.  An exponent task
+and that regime's capacity task refine anytime, interleaved fairly by a
+deterministic dovetailer.  Every capacity task has the same interface:
+``lower`` bounds the capacity from below and drives Solvable, ``upper``
+bounds it from above and drives Unsolvable, each None while the task has no
+such bound, and ``certificate(outcome, eta, ch)`` builds the proof of the
+outcome that fired.  A verdict is emitted only with a machine-checkable
+certificate that re-validates from raw rationals; anything that cannot fire
+within the step budget is reported as Undetermined with a progress report,
+never guessed.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from .capacity import (MinimaxLadder, certified_capacity_bounds,
                        next_distribution, verify_minimax_lower_bound)
 from .channel import Channel, ResourceCapError, certify_support, support_sets
 from .confgraph import CapacityLadder, confusability_graph, extend_ladder
-from .enclosure import (Enclosure, exact_log2, log2_enclosure, parse_rational,
-                        rational_str)
+from .enclosure import (DomainError, Enclosure, exact_log2, log2_enclosure,
+                        parse_rational, rational_str)
 from .linalg import Matrix, as_matrix
 from .plant import Plant, instability_exponent, is_detectable, is_stabilizable
 
@@ -105,9 +110,16 @@ def log2_compare(value: Fraction, exponent: Fraction) -> int:
         precision *= 2
 
 
+# deepest endpoint p / 2**m, and narrowest shannon log width, the re-validator
+# settles (log2_compare costs about m**2.3); the engine's deepest endpoint is
+# 2**-118, at FeedbackCapacityTask's last width
+_MAX_ENDPOINT_DEPTH = 1024
+
+
 def _log_endpoint_sound(value: Fraction, enclosure: Enclosure) -> bool:
-    """Check lo <= log2(value) <= hi exactly; a non-dyadic endpoint fails."""
-    return (_is_dyadic(enclosure.lo) and _is_dyadic(enclosure.hi)
+    """Check lo <= log2(value) <= hi exactly; a non-dyadic or too deep endpoint fails."""
+    return (all(_is_dyadic(x) and x.denominator.bit_length() <= _MAX_ENDPOINT_DEPTH + 1
+                for x in (enclosure.lo, enclosure.hi))
             and log2_compare(value, enclosure.lo) >= 0
             and log2_compare(value, enclosure.hi) <= 0)
 
@@ -118,26 +130,35 @@ def _log_endpoint_sound(value: Fraction, enclosure: Enclosure) -> bool:
 _WIDTH_FLOOR = Fraction(1, 1 << 120)
 
 
-class EtaTask:
-    name = "eta"
+class _NarrowingTask:
+    """Encloses one quantity at ``width``, then narrows ``width`` sixteenfold.
 
-    def __init__(self, a: Matrix, start_width: Fraction = Fraction(1, 16)):
-        self.a = as_matrix(a)
-        self.width = start_width
-        self.enclosure: Enclosure | None = None
+    Exhausted once the enclosure is exact or the width has passed the floor.
+    """
 
     def exhausted(self) -> bool:
-        if self.enclosure is None:
-            return False
-        return self.enclosure.is_exact or self.width < _WIDTH_FLOOR
+        enclosure = self.enclosure
+        return enclosure is not None and (enclosure.is_exact or self.width < _WIDTH_FLOOR)
 
     def step(self) -> None:
-        self.enclosure = instability_exponent(self.a, self.width)
+        self.refine(self.width)
         self.width /= 16
 
     def progress(self) -> dict:
         return {"width": rational_str(self.width),
                 "enclosure": self.enclosure.to_json() if self.enclosure else None}
+
+
+class EtaTask(_NarrowingTask):
+    name = "eta"
+
+    def __init__(self, a: Matrix):
+        self.a = as_matrix(a)
+        self.width = Fraction(1, 16)
+        self.enclosure: Enclosure | None = None
+
+    def refine(self, width: Fraction) -> None:
+        self.enclosure = instability_exponent(self.a, width)
 
 
 class FixedEtaTask:
@@ -159,7 +180,19 @@ class FixedEtaTask:
         return {"enclosure": self.enclosure.to_json()}
 
 
-class FeedbackCapacityTask:
+class _CapacityTask:
+    """Bounds on a regime's capacity, as the module docstring describes.
+
+    ``ties_are_final`` marks bounds that enclose one exact value, which an
+    exact exponent equal to it can never be separated from.
+    """
+
+    lower: Enclosure | None = None
+    upper: Enclosure | None = None
+    ties_are_final = False
+
+
+class FeedbackCapacityTask(_NarrowingTask, _CapacityTask):
     """Exact channel: one LP solve, then log-enclosure refinement.
 
     The first step computes the feedback zero-error capacity; later steps
@@ -168,6 +201,7 @@ class FeedbackCapacityTask:
     """
 
     name = "fb-capacity"
+    ties_are_final = True
 
     def __init__(self, ch: Channel):
         self.channel = ch
@@ -178,25 +212,30 @@ class FeedbackCapacityTask:
     def enclosure(self) -> Enclosure | None:
         return self.result.enclosure if self.result else None
 
-    def exhausted(self) -> bool:
-        if self.result is None:
-            return False
-        return self.result.enclosure.is_exact or self.width < _WIDTH_FLOOR
+    lower = upper = enclosure
 
-    def step(self) -> None:
+    def refine(self, width: Fraction) -> None:
         if self.result is None:
-            self.result = feedback_zero_error_capacity(self.channel, self.width)
+            self.result = feedback_zero_error_capacity(self.channel, width)
         else:  # log2 of a zero-capacity result's inverse mass 1 stays exactly 0
             self.result = replace(self.result, enclosure=log2_enclosure(
-                self.result.inverse_mass, self.width))
-        self.width /= 16
+                self.result.inverse_mass, width))
 
-    def progress(self) -> dict:
-        return {"width": rational_str(self.width),
-                "enclosure": self.enclosure.to_json() if self.result else None}
+    def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
+        result = self.result
+        if outcome == SOLVABLE:
+            return SeparationCertificate(
+                "c0fb", "eta-below-capacity", eta, result.enclosure,
+                {"inverse_psi": rational_str(result.inverse_mass),
+                 "distribution": [rational_str(p) for p in result.minimax.distribution],
+                 "nonadjacent_pair": list(_nonadjacent_pair(ch))})
+        if result.zero_capacity:
+            return PsiCertificate(Fraction(1), 0, (), True, result.enclosure, eta.lo)
+        return PsiCertificate(result.minimax.value, 0, result.minimax.output_weights,
+                              False, result.enclosure, eta.lo)
 
 
-class MinimaxLadderTask:
+class MinimaxLadderTask(_CapacityTask):
     """Stream channel: support level climbs, minimax mass rises monotonically.
 
     Each step certifies the support at the next level; the minimax LP is
@@ -228,16 +267,23 @@ class MinimaxLadderTask:
                 "mass": rational_str(last.mass) if last else None,
                 "upper": last.upper.to_json() if last and last.upper else None}
 
+    def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
+        rung = self.ladder.last
+        return PsiCertificate(rung.mass, rung.level, rung.solution.output_weights,
+                              False, rung.upper, eta.lo)
 
-class ZeroErrorLadderTask:
+
+# the ladder task's search limits: vertices of a strong power, B&B nodes per rung
+_LADDER_VERTEX_CAP, _LADDER_NODE_BUDGET = 1024, 20_000
+
+
+class ZeroErrorLadderTask(_CapacityTask):
     """Independence-number rungs; on streams, first resolve the support."""
 
     name = "ladder"
 
-    def __init__(self, ch: Channel, vertex_cap: int = 1024, node_budget: int = 20_000):
+    def __init__(self, ch: Channel):
         self.channel = ch
-        self.vertex_cap = vertex_cap
-        self.node_budget = node_budget
         self.level = -1
         self.max_level = ch.max_declared_level()
         self.graph = None
@@ -250,7 +296,7 @@ class ZeroErrorLadderTask:
             self.level = 0
 
     @property
-    def best(self) -> Enclosure | None:
+    def lower(self) -> Enclosure | None:
         return self.ladder.running_best
 
     def exhausted(self) -> bool:
@@ -268,13 +314,13 @@ class ZeroErrorLadderTask:
             if not g.conservative:
                 self.graph = g
             return
-        if len(self.graph) ** self.next_n > self.vertex_cap:
+        if len(self.graph) ** self.next_n > _LADDER_VERTEX_CAP:
             self._capped = True
             return
         try:
             self.ladder = extend_ladder(self.ladder, self.graph, self.next_n,
-                                        node_budget=self.node_budget,
-                                        vertex_cap=self.vertex_cap)
+                                        node_budget=_LADDER_NODE_BUDGET,
+                                        vertex_cap=_LADDER_VERTEX_CAP)
         except ResourceCapError:
             self._capped = True
             return
@@ -282,39 +328,39 @@ class ZeroErrorLadderTask:
 
     def progress(self) -> dict:
         return {"support_level": self.level, "rungs": len(self.ladder.rungs),
-                "running_best": self.best.to_json() if self.best else None,
+                "running_best": self.lower.to_json() if self.lower else None,
                 "conservative_graph": self.graph is None}
 
+    def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
+        best = max(self.ladder.rungs, key=lambda r: r.rate_lo.lo)
+        return IndependentSetCertificate(best.n, best.alpha, best.witness, best.rate_lo, eta)
 
-class CapacityBoundsTask:
+
+class CapacityBoundsTask(_CapacityTask):
     """Anytime alternating-optimization bounds on the ordinary capacity."""
 
     name = "shannon"
 
-    def __init__(self, ch: Channel, max_iterations: int = 1_000_000):
+    def __init__(self, ch: Channel):
+        if not ch.is_exact:
+            raise RegimePreconditionError(
+                "weak regime needs exact channel entries for capacity bounds")
         self.rows = ch.rows
         nx = len(ch.inputs)
         self.dist = tuple(Fraction(1, nx) for _ in range(nx))
-        self.lower: Enclosure | None = None
-        self.upper: Enclosure | None = None
-        self.lower_dist = self.dist
-        self.upper_dist = self.dist
-        self.lower_width = self.upper_width = Fraction(1, 1 << 12)
         self.iterations = 0
-        self.max_iterations = max_iterations
         self.log_width = Fraction(1, 1 << 12)
 
     def exhausted(self) -> bool:
-        return self.iterations >= self.max_iterations
+        return self.iterations >= 1_000_000
 
     def step(self) -> None:
         lower, upper = certified_capacity_bounds(self.rows, self.dist, self.log_width)
+        # each bound keeps the distribution and width that give it
         if self.lower is None or lower.lo > self.lower.lo:
-            self.lower = lower
-            self.lower_dist, self.lower_width = self.dist, self.log_width
+            self.lower, self._lower_from = lower, (self.dist, self.log_width)
         if self.upper is None or upper.hi < self.upper.hi:
-            self.upper = upper
-            self.upper_dist, self.upper_width = self.dist, self.log_width
+            self.upper, self._upper_from = upper, (self.dist, self.log_width)
         self.dist = next_distribution(self.rows, self.dist)
         if self.log_width > Fraction(1, 1 << 60):
             self.log_width /= 4
@@ -324,6 +370,15 @@ class CapacityBoundsTask:
         return {"iterations": self.iterations,
                 "lower": self.lower.to_json() if self.lower else None,
                 "upper": self.upper.to_json() if self.upper else None}
+
+    def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
+        below = outcome == SOLVABLE
+        dist, width = self._lower_from if below else self._upper_from
+        return SeparationCertificate(
+            "shannon", "eta-below-capacity" if below else "capacity-below-eta", eta,
+            self.lower if below else self.upper,
+            {"input_distribution": [rational_str(p) for p in dist],
+             "log_width": rational_str(width)})
 
 
 # ---------------------------------------------------------------------------
@@ -505,117 +560,37 @@ def classify_fixed_plant(eta: Enclosure, ch: Channel, direction: str,
 
 def _run_classification(eta_task, ch: Channel, kind: str, budget: int) -> Verdict:
     regime, only = _FIXED_PLANT.get(kind, (kind, None))
-    tasks: list = [eta_task]
-    predicates: list = []
+    feedback = FeedbackCapacityTask if ch.is_exact else MinimaxLadderTask
+    cap = {"se-nofb": ZeroErrorLadderTask, "se-fb": feedback, "stab-fb": feedback,
+           "weak": CapacityBoundsTask}[regime](ch)
+    tasks = [eta_task, cap]
 
-    def eta_enc() -> Enclosure | None:
+    def eta() -> Enclosure | None:
         return eta_task.enclosure
 
-    if regime == "se-nofb":
-        ladder = ZeroErrorLadderTask(ch)
-        tasks.append(ladder)
-        predicates.append((SOLVABLE, lambda: eta_enc() is not None
-                           and ladder.best is not None
-                           and ladder.best.lo > eta_enc().hi))
-    elif regime in ("se-fb", "stab-fb"):
-        if ch.is_exact:
-            cap = FeedbackCapacityTask(ch)
-            cap_enc = lambda: cap.enclosure
-            predicates.append((SOLVABLE, lambda: eta_enc() is not None
-                               and cap_enc() is not None
-                               and eta_enc().hi < cap_enc().lo))
-        else:
-            cap = MinimaxLadderTask(ch)
-            cap_enc = lambda: cap.upper
-        tasks.append(cap)
-        predicates.append((UNSOLVABLE, lambda: eta_enc() is not None
-                           and cap_enc() is not None
-                           and cap_enc().hi < eta_enc().lo))
-        if ch.is_exact:
-            # exact equality of exact values: the threshold statements are
-            # strict on both sides, so no verdict can ever fire
-            predicates.append(("boundary", lambda: eta_enc() is not None
-                               and cap_enc() is not None
-                               and eta_enc().is_exact and cap_enc().is_exact
-                               and eta_enc().lo == cap_enc().lo))
-    elif regime == "weak":
-        if not ch.is_exact:
-            raise RegimePreconditionError(
-                "weak regime needs exact channel entries for capacity bounds")
-        ba = CapacityBoundsTask(ch)
-        tasks.append(ba)
-        predicates.append((SOLVABLE, lambda: eta_enc() is not None
-                           and ba.lower is not None
-                           and eta_enc().hi < ba.lower.lo))
-        predicates.append((UNSOLVABLE, lambda: eta_enc() is not None
-                           and ba.upper is not None
-                           and ba.upper.hi < eta_enc().lo))
+    predicates = [(SOLVABLE, lambda: eta() is not None and cap.lower is not None
+                   and eta().hi < cap.lower.lo),
+                  (UNSOLVABLE, lambda: eta() is not None and cap.upper is not None
+                   and cap.upper.hi < eta().lo)]
+    if cap.ties_are_final:
+        # exact equality of exact values: the threshold statements are
+        # strict on both sides, so no verdict can ever fire
+        predicates.append(("boundary", lambda: eta() is not None and cap.lower is not None
+                           and eta().is_exact and cap.lower.is_exact
+                           and eta().lo == cap.lower.lo))
     if only is not None:
         predicates = [p for p in predicates if p[0] == only]
 
     fired, steps = dovetail(tasks, predicates, budget)
     if fired is None or fired == "boundary":
         note = "boundary: exponent equals the capacity exactly" if fired == "boundary" else ""
-        return _undetermined(kind, tasks, steps, budget, note)
-    cap_task = tasks[1]
-    eta = eta_task.enclosure
-    if regime == "se-nofb":
-        cert = _ladder_certificate(cap_task, eta)
-    elif regime in ("se-fb", "stab-fb"):
-        if fired == UNSOLVABLE:
-            cert = _capacity_below_certificate(cap_task, eta, ch)
-        else:
-            cert = _feedback_solvable_certificate(cap_task, eta, ch)
-    else:
-        relation = "eta-below-capacity" if fired == SOLVABLE else "capacity-below-eta"
-        if fired == SOLVABLE:
-            enc, dist, width = cap_task.lower, cap_task.lower_dist, cap_task.lower_width
-        else:
-            enc, dist, width = cap_task.upper, cap_task.upper_dist, cap_task.upper_width
-        cert = SeparationCertificate(
-            "shannon", relation, eta, enc,
-            {"input_distribution": [rational_str(p) for p in dist],
-             "log_width": rational_str(width)})
-    verdict = Verdict(fired, kind, cert, steps, budget)
+        progress = {t.name: t.progress() for t in tasks}
+        return Verdict(UNDETERMINED, kind, BudgetReport(steps, budget, progress, note),
+                       steps, budget)
+    verdict = Verdict(fired, kind, cap.certificate(fired, eta(), ch), steps, budget)
     if not revalidate(verdict, ch):
         raise InternalInvariantViolation("certificate failed re-validation")
     return verdict
-
-
-def _undetermined(kind, tasks, steps, budget, note="") -> Verdict:
-    progress = {t.name: t.progress() for t in tasks}
-    return Verdict(UNDETERMINED, kind, BudgetReport(steps, budget, progress, note),
-                   steps, budget)
-
-
-def _ladder_certificate(ladder_task, eta: Enclosure) -> IndependentSetCertificate:
-    best_rung = max(ladder_task.ladder.rungs, key=lambda r: r.rate_lo.lo)
-    return IndependentSetCertificate(best_rung.n, best_rung.alpha,
-                                     best_rung.witness, best_rung.rate_lo, eta)
-
-
-def _capacity_below_certificate(cap_task, eta: Enclosure, ch: Channel) -> PsiCertificate:
-    if isinstance(cap_task, FeedbackCapacityTask):
-        result = cap_task.result
-        if result.zero_capacity:
-            return PsiCertificate(Fraction(1), 0, (), True, result.enclosure, eta.lo)
-        sol = result.minimax
-        return PsiCertificate(sol.value, 0, sol.output_weights, False,
-                              result.enclosure, eta.lo)
-    rung = cap_task.ladder.last
-    return PsiCertificate(rung.mass, rung.level, rung.solution.output_weights,
-                          False, rung.upper, eta.lo)
-
-
-def _feedback_solvable_certificate(cap_task, eta: Enclosure, ch: Channel) -> SeparationCertificate:
-    result = cap_task.result
-    sol = result.minimax
-    pair = _nonadjacent_pair(ch)
-    return SeparationCertificate(
-        "c0fb", "eta-below-capacity", eta, result.enclosure,
-        {"inverse_psi": rational_str(result.inverse_mass),
-         "distribution": [rational_str(p) for p in sol.distribution],
-         "nonadjacent_pair": list(pair)})
 
 
 def _nonadjacent_pair(ch: Channel) -> tuple[int, int]:
@@ -713,10 +688,11 @@ def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
 
 def _check_separation(cert: SeparationCertificate, ch: Channel) -> bool:
     nx, ny = len(ch.inputs), len(ch.outputs)
+    payload = cert.payload if isinstance(cert.payload, dict) else {}
     if cert.quantity == "alphabet-bound":
         # no zero-error rate exceeds log2 of the smaller alphabet, so the
         # producer fires at equality
-        alphabet = cert.payload.get("alphabet")
+        alphabet = payload.get("alphabet")
         return (alphabet == min(nx, ny)
                 and _log_endpoint_sound(Fraction(alphabet), cert.capacity)
                 and cert.capacity.hi <= cert.eta.lo)
@@ -725,25 +701,48 @@ def _check_separation(cert: SeparationCertificate, ch: Channel) -> bool:
     if not ch.is_exact or not (cert.eta.hi < cert.capacity.lo if below
                                else cert.capacity.hi < cert.eta.lo):
         return False
+    support = certify_support(ch, 0)
+    supports = support_sets(support, nx, ny)
     if cert.quantity == "c0fb":
-        inverse = parse_rational(cert.payload["inverse_psi"])
-        dist = [parse_rational(p) for p in cert.payload["distribution"]]
-        if len(dist) != nx or any(p < 0 for p in dist) or sum(dist) != 1:
+        inverse = _payload_rational(payload.get("inverse_psi"))
+        dist = _payload_distribution(payload.get("distribution"), nx)
+        pair = payload.get("nonadjacent_pair")
+        if (inverse is None or inverse <= 0 or dist is None
+                or not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or not all(type(v) is int for v in pair)):
             return False
-        support = certify_support(ch, 0)
-        worst = max((sum(dist[x] for x in s) for s in support_sets(support, nx, ny) if s),
-                    default=Fraction(1))
-        if inverse <= 0 or worst > 1 / inverse:
-            return False
-        i, j = cert.payload["nonadjacent_pair"]
+        worst = max((sum(dist[x] for x in s) for s in supports if s), default=Fraction(1))
+        i, j = pair
         # a bit test would read an out-of-range index as "not adjacent"
-        if not 0 <= i < j < nx or confusability_graph(
+        if worst > 1 / inverse or not 0 <= i < j < nx or confusability_graph(
                 support, ch.inputs, ny).are_adjacent(i, j):
             return False
         # capacity enclosure really brackets log2(inverse)
         return _log_endpoint_sound(inverse, cert.capacity)
     # shannon: the stored bound is the one its distribution and width give
-    dist = tuple(parse_rational(p) for p in cert.payload["input_distribution"])
-    width = parse_rational(cert.payload["log_width"])
+    dist = _payload_distribution(payload.get("input_distribution"), nx)
+    width = _payload_rational(payload.get("log_width"))
+    if (dist is None or width is None or width < Fraction(1, 1 << _MAX_ENDPOINT_DEPTH)
+            # a reachable output without mass makes the divergence bound vacuous
+            or any(s and not any(dist[x] for x in s) for s in supports)):
+        return False
     lower, upper = certified_capacity_bounds(ch.rows, dist, width)
     return cert.capacity == (lower if below else upper)
+
+
+def _payload_rational(text) -> Fraction | None:
+    """A certificate payload's rational string, or None if it is malformed."""
+    try:
+        return parse_rational(text)
+    except DomainError:
+        return None
+
+
+def _payload_distribution(values, n: int) -> tuple | None:
+    """A payload's probability vector over n inputs, or None if it is not one."""
+    if not isinstance(values, (list, tuple)) or len(values) != n:
+        return None
+    dist = tuple(_payload_rational(v) for v in values)
+    if None in dist or any(p < 0 for p in dist) or sum(dist) != 1:
+        return None
+    return dist

@@ -16,7 +16,7 @@ from .enclosure import Enclosure, log2_enclosure
 
 DEFAULT_VERTEX_CAP = 4096
 DEFAULT_NODE_BUDGET = 200_000
-DEFAULT_RATE_WIDTH = Fraction(1, 1 << 16)
+RATE_WIDTH = Fraction(1, 1 << 16)
 
 
 class LadderError(ValueError):
@@ -324,7 +324,6 @@ class CapacityLadder:
 
 
 def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
-                  rate_width: Fraction = DEFAULT_RATE_WIDTH,
                   node_budget: int | None = DEFAULT_NODE_BUDGET,
                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> CapacityLadder:
     """Append rung n: alpha of the n-th strong power plus its rate enclosure.
@@ -345,7 +344,7 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     seed = _best_product_witness(ladder, n)
     result = max_independent_set(power, node_budget=node_budget,
                                  seed_witness=seed, vertex_cap=vertex_cap)
-    rate = log2_enclosure(Fraction(result.alpha), rate_width * n).scaled(Fraction(1, n))
+    rate = log2_enclosure(Fraction(result.alpha), RATE_WIDTH * n).scaled(Fraction(1, n))
     rung = LadderRung(n, result.alpha, result.witness, rate, result.exact)
     rungs = tuple(sorted(ladder.rungs + (rung,), key=lambda r: r.n))
     best = ladder.running_best

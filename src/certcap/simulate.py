@@ -75,7 +75,6 @@ class SimConfig:
     initial_radius: Fraction = Fraction(1)
     x0: tuple | None = None
     divergence_threshold: Fraction = Fraction(1000)
-    stop_at_divergence: bool = True
 
     def modes(self) -> tuple[Fraction, ...]:
         a = self.plant.a
@@ -284,7 +283,7 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
             diverged_at = t
 
     while t < cfg.horizon:
-        if diverged_at is not None and cfg.stop_at_divergence:
+        if diverged_at is not None:
             break
         # quantize against the coder's box and transmit the cell index
         idxs = []
@@ -323,7 +322,7 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
         for _ in range(n):
             if t >= cfg.horizon:
                 break
-            if diverged_at is not None and cfg.stop_at_divergence:
+            if diverged_at is not None:
                 break
             u_now = ()
             if with_control:

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from certcap import capacity
 from certcap.capacity import (DEFAULT_C0FB_WIDTH, MinimaxLadder,
+                              certified_capacity_bounds,
                               feedback_zero_error_capacity, minimax_ladder_step,
                               minimax_support_mass)
 from certcap.channel import (certify_support, hovering_stream, load_channel,
@@ -23,6 +25,7 @@ from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               classify_fixed_plant, dovetail, log2_compare,
                               revalidate, _assert_monotone_predicates)
 from certcap.enclosure import Enclosure, log2_enclosure
+from certcap.plant import instability_exponent
 from conftest import diagonal_plant, scalar_plant
 
 F = Fraction
@@ -431,6 +434,58 @@ class TestForgedCertificates:
         cert = verdict.certificate
         bad = replace(cert, witness=((0, 7),) + cert.witness[1:])
         assert revalidate(_with_certificate(verdict, bad), pentagon) is False
+
+    def test_shannon_distribution_must_be_a_probability_vector(self, nl2):
+        # 3/8 on each input of noiseless(2) (C = 1) "proves" C >= 1.06, above
+        # eta = log2(41/20) = 1.036, although that plant is Unsolvable
+        plant = scalar_plant(F(41, 20))
+        assert classify(plant, nl2, Regime("weak"), 100).outcome == "Unsolvable"
+        eta = instability_exponent(plant.a, F(1, 1 << 20))
+        lower, _ = certified_capacity_bounds(nl2.rows, (F(3, 8), F(3, 8)), F(1, 1 << 20))
+        assert eta.hi < lower.lo
+        cert = SeparationCertificate(
+            "shannon", "eta-below-capacity", eta, lower,
+            {"input_distribution": ["3/8", "3/8"], "log_width": "1/1048576"})
+        assert revalidate(Verdict("Solvable", "weak", cert, 1, 100), nl2) is False
+
+    def test_endpoint_past_the_depth_cap_fails_fast(self, pentagon):
+        verdict = classify(diagonal_plant([2], disturbance=F(1, 10)),
+                           pentagon, Regime("se-fb"), 10_000)
+        cert = verdict.certificate
+        assert cert.quantity == "c0fb" and revalidate(verdict, pentagon)
+        # still a true lower endpoint, but log2_compare would need 100000 squarings
+        deep = Enclosure(cert.capacity.lo - F(1, 1 << 100_000), cert.capacity.hi)
+        start = time.monotonic()
+        assert revalidate(_with_certificate(verdict, replace(cert, capacity=deep)),
+                          pentagon) is False
+        assert time.monotonic() - start < 0.5
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("quantity, change", [
+    ("shannon", {"input_distribution": ["1", "0"]}),
+    ("shannon", {"input_distribution": ["x", "1"]}),
+    ("shannon", {"input_distribution": ["1"]}),
+    ("shannon", {"log_width": "-1"}),
+    ("shannon", {"input_distribution": 5}),
+    ("shannon", {"log_width": _DROP}),
+    ("c0fb", {"nonadjacent_pair": _DROP}),
+    ("c0fb", {"nonadjacent_pair": [0, 1, 2]}),
+    ("c0fb", {"nonadjacent_pair": ["0", "1"]}),
+    ("c0fb", {"inverse_psi": "abc"}),
+], ids=["shannon-zero-mass", "shannon-bad-rational", "shannon-short",
+        "shannon-negative-width", "shannon-not-a-list", "shannon-missing-key",
+        "c0fb-missing-pair", "c0fb-three-indices", "c0fb-string-indices",
+        "c0fb-bad-inverse-psi"])
+def test_malformed_payload_fails_without_raising(nl2, quantity, change):
+    plant = scalar_plant(F(3, 2), disturbance=None if quantity == "shannon" else F(1, 10))
+    verdict = classify(plant, nl2, Regime("weak" if quantity == "shannon" else "se-fb"), 100)
+    cert = verdict.certificate
+    assert cert.quantity == quantity and revalidate(verdict, nl2)
+    payload = {k: v for k, v in {**cert.payload, **change}.items() if v is not _DROP}
+    assert revalidate(_with_certificate(verdict, replace(cert, payload=payload)), nl2) is False
 
 
 class TestVerdictMatchesCertificate:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -211,3 +212,29 @@ def test_json_round_trip_is_byte_stable(capsys, data_dir, argv):
     doc = json.loads(out)
     again = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert again == out
+
+
+# sha256 of stdout and the exit code of each GOLDEN_COMMANDS entry, pinned
+# so that a refactor which changes the bytes consistently still fails.  The
+# weak (#2) and capacity (#4) outputs carry input distributions chosen by
+# the floating-point heuristic in capacity.next_distribution, so those two
+# digests also depend on the platform's float log2.
+GOLDEN_DIGESTS = [
+    ("1de8b18dda5fb9078f804bb385668e4844b40a8e9ac07586a9bad6c1cef596f7", 0),
+    ("c1012fb60bd575310643b74319c2bbcf1994ea635eee3100fac3cd9e707cee93", 0),
+    ("5dd7d50f427933ec192261074057c2f690341d8e11ba2f15d302e5320bf278e2", 0),
+    ("18e570de70601ebce542bf87072f52751c030d66dc1ca9ca1117a835b003e632", 0),
+    ("2c6573dbf796ae20f86365edda742ec89ea6493ae80717faf7df3711b0e43af4", 0),
+    ("2eae14b6477558e227a60a2a20baa8d80cd655f57ac29171ec30067164ab6c73", 0),
+    ("bd73c5d374f6cd1da466a8789376d9ed3e6bf2f42feb2584973ed9bb7e620fa7", 0),
+    ("d9384b76483d43e84da2e99d4ccbcf56da27649bb8ef6f8ccb2c3cc36d7f2bb5", 0),
+    ("0eb5cca7d1d9fb4c570299dfd724c2b5f7e55a68c4ec53bec37e771b0ffd7a7d", 0),
+    ("76fd435e2fd50d4a6d12c3a9ddd7ca9e5ae6ddca2acc8657d6d97fbdf37527dd", 0),
+]
+
+
+@pytest.mark.parametrize("argv, pinned", list(zip(GOLDEN_COMMANDS, GOLDEN_DIGESTS)),
+                         ids=[" ".join(a[:2]) + f"#{i}" for i, a in enumerate(GOLDEN_COMMANDS)])
+def test_golden_stdout_is_pinned(capsys, data_dir, argv, pinned):
+    code, out, _ = run_cli(capsys, *_resolve(data_dir, list(argv)))
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
