@@ -651,15 +651,19 @@ def revalidate(verdict: Verdict, ch: Channel) -> bool:
 
 
 def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool:
+    if not (type(cert.n) is int and type(cert.alpha) is int and isinstance(cert.witness, tuple)
+            and _enclosures(cert.rate_lo, cert.eta)):
+        return False
     support = certify_support(ch, 0 if ch.is_exact else ch.max_declared_level())
     if support.unresolved:
         return False
     graph = confusability_graph(support, ch.inputs, len(ch.outputs))
     index = {v: i for i, v in enumerate(ch.inputs)}
     labels = [v if isinstance(v, tuple) else (v,) for v in cert.witness]
-    if cert.n < 1 or len(labels) != cert.alpha or len(set(labels)) != cert.alpha:
+    # a tuple compares its items without hashing them, so list labels fail here
+    if cert.n < 1 or any(len(v) != cert.n or not all(x in ch.inputs for x in v) for v in labels):
         return False
-    if any(len(v) != cert.n or not all(x in index for x in v) for v in labels):
+    if len(labels) != cert.alpha or len(set(labels)) != cert.alpha:
         return False
     for a, va in enumerate(labels):
         for vb in labels[a + 1:]:
@@ -673,6 +677,10 @@ def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool
 
 def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
     nx, ny = len(ch.inputs), len(ch.outputs)
+    if not (type(cert.support_level) is int and isinstance(cert.output_weights, tuple)
+            and _rationals(cert.mass, cert.eta_lo, *cert.output_weights)
+            and _enclosures(cert.c0fb_upper)):
+        return False
     if cert.complete_graph:
         return (ch.is_exact
                 and confusability_graph(certify_support(ch, 0), ch.inputs, ny).is_complete()
@@ -728,6 +736,16 @@ def _check_separation(cert: SeparationCertificate, ch: Channel) -> bool:
         return False
     lower, upper = certified_capacity_bounds(ch.rows, dist, width)
     return cert.capacity == (lower if below else upper)
+
+
+def _rationals(*values) -> bool:
+    """Whether every value is an int or a Fraction, as certificate numbers must be."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _enclosures(*values) -> bool:
+    """Whether every value is an Enclosure with rational endpoints."""
+    return all(isinstance(e, Enclosure) and _rationals(e.lo, e.hi) for e in values)
 
 
 def _payload_rational(text) -> Fraction | None:

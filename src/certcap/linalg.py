@@ -48,11 +48,6 @@ def is_symmetric(m: Matrix) -> bool:
                                 for i in range(n) for j in range(i + 1, n))
 
 
-def gram(m: Matrix) -> Matrix:
-    """M @ M^T, the symmetric carrier of the squared singular values."""
-    return mat_mul(m, transpose(m))
-
-
 def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial det(tI - M), low-degree-first.
 

@@ -1,13 +1,11 @@
 """Exact polynomial root machinery over the rationals.
 
-The one root count everything else in the package uses is count_inside: the
-number of roots in an open disc |z| < r, by the Schur-Cohn-Jury reduction in
-exact integers.  On it rest the unit-circle (Schur) stability test and the
-bracketing of the root moduli >= 1 that the instability exponent sums.
-
-The Sturm-sequence isolation of real roots and the certified eigenvalue
-enclosures of symmetric rational matrices remain as an independent
-reference for tests.
+The one root count in the package is count_inside: the number of roots in
+an open disc |z| < r, by the Schur-Cohn-Jury reduction in exact integers.
+On it rest the unit-circle (Schur) stability test, the bracketing of the
+root moduli >= 1 that the instability exponent sums, and the certified
+eigenvalue enclosures of symmetric rational matrices, whose real spectrum
+it counts on intervals.
 
 Polynomials are tuples of Fractions, low degree first, trailing zeros
 stripped.
@@ -50,16 +48,6 @@ def poly_deriv(p: Poly) -> Poly:
     return poly_trim(c * k for k, c in enumerate(p) if k > 0)
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return poly_trim(out)
-
-
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -76,75 +64,12 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return poly_trim(quo), poly_trim(rem)
 
 
-def poly_monic(p: Poly) -> Poly:
-    if not p:
-        return p
-    inv = 1 / p[-1]
-    return tuple(c * inv for c in p)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """The monic gcd of a and b (empty if both are zero)."""
     while b:
         _, r = poly_divmod(a, b)
         a, b = b, r
-    return poly_monic(a)
-
-
-def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: p = prod f_i^i with the f_i square-free and coprime."""
-    p = poly_monic(p)
-    if poly_degree(p) < 1:
-        return []
-    dp = poly_deriv(p)
-    g = poly_gcd(p, dp)
-    b, _ = poly_divmod(p, g)
-    c, _ = poly_divmod(dp, g)
-    d = _poly_sub(c, poly_deriv(b))
-    out: list[tuple[Poly, int]] = []
-    i = 1
-    while poly_degree(b) > 0:
-        a = poly_gcd(b, d)
-        if poly_degree(a) > 0:
-            out.append((poly_monic(a), i))
-        b, _ = poly_divmod(b, a)
-        c, _ = poly_divmod(d, a)
-        d = _poly_sub(c, poly_deriv(b))
-        i += 1
-    return out
-
-
-def _poly_sub(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                     for i in range(n))
-
-
-# ---------------------------------------------------------------------------
-# Sturm sequences and real root isolation
-
-def sturm_sequence(p: Poly) -> list[Poly]:
-    seq = [p, poly_deriv(p)]
-    while seq[-1] and poly_degree(seq[-1]) > 0:
-        _, r = poly_divmod(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append(tuple(-c for c in r))
-    if not seq[-1]:
-        seq.pop()
-    return seq
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _variations(values) -> int:
-    signs = [s for s in (_sign(v) for v in values) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_variations_at(seq: list[Poly], x: Fraction) -> int:
-    return _variations(poly_eval(p, x) for p in seq)
+    return tuple(c / a[-1] for c in a)
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -153,69 +78,6 @@ def cauchy_root_bound(p: Poly) -> Fraction:
         return Fraction(1)
     lead = abs(p[-1])
     return 1 + max(abs(c) for c in p[:-1]) / lead
-
-
-def isolate_real_roots(p: Poly):
-    """Isolate the distinct real roots of a square-free polynomial.
-
-    Returns (exact_roots, intervals): rational roots hit head-on during
-    bisection come back exact, the rest as (lo, hi, poly) with a sign change
-    across the interval and exactly one root inside.  ``poly`` is the
-    (possibly deflated) polynomial to use for further refinement.
-    """
-    exact: list[Fraction] = []
-    p = poly_monic(p)
-    while True:
-        if poly_degree(p) < 1:
-            return sorted(exact), []
-        hit, intervals = _isolate_once(p)
-        if hit is None:
-            return sorted(exact), [(lo, hi, p) for lo, hi in sorted(intervals)]
-        exact.append(hit)
-        p, _ = poly_divmod(p, (-hit, Fraction(1)))
-
-
-def _isolate_once(p: Poly):
-    seq = sturm_sequence(p)
-    bound = cauchy_root_bound(p)
-    intervals: list[tuple[Fraction, Fraction]] = []
-    va = sturm_variations_at(seq, -bound)
-    vb = sturm_variations_at(seq, bound)
-    stack = [(-bound, bound, va, vb)]
-    while stack:
-        a, b, va, vb = stack.pop()
-        count = va - vb
-        if count == 0:
-            continue
-        if count == 1:
-            intervals.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if poly_eval(p, mid) == 0:
-            return mid, []
-        vm = sturm_variations_at(seq, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
-    return None, intervals
-
-
-def refine_root_interval(p: Poly, lo: Fraction, hi: Fraction,
-                         max_width: Fraction) -> tuple[Fraction, Fraction]:
-    """Sign bisection of an isolating interval down to the requested width.
-
-    Collapses to an exact point when a bisection midpoint lands on the root.
-    """
-    sign_lo = _sign(poly_eval(p, lo))
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        v = poly_eval(p, mid)
-        if v == 0:
-            return mid, mid
-        if sign_lo * _sign(v) < 0:
-            hi = mid
-        else:
-            lo, sign_lo = mid, _sign(v)
-    return lo, hi
 
 
 def _integer_form(p: Poly) -> list[int]:
@@ -231,102 +93,6 @@ def _scaled(ints: list[int], r: Fraction) -> list[int]:
     u, v = r.numerator, r.denominator
     n = len(ints) - 1
     return [c * u ** k * v ** (n - k) for k, c in enumerate(ints)]
-
-
-def rational_root_in_interval(p: Poly, lo: Fraction, hi: Fraction):
-    """Exact rational root in an isolating interval, or None.
-
-    Refines the interval below the separation radius of rationals whose
-    denominator can divide the leading integer coefficient, then checks the
-    unique candidate.  Certified either way.
-    """
-    bmax = abs(_integer_form(p)[-1])
-    sep = Fraction(1, 2 * bmax * bmax)
-    lo, hi = refine_root_interval(p, lo, hi, sep)
-    if lo == hi:
-        return lo, (lo, hi)
-    cand = simplest_between(lo, hi)
-    if cand.denominator <= bmax and poly_eval(p, cand) == 0:
-        return cand, (lo, hi)
-    return None, (lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# certified eigenvalue enclosures for symmetric rational matrices
-
-class _RootItem:
-    __slots__ = ("lo", "hi", "poly", "multiplicity")
-
-    def __init__(self, lo, hi, poly, multiplicity):
-        self.lo = lo
-        self.hi = hi
-        self.poly = poly
-        self.multiplicity = multiplicity
-
-    @property
-    def exact(self):
-        return self.lo == self.hi
-
-    def refine(self, width):
-        if not self.exact:
-            self.lo, self.hi = refine_root_interval(self.poly, self.lo, self.hi, width)
-
-
-def real_roots_with_multiplicity(p: Poly) -> list[_RootItem]:
-    """All real roots of p as refinable items, rational ones pinned exactly."""
-    items: list[_RootItem] = []
-    for factor, mult in square_free_decomposition(p):
-        exact, intervals = isolate_real_roots(factor)
-        for r in exact:
-            items.append(_RootItem(r, r, factor, mult))
-        for lo, hi, poly in intervals:
-            root, (lo, hi) = rational_root_in_interval(poly, lo, hi)
-            if root is not None:
-                items.append(_RootItem(root, root, poly, mult))
-            else:
-                items.append(_RootItem(lo, hi, poly, mult))
-    return items
-
-
-def _separate_items(items: list[_RootItem]) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                a, b = items[i], items[j]
-                if a.lo <= b.hi and b.lo <= a.hi:
-                    width = max(a.hi - a.lo, b.hi - b.lo) / 4
-                    a.refine(width)
-                    b.refine(width)
-                    changed = True
-
-
-def symmetric_eigenvalue_enclosures(m: Matrix, max_width: Fraction) -> list[Enclosure]:
-    """Disjoint enclosures covering the spectrum of a symmetric matrix.
-
-    One enclosure per eigenvalue counting multiplicity, sorted by lower
-    endpoint, each of width <= max_width; rational eigenvalues come back as
-    zero-width intervals.  Characteristic-polynomial coefficients, Sturm
-    isolation and bisection are all exact.
-    """
-    if not is_symmetric(m):
-        raise DomainError("eigenvalue enclosures require an exactly symmetric matrix")
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise DomainError("target width must be positive")
-    p = char_poly(m)
-    items = real_roots_with_multiplicity(p)
-    if sum(it.multiplicity for it in items) != len(m):
-        raise RuntimeError("symmetric matrix with non-real spectrum detected")
-    for it in items:
-        it.refine(max_width)
-    _separate_items(items)
-    out: list[Enclosure] = []
-    for it in sorted(items, key=lambda it: (it.lo, it.hi)):
-        enc = Enclosure(it.lo, it.hi)
-        out.extend([enc] * it.multiplicity)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +156,13 @@ def schur_stable(p: Poly) -> bool:
     return count_inside(p, 1) == poly_degree(p)
 
 
-def _regular_radius(ints: list[int], radii) -> tuple[Fraction, int]:
-    """The first of the radii where the count of ints is decided, and the count."""
-    for r in radii:
-        inside = _count_in_unit_disc(_scaled(ints, r))
+def _first_decided(count, points) -> tuple[Fraction, int]:
+    """The first of the points where count(point) is decided, and the count."""
+    for x in points:
+        inside = count(x)
         if inside is not None:
-            return r, inside
-    raise RuntimeError("no radius with a decided root count among the candidates")
+            return x, inside
+    raise RuntimeError("no point with a decided root count among the candidates")
 
 
 def _split_radii(lo: Fraction, hi: Fraction):
@@ -404,6 +170,12 @@ def _split_radii(lo: Fraction, hi: Fraction):
     yield (lo + hi) / 2
     for j in range(2, 64):
         yield lo + (hi - lo) * Fraction((1 << (j - 1)) + 1, 1 << j)
+
+
+def _square_free_part(p: Poly) -> Poly:
+    """p / gcd(p, p'): each distinct root of p once."""
+    s, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
+    return s
 
 
 def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
@@ -432,7 +204,7 @@ def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
         return False
     if lo >= 1:
         return True
-    s, _ = poly_divmod(g, poly_gcd(g, poly_deriv(g)))
+    s = _square_free_part(g)
     critical = count_inside(poly_deriv(s), 1)
     inner = count_inside(s, rho)
     return None not in (critical, inner) and poly_degree(s) - 1 - critical == inner
@@ -467,8 +239,12 @@ def unstable_moduli(p: Poly, tolerance: Fraction) -> list[tuple[Fraction, Fracti
         return [(modulus, modulus, 1)] if modulus >= 1 else []
     top = Fraction(1 << int(cauchy_root_bound(p)).bit_length())
     ints = _integer_form(p)
-    base, below = _regular_radius(
-        ints, chain([Fraction(1)], (1 - Fraction(1, 1 << j) for j in range(4, 64))))
+
+    def count(r):
+        return _count_in_unit_disc(_scaled(ints, r))
+
+    base, below = _first_decided(
+        count, chain([Fraction(1)], (1 - Fraction(1, 1 << j) for j in range(4, 64))))
     lead = abs(ints[-1])
     sep = Fraction(1, 2 * lead * lead)
     out = []
@@ -489,7 +265,83 @@ def unstable_moduli(p: Poly, tolerance: Fraction) -> list[tuple[Fraction, Fracti
         if tested and hi - floor <= floor * tolerance:
             out.append((lo, hi, k))
             continue
-        mid, n_mid = _regular_radius(ints, _split_radii(lo, hi))
+        mid, n_mid = _first_decided(count, _split_radii(lo, hi))
         stack.append((lo, n_lo, mid, n_mid, tested and n_mid - n_lo == k))
         stack.append((mid, n_mid, hi, n_hi, tested and n_hi - n_mid == k))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# certified eigenvalue enclosures for symmetric rational matrices
+
+def _count_between(p: Poly, lo: Fraction, hi: Fraction) -> int | None:
+    """count_inside on the open interval (lo, hi), for p with only real roots.
+
+    The disc is centred at c = (lo + hi) / 2: repeated synthetic division
+    gives the coefficients of p(z + c).
+    """
+    c, q = (lo + hi) / 2, list(p)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += c * q[j + 1]
+    return count_inside(q, (hi - lo) / 2)
+
+
+def symmetric_eigenvalue_enclosures(m: Matrix, max_width: Fraction) -> list[Enclosure]:
+    """Disjoint enclosures covering the spectrum of a symmetric matrix.
+
+    One enclosure per eigenvalue counting multiplicity, sorted by lower
+    endpoint, each of width <= max_width; rational eigenvalues come back as
+    zero-width intervals.  Characteristic-polynomial coefficients, root
+    counts and bisection are all exact.
+
+    The spectrum is real, so _count_between counts eigenvalues on
+    intervals.  Bisection with these counts isolates each root of the
+    square-free part s of the characteristic polynomial p.  Sign halving
+    narrows its bracket (lo, hi) strictly inside, keeping neighbours
+    disjoint, and below 1/(2 L^2), L the leading coefficient of s's
+    primitive integer form, so the simplest rational in it is the only
+    possible rational root (its denominator divides L).  The multiplicity
+    is the count of p between the narrow bracket and (lo, hi).
+    """
+    if not is_symmetric(m):
+        raise DomainError("eigenvalue enclosures require an exactly symmetric matrix")
+    max_width = Fraction(max_width)
+    if max_width <= 0:
+        raise DomainError("target width must be positive")
+    p = char_poly(m)
+    s = _square_free_part(p)
+    lead = abs(_integer_form(s)[-1])
+    width = min(Fraction(1, 2 * lead * lead), max_width)
+    top = Fraction(1 << int(cauchy_root_bound(s)).bit_length())
+    roots = []
+    # (lo, hi, number of roots of s in the open interval (lo, hi))
+    stack = [(-top, top, poly_degree(s))]
+    while stack:
+        lo, hi, k = stack.pop()
+        if k > 1:
+            mid, left = _first_decided(lambda x: _count_between(s, lo, x),
+                                       _split_radii(lo, hi))
+            stack += [(lo, mid, left), (mid, hi, k - left)]
+        elif k == 1:
+            a, b = lo, hi
+            rising = poly_eval(s, hi) > 0
+            while a == lo or b == hi or b - a >= width:
+                mid = (a + b) / 2
+                value = poly_eval(s, mid)
+                if value == 0:
+                    a = b = mid
+                elif (value > 0) == rising:
+                    b = mid
+                else:
+                    a = mid
+            r = simplest_between(a, b)
+            if r.denominator <= lead and poly_eval(s, r) == 0:
+                a = b = r
+            _, mult = _first_decided(
+                lambda t: _count_between(p, a - (a - lo) * t, b + (hi - b) * t),
+                _split_radii(Fraction(0), Fraction(1)))
+            roots.append((a, b, mult))
+    if sum(mult for _, _, mult in roots) != len(m):
+        raise RuntimeError("symmetric matrix with non-real spectrum detected")
+    return [Enclosure(a, b) for a, b, mult in sorted(roots) for _ in range(mult)]

@@ -488,6 +488,26 @@ def test_malformed_payload_fails_without_raising(nl2, quantity, change):
     assert revalidate(_with_certificate(verdict, replace(cert, payload=payload)), nl2) is False
 
 
+@pytest.mark.parametrize("a, regime, change", [
+    (3, "se-fb", {"mass": "1/2"}),
+    (3, "se-fb", {"output_weights": ("1/5",) * 5}),
+    (3, "se-fb", {"support_level": "0"}),
+    (3, "se-fb", {"eta_lo": "2"}),
+    (2, "se-nofb", {"n": "2"}),
+    (2, "se-nofb", {"witness": 5}),
+    # a JSON round trip turns the labels of a one-letter witness into lists
+    (F(3, 2), "se-nofb", {"witness": ([2], [4])}),
+], ids=["psi-string-mass", "psi-string-weights", "psi-string-level",
+        "psi-string-eta", "witness-string-n", "witness-not-a-tuple",
+        "witness-list-labels"])
+def test_mistyped_certificate_field_fails_without_raising(pentagon, a, regime, change):
+    verdict = classify(diagonal_plant([a], disturbance=F(1, 10)), pentagon,
+                       Regime(regime), 10_000)
+    assert revalidate(verdict, pentagon)
+    bad = replace(verdict.certificate, **change)
+    assert revalidate(_with_certificate(verdict, bad), pentagon) is False
+
+
 class TestVerdictMatchesCertificate:
     """A certificate proves one outcome, in the regimes whose capacity it bounds."""
 

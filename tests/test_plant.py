@@ -5,11 +5,10 @@ import mpmath
 import pytest
 
 from certcap.classify import Regime, classify, revalidate
-from certcap.enclosure import Enclosure, log2_enclosure
-from certcap.linalg import as_matrix, char_poly, gram, mat_mul
+from certcap.enclosure import Enclosure
+from certcap.linalg import as_matrix, char_poly, mat_mul
 from certcap.plant import (Plant, PlantFormatError, instability_exponent,
                            is_detectable, is_stabilizable, is_unstable, load_plant)
-from certcap.roots import symmetric_eigenvalue_enclosures
 
 F = Fraction
 mpmath.mp.dps = 40
@@ -35,19 +34,15 @@ class TestExponent:
         assert enc.lo == enc.hi == 0
 
     def test_gram_route_identity_regression(self):
-        # public value == half the clamped log-spectrum of A A^T, recomputed here
+        # public value == half the clamped log-spectrum of A A^T, here from
+        # mpmath's singular values of A; both exceed 1, so it is log2 |det A|
         a = as_matrix([[2, 1], [0, F(3, 2)]])
         width = F(1, 2 ** 16)
         enc = instability_exponent(a, width)
-        spectrum = symmetric_eigenvalue_enclosures(gram(a), width / 4)
-        lo = hi = F(0)
-        for eig in spectrum:
-            clamped_lo, clamped_hi = max(F(1), eig.lo), max(F(1), eig.hi)
-            if clamped_hi == 1:
-                continue
-            if clamped_lo > 1:
-                lo += log2_enclosure(clamped_lo, width / 16).lo
-            hi += log2_enclosure(clamped_hi, width / 16).hi
+        sigma = mpmath.svd_r(mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator
+                                             for x in row] for row in a]), compute_uv=False)
+        value = sum(mpmath.log(max(1, s * s), 2) for s in sigma)
+        lo, hi = (F(mpmath.nstr(value + d, 35)) for d in (-1e-30, 1e-30))
         assert Enclosure(lo / 2, hi / 2).intersects(enc)
 
     def test_block_diagonal_additivity(self):

@@ -5,15 +5,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certcap.enclosure import DomainError
-from certcap.linalg import as_matrix, char_poly, gram
+from certcap.linalg import as_matrix, char_poly
 from certcap.roots import (_exact_bracket, _integer_form, count_inside,
-                           isolate_real_roots, poly_degree, poly_mul, poly_trim,
-                           rational_root_in_interval,
-                           real_roots_with_multiplicity, schur_stable,
-                           square_free_decomposition,
+                           poly_degree, poly_trim, schur_stable,
                            symmetric_eigenvalue_enclosures, unstable_moduli)
 
 F = Fraction
+
+
+def poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
 
 
 def poly_from_roots(*roots):
@@ -35,7 +40,7 @@ class TestEigenEnclosures:
         assert all(e.width <= F(1, 1000) for e in encs)
 
     def test_gram_of_rotation_gives_double_root(self):
-        m = gram(as_matrix([[0, 2], [-2, 0]]))
+        m = as_matrix([[4, 0], [0, 4]])  # the Gram matrix of [[0, 2], [-2, 0]]
         encs = symmetric_eigenvalue_enclosures(m, F(1, 1000))
         assert len(encs) == 2
         assert encs[0] == encs[1]
@@ -85,27 +90,22 @@ def test_eigen_soundness_on_random_symmetric(m):
 
 class TestRationalRoots:
     def test_isolation_with_mixed_roots(self):
-        p = poly_from_roots(F(1, 3), F(4), F(-7, 2))
-        items = real_roots_with_multiplicity(p)
-        values = sorted(it.lo for it in items)
-        assert all(it.exact for it in items)
-        assert values == [F(-7, 2), F(1, 3), F(4)]
+        m = as_matrix([[F(1, 3), 0, 0], [0, 4, 0], [0, 0, F(-7, 2)]])
+        encs = symmetric_eigenvalue_enclosures(m, F(1, 1000))
+        assert [(e.lo, e.hi) for e in encs] == [(F(-7, 2), F(-7, 2)), (F(1, 3), F(1, 3)),
+                                                (F(4), F(4))]
 
-    def test_multiplicities_via_square_free_decomposition(self):
-        p = poly_mul(poly_from_roots(F(2)), poly_from_roots(F(2), F(5)))
-        factors = square_free_decomposition(p)
-        assert sorted(mult for _, mult in factors) == [1, 2]
-        items = real_roots_with_multiplicity(p)
-        assert sorted((it.lo, it.multiplicity) for it in items) == [(F(2), 2), (F(5), 1)]
+    def test_multiplicities(self):
+        encs = symmetric_eigenvalue_enclosures(as_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 5]]),
+                                               F(1, 1000))
+        assert [(e.lo, e.hi) for e in encs] == [(F(2), F(2)), (F(2), F(2)), (F(5), F(5))]
 
     def test_irrational_root_is_reported_irrational(self):
-        p = poly_trim([F(-2), F(0), F(1)])  # x^2 - 2
-        exact, intervals = isolate_real_roots(p)
-        assert exact == []
-        assert len(intervals) == 2
-        for lo, hi, poly in intervals:
-            root, _ = rational_root_in_interval(poly, lo, hi)
-            assert root is None
+        # eigenvalues +-sqrt(2)
+        encs = symmetric_eigenvalue_enclosures(as_matrix([[1, 1], [1, -1]]), F(1, 1000))
+        assert len(encs) == 2 and not any(e.is_exact for e in encs)
+        assert encs[0].hi < 0 < encs[1].lo
+        assert all(e.lo * e.lo < 2 < e.hi * e.hi for e in (encs[1], -encs[0]))
 
 
 class TestSchurStability:
@@ -150,6 +150,31 @@ def test_eigen_enclosures_against_float_oracle(m):
     oracle = sorted(np.linalg.eigvalsh(np.array(m, dtype=float)))
     for enc, ref in zip(encs, oracle):
         assert float(enc.lo) - 1e-6 <= ref <= float(enc.hi) + 1e-6
+
+
+@given(block=st.tuples(symmetric_entries, symmetric_entries, symmetric_entries),
+       copies=st.integers(min_value=2, max_value=3))
+@settings(max_examples=20, deadline=None)
+def test_repeated_eigenvalues_against_mpmath(block, copies):
+    """Block-diagonal copies of one symmetric 2x2 block: each of its
+    eigenvalues, mostly irrational, repeated once per copy."""
+    import mpmath
+    a, b, d = block
+    n = 2 * copies
+    rows = [[F(0)] * n for _ in range(n)]
+    for k in range(0, n, 2):
+        rows[k][k], rows[k][k + 1], rows[k + 1][k], rows[k + 1][k + 1] = a, b, b, d
+    encs = symmetric_eigenvalue_enclosures(as_matrix(rows), F(1, 2 ** 40))
+    assert all(encs.count(e) % copies == 0 for e in encs)
+
+    def mpf(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    with mpmath.workdps(60):
+        oracle = sorted(mpmath.eigsy(mpmath.matrix([[mpf(x) for x in row] for row in rows]),
+                                     eigvals_only=True))
+        tiny = mpmath.mpf(10) ** -45
+        assert all(mpf(e.lo) - tiny <= ref <= mpf(e.hi) + tiny for e, ref in zip(encs, oracle))
 
 
 quad_q = st.fractions(min_value=F(1, 16), max_value=4)
