@@ -13,8 +13,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from certcap.capacity import feedback_zero_error_capacity, shannon_capacity
-from certcap.channel import binary_symmetric, certify_support, noiseless, typewriter
-from certcap.confgraph import CapacityLadder, confusability_graph, extend_ladder
+from certcap.channel import binary_symmetric, noiseless, typewriter
+from certcap.confgraph import CapacityLadder, certified_graph, extend_ladder
 
 CORPUS = [
     ("noiseless binary", noiseless(2)),
@@ -31,8 +31,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for name, ch in CORPUS:
-        cert = certify_support(ch, 0)
-        graph = confusability_graph(cert, ch.inputs, len(ch.outputs))
+        graph = certified_graph(ch, 0)
         if graph.is_complete():
             c0_lo = "0"
         else:

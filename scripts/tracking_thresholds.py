@@ -13,9 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from certcap.channel import binary_symmetric, certify_support, noiseless, typewriter
+from certcap.channel import binary_symmetric, noiseless, typewriter
 from certcap.classify import Regime
-from certcap.confgraph import confusability_graph, max_independent_set, strong_power
+from certcap.confgraph import certified_graph, max_independent_set, strong_power
 from certcap.linalg import as_matrix
 from certcap.plant import Plant
 from certcap.simulate import (SimConfig, SimulationError, identity_code,
@@ -49,8 +49,7 @@ def main() -> int:
           [Fraction(5, 4), Fraction(3, 2), Fraction(7, 4), Fraction(2)])
 
     pentagon = typewriter(5)
-    graph = confusability_graph(certify_support(pentagon), pentagon.inputs, 5)
-    witness = max_independent_set(strong_power(graph, 2)).witness
+    witness = max_independent_set(strong_power(certified_graph(pentagon, 0), 2)).witness
     sweep("pentagon + block-2 zero-error code", pentagon,
           witness_code(pentagon, witness),
           [Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(5, 2)],

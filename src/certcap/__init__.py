@@ -14,7 +14,7 @@ from .channel import (Channel, SupportCertificate, binary_symmetric,
                       resolving_stream, stream_channel, typewriter)
 from .classify import (Regime, Verdict, classify, classify_fixed_plant,
                        dovetail, revalidate)
-from .confgraph import (CapacityLadder, ConfusabilityGraph,
+from .confgraph import (CapacityLadder, ConfusabilityGraph, certified_graph,
                         confusability_graph, extend_ladder, is_zero_capacity,
                         max_independent_set, strong_power)
 from .enclosure import Enclosure, log2_enclosure, parse_rational, rational_str

@@ -40,6 +40,14 @@ class Channel:
     rows: tuple | None = None
     schedules: tuple | None = None
 
+    def __post_init__(self):
+        for side, labels in (("input", self.inputs), ("output", self.outputs)):
+            try:
+                if len(set(labels)) != len(labels):
+                    raise ChannelFormatError(f"duplicate {side} labels")
+            except TypeError:
+                raise ChannelFormatError(f"{side} labels must be hashable") from None
+
     @property
     def mode(self) -> str:
         return "exact" if self.rows is not None else "stream"
@@ -186,7 +194,6 @@ class SupportCertificate:
     positive: frozenset
     zero: frozenset
     unresolved: frozenset
-    level: int
 
     def __post_init__(self):
         if self.positive & self.zero or self.positive & self.unresolved \
@@ -214,7 +221,7 @@ def certify_support(ch: Channel, level: int = 0) -> SupportCertificate:
             else:
                 unresolved.add((xi, yi))
     return SupportCertificate(frozenset(positive), frozenset(zero),
-                              frozenset(unresolved), level)
+                              frozenset(unresolved))
 
 
 def product_channel(ch: Channel, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> Channel:

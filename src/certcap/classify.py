@@ -23,7 +23,8 @@ from .capacity import (MinimaxLadder, certified_capacity_bounds,
                        feedback_zero_error_capacity, minimax_ladder_step,
                        next_distribution, verify_minimax_lower_bound)
 from .channel import Channel, ResourceCapError, certify_support, support_sets
-from .confgraph import CapacityLadder, confusability_graph, extend_ladder
+from .confgraph import (CapacityLadder, certified_graph, confusability_graph,
+                        extend_ladder, witness_json)
 from .enclosure import (DomainError, Enclosure, exact_log2, log2_enclosure,
                         parse_rational, rational_str)
 from .linalg import Matrix, as_matrix
@@ -284,16 +285,13 @@ class ZeroErrorLadderTask(_CapacityTask):
 
     def __init__(self, ch: Channel):
         self.channel = ch
-        self.level = -1
+        # an exact channel's support is settled at level 0
+        self.level = 0 if ch.is_exact else -1
         self.max_level = ch.max_declared_level()
-        self.graph = None
+        self.graph = certified_graph(ch, 0) if ch.is_exact else None
         self.ladder = CapacityLadder()
         self.next_n = 1
         self._capped = False
-        if ch.is_exact:
-            cert = certify_support(ch, 0)
-            self.graph = confusability_graph(cert, ch.inputs, len(ch.outputs))
-            self.level = 0
 
     @property
     def lower(self) -> Enclosure | None:
@@ -309,8 +307,7 @@ class ZeroErrorLadderTask(_CapacityTask):
     def step(self) -> None:
         if self.graph is None:
             self.level += 1
-            cert = certify_support(self.channel, self.level)
-            g = confusability_graph(cert, self.channel.inputs, len(self.channel.outputs))
+            g = certified_graph(self.channel, self.level)
             if not g.conservative:
                 self.graph = g
             return
@@ -428,13 +425,13 @@ def dovetail(tasks, predicates, budget: int):
 class IndependentSetCertificate:
     n: int
     alpha: int
-    witness: tuple
+    witness: tuple  # words: tuples of n input labels
     rate_lo: Enclosure
     eta: Enclosure
 
     def to_json(self) -> dict:
         return {"kind": "independent-set", "n": self.n, "alpha": self.alpha,
-                "witness": [list(v) if isinstance(v, tuple) else v for v in self.witness],
+                "witness": witness_json(self.witness, self.n),
                 "rate_lo": self.rate_lo.to_json(), "eta": self.eta.to_json()}
 
 
@@ -594,8 +591,7 @@ def _run_classification(eta_task, ch: Channel, kind: str, budget: int) -> Verdic
 
 
 def _nonadjacent_pair(ch: Channel) -> tuple[int, int]:
-    cert = certify_support(ch, 0)
-    graph = confusability_graph(cert, ch.inputs, len(ch.outputs))
+    graph = certified_graph(ch, 0)
     n = len(graph)
     for i in range(n):
         for j in range(i + 1, n):
@@ -651,22 +647,23 @@ def revalidate(verdict: Verdict, ch: Channel) -> bool:
 
 
 def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool:
-    if not (type(cert.n) is int and type(cert.alpha) is int and isinstance(cert.witness, tuple)
+    if not (type(cert.n) is int and type(cert.alpha) is int and type(cert.witness) is tuple
             and _enclosures(cert.rate_lo, cert.eta)):
         return False
-    support = certify_support(ch, 0 if ch.is_exact else ch.max_declared_level())
-    if support.unresolved:
+    # support only grows with the level, so this is the graph the producer accepted
+    graph = certified_graph(ch, ch.max_declared_level())
+    if graph.conservative:
         return False
-    graph = confusability_graph(support, ch.inputs, len(ch.outputs))
     index = {v: i for i, v in enumerate(ch.inputs)}
-    labels = [v if isinstance(v, tuple) else (v,) for v in cert.witness]
+    words = cert.witness
     # a tuple compares its items without hashing them, so list labels fail here
-    if cert.n < 1 or any(len(v) != cert.n or not all(x in ch.inputs for x in v) for v in labels):
+    if cert.n < 1 or any(type(w) is not tuple or len(w) != cert.n
+                         or not all(x in ch.inputs for x in w) for w in words):
         return False
-    if len(labels) != cert.alpha or len(set(labels)) != cert.alpha:
+    if len(words) != cert.alpha or len(set(words)) != cert.alpha:
         return False
-    for a, va in enumerate(labels):
-        for vb in labels[a + 1:]:
+    for a, va in enumerate(words):
+        for vb in words[a + 1:]:
             if all(x == y or graph.are_adjacent(index[x], index[y])
                    for x, y in zip(va, vb)):
                 return False
@@ -683,7 +680,7 @@ def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
         return False
     if cert.complete_graph:
         return (ch.is_exact
-                and confusability_graph(certify_support(ch, 0), ch.inputs, ny).is_complete()
+                and certified_graph(ch, 0).is_complete()
                 and cert.eta_lo > 0 and cert.c0fb_upper.hi == 0)
     if cert.mass <= 0 or cert.support_level < 0:
         return False

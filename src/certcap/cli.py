@@ -15,10 +15,10 @@ import os
 import sys
 
 from .capacity import feedback_zero_error_capacity, shannon_capacity
-from .channel import certify_support, load_channel
+from .channel import load_channel
 from .classify import (Regime, RegimePreconditionError, UNDETERMINED, classify,
                        classify_fixed_plant)
-from .confgraph import (CapacityLadder, confusability_graph, extend_ladder,
+from .confgraph import (CapacityLadder, certified_graph, extend_ladder,
                         max_independent_set, strong_power)
 from .enclosure import DomainError, Enclosure, parse_rational
 from .plant import instability_exponent, load_plant
@@ -141,8 +141,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _ladder_report(ch, max_block: int) -> dict:
-    cert = certify_support(ch, 0 if ch.is_exact else ch.max_declared_level())
-    graph = confusability_graph(cert, ch.inputs, len(ch.outputs))
+    graph = certified_graph(ch, ch.max_declared_level())
     ladder = CapacityLadder()
     for n in range(1, max_block + 1):
         ladder = extend_ladder(ladder, graph, n)
@@ -186,11 +185,8 @@ def _cmd_simulate(args) -> int:
     if args.code == "identity":
         code = identity_code(ch)
     else:
-        cert = certify_support(ch, 0)
-        graph = confusability_graph(cert, ch.inputs, len(ch.outputs))
-        power = strong_power(graph, args.block_length) if args.block_length > 1 else graph
-        result = max_independent_set(power)
-        code = witness_code(ch, result.witness)
+        power = strong_power(certified_graph(ch, 0), args.block_length)
+        code = witness_code(ch, max_independent_set(power).witness)
     regime = Regime(args.regime)
     cfg = SimConfig(plant, ch, regime, code, horizon=args.horizon, seed=args.seed,
                     initial_radius=parse_rational(args.radius))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .channel import ResourceCapError, SupportCertificate
+from .channel import Channel, ResourceCapError, SupportCertificate, certify_support
 from .enclosure import Enclosure, log2_enclosure
 
 DEFAULT_VERTEX_CAP = 4096
@@ -39,7 +39,6 @@ class ConfusabilityGraph:
 
     vertices: tuple
     adjacency: tuple[int, ...]  # bitmask of neighbours per vertex index
-    level: int = 0
     conservative: bool = False
 
     def __post_init__(self):
@@ -119,31 +118,30 @@ def confusability_graph(cert: SupportCertificate, inputs: tuple,
                         n_outputs: int) -> ConfusabilityGraph:
     """Graph on the channel inputs from a support certificate.
 
-    Two inputs are joined when some output is proven positive under both;
-    if a potential shared output involves an unresolved entry the edge is
-    added too and the result is flagged conservative.
+    The inputs that may reach an output (proven positive or unresolved) form
+    a clique.  The graph is conservative when an unresolved entry adds an
+    edge that the proven-positive entries alone do not give.
     """
-    n = len(inputs)
-    maybe_positive = cert.positive | cert.unresolved
-    adjacency = [0] * n
-    conservative = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            definite = any((i, y) in cert.positive and (j, y) in cert.positive
-                           for y in range(n_outputs))
-            if definite:
-                edge = True
-            else:
-                possible = any((i, y) in maybe_positive and (j, y) in maybe_positive
-                               for y in range(n_outputs))
-                edge = possible
-                if possible:
-                    conservative = True
-            if edge:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
+    adjacency = _clique_union(cert.positive | cert.unresolved, len(inputs), n_outputs)
+    definite = _clique_union(cert.positive, len(inputs), n_outputs)
     return ConfusabilityGraph(tuple(inputs), tuple(adjacency),
-                              level=cert.level, conservative=conservative)
+                              conservative=adjacency != definite)
+
+
+def _clique_union(entries, nx: int, ny: int) -> list[int]:
+    """Adjacency joining every two inputs that reach a common output."""
+    reach = [0] * ny  # the clique of inputs reaching each output
+    for x, y in entries:
+        reach[y] |= 1 << x
+    adjacency = [0] * nx
+    for x, y in entries:
+        adjacency[x] |= reach[y]
+    return [mask & ~(1 << x) for x, mask in enumerate(adjacency)]
+
+
+def certified_graph(ch: Channel, level: int) -> ConfusabilityGraph:
+    """Confusability graph of the support of ``ch`` certified at ``level``."""
+    return confusability_graph(certify_support(ch, level), ch.inputs, len(ch.outputs))
 
 
 def strong_power(g: ConfusabilityGraph, n: int,
@@ -170,7 +168,7 @@ def strong_power(g: ConfusabilityGraph, n: int,
         rows = [_kronecker_row(c, row, width) for c in closed for row in rows]
     adjacency = tuple(row ^ 1 << i for i, row in enumerate(rows))
     return ConfusabilityGraph(tuple(product(g.vertices, repeat=n)), adjacency,
-                              level=g.level, conservative=g.conservative)
+                              conservative=g.conservative)
 
 
 def _kronecker_row(closed: int, row: int, width: int) -> int:
@@ -288,16 +286,19 @@ def max_independent_set(g: ConfusabilityGraph, *,
 class LadderRung:
     n: int
     alpha: int
-    witness: tuple
+    witness: tuple  # words: tuples of n input labels
     rate_lo: Enclosure  # encloses log2(alpha)/n
     exact: bool
 
     def to_json(self) -> dict:
         return {"n": self.n, "alpha": self.alpha,
                 "rate_lo_lo": str(self.rate_lo.lo), "rate_lo_hi": str(self.rate_lo.hi),
-                "witness": [list(v) if isinstance(v, tuple) else v
-                            for v in self.witness],
-                "exact": self.exact}
+                "witness": witness_json(self.witness, self.n), "exact": self.exact}
+
+
+def witness_json(words: tuple, n: int) -> list:
+    """Witness words as JSON: label lists, or bare labels when n = 1."""
+    return [list(w) if n > 1 else w[0] for w in words]
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,7 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
             "so independence would not certify a zero-error code")
     if ladder.recorded(n) is not None:
         raise LadderError(f"rung {n} already recorded")
-    power = strong_power(g, n, cap=vertex_cap) if n > 1 else g
+    power = strong_power(g, n, cap=vertex_cap)
     seed = _best_product_witness(ladder, n)
     result = max_independent_set(power, node_budget=node_budget,
                                  seed_witness=seed, vertex_cap=vertex_cap)
@@ -378,9 +379,5 @@ def _best_product_witness(ladder: CapacityLadder, n: int) -> tuple:
     search(n, n, [], 1)
     combined = [()] if best_parts else []
     for rung in best_parts:
-        combined = [prefix + _as_tuple(w) for prefix in combined for w in rung.witness]
+        combined = [prefix + w for prefix in combined for w in rung.witness]
     return tuple(combined)
-
-
-def _as_tuple(vertex) -> tuple:
-    return vertex if isinstance(vertex, tuple) else (vertex,)

@@ -53,12 +53,9 @@ def identity_code(ch: Channel) -> CodeSpec:
 
 
 def witness_code(ch: Channel, witness) -> CodeSpec:
-    """Code from independent-set witness labels (tuples of input symbols)."""
+    """Code from independent-set witness words (tuples of input labels)."""
     index = {v: i for i, v in enumerate(ch.inputs)}
-    words = []
-    for label in witness:
-        label = label if isinstance(label, tuple) else (label,)
-        words.append(tuple(index[s] for s in label))
+    words = [tuple(index[s] for s in word) for word in witness]
     if not words:
         raise SimulationError("empty witness")
     return CodeSpec(len(words[0]), tuple(words))

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certcap.channel import (ChannelFormatError, ResourceCapError, certify_support,
-                             exact_channel, load_channel, noiseless,
-                             product_channel, typewriter)
+from certcap.channel import (Channel, ChannelFormatError, ResourceCapError,
+                             certify_support, exact_channel, load_channel,
+                             noiseless, product_channel, typewriter)
 
 F = Fraction
 
@@ -48,6 +48,26 @@ class TestLoading:
             load_channel({"inputs": [0], "outputs": [0, 1], "mode": "stream",
                           "schedules": [[[{"level": 0, "lo": "0", "hi": "1/4"}],
                                          [{"level": 0, "lo": "0", "hi": "1/4"}]]]})
+
+
+@pytest.mark.parametrize("inputs, outputs, message", [
+    (("a", "a"), (0, 1), "duplicate input labels"),
+    ((0, 1), (1, 1), "duplicate output labels"),
+    # 1 and True are equal, so they name one symbol
+    ((1, True), (0, 1), "duplicate input labels"),
+    (([0, 0], [0, 1]), (0, 1), "input labels must be hashable"),
+    ((0, 1), ((0, [1]), (1, [0])), "output labels must be hashable"),
+], ids=["duplicate-inputs", "duplicate-outputs", "equal-inputs",
+        "list-inputs", "unhashable-outputs"])
+def test_channel_labels_must_be_distinct_and_hashable(inputs, outputs, message):
+    rows = ((F(1), F(0)), (F(0), F(1)))
+    with pytest.raises(ChannelFormatError, match=message):
+        Channel(inputs, outputs, rows=rows)
+    with pytest.raises(ChannelFormatError, match=message):
+        exact_channel(inputs, outputs, rows)
+    schedules = tuple(tuple(((0, w, w),) for w in row) for row in rows)
+    with pytest.raises(ChannelFormatError, match=message):
+        Channel(inputs, outputs, schedules=schedules)
 
 
 class TestSupport:

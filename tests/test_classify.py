@@ -15,8 +15,9 @@ from certcap.capacity import (DEFAULT_C0FB_WIDTH, MinimaxLadder,
                               certified_capacity_bounds,
                               feedback_zero_error_capacity, minimax_ladder_step,
                               minimax_support_mass)
-from certcap.channel import (certify_support, hovering_stream, load_channel,
-                             noiseless, support_sets, typewriter)
+from certcap.channel import (certify_support, exact_channel, hovering_stream,
+                             load_channel, noiseless, product_channel,
+                             support_sets, typewriter)
 from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               IndependentSetCertificate,
                               InternalInvariantViolation, MinimaxLadderTask,
@@ -428,6 +429,13 @@ class TestForgedCertificates:
                                          Enclosure.exact(F(5)))
         assert revalidate(Verdict("Solvable", "se-nofb", cert, 1, 100), nl2) is False
 
+    def test_conservative_stream_graph_is_rejected(self, hover_channel):
+        # the hovering entry (0, 1) may join inputs 0 and 1 at every level,
+        # so the producer never accepts the graph and neither may the checker
+        cert = IndependentSetCertificate(1, 2, ((0,), (1,)), log2_enclosure(F(2), F(1, 16)),
+                                         Enclosure.exact(F(1, 2)))
+        assert revalidate(Verdict("Solvable", "se-nofb", cert, 1, 100), hover_channel) is False
+
     def test_witness_label_outside_the_alphabet(self, pentagon):
         verdict = classify(diagonal_plant([2], disturbance=F(1, 10)),
                            pentagon, Regime("se-nofb"), 10_000)
@@ -506,6 +514,33 @@ def test_mistyped_certificate_field_fails_without_raising(pentagon, a, regime, c
     assert revalidate(verdict, pentagon)
     bad = replace(verdict.certificate, **change)
     assert revalidate(_with_certificate(verdict, bad), pentagon) is False
+
+
+class TestZeroErrorConsumersAgree:
+    def test_tuple_labelled_channel_rung_one_witness(self):
+        # the product channel's input labels are tuples; rung 1 holds words of
+        # one such label, which the re-validator reads as words
+        ch = product_channel(noiseless(2), 2)
+        verdict = classify(diagonal_plant([3], disturbance=F(1, 10)), ch,
+                           Regime("se-nofb"), 2000)
+        assert verdict.outcome == "Solvable"
+        cert = verdict.certificate
+        assert (cert.n, cert.alpha) == (1, 4)
+        assert cert.witness == tuple((x,) for x in ch.inputs)
+        assert revalidate(verdict, ch)
+
+    def test_settled_graph_with_an_unresolved_entry(self):
+        # entry (0, 2) hovers through level 63, but no other input can reach
+        # output 2, so the graph is settled, and not conservative, at level 0
+        exact = exact_channel((0, 1), (0, 1, 2), [[1, 0, 0], [0, 1, 0]])
+        stream = hovering_stream(exact, [(0, 2)])
+        assert certify_support(stream, stream.max_declared_level()).unresolved
+        plant = diagonal_plant([F(3, 2)], disturbance=F(1, 10))
+        for ch in (exact, stream):
+            verdict = classify(plant, ch, Regime("se-nofb"), 2000)
+            assert verdict.outcome == "Solvable"
+            assert isinstance(verdict.certificate, IndependentSetCertificate)
+            assert revalidate(verdict, ch)
 
 
 class TestVerdictMatchesCertificate:

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from certcap import cli
+from certcap.channel import noiseless, product_channel
 from certcap.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, main
 
 
@@ -115,6 +117,39 @@ def test_simulate_auto_code(capsys, data_dir):
     doc = json.loads(out)
     assert doc["message_count"] == 5 and doc["block_length"] == 2
     assert doc["zero_error_transcript"] is True
+
+
+def test_simulate_auto_code_block_one_on_tuple_labels(capsys, data_dir, monkeypatch):
+    # channel JSON labels are scalars, so the tuple-labelled product channel
+    # is handed to the command directly; block length 1 builds its first
+    # strong power, whose vertices are one-letter words
+    monkeypatch.setattr(cli, "load_channel", lambda doc: product_channel(noiseless(2), 2))
+    code, out, err = run_cli(capsys, "simulate",
+                             "--plant", str(data_dir / "plant_3_2.json"),
+                             "--channel", str(data_dir / "noiseless2.json"),
+                             "--regime", "se-nofb", "--horizon", "50",
+                             "--seed", "1", "--code", "auto")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["message_count"] == 4 and doc["block_length"] == 1
+    assert doc["zero_error_transcript"] is True
+
+
+@pytest.mark.parametrize("command, inputs, message", [
+    (["analyze", "--regime", "se-nofb", "--budget", "2000"], ["a", "a"],
+     "duplicate input labels"),
+    (["zero-error"], [[0, 0], [0, 1]], "input labels must be hashable"),
+], ids=["duplicate-labels", "list-labels"])
+def test_bad_channel_labels_exit_one(capsys, data_dir, tmp_path, command, inputs, message):
+    channel = tmp_path / "channel.json"
+    channel.write_text(json.dumps({"inputs": inputs, "outputs": [0, 1], "mode": "exact",
+                                   "rows": [["1", "0"], ["0", "1"]]}))
+    argv = command + ["--channel", str(channel)]
+    if command[0] == "analyze":
+        argv += ["--plant", str(data_dir / "plant_3_2.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {message}\n"
 
 
 def test_fixed_eta_analyze(capsys, data_dir):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certcap.channel import certify_support, exact_channel, product_channel
+from certcap.channel import (SupportCertificate, certify_support, exact_channel,
+                             noiseless, product_channel)
 from certcap.confgraph import (CapacityLadder, ConfusabilityGraph, LadderError,
-                               confusability_graph, extend_ladder,
+                               certified_graph, confusability_graph, extend_ladder,
                                is_zero_capacity, max_independent_set,
                                strong_power)
 from certcap.enclosure import log2_enclosure
@@ -60,6 +62,50 @@ def brute_force_strong_power(g, n):
     return tuples, tuple(adjacency)
 
 
+def pairwise_confusability_graph(cert, inputs, n_outputs):
+    """Reference: the pairwise definition, one input pair and output at a time.
+
+    Two inputs are joined when some output is proven positive under both;
+    if a potential shared output involves an unresolved entry the edge is
+    added too and the result is flagged conservative.
+    """
+    n = len(inputs)
+    maybe_positive = cert.positive | cert.unresolved
+    adjacency = [0] * n
+    conservative = False
+    for i in range(n):
+        for j in range(i + 1, n):
+            definite = any((i, y) in cert.positive and (j, y) in cert.positive
+                           for y in range(n_outputs))
+            if definite:
+                edge = True
+            else:
+                possible = any((i, y) in maybe_positive and (j, y) in maybe_positive
+                               for y in range(n_outputs))
+                edge = possible
+                if possible:
+                    conservative = True
+            if edge:
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    return tuple(adjacency), conservative
+
+
+@st.composite
+def support_certificate(draw):
+    """A random split of X x Y into proven positive, proven zero, unresolved."""
+    nx = draw(st.integers(min_value=1, max_value=7))
+    ny = draw(st.integers(min_value=1, max_value=6))
+    states = draw(st.lists(st.sampled_from(("positive", "zero", "unresolved")),
+                           min_size=nx * ny, max_size=nx * ny))
+    cells = {"positive": set(), "zero": set(), "unresolved": set()}
+    for k, state in enumerate(states):
+        cells[state].add(divmod(k, ny))
+    cert = SupportCertificate(frozenset(cells["positive"]), frozenset(cells["zero"]),
+                              frozenset(cells["unresolved"]))
+    return cert, nx, ny
+
+
 @st.composite
 def small_graph(draw):
     size = draw(st.integers(min_value=1, max_value=7))
@@ -93,6 +139,19 @@ class TestGraphConstruction:
     def test_resolved_stream_is_exact(self, pentagon_stream):
         g = graph_of(pentagon_stream, level=3)
         assert not g.conservative
+
+    @given(support_certificate())
+    @settings(max_examples=300, deadline=None)
+    def test_cliques_match_pairwise_definition(self, drawn):
+        cert, nx, ny = drawn
+        g = confusability_graph(cert, tuple(range(nx)), ny)
+        assert (g.adjacency, g.conservative) == pairwise_confusability_graph(
+            cert, tuple(range(nx)), ny)
+
+    def test_certified_graph_reads_the_support_at_its_level(self, hover_channel,
+                                                            pentagon_stream):
+        for ch, level in ((hover_channel, 5), (pentagon_stream, 2), (pentagon_stream, 3)):
+            assert certified_graph(ch, level) == graph_of(ch, level)
 
 
 class TestStrongPowers:
@@ -271,10 +330,25 @@ class TestLadder:
         for n in (1, 2):
             ladder = extend_ladder(ladder, g, n)
         for rung in ladder.rungs:
-            power = strong_power(g, rung.n) if rung.n > 1 else g
+            power = strong_power(g, rung.n)
             idx = [power.vertices.index(v) for v in rung.witness]
             assert power.is_independent(idx)
             assert len(idx) == rung.alpha
+
+    def test_tuple_labelled_channel_seeds_from_word_witnesses(self):
+        # the product channel's input labels are themselves tuples
+        ch = product_channel(noiseless(2), 2)
+        g = certified_graph(ch, 0)
+        ladder = CapacityLadder()
+        for n in (1, 2):
+            ladder = extend_ladder(ladder, g, n)
+        assert [(r.n, r.alpha, r.exact) for r in ladder.rungs] == [(1, 4, True), (2, 16, True)]
+        for rung in ladder.rungs:
+            assert all(len(word) == rung.n and all(x in ch.inputs for x in word)
+                       for word in rung.witness)
+        # JSON prints a one-letter word as its bare label, here a list
+        assert json.dumps(ladder.rungs[0].to_json()["witness"]) == \
+            "[[0, 0], [0, 1], [1, 0], [1, 1]]"
 
     def test_rate_cap_by_alphabet(self, pentagon, nl2, bsc14):
         for ch in (pentagon, nl2, bsc14):
