@@ -5,7 +5,7 @@ Everything is exact rational arithmetic or certified interval enclosures;
 there is no floating-point fast path in any reported quantity.
 """
 
-from .capacity import (FeedbackCapacity, MinimaxLadder, ShannonBounds,
+from .capacity import (FeedbackCapacity, MinimaxRung, ShannonBounds,
                        feedback_zero_error_capacity, minimax_ladder_step,
                        minimax_support_mass, shannon_capacity)
 from .channel import (Channel, SupportCertificate, binary_symmetric,
@@ -19,9 +19,9 @@ from .confgraph import (CapacityLadder, ConfusabilityGraph, certified_graph,
                         max_independent_set, strong_power)
 from .enclosure import Enclosure, log2_enclosure, parse_rational, rational_str
 from .linprog import LinearProgram, LpSolution, solve_lp
-from .plant import (Plant, instability_exponent, is_detectable,
+from .plant import (InstabilityExponent, Plant, instability_exponent, is_detectable,
                     is_stabilizable, is_unstable, load_plant)
-from .roots import schur_stable, symmetric_eigenvalue_enclosures
+from .roots import UnstableModuli, schur_stable, symmetric_eigenvalue_enclosures
 from .simulate import (CodeSpec, SimConfig, Trajectory, identity_code,
                        run_estimation, run_stabilization, run_weak_detection,
                        witness_code)

@@ -1,10 +1,12 @@
 """Channel capacity quantities with exact or certified-interval results.
 
-Three quantities live here: the feedback zero-error capacity through
-Shannon's minimax over output support masses (an exact rational LP), a
-monotone upper-bound ladder for that quantity on stream channels, and
-two-sided certified bounds on the ordinary capacity via alternating
-optimization.
+Each quantity has one routine, driven by the command line and the
+classifier alike: the feedback zero-error capacity through Shannon's minimax
+over output support masses (an exact rational LP, solved once); a monotone
+upper bound on it for stream channels, one minimax_ladder_step per support
+level, each rung built on the last; and ShannonBounds, two-sided certified
+bounds on the ordinary capacity whose step(log_width) runs one
+alternating-optimization iteration at the width its caller schedules.
 """
 
 from __future__ import annotations
@@ -133,35 +135,17 @@ class MinimaxRung:
     solution: MinimaxSolution
 
 
-@dataclass(frozen=True)
-class MinimaxLadder:
-    """Monotone support-refinement ladder for stream channels.
+def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
+                        width: Fraction = DEFAULT_C0FB_WIDTH) -> MinimaxRung:
+    """The rung after ``last`` (None before the first): support certified at ``level``.
 
     Proven support only grows with the level, so the minimax mass is
-    nondecreasing and log2(1/mass) is a valid upper bound on the feedback
-    zero-error capacity that converges downward as entries resolve.
+    nondecreasing along the rungs and log2(1/mass) is an upper bound on the
+    feedback zero-error capacity of a stream channel that converges downward
+    as entries resolve.  The minimax LP depends only on the support sets,
+    so a level whose sets equal the last rung's reuses that rung's solution
+    and solves no LP.  ``upper`` is always enclosed afresh at ``width``.
     """
-
-    rungs: tuple = ()
-
-    @property
-    def last(self) -> MinimaxRung | None:
-        return self.rungs[-1] if self.rungs else None
-
-    @property
-    def best_upper(self) -> Enclosure | None:
-        return self.last.upper if self.rungs else None
-
-
-def minimax_ladder_step(ch: Channel, level: int, ladder: MinimaxLadder, *,
-                        width: Fraction = DEFAULT_C0FB_WIDTH) -> MinimaxLadder:
-    """The ladder with one more rung: support certified at ``level``.
-
-    The minimax LP depends only on the support sets, so a level whose sets
-    equal the last rung's reuses that rung's solution and solves no LP.
-    ``upper`` is always enclosed afresh at the ``width`` given here.
-    """
-    last = ladder.last
     if last is not None and level <= last.level:
         raise DomainError("ladder levels must increase")
     cert = certify_support(ch, level)
@@ -174,23 +158,49 @@ def minimax_ladder_step(ch: Channel, level: int, ladder: MinimaxLadder, *,
     if last is not None and sol.value < last.mass:
         raise RuntimeError("support refinement decreased the minimax mass")
     upper = None if sol.value == 0 else log2_enclosure(1 / sol.value, width)
-    rung = MinimaxRung(level, len(cert.positive), sol.value, upper, sol)
-    return MinimaxLadder(ladder.rungs + (rung,))
+    return MinimaxRung(level, len(cert.positive), sol.value, upper, sol)
 
 
 # ---------------------------------------------------------------------------
 # ordinary capacity: alternating optimization with certified two-sided bounds
 
-@dataclass(frozen=True)
 class ShannonBounds:
-    lower: Enclosure
-    upper: Enclosure
-    iterations: int
-    input_distribution: tuple[Fraction, ...]
+    """Anytime certified bracket [lower.lo, upper.hi] around the capacity.
+
+    The input distribution evolves by the classic alternating-optimization
+    update in floating point, but each step recomputes the bounds at the
+    current distribution in exact rational arithmetic with interval log2
+    terms of the width it is given, so the bracket is sound regardless of
+    how the iteration behaves.  Each side keeps its best bound, with the
+    distribution and log width that give it.
+    """
+
+    def __init__(self, ch: Channel):
+        if not ch.is_exact:
+            raise DomainError("exact channel required")
+        self.rows = ch.rows
+        nx = len(ch.inputs)
+        self.dist = tuple(Fraction(1, nx) for _ in range(nx))
+        self.iterations = 0
+        self.lower = self.upper = None  # the best Enclosure on each side so far
+        self.lower_from = self.upper_from = None  # (distribution, log width)
 
     @property
     def gap(self) -> Fraction:
         return self.upper.hi - self.lower.lo
+
+    @property
+    def input_distribution(self) -> tuple[Fraction, ...]:
+        return self.lower_from[0]
+
+    def step(self, log_width: Fraction) -> None:
+        lower, upper = certified_capacity_bounds(self.rows, self.dist, log_width)
+        if self.lower is None or lower.lo > self.lower.lo:
+            self.lower, self.lower_from = lower, (self.dist, log_width)
+        if self.upper is None or upper.hi < self.upper.hi:
+            self.upper, self.upper_from = upper, (self.dist, log_width)
+        self.dist = next_distribution(self.rows, self.dist)
+        self.iterations += 1
 
     def to_json(self) -> dict:
         return {"lower": self.lower.to_json(), "upper": self.upper.to_json(),
@@ -229,8 +239,13 @@ def certified_capacity_bounds(rows, dist, log_width):
     return info, upper
 
 
-def _float_step(rows, dist):
-    """Heuristic alternating-optimization update; certification never trusts it."""
+def next_distribution(rows, dist):
+    """One heuristic alternating-optimization update in floating point,
+    snapped to a positive rational distribution; certification never trusts it.
+
+    The snap to a 2**-40 grid keeps entries strictly positive (so output
+    marginals never vanish on reachable outputs) and renormalizes exactly.
+    """
     nx, ny = len(rows), len(rows[0])
     p = [float(v) for v in dist]
     q = [sum(p[x] * float(rows[x][y]) for x in range(nx)) for y in range(ny)]
@@ -245,55 +260,26 @@ def _float_step(rows, dist):
     peak = max(logs)
     weights = [p[x] * (2.0 ** (logs[x] - peak)) for x in range(nx)]
     total = sum(weights)
-    return [w / total for w in weights]
-
-
-def next_distribution(rows, dist):
-    """One heuristic update snapped to a positive rational distribution.
-
-    The snap to a 2**-40 grid keeps entries strictly positive (so output
-    marginals never vanish on reachable outputs) and renormalizes exactly.
-    """
-    weights = _float_step(rows, dist)
-    scale = 1 << 40
-    nums = [max(1, round(w * scale)) for w in weights]
-    total = sum(nums)
-    return tuple(Fraction(v, total) for v in nums)
+    nums = [max(1, round(w / total * (1 << 40))) for w in weights]
+    grid = sum(nums)
+    return tuple(Fraction(v, grid) for v in nums)
 
 
 def shannon_capacity(ch: Channel, tolerance) -> ShannonBounds:
-    """Certified bracket [lower.lo, upper.hi] around the channel capacity.
+    """ShannonBounds stepped at one log width until the gap is within tolerance.
 
-    The input distribution evolves by the classic alternating-optimization
-    update in floating point, but every reported bound is recomputed in
-    exact rational arithmetic with interval log2 terms, so the bracket is
-    sound regardless of how the iteration behaves.  Stops once the certified
-    gap is within tolerance, and fails after 100 000 iterations.
+    The width leaves room for every log2 term of both bounds; fails after
+    100 000 iterations.
     """
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
-    if not ch.is_exact:
-        raise DomainError("exact channel required")
-    rows = ch.rows
+    bounds = ShannonBounds(ch)
     nx, ny = len(ch.inputs), len(ch.outputs)
-    terms = nx * ny + nx + 4
-    log_width = tolerance / (8 * terms)
-    dist = tuple(Fraction(1, nx) for _ in range(nx))
-    best_lower: Enclosure | None = None
-    best_upper: Enclosure | None = None
-    best_dist = dist
-    iterations = 0
-    while True:
-        iterations += 1
-        lower, upper = certified_capacity_bounds(rows, dist, log_width)
-        if best_lower is None or lower.lo > best_lower.lo:
-            best_lower, best_dist = lower, dist
-        if best_upper is None or upper.hi < best_upper.hi:
-            best_upper = upper
-        if best_upper.hi - best_lower.lo <= tolerance:
-            break
-        if iterations >= 100_000:
+    log_width = tolerance / (8 * (nx * ny + nx + 4))
+    bounds.step(log_width)
+    while bounds.gap > tolerance:
+        if bounds.iterations >= 100_000:
             raise RuntimeError(f"no certified gap <= {tolerance} within 100000 iterations")
-        dist = next_distribution(rows, dist)
-    return ShannonBounds(best_lower, best_upper, iterations, best_dist)
+        bounds.step(log_width)
+    return bounds

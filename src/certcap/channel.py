@@ -42,6 +42,8 @@ class Channel:
 
     def __post_init__(self):
         for side, labels in (("input", self.inputs), ("output", self.outputs)):
+            if not labels:
+                raise ChannelFormatError(f"empty {side} alphabet")
             try:
                 if len(set(labels)) != len(labels):
                     raise ChannelFormatError(f"duplicate {side} labels")

@@ -19,16 +19,16 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .capacity import (MinimaxLadder, certified_capacity_bounds,
+from .capacity import (ShannonBounds, certified_capacity_bounds,
                        feedback_zero_error_capacity, minimax_ladder_step,
-                       next_distribution, verify_minimax_lower_bound)
+                       verify_minimax_lower_bound)
 from .channel import Channel, ResourceCapError, certify_support, support_sets
 from .confgraph import (CapacityLadder, certified_graph, confusability_graph,
                         extend_ladder, witness_json)
 from .enclosure import (DomainError, Enclosure, exact_log2, log2_enclosure,
                         parse_rational, rational_str)
-from .linalg import Matrix, as_matrix
-from .plant import Plant, instability_exponent, is_detectable, is_stabilizable
+from .linalg import Matrix
+from .plant import InstabilityExponent, Plant, is_detectable, is_stabilizable
 
 REGIME_KINDS = ("se-nofb", "se-fb", "stab-fb", "weak")
 
@@ -151,15 +151,17 @@ class _NarrowingTask:
 
 
 class EtaTask(_NarrowingTask):
+    """Narrows one InstabilityExponent, which splits only the brackets in the way."""
+
     name = "eta"
 
     def __init__(self, a: Matrix):
-        self.a = as_matrix(a)
+        self.exponent = InstabilityExponent(a)
         self.width = Fraction(1, 16)
         self.enclosure: Enclosure | None = None
 
     def refine(self, width: Fraction) -> None:
-        self.enclosure = instability_exponent(self.a, width)
+        self.enclosure = self.exponent.enclose(width)
 
 
 class FixedEtaTask:
@@ -249,27 +251,26 @@ class MinimaxLadderTask(_CapacityTask):
         self.channel = ch
         self.level = -1
         self.max_level = ch.max_declared_level()
-        self.ladder = MinimaxLadder()
+        self.rung = None
 
     @property
     def upper(self) -> Enclosure | None:
-        return self.ladder.best_upper
+        return self.rung.upper if self.rung else None
 
     def exhausted(self) -> bool:
         return self.level >= self.max_level
 
     def step(self) -> None:
         self.level += 1
-        self.ladder = minimax_ladder_step(self.channel, self.level, self.ladder)
+        self.rung = minimax_ladder_step(self.channel, self.level, self.rung)
 
     def progress(self) -> dict:
-        last = self.ladder.last
-        return {"level": self.level,
-                "mass": rational_str(last.mass) if last else None,
-                "upper": last.upper.to_json() if last and last.upper else None}
+        rung = self.rung
+        return {"level": self.level, "mass": rational_str(rung.mass) if rung else None,
+                "upper": self.upper.to_json() if self.upper else None}
 
     def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
-        rung = self.ladder.last
+        rung = self.rung
         return PsiCertificate(rung.mass, rung.level, rung.solution.output_weights,
                               False, rung.upper, eta.lo)
 
@@ -334,7 +335,7 @@ class ZeroErrorLadderTask(_CapacityTask):
 
 
 class CapacityBoundsTask(_CapacityTask):
-    """Anytime alternating-optimization bounds on the ordinary capacity."""
+    """Steps one ShannonBounds at a log width that narrows fourfold to 2**-60."""
 
     name = "shannon"
 
@@ -342,35 +343,28 @@ class CapacityBoundsTask(_CapacityTask):
         if not ch.is_exact:
             raise RegimePreconditionError(
                 "weak regime needs exact channel entries for capacity bounds")
-        self.rows = ch.rows
-        nx = len(ch.inputs)
-        self.dist = tuple(Fraction(1, nx) for _ in range(nx))
-        self.iterations = 0
+        self.bounds = ShannonBounds(ch)
         self.log_width = Fraction(1, 1 << 12)
 
+    lower = property(lambda self: self.bounds.lower)
+    upper = property(lambda self: self.bounds.upper)
+
     def exhausted(self) -> bool:
-        return self.iterations >= 1_000_000
+        return self.bounds.iterations >= 1_000_000
 
     def step(self) -> None:
-        lower, upper = certified_capacity_bounds(self.rows, self.dist, self.log_width)
-        # each bound keeps the distribution and width that give it
-        if self.lower is None or lower.lo > self.lower.lo:
-            self.lower, self._lower_from = lower, (self.dist, self.log_width)
-        if self.upper is None or upper.hi < self.upper.hi:
-            self.upper, self._upper_from = upper, (self.dist, self.log_width)
-        self.dist = next_distribution(self.rows, self.dist)
+        self.bounds.step(self.log_width)
         if self.log_width > Fraction(1, 1 << 60):
             self.log_width /= 4
-        self.iterations += 1
 
     def progress(self) -> dict:
-        return {"iterations": self.iterations,
+        return {"iterations": self.bounds.iterations,
                 "lower": self.lower.to_json() if self.lower else None,
                 "upper": self.upper.to_json() if self.upper else None}
 
     def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
         below = outcome == SOLVABLE
-        dist, width = self._lower_from if below else self._upper_from
+        dist, width = self.bounds.lower_from if below else self.bounds.upper_from
         return SeparationCertificate(
             "shannon", "eta-below-capacity" if below else "capacity-below-eta", eta,
             self.lower if below else self.upper,

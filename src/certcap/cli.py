@@ -65,14 +65,18 @@ def _text_lines(node, prefix):
         yield f"{prefix[:-1]} = {node}"
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(DEFAULT_BUDGET_ENV)
-    if raw is None:
-        return 10_000
+def _budget(flag: int | None) -> int:
+    """--budget if given, else CERTCAP_BUDGET, else 10 000; never negative."""
+    name, raw = "--budget", flag
+    if flag is None:
+        name, raw = DEFAULT_BUDGET_ENV, os.environ.get(DEFAULT_BUDGET_ENV, "10000")
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise CliError(f"{DEFAULT_BUDGET_ENV} must be an integer, got {raw!r}")
+        raise CliError(f"{name} must be an integer, got {raw!r}")
+    if budget < 0:
+        raise CliError(f"{name} must be >= 0, got {budget}")
+    return budget
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args.budget)
     ch = load_channel(_read_json(args.channel))
     if args.fixed_eta is not None:
         direction = args.direction or "capacity-above"
@@ -190,12 +194,9 @@ def _cmd_simulate(args) -> int:
     regime = Regime(args.regime)
     cfg = SimConfig(plant, ch, regime, code, horizon=args.horizon, seed=args.seed,
                     initial_radius=parse_rational(args.radius))
-    if regime.kind == "weak":
-        traj = run_weak_detection(cfg)
-    elif regime.kind == "stab-fb":
-        traj = run_stabilization(cfg)
-    else:
-        traj = run_estimation(cfg)
+    run = {"weak": run_weak_detection, "stab-fb": run_stabilization}.get(
+        regime.kind, run_estimation)
+    traj = run(cfg)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             fh.write(traj.to_csv())

@@ -1,9 +1,9 @@
 """Rational interval enclosures and certified base-2 logarithms.
 
-Every real quantity in this package is reported as a closed interval with
-exact rational endpoints.  Refining a quantity produces a nested interval,
-so an enclosure doubles as a finite-precision stand-in for an on-demand
-refinable real.
+Every real quantity in this package is a closed interval with exact
+rational endpoints.  Each anytime quantity is one object that keeps its exact
+core and narrows on request (plant.InstabilityExponent, capacity.ShannonBounds,
+the ladders' rungs): a refinable real in the manner of iRRAM (Mueller 2000).
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 Everything here rests on one exact root count, roots.count_inside, applied
 to characteristic polynomials.  The instability exponent sums log2 of the
-eigenvalue moduli >= 1, bracketed by bisecting on the radius of the count.
+eigenvalue moduli >= 1, bracketed by bisecting on the radius of the count;
+InstabilityExponent keeps that bisection, so each narrower enclosure only
+splits the brackets that block it.
 Stability, detectability and stabilizability are decided exactly: the
 unobservable (resp. uncontrollable) subspace is computed over the rationals
 and its induced dynamics are put through the all-roots-inside-the-unit-
@@ -18,7 +20,7 @@ from fractions import Fraction
 from .enclosure import DomainError, Enclosure, log2_enclosure, parse_rational, rational_str
 from .linalg import (Matrix, as_matrix, char_poly, is_square, kernel_basis, mat_mul,
                      restrict_to_invariant, transpose)
-from .roots import schur_stable, unstable_moduli
+from .roots import UnstableModuli, schur_stable
 
 DEFAULT_ETA_WIDTH = Fraction(1, 1 << 30)
 
@@ -78,37 +80,49 @@ def load_plant(doc) -> Plant:
     return Plant(mat("A"), c=mat("C"), b=mat("B"), disturbance_bound=bound)
 
 
-def instability_exponent(a: Matrix, max_width: Fraction = DEFAULT_ETA_WIDTH) -> Enclosure:
-    """Enclosure of the data rate generated by the plant's unstable part.
+class InstabilityExponent:
+    """eta(A) as a refinable real: the unstable moduli of A, bracketed once.
 
     eta(A) = sum of log2 |lambda| over the eigenvalues of A with
-    |lambda| >= 1, counted with multiplicity.  The moduli come bracketed
-    from roots.unstable_moduli on the characteristic polynomial; each
-    bracket of k roots adds k * [log2 lo, log2 hi], with log2 taken as 0
-    below one.  Rational moduli are found exactly, so a plant whose unstable
-    moduli are powers of two, one, or all below one yields a zero-width
-    enclosure.
+    |lambda| >= 1, counted with multiplicity.  The characteristic
+    polynomial is computed once and its moduli are bracketed by one
+    roots.UnstableModuli, which enclose(w) only narrows; each bracket of k
+    roots adds k * [log2 lo, log2 hi], with log2 taken as 0 below one.
+    Rational moduli are found exactly, so a plant whose unstable moduli are
+    powers of two, one, or all below one yields a zero-width enclosure.
     """
-    a = as_matrix(a)
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise DomainError("target width must be positive")
-    n = len(a)
-    log_width = max_width / (16 * n)
-    lo_sum = hi_sum = Fraction(0)
-    # hi <= lo * (1 + max_width / (3n)) keeps log2(hi / lo) below max_width / (2n)
-    for lo, hi, k in unstable_moduli(char_poly(a), max_width / (3 * n)):
-        upper = log2_enclosure(hi, log_width)
-        if lo == hi:
-            lower = upper
-        else:
-            lower = log2_enclosure(lo, log_width) if lo > 1 else Enclosure.exact(Fraction(0))
-        lo_sum += k * lower.lo
-        hi_sum += k * upper.hi
-    result = Enclosure(lo_sum, hi_sum)
-    if result.width > max_width:
-        raise RuntimeError("width budget violated in exponent assembly")
-    return result
+
+    def __init__(self, a: Matrix):
+        a = as_matrix(a)
+        self.dim = len(a)
+        self.moduli = UnstableModuli(char_poly(a))
+
+    def enclose(self, max_width: Fraction) -> Enclosure:
+        """Enclosure of eta of width <= max_width, the same as a fresh one."""
+        max_width = Fraction(max_width)
+        if max_width <= 0:
+            raise DomainError("target width must be positive")
+        n = self.dim
+        log_width = max_width / (16 * n)
+        lo_sum = hi_sum = Fraction(0)
+        # hi <= lo * (1 + max_width / (3n)) keeps log2(hi / lo) below max_width / (2n)
+        for lo, hi, k in self.moduli.brackets(max_width / (3 * n)):
+            upper = log2_enclosure(hi, log_width)
+            if lo == hi:
+                lower = upper
+            else:
+                lower = log2_enclosure(lo, log_width) if lo > 1 else Enclosure.exact(Fraction(0))
+            lo_sum += k * lower.lo
+            hi_sum += k * upper.hi
+        result = Enclosure(lo_sum, hi_sum)
+        if result.width > max_width:
+            raise RuntimeError("width budget violated in exponent assembly")
+        return result
+
+
+def instability_exponent(a: Matrix, max_width: Fraction = DEFAULT_ETA_WIDTH) -> Enclosure:
+    """eta(A), the data rate the plant's unstable part generates, to max_width."""
+    return InstabilityExponent(a).enclose(max_width)
 
 
 def is_unstable(a: Matrix) -> str:

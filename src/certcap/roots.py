@@ -2,10 +2,10 @@
 
 The one root count in the package is count_inside: the number of roots in
 an open disc |z| < r, by the Schur-Cohn-Jury reduction in exact integers.
-On it rest the unit-circle (Schur) stability test, the bracketing of the
-root moduli >= 1 that the instability exponent sums, and the certified
-eigenvalue enclosures of symmetric rational matrices, whose real spectrum
-it counts on intervals.
+On it rest the unit-circle (Schur) stability test, UnstableModuli (a
+resumable bisection that brackets the root moduli >= 1 the instability
+exponent sums) and the certified eigenvalue enclosures of symmetric
+rational matrices, whose real spectrum it counts on intervals.
 
 Polynomials are tuples of Fractions, low degree first, trailing zeros
 stripped.
@@ -211,6 +211,11 @@ def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
 
 
 def unstable_moduli(p: Poly, tolerance: Fraction) -> list[tuple[Fraction, Fraction, int]]:
+    """UnstableModuli(p).brackets(tolerance): one narrowing from scratch."""
+    return UnstableModuli(p).brackets(tolerance)
+
+
+class UnstableModuli:
     """Brackets (lo, hi, k) that hold every root of p with modulus >= 1 once.
 
     lo == hi: the k roots add exactly k log2 lo to eta; their moduli are
@@ -226,49 +231,56 @@ def unstable_moduli(p: Poly, tolerance: Fraction) -> list[tuple[Fraction, Fracti
     algebraic integer), so a bracket narrower than 1/(2 L^2) has at most
     one candidate, its simplest rational, which _exact_bracket tests once
     per set of roots.
+
+    The bisection is kept between calls: brackets(tolerance) splits only the
+    leaves too wide for it.  A split depends on nothing but its bracket, so
+    a narrower call returns exactly what a fresh UnstableModuli would.
     """
-    tolerance = Fraction(tolerance)
-    p = poly_trim(p)
-    while p and p[0] == 0:
-        p = p[1:]
-    n = poly_degree(p)
-    if n < 1:
-        return []
-    if n == 1:  # one rational root
-        modulus = abs(p[0] / p[1])
-        return [(modulus, modulus, 1)] if modulus >= 1 else []
-    top = Fraction(1 << int(cauchy_root_bound(p)).bit_length())
-    ints = _integer_form(p)
 
-    def count(r):
-        return _count_in_unit_disc(_scaled(ints, r))
+    def __init__(self, p: Poly):
+        p = poly_trim(p)
+        while p and p[0] == 0:
+            p = p[1:]
+        n = poly_degree(p)
+        modulus = abs(p[0] / p[1]) if n == 1 else 0  # one rational root
+        self.exact = [(modulus, modulus, 1)] if modulus >= 1 else []
+        self.leaves = []  # (lo, count(lo), hi, count(hi), whether its roots were tested)
+        if n <= 1:
+            return
+        top = Fraction(1 << int(cauchy_root_bound(p)).bit_length())
+        self.ints = _integer_form(p)
+        below_one = (1 - Fraction(1, 1 << j) for j in range(4, 64))
+        base, below = _first_decided(self._count, chain([Fraction(1)], below_one))
+        self.lead = abs(self.ints[-1])
+        self.sep = Fraction(1, 2 * self.lead * self.lead)
+        self.leaves.append((base, below, top, n, False))
 
-    base, below = _first_decided(
-        count, chain([Fraction(1)], (1 - Fraction(1, 1 << j) for j in range(4, 64))))
-    lead = abs(ints[-1])
-    sep = Fraction(1, 2 * lead * lead)
-    out = []
-    # (lo, count(lo), hi, count(hi), whether this set of roots was tested)
-    stack = [(base, below, top, n, False)]
-    while stack:
-        lo, n_lo, hi, n_hi, tested = stack.pop()
-        k = n_hi - n_lo
-        if k == 0 or hi <= 1:
-            continue
-        if not tested and hi - lo < sep:
-            r = simplest_between(lo, hi)
-            if r.denominator <= lead and _exact_bracket(ints, r, lo, hi, k):
-                out.append((r, r, k))
+    def _count(self, r: Fraction) -> int | None:
+        return _count_in_unit_disc(_scaled(self.ints, r))
+
+    def brackets(self, tolerance: Fraction) -> list[tuple[Fraction, Fraction, int]]:
+        tolerance = Fraction(tolerance)
+        stack, self.leaves = self.leaves, []
+        while stack:
+            lo, n_lo, hi, n_hi, tested = stack.pop()
+            k = n_hi - n_lo
+            if k == 0 or hi <= 1:
                 continue
-            tested = True
-        floor = max(lo, Fraction(1))
-        if tested and hi - floor <= floor * tolerance:
-            out.append((lo, hi, k))
-            continue
-        mid, n_mid = _first_decided(count, _split_radii(lo, hi))
-        stack.append((lo, n_lo, mid, n_mid, tested and n_mid - n_lo == k))
-        stack.append((mid, n_mid, hi, n_hi, tested and n_hi - n_mid == k))
-    return sorted(out)
+            if not tested and hi - lo < self.sep:
+                r = simplest_between(lo, hi)
+                if r.denominator <= self.lead and _exact_bracket(self.ints, r, lo, hi, k):
+                    self.exact.append((r, r, k))
+                    continue
+                tested = True
+            floor = max(lo, Fraction(1))
+            if tested and hi - floor <= floor * tolerance:
+                self.leaves.append((lo, n_lo, hi, n_hi, True))
+                continue
+            mid, n_mid = _first_decided(self._count, _split_radii(lo, hi))
+            stack.append((lo, n_lo, mid, n_mid, tested and n_mid - n_lo == k))
+            stack.append((mid, n_mid, hi, n_hi, tested and n_hi - n_mid == k))
+        return sorted(self.exact + [(lo, hi, n_hi - n_lo)
+                                    for lo, n_lo, hi, n_hi, _ in self.leaves])
 
 
 # ---------------------------------------------------------------------------

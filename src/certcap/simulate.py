@@ -222,6 +222,10 @@ def _allocate_cells(modes, n: int, total: int, allow_boundary: bool):
 # the epoch quantizer loop
 
 def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Trajectory:
+    if not cfg.channel.is_exact:
+        raise SimulationError("the simulator needs an exact channel, not a stream")
+    if cfg.horizon < 0:
+        raise SimulationError(f"horizon must be >= 0, got {cfg.horizon}")
     modes = cfg.modes()
     dim = len(modes)
     n = cfg.code.block_length
@@ -336,17 +340,11 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
                 dec_radius[i] = modes[i] * dec_radius[i] + bound
             t += 1
 
-    per_mode_bound = []
-    for i, a in enumerate(modes):
-        growth = a ** n
-        drift = bound * sum(a ** j for j in range(n))
-        shrink = 1 - growth / cells[i]
-        star = drift / shrink if shrink > 0 else None
-        per_mode_bound.append(star)
-    if all(s is not None for s in per_mode_bound):
-        analytic = max(max(cfg.initial_radius, s) for s in per_mode_bound)
-    else:
-        analytic = None
+    # each mode's radius recursion r -> a^n r / cells + drift has a fixed
+    # point when it contracts; the sup bound needs every mode to contract
+    stars = [bound * sum(a ** j for j in range(n)) / (1 - a ** n / cells[i])
+             if a ** n < cells[i] else None for i, a in enumerate(modes)]
+    analytic = None if None in stars else max([cfg.initial_radius, *stars])
 
     ratios = [(a ** n) / cells[i] for i, a in enumerate(modes)]
     decay_ratio = max(ratios)
@@ -374,24 +372,16 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
 
 
 def _decode(rows, code: CodeSpec, used: int, received) -> int:
-    best, best_like = None, None
-    unique_compatible = None
-    compatible = 0
+    """The first most likely message, or 0 when none could give ``received``."""
+    best, best_like = 0, Fraction(0)
     for m in range(used):
         like = Fraction(1)
         for sym, y in zip(code.codewords[m], received):
             like *= rows[sym][y]
             if like == 0:
                 break
-        if like > 0:
-            compatible += 1
-            unique_compatible = m
-            if best_like is None or like > best_like:
-                best, best_like = m, like
-    if compatible == 1:
-        return unique_compatible
-    if best is None:
-        return 0
+        if like > best_like:
+            best, best_like = m, like
     return best
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from certcap.capacity import (MinimaxLadder, feedback_zero_error_capacity,
+from certcap.capacity import (ShannonBounds, feedback_zero_error_capacity,
                               minimax_ladder_step, minimax_support_mass,
                               shannon_capacity, verify_minimax_lower_bound)
 from certcap.channel import certify_support, exact_channel, resolving_stream
@@ -72,39 +72,39 @@ class TestFeedbackCapacity:
 class TestMinimaxLadder:
     def test_exact_wrap_reaches_exact_value_at_pin_level(self, pentagon, pentagon_stream):
         exact_value = minimax_support_mass(pentagon).value
-        ladder = MinimaxLadder()
+        rung = None
         for level in range(4):
-            ladder = minimax_ladder_step(pentagon_stream, level, ladder)
-        assert ladder.rungs[3].mass == exact_value
+            rung = minimax_ladder_step(pentagon_stream, level, rung)
+        assert rung.level == 3 and rung.mass == exact_value
 
     def test_level_zero_of_immediately_pinned_stream(self, pentagon):
         pinned = resolving_stream(pentagon, 0)
-        ladder = minimax_ladder_step(pinned, 0, MinimaxLadder())
-        assert ladder.rungs[0].mass == minimax_support_mass(pentagon).value
+        rung = minimax_ladder_step(pinned, 0, None)
+        assert rung.mass == minimax_support_mass(pentagon).value
 
     def test_mass_monotone_and_upper_bounds_shrink(self, pentagon_stream):
-        ladder = MinimaxLadder()
+        rung = None
         masses, uppers = [], []
         for level in range(4):
-            ladder = minimax_ladder_step(pentagon_stream, level, ladder)
-            masses.append(ladder.rungs[-1].mass)
-            if ladder.rungs[-1].upper is not None:
-                uppers.append(ladder.rungs[-1].upper.hi)
+            rung = minimax_ladder_step(pentagon_stream, level, rung)
+            masses.append(rung.mass)
+            if rung.upper is not None:
+                uppers.append(rung.upper.hi)
         assert masses == sorted(masses)
         assert uppers == sorted(uppers, reverse=True)
 
     def test_levels_must_increase(self, pentagon_stream):
-        ladder = minimax_ladder_step(pentagon_stream, 1, MinimaxLadder())
+        rung = minimax_ladder_step(pentagon_stream, 1, None)
         with pytest.raises(DomainError):
-            minimax_ladder_step(pentagon_stream, 1, ladder)
+            minimax_ladder_step(pentagon_stream, 1, rung)
 
     def test_upper_bound_dominates_true_capacity(self, pentagon, pentagon_stream):
         true_fb = feedback_zero_error_capacity(pentagon)
-        ladder = MinimaxLadder()
+        rung = None
         for level in range(1, 4):
-            ladder = minimax_ladder_step(pentagon_stream, level, ladder)
-            if ladder.rungs[-1].upper is not None:
-                assert ladder.rungs[-1].upper.hi >= true_fb.enclosure.lo
+            rung = minimax_ladder_step(pentagon_stream, level, rung)
+            if rung.upper is not None:
+                assert rung.upper.hi >= true_fb.enclosure.lo
 
 
 class TestShannonCapacity:
@@ -153,6 +153,41 @@ class TestShannonCapacity:
             if best_lo is not None:
                 assert task.lower.lo >= best_lo
             best_lo = task.lower.lo
+
+
+
+class TestShannonBoundsSharedByBothCallers:
+    @pytest.mark.parametrize("fixture", ["nl2", "bsc110", "pentagon"])
+    def test_fixed_width_steps_reproduce_shannon_capacity(self, request, fixture):
+        ch = request.getfixturevalue(fixture)
+        tolerance = F(1, 10 ** 6)
+        reference = shannon_capacity(ch, tolerance)
+        nx, ny = len(ch.inputs), len(ch.outputs)
+        width = tolerance / (8 * (nx * ny + nx + 4))
+        bounds = ShannonBounds(ch)
+        for _ in range(reference.iterations):
+            assert bounds.lower is None or bounds.gap > tolerance
+            bounds.step(width)
+        assert bounds.gap <= tolerance
+        assert bounds.iterations == reference.iterations
+        assert (bounds.lower, bounds.upper) == (reference.lower, reference.upper)
+        assert bounds.input_distribution == reference.input_distribution
+        assert bounds.to_json() == reference.to_json()
+
+    def test_capacity_task_steps_one_object_on_its_own_schedule(self, bsc110):
+        from certcap.classify import CapacityBoundsTask
+        task = CapacityBoundsTask(bsc110)
+        bounds = ShannonBounds(bsc110)
+        width = F(1, 1 << 12)
+        for _ in range(40):
+            task.step()
+            bounds.step(width)
+            if width > F(1, 1 << 60):
+                width /= 4
+            assert (task.lower, task.upper) == (bounds.lower, bounds.upper)
+        assert width == task.log_width == F(1, 1 << 60)
+        assert (task.bounds.lower_from, task.bounds.upper_from) == (
+            bounds.lower_from, bounds.upper_from)
 
 
 def test_ordering_chain_on_corpus(pentagon, nl2, bsc14):

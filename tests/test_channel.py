@@ -70,6 +70,21 @@ def test_channel_labels_must_be_distinct_and_hashable(inputs, outputs, message):
         Channel(inputs, outputs, schedules=schedules)
 
 
+
+@pytest.mark.parametrize("inputs, outputs, side", [
+    ((), (0, 1), "input"), ((0, 1), (), "output"), ((), (), "input"),
+], ids=["no-inputs", "no-outputs", "neither"])
+def test_channel_alphabets_must_be_nonempty(inputs, outputs, side):
+    with pytest.raises(ChannelFormatError, match=f"empty {side} alphabet"):
+        Channel(inputs, outputs, rows=tuple(() for _ in inputs))
+    with pytest.raises(ChannelFormatError, match=f"empty {side} alphabet"):
+        Channel(inputs, outputs, schedules=tuple(() for _ in inputs))
+
+
+def test_loading_empty_alphabets_names_them():
+    with pytest.raises(ChannelFormatError, match="empty input alphabet"):
+        load_channel({"inputs": [], "outputs": [], "rows": []})
+
 class TestSupport:
     def test_bsc_all_positive(self, bsc14):
         cert = certify_support(bsc14)

@@ -11,8 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from certcap import capacity
-from certcap.capacity import (DEFAULT_C0FB_WIDTH, MinimaxLadder,
-                              certified_capacity_bounds,
+from certcap.capacity import (DEFAULT_C0FB_WIDTH, certified_capacity_bounds,
                               feedback_zero_error_capacity, minimax_ladder_step,
                               minimax_support_mass)
 from certcap.channel import (certify_support, exact_channel, hovering_stream,
@@ -722,9 +721,10 @@ class TestNoRepeatedSolves:
         ch = hovering_stream(noiseless(2), [(0, 1)], 64)
         calls = self._count_solves(monkeypatch)
         task = MinimaxLadderTask(ch)
+        rungs = []
         while not task.exhausted():
             task.step()
-        rungs = task.ladder.rungs
+            rungs.append(task.rung)
         assert [r.level for r in rungs] == list(range(64))
         patterns = {support_sets(certify_support(ch, r.level), 2, 2) for r in rungs}
         assert len(patterns) == 2
@@ -742,9 +742,8 @@ class TestNoRepeatedSolves:
         # typewriter(3) has psi = 2/3; its hovering zero leaves the support
         # complete from level 2 on
         ch = hovering_stream(typewriter(3), [(0, 2)], 8)
-        ladder = minimax_ladder_step(ch, 2, MinimaxLadder())
-        ladder = minimax_ladder_step(ch, 3, ladder, width=F(1, 1 << 40))
-        first, second = ladder.rungs
+        first = minimax_ladder_step(ch, 2, None)
+        second = minimax_ladder_step(ch, 3, first, width=F(1, 1 << 40))
         assert second.solution is first.solution
         assert second.mass == F(2, 3)
         assert second.upper == log2_enclosure(1 / second.mass, F(1, 1 << 40))

@@ -199,6 +199,51 @@ def test_env_var_sets_default_budget(capsys, data_dir, monkeypatch):
     assert json.loads(out)["outcome"] == "Unsolvable"
 
 
+
+def test_simulate_on_a_stream_channel_exits_one(capsys, data_dir):
+    code, out, err = run_cli(capsys, "simulate",
+                             "--plant", str(data_dir / "plant_3_2.json"),
+                             "--channel", str(data_dir / "stream_hover.json"),
+                             "--regime", "se-nofb", "--horizon", "5")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: the simulator needs an exact channel, not a stream\n"
+
+
+def test_simulate_negative_horizon_exits_one(capsys, data_dir):
+    code, out, err = run_cli(capsys, "simulate",
+                             "--plant", str(data_dir / "plant_3_2.json"),
+                             "--channel", str(data_dir / "noiseless2.json"),
+                             "--regime", "se-nofb", "--horizon", "-1")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: horizon must be >= 0, got -1\n"
+
+
+def test_analyze_negative_budget_exits_one(capsys, data_dir):
+    code, out, err = run_cli(capsys, "analyze",
+                             "--plant", str(data_dir / "plant_diag3.json"),
+                             "--channel", str(data_dir / "pentagon.json"),
+                             "--regime", "se-fb", "--budget", "-5")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: --budget must be >= 0, got -5\n"
+
+
+def test_negative_env_budget_exits_one(capsys, data_dir, monkeypatch):
+    monkeypatch.setenv("CERTCAP_BUDGET", "-5")
+    code, out, err = run_cli(capsys, "analyze",
+                             "--plant", str(data_dir / "plant_diag3.json"),
+                             "--channel", str(data_dir / "pentagon.json"),
+                             "--regime", "se-fb")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: CERTCAP_BUDGET must be >= 0, got -5\n"
+
+
+def test_zero_error_on_empty_alphabets_exits_one(capsys, tmp_path):
+    channel = tmp_path / "empty.json"
+    channel.write_text(json.dumps({"inputs": [], "outputs": [], "rows": []}))
+    code, out, err = run_cli(capsys, "zero-error", "--channel", str(channel))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: empty input alphabet\n"
+
 def test_text_format(capsys, data_dir):
     code, out, _ = run_cli(capsys, "--format", "text", "eta",
                            "--plant", str(data_dir / "plant_diag2.json"))

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from certcap.classify import Regime, classify, revalidate
+from certcap import plant as plant_module
+from certcap.classify import EtaTask, Regime, classify, revalidate
 from certcap.enclosure import Enclosure
 from certcap.linalg import as_matrix, char_poly, mat_mul
 from certcap.plant import (Plant, PlantFormatError, instability_exponent,
                            is_detectable, is_stabilizable, is_unstable, load_plant)
+from certcap.roots import UnstableModuli, unstable_moduli
 
 F = Fraction
 mpmath.mp.dps = 40
@@ -229,3 +233,51 @@ def test_unit_circle_eigenvalues_give_exactly_zero():
     # a rotation block next to an expanding mode: exactly log2 of the mode
     enc = instability_exponent(as_matrix([[0, -1, 0], [1, 0, 0], [0, 0, 4]]))
     assert enc.lo == enc.hi == 2
+
+
+# the dense non-normal 5x5 `expanding` plant of perfbench's decide corpus
+# (seed 1): eta = log2 |det A|, with a 37-bit leading coefficient
+EXPANDING5 = [[F(237, 160), F(3, 160), F(9, 320), F(9, 320), F(9, 320)],
+              [F(-9, 320), F(123, 80), F(9, 320), 0, F(3, 160)],
+              [0, 0, F(489, 320), F(3, 160), F(-3, 160)],
+              [F(-9, 320), F(3, 320), F(3, 160), F(471, 320), F(-3, 320)],
+              [F(9, 320), F(3, 160), F(-3, 160), F(9, 320), F(489, 320)]]
+HOSTILE_PLANTS = [
+    [[2, 1], [0, 2]],                                  # Jordan block, |lambda| = 2
+    [[1, 1, 0], [0, 1, 1], [0, 0, 1]],                 # Jordan block on the circle
+    [[F(1, 2), 4], [0, F(1, 2)]],                      # stable Jordan block
+    [[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]],         # rotation, |lambda| = 1
+    [[0, -1, 0], [1, 0, 0], [0, 0, 3]],                # rotation beside a mode
+    [[0, -3], [3, 0]],                                 # pair with equal moduli 3
+    [[3, 0, 0], [0, -3, 0], [0, 0, F(3, 2)]],          # repeated moduli
+    [[F(5, 4), 1, 0], [0, F(-5, 4), 1], [0, 0, F(5, 4)]],
+    EXPANDING5,
+]
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_random_plants = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.one_of(st.sampled_from(HOSTILE_PLANTS), _random_plants))
+def test_eta_task_narrows_one_refiner_exactly_like_fresh_enclosures(a):
+    a = as_matrix(a)
+    task = EtaTask(a)
+    moduli = UnstableModuli(char_poly(a))
+    for _ in range(10):  # widths 1/16, 1/256, ..., 2**-40
+        width = task.width
+        task.step()
+        assert task.enclosure == instability_exponent(a, width)
+        tolerance = width / (3 * len(a))
+        assert moduli.brackets(tolerance) == unstable_moduli(char_poly(a), tolerance)
+
+
+def test_eta_task_computes_the_characteristic_polynomial_once(monkeypatch):
+    calls = []
+    real = plant_module.char_poly
+    monkeypatch.setattr(plant_module, "char_poly", lambda a: calls.append(1) or real(a))
+    task = EtaTask(as_matrix(EXPANDING5))
+    for _ in range(8):
+        task.step()
+    assert len(calls) == 1
+    assert task.enclosure == instability_exponent(as_matrix(EXPANDING5), task.width * 16)
