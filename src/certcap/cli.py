@@ -187,6 +187,9 @@ def _cmd_simulate(args) -> int:
     plant = load_plant(_read_json(args.plant))
     ch = load_channel(_read_json(args.channel))
     if args.code == "identity":
+        if args.block_length != 1:
+            raise CliError("--code identity sends one symbol per message; "
+                           f"--block-length must be 1, got {args.block_length}")
         code = identity_code(ch)
     else:
         power = strong_power(certified_graph(ch, 0), args.block_length)

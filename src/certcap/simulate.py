@@ -8,9 +8,14 @@ an analytic sup bound; over a noisy channel with a code that is not
 zero-error the mirrored states drift apart and the error blows up, which is
 what the divergence smoke runs demonstrate.
 
-All state arithmetic is exact rational; channel noise and disturbances are
-sampled through a seeded generator with exact inverse-CDF comparisons, so
-identical configurations reproduce identical trajectories byte for byte.
+All state arithmetic is exact.  Each mode keeps one integer denominator L
+with x, the coder centre, the decoder centre and the radius (the two boxes
+share it: the radius recursion never reads a message) as integer numerators
+over it: a refine multiplies L by the cell count, a plant step moves L to
+lcm(L q, 2^32 D_den) for a = p/q, and reduced fractions are built only for
+the recorded rows.  Channel noise and disturbances are sampled through a
+seeded generator with exact inverse-CDF comparisons, so identical
+configurations reproduce identical trajectories byte for byte.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm, prod
 
 from .channel import Channel
 from .classify import Regime
@@ -90,7 +96,7 @@ class SimConfig:
             if any(abs(v) > self.initial_radius for v in xs):
                 raise SimulationError("x0 outside the initial uncertainty box")
             return xs
-        return tuple(self.initial_radius / 3 for _ in range(len(self.plant.a)))
+        return tuple(Fraction(self.initial_radius) / 3 for _ in range(len(self.plant.a)))
 
 
 @dataclass(frozen=True)
@@ -152,22 +158,22 @@ def sample_output(rng: random.Random, row) -> int:
     bracket falls inside a single CDF cell, so every output index has
     exactly its row probability.
     """
-    cums = list(accumulate(row))
+    den = lcm(*(p.denominator for p in row))
+    cums = list(accumulate(p.numerator * (den // p.denominator) for p in row))
     num = 0
     bits = 0
     while True:
+        # [lo, hi) = [num, num + 1) / 2**bits, compared with cum / den
         num = (num << 32) | rng.getrandbits(32)
         bits += 32
-        lo = Fraction(num, 1 << bits)
-        hi = Fraction(num + 1, 1 << bits)
+        lo = num * den
+        prev = 0
         for idx, cum in enumerate(cums):
-            if hi <= cum:
-                prev = cums[idx - 1] if idx else Fraction(0)
-                if lo >= prev:
+            if lo + den <= cum << bits:
+                if lo >= prev << bits:
                     return idx
                 break
-        else:
-            continue
+            prev = cum
 
 
 def _sample_disturbance(rng: random.Random, bound):
@@ -226,6 +232,9 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
         raise SimulationError("the simulator needs an exact channel, not a stream")
     if cfg.horizon < 0:
         raise SimulationError(f"horizon must be >= 0, got {cfg.horizon}")
+    if cfg.initial_radius < 0:
+        raise SimulationError(
+            f"initial radius must be >= 0, got {rational_str(cfg.initial_radius)}")
     modes = cfg.modes()
     dim = len(modes)
     n = cfg.code.block_length
@@ -250,94 +259,91 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
     gains = tuple(b[i][i] for i in range(dim)) if with_control else None
 
     cells = _allocate_cells(modes, n, cfg.code.size, allow_boundary)
-    used = 1
-    for m in cells:
-        used *= m
+    used = prod(cells)
 
+    # x, coder centre, decoder centre, radius of mode i = X, C, H, R[i] / L[i];
+    # every disturbance is a multiple of 1 / zeta_den
     rng = random.Random(cfg.seed)
-    x = list(cfg.start_state())
-    coder_center = [Fraction(0)] * dim
-    coder_radius = [cfg.initial_radius] * dim
-    dec_center = list(coder_center)
-    dec_radius = list(coder_radius)
+    zeta_den = bound.denominator << 32 if bound else 1
+    bound_num = bound.numerator << 32
+    r0 = Fraction(cfg.initial_radius)
+    start = cfg.start_state()
+    L = [lcm(r0.denominator, v.denominator) for v in start]
+    X = [v.numerator * (d // v.denominator) for v, d in zip(start, L)]
+    C, H = [0] * dim, [0] * dim
+    R = [r0.numerator * (d // r0.denominator) for d in L]
 
     times, xs, xhats, us, errors, radii, zetas = [], [], [], [], [], [], []
     transcript = []
+    decodes = {}
     rows = cfg.channel.rows
-    epoch = 0
     t = 0
     max_error = Fraction(0)
     diverged_at = None
 
-    def record(u_now):
-        nonlocal max_error, diverged_at
-        err = max(abs(x[i] - dec_center[i]) for i in range(dim))
-        times.append(t)
-        xs.append(tuple(x))
-        xhats.append(tuple(dec_center))
-        us.append(tuple(u_now))
-        errors.append(err)
-        radii.append(max(dec_radius))
-        if err > max_error:
-            max_error = err
-        if diverged_at is None and err > cfg.divergence_threshold:
-            diverged_at = t
-
-    while t < cfg.horizon:
-        if diverged_at is not None:
-            break
-        # quantize against the coder's box and transmit the cell index
-        idxs = []
-        for i in range(dim):
-            lo = coder_center[i] - coder_radius[i]
-            width = 2 * coder_radius[i] / cells[i]
-            if width == 0:
-                idx = 0
-            else:
-                idx = int((x[i] - lo) / width)
-                idx = min(max(idx, 0), cells[i] - 1)
-            idxs.append(idx)
+    while t < cfg.horizon and diverged_at is None:
+        # quantize against the coder's box: cell floor((x - c + r) m / 2r),
+        # clamped, and transmit the mixed-radix cell index
         message = 0
         for i in reversed(range(dim)):
-            message = message * cells[i] + idxs[i]
+            m = cells[i]
+            idx = 0 if R[i] == 0 else (X[i] - C[i] + R[i]) * m // (2 * R[i])
+            message = message * m + min(max(idx, 0), m - 1)
         codeword = cfg.code.codewords[message]
         received = tuple(sample_output(rng, rows[sym]) for sym in codeword)
-        decoded = _decode(rows, cfg.code, used, received)
+        decoded = decodes.get(received)
+        if decoded is None:
+            decoded = decodes[received] = _decode(rows, cfg.code, used, received)
 
-        def refine(center, radius, msg):
-            rest = msg
-            for i in range(dim):
-                k = rest % cells[i]
-                rest //= cells[i]
-                lo = center[i] - radius[i]
-                width = 2 * radius[i] / cells[i]
-                center[i] = lo + width * k + width / 2
-                radius[i] = radius[i] / cells[i]
+        # the coder refines on what it sent, the decoder on what it decoded
+        sent, got = message, decoded
+        for i in range(dim):
+            m = cells[i]
+            sent, k = divmod(sent, m)
+            got, j = divmod(got, m)
+            L[i] *= m
+            X[i] *= m
+            C[i] = C[i] * m + R[i] * (2 * k + 1 - m)
+            H[i] = H[i] * m + R[i] * (2 * j + 1 - m)
+        radius = tuple(Fraction(R[i], L[i]) for i in range(dim))
+        transcript.append(EpochRecord(len(transcript), message, codeword, received,
+                                      decoded, radius))
 
-        refine(coder_center, coder_radius, message)   # coder mirrors its own send
-        refine(dec_center, dec_radius, decoded)       # decoder uses what it decoded
-        transcript.append(EpochRecord(epoch, message, codeword, received, decoded,
-                                      tuple(dec_radius)))
-        epoch += 1
-
-        for _ in range(n):
-            if t >= cfg.horizon:
+        for step in range(n):
+            if t >= cfg.horizon or diverged_at is not None:
                 break
-            if diverged_at is not None:
-                break
-            u_now = ()
-            if with_control:
-                u_now = tuple(-modes[i] * dec_center[i] / gains[i] for i in range(dim))
-            record(u_now)
+            if step:
+                radius = tuple(Fraction(R[i], L[i]) for i in range(dim))
+            x_hat = tuple(Fraction(H[i], L[i]) for i in range(dim))
+            err = max(Fraction(abs(X[i] - H[i]), L[i]) for i in range(dim))
+            times.append(t)
+            xs.append(tuple(Fraction(X[i], L[i]) for i in range(dim)))
+            xhats.append(x_hat)
+            us.append(tuple(-modes[i] * x_hat[i] / gains[i] for i in range(dim))
+                      if with_control else ())
+            errors.append(err)
+            radii.append(max(radius))
+            if err > max_error:
+                max_error = err
+            if err > cfg.divergence_threshold:
+                diverged_at = t
             zeta = tuple(_sample_disturbance(rng, bound) for _ in range(dim))
             zetas.append(zeta)
             for i in range(dim):
-                drive = gains[i] * u_now[i] if with_control else 0
-                x[i] = modes[i] * x[i] + drive + zeta[i]
-                coder_center[i] = modes[i] * coder_center[i] + drive
-                coder_radius[i] = modes[i] * coder_radius[i] + bound
-                dec_center[i] = modes[i] * dec_center[i] + drive
-                dec_radius[i] = modes[i] * dec_radius[i] + bound
+                # x -> a x + b u + zeta over L' = lcm(L q, zeta_den), a = p/q;
+                # the deadbeat drive b u = -a x_hat cancels the decoder centre
+                lq = L[i] * modes[i].denominator
+                g = gcd(lq, zeta_den)
+                s = zeta_den // g
+                L[i] = lq * s
+                w = lq // g                      # L' / zeta_den
+                ps = modes[i].numerator * s
+                drive = H[i] if with_control else 0
+                z = zeta[i].numerator * (zeta_den // zeta[i].denominator)
+                X[i] = ps * (X[i] - drive) + z * w
+                C[i] = ps * (C[i] - drive)
+                H[i] = ps * (H[i] - drive)
+                R[i] = ps * R[i] + bound_num * w
             t += 1
 
     # each mode's radius recursion r -> a^n r / cells + drift has a fixed
@@ -354,7 +360,7 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
         "regime": cfg.regime.kind,
         "horizon": cfg.horizon,
         "seed": cfg.seed,
-        "epochs": epoch,
+        "epochs": len(transcript),
         "block_length": n,
         "message_count": cfg.code.size,
         "cells": list(cells),

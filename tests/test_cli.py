@@ -218,6 +218,35 @@ def test_simulate_negative_horizon_exits_one(capsys, data_dir):
     assert err == "error: horizon must be >= 0, got -1\n"
 
 
+def test_simulate_negative_radius_exits_one(capsys, data_dir):
+    code, out, err = run_cli(capsys, "simulate",
+                             "--plant", str(data_dir / "plant_3_2.json"),
+                             "--channel", str(data_dir / "noiseless2.json"),
+                             "--regime", "se-nofb", "--horizon", "20", "--radius", "-1")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: initial radius must be >= 0, got -1\n"
+
+
+def test_simulate_zero_radius_runs(capsys, data_dir):
+    code, out, _ = run_cli(capsys, "simulate",
+                           "--plant", str(data_dir / "plant_3_2.json"),
+                           "--channel", str(data_dir / "noiseless2.json"),
+                           "--regime", "se-nofb", "--horizon", "20", "--radius", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["bounded"] is True
+
+
+def test_simulate_identity_code_rejects_longer_blocks(capsys, data_dir):
+    code, out, err = run_cli(capsys, "simulate",
+                             "--plant", str(data_dir / "plant_3_2.json"),
+                             "--channel", str(data_dir / "noiseless2.json"),
+                             "--regime", "se-nofb", "--horizon", "20",
+                             "--block-length", "3")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == ("error: --code identity sends one symbol per message; "
+                   "--block-length must be 1, got 3\n")
+
+
 def test_analyze_negative_budget_exits_one(capsys, data_dir):
     code, out, err = run_cli(capsys, "analyze",
                              "--plant", str(data_dir / "plant_diag3.json"),

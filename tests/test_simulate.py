@@ -1,10 +1,16 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from certcap.channel import certify_support, noiseless
+from certcap.channel import certify_support, noiseless, typewriter
 from certcap.classify import Regime
 from certcap.confgraph import confusability_graph, max_independent_set, strong_power
+from certcap.linalg import as_matrix
+from certcap.plant import Plant
 from certcap.simulate import (SimConfig, SimulationError, identity_code,
                               run_estimation, run_stabilization,
                               run_weak_detection, sample_output, witness_code)
@@ -146,8 +152,6 @@ class TestRefusalsAndShapes:
             run_estimation(cfg)
 
     def test_non_diagonal_plant_refused(self, nl2):
-        from certcap.linalg import as_matrix
-        from certcap.plant import Plant
         plant = Plant(as_matrix([[1, 1], [0, 1]]),
                       disturbance_bound=F(1, 10))
         cfg = SimConfig(plant, nl2, Regime("se-nofb"), identity_code(nl2),
@@ -163,6 +167,13 @@ class TestRefusalsAndShapes:
         traj = run_estimation(cfg)
         assert traj.summary["cells"] == [2, 2]
         assert traj.summary["bounded"] is True
+
+    def test_integer_radius_runs_exactly(self, nl2):
+        def run(radius):
+            return run_estimation(SimConfig(
+                scalar_plant(F(3, 2), disturbance=F(1, 10)), nl2, Regime("se-nofb"),
+                identity_code(nl2), horizon=50, seed=1, initial_radius=radius))
+        assert run(2).to_csv() == run(F(2)).to_csv()
 
     def test_x0_outside_box_rejected(self, nl2):
         cfg = SimConfig(scalar_plant(F(3, 2), disturbance=F(1, 10)), nl2,
@@ -196,3 +207,104 @@ class TestDeterminismAndSampling:
         rng = random.Random(9)
         for _ in range(2_000):
             assert sample_output(rng, row) != 1
+
+
+def _trajectory_digest(traj) -> str:
+    text = (traj.to_csv() + repr(traj.radius) + repr(traj.zetas)
+            + repr(traj.transcript) + json.dumps(traj.summary, sort_keys=True))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (name, runner, plant factory, channel fixture name or "nl4", regime, code,
+# horizon, seed, extra SimConfig fields); each covers a branch of the loop
+PINNED_RUNS = [
+    ("noiseless2-est", run_estimation, lambda: scalar_plant(F(3, 2), disturbance=F(1, 10)),
+     "nl2", "se-nofb", "identity", 300, 7, {}),
+    ("pentagon-block2", run_estimation, lambda: scalar_plant(2, disturbance=F(1, 10)),
+     "pentagon", "se-nofb", "block2", 200, 11, {}),
+    ("diag-se-fb", run_estimation,
+     lambda: diagonal_plant([F(3, 2), F(5, 4)], disturbance=F(1, 10)),
+     "nl4", "se-fb", "identity", 200, 9, {}),
+    ("stab-fb", run_stabilization,
+     lambda: scalar_plant(F(3, 2), b=F(-2, 3), disturbance=F(1, 10)),
+     "nl2", "stab-fb", "identity", 300, 3, {}),
+    ("weak-boundary", run_weak_detection, lambda: scalar_plant(2),
+     "nl2", "weak", "identity", 60, 1, {}),
+    ("bsc-diverges", run_estimation, lambda: scalar_plant(F(3, 2), disturbance=F(1, 10)),
+     "bsc14", "se-nofb", "identity", 10_000, 0, {}),
+    ("negative-x0", run_estimation, lambda: scalar_plant(F(3, 2), disturbance=F(1, 10)),
+     "nl2", "se-nofb", "identity", 200, 4,
+     {"x0": (F(-7, 9),), "initial_radius": F(5, 4)}),
+    ("radius-zero", run_estimation, lambda: scalar_plant(F(3, 2), disturbance=F(1, 10)),
+     "nl2", "se-nofb", "identity", 100, 5, {"initial_radius": F(0)}),
+]
+
+# sha256 of each run's CSV, radius, zetas, transcript and summary, computed
+# with the reference Fraction loop; a change to the loop's arithmetic must
+# leave every one of them as it is
+PINNED_DIGESTS = {
+    "noiseless2-est": "359812a374e6d403de97a5e4ee2122f22bde050326dc53f4865df0818f5f4ea6",
+    "pentagon-block2": "4c9c04f9212042009834b575daac04c0c4375e6bb0f65597109f0c1d17a22248",
+    "diag-se-fb": "724f832a1ef9d5a4f295dacd8b4d8002597a9c8bd91d0bd701df705585a8b030",
+    "stab-fb": "a390861fafbddfb844c5a2577c2cef3dd53723ec2675ed4d6e6a93dd40ba3e30",
+    "weak-boundary": "ea5207b9c2d5cc4c2b1ca5e98c4479ba90faf34c159db23cb23143a57e4dc40f",
+    "bsc-diverges": "13c5fcc3616c7fb6633cebab29fd48e10d0d7f5e08460fc25dc3c0de85dd5f00",
+    "negative-x0": "ad2947f6244b764b06a867b09085f53a3512e832bebe6978789ec02739481ae7",
+    "radius-zero": "f15ba954ed620b6b796d24be6e8aae02f93113118ccec7c5616e3aab67c99ef0",
+}
+
+
+@pytest.mark.parametrize("run", PINNED_RUNS, ids=[r[0] for r in PINNED_RUNS])
+def test_trajectory_bytes_are_pinned(request, run):
+    name, runner, plant, channel, regime, code, horizon, seed, extra = run
+    ch = noiseless(4) if channel == "nl4" else request.getfixturevalue(channel)
+    code = pentagon_block2_code(ch) if code == "block2" else identity_code(ch)
+    cfg = SimConfig(plant(), ch, Regime(regime), code, horizon=horizon, seed=seed,
+                    **extra)
+    traj = runner(cfg)
+    assert _trajectory_digest(traj) == PINNED_DIGESTS[name]
+
+
+PENTAGON_CODE = pentagon_block2_code(typewriter(5))
+
+
+@st.composite
+def zero_error_runs(draw):
+    """A loop over a zero-error code whose every mode contracts strictly."""
+    kind = draw(st.sampled_from(["estimation", "stabilization", "weak"]))
+    if draw(st.booleans()):
+        # pentagon block-2 witness: 5 messages per 2 uses, so a^2 < 5
+        dim, channel, code, top = 1, typewriter(5), PENTAGON_CODE, 2
+    else:
+        dim, base = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+        channel = noiseless(base ** dim)
+        code, top = identity_code(channel), base
+    modes = [F(draw(st.integers(0, 8 * top - 1)), 8) for _ in range(dim)]
+    gains = [draw(st.sampled_from([F(1), F(-2, 3), F(5)])) for _ in range(dim)]
+    bound = F(0) if kind == "weak" else draw(st.sampled_from([F(0), F(1, 10)]))
+    eye = [[F(int(i == j)) for j in range(dim)] for i in range(dim)]
+    plant = Plant(as_matrix([[modes[i] * eye[i][j] for j in range(dim)] for i in range(dim)]),
+                  c=as_matrix(eye),
+                  b=as_matrix([[gains[i] * eye[i][j] for j in range(dim)]
+                               for i in range(dim)]),
+                  disturbance_bound=bound)
+    radius = draw(st.sampled_from([F(0), F(1, 3), F(1), F(5, 2)]))
+    x0 = tuple(radius * F(draw(st.integers(-64, 64)), 64) for _ in range(dim))
+    regime = {"estimation": draw(st.sampled_from(["se-nofb", "se-fb"])),
+              "stabilization": "stab-fb", "weak": "weak"}[kind]
+    cfg = SimConfig(plant, channel, Regime(regime), code,
+                    horizon=draw(st.integers(0, 80)), seed=draw(st.integers(0, 2 ** 30)),
+                    initial_radius=radius, x0=x0)
+    return {"estimation": run_estimation, "stabilization": run_stabilization,
+            "weak": run_weak_detection}[kind], cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(zero_error_runs())
+def test_zero_error_loop_invariants(run):
+    runner, cfg = run
+    traj = runner(cfg)
+    assert traj.verify_recursion(cfg)
+    assert all(e <= r for e, r in zip(traj.error, traj.radius))
+    assert traj.summary["bounded"] is True
+    assert traj.summary["zero_error_transcript"] is True
