@@ -312,9 +312,6 @@ class ZeroErrorLadderTask(_CapacityTask):
             if not g.conservative:
                 self.graph = g
             return
-        if len(self.graph) ** self.next_n > _LADDER_VERTEX_CAP:
-            self._capped = True
-            return
         try:
             self.ladder = extend_ladder(self.ladder, self.graph, self.next_n,
                                         node_budget=_LADDER_NODE_BUDGET,

@@ -15,11 +15,11 @@ import os
 import sys
 
 from .capacity import feedback_zero_error_capacity, shannon_capacity
-from .channel import load_channel
+from .channel import ResourceCapError, load_channel
 from .classify import (Regime, RegimePreconditionError, UNDETERMINED, classify,
                        classify_fixed_plant)
-from .confgraph import (CapacityLadder, certified_graph, extend_ladder,
-                        max_independent_set, strong_power)
+from .confgraph import (CapacityLadder, certified_graph, check_power_size,
+                        extend_ladder, max_independent_set, strong_power)
 from .enclosure import DomainError, Enclosure, parse_rational
 from .plant import instability_exponent, load_plant
 from .simulate import (SimConfig, SimulationError, identity_code, run_estimation,
@@ -145,7 +145,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _ladder_report(ch, max_block: int) -> dict:
+    if max_block < 1:
+        raise CliError(f"--max-block must be >= 1, got {max_block}")
     graph = certified_graph(ch, ch.max_declared_level())
+    check_power_size(graph, max_block)  # fail before the lower rungs run
     ladder = CapacityLadder()
     for n in range(1, max_block + 1):
         ladder = extend_ladder(ladder, graph, n)
@@ -226,7 +229,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (CliError, DomainError, SimulationError, RegimePreconditionError,
-            ValueError, KeyError) as exc:
+            ResourceCapError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -3,16 +3,62 @@ monotone lower-bound ladder for zero-error rates.
 
 Adjacency is stored as one bitmask per vertex, which keeps the
 branch-and-bound solver allocation-free and deterministic.
+
+Two classical facts let the search close on strong powers it could not
+close by colouring alone; both only ever cut work, never change a witness.
+
+* **Orbit pruning.**  A strong power Gⁿ made by ``strong_power`` is
+  invariant under every coordinate permutation and under a base
+  automorphism applied to one coordinate.  The base maps tried are
+  x -> ±x + c on the base graph's index order, each verified mask by mask
+  (a map that fails means no pruning at all).  At the root the search
+  skips a child in the orbit of a root vertex it has already handled; at
+  depth 1, below the chosen vertex v, it skips a child in the orbit of a
+  handled sibling under the stabiliser of v.  Orbits are closed from
+  generators, never by listing the group.
+
+  Soundness.  Say a vertex is *handled* once it is removed from the
+  candidates, and write alpha(G | S) for the largest independent set
+  containing S.  By induction every handled root vertex r has
+  alpha(G | r) <= best, and below v every handled sibling q has
+  alpha(G | v, q) <= best: a set through an explored child either meets
+  an earlier handled vertex (and is covered by the induction) or lies in
+  that child's candidate set, which the child's subtree searched
+  completely.  An automorphism sigma with sigma(u) = w (fixing v at
+  depth 1) gives alpha(G | w) = alpha(G | u), so a skipped child satisfies
+  the same bound.  Its subtree could therefore never have raised the
+  incumbent, which only changes on a strict improvement: skipping deletes
+  that subtree and nothing else.  The skipped child leaves the candidates
+  exactly as an explored one does, so every later node sees the same
+  candidates and the same incumbent as without pruning.  The node
+  sequence is a subsequence of the unpruned one, a search that finishes
+  returns the same alpha and witness, and a search cut by the node budget
+  only gets further.
+
+* **The rung bound** (Rosenfeld 1967; Hales 1973).  A fractional clique
+  cover of G, weights w_K >= 0 on cliques K with sum_{K ∋ x} w_K >= 1 at
+  every vertex x, of total weight W, gives alpha(G ⊠ H) <= W alpha(H): an
+  independent set S of G ⊠ H meets each K x V(H) in at most alpha(H)
+  vertices, whose H-coordinates are pairwise distinct and non-adjacent,
+  so |S| <= sum_x |S ∩ {x} x V(H)| <= sum_K w_K |S ∩ K x V(H)|
+  <= W alpha(H).  ``extend_ladder`` takes the cover from an exact LP over
+  the base graph's maximal cliques, checks it exactly, and hands
+  floor(W alpha(Gⁿ⁻¹)) to the search when rung n - 1 is exact.  The search
+  stops as soon as the incumbent reaches that bound; no later node could
+  have raised it, so the witness is again the unbounded search's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import cache, cached_property
+from itertools import combinations, product
 
 from .channel import Channel, ResourceCapError, SupportCertificate, certify_support
 from .enclosure import Enclosure, log2_enclosure
+from .linprog import GEQ, LinearProgram, solve_lp
 
 DEFAULT_VERTEX_CAP = 4096
 DEFAULT_NODE_BUDGET = 200_000
@@ -35,11 +81,16 @@ class ConfusabilityGraph:
     there are no self-loops and that adjacency is symmetric; the symmetry
     check compares each 64x64 block of the adjacency matrix, transposed
     with bit operations, against its mirror block.
+
+    ``power_of`` is ``(base, n)`` on a graph built by ``strong_power`` (and
+    only there: it is not a constructor argument); the independence search
+    reads its automorphisms from it.
     """
 
     vertices: tuple
     adjacency: tuple[int, ...]  # bitmask of neighbours per vertex index
     conservative: bool = False
+    power_of: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.vertices)
@@ -68,6 +119,11 @@ class ConfusabilityGraph:
         indices = list(indices)
         return all(not self.are_adjacent(a, b)
                    for k, a in enumerate(indices) for b in indices[k + 1:])
+
+    @cached_property
+    def clique_cover(self) -> tuple[tuple[int, Fraction], ...]:
+        """``fractional_clique_cover`` of this graph, solved once."""
+        return fractional_clique_cover(self)
 
 
 _BLOCK = 64
@@ -144,6 +200,15 @@ def certified_graph(ch: Channel, level: int) -> ConfusabilityGraph:
     return confusability_graph(certify_support(ch, level), ch.inputs, len(ch.outputs))
 
 
+def check_power_size(g: ConfusabilityGraph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> None:
+    """Raise unless the n-th strong power of g exists and fits in ``cap`` vertices."""
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    size = len(g) ** n
+    if size > cap:
+        raise ResourceCapError(f"{size} vertices exceed the cap of {cap}")
+
+
 def strong_power(g: ConfusabilityGraph, n: int,
                  cap: int = DEFAULT_VERTEX_CAP) -> ConfusabilityGraph:
     """n-th strong power: tuples adjacent iff equal-or-adjacent coordinatewise.
@@ -156,19 +221,17 @@ def strong_power(g: ConfusabilityGraph, n: int,
     bits ``p`` of a's closed mask, where width is the size of the previous
     power.  Clearing each vertex's own bit then gives the adjacency.
     """
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    size = len(g) ** n
-    if size > cap:
-        raise ResourceCapError(f"{size} vertices exceed the cap of {cap}")
+    check_power_size(g, n, cap)
     closed = [mask | 1 << a for a, mask in enumerate(g.adjacency)]
     rows = closed
     for _ in range(n - 1):
         width = len(rows)
         rows = [_kronecker_row(c, row, width) for c in closed for row in rows]
     adjacency = tuple(row ^ 1 << i for i, row in enumerate(rows))
-    return ConfusabilityGraph(tuple(product(g.vertices, repeat=n)), adjacency,
-                              conservative=g.conservative)
+    power = ConfusabilityGraph(tuple(product(g.vertices, repeat=n)), adjacency,
+                               conservative=g.conservative)
+    object.__setattr__(power, "power_of", (g, n))
+    return power
 
 
 def _kronecker_row(closed: int, row: int, width: int) -> int:
@@ -179,6 +242,146 @@ def _kronecker_row(closed: int, row: int, width: int) -> int:
         out |= row << (low.bit_length() - 1) * width
         closed ^= low
     return out
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _is_automorphism(g: ConfusabilityGraph, image: list[int]) -> bool:
+    """True iff ``image`` permutes the vertex indices and carries each
+    vertex's adjacency mask onto the mask of its image."""
+    return sorted(image) == list(range(len(g))) and all(
+        sum(1 << image[y] for y in _bits(mask)) == g.adjacency[image[x]]
+        for x, mask in enumerate(g.adjacency))
+
+
+def _dihedral_generators(g: ConfusabilityGraph) -> tuple[int, int | None]:
+    """The base maps x -> ±x + c (mod m) that are automorphisms of g.
+
+    Returns ``(step, reflection)``: the rotations x -> x + k step, step the
+    least divisor of m whose rotation is an automorphism (m when only the
+    identity is), and, unless ``reflection`` is None, the reflections
+    x -> reflection + k step - x.  A reflection composed with the rotation
+    by step is the reflection with offset moved by step, so an offset below
+    step exists whenever any reflection is an automorphism.
+    """
+    m = len(g)
+    step = next((d for d in range(1, m) if m % d == 0
+                 and _is_automorphism(g, [(x + d) % m for x in range(m)])), m)
+    reflection = next((c for c in range(step)
+                       if _is_automorphism(g, [(c - x) % m for x in range(m)])), None)
+    return step, reflection
+
+
+class _PowerSymmetry:
+    """Automorphisms of the n-th strong power of a graph on m vertices.
+
+    On each coordinate, the base maps of ``_dihedral_generators`` (a base
+    automorphism on one coordinate is an automorphism of the strong
+    power); across coordinates, every permutation.  Vertex indices are
+    ``strong_power``'s: digit i of index x, base m, is coordinate i.
+    """
+
+    def __init__(self, m: int, n: int, step: int, reflection: int | None):
+        self.m, self.n, self.step, self.reflection = m, n, step, reflection
+        self.weights = [m ** (n - 1 - i) for i in range(n)]
+
+    @classmethod
+    def verified(cls, base: ConfusabilityGraph, n: int, step: int,
+                 reflection: int | None) -> _PowerSymmetry | None:
+        """The symmetry of ``base``'s n-th power, or None (prune nothing)
+        unless the rotation by ``step`` and the reflection about
+        ``reflection`` are automorphisms of ``base``, checked mask by mask."""
+        m = len(base)
+        if step < 1:
+            return None
+        maps = [[(x + step) % m for x in range(m)]]
+        if reflection is not None:
+            maps.append([(reflection - x) % m for x in range(m)])
+        if not all(_is_automorphism(base, image) for image in maps):
+            return None
+        return cls(m, n, step, reflection)
+
+    def _rotates(self, k: int) -> bool:
+        return k % self.step == 0
+
+    def _reflects(self, c: int) -> bool:
+        return self.reflection is not None and (c - self.reflection) % self.step == 0
+
+    def _on_coordinate(self, i: int, f):
+        """Index map applying the base map f to coordinate i."""
+        w, m = self.weights[i], self.m
+
+        def move(x: int) -> int:
+            d = x // w % m
+            return x + (f(d) - d) * w
+        return move
+
+    def _on_pair(self, i: int, j: int, f, g):
+        """Index map sending coordinates (x_i, x_j) to (f(x_j), g(x_i))."""
+        wi, wj, m = self.weights[i], self.weights[j], self.m
+
+        def move(x: int) -> int:
+            di, dj = x // wi % m, x // wj % m
+            return x + (f(dj) - di) * wi + (g(di) - dj) * wj
+        return move
+
+    def generators(self) -> list:
+        """Generators of the whole group: the base maps on each coordinate
+        and the swaps of neighbouring coordinates."""
+        m, step, c = self.m, self.step, self.reflection
+        moves = []
+        for i in range(self.n):
+            if step % m:
+                moves.append(self._on_coordinate(i, lambda d: (d + step) % m))
+            if c is not None:
+                moves.append(self._on_coordinate(i, lambda d: (c - d) % m))
+        keep = lambda d: d  # noqa: E731
+        return moves + [self._on_pair(i, i + 1, keep, keep) for i in range(self.n - 1)]
+
+    def stabiliser_generators(self, v: int) -> list:
+        """Automorphisms fixing vertex v: the reflection about v_i on
+        coordinate i, and the swap of coordinates i, j shifted by a rotation
+        (or reflection) that exchanges v_i and v_j."""
+        m = self.m
+        digits = [v // w % m for w in self.weights]
+        moves = [self._on_coordinate(i, lambda d, c=2 * a: (c - d) % m)
+                 for i, a in enumerate(digits) if self._reflects(2 * a)]
+        for i, j in combinations(range(self.n), 2):
+            a, b = digits[i], digits[j]
+            if self._rotates(a - b):
+                moves.append(self._on_pair(i, j, lambda d, s=a - b: (d + s) % m,
+                                           lambda d, s=b - a: (d + s) % m))
+            elif self._reflects(a + b):
+                moves.append(self._on_pair(i, j, lambda d, c=a + b: (c - d) % m,
+                                           lambda d, c=a + b: (c - d) % m))
+        return moves
+
+
+def _power_symmetry(g: ConfusabilityGraph) -> _PowerSymmetry | None:
+    """The verified symmetry of a graph built by ``strong_power``, else None."""
+    if g.power_of is None:
+        return None
+    base, n = g.power_of
+    return _PowerSymmetry.verified(base, n, *_dihedral_generators(base))
+
+
+def _orbit(x: int, moves: list) -> int:
+    """Bitmask of the orbit of vertex x, closed under the given maps."""
+    seen = {x}
+    todo = [x]
+    for y in todo:
+        for move in moves:
+            z = move(y)
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return sum(1 << z for z in seen)
 
 
 def is_zero_capacity(g: ConfusabilityGraph) -> bool:
@@ -193,12 +396,15 @@ class IndependenceResult:
     alpha: int
     witness: tuple  # vertex labels
     exact: bool     # False when the node budget cut the search short
+    nodes: int = 0  # search nodes expanded
 
 
 def max_independent_set(g: ConfusabilityGraph, *,
                         node_budget: int | None = None,
                         seed_witness: tuple = (),
-                        vertex_cap: int = DEFAULT_VERTEX_CAP) -> IndependenceResult:
+                        vertex_cap: int = DEFAULT_VERTEX_CAP,
+                        upper_bound: Callable[[], int] | None = None
+                        ) -> IndependenceResult:
     """Exact maximum independent set by branch and bound.
 
     Runs as a maximum-clique search on the complement.  Each node paints
@@ -209,6 +415,19 @@ def max_independent_set(g: ConfusabilityGraph, *,
     primes the incumbent, and ``node_budget`` caps the search; when the
     budget runs out the best set found is returned flagged as a lower bound
     only.
+
+    On a graph built by ``strong_power`` the root and depth-1 loops skip
+    children in the orbit of an explored sibling (see the module
+    docstring): the skipped subtree could not have raised the incumbent,
+    and the skipped vertex leaves the candidates as an explored one does,
+    so the nodes visited are a subsequence of the unpruned search's and a
+    finished search returns the same alpha and witness.
+
+    ``upper_bound`` returns a proven bound on alpha.  It is called once,
+    when the root's colouring has not closed the search (a search that
+    closes at once never pays for the bound), and ends the search, exact,
+    as soon as the incumbent reaches it; the witness is the one the
+    unbounded search would keep.
     """
     n = len(g)
     if n > vertex_cap:
@@ -227,16 +446,26 @@ def max_independent_set(g: ConfusabilityGraph, *,
     if not g.is_independent(i for i in range(n) if best_mask >> i & 1):
         raise ValueError("seed witness is not independent")
     best = [best_mask.bit_count(), best_mask]
+    nodes = 0
+    limit = upper_bound
+    stopped = False  # the budget ran out, or the incumbent met the limit
+    exact = True
+    group = cache(lambda: _power_symmetry(g))  # found at the first orbit asked for
 
-    nodes = [node_budget if node_budget is not None else -1]
-    exact = [True]
+    def root_orbit(v: int) -> int:
+        return 1 << v if group() is None else _orbit(v, group().generators())
 
-    def expand(candidates: int, size: int, mask: int) -> None:
-        if nodes[0] == 0:
-            exact[0] = False
+    def stabiliser_orbit(v: int):
+        """Orbit map of the stabiliser of root vertex v, for v's children."""
+        moves = cache(lambda: group().stabiliser_generators(v))
+        return lambda w: 1 << w if group() is None else _orbit(w, moves())
+
+    def expand(candidates: int, size: int, mask: int, orbit) -> None:
+        nonlocal nodes, limit, stopped, exact
+        if nodes == node_budget:
+            stopped, exact = True, False
             return
-        if nodes[0] > 0:
-            nodes[0] -= 1
+        nodes += 1
         # greedy colouring of the candidate set for the pruning bound; the
         # vertices of colours up to best - size would cut the node at once,
         # so those colours are painted without recording them
@@ -259,27 +488,98 @@ def max_independent_set(g: ConfusabilityGraph, *,
                 colour_of.append((v, colour))
                 avail &= drop[v]
                 rest ^= low
+        explored = 0      # orbits of the handled children (root and depth 1)
+        unfolded = None   # the last explored child, its orbit not yet added
         for v, colour in reversed(colour_of):
             if size + colour <= best[0]:
                 return
-            new_mask = mask | (1 << v)
-            new_candidates = candidates & comp[v]
-            if new_candidates:
-                expand(new_candidates, size + 1, new_mask)
-                if nodes[0] == 0 and not exact[0]:
+            if callable(limit):  # the root's first branching
+                limit = limit()
+                if best[0] >= limit:
+                    stopped = True
                     return
-            elif size + 1 > best[0]:
-                best[0] = size + 1
-                best[1] = new_mask
+            if unfolded is not None:
+                explored |= orbit(unfolded)
+                unfolded = None
+            if not explored >> v & 1:
+                new_mask = mask | (1 << v)
+                new_candidates = candidates & comp[v]
+                if new_candidates:
+                    expand(new_candidates, size + 1, new_mask,
+                           stabiliser_orbit(v) if size == 0 else None)
+                    if stopped:
+                        return
+                elif size + 1 > best[0]:
+                    best[0] = size + 1
+                    best[1] = new_mask
+                    if limit is not None and best[0] >= limit:
+                        stopped = True
+                        return
+                if orbit is not None:
+                    unfolded = v
             candidates ^= 1 << v
 
-    expand(full, 0, 0)
+    expand(full, 0, 0, root_orbit)
 
     witness_idx = sorted(i for i in range(n) if best[1] >> i & 1)
     witness = tuple(g.vertices[i] for i in witness_idx)
     if not g.is_independent(witness_idx):
         raise RuntimeError("solver produced a dependent witness")
-    return IndependenceResult(best[0], witness, exact[0])
+    return IndependenceResult(best[0], witness, exact, nodes)
+
+
+def _maximal_cliques(g: ConfusabilityGraph) -> list[int]:
+    """Every maximal clique of g as a bitmask (Bron-Kerbosch with pivot)."""
+    cliques: list[int] = []
+
+    def extend(clique: int, candidates: int, excluded: int) -> None:
+        if not candidates | excluded:
+            cliques.append(clique)
+            return
+        pivot = max(_bits(candidates | excluded),
+                    key=lambda u: (candidates & g.adjacency[u]).bit_count())
+        for v in _bits(candidates & ~g.adjacency[pivot]):
+            extend(clique | 1 << v, candidates & g.adjacency[v], excluded & g.adjacency[v])
+            candidates ^= 1 << v
+            excluded |= 1 << v
+
+    if len(g):
+        extend(0, (1 << len(g)) - 1, 0)
+    return cliques
+
+
+def fractional_clique_cover(g: ConfusabilityGraph) -> tuple[tuple[int, Fraction], ...]:
+    """A minimum fractional clique cover of g: (clique mask, weight) pairs
+    from an exact LP over the maximal cliques; its weight is alpha*(g)."""
+    cliques = _maximal_cliques(g)
+    names = [f"k{i}" for i in range(len(cliques))]
+    lp = LinearProgram("min", names, {k: 1 for k in names})
+    for x in range(len(g)):
+        lp.add({k: 1 for k, clique in zip(names, cliques) if clique >> x & 1}, GEQ, 1)
+    for k in names:
+        lp.add({k: 1}, GEQ, 0)
+    weights = solve_lp(lp).assignment
+    return tuple((clique, weights[k]) for k, clique in zip(names, cliques) if weights[k])
+
+
+def clique_cover_weight(g: ConfusabilityGraph, cover) -> Fraction:
+    """Total weight of a fractional clique cover of g, checked exactly.
+
+    Raises LadderError unless every set is a clique of g, every weight is
+    nonnegative and every vertex is covered with weight at least 1.
+    """
+    coverage = [Fraction(0)] * len(g)
+    for clique, weight in cover:
+        if not 0 <= clique < 1 << len(g) or any(
+                clique & ~(g.adjacency[x] | 1 << x) for x in _bits(clique)):
+            raise LadderError("clique cover holds a set that is not a clique")
+        if weight < 0:
+            raise LadderError("clique cover has a negative weight")
+        for x in _bits(clique):
+            coverage[x] += weight
+    if any(c < 1 for c in coverage):
+        raise LadderError("clique cover leaves a vertex covered below 1")
+    return sum((Fraction(weight) for _, weight in cover), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -333,7 +633,10 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     certified zero-error code.  The incumbent is seeded with products of
     earlier witnesses, so recorded alphas always satisfy the
     supermultiplicative inequality even when the node budget truncates the
-    search.
+    search.  When rung n - 1 is exact, floor(alpha*(g) alpha(gⁿ⁻¹)) bounds
+    the search (the Rosenfeld-Hales bound of the module docstring), which
+    then ends exact once the incumbent reaches it; ``ladder`` must hold
+    rungs of ``g`` only.
     """
     if g.conservative:
         raise LadderError(
@@ -343,8 +646,13 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
         raise LadderError(f"rung {n} already recorded")
     power = strong_power(g, n, cap=vertex_cap)
     seed = _best_product_witness(ladder, n)
-    result = max_independent_set(power, node_budget=node_budget,
-                                 seed_witness=seed, vertex_cap=vertex_cap)
+    previous = ladder.recorded(n - 1)
+    bound = None
+    if previous is not None and previous.exact:
+        def bound() -> int:
+            return previous.alpha * clique_cover_weight(g, g.clique_cover) // 1
+    result = max_independent_set(power, node_budget=node_budget, seed_witness=seed,
+                                 vertex_cap=vertex_cap, upper_bound=bound)
     rate = log2_enclosure(Fraction(result.alpha), RATE_WIDTH * n).scaled(Fraction(1, n))
     rung = LadderRung(n, result.alpha, result.witness, rate, result.exact)
     rungs = tuple(sorted(ladder.rungs + (rung,), key=lambda r: r.n))

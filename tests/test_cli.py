@@ -347,3 +347,29 @@ GOLDEN_DIGESTS = [
 def test_golden_stdout_is_pinned(capsys, data_dir, argv, pinned):
     code, out, _ = run_cli(capsys, *_resolve(data_dir, list(argv)))
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
+
+
+@pytest.mark.parametrize("command,max_block", [("zero-error", "0"), ("zero-error", "-3"),
+                                               ("capacity", "0"), ("capacity", "-3")])
+def test_max_block_below_one_exits_one(capsys, data_dir, command, max_block):
+    code, out, err = run_cli(capsys, command, "--channel", str(data_dir / "pentagon.json"),
+                             "--max-block", max_block)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: --max-block must be >= 1, got {max_block}\n"
+
+
+def test_ladder_past_the_vertex_cap_exits_one(capsys, data_dir):
+    code, out, err = run_cli(capsys, "zero-error", "--channel", str(data_dir / "pentagon.json"),
+                             "--max-block", "6")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: 15625 vertices exceed the cap of 4096\n"
+
+
+def test_simulate_auto_code_past_the_vertex_cap_exits_one(capsys, data_dir):
+    code, out, err = run_cli(capsys, "simulate",
+                             "--plant", str(data_dir / "plant_3_2.json"),
+                             "--channel", str(data_dir / "pentagon.json"),
+                             "--regime", "se-nofb", "--horizon", "5",
+                             "--code", "auto", "--block-length", "6")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: 15625 vertices exceed the cap of 4096\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certcap import confgraph
 from certcap.channel import (SupportCertificate, certify_support, exact_channel,
-                             noiseless, product_channel)
+                             noiseless, product_channel, typewriter)
 from certcap.confgraph import (CapacityLadder, ConfusabilityGraph, LadderError,
-                               certified_graph, confusability_graph, extend_ladder,
-                               is_zero_capacity, max_independent_set,
-                               strong_power)
+                               _PowerSymmetry, certified_graph, clique_cover_weight,
+                               confusability_graph, extend_ladder,
+                               fractional_clique_cover, is_zero_capacity,
+                               max_independent_set, strong_power)
 from certcap.enclosure import log2_enclosure
 
 F = Fraction
@@ -49,6 +52,49 @@ def include_exclude_alpha(g) -> int:
         taken = 1 + best(tuple(u for u in rest if not g.are_adjacent(v, u)))
         return max(taken, best(rest))
     return best(tuple(range(len(g))))
+
+
+# the classification engine's search limits (classify.ZeroErrorLadderTask)
+ENGINE_LIMITS = {"node_budget": 20_000, "vertex_cap": 1024}
+
+# a channel whose graph no map x -> +-x + c preserves
+ASYMMETRIC6 = exact_channel(tuple(range(6)), tuple(range(6)), [
+    ["1/2", "1/2", "0", "0", "0", "0"],
+    ["0", "1/3", "2/3", "0", "0", "0"],
+    ["0", "0", "1/4", "3/4", "0", "0"],
+    ["0", "1/5", "0", "0", "4/5", "0"],
+    ["0", "0", "0", "0", "1", "0"],
+    ["0", "0", "0", "1/2", "0", "1/2"],
+])
+
+
+def digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True,
+                                     separators=(",", ":")).encode()).hexdigest()
+
+
+def build_ladder(ch, top, **limits):
+    g = certified_graph(ch, 0)
+    ladder = CapacityLadder()
+    for n in range(1, top + 1):
+        ladder = extend_ladder(ladder, g, n, **limits)
+    return ladder
+
+
+def networkx_alpha(g) -> int:
+    """Independence number from networkx: a maximum clique of the complement."""
+    import networkx as nx
+    h = nx.Graph()
+    h.add_nodes_from(range(len(g)))
+    h.add_edges_from((i, j) for i in range(len(g)) for j in range(i + 1, len(g))
+                     if not g.are_adjacent(i, j))
+    clique, _ = nx.max_weight_clique(h, weight=None)
+    return len(clique)
+
+
+def unpruned(g):
+    """The same graph without its strong-power origin, so nothing is pruned."""
+    return ConfusabilityGraph(g.vertices, g.adjacency)
 
 
 def graph_from_edges(size, edges):
@@ -328,13 +374,25 @@ class TestLadder:
         g = graph_of(pentagon)
         ladder = CapacityLadder()
         for n in (1, 2, 3, 4):
-            ladder = extend_ladder(ladder, g, n, node_budget=20_000)
+            ladder = extend_ladder(ladder, g, n, **ENGINE_LIMITS)
         alphas = {r.n: r.alpha for r in ladder.rungs}
         assert alphas[4] >= 25  # alpha(C5^2)^2, seeded by the 2+2 split
         for m in alphas:
             for n in alphas:
                 if m + n in alphas:
                     assert alphas[m + n] >= alphas[m] * alphas[n]
+        # proved at the engine's limits: C5^3 by orbit pruning, C5^4 by the
+        # rung bound floor(5/2 * 10) = 25, which the product seed meets
+        assert [(r.n, r.alpha, r.exact) for r in ladder.rungs] == [
+            (1, 2, True), (2, 5, True), (3, 10, True), (4, 25, True)]
+
+    def test_typewriter7_at_engine_limits(self):
+        ladder = build_ladder(typewriter(7), 3, **ENGINE_LIMITS)
+        second, third = ladder.recorded(2), ladder.recorded(3)
+        assert (second.alpha, second.exact) == (10, True)
+        # alpha(C7^3) = 33 (Vesel and Zerovnik 2002); the search may stay open
+        assert third.alpha <= 33
+        assert not third.exact or third.alpha == 33
 
     def test_witnesses_reverify_independent(self, pentagon):
         g = graph_of(pentagon)
@@ -390,3 +448,230 @@ class TestLadder:
         assert ladder.rungs[0].alpha == 3
         enc = log2_enclosure(F(3), F(1, 2 ** 20))
         assert ladder.running_best.intersects(enc)
+
+
+class TestPinnedBytes:
+    """Digests recorded before orbit pruning and the rung bound existed."""
+
+    def test_pentagon_to_rung_two(self, pentagon):
+        assert digest(build_ladder(pentagon, 2).to_json()) == \
+            "5c1c6467123d68daa5f6028a1b2a7c13c43278c6aa2373442c24e2ee1bafe299"
+
+    def test_typewriter7_to_rung_three_at_engine_limits(self):
+        assert digest(build_ladder(typewriter(7), 3, **ENGINE_LIMITS).to_json()) == \
+            "66cbda69ab11fbd75a3d10fbcbff96e3aa74115c9f51a0c2e5d4c3b5f907af39"
+
+    def test_asymmetric_channel_to_rung_three_at_engine_limits(self):
+        assert confgraph._dihedral_generators(certified_graph(ASYMMETRIC6, 0)) == (6, None)
+        assert digest(build_ladder(ASYMMETRIC6, 3, **ENGINE_LIMITS).to_json()) == \
+            "275300e3599f7c730c5502080ecef15237e40afba861c949167c253190eae370"
+
+    def test_simulate_auto_code_witness(self, pentagon):
+        # certcap simulate --code auto --block-length 2 sends these words
+        assert max_independent_set(strong_power(graph_of(pentagon), 2)).witness == \
+            ((0, 1), (1, 3), (2, 0), (3, 2), (4, 4))
+
+    def test_pentagon_rungs_three_and_four_keep_alpha_and_witness(self, pentagon):
+        # only their exact flags changed, from False to True
+        ladder = build_ladder(pentagon, 4, **ENGINE_LIMITS)
+        pins = {3: (10, "a5275a7039f577cdf30a27f25e6e354dea9b0ad919f60daa2dccecf4905e617c"),
+                4: (25, "5afffffb22226cecbe41fc6c089f376dfcc2cefd71a2d835d3337ae65fec9428")}
+        for n, (alpha, witness_digest) in pins.items():
+            rung = ladder.recorded(n)
+            assert rung.alpha == alpha
+            assert digest(rung.to_json()["witness"]) == witness_digest
+
+
+@st.composite
+def base_graph(draw):
+    """Cycles and circulants, whose rotations are automorphisms, and paths
+    and random graphs, where the rotation mostly is not.
+
+    Random graphs stay at six vertices: the squares of some sparse graphs
+    on eight take the colouring search millions of nodes, pruned or not.
+    """
+    kind = draw(st.sampled_from(("cycle", "circulant", "path", "random")))
+    size = draw(st.integers(min_value=2, max_value=6 if kind == "random" else 8))
+    if kind == "cycle":
+        edges = [(i, (i + 1) % size) for i in range(size)]
+    elif kind == "circulant":
+        jumps = draw(st.sets(st.integers(min_value=1, max_value=size // 2), min_size=1))
+        edges = [(i, (i + j) % size) for i in range(size) for j in jumps]
+    elif kind == "path":
+        edges = [(i, i + 1) for i in range(size - 1)]
+    else:
+        pairs = list(combinations(range(size), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return graph_from_edges(size, [(i, j) for i, j in edges if i != j])
+
+
+@st.composite
+def small_power(draw):
+    """A base graph and a strong power of it with at most 64 vertices."""
+    g = draw(base_graph())
+    top = max(n for n in range(1, 7) if len(g) ** n <= 64)
+    return g, strong_power(g, draw(st.integers(min_value=1, max_value=top)))
+
+
+def is_fractional_clique_cover(g, cover) -> bool:
+    """Reference check, one vertex pair and one vertex at a time."""
+    sets = [[x for x in range(len(g)) if clique >> x & 1] for clique, _ in cover]
+    return (all(0 <= clique < 1 << len(g) for clique, _ in cover)
+            and all(g.are_adjacent(a, b) for s in sets for a, b in combinations(s, 2))
+            and all(weight >= 0 for _, weight in cover)
+            and all(sum(w for s, (_, w) in zip(sets, cover) if x in s) >= 1
+                    for x in range(len(g))))
+
+
+class TestOrbitPruning:
+    @given(drawn=small_power())
+    @settings(max_examples=120, deadline=None)
+    def test_unbudgeted_search_matches_networkx(self, drawn):
+        _, power = drawn
+        result = max_independent_set(power)
+        assert result.exact and result.alpha == networkx_alpha(power)
+        # pruning deletes subtrees only: same witness, never more nodes
+        plain = max_independent_set(unpruned(power))
+        assert (result.alpha, result.witness) == (plain.alpha, plain.witness)
+        assert result.nodes <= plain.nodes
+
+    @given(drawn=small_power(), budget=st.integers(min_value=0, max_value=40))
+    @settings(max_examples=120, deadline=None)
+    def test_budgeted_search_is_sound_and_reaches_further(self, drawn, budget):
+        _, power = drawn
+        result = max_independent_set(power, node_budget=budget)
+        idx = [power.vertices.index(v) for v in result.witness]
+        assert power.is_independent(idx) and result.alpha == len(idx)
+        assert result.alpha <= networkx_alpha(power)
+        plain = max_independent_set(unpruned(power), node_budget=budget)
+        assert result.alpha >= plain.alpha
+        if plain.exact:
+            assert result.exact and result.witness == plain.witness
+
+    @given(drawn=small_power(), step=st.integers(min_value=1, max_value=8),
+           reflection=st.one_of(st.none(), st.integers(min_value=0, max_value=7)))
+    @settings(max_examples=120, deadline=None)
+    def test_forged_generator_never_prunes(self, drawn, step, reflection):
+        g, power = drawn
+        m = len(g)
+        maps = [[(x + step) % m for x in range(m)]]
+        if reflection is not None:
+            maps.append([(reflection - x) % m for x in range(m)])
+        forged = not all(confgraph._is_automorphism(g, image) for image in maps)
+        symmetry = _PowerSymmetry.verified(g, power.power_of[1], step, reflection)
+        assert (symmetry is None) == forged
+        if forged:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(confgraph, "_dihedral_generators", lambda _: (step, reflection))
+                assert max_independent_set(power) == max_independent_set(unpruned(power))
+
+    @given(drawn=small_power(), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_generators_are_automorphisms_of_the_power(self, drawn, data):
+        g, power = drawn
+        symmetry = confgraph._power_symmetry(power)
+        if symmetry is None:
+            return
+        v = data.draw(st.integers(min_value=0, max_value=len(power) - 1))
+        for move in symmetry.generators():
+            assert confgraph._is_automorphism(power, [move(x) for x in range(len(power))])
+        for move in symmetry.stabiliser_generators(v):
+            assert move(v) == v
+            assert confgraph._is_automorphism(power, [move(x) for x in range(len(power))])
+
+    def test_pentagon_stabiliser_orbits_have_the_wreath_product_sizes(self, pentagon):
+        # the stabiliser of (0, 0) in D5 wr S2 has order 8: x -> -x on either
+        # coordinate and the swap; an orbit is a multiset of two classes
+        # {0}, {1, 4}, {2, 3}, e.g. {1, 2} holds (+-1, +-2) and (+-2, +-1)
+        power = strong_power(graph_of(pentagon), 2)
+        symmetry = confgraph._power_symmetry(power)
+        moves = symmetry.stabiliser_generators(0)
+        orbits = {confgraph._orbit(w, moves) for w in range(25)}
+        assert sorted(o.bit_count() for o in orbits) == [1, 4, 4, 4, 4, 8]
+
+    def test_pentagon_cube_takes_the_recorded_nodes(self, pentagon):
+        # the product seed of size 10 and the engine's budget, as in the ladder
+        power = strong_power(graph_of(pentagon), 3)
+        seed = build_ladder(pentagon, 3, **ENGINE_LIMITS).recorded(3).witness
+        result = max_independent_set(power, seed_witness=seed, node_budget=20_000)
+        assert (result.alpha, result.exact, result.nodes) == (10, True, 8205)
+
+    def test_path_rotation_is_rejected_and_its_reflection_kept(self):
+        path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert confgraph._dihedral_generators(path) == (4, 3)
+        assert _PowerSymmetry.verified(path, 2, 1, None) is None
+        assert _PowerSymmetry.verified(path, 2, 1, 3) is None
+        assert _PowerSymmetry.verified(path, 2, 4, 3) is not None
+
+    def test_pentagon_cube_closes_inside_the_engine_budget(self, pentagon):
+        power = strong_power(graph_of(pentagon), 3)
+        result = max_independent_set(power, node_budget=20_000)
+        assert (result.alpha, result.exact) == (10, True)
+        plain = max_independent_set(unpruned(power), node_budget=20_000)
+        assert not plain.exact and plain.witness == result.witness
+
+
+class TestRungBound:
+    def test_pentagon_cover_weighs_five_halves(self, pentagon):
+        g = graph_of(pentagon)
+        cover = fractional_clique_cover(g)
+        assert clique_cover_weight(g, cover) == F(5, 2)
+        assert g.clique_cover == cover
+
+    @pytest.mark.parametrize("cover,message", [
+        # {0, 2} is not an edge of C5
+        (((0b00101, 1), (0b00011, 1), (0b01100, 1), (0b11000, 1)), "not a clique"),
+        (((1 << 5, 1), (0b00011, 1), (0b01100, 1), (0b10000, 1)), "not a clique"),
+        # vertex 0 is covered with weight 1/2 + 1/4
+        (((0b00011, F(1, 4)), (0b00110, F(1, 2)), (0b01100, F(1, 2)),
+          (0b11000, F(1, 2)), (0b10001, F(1, 2))), "below 1"),
+        (((0b00011, 1), (0b01100, 1), (0b10000, 1), (0b00110, -1)), "negative"),
+    ])
+    def test_forged_cover_is_rejected(self, pentagon, cover, message):
+        with pytest.raises(LadderError, match=message):
+            clique_cover_weight(graph_of(pentagon), cover)
+
+    @given(g=base_graph(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cover_check_matches_reference(self, g, data):
+        n = len(g)
+        cover = data.draw(st.lists(st.tuples(
+            st.integers(min_value=0, max_value=(1 << n) - 1),
+            st.fractions(min_value=-1, max_value=2, max_denominator=4)), max_size=6))
+        if is_fractional_clique_cover(g, cover):
+            assert clique_cover_weight(g, cover) == sum(w for _, w in cover)
+        else:
+            with pytest.raises(LadderError):
+                clique_cover_weight(g, cover)
+
+    @given(g=base_graph())
+    @settings(max_examples=80, deadline=None)
+    def test_cover_bounds_alpha_of_the_square(self, g):
+        cover = fractional_clique_cover(g)
+        assert is_fractional_clique_cover(g, cover)
+        weight = clique_cover_weight(g, cover)
+        alpha = networkx_alpha(g)
+        assert weight >= alpha
+        assert networkx_alpha(strong_power(g, 2)) <= weight * alpha
+
+    def test_bound_met_by_the_seed_ends_at_the_root(self, pentagon):
+        power = strong_power(graph_of(pentagon), 4)
+        seed = build_ladder(pentagon, 4, **ENGINE_LIMITS).recorded(4).witness
+        result = max_independent_set(power, seed_witness=seed, upper_bound=lambda: 25)
+        assert (result.alpha, result.exact, result.nodes) == (25, True, 1)
+
+    def test_bound_is_not_asked_for_when_the_root_closes(self):
+        def refuse() -> int:
+            raise AssertionError("bound requested")
+        # the path 0 - 1 - 2 splits into the cliques {0, 1} and {2}, so the
+        # root's two colours cannot beat the seed {0, 2}
+        power = strong_power(graph_from_edges(3, [(0, 1), (1, 2)]), 1)
+        result = max_independent_set(power, seed_witness=((0,), (2,)), upper_bound=refuse)
+        assert (result.alpha, result.exact, result.nodes) == (2, True, 1)
+
+    def test_bound_keeps_the_unbounded_witness(self, pentagon):
+        power = strong_power(graph_of(pentagon), 3)
+        plain = max_independent_set(power)
+        result = max_independent_set(power, upper_bound=lambda: 10)
+        assert (result.alpha, result.witness, result.exact) == (10, plain.witness, True)
+        assert result.nodes < plain.nodes
