@@ -19,7 +19,8 @@ from .channel import ResourceCapError, load_channel
 from .classify import (Regime, RegimePreconditionError, UNDETERMINED, classify,
                        classify_fixed_plant)
 from .confgraph import (CapacityLadder, certified_graph, check_power_size,
-                        extend_ladder, max_independent_set, strong_power)
+                        clique_cover_weight, extend_ladder, max_independent_set,
+                        strong_power)
 from .enclosure import DomainError, Enclosure, parse_rational
 from .plant import instability_exponent, load_plant
 from .simulate import (SimConfig, SimulationError, identity_code, run_estimation,
@@ -195,8 +196,12 @@ def _cmd_simulate(args) -> int:
                            f"--block-length must be 1, got {args.block_length}")
         code = identity_code(ch)
     else:
-        power = strong_power(certified_graph(ch, 0), args.block_length)
-        code = witness_code(ch, max_independent_set(power).witness)
+        base, n = certified_graph(ch, 0), args.block_length
+
+        def bound() -> int:  # a product of fractional clique covers covers baseⁿ
+            return clique_cover_weight(base, base.clique_cover) ** n // 1
+        power = strong_power(base, n)
+        code = witness_code(ch, max_independent_set(power, upper_bound=bound).witness)
     regime = Regime(args.regime)
     cfg = SimConfig(plant, ch, regime, code, horizon=args.horizon, seed=args.seed,
                     initial_radius=parse_rational(args.radius))

@@ -2,11 +2,15 @@
 
 Matrices are tuples of tuples of Fractions; everything here is pure and
 allocation-light, sized for the small systems this package analyzes.
+Elimination runs on integer numerators over one shared denominator
+(``integer_pivot``), so no Fraction is built inside a pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -16,10 +20,6 @@ def as_matrix(rows) -> Matrix:
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
     return mat
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -48,30 +48,66 @@ def is_symmetric(m: Matrix) -> bool:
                                 for i in range(n) for j in range(i + 1, n))
 
 
+def integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Integer rows N and the lcm d of the entries' denominators: rows == N / d."""
+    d = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
+
+
+def integer_pivot(rows: list[list[int]], den: int, row: int, col: int) -> int:
+    """Gauss-Jordan pivot on (row, col) of rows / den, in place; returns the
+    new den.  Integer-preserving (Edmonds 1967; Bareiss 1968): with p the
+    pivot, each other row becomes p * row - f * pivot_row, the pivot row
+    den * pivot_row and den den * p, a negative pivot row being negated
+    first so that den stays positive and numerators carry their values'
+    signs; then all is divided by gcd(den, *entries).
+    """
+    line = rows[row]
+    if line[col] < 0:
+        line = [-w for w in line]
+    p = line[col]
+    for r, other in enumerate(rows):
+        f = other[col]
+        if r == row:
+            rows[r] = [den * w for w in line]
+        elif f:
+            rows[r] = [p * v - f * w for v, w in zip(other, line)]
+        elif p != 1:
+            rows[r] = [p * v for v in other]
+    den *= p
+    g = gcd(den, *chain.from_iterable(rows))
+    if g > 1:
+        rows[:] = [[v // g for v in other] for other in rows]
+        den //= g
+    return den
+
+
 def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial det(tI - M), low-degree-first.
 
-    Faddeev-LeVerrier recursion: exact over the rationals, O(n^4).
+    Faddeev-LeVerrier recursion, O(n^4), on the integer matrix A = d M (d
+    the lcm of M's denominators): A's coefficients a_j are integers, so
+    every trace divides by k exactly, and c_j = a_j / d^(n - j).
     """
     if not is_square(m):
         raise ValueError("characteristic polynomial needs a square matrix")
     n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    work = identity(n)
+    a, d = integer_rows(m)
+    coeffs = [0] * n + [1]
+    work = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     for k in range(1, n + 1):
-        work = mat_mul(m, work)
-        trace = sum(work[i][i] for i in range(n))
-        c = -trace / k
+        work = mat_mul(a, work)
+        c = -sum(work[i][i] for i in range(n)) // k
         coeffs[n - k] = c
         if k < n:
             work = tuple(tuple(work[i][j] + (c if i == j else 0)
                                for j in range(n)) for i in range(n))
-    return tuple(coeffs)
+    return tuple(Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs))
 
 
 def _row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form of a rational matrix and its pivot columns."""
+    rows, den = integer_rows(rows)
     pivots: list[int] = []
     r = 0
     ncols = len(rows[0]) if rows else 0
@@ -80,17 +116,12 @@ def _row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        den = integer_pivot(rows, den, r, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return [[Fraction(v, den) for v in row] for row in rows], pivots
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
@@ -113,26 +144,15 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
 def restrict_to_invariant(a: Matrix, basis: list[tuple[Fraction, ...]]) -> Matrix:
     """Matrix of A on span(basis), assuming the span is A-invariant.
 
-    Solves V y = A v exactly for each basis vector v (least structure
-    needed: V has full column rank by construction).
+    Solves V Y = A V exactly by one elimination on [V | A V]; V has full
+    column rank by construction, and invariance makes the system consistent.
     """
     if not basis:
         return ()
-    n = len(a)
     k = len(basis)
-    cols = [mat_vec(a, v) for v in basis]
-    # Solve V Y = AV column by column via least-squares-free elimination on
-    # the stacked system; V is n x k with rank k.
-    v_rows = [[basis[j][i] for j in range(k)] for i in range(n)]
-    out_cols = []
-    for target in cols:
-        aug = [v_rows[i] + [target[i]] for i in range(n)]
-        rows, pivots = _row_echelon(aug)
-        if len(pivots) != k or any(p >= k for p in pivots):
-            raise ValueError("basis does not span an invariant subspace")
-        # consistency of the remaining rows is implied by invariance
-        y = [Fraction(0)] * k
-        for r, p in enumerate(pivots):
-            y[p] = rows[r][k]
-        out_cols.append(y)
-    return tuple(tuple(out_cols[j][i] for j in range(k)) for i in range(k))
+    images = [mat_vec(a, v) for v in basis]
+    rows, pivots = _row_echelon([[v[i] for v in basis] + [w[i] for w in images]
+                                 for i in range(len(a))])
+    if pivots != list(range(k)):
+        raise ValueError("basis does not span an invariant subspace")
+    return tuple(tuple(rows[i][k:]) for i in range(k))

@@ -3,12 +3,19 @@
 Variables are free; sign restrictions enter as ordinary constraints.  Every
 solve returns a primal assignment, the exact optimum, and a dual vector that
 is verified here to satisfy strong duality before anything is returned.
+
+The tableau holds integers over one positive shared denominator
+(``linalg.integer_pivot``).  Bland's rule reads numerator signs and the ratio
+test cross-multiplies, so every pivot is the one a tableau of Fractions takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+
+from .linalg import integer_pivot
 
 
 class Infeasible(Exception):
@@ -55,44 +62,33 @@ class LpSolution:
     dual: tuple[Fraction, ...]
 
 
-def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
-    """Gauss-Jordan pivot on (row, col), in place.
-
-    Other rows change only at the pivot row's nonzero columns: elsewhere
-    v - f * 0 == v exactly, so the tableau equals a dense update's.
-    """
-    inv = 1 / tableau[row][col]
-    pivot_line = [v * inv if v else v for v in tableau[row]]
-    tableau[row] = pivot_line
-    nonzero = [(j, w) for j, w in enumerate(pivot_line) if w]
-    for r, line in enumerate(tableau):
-        f = line[col]
-        if r != row and f:
-            for j, w in nonzero:
-                line[j] -= f * w
-
-
-def _simplex(tableau: list[list[Fraction]], basis: list[int],
-             allowed: list[bool]) -> None:
-    """Minimize the objective row in place; Bland's rule, hence terminating."""
-    m = len(tableau) - 1
+def _simplex(tableau: list[list[int]], den: int, basis: list[int],
+             allowed: list[bool]) -> int:
+    """Minimize the last row of tableau / den in place; Bland's rule, hence
+    terminating.  Rows below the len(basis) constraint rows are pivoted but
+    never leave; returns the final den."""
+    m = len(basis)
     while True:
         obj = tableau[-1]
         col = next((j for j in range(len(obj) - 1)
                     if allowed[j] and obj[j] < 0), None)
         if col is None:
-            return
-        best_row, best_ratio = None, None
+            return den
+        best_row = None
         for r in range(m):
             a = tableau[r][col]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[best_row])):
-                    best_row, best_ratio = r, ratio
+                if best_row is None:
+                    best_row = r
+                    continue
+                # rhs_r / a against rhs_best / a_best, both a positive
+                lhs = tableau[r][-1] * tableau[best_row][col]
+                rhs = tableau[best_row][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best_row]):
+                    best_row = r
         if best_row is None:
             raise Unbounded("no leaving variable for an improving column")
-        _pivot(tableau, best_row, col)
+        den = integer_pivot(tableau, den, best_row, col)
         basis[best_row] = col
 
 
@@ -124,38 +120,40 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     width = 2 * nvar + nslack + m + 1
     art0 = 2 * nvar + nslack
 
-    rows: list[list[Fraction]] = []
+    # one integer tableau over the lcm of the LP's denominators
+    scale = lcm(*(c.denominator for c in obj),
+                *(c.denominator for con in problem.constraints
+                  for c in (*con.coeffs.values(), con.rhs)))
+    tableau: list[list[int]] = []
     row_sign: list[int] = []
     for i, con in enumerate(problem.constraints):
-        line = [Fraction(0)] * width
+        line = [0] * width
         for v, c in con.coeffs.items():
             j = names.index(v)
+            c = c.numerator * (scale // c.denominator)
             line[j] += c
             line[nvar + j] -= c
-        if con.relation == LEQ:
-            line[2 * nvar + slack_of[i]] = Fraction(1)
-        elif con.relation == GEQ:
-            line[2 * nvar + slack_of[i]] = Fraction(-1)
-        line[-1] = con.rhs
+        if con.relation != EQ:
+            line[2 * nvar + slack_of[i]] = scale if con.relation == LEQ else -scale
+        line[-1] = con.rhs.numerator * (scale // con.rhs.denominator)
         sign = 1
         if line[-1] < 0:
             line = [-v for v in line]
             sign = -1
-        line[art0 + i] = Fraction(1)
-        rows.append(line)
+        line[art0 + i] = scale
+        tableau.append(line)
         row_sign.append(sign)
 
-    # phase 1: minimize the sum of artificials
-    tableau = [list(r) for r in rows]
-    phase1 = [Fraction(0)] * width
+    # phase 1 minimizes the sum of artificials (the last row); every pivot
+    # also prices out the row above it, phase 2's cost row
+    cost = [c.numerator * (scale // c.denominator) for c in obj]
+    phase1 = [-sum(line[j] for line in tableau) for j in range(width)]
     for i in range(m):
-        phase1 = [a - b for a, b in zip(phase1, tableau[i])]
-    for i in range(m):
-        phase1[art0 + i] = Fraction(0)
-    tableau.append(phase1)
+        phase1[art0 + i] = 0
+    tableau += [cost + [-c for c in cost] + [0] * (width - 2 * nvar), phase1]
     basis = [art0 + i for i in range(m)]
     allowed = [True] * (width - 1)
-    _simplex(tableau, basis, allowed)
+    den = _simplex(tableau, scale, basis, allowed)
     if tableau[-1][-1] != 0:
         raise Infeasible("phase-1 optimum is nonzero")
 
@@ -166,31 +164,25 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         if basis[r] >= art0:
             col = next((j for j in range(art0) if tableau[r][j] != 0), None)
             if col is not None:
-                _pivot(tableau, r, col)
+                den = integer_pivot(tableau, den, r, col)
                 basis[r] = col
 
     # phase 2: real objective; surviving artificials sit on redundant rows,
     # are barred from entering, and their columns retain basis-inverse data
     # for the dual read-out.
-    cost = [Fraction(0)] * width
-    cost[:nvar] = obj
-    cost[nvar:2 * nvar] = [-c for c in obj]
-    objrow = list(cost)
-    for r, bvar in enumerate(basis):
-        if objrow[bvar] != 0:
-            f = objrow[bvar]
-            objrow = [v - f * w for v, w in zip(objrow, tableau[r])]
-    tableau[-1] = objrow
+    tableau.pop()
     for i in range(m):
         allowed[art0 + i] = False
-    _simplex(tableau, basis, allowed)
+    den = _simplex(tableau, den, basis, allowed)
 
-    values = [Fraction(0)] * width
+    values = [0] * width
     for r, bvar in enumerate(basis):
         values[bvar] = tableau[r][-1]
-    assignment = {names[j]: values[j] - values[nvar + j] for j in range(nvar)}
-    optimum_min = sum(obj[j] * (values[j] - values[nvar + j]) for j in range(nvar))
-    dual_internal = [-tableau[-1][art0 + i] * row_sign[i] for i in range(m)]
+    assignment = {names[j]: Fraction(values[j] - values[nvar + j], den)
+                  for j in range(nvar)}
+    optimum_min = sum(obj[j] * assignment[names[j]] for j in range(nvar))
+    dual_internal = [Fraction(-tableau[-1][art0 + i] * row_sign[i], den)
+                     for i in range(m)]
     optimum = optimum_min if minimize else -optimum_min
     dual = tuple(d if minimize else -d for d in dual_internal)
 

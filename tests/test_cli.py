@@ -6,6 +6,7 @@ import pytest
 from certcap import cli
 from certcap.channel import noiseless, product_channel
 from certcap.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, main
+from certcap.confgraph import max_independent_set
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,29 @@ def test_simulate_auto_code(capsys, data_dir):
     doc = json.loads(out)
     assert doc["message_count"] == 5 and doc["block_length"] == 2
     assert doc["zero_error_transcript"] is True
+
+
+def test_simulate_auto_code_search_stops_at_the_cover_bound(capsys, data_dir, monkeypatch):
+    # sparse8.json: inputs 0-3 isolated, edges 4-5, 4-6 and 5-7 (alpha 6,
+    # fractional clique cover weight 6).  Unbounded, the search on the square
+    # expands about 15 million nodes; floor(6^2) = 36 ends it exact at once.
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(max_independent_set(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "max_independent_set", spy)
+    code, out, _ = run_cli(capsys, "simulate",
+                           "--plant", str(data_dir / "plant_3_2.json"),
+                           "--channel", str(data_dir / "sparse8.json"),
+                           "--regime", "se-nofb", "--horizon", "20",
+                           "--seed", "1", "--code", "auto", "--block-length", "2")
+    assert code == EXIT_OK
+    assert json.loads(out)["message_count"] == 36
+    [result] = results
+    assert (result.alpha, result.exact) == (36, True)
+    assert result.nodes <= 36
 
 
 def test_simulate_auto_code_block_one_on_tuple_labels(capsys, data_dir, monkeypatch):
@@ -345,6 +369,41 @@ GOLDEN_DIGESTS = [
 @pytest.mark.parametrize("argv, pinned", list(zip(GOLDEN_COMMANDS, GOLDEN_DIGESTS)),
                          ids=[" ".join(a[:2]) + f"#{i}" for i, a in enumerate(GOLDEN_COMMANDS)])
 def test_golden_stdout_is_pinned(capsys, data_dir, argv, pinned):
+    code, out, _ = run_cli(capsys, *_resolve(data_dir, list(argv)))
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
+
+
+# sha256 of stdout and the exit code of commands whose bytes follow the
+# simplex's pivot path (typewriter(4)'s minimax optimum is not unique, so the
+# reported distribution and output weights are the pivots' choice), the
+# denominators of char_poly (a dense 4x4 plant with non-integer entries) or
+# the independence search's witness under its cover bound; pinned from the
+# Fraction-per-entry tableau that the integer tableau replaced.
+PIVOT_PATH_DIGESTS = [
+    (("fb-capacity", "--channel", "typewriter4.json"),
+     ("658b89e65de904419efe65633b9ac729d3f473f66b845977a0b0b6663522ce34", 0)),
+    (("analyze", "--plant", "plant_3_2.json", "--channel", "typewriter4.json",
+      "--regime", "se-fb", "--budget", "10000"),
+     ("030da9a748c514ff6ae51bb8f9e29b8f75591a976b31324aba99ec9ff8a5709d", 0)),
+    (("analyze", "--plant", "plant_diag3.json", "--channel", "typewriter4.json",
+      "--regime", "se-fb", "--budget", "10000"),
+     ("ae515f2896bb006f960d1ee0f471c5a70db8a03dc9e30ad81e45d0884c303c7b", 0)),
+    (("eta", "--plant", "plant_dense4.json"),
+     ("ac40ce2fdc2370fdf7187cc2b64399dd8f102ef7e59e8ed5fd478e02ec308fcf", 0)),
+    (("simulate", "--plant", "plant_3_2.json", "--channel", "pentagon.json",
+      "--regime", "se-nofb", "--code", "auto", "--block-length", "2",
+      "--horizon", "50", "--seed", "1"),
+     ("9bae0f87c29addf9790be6d02916e2c6809a1784272229b9290f7906fa765cb0", 0)),
+    (("simulate", "--plant", "plant_3_2.json", "--channel", "sparse8.json",
+      "--regime", "se-nofb", "--code", "auto", "--block-length", "2",
+      "--horizon", "20", "--seed", "1"),
+     ("e74481b175631605025c1e3f0da9a602166da66171a77206a9909efae8356e53", 0)),
+]
+
+
+@pytest.mark.parametrize("argv, pinned", PIVOT_PATH_DIGESTS,
+                         ids=[" ".join(a[:2]) + f"#{i}" for i, (a, _) in enumerate(PIVOT_PATH_DIGESTS)])
+def test_pivot_path_stdout_is_pinned(capsys, data_dir, argv, pinned):
     code, out, _ = run_cli(capsys, *_resolve(data_dir, list(argv)))
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
 

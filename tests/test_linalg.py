@@ -1,0 +1,67 @@
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from certcap.linalg import as_matrix, char_poly, kernel_basis, mat_mul, mat_vec
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def matrices(draw, square=True):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = rows if square else draw(st.integers(min_value=1, max_value=6))
+    return as_matrix([[draw(rationals) for _ in range(cols)] for _ in range(rows)])
+
+
+def fraction_elimination(m) -> tuple[int, Fraction]:
+    """(rank, determinant) by row reduction over Fractions, one per entry."""
+    rows = [list(r) for r in m]
+    det, rank = Fraction(1), 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        det *= rows[rank][c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank, det
+
+
+def evaluate_at(coeffs, m):
+    """p(M) by Horner's rule, coefficients low-degree-first."""
+    n = len(m)
+    value = as_matrix([[0] * n for _ in range(n)])
+    for c in reversed(coeffs):
+        value = mat_mul(value, m)
+        value = tuple(tuple(v + (c if i == j else 0) for j, v in enumerate(row))
+                      for i, row in enumerate(value))
+    return value
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_char_poly_on_mixed_denominators(m):
+    """Monic, c0 = (-1)^n det, c_{n-1} = -trace, and Cayley-Hamilton exactly."""
+    n = len(m)
+    p = char_poly(m)
+    assert len(p) == n + 1 and p[n] == 1
+    assert all(type(c) is Fraction for c in p)
+    assert p[n - 1] == -sum(m[i][i] for i in range(n))
+    assert p[0] == (-1) ** n * fraction_elimination(m)[1]
+    assert all(v == 0 for row in evaluate_at(p, m) for v in row)
+
+
+@given(matrices(square=False))
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_spans_the_null_space(m):
+    basis = kernel_basis(m)
+    assert len(basis) == len(m[0]) - fraction_elimination(m)[0]
+    assert all(v == 0 for vec in basis for v in mat_vec(m, vec))

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certcap import linprog
-from certcap.linprog import (Constraint, Infeasible, LinearProgram, Unbounded,
-                             solve_lp)
+from certcap import capacity, confgraph
+from certcap.capacity import minimax_support_mass
+from certcap.channel import typewriter
+from certcap.confgraph import certified_graph, fractional_clique_cover
+from certcap.linprog import (Constraint, Infeasible, LinearProgram, LpSolution,
+                             Unbounded, solve_lp)
 
 
 def balance_lp():
@@ -126,51 +129,178 @@ def test_random_boxed_lps_satisfy_strong_duality(n, rows, objective, sense):
     assert sum(d * con.rhs for d, con in zip(sol.dual, lp.constraints)) == sol.optimum
 
 
-def dense_pivot(tableau, row, col):
-    """Reference Gauss-Jordan pivot that rewrites every entry of every row."""
+# Reference solver: the two-phase simplex as it stood over a tableau of
+# Fractions, one Fraction per entry.  The integer tableau must take every
+# decision it takes, so optimum, assignment, dual and exceptions agree.
+
+def reference_pivot(tableau, row, col):
     inv = 1 / tableau[row][col]
-    tableau[row] = [v * inv for v in tableau[row]]
+    pivot_line = [v * inv if v else v for v in tableau[row]]
+    tableau[row] = pivot_line
+    nonzero = [(j, w) for j, w in enumerate(pivot_line) if w]
     for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            f = line[col]
-            tableau[r] = [v - f * w for v, w in zip(line, tableau[row])]
+        f = line[col]
+        if r != row and f:
+            for j, w in nonzero:
+                line[j] -= f * w
 
 
-def _solve_or_infeasible(lp):
+def reference_simplex(tableau, basis, allowed):
+    m = len(tableau) - 1
+    while True:
+        obj = tableau[-1]
+        col = next((j for j in range(len(obj) - 1)
+                    if allowed[j] and obj[j] < 0), None)
+        if col is None:
+            return
+        best_row, best_ratio = None, None
+        for r in range(m):
+            a = tableau[r][col]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio and basis[r] < basis[best_row])):
+                    best_row, best_ratio = r, ratio
+        if best_row is None:
+            raise Unbounded("no leaving variable for an improving column")
+        reference_pivot(tableau, best_row, col)
+        basis[best_row] = col
+
+
+def reference_solve_lp(problem):
+    minimize = problem.sense == "min"
+    names = list(problem.variables)
+    nvar = len(names)
+    obj = [Fraction(problem.objective.get(v, 0)) for v in names]
+    if not minimize:
+        obj = [-c for c in obj]
+    m = len(problem.constraints)
+    slack_of = {}
+    for i, con in enumerate(problem.constraints):
+        if con.relation != "=":
+            slack_of[i] = len(slack_of)
+    width = 2 * nvar + len(slack_of) + m + 1
+    art0 = 2 * nvar + len(slack_of)
+    tableau, row_sign = [], []
+    for i, con in enumerate(problem.constraints):
+        line = [Fraction(0)] * width
+        for v, c in con.coeffs.items():
+            j = names.index(v)
+            line[j] += c
+            line[nvar + j] -= c
+        if con.relation != "=":
+            line[2 * nvar + slack_of[i]] = Fraction(1 if con.relation == "<=" else -1)
+        line[-1] = con.rhs
+        sign = 1
+        if line[-1] < 0:
+            line = [-v for v in line]
+            sign = -1
+        line[art0 + i] = Fraction(1)
+        tableau.append(line)
+        row_sign.append(sign)
+    phase1 = [Fraction(0)] * width
+    for i in range(m):
+        phase1 = [a - b for a, b in zip(phase1, tableau[i])]
+    for i in range(m):
+        phase1[art0 + i] = Fraction(0)
+    tableau.append(phase1)
+    basis = [art0 + i for i in range(m)]
+    allowed = [True] * (width - 1)
+    reference_simplex(tableau, basis, allowed)
+    if tableau[-1][-1] != 0:
+        raise Infeasible("phase-1 optimum is nonzero")
+    for r in range(m):
+        if basis[r] >= art0:
+            col = next((j for j in range(art0) if tableau[r][j] != 0), None)
+            if col is not None:
+                reference_pivot(tableau, r, col)
+                basis[r] = col
+    objrow = [Fraction(0)] * width
+    objrow[:nvar] = obj
+    objrow[nvar:2 * nvar] = [-c for c in obj]
+    for r, bvar in enumerate(basis):
+        if objrow[bvar] != 0:
+            f = objrow[bvar]
+            objrow = [v - f * w for v, w in zip(objrow, tableau[r])]
+    tableau[-1] = objrow
+    for i in range(m):
+        allowed[art0 + i] = False
+    reference_simplex(tableau, basis, allowed)
+    values = [Fraction(0)] * width
+    for r, bvar in enumerate(basis):
+        values[bvar] = tableau[r][-1]
+    assignment = {names[j]: values[j] - values[nvar + j] for j in range(nvar)}
+    optimum_min = sum(obj[j] * (values[j] - values[nvar + j]) for j in range(nvar))
+    dual = [-tableau[-1][art0 + i] * row_sign[i] for i in range(m)]
+    optimum = optimum_min if minimize else -optimum_min
+    return LpSolution(optimum, assignment, tuple(d if minimize else -d for d in dual))
+
+
+def _outcome(solver, lp):
+    """The solution, or the type of the exception raised."""
     try:
-        return solve_lp(lp)
-    except Infeasible:
-        return None
+        return solver(lp)
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+def assert_matches_reference(lp):
+    assert _outcome(solve_lp, lp) == _outcome(reference_solve_lp, lp)
 
 
 @given(
-    n=st.integers(min_value=1, max_value=3),
-    rows=st.lists(st.tuples(st.lists(coeffs, min_size=3, max_size=3),
+    n=st.integers(min_value=1, max_value=4),
+    rows=st.lists(st.tuples(st.lists(coeffs, min_size=4, max_size=4),
                             st.sampled_from(["<=", ">=", "="]),
                             coeffs),
-                  min_size=0, max_size=3),
-    objective=st.lists(coeffs, min_size=3, max_size=3),
+                  min_size=0, max_size=4),
+    objective=st.lists(coeffs, min_size=4, max_size=4),
     sense=st.sampled_from(["min", "max"]),
+    boxed=st.booleans(),
 )
-@settings(max_examples=120, deadline=None)
-def test_sparse_pivot_matches_dense_pivot(n, rows, objective, sense):
-    """Same boxed LPs as above: skipping zero columns of the pivot row must
-    leave the optimum, assignment, duals and infeasibility unchanged."""
+@settings(max_examples=200, deadline=None)
+def test_integer_tableau_matches_fraction_reference(n, rows, objective, sense, boxed):
+    """Rational LPs, boxed or not (so unbounded ones occur): the integer
+    tableau returns the reference's optimum, assignment and dual, or raises
+    the same exception."""
     names = [f"x{i}" for i in range(n)]
     lp = LinearProgram(sense, names, {names[i]: objective[i] for i in range(n)})
-    for i in range(n):
-        lp.add({names[i]: 1}, "<=", 10)
-        lp.add({names[i]: 1}, ">=", -10)
+    if boxed:
+        for i in range(n):
+            lp.add({names[i]: 1}, "<=", 10)
+            lp.add({names[i]: 1}, ">=", -10)
     for coefficients, relation, rhs in rows:
         lp.add({names[i]: coefficients[i] for i in range(n)}, relation, rhs)
-    sparse = _solve_or_infeasible(lp)
-    with mock.patch.object(linprog, "_pivot", dense_pivot):
-        dense = _solve_or_infeasible(lp)
-    assert (sparse is None) == (dense is None)
-    if sparse is not None:
-        assert sparse.optimum == dense.optimum
-        assert sparse.assignment == dense.assignment
-        assert sparse.dual == dense.dual
+    assert_matches_reference(lp)
+
+
+def _captured_lps(run, module):
+    """Every LinearProgram that run() hands to ``module``'s solve_lp."""
+    seen = []
+
+    def record(lp):
+        seen.append(lp)
+        return solve_lp(lp)
+
+    with mock.patch.object(module, "solve_lp", record):
+        run()
+    assert seen
+    return seen
+
+
+@pytest.mark.parametrize("q", [4, 5, 6, 7])
+def test_typewriter_minimax_lp_matches_reference(q):
+    """Typewriter minimax optima are not unique (uniform and alternating
+    inputs both reach psi), so the reported optimizer follows the pivots."""
+    for lp in _captured_lps(lambda: minimax_support_mass(typewriter(q)), capacity):
+        assert_matches_reference(lp)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_cycle_cover_lp_matches_reference(q):
+    graph = certified_graph(typewriter(q), 0)
+    for lp in _captured_lps(lambda: fractional_clique_cover(graph), confgraph):
+        assert_matches_reference(lp)
 
 
 def test_constraint_rejects_unknown_relation():
