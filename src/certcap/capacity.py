@@ -2,9 +2,10 @@
 
 Each quantity has one routine, driven by the command line and the
 classifier alike: the feedback zero-error capacity through Shannon's minimax
-over output support masses (an exact rational LP, solved once); a monotone
-upper bound on it for stream channels, one minimax_ladder_step per support
-level, each rung built on the last; and ShannonBounds, two-sided certified
+over output support masses, an exact rational LP solved by
+minimax_ladder_step: once, at level 0, on an exact channel, and once per
+support level on a stream channel, where each rung is built on the last and
+bounds the capacity from above; and ShannonBounds, two-sided certified
 bounds on the ordinary capacity whose step(log_width) runs one
 alternating-optimization iteration at the width its caller schedules.
 """
@@ -15,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import Channel, SupportCertificate, certify_support, support_sets
-from .confgraph import confusability_graph, is_zero_capacity
+from .channel import Channel, certify_support, support_sets
+from .confgraph import certified_graph
 from .enclosure import DomainError, Enclosure, log2_enclosure, rational_str
 from .linprog import LinearProgram, solve_lp
 
@@ -33,23 +34,6 @@ class MinimaxSolution:
     # below, which is the direction the feedback capacity bound needs
     output_weights: tuple[Fraction, ...]
     support_sets: tuple[tuple[int, ...], ...]
-
-
-def minimax_support_mass(ch: Channel, cert: SupportCertificate | None = None) -> MinimaxSolution:
-    """Smallest achievable worst-output support mass, exactly.
-
-    The inner quantity for output y is the total input probability placed on
-    inputs that can reach y; minimizing the maximum over y is the LP solved
-    here.  With ``cert`` given, only proven-positive entries count, which on
-    partial support can only shrink the value (sound for upper bounds on the
-    feedback zero-error capacity).
-    """
-    if cert is None:
-        if not ch.is_exact:
-            raise DomainError("stream channels need an explicit support certificate")
-        cert = certify_support(ch, 0)
-    nx = len(ch.inputs)
-    return _solve_minimax(nx, support_sets(cert, nx, len(ch.outputs)))
 
 
 def _solve_minimax(nx: int, supports: tuple[tuple[int, ...], ...]) -> MinimaxSolution:
@@ -112,24 +96,21 @@ def feedback_zero_error_capacity(ch: Channel,
     """Shannon's feedback zero-error capacity of an exact channel.
 
     Zero exactly when the confusability graph is complete; otherwise
-    log2(1/mass) with the exact rational 1/mass retained so comparisons can
-    be refined later to any precision.
+    log2(1/mass), mass the level-0 rung of the minimax ladder, with the
+    exact rational 1/mass retained so comparisons can be refined later to
+    any precision.
     """
     if not ch.is_exact:
         raise DomainError("exact channel required; use the minimax ladder for streams")
-    cert = certify_support(ch, 0)
-    graph = confusability_graph(cert, ch.inputs, len(ch.outputs))
-    if is_zero_capacity(graph):
+    if certified_graph(ch, 0).is_complete():
         return FeedbackCapacity(True, Fraction(1), Enclosure.exact(Fraction(0)), None)
-    sol = minimax_support_mass(ch, cert)
-    inverse = 1 / sol.value
-    return FeedbackCapacity(False, inverse, log2_enclosure(inverse, max_width), sol)
+    rung = minimax_ladder_step(ch, 0, None, width=max_width)
+    return FeedbackCapacity(False, 1 / rung.mass, rung.upper, rung.solution)
 
 
 @dataclass(frozen=True)
 class MinimaxRung:
     level: int
-    support_size: int
     mass: Fraction
     upper: Enclosure | None  # enclosure of log2(1/mass); None while mass == 0
     solution: MinimaxSolution
@@ -148,9 +129,8 @@ def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
     """
     if last is not None and level <= last.level:
         raise DomainError("ladder levels must increase")
-    cert = certify_support(ch, level)
     nx = len(ch.inputs)
-    supports = support_sets(cert, nx, len(ch.outputs))
+    supports = support_sets(certify_support(ch, level), nx, len(ch.outputs))
     if last is not None and supports == last.solution.support_sets:
         sol = last.solution
     else:
@@ -158,7 +138,7 @@ def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
     if last is not None and sol.value < last.mass:
         raise RuntimeError("support refinement decreased the minimax mass")
     upper = None if sol.value == 0 else log2_enclosure(1 / sol.value, width)
-    return MinimaxRung(level, len(cert.positive), sol.value, upper, sol)
+    return MinimaxRung(level, sol.value, upper, sol)
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,6 @@ class Channel:
     def is_exact(self) -> bool:
         return self.rows is not None
 
-    def entry(self, xi: int, yi: int) -> Fraction:
-        if not self.is_exact:
-            raise DomainError("exact entry requested from a stream channel")
-        return self.rows[xi][yi]
-
     def entry_interval(self, xi: int, yi: int, level: int) -> tuple[Fraction, Fraction]:
         """Certified interval for entry (x, y) at a refinement level."""
         if self.is_exact:
@@ -138,7 +133,8 @@ def stream_channel(inputs, outputs, schedules) -> Channel:
                         f"schedule not nested at entry ({xi},{yi})")
                 prev_level, prev = lv, (lo, hi)
     ch = Channel(inputs, outputs, schedules=sched)
-    for level in range(ch.max_declared_level() + 1):
+    # intervals change only at declared levels, so the others need no check
+    for level in sorted({0} | {lv for row in sched for cell in row for lv, _, _ in cell}):
         for xi in range(len(inputs)):
             bounds = [ch.entry_interval(xi, yi, level) for yi in range(len(outputs))]
             lo_sum = sum(b[0] for b in bounds)
@@ -159,8 +155,8 @@ def load_channel(doc) -> Channel:
     if not isinstance(doc, dict):
         raise ChannelFormatError("channel document must be a JSON object")
     try:
-        inputs = list(doc["inputs"])
-        outputs = list(doc["outputs"])
+        inputs = _list(doc["inputs"], "inputs")
+        outputs = _list(doc["outputs"], "outputs")
         mode = doc.get("mode", "exact")
     except KeyError as exc:
         raise ChannelFormatError(f"missing channel field: {exc}") from exc
@@ -168,16 +164,30 @@ def load_channel(doc) -> Channel:
         if "rows" not in doc:
             raise ChannelFormatError("exact channel requires rows")
         rows = [[parse_rational(w) if isinstance(w, str) else _bad(w)
-                 for w in row] for row in doc["rows"]]
+                 for w in _list(row, "a row")] for row in _list(doc["rows"], "rows")]
         return exact_channel(inputs, outputs, rows)
     if mode == "stream":
         if "schedules" not in doc:
             raise ChannelFormatError("stream channel requires schedules")
-        sched = [[[(int(step["level"]), parse_rational(step["lo"]),
-                    parse_rational(step["hi"])) for step in cell]
-                  for cell in row] for row in doc["schedules"]]
+        sched = [[[_step(step) for step in _list(cell, "a schedule cell")]
+                  for cell in _list(row, "a schedule row")]
+                 for row in _list(doc["schedules"], "schedules")]
         return stream_channel(inputs, outputs, sched)
     raise ChannelFormatError(f"unknown channel mode {mode!r}")
+
+
+def _list(value, what: str):
+    if not isinstance(value, list):
+        raise ChannelFormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _step(step) -> ScheduleStep:
+    try:
+        return int(step["level"]), parse_rational(step["lo"]), parse_rational(step["hi"])
+    except TypeError:  # not an object, or a level int() refuses
+        raise ChannelFormatError(
+            f"schedule steps must be objects with an integer level, got {step!r}") from None
 
 
 def _bad(value):

@@ -15,7 +15,6 @@ never guessed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -484,9 +483,6 @@ class Verdict:
         return {"outcome": self.outcome, "regime": self.regime,
                 "certificate": self.certificate.to_json(),
                 "budget": {"limit": self.budget, "steps": self.steps}}
-
-    def to_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise CliError(f"file not found: {path}")
+    except OSError as exc:  # a directory, no permission, ...
+        raise CliError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}")
 

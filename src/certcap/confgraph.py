@@ -384,13 +384,6 @@ def _orbit(x: int, moves: list) -> int:
     return sum(1 << z for z in seen)
 
 
-def is_zero_capacity(g: ConfusabilityGraph) -> bool:
-    """True iff no two inputs are ever distinguishable (complete graph)."""
-    if g.conservative:
-        raise LadderError("zero-capacity test needs an exact graph")
-    return g.is_complete()
-
-
 @dataclass(frozen=True)
 class IndependenceResult:
     alpha: int

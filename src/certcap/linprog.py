@@ -199,17 +199,19 @@ def _assert_certificates(problem, names, assignment, optimum, dual):
               lhs >= con.rhs if con.relation == GEQ else lhs == con.rhs)
         if not ok:
             raise AssertionError(f"primal infeasible at {con}")
-    # dual feasibility: sign pattern and A^T d = c (variables are free)
-    for i, con in enumerate(problem.constraints):
-        d = dual[i]
+    # dual feasibility: sign pattern and A^T d = c (variables are free),
+    # the residual A^T d - c summed over each row's own coefficients
+    residual = {v: -Fraction(problem.objective.get(v, 0)) for v in names}
+    for d, con in zip(dual, problem.constraints):
         if con.relation == LEQ and (d > 0 if minimize else d < 0):
             raise AssertionError("dual sign violation on <= row")
         if con.relation == GEQ and (d < 0 if minimize else d > 0):
             raise AssertionError("dual sign violation on >= row")
-    for j, v in enumerate(names):
-        lhs = sum(dual[i] * con.coeffs.get(v, Fraction(0))
-                  for i, con in enumerate(problem.constraints))
-        if lhs != Fraction(problem.objective.get(v, 0)):
+        if d:
+            for v, c in con.coeffs.items():
+                residual[v] += d * c
+    for v in names:
+        if residual[v]:
             raise AssertionError(f"dual equation violated for {v}")
     gap = sum(dual[i] * con.rhs for i, con in enumerate(problem.constraints))
     if gap != optimum:

@@ -5,7 +5,7 @@ to characteristic polynomials.  The instability exponent sums log2 of the
 eigenvalue moduli >= 1, bracketed by bisecting on the radius of the count;
 InstabilityExponent keeps that bisection, so each narrower enclosure only
 splits the brackets that block it.
-Stability, detectability and stabilizability are decided exactly: the
+Detectability and stabilizability are decided exactly: the
 unobservable (resp. uncontrollable) subspace is computed over the rationals
 and its induced dynamics are put through the all-roots-inside-the-unit-
 circle test schur_stable.
@@ -47,10 +47,6 @@ class Plant:
         if self.disturbance_bound is not None and self.disturbance_bound < 0:
             raise PlantFormatError("disturbance bound must be >= 0")
 
-    @property
-    def dim(self) -> int:
-        return len(self.a)
-
     def to_json(self) -> dict:
         doc = {"A": [[rational_str(v) for v in row] for row in self.a]}
         if self.c is not None:
@@ -74,7 +70,10 @@ def load_plant(doc) -> Plant:
     def mat(key):
         if key not in doc or doc[key] is None:
             return None
-        return as_matrix([[parse_rational(v) for v in row] for row in doc[key]])
+        rows = doc[key]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise PlantFormatError(f"{key} must be a list of rows, got {rows!r}")
+        return as_matrix([[parse_rational(v) for v in row] for row in rows])
 
     bound = parse_rational(doc["D"]) if "D" in doc else None
     return Plant(mat("A"), c=mat("C"), b=mat("B"), disturbance_bound=bound)
@@ -123,15 +122,6 @@ class InstabilityExponent:
 def instability_exponent(a: Matrix, max_width: Fraction = DEFAULT_ETA_WIDTH) -> Enclosure:
     """eta(A), the data rate the plant's unstable part generates, to max_width."""
     return InstabilityExponent(a).enclose(max_width)
-
-
-def is_unstable(a: Matrix) -> str:
-    """"yes" when some eigenvalue of A has modulus >= 1, else "no".
-
-    Exact: the negation of schur_stable on the characteristic polynomial,
-    so an eigenvalue on the unit circle (the identity, say) gives "yes".
-    """
-    return "no" if schur_stable(char_poly(as_matrix(a))) else "yes"
 
 
 def _unobservable_basis(a: Matrix, c: Matrix):

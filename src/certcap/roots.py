@@ -210,11 +210,6 @@ def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
     return None not in (critical, inner) and poly_degree(s) - 1 - critical == inner
 
 
-def unstable_moduli(p: Poly, tolerance: Fraction) -> list[tuple[Fraction, Fraction, int]]:
-    """UnstableModuli(p).brackets(tolerance): one narrowing from scratch."""
-    return UnstableModuli(p).brackets(tolerance)
-
-
 class UnstableModuli:
     """Brackets (lo, hi, k) that hold every root of p with modulus >= 1 once.
 

@@ -32,6 +32,9 @@ from .enclosure import rational_str
 from .plant import Plant
 
 
+DIVERGENCE_THRESHOLD = Fraction(1000)  # a run stops once its error exceeds this
+
+
 class SimulationError(ValueError):
     """Configuration cannot run (bad shapes, impossible contraction, ...)."""
 
@@ -77,7 +80,6 @@ class SimConfig:
     seed: int
     initial_radius: Fraction = Fraction(1)
     x0: tuple | None = None
-    divergence_threshold: Fraction = Fraction(1000)
 
     def modes(self) -> tuple[Fraction, ...]:
         a = self.plant.a
@@ -325,7 +327,7 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
             radii.append(max(radius))
             if err > max_error:
                 max_error = err
-            if err > cfg.divergence_threshold:
+            if err > DIVERGENCE_THRESHOLD:
                 diverged_at = t
             zeta = tuple(_sample_disturbance(rng, bound) for _ in range(dim))
             zetas.append(zeta)

@@ -168,8 +168,7 @@ def test_criterion_7_simulator_thresholds(nl2, bsc14):
         diverged = 0
         for seed in range(100):
             cfg = SimConfig(plant, bsc14, Regime("se-nofb"), identity_code(bsc14),
-                            horizon=10_000, seed=seed,
-                            divergence_threshold=F(1000))
+                            horizon=10_000, seed=seed)
             smoke = run_estimation(cfg)
             if smoke.summary["diverged_at"] is not None:
                 diverged += 1

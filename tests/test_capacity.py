@@ -4,8 +4,8 @@ import mpmath
 import pytest
 
 from certcap.capacity import (ShannonBounds, feedback_zero_error_capacity,
-                              minimax_ladder_step, minimax_support_mass,
-                              shannon_capacity, verify_minimax_lower_bound)
+                              minimax_ladder_step, shannon_capacity,
+                              verify_minimax_lower_bound)
 from certcap.channel import certify_support, exact_channel, resolving_stream
 from certcap.enclosure import DomainError
 
@@ -15,7 +15,7 @@ mpmath.mp.dps = 50
 
 class TestMinimaxMass:
     def test_pentagon_uniform(self, pentagon):
-        sol = minimax_support_mass(pentagon)
+        sol = minimax_ladder_step(pentagon, 0, None).solution
         assert sol.value == F(2, 5)
         assert sol.distribution == (F(1, 5),) * 5
         assert verify_minimax_lower_bound(sol.output_weights, sol.support_sets, 5, sol.value)
@@ -26,14 +26,13 @@ class TestMinimaxMass:
                                               sol.value)
 
     def test_noiseless_binary(self, nl2):
-        assert minimax_support_mass(nl2).value == F(1, 2)
+        assert minimax_ladder_step(nl2, 0, None).mass == F(1, 2)
 
     def test_bsc_sees_everything(self, bsc14):
-        assert minimax_support_mass(bsc14).value == 1
+        assert minimax_ladder_step(bsc14, 0, None).mass == 1
 
     def test_empty_support_certificate_gives_zero(self, pentagon_stream):
-        cert = certify_support(pentagon_stream, 0)
-        sol = minimax_support_mass(pentagon_stream, cert)
+        sol = minimax_ladder_step(pentagon_stream, 0, None).solution
         assert sol.value == 0
 
 
@@ -71,7 +70,7 @@ class TestFeedbackCapacity:
 
 class TestMinimaxLadder:
     def test_exact_wrap_reaches_exact_value_at_pin_level(self, pentagon, pentagon_stream):
-        exact_value = minimax_support_mass(pentagon).value
+        exact_value = minimax_ladder_step(pentagon, 0, None).mass
         rung = None
         for level in range(4):
             rung = minimax_ladder_step(pentagon_stream, level, rung)
@@ -80,7 +79,7 @@ class TestMinimaxLadder:
     def test_level_zero_of_immediately_pinned_stream(self, pentagon):
         pinned = resolving_stream(pentagon, 0)
         rung = minimax_ladder_step(pinned, 0, None)
-        assert rung.mass == minimax_support_mass(pentagon).value
+        assert rung.mass == minimax_ladder_step(pentagon, 0, None).mass
 
     def test_mass_monotone_and_upper_bounds_shrink(self, pentagon_stream):
         rung = None

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ class TestLoading:
         ch = load_channel({"inputs": [0, 1], "outputs": [0, 1], "mode": "exact",
                            "rows": [["1", "0"], ["0", "1"]]})
         assert ch.is_exact
-        assert ch.entry(0, 0) == 1 and ch.entry(0, 1) == 0
+        assert ch.rows[0][0] == 1 and ch.rows[0][1] == 0
 
     def test_pentagon_is_valid(self, pentagon):
         doc = pentagon.to_json()
@@ -48,6 +49,29 @@ class TestLoading:
             load_channel({"inputs": [0], "outputs": [0, 1], "mode": "stream",
                           "schedules": [[[{"level": 0, "lo": "0", "hi": "1/4"}],
                                          [{"level": 0, "lo": "0", "hi": "1/4"}]]]})
+
+
+    def test_late_pin_loads_without_walking_every_level(self):
+        # one pin at level 10**9: the row sums change only at levels 0 and 10**9
+        late = 10 ** 9
+        half = [{"level": 0, "lo": "1/4", "hi": "3/4"}, {"level": late, "lo": "1/2", "hi": "1/2"}]
+        start = time.perf_counter()
+        ch = load_channel({"inputs": [0], "outputs": [0, 1], "mode": "stream",
+                           "schedules": [[half, half]]})
+        assert time.perf_counter() - start < 1
+        assert ch.max_declared_level() == late
+        assert ch.entry_interval(0, 0, late - 1) == (F(1, 4), F(3, 4))
+        assert ch.entry_interval(0, 0, late) == (F(1, 2), F(1, 2))
+
+    def test_stream_row_sum_checked_at_each_declared_level(self):
+        # the sum of row 0 holds 1 up to level 2 and first misses it at
+        # level 3, which only entry (0, 0) declares
+        dips = [{"level": 0, "lo": "0", "hi": "1"}, {"level": 3, "lo": "0", "hi": "1/4"}]
+        wide = [{"level": 0, "lo": "0", "hi": "1"}, {"level": 2, "lo": "1/4", "hi": "1/2"},
+                {"level": 5, "lo": "1/2", "hi": "1/2"}]
+        with pytest.raises(ChannelFormatError, match="row 0 interval sum excludes 1 at level 3"):
+            load_channel({"inputs": [0], "outputs": [0, 1], "mode": "stream",
+                          "schedules": [[dips, wide]]})
 
 
 @pytest.mark.parametrize("inputs, outputs, message", [

@@ -176,6 +176,51 @@ def test_bad_channel_labels_exit_one(capsys, data_dir, tmp_path, command, inputs
     assert err == f"error: {message}\n"
 
 
+NL2_DOC = {"inputs": [0, 1], "outputs": [0, 1], "mode": "exact",
+           "rows": [["1", "0"], ["0", "1"]]}
+STREAM_DOC = {"inputs": [0], "outputs": [0], "mode": "stream",
+              "schedules": [[[{"level": 0, "lo": "1", "hi": "1"}]]]}
+
+
+@pytest.mark.parametrize("command", ["fb-capacity", "analyze"])
+@pytest.mark.parametrize("channel", [
+    {**NL2_DOC, "inputs": 5}, {**NL2_DOC, "outputs": 5}, {**NL2_DOC, "rows": 5},
+    {**NL2_DOC, "rows": [5, ["0", "1"]]}, {**STREAM_DOC, "schedules": 5},
+    {**STREAM_DOC, "schedules": [5]}, {**STREAM_DOC, "schedules": [[5]]},
+    {**STREAM_DOC, "schedules": [[[5]]]},
+    {**STREAM_DOC, "schedules": [[[{"level": [0], "lo": "1", "hi": "1"}]]]},
+], ids=["inputs", "outputs", "rows", "row", "schedules", "schedule-row", "cell", "step",
+        "level"])
+def test_non_list_channel_field_exits_one(capsys, data_dir, tmp_path, command, channel):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(channel))
+    argv = [command, "--channel", str(path)]
+    if command == "analyze":
+        argv += ["--plant", str(data_dir / "plant_3_2.json"), "--regime", "se-fb"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("plant", [
+    {"A": 5}, {"A": [5]}, {"A": [["3/2"]], "B": 5}, {"A": [["3/2"]], "C": [5]},
+], ids=["A", "A-row", "B", "C-row"])
+def test_non_list_plant_field_exits_one(capsys, data_dir, tmp_path, plant):
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps(plant))
+    code, out, err = run_cli(capsys, "analyze", "--plant", str(path), "--regime", "se-fb",
+                             "--channel", str(data_dir / "pentagon.json"))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["fb-capacity", "--channel"], ["eta", "--plant"]])
+def test_directory_path_exits_one(capsys, data_dir, argv):
+    code, out, err = run_cli(capsys, *argv, str(data_dir))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: cannot read {data_dir}: Is a directory\n"
+
+
 def test_fixed_eta_analyze(capsys, data_dir):
     code, out, _ = run_cli(capsys, "analyze",
                            "--plant", str(data_dir / "plant_diag2.json"),

@@ -14,8 +14,8 @@ from certcap.channel import (SupportCertificate, certify_support, exact_channel,
 from certcap.confgraph import (CapacityLadder, ConfusabilityGraph, LadderError,
                                _PowerSymmetry, certified_graph, clique_cover_weight,
                                confusability_graph, extend_ladder,
-                               fractional_clique_cover, is_zero_capacity,
-                               max_independent_set, strong_power)
+                               fractional_clique_cover, max_independent_set,
+                               strong_power)
 from certcap.enclosure import log2_enclosure
 
 F = Fraction
@@ -328,13 +328,13 @@ class TestIndependence:
 
 class TestZeroCapacity:
     def test_complete_means_zero(self, bsc14):
-        assert is_zero_capacity(graph_of(bsc14)) is True
+        assert graph_of(bsc14).is_complete() is True
 
     def test_cycle_is_not_zero(self, pentagon):
-        assert is_zero_capacity(graph_of(pentagon)) is False
+        assert graph_of(pentagon).is_complete() is False
 
     def test_empty_two_vertices_not_zero(self, nl2):
-        assert is_zero_capacity(graph_of(nl2)) is False
+        assert graph_of(nl2).is_complete() is False
 
 
 class TestLadder:

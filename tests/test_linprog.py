@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certcap import capacity, confgraph
-from certcap.capacity import minimax_support_mass
+from certcap.capacity import minimax_ladder_step
 from certcap.channel import typewriter
 from certcap.confgraph import certified_graph, fractional_clique_cover
 from certcap.linprog import (Constraint, Infeasible, LinearProgram, LpSolution,
-                             Unbounded, solve_lp)
+                             Unbounded, _assert_certificates, solve_lp)
 
 
 def balance_lp():
@@ -62,6 +62,38 @@ def test_pentagon_lp_matches_grid_oracle():
     assert oracle == Fraction(2, 5)  # uniform lies on the grid and is optimal
     sol = solve_lp(pentagon_minimax_lp())
     assert sol.optimum == Fraction(2, 5)
+
+
+def _certificate(forged: str | None = None):
+    """The balance LP's solution as _assert_certificates takes it, with one
+    part of the certificate forged."""
+    lp = balance_lp()
+    sol = solve_lp(lp)
+    assignment, optimum, dual = dict(sol.assignment), sol.optimum, list(sol.dual)
+    if forged == "assignment":
+        assignment["p2"] = Fraction(-1)  # breaks p2 >= 0
+    elif forged == "dual-sign-leq":
+        dual[3] = Fraction(1)  # a <= row of a min problem needs a dual <= 0
+    elif forged == "dual-sign-geq":
+        dual[1] = Fraction(-1)  # a >= row of a min problem needs a dual >= 0
+    elif forged == "dual-equation":
+        dual = [Fraction(0)] * len(dual)  # signs hold, t's column does not
+    elif forged == "optimum":
+        optimum += 1
+    return lp, list(lp.variables), assignment, optimum, tuple(dual)
+
+
+@pytest.mark.parametrize("forged, message", [
+    ("assignment", "primal infeasible"),
+    ("dual-sign-leq", "dual sign violation on <= row"),
+    ("dual-sign-geq", "dual sign violation on >= row"),
+    ("dual-equation", "dual equation violated for t"),
+    ("optimum", "strong duality gap is nonzero"),
+])
+def test_forged_certificate_fails_its_check(forged, message):
+    _assert_certificates(*_certificate())
+    with pytest.raises(AssertionError, match=message):
+        _assert_certificates(*_certificate(forged))
 
 
 def test_infeasible():
@@ -292,7 +324,7 @@ def _captured_lps(run, module):
 def test_typewriter_minimax_lp_matches_reference(q):
     """Typewriter minimax optima are not unique (uniform and alternating
     inputs both reach psi), so the reported optimizer follows the pivots."""
-    for lp in _captured_lps(lambda: minimax_support_mass(typewriter(q)), capacity):
+    for lp in _captured_lps(lambda: minimax_ladder_step(typewriter(q), 0, None), capacity):
         assert_matches_reference(lp)
 
 

@@ -11,8 +11,8 @@ from certcap.classify import EtaTask, Regime, classify, revalidate
 from certcap.enclosure import Enclosure
 from certcap.linalg import as_matrix, char_poly, mat_mul
 from certcap.plant import (Plant, PlantFormatError, instability_exponent,
-                           is_detectable, is_stabilizable, is_unstable, load_plant)
-from certcap.roots import UnstableModuli, unstable_moduli
+                           is_detectable, is_stabilizable, load_plant)
+from certcap.roots import UnstableModuli, schur_stable
 
 F = Fraction
 mpmath.mp.dps = 40
@@ -85,16 +85,16 @@ def test_similarity_invariance_under_orthogonal_conjugation():
 
 class TestStability:
     def test_expanding(self):
-        assert is_unstable(as_matrix([[2]])) == "yes"
+        assert schur_stable(char_poly(as_matrix([[2]]))) is False
 
     def test_contracting(self):
-        assert is_unstable(as_matrix([[F(1, 2)]])) == "no"
+        assert schur_stable(char_poly(as_matrix([[F(1, 2)]]))) is True
 
     def test_identity_pinned_exactly(self):
-        assert is_unstable(as_matrix([[1, 0], [0, 1]])) == "yes"
+        assert schur_stable(char_poly(as_matrix([[1, 0], [0, 1]]))) is False
 
     def test_barely_stable_rational(self):
-        assert is_unstable(as_matrix([[F(1048575, 1048576)]])) == "no"
+        assert schur_stable(char_poly(as_matrix([[F(1048575, 1048576)]]))) is True
 
 
 class TestStructure:
@@ -220,9 +220,9 @@ class TestNonNormalExponent:
 
 
 def test_is_unstable_on_non_normal_and_circle_plants():
-    assert is_unstable(as_matrix([[F(1, 2), 4], [0, F(1, 2)]])) == "no"
-    assert is_unstable(as_matrix([[0, -1], [1, 0]])) == "yes"   # +-i on the circle
-    assert is_unstable(as_matrix([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]])) == "yes"
+    assert schur_stable(char_poly(as_matrix([[F(1, 2), 4], [0, F(1, 2)]]))) is True
+    assert schur_stable(char_poly(as_matrix([[0, -1], [1, 0]]))) is False   # +-i on the circle
+    assert schur_stable(char_poly(as_matrix([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]))) is False
 
 
 def test_unit_circle_eigenvalues_give_exactly_zero():
@@ -269,7 +269,7 @@ def test_eta_task_narrows_one_refiner_exactly_like_fresh_enclosures(a):
         task.step()
         assert task.enclosure == instability_exponent(a, width)
         tolerance = width / (3 * len(a))
-        assert moduli.brackets(tolerance) == unstable_moduli(char_poly(a), tolerance)
+        assert moduli.brackets(tolerance) == UnstableModuli(char_poly(a)).brackets(tolerance)
 
 
 def test_eta_task_computes_the_characteristic_polynomial_once(monkeypatch):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from certcap.enclosure import DomainError
 from certcap.linalg import as_matrix, char_poly
-from certcap.roots import (_exact_bracket, _integer_form, count_inside,
-                           poly_degree, poly_trim, schur_stable,
-                           symmetric_eigenvalue_enclosures, unstable_moduli)
+from certcap.roots import (UnstableModuli, _exact_bracket, _integer_form,
+                           count_inside, poly_degree, poly_trim, schur_stable,
+                           symmetric_eigenvalue_enclosures)
 
 F = Fraction
 
@@ -308,7 +308,7 @@ class TestCountInside:
         # a double root on the circle
         double = _integer_form(poly_mul(on_circle, on_circle))
         assert _exact_bracket(double, F(1), F(1, 2), F(2), 4) is True
-        assert unstable_moduli(poly_mul(on_circle, pair), F(1, 100)) == [
+        assert UnstableModuli(poly_mul(on_circle, pair)).brackets(F(1, 100)) == [
             (F(1), F(1), 2), (F(2), F(2), 1)]
 
 
@@ -331,7 +331,7 @@ def test_unstable_moduli_exact_claims_hold(scale, offsets, extra):
     roots += [x for x in extra if x != 0]
     p = poly_from_roots(*roots)
     moduli = sorted(abs(r) for r in roots if abs(r) >= 1)
-    brackets = unstable_moduli(p, F(1, 1000))
+    brackets = UnstableModuli(p).brackets(F(1, 1000))
     assert sum(k for _, _, k in brackets) >= len(moduli)
     eta = sum(mpmath.log(mpmath.mpf(m.numerator) / m.denominator, 2) for m in moduli)
     lo = sum(k * mpmath.log(max(1, mpmath.mpf(a.numerator) / a.denominator), 2)
