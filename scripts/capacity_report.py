@@ -31,7 +31,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for name, ch in CORPUS:
-        graph = certified_graph(ch, 0)
+        graph = certified_graph(ch)
         if graph.is_complete():
             c0_lo = "0"
         else:

@@ -49,7 +49,7 @@ def main() -> int:
           [Fraction(5, 4), Fraction(3, 2), Fraction(7, 4), Fraction(2)])
 
     pentagon = typewriter(5)
-    witness = max_independent_set(strong_power(certified_graph(pentagon, 0), 2)).witness
+    witness = max_independent_set(strong_power(certified_graph(pentagon), 2)).witness
     sweep("pentagon + block-2 zero-error code", pentagon,
           witness_code(pentagon, witness),
           [Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(5, 2)],

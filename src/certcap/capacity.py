@@ -4,7 +4,7 @@ Each quantity has one routine, driven by the command line and the
 classifier alike: the feedback zero-error capacity through Shannon's minimax
 over output support masses, an exact rational LP solved by
 minimax_ladder_step: once, at level 0, on an exact channel, and once per
-support level on a stream channel, where each rung is built on the last and
+declared level on a stream channel, where each rung is built on the last and
 bounds the capacity from above; and ShannonBounds, two-sided certified
 bounds on the ordinary capacity whose step(log_width) runs one
 alternating-optimization iteration at the width its caller schedules.
@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import Channel, certify_support, support_sets
-from .confgraph import certified_graph
+from .channel import Channel, SupportCertificate, certify_support, support_sets
+from .confgraph import confusability_graph
 from .enclosure import DomainError, Enclosure, log2_enclosure, rational_str
 from .linprog import LinearProgram, solve_lp
 
@@ -98,13 +98,14 @@ def feedback_zero_error_capacity(ch: Channel,
     Zero exactly when the confusability graph is complete; otherwise
     log2(1/mass), mass the level-0 rung of the minimax ladder, with the
     exact rational 1/mass retained so comparisons can be refined later to
-    any precision.
+    any precision.  The graph and the rung share one support certificate.
     """
     if not ch.is_exact:
         raise DomainError("exact channel required; use the minimax ladder for streams")
-    if certified_graph(ch, 0).is_complete():
+    support = certify_support(ch)
+    if confusability_graph(support, ch.inputs, len(ch.outputs)).is_complete():
         return FeedbackCapacity(True, Fraction(1), Enclosure.exact(Fraction(0)), None)
-    rung = minimax_ladder_step(ch, 0, None, width=max_width)
+    rung = minimax_ladder_step(ch, 0, None, width=max_width, support=support)
     return FeedbackCapacity(False, 1 / rung.mass, rung.upper, rung.solution)
 
 
@@ -117,8 +118,10 @@ class MinimaxRung:
 
 
 def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
-                        width: Fraction = DEFAULT_C0FB_WIDTH) -> MinimaxRung:
-    """The rung after ``last`` (None before the first): support certified at ``level``.
+                        width: Fraction = DEFAULT_C0FB_WIDTH,
+                        support: SupportCertificate | None = None) -> MinimaxRung:
+    """The rung after ``last`` (None before the first): support certified at
+    ``level``, or ``support`` when the caller has already certified it there.
 
     Proven support only grows with the level, so the minimax mass is
     nondecreasing along the rungs and log2(1/mass) is an upper bound on the
@@ -130,7 +133,7 @@ def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
     if last is not None and level <= last.level:
         raise DomainError("ladder levels must increase")
     nx = len(ch.inputs)
-    supports = support_sets(certify_support(ch, level), nx, len(ch.outputs))
+    supports = support_sets(support or certify_support(ch, level), nx, len(ch.outputs))
     if last is not None and supports == last.solution.support_sets:
         sol = last.solution
     else:

@@ -70,11 +70,14 @@ class Channel:
             lo, hi = step_lo, step_hi
         return lo, hi
 
+    def declared_levels(self) -> list[int]:
+        """Level 0 and every level at which some schedule declares a step;
+        an entry's interval changes only at these."""
+        cells = (cell for row in self.schedules or () for cell in row)
+        return sorted({0} | {lv for cell in cells for lv, _, _ in cell})
+
     def max_declared_level(self) -> int:
-        if self.is_exact:
-            return 0
-        return max((step[0] for row in self.schedules for cell in row for step in cell),
-                   default=0)
+        return self.declared_levels()[-1]
 
     def to_json(self) -> dict:
         doc = {"inputs": list(self.inputs), "outputs": list(self.outputs),
@@ -133,8 +136,7 @@ def stream_channel(inputs, outputs, schedules) -> Channel:
                         f"schedule not nested at entry ({xi},{yi})")
                 prev_level, prev = lv, (lo, hi)
     ch = Channel(inputs, outputs, schedules=sched)
-    # intervals change only at declared levels, so the others need no check
-    for level in sorted({0} | {lv for row in sched for cell in row for lv, _, _ in cell}):
+    for level in ch.declared_levels():  # the other levels need no check
         for xi in range(len(inputs)):
             bounds = [ch.entry_interval(xi, yi, level) for yi in range(len(outputs))]
             lo_sum = sum(b[0] for b in bounds)

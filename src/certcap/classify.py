@@ -240,16 +240,18 @@ class FeedbackCapacityTask(_NarrowingTask, _CapacityTask):
 class MinimaxLadderTask(_CapacityTask):
     """Stream channel: support level climbs, minimax mass rises monotonically.
 
-    Each step certifies the support at the next level; the minimax LP is
-    solved only at levels where the support sets change.
+    Each step certifies the support at the next declared level (intervals
+    change only there, so the levels between would repeat the last rung);
+    the minimax LP is solved only at levels where the support sets change.
     """
 
     name = "psi-ladder"
 
     def __init__(self, ch: Channel):
         self.channel = ch
+        levels = ch.declared_levels()
+        self.levels, self.max_level = iter(levels), levels[-1]
         self.level = -1
-        self.max_level = ch.max_declared_level()
         self.rung = None
 
     @property
@@ -260,7 +262,7 @@ class MinimaxLadderTask(_CapacityTask):
         return self.level >= self.max_level
 
     def step(self) -> None:
-        self.level += 1
+        self.level = next(self.levels)
         self.rung = minimax_ladder_step(self.channel, self.level, self.rung)
 
     def progress(self) -> dict:
@@ -279,18 +281,14 @@ _LADDER_VERTEX_CAP, _LADDER_NODE_BUDGET = 1024, 20_000
 
 
 class ZeroErrorLadderTask(_CapacityTask):
-    """Independence-number rungs; on streams, first resolve the support."""
+    """Independence-number rungs of ``certified_graph``, which never misses a
+    true edge: every witness is a zero-error code, on streams too."""
 
     name = "ladder"
 
     def __init__(self, ch: Channel):
-        self.channel = ch
-        # an exact channel's support is settled at level 0
-        self.level = 0 if ch.is_exact else -1
-        self.max_level = ch.max_declared_level()
-        self.graph = certified_graph(ch, 0) if ch.is_exact else None
+        self.graph = certified_graph(ch)
         self.ladder = CapacityLadder()
-        self.next_n = 1
         self._capped = False
 
     @property
@@ -298,32 +296,21 @@ class ZeroErrorLadderTask(_CapacityTask):
         return self.ladder.running_best
 
     def exhausted(self) -> bool:
-        if self.graph is None:
-            return self.level >= self.max_level
         # alpha(G) = 1 means G is complete, and so is every strong power of G
         first = self.ladder.recorded(1)
         return self._capped or (first is not None and first.exact and first.alpha == 1)
 
     def step(self) -> None:
-        if self.graph is None:
-            self.level += 1
-            g = certified_graph(self.channel, self.level)
-            if not g.conservative:
-                self.graph = g
-            return
         try:
-            self.ladder = extend_ladder(self.ladder, self.graph, self.next_n,
+            self.ladder = extend_ladder(self.ladder, self.graph, len(self.ladder.rungs) + 1,
                                         node_budget=_LADDER_NODE_BUDGET,
                                         vertex_cap=_LADDER_VERTEX_CAP)
         except ResourceCapError:
             self._capped = True
-            return
-        self.next_n += 1
 
     def progress(self) -> dict:
-        return {"support_level": self.level, "rungs": len(self.ladder.rungs),
-                "running_best": self.lower.to_json() if self.lower else None,
-                "conservative_graph": self.graph is None}
+        return {"rungs": len(self.ladder.rungs),
+                "running_best": self.lower.to_json() if self.lower else None}
 
     def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
         best = max(self.ladder.rungs, key=lambda r: r.rate_lo.lo)
@@ -578,7 +565,7 @@ def _run_classification(eta_task, ch: Channel, kind: str, budget: int) -> Verdic
 
 
 def _nonadjacent_pair(ch: Channel) -> tuple[int, int]:
-    graph = certified_graph(ch, 0)
+    graph = certified_graph(ch)
     n = len(graph)
     for i in range(n):
         for j in range(i + 1, n):
@@ -637,10 +624,7 @@ def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool
     if not (type(cert.n) is int and type(cert.alpha) is int and type(cert.witness) is tuple
             and _enclosures(cert.rate_lo, cert.eta)):
         return False
-    # support only grows with the level, so this is the graph the producer accepted
-    graph = certified_graph(ch, ch.max_declared_level())
-    if graph.conservative:
-        return False
+    graph = certified_graph(ch)  # the producer's graph
     index = {v: i for i, v in enumerate(ch.inputs)}
     words = cert.witness
     # a tuple compares its items without hashing them, so list labels fail here
@@ -666,8 +650,7 @@ def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
             and _enclosures(cert.c0fb_upper)):
         return False
     if cert.complete_graph:
-        return (ch.is_exact
-                and certified_graph(ch, 0).is_complete()
+        return (ch.is_exact and certified_graph(ch).is_complete()
                 and cert.eta_lo > 0 and cert.c0fb_upper.hi == 0)
     if cert.mass <= 0 or cert.support_level < 0:
         return False

@@ -150,7 +150,7 @@ def _cmd_analyze(args) -> int:
 def _ladder_report(ch, max_block: int) -> dict:
     if max_block < 1:
         raise CliError(f"--max-block must be >= 1, got {max_block}")
-    graph = certified_graph(ch, ch.max_declared_level())
+    graph = certified_graph(ch)
     check_power_size(graph, max_block)  # fail before the lower rungs run
     ladder = CapacityLadder()
     for n in range(1, max_block + 1):
@@ -198,7 +198,7 @@ def _cmd_simulate(args) -> int:
                            f"--block-length must be 1, got {args.block_length}")
         code = identity_code(ch)
     else:
-        base, n = certified_graph(ch, 0), args.block_length
+        base, n = certified_graph(ch), args.block_length
 
         def bound() -> int:  # a product of fractional clique covers covers baseⁿ
             return clique_cover_weight(base, base.clique_cover) ** n // 1

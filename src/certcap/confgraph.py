@@ -71,11 +71,7 @@ class LadderError(ValueError):
 
 @dataclass(frozen=True)
 class ConfusabilityGraph:
-    """Vertices are channel inputs; edges join inputs some output can confuse.
-
-    ``conservative`` marks graphs whose edge set may overestimate the true
-    one because unresolved support entries were treated as positive; such
-    graphs are unusable for certified independence lower bounds.
+    """Vertices are channel inputs; edges join inputs some output may confuse.
 
     Construction checks that every mask stays inside the vertex range, that
     there are no self-loops and that adjacency is symmetric; the symmetry
@@ -89,7 +85,6 @@ class ConfusabilityGraph:
 
     vertices: tuple
     adjacency: tuple[int, ...]  # bitmask of neighbours per vertex index
-    conservative: bool = False
     power_of: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -172,32 +167,33 @@ def _is_symmetric(adjacency: tuple[int, ...]) -> bool:
 
 def confusability_graph(cert: SupportCertificate, inputs: tuple,
                         n_outputs: int) -> ConfusabilityGraph:
-    """Graph on the channel inputs from a support certificate.
+    """The may-reach graph on the channel inputs of a support certificate.
 
     The inputs that may reach an output (proven positive or unresolved) form
-    a clique.  The graph is conservative when an unresolved entry adds an
-    edge that the proven-positive entries alone do not give.
+    a clique.  Resolving an unresolved entry either way can only remove
+    edges, so the true confusability graph is a subgraph of this one, and
+    every independent set of it is a genuine zero-error code.
     """
-    adjacency = _clique_union(cert.positive | cert.unresolved, len(inputs), n_outputs)
-    definite = _clique_union(cert.positive, len(inputs), n_outputs)
-    return ConfusabilityGraph(tuple(inputs), tuple(adjacency),
-                              conservative=adjacency != definite)
-
-
-def _clique_union(entries, nx: int, ny: int) -> list[int]:
-    """Adjacency joining every two inputs that reach a common output."""
-    reach = [0] * ny  # the clique of inputs reaching each output
+    reach = [0] * n_outputs  # the clique of inputs that may reach each output
+    entries = cert.positive | cert.unresolved
     for x, y in entries:
         reach[y] |= 1 << x
-    adjacency = [0] * nx
+    adjacency = [0] * len(inputs)
     for x, y in entries:
         adjacency[x] |= reach[y]
-    return [mask & ~(1 << x) for x, mask in enumerate(adjacency)]
+    return ConfusabilityGraph(tuple(inputs), tuple(mask & ~(1 << x)
+                                                   for x, mask in enumerate(adjacency)))
 
 
-def certified_graph(ch: Channel, level: int) -> ConfusabilityGraph:
-    """Confusability graph of the support of ``ch`` certified at ``level``."""
-    return confusability_graph(certify_support(ch, level), ch.inputs, len(ch.outputs))
+def certified_graph(ch: Channel) -> ConfusabilityGraph:
+    """The may-reach graph of ``ch`` at its last declared level.
+
+    The one confusability graph of the package: the zero-error ladder, the
+    re-validator and the command line all take it from here.  Intervals
+    only narrow as the level rises, so no earlier level has fewer edges.
+    """
+    return confusability_graph(certify_support(ch, ch.max_declared_level()),
+                               ch.inputs, len(ch.outputs))
 
 
 def check_power_size(g: ConfusabilityGraph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> None:
@@ -228,8 +224,7 @@ def strong_power(g: ConfusabilityGraph, n: int,
         width = len(rows)
         rows = [_kronecker_row(c, row, width) for c in closed for row in rows]
     adjacency = tuple(row ^ 1 << i for i, row in enumerate(rows))
-    power = ConfusabilityGraph(tuple(product(g.vertices, repeat=n)), adjacency,
-                               conservative=g.conservative)
+    power = ConfusabilityGraph(tuple(product(g.vertices, repeat=n)), adjacency)
     object.__setattr__(power, "power_of", (g, n))
     return power
 
@@ -622,8 +617,8 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> CapacityLadder:
     """Append rung n: alpha of the n-th strong power plus its rate enclosure.
 
-    Refuses conservative graphs: a witness over uncertain support is not a
-    certified zero-error code.  The incumbent is seeded with products of
+    On a may-reach graph (``certified_graph``) every witness is a genuine
+    zero-error code of the channel.  The incumbent is seeded with products of
     earlier witnesses, so recorded alphas always satisfy the
     supermultiplicative inequality even when the node budget truncates the
     search.  When rung n - 1 is exact, floor(alpha*(g) alpha(gⁿ⁻¹)) bounds
@@ -631,10 +626,6 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     then ends exact once the incumbent reaches it; ``ladder`` must hold
     rungs of ``g`` only.
     """
-    if g.conservative:
-        raise LadderError(
-            "conservative graph: unresolved channel entries may hide edges, "
-            "so independence would not certify a zero-error code")
     if ladder.recorded(n) is not None:
         raise LadderError(f"rung {n} already recorded")
     power = strong_power(g, n, cap=vertex_cap)

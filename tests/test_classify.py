@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from certcap import capacity
+from certcap import capacity, confgraph
 from certcap.capacity import (DEFAULT_C0FB_WIDTH, certified_capacity_bounds,
                               feedback_zero_error_capacity, minimax_ladder_step)
 from certcap.channel import (certify_support, exact_channel, hovering_stream,
                              load_channel, noiseless, product_channel,
-                             support_sets, typewriter)
+                             stream_channel, support_sets, typewriter)
 from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               IndependentSetCertificate,
                               InternalInvariantViolation, MinimaxLadderTask,
@@ -541,6 +541,28 @@ class TestZeroErrorConsumersAgree:
             assert revalidate(verdict, ch)
 
 
+    def test_hovering_entry_only_adds_an_edge(self):
+        # typewriter(5) with (0, 2) unresolved: the may-reach graph is the
+        # pentagon plus the edge 0-2, still with alpha 2, a rate-1 code
+        ch = hovering_stream(typewriter(5), [(0, 2)])
+        verdict = classify(diagonal_plant([F(3, 2)], disturbance=F(1, 10)), ch,
+                           Regime("se-nofb"), 2000)
+        assert (verdict.outcome, verdict.steps) == ("Solvable", 2)
+        cert = verdict.certificate
+        assert (cert.n, cert.alpha, cert.witness) == (1, 2, ((2,), (4,)))
+        assert cert.rate_lo == Enclosure.exact(F(1))
+        assert revalidate(verdict, ch)
+
+    def test_unresolved_confusion_stays_undetermined(self, hover_channel):
+        # criterion 6: the hovering entry may join the two inputs of
+        # noiseless(2), so one rung is all the ladder can say
+        verdict = classify(diagonal_plant([F(3, 2)], disturbance=F(1, 10)),
+                           hover_channel, Regime("se-nofb"), 2000)
+        assert verdict.outcome == "Undetermined"
+        assert verdict.certificate.progress["ladder"] == {
+            "rungs": 1, "running_best": Enclosure.exact(F(0)).to_json()}
+
+
 class TestVerdictMatchesCertificate:
     """A certificate proves one outcome, in the regimes whose capacity it bounds."""
 
@@ -737,6 +759,34 @@ class TestNoRepeatedSolves:
             assert rung.mass == fresh.value
             assert rung.upper == (None if fresh.value == 0
                                   else log2_enclosure(1 / fresh.value, DEFAULT_C0FB_WIDTH))
+
+    def test_feedback_capacity_certifies_the_support_once(self, monkeypatch, pentagon,
+                                                         bsc14):
+        calls = []
+        real = capacity.certify_support
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (capacity, confgraph):
+            monkeypatch.setattr(module, "certify_support", counting)
+        for ch, zero in ((pentagon, False), (bsc14, True)):
+            calls.clear()
+            assert feedback_zero_error_capacity(ch).zero_capacity is zero
+            assert len(calls) == 1
+
+    def test_minimax_ladder_jumps_to_the_next_declared_level(self):
+        # every entry of typewriter(3) is pinned at level 10**6 and unknown
+        # before it: level 0 and the pin are the only distinct rungs
+        t3 = typewriter(3)
+        ch = stream_channel(t3.inputs, t3.outputs,
+                            [[[(10 ** 6, w, w)] for w in row] for row in t3.rows])
+        verdict = classify(scalar_plant(2, disturbance=F(1, 10)), ch, Regime("se-fb"), 100)
+        assert verdict.outcome == "Unsolvable" and verdict.steps <= 100
+        cert = verdict.certificate
+        assert (cert.support_level, cert.mass) == (10 ** 6, F(2, 3))
+        assert revalidate(verdict, ch)
 
     def test_reused_rung_encloses_at_the_new_width(self):
         # typewriter(3) has psi = 2/3; its hovering zero leaves the support

@@ -453,6 +453,34 @@ def test_pivot_path_stdout_is_pinned(capsys, data_dir, argv, pinned):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
 
 
+# sha256 of stdout and the exit code of commands whose zero-error graph is a
+# stream's may-reach graph at its last declared level (unresolved entries
+# count as edges), pinned when the ladder first accepted such graphs
+MAY_REACH_DIGESTS = [
+    (("zero-error", "--channel", "stream_hover.json"),
+     ("d7a3e6c37a77faacf7cd5bf10031da4af3a5b320a4970efc18141b0991a8b12f", 0)),
+    (("analyze", "--plant", "plant_3_2.json", "--channel", "stream_pentagon_resolve3.json",
+      "--regime", "se-nofb", "--budget", "1000"),
+     ("a50b7ef0b785bed884ca317b4917184d7882f9c2675d3b4f3cbbf0197ead761c", 0)),
+]
+
+
+@pytest.mark.parametrize("argv, pinned", MAY_REACH_DIGESTS,
+                         ids=[" ".join(a[:2]) + f"#{i}" for i, (a, _) in enumerate(MAY_REACH_DIGESTS)])
+def test_may_reach_stdout_is_pinned(capsys, data_dir, argv, pinned):
+    code, out, _ = run_cli(capsys, *_resolve(data_dir, list(argv)))
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
+
+
+def test_zero_error_ladder_on_a_hovering_stream(capsys, data_dir):
+    # the hovering entry may join the two inputs: rung 1 is one word, exactly
+    code, out, _ = run_cli(capsys, "zero-error", "--channel",
+                           str(data_dir / "stream_hover.json"))
+    assert code == EXIT_OK
+    first = json.loads(out)["rungs"][0]
+    assert (first["n"], first["alpha"], first["exact"]) == (1, 1, True)
+
+
 @pytest.mark.parametrize("command,max_block", [("zero-error", "0"), ("zero-error", "-3"),
                                                ("capacity", "0"), ("capacity", "-3")])
 def test_max_block_below_one_exits_one(capsys, data_dir, command, max_block):

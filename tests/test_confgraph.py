@@ -74,7 +74,7 @@ def digest(doc) -> str:
 
 
 def build_ladder(ch, top, **limits):
-    g = certified_graph(ch, 0)
+    g = certified_graph(ch)
     ladder = CapacityLadder()
     for n in range(1, top + 1):
         ladder = extend_ladder(ladder, g, n, **limits)
@@ -120,33 +120,20 @@ def brute_force_strong_power(g, n):
     return tuples, tuple(adjacency)
 
 
-def pairwise_confusability_graph(cert, inputs, n_outputs):
+def pairwise_confusability_graph(positive, inputs, n_outputs):
     """Reference: the pairwise definition, one input pair and output at a time.
 
-    Two inputs are joined when some output is proven positive under both;
-    if a potential shared output involves an unresolved entry the edge is
-    added too and the result is flagged conservative.
+    Two inputs are joined when some output is reached by both under the
+    given (input, output) entries; returns the adjacency masks.
     """
     n = len(inputs)
-    maybe_positive = cert.positive | cert.unresolved
     adjacency = [0] * n
-    conservative = False
     for i in range(n):
         for j in range(i + 1, n):
-            definite = any((i, y) in cert.positive and (j, y) in cert.positive
-                           for y in range(n_outputs))
-            if definite:
-                edge = True
-            else:
-                possible = any((i, y) in maybe_positive and (j, y) in maybe_positive
-                               for y in range(n_outputs))
-                edge = possible
-                if possible:
-                    conservative = True
-            if edge:
+            if any((i, y) in positive and (j, y) in positive for y in range(n_outputs)):
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
-    return tuple(adjacency), conservative
+    return tuple(adjacency)
 
 
 @st.composite
@@ -176,7 +163,6 @@ class TestGraphConstruction:
     def test_bsc_is_single_edge(self, bsc14):
         g = graph_of(bsc14)
         assert len(g) == 2 and g.are_adjacent(0, 1)
-        assert not g.conservative
 
     def test_pentagon_is_five_cycle(self, pentagon):
         g = graph_of(pentagon)
@@ -189,27 +175,39 @@ class TestGraphConstruction:
         g = graph_of(nl2)
         assert not any(g.are_adjacent(i, j) for i in range(2) for j in range(2) if i != j)
 
-    def test_unresolved_entries_make_it_conservative(self, hover_channel):
+    def test_unresolved_entries_may_reach(self, hover_channel, nl2):
+        assert not graph_of(nl2).are_adjacent(0, 1)
         g = graph_of(hover_channel, level=5)
-        assert g.conservative
         assert g.are_adjacent(0, 1)  # edge forced by the hovering entry
 
-    def test_resolved_stream_is_exact(self, pentagon_stream):
-        g = graph_of(pentagon_stream, level=3)
-        assert not g.conservative
+    def test_resolved_stream_is_exact(self, pentagon_stream, pentagon):
+        assert graph_of(pentagon_stream, level=3) == graph_of(pentagon)
+        # before the pin the hovering zeros may join every pair
+        assert graph_of(pentagon_stream, level=2).is_complete()
 
     @given(support_certificate())
     @settings(max_examples=300, deadline=None)
     def test_cliques_match_pairwise_definition(self, drawn):
         cert, nx, ny = drawn
         g = confusability_graph(cert, tuple(range(nx)), ny)
-        assert (g.adjacency, g.conservative) == pairwise_confusability_graph(
-            cert, tuple(range(nx)), ny)
+        assert g.adjacency == pairwise_confusability_graph(
+            cert.positive | cert.unresolved, tuple(range(nx)), ny)
+
+    @given(support_certificate(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_every_resolution_is_a_subgraph(self, drawn, rng):
+        # however the unresolved entries turn out, the true graph keeps no
+        # edge the may-reach graph lacks, so its independent sets are codes
+        cert, nx, ny = drawn
+        may_reach = confusability_graph(cert, tuple(range(nx)), ny)
+        positive = cert.positive | {e for e in sorted(cert.unresolved) if rng.random() < 0.5}
+        resolved = pairwise_confusability_graph(positive, tuple(range(nx)), ny)
+        assert all(mask & ~big == 0 for mask, big in zip(resolved, may_reach.adjacency))
 
     def test_certified_graph_reads_the_support_at_its_level(self, hover_channel,
-                                                            pentagon_stream):
-        for ch, level in ((hover_channel, 5), (pentagon_stream, 2), (pentagon_stream, 3)):
-            assert certified_graph(ch, level) == graph_of(ch, level)
+                                                            pentagon_stream, pentagon):
+        for ch in (hover_channel, pentagon_stream, pentagon):
+            assert certified_graph(ch) == graph_of(ch, ch.max_declared_level())
 
 
 class TestStrongPowers:
@@ -408,7 +406,7 @@ class TestLadder:
     def test_tuple_labelled_channel_seeds_from_word_witnesses(self):
         # the product channel's input labels are themselves tuples
         ch = product_channel(noiseless(2), 2)
-        g = certified_graph(ch, 0)
+        g = certified_graph(ch)
         ladder = CapacityLadder()
         for n in (1, 2):
             ladder = extend_ladder(ladder, g, n)
@@ -429,10 +427,12 @@ class TestLadder:
             cap = log2_enclosure(F(min(len(ch.inputs), len(ch.outputs))), F(1, 2 ** 20))
             assert ladder.running_best.lo <= cap.hi
 
-    def test_conservative_graph_refused(self, hover_channel):
-        g = graph_of(hover_channel, level=3)
-        with pytest.raises(LadderError, match="conservative"):
-            extend_ladder(CapacityLadder(), g, 1)
+    def test_may_reach_graph_accepted(self, hover_channel):
+        # the hovering entry may join inputs 0 and 1: one code word per rung
+        ladder = CapacityLadder()
+        for n in (1, 2):
+            ladder = extend_ladder(ladder, certified_graph(hover_channel), n)
+        assert [(r.alpha, r.exact) for r in ladder.rungs] == [(1, True), (1, True)]
 
     def test_duplicate_rung_refused(self, pentagon):
         g = graph_of(pentagon)
@@ -462,7 +462,7 @@ class TestPinnedBytes:
             "66cbda69ab11fbd75a3d10fbcbff96e3aa74115c9f51a0c2e5d4c3b5f907af39"
 
     def test_asymmetric_channel_to_rung_three_at_engine_limits(self):
-        assert confgraph._dihedral_generators(certified_graph(ASYMMETRIC6, 0)) == (6, None)
+        assert confgraph._dihedral_generators(certified_graph(ASYMMETRIC6)) == (6, None)
         assert digest(build_ladder(ASYMMETRIC6, 3, **ENGINE_LIMITS).to_json()) == \
             "275300e3599f7c730c5502080ecef15237e40afba861c949167c253190eae370"
 

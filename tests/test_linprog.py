@@ -330,7 +330,7 @@ def test_typewriter_minimax_lp_matches_reference(q):
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_cycle_cover_lp_matches_reference(q):
-    graph = certified_graph(typewriter(q), 0)
+    graph = certified_graph(typewriter(q))
     for lp in _captured_lps(lambda: fractional_clique_cover(graph), confgraph):
         assert_matches_reference(lp)
 
