@@ -12,10 +12,12 @@ All state arithmetic is exact.  Each mode keeps one integer denominator L
 with x, the coder centre, the decoder centre and the radius (the two boxes
 share it: the radius recursion never reads a message) as integer numerators
 over it: a refine multiplies L by the cell count, a plant step moves L to
-lcm(L q, 2^32 D_den) for a = p/q, and reduced fractions are built only for
-the recorded rows.  Channel noise and disturbances are sampled through a
-seeded generator with exact inverse-CDF comparisons, so identical
-configurations reproduce identical trajectories byte for byte.
+lcm(L q, 2^32 D_den) for a = p/q, and disturbances are integer numerators
+over 2^32 D_den.  Recorded rows are reduced by a binary-gcd split, so no gcd
+takes the whole of L, which gains a bit per step.  Channel noise and
+disturbances are sampled through a seeded generator with exact inverse-CDF
+comparisons, so identical configurations reproduce identical trajectories
+byte for byte.
 """
 
 from __future__ import annotations
@@ -178,11 +180,31 @@ def sample_output(rng: random.Random, row) -> int:
             prev = cum
 
 
-def _sample_disturbance(rng: random.Random, bound):
-    if bound == 0:
-        return Fraction(0)
-    k = rng.getrandbits(32)
-    return bound * Fraction(2 * k - (1 << 32), 1 << 32)
+# ---------------------------------------------------------------------------
+# rows in lowest terms
+
+def _dyadic_split(den: int) -> tuple[int, int, int]:
+    """(den, v, odd) with den = odd * 2**v and odd odd, for den > 0."""
+    v = (den & -den).bit_length() - 1
+    return den, v, den >> v
+
+
+def _lowest_terms(n: int, split) -> Fraction:
+    """n / den in lowest terms, for split = _dyadic_split(den).
+
+    gcd(n, den) = 2**min(v2(n), v) * gcd(n, odd) (Stein 1967): the power of
+    two comes out by shifts, exact for negative n too, and the only gcd has
+    the odd part as an operand.  The pair is coprime with a positive
+    denominator, so the Fraction is built without a second gcd, as
+    ``Fraction._from_coprime_ints`` does; the result equals Fraction(n, den).
+    """
+    den, v, odd = split
+    k = min((n & -n).bit_length() - 1, v) if n else v
+    g = gcd(n, odd)
+    value = object.__new__(Fraction)
+    value._numerator = (n >> k) // g
+    value._denominator = (den >> k) // g
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +286,7 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
     used = prod(cells)
 
     # x, coder centre, decoder centre, radius of mode i = X, C, H, R[i] / L[i];
-    # every disturbance is a multiple of 1 / zeta_den
+    # every disturbance is z / zeta_den for an integer z
     rng = random.Random(cfg.seed)
     zeta_den = bound.denominator << 32 if bound else 1
     bound_num = bound.numerator << 32
@@ -307,19 +329,19 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
             X[i] *= m
             C[i] = C[i] * m + R[i] * (2 * k + 1 - m)
             H[i] = H[i] * m + R[i] * (2 * j + 1 - m)
-        radius = tuple(Fraction(R[i], L[i]) for i in range(dim))
-        transcript.append(EpochRecord(len(transcript), message, codeword, received,
-                                      decoded, radius))
 
         for step in range(n):
             if t >= cfg.horizon or diverged_at is not None:
                 break
-            if step:
-                radius = tuple(Fraction(R[i], L[i]) for i in range(dim))
-            x_hat = tuple(Fraction(H[i], L[i]) for i in range(dim))
-            err = max(Fraction(abs(X[i] - H[i]), L[i]) for i in range(dim))
+            splits = [_dyadic_split(d) for d in L]
+            radius = tuple(_lowest_terms(R[i], splits[i]) for i in range(dim))
+            if not step:
+                transcript.append(EpochRecord(len(transcript), message, codeword,
+                                              received, decoded, radius))
+            x_hat = tuple(_lowest_terms(H[i], splits[i]) for i in range(dim))
+            err = max(_lowest_terms(abs(X[i] - H[i]), splits[i]) for i in range(dim))
             times.append(t)
-            xs.append(tuple(Fraction(X[i], L[i]) for i in range(dim)))
+            xs.append(tuple(_lowest_terms(X[i], splits[i]) for i in range(dim)))
             xhats.append(x_hat)
             us.append(tuple(-modes[i] * x_hat[i] / gains[i] for i in range(dim))
                       if with_control else ())
@@ -329,8 +351,9 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
                 max_error = err
             if err > DIVERGENCE_THRESHOLD:
                 diverged_at = t
-            zeta = tuple(_sample_disturbance(rng, bound) for _ in range(dim))
-            zetas.append(zeta)
+            zeta = [bound.numerator * (2 * rng.getrandbits(32) - (1 << 32)) if bound else 0
+                    for _ in range(dim)]
+            zetas.append(tuple(Fraction(z, zeta_den) for z in zeta))
             for i in range(dim):
                 # x -> a x + b u + zeta over L' = lcm(L q, zeta_den), a = p/q;
                 # the deadbeat drive b u = -a x_hat cancels the decoder centre
@@ -341,8 +364,7 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
                 w = lq // g                      # L' / zeta_den
                 ps = modes[i].numerator * s
                 drive = H[i] if with_control else 0
-                z = zeta[i].numerator * (zeta_den // zeta[i].denominator)
-                X[i] = ps * (X[i] - drive) + z * w
+                X[i] = ps * (X[i] - drive) + zeta[i] * w
                 C[i] = ps * (C[i] - drive)
                 H[i] = ps * (H[i] - drive)
                 R[i] = ps * R[i] + bound_num * w

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from certcap.classify import Regime
 from certcap.confgraph import confusability_graph, max_independent_set, strong_power
 from certcap.linalg import as_matrix
 from certcap.plant import Plant
-from certcap.simulate import (SimConfig, SimulationError, identity_code,
-                              run_estimation, run_stabilization,
-                              run_weak_detection, sample_output, witness_code)
+from certcap.simulate import (SimConfig, SimulationError, _dyadic_split,
+                              _lowest_terms, identity_code, run_estimation,
+                              run_stabilization, run_weak_detection,
+                              sample_output, witness_code)
 from conftest import diagonal_plant, scalar_plant
 
 F = Fraction
@@ -237,6 +239,19 @@ PINNED_RUNS = [
      {"x0": (F(-7, 9),), "initial_radius": F(5, 4)}),
     ("radius-zero", run_estimation, lambda: scalar_plant(F(3, 2), disturbance=F(1, 10)),
      "nl2", "se-nofb", "identity", 100, 5, {"initial_radius": F(0)}),
+    ("odd-denominator", run_estimation,
+     lambda: diagonal_plant([F(3, 2), F(5, 4)], disturbance=F(1, 10)),
+     "nl4", "se-fb", "identity", 200, 13,
+     {"x0": (F(-7, 9), F(2, 15)), "initial_radius": F(5, 3)}),
+    ("pentagon-diag", run_estimation,
+     lambda: diagonal_plant([F(5, 4), F(6, 5)], disturbance=F(1, 10)),
+     "pentagon", "se-nofb", "block2", 200, 17, {}),
+    ("pentagon-mixed-cells", run_estimation,
+     lambda: diagonal_plant([F(3, 5), F(6, 5)], disturbance=F(1, 10)),
+     "pentagon", "se-nofb", "block2", 200, 23, {}),
+    ("pentagon-stab", run_stabilization,
+     lambda: scalar_plant(2, b=F(3, 7), disturbance=F(1, 10)),
+     "pentagon", "stab-fb", "block2", 200, 19, {}),
 ]
 
 # sha256 of each run's CSV, radius, zetas, transcript and summary, computed
@@ -251,6 +266,10 @@ PINNED_DIGESTS = {
     "bsc-diverges": "13c5fcc3616c7fb6633cebab29fd48e10d0d7f5e08460fc25dc3c0de85dd5f00",
     "negative-x0": "ad2947f6244b764b06a867b09085f53a3512e832bebe6978789ec02739481ae7",
     "radius-zero": "f15ba954ed620b6b796d24be6e8aae02f93113118ccec7c5616e3aab67c99ef0",
+    "odd-denominator": "ea4b88cd499b90325060e94da65cf437047bdf168bdef822b2714b694c399b31",
+    "pentagon-diag": "9646d78e566aca1b8dcc9625f4d9cb29d0a2d38c4334b81f249904459649e687",
+    "pentagon-mixed-cells": "38537ba87c271ef08dfcd8f39e74761c41b829b96c133de2297da2caa6daa21a",
+    "pentagon-stab": "00bc2dda4c9c7dbc67da5f904ad00f77373b348c5abfb20e9d9e3b5ffd518451",
 }
 
 
@@ -308,3 +327,45 @@ def test_zero_error_loop_invariants(run):
     assert all(e <= r for e, r in zip(traj.error, traj.radius))
     assert traj.summary["bounded"] is True
     assert traj.summary["zero_error_transcript"] is True
+
+
+def test_row_gcds_have_a_word_sized_operand(monkeypatch, nl2):
+    """Reducing a row costs no gcd on two numbers as large as the shared
+    denominator, which gains a bit per step: every gcd the loops call, their
+    own and the ones inside Fraction, has an operand of at most 64 bits."""
+    import certcap.simulate as sim
+
+    widest = []
+
+    def spy(real):
+        def gcd(*args):
+            widest.append(min(abs(a).bit_length() for a in args))
+            return real(*args)
+        return gcd
+
+    monkeypatch.setattr(math, "gcd", spy(math.gcd))
+    monkeypatch.setattr(sim, "gcd", spy(sim.gcd))
+    for runner, plant, regime in [
+            (run_estimation, scalar_plant(F(3, 2), disturbance=F(1, 10)), "se-nofb"),
+            (run_stabilization, scalar_plant(F(3, 2), b=1, disturbance=F(1, 10)), "stab-fb"),
+            (run_weak_detection, scalar_plant(F(3, 2)), "weak")]:
+        runner(SimConfig(plant, nl2, Regime(regime), identity_code(nl2),
+                         horizon=1_000, seed=7))
+    assert widest and max(widest) <= 64
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                 st.integers(-2 ** 3100, 2 ** 3100),
+                 st.builds(lambda a, k: a << k, st.integers(-2 ** 40, 2 ** 40),
+                           st.integers(0, 3100))),
+       st.one_of(st.integers(0, 2 ** 20).map(lambda m: 2 * m + 1),
+                 st.integers(0, 2 ** 3000).map(lambda m: 2 * m + 1)),
+       st.integers(0, 3000))
+def test_lowest_terms_is_the_normalised_fraction(n, odd, k):
+    den = odd << k
+    got, want = _lowest_terms(n, _dyadic_split(den)), F(n, den)
+    assert got == want
+    assert (repr(got), str(got), hash(got)) == (repr(want), str(want), hash(want))
+    assert got.denominator > 0
+    assert math.gcd(got.numerator, got.denominator) == 1
