@@ -10,6 +10,7 @@ input/usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -82,6 +83,7 @@ def _budget(flag: int | None) -> int:
     return budget
 
 
+@functools.cache  # one parser per process; parse_args returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="certcap",
@@ -134,6 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
+    if args.direction is not None and args.fixed_eta is None:
+        raise CliError("--direction needs --fixed-eta")
     budget = _budget(args.budget)
     ch = load_channel(_read_json(args.channel))
     if args.fixed_eta is not None:
@@ -190,6 +194,14 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.trace_out:  # fail before the run, and leave no file behind
+        existed = os.path.lexists(args.trace_out)
+        try:
+            open(args.trace_out, "a").close()
+        except OSError as exc:
+            raise CliError(f"cannot write {args.trace_out}: {exc.strerror}")
+        if not existed:
+            os.remove(args.trace_out)
     plant = load_plant(_read_json(args.plant))
     ch = load_channel(_read_json(args.channel))
     if args.code == "identity":

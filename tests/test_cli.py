@@ -1,7 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certcap import cli
 from certcap.channel import noiseless, product_channel
@@ -505,3 +512,182 @@ def test_simulate_auto_code_past_the_vertex_cap_exits_one(capsys, data_dir):
                              "--code", "auto", "--block-length", "6")
     assert (code, out) == (EXIT_ERROR, "")
     assert err == "error: 15625 vertices exceed the cap of 4096\n"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_unwritable_trace_out_exits_one_before_the_run(capsys, data_dir, tmp_path,
+                                                       monkeypatch, target):
+    def run_never_starts(cfg):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(cli, "run_estimation", run_never_starts)
+    path, reason = ((tmp_path, "Is a directory") if target == "directory" else
+                    (tmp_path / "no_such_dir" / "x.csv", "No such file or directory"))
+    code, out, err = run_cli(capsys, "simulate",
+                             "--plant", str(data_dir / "plant_3_2.json"),
+                             "--channel", str(data_dir / "noiseless2.json"),
+                             "--regime", "se-nofb", "--horizon", "20",
+                             "--trace-out", str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: cannot write {path}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_simulate_leaves_no_trace_file(capsys, data_dir, tmp_path):
+    fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+    existing.write_text("kept\n")
+    for path in (fresh, existing):
+        code, out, err = run_cli(capsys, "simulate",
+                                 "--plant", str(data_dir / "plant_dense4.json"),
+                                 "--channel", str(data_dir / "noiseless2.json"),
+                                 "--regime", "se-nofb", "--horizon", "20",
+                                 "--trace-out", str(path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: simulator supports scalar/diagonal A only\n"
+    assert sorted(tmp_path.iterdir()) == [existing]
+    assert existing.read_text() == "kept\n"
+
+
+def test_direction_without_fixed_eta_exits_one(capsys, data_dir):
+    code, out, err = run_cli(capsys, "analyze",
+                             "--plant", str(data_dir / "plant_3_2.json"),
+                             "--channel", str(data_dir / "pentagon.json"),
+                             "--regime", "se-fb", "--direction", "capacity-below")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: --direction needs --fixed-eta\n"
+
+
+ANALYZE_DIAG3 = ("analyze", "--plant", "plant_diag3.json", "--channel", "pentagon.json",
+                 "--regime", "se-fb")
+ETA_DIAG2 = ("eta", "--plant", "plant_diag2.json")
+
+# back-to-back calls that share one parser
+REENTRANT_SEQUENCES = {
+    "subcommands": [ETA_DIAG2, ("fb-capacity", "--channel", "bsc_1_4.json"),
+                    ("zero-error", "--channel", "pentagon.json"), ANALYZE_DIAG3],
+    "budget": [ANALYZE_DIAG3 + ("--budget", "5"), ANALYZE_DIAG3],
+    "format": [("--format", "text") + ETA_DIAG2, ETA_DIAG2],
+    "usage-error": [("eta", "--width", "1/2"), ETA_DIAG2],
+    "help": [("--help",), ("--help",)],
+}
+
+
+@pytest.mark.parametrize("calls", REENTRANT_SEQUENCES.values(), ids=REENTRANT_SEQUENCES)
+def test_shared_parser_is_reentrant(capsys, data_dir, monkeypatch, calls):
+    monkeypatch.delenv("CERTCAP_BUDGET", raising=False)
+    calls = [_resolve(data_dir, list(argv)) for argv in calls]
+    cli._build_parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+
+
+def test_budget_env_change_between_calls_is_honoured(capsys, data_dir, monkeypatch):
+    argv = _resolve(data_dir, list(ANALYZE_DIAG3))
+    for budget in ("0", "7", "0"):
+        monkeypatch.setenv("CERTCAP_BUDGET", budget)
+        _, out, _ = run_cli(capsys, *argv)
+        assert json.loads(out)["budget"]["limit"] == int(budget)
+
+
+def test_twenty_calls_build_the_parser_once(capsys, data_dir):
+    cli._build_parser.cache_clear()
+    for _ in range(20):
+        assert run_cli(capsys, *_resolve(data_dir, list(ETA_DIAG2)))[0] == EXIT_OK
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+
+
+# Argv fuzz: every subcommand over the tests/data documents, each flag's
+# value drawn from its valid pool except for at most one drawn from its
+# hostile pool (missing files, directories, documents of the wrong kind,
+# zero, negative and non-integer ints, malformed rationals, unknown
+# choices).  Every simulate call names a --trace-out target, which may be a
+# directory or lie in a missing one.  Sizes stay small (horizon and budget
+# <= 20, block lengths <= 2) so that 150 calls take seconds.
+DATA_DIR = Path(__file__).resolve().parent / "data"
+PLANTS = sorted(str(p) for p in DATA_DIR.glob("plant_*.json"))
+CHANNELS = sorted(str(p) for p in DATA_DIR.glob("*.json")
+                  if not p.name.startswith(("plant_", "bad_")))
+MISSING = [str(DATA_DIR / "no_such.json"), str(DATA_DIR)]
+# the simulator takes scalar or diagonal plants over exact channels
+SIM_PLANTS = [p for p in PLANTS if "dense" not in p]
+SIM_CHANNELS = [c for c in CHANNELS if "stream" not in c]
+RATIONALS = (["1/2", "1/10", "1/100", "5/4", "3"],
+             ["0", "-1", "-1/2", "1/0", "1e-3", "abc", ""])
+FUZZ_VALUES = {
+    "plant": (PLANTS, MISSING + [CHANNELS[0]]),
+    "channel": (CHANNELS, MISSING + [PLANTS[0], str(DATA_DIR / "bad_channel.json")]),
+    "sim-plant": (SIM_PLANTS, MISSING + sorted(set(PLANTS) - set(SIM_PLANTS)) + CHANNELS[:1]),
+    "sim-channel": (SIM_CHANNELS,
+                    MISSING + sorted(set(CHANNELS) - set(SIM_CHANNELS)) + PLANTS[:1]),
+    "int": ([str(k) for k in range(21)], ["-1", "-7", "abc", "1.5", ""]),
+    "block": (["1", "2"], ["0", "-1", "abc", "1.5"]),
+    "rational": RATIONALS,
+    "regime": (["se-nofb", "se-fb", "stab-fb", "weak"], ["bogus"]),
+    "direction": (["capacity-above", "capacity-below"], ["up"]),
+    "code": (["identity", "auto"], ["none"]),
+    "trace": (["fresh", "existing", "directory", "missing-directory"], [""]),
+}
+FUZZ_COMMANDS = {  # flag, value pool, required
+    "analyze": [("--plant", "plant", True), ("--channel", "channel", True),
+                ("--regime", "regime", True), ("--budget", "int", True),
+                ("--fixed-eta", "rational", False), ("--direction", "direction", False)],
+    "capacity": [("--channel", "channel", True), ("--tolerance", "rational", True),
+                 ("--max-block", "block", False)],
+    "zero-error": [("--channel", "channel", True), ("--max-block", "block", False)],
+    "fb-capacity": [("--channel", "channel", True), ("--width", "rational", False)],
+    "eta": [("--plant", "plant", True), ("--width", "rational", False)],
+    "simulate": [("--plant", "sim-plant", True), ("--channel", "sim-channel", True),
+                 ("--regime", "regime", True), ("--horizon", "int", True),
+                 ("--seed", "int", False), ("--block-length", "block", False),
+                 ("--code", "code", False), ("--radius", "rational", False),
+                 ("--trace-out", "trace", True)],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    flags = [(name, kind) for name, kind, required in FUZZ_COMMANDS[command]
+             if required or draw(st.booleans())]
+    hostile = draw(st.one_of(st.none(), st.integers(0, len(flags) - 1)))
+    argv = ["--format", "text"] if draw(st.booleans()) else []
+    argv.append(command)
+    for i, (name, kind) in enumerate(flags):
+        value = draw(st.sampled_from(FUZZ_VALUES[kind][i == hostile]))
+        argv.append(f"{name}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=fuzz_argv())
+def test_argv_fuzz_never_raises(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        existing = os.path.join(tmp, "existing.csv")
+        with open(existing, "w") as fh:
+            fh.write("kept\n")
+        targets = {"fresh": os.path.join(tmp, "fresh.csv"), "existing": existing,
+                   "directory": tmp, "missing-directory": os.path.join(tmp, "no", "x.csv"), "": ""}
+        trace = None
+        for i, arg in enumerate(argv):
+            if arg.startswith("--trace-out="):
+                trace = arg.partition("=")[2]
+                argv[i] = f"--trace-out={targets[trace]}"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == EXIT_ERROR:
+            assert out.getvalue() == "" and "error:" in err.getvalue()
+        else:
+            assert code in (EXIT_OK, EXIT_UNDETERMINED)
+            assert out.getvalue() and err.getvalue() == ""
+        written = sorted(os.listdir(tmp))
+        assert written == (["existing.csv", "fresh.csv"] if trace == "fresh" and code == EXIT_OK
+                           else ["existing.csv"])
+        with open(existing) as fh:
+            assert (fh.read() == "kept\n") == (trace != "existing" or code != EXIT_OK)
