@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .channel import Channel, SupportCertificate, certify_support, support_sets
 from .confgraph import confusability_graph
-from .enclosure import DomainError, Enclosure, log2_enclosure, rational_str
+from .enclosure import (DomainError, Enclosure, log2_enclosure, log2_fixed,
+                        rational_str, width_bits)
 from .linprog import LinearProgram, solve_lp
 
 DEFAULT_C0FB_WIDTH = Fraction(1, 1 << 20)
@@ -150,18 +151,19 @@ def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
 class ShannonBounds:
     """Anytime certified bracket [lower.lo, upper.hi] around the capacity.
 
-    The input distribution evolves by the classic alternating-optimization
-    update in floating point, but each step recomputes the bounds at the
-    current distribution in exact rational arithmetic with interval log2
-    terms of the width it is given, so the bracket is sound regardless of
-    how the iteration behaves.  Each side keeps its best bound, with the
-    distribution and log width that give it.
+    The input distribution evolves by the Blahut-Arimoto update in floating
+    point, on rows converted to floats once.  Each step recomputes both
+    bounds exactly at the current distribution (certified_capacity_bounds:
+    integer sums, one Fraction per endpoint) with log2 terms of the width it
+    is given, so the bracket is sound however the iteration behaves.  Each
+    side keeps its best bound, with the distribution and log width that give it.
     """
 
     def __init__(self, ch: Channel):
         if not ch.is_exact:
             raise DomainError("exact channel required")
         self.rows = ch.rows
+        self.float_rows = [[float(w) for w in row] for row in ch.rows]
         nx = len(ch.inputs)
         self.dist = tuple(Fraction(1, nx) for _ in range(nx))
         self.iterations = 0
@@ -182,7 +184,7 @@ class ShannonBounds:
             self.lower, self.lower_from = lower, (self.dist, log_width)
         if self.upper is None or upper.hi < self.upper.hi:
             self.upper, self.upper_from = upper, (self.dist, log_width)
-        self.dist = next_distribution(self.rows, self.dist)
+        self.dist = next_distribution(self.float_rows, self.dist)
         self.iterations += 1
 
     def to_json(self) -> dict:
@@ -196,47 +198,56 @@ def certified_capacity_bounds(rows, dist, log_width):
 
     Both are valid capacity bounds for any input distribution: the mutual
     information from below, the largest divergence of a row from the output
-    marginal from above.
+    marginal from above.  The sums run in integers over one denominator: the
+    distribution is P/dd and the rows W/wd (lcms of their denominators), so
+    the marginal is M/(dd wd) with M_y = sum_x P_x W_xy and each term is
+    log2_fixed(W_xy dd, M_y).  Each endpoint is one Fraction, built at the end.
     """
-    ny = len(rows[0])
-    marginal = [sum(dist[x] * rows[x][y] for x in range(len(rows)))
-                for y in range(ny)]
-    for y in range(ny):
-        if marginal[y] == 0 and any(row[y] > 0 for row in rows):
-            raise DomainError(
-                "distribution assigns zero mass to a reachable output; "
-                "the divergence upper bound would be vacuous")
-    info = Enclosure.exact(Fraction(0))
-    per_input = []
-    for x, row in enumerate(rows):
-        div = Enclosure.exact(Fraction(0))
-        for y, w in enumerate(row):
-            if w == 0:
-                continue
-            term = log2_enclosure(w / marginal[y], log_width)
-            div = div + term.scaled(w)
-        per_input.append(div)
-        if dist[x] > 0:
-            info = info + div.scaled(dist[x])
-    upper = Enclosure(max(d.lo for d in per_input), max(d.hi for d in per_input))
-    return info, upper
+    m = width_bits(log_width)
+    dd = math.lcm(*(p.denominator for p in dist))
+    wd = math.lcm(*(w.denominator for row in rows for w in row))
+    weights = [p.numerator * (dd // p.denominator) for p in dist]
+    counts = [[w.numerator * (wd // w.denominator) for w in row] for row in rows]
+    marginal = [sum(p * row[y] for p, row in zip(weights, counts))
+                for y in range(len(rows[0]))]
+    if any(mass == 0 and any(row[y] for row in counts) for y, mass in enumerate(marginal)):
+        raise DomainError(
+            "distribution assigns zero mass to a reachable output; "
+            "the divergence upper bound would be vacuous")
+    info_lo = info_hi = level = 0
+    divs = []  # each row's divergence bounds, over wd * 2**m
+    for p, row in zip(weights, counts):
+        lo = hi = 0
+        for w, mass in zip(row, marginal):
+            if w:
+                digits, exact = log2_fixed(w * dd, mass, m)
+                lo, hi = lo + w * digits, hi + w * (digits if exact else digits + 1)
+        divs.append((lo, hi))
+        if p:
+            info_lo, info_hi = info_lo + p * lo, info_hi + p * hi
+            level = m if hi > lo else level  # an inexact term weighs in
+    den = (dd * wd) << m
+    info = Enclosure(Fraction(info_lo, den), Fraction(info_hi, den), level)
+    los, his = zip(*divs)
+    return info, Enclosure(Fraction(max(los), wd << m), Fraction(max(his), wd << m))
 
 
 def next_distribution(rows, dist):
-    """One heuristic alternating-optimization update in floating point,
-    snapped to a positive rational distribution; certification never trusts it.
+    """One heuristic alternating-optimization update in floating point on
+    ``rows`` as floats, snapped to a positive rational distribution;
+    certification never trusts it.
 
     The snap to a 2**-40 grid keeps entries strictly positive (so output
     marginals never vanish on reachable outputs) and renormalizes exactly.
     """
     nx, ny = len(rows), len(rows[0])
     p = [float(v) for v in dist]
-    q = [sum(p[x] * float(rows[x][y]) for x in range(nx)) for y in range(ny)]
+    q = [sum(p[x] * rows[x][y] for x in range(nx)) for y in range(ny)]
     logs = []
     for x in range(nx):
         acc = 0.0
         for y in range(ny):
-            w = float(rows[x][y])
+            w = rows[x][y]
             if w > 0 and q[y] > 0:
                 acc += w * math.log2(w / q[y])
         logs.append(acc)

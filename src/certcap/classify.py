@@ -510,11 +510,14 @@ def classify_fixed_plant(eta: Enclosure, ch: Channel, direction: str,
     Solvable; "capacity-below" runs the feedback-capacity upper bound and
     can halt Unsolvable.  When the exponent provably reaches log2 of the
     smaller alphabet size, no channel on these alphabets can beat it and
-    "capacity-above" short-circuits to Unsolvable for every channel.
+    "capacity-above" short-circuits to Unsolvable for every channel.  A
+    negative exponent belongs to no plant and raises DomainError.
     """
     kind = f"fixed-plant:{direction}"
     if kind not in _FIXED_PLANT:
         raise ValueError(f"unknown direction {direction!r}")
+    if eta.lo < 0:  # a sum of log2 max(1, |lambda|) over the eigenvalues
+        raise DomainError(f"the exponent must be >= 0, got {rational_str(eta.lo)}")
     if direction == "capacity-above":
         alphabet = min(len(ch.inputs), len(ch.outputs))
         # exact for powers of two

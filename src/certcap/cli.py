@@ -224,7 +224,7 @@ def _cmd_simulate(args) -> int:
     traj = run(cfg)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(traj.to_csv())
+            fh.writelines(traj.csv_lines())
     _emit(traj.summary, args.format)
     return EXIT_OK
 

@@ -125,71 +125,78 @@ def floor_log2(x: Fraction) -> int:
     """Largest k with 2**k <= x, for x > 0."""
     if x <= 0:
         raise DomainError("floor_log2 requires a positive argument")
-    n, d = x.numerator, x.denominator
-    # n / d lies in [2**(k-1), 2**(k+1))
-    k = n.bit_length() - d.bit_length()
-    return k if n << max(-k, 0) >= d << max(k, 0) else k - 1
+    return log2_fixed(x.numerator, x.denominator, 0)[0]
 
 
-def _extract_log_digits(y: Fraction, m: int, precision: int) -> int | None:
-    """Certified binary digits of log2(y) for y in (1, 2).
+def width_bits(max_width: Fraction) -> int:
+    """The smallest m >= 1 with 2**-m <= max_width."""
+    max_width = Fraction(max_width)
+    if max_width <= 0:
+        raise DomainError("target width must be positive")
+    return max(1, -floor_log2(max_width))
 
-    Works on an outward-rounded dyadic bracket of y with ``precision``
+
+def _extract_log_digits(n: int, d: int, m: int, precision: int) -> int | None:
+    """The first m binary digits of log2(n/d) for n/d in (1, 2).
+
+    Works on an outward-rounded dyadic bracket of n/d with ``precision``
     fractional bits; squaring doubles the true value's exponent, so the k-th
     comparison against 2 decides the k-th digit.  Returns None when the
     bracket is too wide to certify a digit (caller retries at higher
-    precision; log2(y) is irrational here, so retrying terminates).
+    precision; log2(n/d) is irrational here, so retrying terminates).
     """
-    scale = 1 << precision
-    zlo = (y.numerator * scale) // y.denominator
-    zhi = -((-y.numerator * scale) // y.denominator)
+    zlo = (n << precision) // d
+    zhi = -((-n << precision) // d)
+    two = 2 << precision
     digits = 0
     for _ in range(m):
-        zlo = (zlo * zlo) // scale
-        zhi = -((-zhi * zhi) // scale)
-        two = 2 * scale
+        zlo = (zlo * zlo) >> precision
+        zhi = -((-zhi * zhi) >> precision)
         if zhi < two:
-            bit = 0
+            digits <<= 1
         elif zlo >= two:
-            bit = 1
-            zlo //= 2
-            zhi = (zhi + 1) // 2
+            digits = (digits << 1) | 1
+            zlo >>= 1
+            zhi = (zhi + 1) >> 1
         else:
             return None
-        digits = (digits << 1) | bit
     return digits
+
+
+def log2_fixed(n: int, d: int, m: int) -> tuple[int, bool]:
+    """(D, exact): D = floor(2**m * log2(n/d)) for positive integers n and d,
+    not necessarily coprime, and whether n/d is a power of two.
+
+    log2(n/d) is D / 2**m when exact, else inside (D, D + 1) / 2**m.  The
+    package's one certified log2: its digits come from comparisons of dyadic
+    powers against n/d, so no transcendental routine is trusted.
+    """
+    k = n.bit_length() - d.bit_length()
+    n, d = n << max(-k, 0), d << max(k, 0)  # divide n/d by 2**k: [1/2, 2)
+    if n < d:
+        k, n = k - 1, n << 1
+    if n == d:
+        return k << m, True
+    precision = m + 16  # the bracket's relative width grows to about 2**(m - precision)
+    while (digits := _extract_log_digits(n, d, m, precision)) is None:
+        precision *= 2
+    return (k << m) + digits, False
 
 
 def log2_enclosure(x: Fraction, max_width: Fraction) -> Enclosure:
     """Enclosure of log2(x) with width <= max_width and dyadic endpoints.
 
-    Exact powers of two yield a zero-width enclosure.  Everything else is
-    resolved digit by digit through certified comparisons of dyadic powers
-    of two against x, so no transcendental routine is trusted.
+    Exact powers of two yield a zero-width enclosure at level 0; anything
+    else is [D, D + 1] / 2**m from log2_fixed, at level m.
     """
     x = Fraction(x)
     if x <= 0:
         raise DomainError("log2 requires a positive argument")
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise DomainError("target width must be positive")
-
-    k = exact_log2(x)
-    if k is not None:
-        return Enclosure.exact(Fraction(k))
-    if x < 1:
-        return -log2_enclosure(1 / x, max_width)
-
-    m = max(1, -floor_log2(max_width))  # 2**-m <= max_width
-    k = floor_log2(x)
-    y = x / Fraction(2) ** k
-    precision = m + 64
-    digits = _extract_log_digits(y, m, precision)
-    while digits is None:
-        precision *= 2
-        digits = _extract_log_digits(y, m, precision)
-    lo = k + Fraction(digits, 1 << m)
-    return Enclosure(lo, lo + Fraction(1, 1 << m), level=m)
+    m = width_bits(max_width)
+    digits, exact = log2_fixed(x.numerator, x.denominator, m)
+    if exact:
+        return Enclosure.exact(Fraction(digits >> m))
+    return Enclosure(Fraction(digits, 1 << m), Fraction(digits + 1, 1 << m), level=m)
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:

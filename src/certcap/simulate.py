@@ -125,13 +125,15 @@ class Trajectory:
     transcript: tuple
     summary: dict
 
-    def to_csv(self) -> str:
-        lines = ["t,x,x_hat,error,u"]
+    def csv_lines(self):
+        """The trajectory CSV one newline-terminated line at a time."""
+        yield "t,x,x_hat,error,u\n"
         for i, t in enumerate(self.times):
-            lines.append(",".join([
-                str(t), _vec(self.x[i]), _vec(self.x_hat[i]),
-                rational_str(self.error[i]), _vec(self.u[i])]))
-        return "\n".join(lines) + "\n"
+            yield ",".join([str(t), _vec(self.x[i]), _vec(self.x_hat[i]),
+                            rational_str(self.error[i]), _vec(self.u[i])]) + "\n"
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_lines())
 
     def verify_recursion(self, cfg: SimConfig) -> bool:
         """Re-check x(t+1) = A x(t) + B u(t) + zeta(t) exactly, post hoc."""

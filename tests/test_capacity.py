@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from certcap.capacity import (ShannonBounds, feedback_zero_error_capacity,
-                              minimax_ladder_step, shannon_capacity,
-                              verify_minimax_lower_bound)
+from certcap.capacity import (ShannonBounds, certified_capacity_bounds,
+                              feedback_zero_error_capacity, minimax_ladder_step,
+                              shannon_capacity, verify_minimax_lower_bound)
 from certcap.channel import certify_support, exact_channel, resolving_stream
-from certcap.enclosure import DomainError
+from certcap.enclosure import DomainError, Enclosure, log2_enclosure, log2_fixed
 
 F = Fraction
 mpmath.mp.dps = 50
@@ -206,3 +208,172 @@ def test_ordering_chain_on_corpus(pentagon, nl2, bsc14):
         for n in (1, 2):
             ladder = extend_ladder(ladder, g, n)
         assert ladder.running_best.lo <= fb.enclosure.hi
+
+
+# Reference bounds: certified_capacity_bounds and log2_enclosure as they
+# stood with one Enclosure of Fractions per log2 term.  The integer bounds
+# must return the same endpoints and levels, and raise where they raise.
+
+def reference_exact_log2(x):
+    n, d = x.numerator, x.denominator
+    if n > 0 and n & (n - 1) == 0 and d & (d - 1) == 0:
+        return n.bit_length() - d.bit_length()
+    return None
+
+
+def reference_floor_log2(x):
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    return k if n << max(-k, 0) >= d << max(k, 0) else k - 1
+
+
+def reference_extract_log_digits(y, m, precision):
+    scale = 1 << precision
+    zlo = (y.numerator * scale) // y.denominator
+    zhi = -((-y.numerator * scale) // y.denominator)
+    digits = 0
+    for _ in range(m):
+        zlo = (zlo * zlo) // scale
+        zhi = -((-zhi * zhi) // scale)
+        two = 2 * scale
+        if zhi < two:
+            bit = 0
+        elif zlo >= two:
+            bit = 1
+            zlo //= 2
+            zhi = (zhi + 1) // 2
+        else:
+            return None
+        digits = (digits << 1) | bit
+    return digits
+
+
+def reference_log2_enclosure(x, max_width):
+    x = Fraction(x)
+    if x <= 0:
+        raise DomainError("log2 requires a positive argument")
+    max_width = Fraction(max_width)
+    if max_width <= 0:
+        raise DomainError("target width must be positive")
+    k = reference_exact_log2(x)
+    if k is not None:
+        return Enclosure.exact(Fraction(k))
+    if x < 1:
+        return -reference_log2_enclosure(1 / x, max_width)
+    m = max(1, -reference_floor_log2(max_width))
+    k = reference_floor_log2(x)
+    y = x / Fraction(2) ** k
+    precision = m + 64
+    digits = reference_extract_log_digits(y, m, precision)
+    while digits is None:
+        precision *= 2
+        digits = reference_extract_log_digits(y, m, precision)
+    lo = k + Fraction(digits, 1 << m)
+    return Enclosure(lo, lo + Fraction(1, 1 << m), level=m)
+
+
+def reference_capacity_bounds(rows, dist, log_width):
+    ny = len(rows[0])
+    marginal = [sum(dist[x] * rows[x][y] for x in range(len(rows)))
+                for y in range(ny)]
+    for y in range(ny):
+        if marginal[y] == 0 and any(row[y] > 0 for row in rows):
+            raise DomainError("distribution assigns zero mass to a reachable output")
+    info = Enclosure.exact(Fraction(0))
+    per_input = []
+    for x, row in enumerate(rows):
+        div = Enclosure.exact(Fraction(0))
+        for y, w in enumerate(row):
+            if w == 0:
+                continue
+            term = reference_log2_enclosure(w / marginal[y], log_width)
+            div = div + term.scaled(w)
+        per_input.append(div)
+        if dist[x] > 0:
+            info = info + div.scaled(dist[x])
+    upper = Enclosure(max(d.lo for d in per_input), max(d.hi for d in per_input))
+    return info, upper
+
+
+def _same_outcome(fn, reference, *args):
+    try:
+        expected = reference(*args)
+    except DomainError:
+        with pytest.raises(DomainError):
+            fn(*args)
+        return
+    assert fn(*args) == expected  # Enclosure equality compares lo, hi and level
+
+
+dyadic_width = st.integers(1, 80).map(lambda k: F(1, 1 << k))
+any_width = st.one_of(dyadic_width,
+                      st.fractions(min_value=F(1, 10 ** 15), max_value=3).filter(lambda w: w > 0))
+# entries with zeros and with powers of two, which make ratios exact
+entry = st.one_of(st.just(F(0)), st.sampled_from([F(1), F(1, 2), F(1, 4), F(1, 8)]),
+                  st.fractions(min_value=0, max_value=1, max_denominator=40))
+mass = st.one_of(st.just(0), st.sampled_from([1, 2, 4, 8]), st.integers(1, 1 << 40))
+
+
+@st.composite
+def capacity_cases(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [[draw(entry) for _ in range(ny)] for _ in range(nx)]
+    if draw(st.booleans()):  # channel rows sum to one
+        rows = [[w / sum(row) for w in row] if any(row) else row for row in rows]
+    masses = [draw(mass) for _ in range(nx)]
+    dist = tuple(F(v, sum(masses) or 1) for v in masses)
+    return rows, dist, draw(any_width)
+
+
+@given(case=capacity_cases())
+@settings(max_examples=400, deadline=None)
+# every row the distribution weighs is exact, and a row it does not weigh is
+# not: the information bound stays at level 0
+@example(case=([[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]], (F(1), F(0)), F(1, 1 << 20)))
+# ratios 2/3 and 4/3, one on each side of 1, at a width that is not dyadic
+@example(case=([[F(1, 3), F(2, 3)], [F(2, 3), F(1, 3)]], (F(1, 2), F(1, 2)), F(1, 3)))
+def test_integer_bounds_match_fraction_reference(case):
+    rows, dist, width = case
+    _same_outcome(certified_capacity_bounds, reference_capacity_bounds, rows, dist, width)
+
+
+@pytest.mark.parametrize("rows, dist", [
+    ([[F(1), F(0)], [F(0), F(1)]], (F(1), F(0))),          # output 1 reachable, no mass
+    ([[F(1, 2), F(1, 2)], [F(0), F(1)]], (F(0), F(1))),    # output 0 reachable from row 0
+])
+def test_zero_marginal_raises_on_both_sides(rows, dist):
+    for bounds in (certified_capacity_bounds, reference_capacity_bounds):
+        with pytest.raises(DomainError, match="reachable output"):
+            bounds(rows, dist, F(1, 256))
+
+
+def test_unweighted_inexact_row_keeps_level_zero():
+    rows, dist = [[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]], (F(1), F(0))
+    info, upper = certified_capacity_bounds(rows, dist, F(1, 1 << 20))
+    assert info == Enclosure.exact(F(0))  # row 0 matches the marginal exactly
+    assert upper.level == 0 and upper.hi > 0  # row 1 still bounds from above
+
+
+positive = st.integers(1, 1 << 70)
+
+
+@given(x=st.one_of(st.fractions(min_value=F(1, 10 ** 30), max_value=10 ** 30)
+                   .filter(lambda f: f > 0),
+                   st.integers(-90, 90).map(lambda k: F(2) ** k)),
+       width=any_width)
+@settings(max_examples=300, deadline=None)
+def test_log2_enclosure_matches_fraction_reference(x, width):
+    _same_outcome(log2_enclosure, reference_log2_enclosure, x, width)
+
+
+@given(n=positive, d=positive, k=st.integers(1, 1 << 40), m=st.integers(0, 80))
+@settings(max_examples=300, deadline=None)
+@example(n=3, d=12, k=5, m=7)  # 1/4: exact, below one
+def test_log2_fixed_ignores_common_factors(n, d, k, m):
+    digits, exact = log2_fixed(n, d, m)
+    assert log2_fixed(n * k, d * k, m) == (digits, exact)
+    assert exact == (reference_exact_log2(F(n, d)) is not None)
+    if m:
+        assert F(digits, 1 << m) == reference_log2_enclosure(F(n, d), F(1, 1 << m)).lo
+    else:
+        assert digits == reference_floor_log2(F(n, d))

@@ -23,7 +23,7 @@ from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               SeparationCertificate, Verdict, classify,
                               classify_fixed_plant, dovetail, log2_compare,
                               revalidate, _assert_monotone_predicates)
-from certcap.enclosure import Enclosure, log2_enclosure
+from certcap.enclosure import DomainError, Enclosure, log2_enclosure
 from certcap.plant import instability_exponent
 from conftest import diagonal_plant, scalar_plant
 
@@ -293,6 +293,12 @@ class TestFixedPlant:
             assert verdict.outcome == "Undetermined"
             assert verdict.certificate.note == ""
             assert verdict.regime == "fixed-plant:capacity-below"
+
+    @pytest.mark.parametrize("direction", ["capacity-above", "capacity-below"])
+    def test_negative_exponent_is_a_domain_error(self, nl2, direction):
+        # eta >= 0 for every plant; a negative value must not halt Solvable
+        with pytest.raises(DomainError, match="exponent must be >= 0"):
+            classify_fixed_plant(Enclosure(F(-1), F(1, 2)), nl2, direction, 10)
 
     def test_unknown_direction(self, nl2):
         with pytest.raises(ValueError, match="direction"):

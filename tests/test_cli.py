@@ -479,6 +479,42 @@ def test_may_reach_stdout_is_pinned(capsys, data_dir, argv, pinned):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
 
 
+# sha256 of stdout and the exit code of commands whose bytes carry the
+# certified Shannon bounds: capacity on every exact channel in tests/data and
+# one weak analysis whose lower bound is certified at level 60, pinned from
+# the Fraction-per-term bounds that the integer bounds replaced.  asym3x4's
+# third input's optimal mass tends to 0, so Blahut-Arimoto takes 300 iterates
+# at tolerance 1/10000 and 2974 at the default.
+SHANNON_DIGESTS = [
+    (("capacity", "--channel", "asym3x4.json", "--tolerance", "1/10000"),
+     ("bcd6dfa20e5d21c0130c3029a0ae58e1a00c0f64f3008efdbb3c8133ba75b114", 0)),
+    (("capacity", "--channel", "asym3x4.json"),
+     ("f7a71d0b993e8f71f0089ca5984252a318c93d3f7f719bd562dd8d4292bc21a8", 0)),
+    (("capacity", "--channel", "bsc_1_10.json"),
+     ("10dbaaca3c0a1fb7db681e625b3af44215ed444ed2ef1de107719c17cb4dfb02", 0)),
+    (("capacity", "--channel", "bsc_1_4.json"),
+     ("f38d182e0931220f2edd4d8c9438beefa81fe8067cc3b1f2232ab6f4975cdb8d", 0)),
+    (("capacity", "--channel", "noiseless2.json"),
+     ("3abf8b937feb06c61ac3e17ef9fb6f66bf7105f7044f6633d696361e0de267cf", 0)),
+    (("capacity", "--channel", "pentagon.json"),
+     ("bc265b37d4d320f7d0d2b157758f56c77ebb9835559e2040f9790ad7b0f10d15", 0)),
+    (("capacity", "--channel", "sparse8.json"),
+     ("a163ae99a9c49f4f39ce829e0298eca8eb305d9bb9945f9f5179a64fdbd4b39f", 0)),
+    (("capacity", "--channel", "typewriter4.json"),
+     ("5e590b3a8b47ce1891de34bf650ee634a9589b3f36b25683371f298c8b07f9cf", 0)),
+    (("analyze", "--plant", "plant_weak_1093_1000.json", "--channel", "asym3x4.json",
+      "--regime", "weak", "--budget", "10000"),
+     ("fb9f6ed44260f894b00d9b9851ed6f54b9106be4175ca613b6003b27be31990f", 0)),
+]
+
+
+@pytest.mark.parametrize("argv, pinned", SHANNON_DIGESTS,
+                         ids=[" ".join(a[:3]) + f"#{i}" for i, (a, _) in enumerate(SHANNON_DIGESTS)])
+def test_shannon_bounds_stdout_is_pinned(capsys, data_dir, argv, pinned):
+    code, out, _ = run_cli(capsys, *_resolve(data_dir, list(argv)))
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
+
+
 def test_zero_error_ladder_on_a_hovering_stream(capsys, data_dir):
     # the hovering entry may join the two inputs: rung 1 is one word, exactly
     code, out, _ = run_cli(capsys, "zero-error", "--channel",
@@ -555,6 +591,41 @@ def test_direction_without_fixed_eta_exits_one(capsys, data_dir):
                              "--regime", "se-fb", "--direction", "capacity-below")
     assert (code, out) == (EXIT_ERROR, "")
     assert err == "error: --direction needs --fixed-eta\n"
+
+
+@pytest.mark.parametrize("eta, shown", [("-1", "-1"), ("-1/1000", "-1/1000")])
+def test_negative_fixed_eta_exits_one(capsys, data_dir, eta, shown):
+    for direction in ("capacity-above", "capacity-below"):
+        code, out, err = run_cli(capsys, "analyze",
+                                 "--plant", str(data_dir / "plant_3_2.json"),
+                                 "--channel", str(data_dir / "pentagon.json"),
+                                 "--regime", "weak", f"--fixed-eta={eta}",
+                                 "--direction", direction, "--budget", "20")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"error: the exponent must be >= 0, got {shown}\n"
+
+
+def test_zero_fixed_eta_still_runs(capsys, data_dir):
+    code, out, _ = run_cli(capsys, "analyze", "--plant", str(data_dir / "plant_3_2.json"),
+                           "--channel", str(data_dir / "pentagon.json"),
+                           "--regime", "weak", "--fixed-eta=0", "--budget", "20")
+    assert code == EXIT_OK and json.loads(out)["outcome"] == "Solvable"
+
+
+def test_trace_out_streams_the_csv(capsys, data_dir, tmp_path, monkeypatch):
+    from certcap.simulate import Trajectory
+
+    def whole_string(self):
+        raise AssertionError("the CSV was built as one string")
+
+    monkeypatch.setattr(Trajectory, "to_csv", whole_string)
+    path = tmp_path / "trace.csv"
+    code, out, _ = run_cli(capsys, *_resolve(data_dir, list(GOLDEN_COMMANDS[9])),
+                           "--trace-out", str(path))
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN_DIGESTS[9]
+    # the 300-step CSV's digest when it was written from to_csv()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "007318c797dbd6cbdc4b48265e8aec8fb1ca576da1c22a433d57fd5182f7f640")
 
 
 ANALYZE_DIAG3 = ("analyze", "--plant", "plant_diag3.json", "--channel", "pentagon.json",

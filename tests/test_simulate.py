@@ -273,15 +273,46 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("run", PINNED_RUNS, ids=[r[0] for r in PINNED_RUNS])
-def test_trajectory_bytes_are_pinned(request, run):
+def _pinned_trajectory(request, run):
     name, runner, plant, channel, regime, code, horizon, seed, extra = run
     ch = noiseless(4) if channel == "nl4" else request.getfixturevalue(channel)
     code = pentagon_block2_code(ch) if code == "block2" else identity_code(ch)
     cfg = SimConfig(plant(), ch, Regime(regime), code, horizon=horizon, seed=seed,
                     **extra)
-    traj = runner(cfg)
+    return name, runner(cfg)
+
+
+@pytest.mark.parametrize("run", PINNED_RUNS, ids=[r[0] for r in PINNED_RUNS])
+def test_trajectory_bytes_are_pinned(request, run):
+    name, traj = _pinned_trajectory(request, run)
     assert _trajectory_digest(traj) == PINNED_DIGESTS[name]
+
+
+# sha256 of each pinned run's CSV alone, computed when the CSV was built as
+# one string; the streamed lines must join to the same bytes
+PINNED_CSV_DIGESTS = {
+    "noiseless2-est": "43d3e8db435f193e99dcc47d6427188dd5635e2cdd0dd0304ae119d0545ddda7",
+    "pentagon-block2": "7085194746d88432323196fd5f1522443778cc37ea112bc4c32e30c2b3b75f0d",
+    "diag-se-fb": "29a476443b1de5cbed4e43b71978ed21e6a549821e241398fdb7da5f1efbe4b9",
+    "stab-fb": "4684c2c6f1ca54345a16ebaded83bfa24dff12403df14a003585d97787913e79",
+    "weak-boundary": "1837933db6e461284996ca0ee6d27863c9931c4bceb86b890ddb4ba1d630be7e",
+    "bsc-diverges": "acaeab6e44a0d38e5611d1282ee429ca17df41826fa21860cac9dd7072f96bb5",
+    "negative-x0": "28d17c62e0764759fda5b775483f605398f25c73a2059cf39ddac126a1ae93f9",
+    "radius-zero": "444728f9b7e4c08fe2a00025f3ead33bfe4cff0fd1565ded1f088b41ba52e264",
+    "odd-denominator": "22ea037d38f80267fcc2840f4ea00e76ab920b5220f30fc7f240611ebdd9ca99",
+    "pentagon-diag": "9b3b7fa5d86f8a52bca91facae7849e6e70e276d8df5b4fce3b2dc3a5bfada11",
+    "pentagon-mixed-cells": "6afafd8ca1e2046154864edfe46951dbd205cc4e7cb201da5d931bac5ef4c99a",
+    "pentagon-stab": "ba49532454febe2658d9b3349c2ce344a964f75d2eb01461ab50459c203e78cf",
+}
+
+
+@pytest.mark.parametrize("run", PINNED_RUNS, ids=[r[0] for r in PINNED_RUNS])
+def test_streamed_csv_lines_are_pinned(request, run):
+    name, traj = _pinned_trajectory(request, run)
+    lines = list(traj.csv_lines())
+    assert len(lines) == len(traj.times) + 1
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == PINNED_CSV_DIGESTS[name]
 
 
 PENTAGON_CODE = pentagon_block2_code(typewriter(5))
