@@ -625,7 +625,7 @@ def revalidate(verdict: Verdict, ch: Channel) -> bool:
 
 def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool:
     if not (type(cert.n) is int and type(cert.alpha) is int and type(cert.witness) is tuple
-            and _enclosures(cert.rate_lo, cert.eta)):
+            and _enclosures(cert.rate_lo, cert.eta) and cert.eta.lo >= 0):
         return False
     graph = certified_graph(ch)  # the producer's graph
     index = {v: i for i, v in enumerate(ch.inputs)}
@@ -650,7 +650,7 @@ def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
     nx, ny = len(ch.inputs), len(ch.outputs)
     if not (type(cert.support_level) is int and isinstance(cert.output_weights, tuple)
             and _rationals(cert.mass, cert.eta_lo, *cert.output_weights)
-            and _enclosures(cert.c0fb_upper)):
+            and _enclosures(cert.c0fb_upper) and cert.eta_lo >= 0):
         return False
     if cert.complete_graph:
         return (ch.is_exact and certified_graph(ch).is_complete()
@@ -676,8 +676,8 @@ def _check_separation(cert: SeparationCertificate, ch: Channel) -> bool:
                 and cert.capacity.hi <= cert.eta.lo)
     below = cert.relation == "eta-below-capacity"
     # Shannon's formulas need the exact support and rows, which a stream may not settle
-    if not ch.is_exact or not (cert.eta.hi < cert.capacity.lo if below
-                               else cert.capacity.hi < cert.eta.lo):
+    if not ch.is_exact or cert.eta.lo < 0 or not (cert.eta.hi < cert.capacity.lo if below
+                                                  else cert.capacity.hi < cert.eta.lo):
         return False
     support = certify_support(ch, 0)
     supports = support_sets(support, nx, ny)

@@ -13,11 +13,13 @@ with x, the coder centre, the decoder centre and the radius (the two boxes
 share it: the radius recursion never reads a message) as integer numerators
 over it: a refine multiplies L by the cell count, a plant step moves L to
 lcm(L q, 2^32 D_den) for a = p/q, and disturbances are integer numerators
-over 2^32 D_den.  Recorded rows are reduced by a binary-gcd split, so no gcd
-takes the whole of L, which gains a bit per step.  Channel noise and
-disturbances are sampled through a seeded generator with exact inverse-CDF
-comparisons, so identical configurations reproduce identical trajectories
-byte for byte.
+over 2^32 D_den; without a drive x is also kept over its own denominator,
+free of cell counts.  Rows are reduced by a binary-gcd split and a few-bit
+base holding every odd prime of L, so the gcd with L's large odd part is
+rarely taken; maxima and the divergence test compare integer numerators.
+Noise and disturbances come from a seeded generator with exact inverse-CDF
+comparisons (one table per channel row and run), so identical
+configurations reproduce identical trajectories byte for byte.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 
 from .channel import Channel
 from .classify import Regime
@@ -84,12 +87,9 @@ class SimConfig:
     x0: tuple | None = None
 
     def modes(self) -> tuple[Fraction, ...]:
-        a = self.plant.a
-        n = len(a)
-        for i in range(n):
-            for j in range(n):
-                if i != j and a[i][j] != 0:
-                    raise SimulationError("simulator supports scalar/diagonal A only")
+        a, n = self.plant.a, len(self.plant.a)
+        if any(a[i][j] != 0 for i in range(n) for j in range(n) if i != j):
+            raise SimulationError("simulator supports scalar/diagonal A only")
         return tuple(a[i][i] for i in range(n))
 
     def start_state(self) -> tuple[Fraction, ...]:
@@ -141,9 +141,7 @@ class Trajectory:
         b = cfg.plant.b
         for t in range(len(self.times) - 1):
             for i, a_i in enumerate(modes):
-                drive = Fraction(0)
-                if b is not None and self.u[t]:
-                    drive = sum(b[i][j] * self.u[t][j] for j in range(len(self.u[t])))
+                drive = sum(b[i][j] * u for j, u in enumerate(self.u[t])) if b else 0
                 expect = a_i * self.x[t][i] + drive + self.zetas[t][i]
                 if self.x[t + 1][i] != expect:
                     return False
@@ -164,10 +162,17 @@ def sample_output(rng: random.Random, row) -> int:
     bracket falls inside a single CDF cell, so every output index has
     exactly its row probability.
     """
+    return _draw(rng, *_inverse_cdf(row))
+
+
+def _inverse_cdf(row) -> tuple[int, list]:
+    """(den, cums): the row's cumulative probabilities are cums[i] / den."""
     den = lcm(*(p.denominator for p in row))
-    cums = list(accumulate(p.numerator * (den // p.denominator) for p in row))
-    num = 0
-    bits = 0
+    return den, list(accumulate(p.numerator * (den // p.denominator) for p in row))
+
+
+def _draw(rng: random.Random, den: int, cums: list) -> int:
+    num = bits = 0
     while True:
         # [lo, hi) = [num, num + 1) / 2**bits, compared with cum / den
         num = (num << 32) | rng.getrandbits(32)
@@ -185,28 +190,39 @@ def sample_output(rng: random.Random, row) -> int:
 # ---------------------------------------------------------------------------
 # rows in lowest terms
 
-def _dyadic_split(den: int) -> tuple[int, int, int]:
-    """(den, v, odd) with den = odd * 2**v and odd odd, for den > 0."""
+def _dyadic_split(den: int, base: int = 0) -> tuple[int, int, int, int]:
+    """(den, v, odd, base) with den = odd * 2**v and odd odd, for den > 0, and
+    base odd with every prime of odd dividing it (odd itself by default)."""
     v = (den & -den).bit_length() - 1
-    return den, v, den >> v
+    return den, v, den >> v, base or den >> v
 
 
 def _lowest_terms(n: int, split) -> Fraction:
-    """n / den in lowest terms, for split = _dyadic_split(den).
+    """n / den in lowest terms, for split = _dyadic_split(den, base).
 
     gcd(n, den) = 2**min(v2(n), v) * gcd(n, odd) (Stein 1967): the power of
-    two comes out by shifts, exact for negative n too, and the only gcd has
-    the odd part as an operand.  The pair is coprime with a positive
-    denominator, so the Fraction is built without a second gcd, as
-    ``Fraction._from_coprime_ints`` does; the result equals Fraction(n, den).
+    two comes out by shifts, exact for negative n too.  Every prime of odd
+    divides base, so g = gcd(n, base) is gcd(n, odd) when g divides odd and
+    n / g is coprime to base; only otherwise is the gcd with odd taken.  The
+    pair is coprime with a positive denominator, so the Fraction is built
+    without a second gcd, as ``Fraction._from_coprime_ints`` does; the
+    result equals Fraction(n, den).
     """
-    den, v, odd = split
+    den, v, odd, base = split
     k = min((n & -n).bit_length() - 1, v) if n else v
-    g = gcd(n, odd)
+    g = gcd(n, base)
+    if g != 1 and base != odd and (odd % g or gcd(n // g, base) != 1):
+        g = gcd(n, odd)
     value = object.__new__(Fraction)
     value._numerator = (n >> k) // g
     value._denominator = (den >> k) // g
     return value
+
+
+def _widest(nums, dens) -> int:
+    """The first index i with the largest nums[i] / dens[i] (dens > 0)."""
+    return reduce(lambda top, i: i if nums[i] * dens[top] > nums[top] * dens[i] else top,
+                  range(len(nums)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,30 +244,30 @@ def _allocate_cells(modes, n: int, total: int, allow_boundary: bool):
         else:
             need = int(growth.numerator // growth.denominator) + 1
         mins.append(need)
-    product = 1
-    for m in mins:
-        product *= m
+    product = prod(mins)
     if product > total:
         raise SimulationError(
             "contraction impossible: the code carries too few messages for "
             f"the plant growth (needs {product}, code has {total})")
     # hand out spare capacity to the slowest-contracting mode, deterministically
-    improved = True
-    while improved:
-        improved = False
-        order = sorted(range(len(mins)),
-                       key=lambda i: (-(modes[i] ** n) / mins[i], i))
-        for i in order:
-            if product // mins[i] * (mins[i] + 1) <= total:
-                product = product // mins[i] * (mins[i] + 1)
-                mins[i] += 1
-                improved = True
-                break
-    return mins
+    while True:
+        order = sorted(range(len(mins)), key=lambda i: (-(modes[i] ** n) / mins[i], i))
+        i = next((i for i in order if product // mins[i] * (mins[i] + 1) <= total), None)
+        if i is None:
+            return mins
+        product = product // mins[i] * (mins[i] + 1)
+        mins[i] += 1
 
 
 # ---------------------------------------------------------------------------
 # the epoch quantizer loop
+
+def _lift(den: int, q: int, zeta_den: int) -> tuple[int, int, int]:
+    """(lcm(den q, zeta_den), s, w) with lcm(den q, zeta_den) = den q s = zeta_den w."""
+    dq = den * q
+    g = gcd(dq, zeta_den)
+    return dq * (zeta_den // g), zeta_den // g, dq // g
+
 
 def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Trajectory:
     if not cfg.channel.is_exact:
@@ -298,14 +314,22 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
     X = [v.numerator * (d // v.denominator) for v, d in zip(start, L)]
     C, H = [0] * dim, [0] * dim
     R = [r0.numerator * (d // r0.denominator) for d in L]
+    # L starts from the radius and start-state denominators and gains only
+    # cell counts, mode denominators and zeta_den: base holds its odd primes
+    base = _dyadic_split(prod(cells) * prod(a.denominator for a in modes) * zeta_den
+                         * r0.denominator * prod(v.denominator for v in start))[2]
+    zeta_split = _dyadic_split(zeta_den, base)
+    # without a drive, x = a x + zeta needs no cell count in its denominator:
+    # the recorded x is Y[i] / K[i], kept as L and X are but without refines
+    Y, K = X[:], L[:]
 
-    times, xs, xhats, us, errors, radii, zetas = [], [], [], [], [], [], []
-    transcript = []
+    xs, xhats, us, errors, radii, zetas, transcript = [], [], [], [], [], [], []
     decodes = {}
     rows = cfg.channel.rows
-    t = 0
-    max_error = Fraction(0)
-    diverged_at = None
+    tables = [_inverse_cdf(row) for row in rows]
+    t, diverged_at = 0, None
+    max_error, max_size = Fraction(0), -inf
+    limit = DIVERGENCE_THRESHOLD
 
     while t < cfg.horizon and diverged_at is None:
         # quantize against the coder's box: cell floor((x - c + r) m / 2r),
@@ -316,7 +340,7 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
             idx = 0 if R[i] == 0 else (X[i] - C[i] + R[i]) * m // (2 * R[i])
             message = message * m + min(max(idx, 0), m - 1)
         codeword = cfg.code.codewords[message]
-        received = tuple(sample_output(rng, rows[sym]) for sym in codeword)
+        received = tuple(_draw(rng, *tables[sym]) for sym in codeword)
         decoded = decodes.get(received)
         if decoded is None:
             decoded = decodes[received] = _decode(rows, cfg.code, used, received)
@@ -335,41 +359,48 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
         for step in range(n):
             if t >= cfg.horizon or diverged_at is not None:
                 break
-            splits = [_dyadic_split(d) for d in L]
+            splits = [_dyadic_split(d, base) for d in L]
             radius = tuple(_lowest_terms(R[i], splits[i]) for i in range(dim))
             if not step:
                 transcript.append(EpochRecord(len(transcript), message, codeword,
                                               received, decoded, radius))
             x_hat = tuple(_lowest_terms(H[i], splits[i]) for i in range(dim))
-            err = max(_lowest_terms(abs(X[i] - H[i]), splits[i]) for i in range(dim))
-            times.append(t)
-            xs.append(tuple(_lowest_terms(X[i], splits[i]) for i in range(dim)))
+            gap = [abs(X[i] - H[i]) for i in range(dim)]
+            top = _widest(gap, L)
+            err = _lowest_terms(gap[top], splits[top])
+            xs.append(tuple(_lowest_terms(X[i], splits[i]) if with_control
+                            else _lowest_terms(Y[i], _dyadic_split(K[i], base))
+                            for i in range(dim)))
             xhats.append(x_hat)
             us.append(tuple(-modes[i] * x_hat[i] / gains[i] for i in range(dim))
                       if with_control else ())
             errors.append(err)
-            radii.append(max(radius))
-            if err > max_error:
-                max_error = err
-            if err > DIVERGENCE_THRESHOLD:
+            radii.append(radius[_widest(R, L)])
+            # err < 2**(size + 1) and max_error > 2**(max_size - 1), so the bit
+            # lengths settle most comparisons without a product
+            size = gap[top].bit_length() - L[top].bit_length()
+            if size + 2 > max_size and (err.numerator * max_error.denominator
+                                        > max_error.numerator * err.denominator):
+                max_error, max_size = err, size
+            if gap[top] * limit.denominator > limit.numerator * L[top]:
                 diverged_at = t
             zeta = [bound.numerator * (2 * rng.getrandbits(32) - (1 << 32)) if bound else 0
                     for _ in range(dim)]
-            zetas.append(tuple(Fraction(z, zeta_den) for z in zeta))
+            zetas.append(tuple(_lowest_terms(z, zeta_split) for z in zeta))
             for i in range(dim):
                 # x -> a x + b u + zeta over L' = lcm(L q, zeta_den), a = p/q;
                 # the deadbeat drive b u = -a x_hat cancels the decoder centre
-                lq = L[i] * modes[i].denominator
-                g = gcd(lq, zeta_den)
-                s = zeta_den // g
-                L[i] = lq * s
-                w = lq // g                      # L' / zeta_den
-                ps = modes[i].numerator * s
+                p, q = modes[i].numerator, modes[i].denominator
+                L[i], s, w = _lift(L[i], q, zeta_den)
+                ps = p * s
                 drive = H[i] if with_control else 0
                 X[i] = ps * (X[i] - drive) + zeta[i] * w
                 C[i] = ps * (C[i] - drive)
                 H[i] = ps * (H[i] - drive)
                 R[i] = ps * R[i] + bound_num * w
+                if not with_control:
+                    K[i], s, w = _lift(K[i], q, zeta_den)
+                    Y[i] = p * s * Y[i] + zeta[i] * w
             t += 1
 
     # each mode's radius recursion r -> a^n r / cells + drift has a fixed
@@ -378,9 +409,7 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
              if a ** n < cells[i] else None for i, a in enumerate(modes)]
     analytic = None if None in stars else max([cfg.initial_radius, *stars])
 
-    ratios = [(a ** n) / cells[i] for i, a in enumerate(modes)]
-    decay_ratio = max(ratios)
-    zero_error_ok = all(r.message_sent == r.message_decoded for r in transcript)
+    decay_ratio = max(a ** n / cells[i] for i, a in enumerate(modes))
 
     summary = {
         "regime": cfg.regime.kind,
@@ -396,9 +425,10 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
         "decay_ratio": rational_str(decay_ratio),
         "boundary": decay_ratio == 1,
         "diverged_at": diverged_at,
-        "zero_error_transcript": zero_error_ok,
+        "zero_error_transcript": all(r.message_sent == r.message_decoded
+                                     for r in transcript),
     }
-    return Trajectory(tuple(times), tuple(xs), tuple(xhats), tuple(us),
+    return Trajectory(tuple(range(t)), tuple(xs), tuple(xhats), tuple(us),
                       tuple(errors), tuple(radii), tuple(zetas),
                       tuple(transcript), summary)
 

@@ -401,6 +401,25 @@ class TestForgedCertificates:
                     replace(cert, payload={"alphabet": 4})):
             assert revalidate(_with_certificate(verdict, bad), pentagon) is False
 
+    def test_negative_eta_is_rejected(self, nl2, pentagon):
+        # eta >= 0 for every plant, and the producer refuses a negative one;
+        # the first two forgeries re-validated before the checker tested the
+        # sign (the third already failed on its own upper bound)
+        minus = Enclosure.exact(F(-1))
+        ladder = classify_fixed_plant(Enclosure.exact(F(1, 2)), nl2, "capacity-above", 100)
+        c0fb = classify(scalar_plant(F(3, 2), disturbance=F(1, 10)), nl2,
+                        Regime("se-fb"), 100)
+        psi = classify(diagonal_plant([3], disturbance=F(1, 10)),
+                       pentagon, Regime("se-fb"), 10_000)
+        assert isinstance(ladder.certificate, IndependentSetCertificate)
+        assert c0fb.certificate.quantity == "c0fb"
+        for verdict, bad, ch in (
+                (ladder, replace(ladder.certificate, eta=minus), nl2),
+                (c0fb, replace(c0fb.certificate, eta=minus), nl2),
+                (psi, replace(psi.certificate, eta_lo=F(-1)), pentagon)):
+            assert revalidate(verdict, ch)
+            assert revalidate(_with_certificate(verdict, bad), ch) is False
+
     def test_malformed_fields_fail_without_raising(self, pentagon):
         psi = classify(diagonal_plant([3], disturbance=F(1, 10)),
                        pentagon, Regime("se-fb"), 10_000)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certcap.channel import certify_support, noiseless, typewriter
+from certcap.channel import binary_symmetric, certify_support, noiseless, typewriter
 from certcap.classify import Regime
 from certcap.confgraph import confusability_graph, max_independent_set, strong_power
 from certcap.linalg import as_matrix
@@ -217,7 +217,7 @@ def _trajectory_digest(traj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# (name, runner, plant factory, channel fixture name or "nl4", regime, code,
+# (name, runner, plant factory, channel fixture or PINNED_CHANNELS name, regime, code,
 # horizon, seed, extra SimConfig fields); each covers a branch of the loop
 PINNED_RUNS = [
     ("noiseless2-est", run_estimation, lambda: scalar_plant(F(3, 2), disturbance=F(1, 10)),
@@ -252,7 +252,27 @@ PINNED_RUNS = [
     ("pentagon-stab", run_stabilization,
      lambda: scalar_plant(2, b=F(3, 7), disturbance=F(1, 10)),
      "pentagon", "stab-fb", "block2", 200, 19, {}),
+    # denominators with odd primes other than 5: 3 cells, a = 7/3, D = 2/21,
+    # x0 = 4/11 and modes over 9
+    ("noiseless3-est", run_estimation,
+     lambda: scalar_plant(F(7, 3), disturbance=F(2, 21)),
+     "nl3", "se-nofb", "identity", 300, 29, {"x0": (F(4, 11),)}),
+    ("noiseless3-stab", run_stabilization,
+     lambda: scalar_plant(F(7, 3), b=F(3, 7), disturbance=F(2, 21)),
+     "nl3", "stab-fb", "identity", 300, 31, {"x0": (F(4, 11),), "initial_radius": F(6, 7)}),
+    ("diag-q9", run_estimation,
+     lambda: diagonal_plant([F(7, 3), F(10, 9)], disturbance=F(2, 21)),
+     "nl9", "se-fb", "identity", 200, 37, {"x0": (F(4, 11), F(-5, 13))}),
+    ("weak-q9", run_weak_detection, lambda: scalar_plant(F(25, 9)),
+     "nl3", "weak", "identity", 120, 41, {"x0": (F(4, 11),), "initial_radius": F(9, 7)}),
+    ("bsc13-diverges", run_estimation,
+     lambda: scalar_plant(F(16, 9), disturbance=F(2, 21)),
+     "bsc13", "se-nofb", "identity", 3000, 43, {"x0": (F(4, 11),)}),
 ]
+
+# the channels of PINNED_RUNS that are not fixtures
+PINNED_CHANNELS = {"nl3": noiseless(3), "nl4": noiseless(4), "nl9": noiseless(9),
+                   "bsc13": binary_symmetric(F(1, 3))}
 
 # sha256 of each run's CSV, radius, zetas, transcript and summary, computed
 # with the reference Fraction loop; a change to the loop's arithmetic must
@@ -270,12 +290,17 @@ PINNED_DIGESTS = {
     "pentagon-diag": "9646d78e566aca1b8dcc9625f4d9cb29d0a2d38c4334b81f249904459649e687",
     "pentagon-mixed-cells": "38537ba87c271ef08dfcd8f39e74761c41b829b96c133de2297da2caa6daa21a",
     "pentagon-stab": "00bc2dda4c9c7dbc67da5f904ad00f77373b348c5abfb20e9d9e3b5ffd518451",
+    "noiseless3-est": "5ec6e283d1de57754ae7ba9c495e782222457249c0f55e6c7f08ce99c59759fb",
+    "noiseless3-stab": "6fcdb3eff7ecf5c82e1a2ead15e1d99c68f76a4f437c202584a57ed80dab3c20",
+    "diag-q9": "f839ccfe0f117b8ec406217d344ca57ab01a2f5f31190af76edd7eaaa42e5f7f",
+    "weak-q9": "82a1e1c7a8298c433db864e63bef879d95cc44076b7586d5f1fe9f68b2bcbe53",
+    "bsc13-diverges": "e08dbcd70a84d792775be30b467bdfa570e17dc6d0cacf04336fcd1fd9a5a022",
 }
 
 
 def _pinned_trajectory(request, run):
     name, runner, plant, channel, regime, code, horizon, seed, extra = run
-    ch = noiseless(4) if channel == "nl4" else request.getfixturevalue(channel)
+    ch = PINNED_CHANNELS.get(channel) or request.getfixturevalue(channel)
     code = pentagon_block2_code(ch) if code == "block2" else identity_code(ch)
     cfg = SimConfig(plant(), ch, Regime(regime), code, horizon=horizon, seed=seed,
                     **extra)
@@ -303,6 +328,11 @@ PINNED_CSV_DIGESTS = {
     "pentagon-diag": "9b3b7fa5d86f8a52bca91facae7849e6e70e276d8df5b4fce3b2dc3a5bfada11",
     "pentagon-mixed-cells": "6afafd8ca1e2046154864edfe46951dbd205cc4e7cb201da5d931bac5ef4c99a",
     "pentagon-stab": "ba49532454febe2658d9b3349c2ce344a964f75d2eb01461ab50459c203e78cf",
+    "noiseless3-est": "b937772fa719447a8854af9dc9579878264bb69c82b104f19f05b84e480a6f7a",
+    "noiseless3-stab": "c49512ac3d026da652522ba08b3c78742a69b6b600dd2fe9081db9882aaea2af",
+    "diag-q9": "9619bd5a348fa73d87feb1fbeac126dec4b2d67faf0a5394378fe05c2b74a49f",
+    "weak-q9": "c1c1e4a5e8a63eb1f460382476ac61556fca30cd07d8765274d04171dec2a5cd",
+    "bsc13-diverges": "617a4e779d26505899dab6150fa292dac745a8468bd6543ed762293624e8ef22",
 }
 
 
@@ -316,6 +346,7 @@ def test_streamed_csv_lines_are_pinned(request, run):
 
 
 PENTAGON_CODE = pentagon_block2_code(typewriter(5))
+BSC14 = binary_symmetric(F(1, 4))
 
 
 @st.composite
@@ -400,3 +431,76 @@ def test_lowest_terms_is_the_normalised_fraction(n, odd, k):
     assert (repr(got), str(got), hash(got)) == (repr(want), str(want), hash(want))
     assert got.denominator > 0
     assert math.gcd(got.numerator, got.denominator) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=4), st.integers(0, 200),
+       st.sampled_from([-1, 1]), st.one_of(st.integers(0, 3), st.integers(0, 2 ** 100)),
+       st.data())
+def test_lowest_terms_with_a_small_base(bases, k, sign, cofactor, data):
+    """den = 2**k times powers of small bases, each of whose primes divides
+    base; n shares any power of them, or none, and may be 0 or negative."""
+    def powers():
+        return math.prod(b ** data.draw(st.one_of(st.integers(0, 2), st.integers(0, 300)))
+                         for b in bases)
+    den = powers() << k
+    n = sign * powers() * cofactor
+    base = _dyadic_split(math.prod(bases))[2]
+    got, want = _lowest_terms(n, _dyadic_split(den, base)), F(n, den)
+    assert got == want
+    assert (repr(got), str(got), hash(got)) == (repr(want), str(want), hash(want))
+    assert got.denominator > 0
+    assert math.gcd(got.numerator, got.denominator) == 1
+
+
+def test_error_at_the_threshold_does_not_stop_the_run(monkeypatch, nl2):
+    """A run stops only once its error exceeds DIVERGENCE_THRESHOLD."""
+    import certcap.simulate as sim
+
+    def run(x0):
+        # cell [0, 4000) of the box [-4000, 4000): error |x0 - 2000| at t = 0,
+        # then 0, since a = 1 and the box halves onto x0
+        return run_weak_detection(SimConfig(
+            scalar_plant(1), nl2, Regime("weak"), identity_code(nl2), horizon=5,
+            seed=0, initial_radius=F(4000), x0=(x0,)))
+
+    at = run(F(3000))
+    assert at.error[:2] == (F(1000), F(0)) == (sim.DIVERGENCE_THRESHOLD, 0)
+    assert at.summary["diverged_at"] is None and at.times == (0, 1, 2, 3, 4)
+    above = run(F(3001))
+    assert above.summary["diverged_at"] == 0 and above.times == (0,)
+    # the loop reads the constant, not a literal 1000
+    monkeypatch.setattr(sim, "DIVERGENCE_THRESHOLD", F(999))
+    assert run(F(3000)).summary["diverged_at"] == 0
+    monkeypatch.setattr(sim, "DIVERGENCE_THRESHOLD", F(1001))
+    assert run(F(3001)).summary["diverged_at"] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(zero_error_runs(),
+                 st.builds(lambda a, seed: (run_estimation, SimConfig(
+                     scalar_plant(a, disturbance=F(1, 10)), BSC14, Regime("se-nofb"),
+                     identity_code(BSC14), horizon=400, seed=seed)),
+                           st.sampled_from([F(9, 8), F(5, 4), F(3, 2)]),
+                           st.integers(0, 2 ** 30))))
+def test_summary_max_error_is_the_largest_error(run):
+    """max_error skips comparisons by bit length; it must still be the max."""
+    runner, cfg = run
+    traj = runner(cfg)
+    assert F(traj.summary["max_error"]) == max(traj.error, default=F(0))
+
+
+@pytest.mark.parametrize("a, radius, x0", [(F(3, 2), F(3), F(3, 8)),
+                                           (F(7, 3), F(1), F(-1, 64)),
+                                           (F(2), F(5, 3), F(-215, 192))])
+def test_max_error_reached_after_the_denominator_gains_a_three(a, radius, x0):
+    """In these runs a later error beats the earlier maximum by less than its
+    bit-length estimate, since L gained a factor 3 in between; a bit-length
+    test one bit too eager keeps the earlier maximum."""
+    nl3 = noiseless(3)
+    traj = run_weak_detection(SimConfig(scalar_plant(a), nl3, Regime("weak"),
+                                        identity_code(nl3), horizon=30, seed=0,
+                                        initial_radius=radius, x0=(x0,)))
+    peak = max(traj.error)
+    assert traj.error.index(peak) > 0
+    assert F(traj.summary["max_error"]) == peak
