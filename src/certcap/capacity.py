@@ -63,20 +63,6 @@ def _solve_minimax(nx: int, supports: tuple[tuple[int, ...], ...]) -> MinimaxSol
     return MinimaxSolution(sol.optimum, dist, tuple(weights), supports)
 
 
-def verify_minimax_lower_bound(weights, supports, nx: int, value: Fraction) -> bool:
-    """Re-check from raw rationals that the minimax value over ``supports``
-    (the inputs reaching each output) is >= value.
-
-    Independent of the simplex path: the output weights must be a convex
-    combination, and for every input the weighted count of the outputs it
-    reaches must reach value (then any distribution pays at least value).
-    """
-    if len(weights) != len(supports) or any(w < 0 for w in weights) or sum(weights) != 1:
-        return False
-    return all(sum(w for w, s in zip(weights, supports) if x in s) >= value
-               for x in range(nx))
-
-
 @dataclass(frozen=True)
 class FeedbackCapacity:
     """Feedback zero-error capacity: exact symbolic form plus an enclosure."""

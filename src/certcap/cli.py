@@ -57,6 +57,7 @@ def _emit(doc: dict, mode: str) -> None:
     else:
         for line in _text_lines(doc, ""):
             sys.stdout.write(line + "\n")
+    sys.stdout.flush()  # a closed reader raises here, in main's try, not at exit
 
 
 def _text_lines(node, prefix):
@@ -247,6 +248,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:  # the reader is gone (| head); as on SIGPIPE, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except (CliError, DomainError, SimulationError, RegimePreconditionError,
             ResourceCapError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from certcap.capacity import (ShannonBounds, certified_capacity_bounds,
                               feedback_zero_error_capacity, minimax_ladder_step,
-                              shannon_capacity, verify_minimax_lower_bound)
+                              shannon_capacity)
 from certcap.channel import certify_support, exact_channel, resolving_stream
+from certcap.check import verify_minimax_lower_bound
 from certcap.enclosure import DomainError, Enclosure, log2_enclosure, log2_fixed
 
 F = Fraction

@@ -1,6 +1,6 @@
-import importlib
 import json
 import math
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from certcap import capacity, confgraph
+from certcap import classify as classify_module
 from certcap.capacity import (DEFAULT_C0FB_WIDTH, certified_capacity_bounds,
                               feedback_zero_error_capacity, minimax_ladder_step)
 from certcap.channel import (certify_support, exact_channel, hovering_stream,
@@ -21,15 +22,14 @@ from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               InternalInvariantViolation, MinimaxLadderTask,
                               PsiCertificate, Regime, RegimePreconditionError,
                               SeparationCertificate, Verdict, classify,
-                              classify_fixed_plant, dovetail, log2_compare,
-                              revalidate, _assert_monotone_predicates)
+                              classify_fixed_plant, dovetail, revalidate,
+                              _assert_monotone_predicates)
+from certcap.check import log2_compare
 from certcap.enclosure import DomainError, Enclosure, log2_enclosure
 from certcap.plant import instability_exponent
 from conftest import diagonal_plant, scalar_plant
 
 F = Fraction
-# the package re-exports the function classify, which hides the submodule
-classify_module = importlib.import_module("certcap.classify")
 
 
 class CountingTask:
@@ -539,6 +539,40 @@ def test_mistyped_certificate_field_fails_without_raising(pentagon, a, regime, c
     assert revalidate(_with_certificate(verdict, bad), pentagon) is False
 
 
+@pytest.mark.parametrize("case, target, change", [
+    ("c0fb", "certificate", {"eta": "1/2"}),
+    ("c0fb", "certificate", {"capacity": None}),
+    ("c0fb", "certificate", {"quantity": ["c0fb"]}),
+    ("c0fb", "certificate", {"relation": ["x"]}),
+    ("c0fb", "verdict", {"regime": ["se-fb"]}),
+    ("complete", "certificate", {"complete_graph": 1}),
+    ("complete", "certificate", {"complete_graph": "yes"}),
+    ("complete", "verdict", {"steps": "3"}),
+    # a bool is no int: True would pass for n = 1 in every comparison
+    ("ladder", "certificate", {"n": True}),
+], ids=["c0fb-string-eta", "c0fb-no-capacity", "c0fb-list-quantity", "c0fb-list-relation",
+        "list-regime", "complete-graph-int", "complete-graph-string", "string-steps",
+        "bool-n"])
+def test_forged_field_type_fails_without_raising(nl2, bsc14, case, target, change):
+    # revalidate answers False, and never raises, whatever a field holds
+    if case == "c0fb":
+        ch, verdict = nl2, classify(scalar_plant(F(3, 2), disturbance=F(1, 10)), nl2,
+                                    Regime("se-fb"), 100)
+        assert verdict.certificate.quantity == "c0fb"
+    elif case == "ladder":
+        ch, verdict = nl2, classify_fixed_plant(Enclosure.exact(F(1, 2)), nl2,
+                                                "capacity-above", 100)
+        assert verdict.certificate.n == 1
+    else:
+        ch, verdict = bsc14, classify(diagonal_plant([2], disturbance=F(1, 10)), bsc14,
+                                      Regime("se-fb"), 10_000)
+        assert verdict.certificate.complete_graph is True
+    assert revalidate(verdict, ch)
+    bad = (replace(verdict, **change) if target == "verdict"
+           else _with_certificate(verdict, replace(verdict.certificate, **change)))
+    assert revalidate(bad, ch) is False
+
+
 class TestZeroErrorConsumersAgree:
     def test_tuple_labelled_channel_rung_one_witness(self):
         # the product channel's input labels are tuples; rung 1 holds words of
@@ -654,7 +688,10 @@ class TestRevalidatorIndependence:
         def forbidden(*args):
             raise AssertionError("the re-validator called log2_enclosure")
 
-        monkeypatch.setattr(classify_module, "log2_enclosure", forbidden)
+        # the checker and the engine live in different modules: patch every binding
+        for name, module in list(sys.modules.items()):
+            if name.startswith("certcap.") and hasattr(module, "log2_enclosure"):
+                monkeypatch.setattr(module, "log2_enclosure", forbidden)
         for verdict, ch in cases:
             assert revalidate(verdict, ch)
 

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -762,3 +764,25 @@ def test_argv_fuzz_never_raises(argv):
                            else ["existing.csv"])
         with open(existing) as fh:
             assert (fh.read() == "kept\n") == (trace != "existing" or code != EXIT_OK)
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    # unbuffered, the write in _emit meets the closed pipe
+    (["zero-error", "--channel", "pentagon.json", "--max-block", "3"], True),
+    # buffered, a short report would wait for the interpreter's exit flush
+    (["eta", "--plant", "plant_diag2.json"], False),
+], ids=["write", "exit-flush"])
+def test_closed_stdout_exits_one_without_a_traceback(data_dir, argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes, as with | head
+    try:
+        done = subprocess.run([sys.executable, *(["-u"] if unbuffered else []),
+                               "-m", "certcap.cli", *argv],
+                              cwd=data_dir, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_ERROR
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
