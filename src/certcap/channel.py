@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .enclosure import DomainError, parse_rational, rational_str
 
@@ -27,8 +26,6 @@ class ResourceCapError(RuntimeError):
 
 
 ScheduleStep = tuple[int, Fraction, Fraction]  # (level, lo, hi)
-
-DEFAULT_PRODUCT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -236,33 +233,6 @@ def certify_support(ch: Channel, level: int = 0) -> SupportCertificate:
                 unresolved.add((xi, yi))
     return SupportCertificate(frozenset(positive), frozenset(zero),
                               frozenset(unresolved))
-
-
-def product_channel(ch: Channel, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> Channel:
-    """n-fold memoryless extension on tuple alphabets, exact entries only."""
-    if not ch.is_exact:
-        raise DomainError("product channels need exact entries")
-    if n < 1:
-        raise DomainError("block length must be >= 1")
-    size = len(ch.inputs) ** n
-    if size > cap:
-        raise ResourceCapError(f"{size} input tuples exceed the cap of {cap}")
-    in_tuples = list(product(range(len(ch.inputs)), repeat=n))
-    out_tuples = list(product(range(len(ch.outputs)), repeat=n))
-    rows = []
-    for xs in in_tuples:
-        row = []
-        for ys in out_tuples:
-            w = Fraction(1)
-            for x, y in zip(xs, ys):
-                w *= ch.rows[x][y]
-                if w == 0:
-                    break
-            row.append(w)
-        rows.append(tuple(row))
-    new_inputs = tuple(tuple(ch.inputs[i] for i in xs) for xs in in_tuples)
-    new_outputs = tuple(tuple(ch.outputs[i] for i in ys) for ys in out_tuples)
-    return Channel(new_inputs, new_outputs, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

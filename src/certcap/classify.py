@@ -396,7 +396,7 @@ def classify_fixed_plant(eta: Enclosure, ch: Channel, direction: str,
                 {"alphabet": alphabet,
                  "note": "no channel on these alphabets has zero-error rate "
                          "above log2 of the smaller alphabet"})
-            return Verdict(UNSOLVABLE, kind, cert, 0, budget)
+            return _revalidated(Verdict(UNSOLVABLE, kind, cert, 0, budget), ch)
     return _run_classification(FixedEtaTask(eta), ch, kind, budget)
 
 
@@ -430,6 +430,11 @@ def _run_classification(eta_task, ch: Channel, kind: str, budget: int) -> Verdic
         return Verdict(UNDETERMINED, kind, BudgetReport(steps, budget, progress, note),
                        steps, budget)
     verdict = Verdict(fired, kind, cap.certificate(fired, eta(), ch), steps, budget)
+    return _revalidated(verdict, ch)
+
+
+def _revalidated(verdict: Verdict, ch: Channel) -> Verdict:
+    """A halted verdict, once its certificate re-validates."""
     if not revalidate(verdict, ch):
         raise InternalInvariantViolation("certificate failed re-validation")
     return verdict

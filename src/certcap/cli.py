@@ -94,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     an = sub.add_parser("analyze", help="classify a (plant, channel, regime) triple")
-    an.add_argument("--plant", required=True)
+    an.add_argument("--plant", help="required, except with --fixed-eta")
     an.add_argument("--channel", required=True)
-    an.add_argument("--regime", required=True,
-                    choices=("se-nofb", "se-fb", "stab-fb", "weak"))
+    an.add_argument("--regime", choices=("se-nofb", "se-fb", "stab-fb", "weak"),
+                    help="required, except with --fixed-eta")
     an.add_argument("--budget", type=int, default=None)
     an.add_argument("--fixed-eta", default=None,
                     help="exact exponent value (rational); runs the single-sided query")
@@ -137,11 +137,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    if args.direction is not None and args.fixed_eta is None:
+    fixed = args.fixed_eta is not None
+    if args.direction is not None and not fixed:
         raise CliError("--direction needs --fixed-eta")
+    for flag, value in (("--plant", args.plant), ("--regime", args.regime)):
+        if (value is not None) == fixed:  # the fixed-eta query reads neither
+            raise CliError(f"--fixed-eta takes no {flag}" if fixed
+                           else f"{flag} is required without --fixed-eta")
     budget = _budget(args.budget)
     ch = load_channel(_read_json(args.channel))
-    if args.fixed_eta is not None:
+    if fixed:
         direction = args.direction or "capacity-above"
         eta = Enclosure.exact(parse_rational(args.fixed_eta))
         verdict = classify_fixed_plant(eta, ch, direction, budget)
@@ -241,12 +246,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse printed the help or a usage error
+            sys.stdout.flush()  # a closed reader raises here, not at exit
+            return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # the reader is gone (| head); as on SIGPIPE, no traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -14,8 +14,9 @@ close by colouring alone; both only ever cut work, never change a witness.
   (a map that fails means no pruning at all).  At the root the search
   skips a child in the orbit of a root vertex it has already handled; at
   depth 1, below the chosen vertex v, it skips a child in the orbit of a
-  handled sibling under the stabiliser of v.  Orbits are closed from
-  generators, never by listing the group.
+  handled sibling under the stabiliser of v.  Orbits are named in closed
+  form, never by listing the group: by sorted digit classes, and under
+  the stabiliser of v by the sorted classes of the digit pairs (v_i, w_i).
 
   Soundness.  Say a vertex is *handled* once it is removed from the
   candidates, and write alpha(G | S) for the largest independent set
@@ -54,7 +55,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import product
+from math import gcd
 
 from .channel import Channel, ResourceCapError, SupportCertificate, certify_support
 from .enclosure import Enclosure, log2_enclosure
@@ -283,8 +285,8 @@ class _PowerSymmetry:
     """
 
     def __init__(self, m: int, n: int, step: int, reflection: int | None):
-        self.m, self.n, self.step, self.reflection = m, n, step, reflection
-        self.weights = [m ** (n - 1 - i) for i in range(n)]
+        # the rotation by step generates the rotations by gcd(step, m)
+        self.m, self.n, self.step, self.reflection = m, n, gcd(step, m), reflection
 
     @classmethod
     def verified(cls, base: ConfusabilityGraph, n: int, step: int,
@@ -302,60 +304,29 @@ class _PowerSymmetry:
             return None
         return cls(m, n, step, reflection)
 
-    def _rotates(self, k: int) -> bool:
-        return k % self.step == 0
+    def orbit_masks(self, v: int | None = None) -> list[int]:
+        """Bitmask of each vertex's orbit under the group, or under the
+        stabiliser of vertex v.
 
-    def _reflects(self, c: int) -> bool:
-        return self.reflection is not None and (c - self.reflection) % self.step == 0
+        A base map moves both digits of a pair (a, b): the rotations name
+        its orbit (a mod step, (b - a) mod m), and the reflection c joins it
+        to that of (c - a, c - b).  Two vertices share an orbit exactly when
+        the sorted classes of their digits, the pairs (w_i, w_i), agree, and
+        under the stabiliser of v those of their pairs (v_i, w_i).
+        """
+        m, n, step, c = self.m, self.n, self.step, self.reflection
 
-    def _on_coordinate(self, i: int, f):
-        """Index map applying the base map f to coordinate i."""
-        w, m = self.weights[i], self.m
-
-        def move(x: int) -> int:
-            d = x // w % m
-            return x + (f(d) - d) * w
-        return move
-
-    def _on_pair(self, i: int, j: int, f, g):
-        """Index map sending coordinates (x_i, x_j) to (f(x_j), g(x_i))."""
-        wi, wj, m = self.weights[i], self.weights[j], self.m
-
-        def move(x: int) -> int:
-            di, dj = x // wi % m, x // wj % m
-            return x + (f(dj) - di) * wi + (g(di) - dj) * wj
-        return move
-
-    def generators(self) -> list:
-        """Generators of the whole group: the base maps on each coordinate
-        and the swaps of neighbouring coordinates."""
-        m, step, c = self.m, self.step, self.reflection
-        moves = []
-        for i in range(self.n):
-            if step % m:
-                moves.append(self._on_coordinate(i, lambda d: (d + step) % m))
-            if c is not None:
-                moves.append(self._on_coordinate(i, lambda d: (c - d) % m))
-        keep = lambda d: d  # noqa: E731
-        return moves + [self._on_pair(i, i + 1, keep, keep) for i in range(self.n - 1)]
-
-    def stabiliser_generators(self, v: int) -> list:
-        """Automorphisms fixing vertex v: the reflection about v_i on
-        coordinate i, and the swap of coordinates i, j shifted by a rotation
-        (or reflection) that exchanges v_i and v_j."""
-        m = self.m
-        digits = [v // w % m for w in self.weights]
-        moves = [self._on_coordinate(i, lambda d, c=2 * a: (c - d) % m)
-                 for i, a in enumerate(digits) if self._reflects(2 * a)]
-        for i, j in combinations(range(self.n), 2):
-            a, b = digits[i], digits[j]
-            if self._rotates(a - b):
-                moves.append(self._on_pair(i, j, lambda d, s=a - b: (d + s) % m,
-                                           lambda d, s=b - a: (d + s) % m))
-            elif self._reflects(a + b):
-                moves.append(self._on_pair(i, j, lambda d, c=a + b: (c - d) % m,
-                                           lambda d, c=a + b: (c - d) % m))
-        return moves
+        def pair_class(a: int, b: int) -> tuple[int, int]:
+            key = (a % step, (b - a) % m)
+            return key if c is None else min(key, ((c - a) % step, (a - b) % m))
+        columns = ([[pair_class(d, d) for d in range(m)]] * n if v is None else
+                   [[pair_class(v // m ** (n - 1 - i) % m, b) for b in range(m)]
+                    for i in range(n)])
+        keys = [tuple(sorted(classes)) for classes in product(*columns)]
+        orbits: dict[tuple, int] = {}
+        for x, key in enumerate(keys):
+            orbits[key] = orbits.get(key, 0) | 1 << x
+        return [orbits[key] for key in keys]
 
 
 def _power_symmetry(g: ConfusabilityGraph) -> _PowerSymmetry | None:
@@ -364,19 +335,6 @@ def _power_symmetry(g: ConfusabilityGraph) -> _PowerSymmetry | None:
         return None
     base, n = g.power_of
     return _PowerSymmetry.verified(base, n, *_dihedral_generators(base))
-
-
-def _orbit(x: int, moves: list) -> int:
-    """Bitmask of the orbit of vertex x, closed under the given maps."""
-    seen = {x}
-    todo = [x]
-    for y in todo:
-        for move in moves:
-            z = move(y)
-            if z not in seen:
-                seen.add(z)
-                todo.append(z)
-    return sum(1 << z for z in seen)
 
 
 @dataclass(frozen=True)
@@ -390,7 +348,6 @@ class IndependenceResult:
 def max_independent_set(g: ConfusabilityGraph, *,
                         node_budget: int | None = None,
                         seed_witness: tuple = (),
-                        vertex_cap: int = DEFAULT_VERTEX_CAP,
                         upper_bound: Callable[[], int] | None = None
                         ) -> IndependenceResult:
     """Exact maximum independent set by branch and bound.
@@ -418,8 +375,6 @@ def max_independent_set(g: ConfusabilityGraph, *,
     unbounded search would keep.
     """
     n = len(g)
-    if n > vertex_cap:
-        raise ResourceCapError(f"{n} vertices exceed the cap of {vertex_cap}")
     if n == 0:
         return IndependenceResult(0, (), True)
     full = (1 << n) - 1
@@ -440,13 +395,10 @@ def max_independent_set(g: ConfusabilityGraph, *,
     exact = True
     group = cache(lambda: _power_symmetry(g))  # found at the first orbit asked for
 
-    def root_orbit(v: int) -> int:
-        return 1 << v if group() is None else _orbit(v, group().generators())
-
-    def stabiliser_orbit(v: int):
-        """Orbit map of the stabiliser of root vertex v, for v's children."""
-        moves = cache(lambda: group().stabiliser_generators(v))
-        return lambda w: 1 << w if group() is None else _orbit(w, moves())
+    def orbit_of(v: int | None = None):
+        """Orbit lookup of the group, or of root vertex v's stabiliser."""
+        masks = cache(lambda: None if group() is None else group().orbit_masks(v))
+        return lambda w: 1 << w if masks() is None else masks()[w]
 
     def expand(candidates: int, size: int, mask: int, orbit) -> None:
         nonlocal nodes, limit, stopped, exact
@@ -494,7 +446,7 @@ def max_independent_set(g: ConfusabilityGraph, *,
                 new_candidates = candidates & comp[v]
                 if new_candidates:
                     expand(new_candidates, size + 1, new_mask,
-                           stabiliser_orbit(v) if size == 0 else None)
+                           orbit_of(v) if size == 0 else None)
                     if stopped:
                         return
                 elif size + 1 > best[0]:
@@ -507,7 +459,7 @@ def max_independent_set(g: ConfusabilityGraph, *,
                     unfolded = v
             candidates ^= 1 << v
 
-    expand(full, 0, 0, root_orbit)
+    expand(full, 0, 0, orbit_of())
 
     witness_idx = sorted(i for i in range(n) if best[1] >> i & 1)
     witness = tuple(g.vertices[i] for i in witness_idx)
@@ -636,7 +588,7 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
         def bound() -> int:
             return previous.alpha * clique_cover_weight(g, g.clique_cover) // 1
     result = max_independent_set(power, node_budget=node_budget, seed_witness=seed,
-                                 vertex_cap=vertex_cap, upper_bound=bound)
+                                 upper_bound=bound)
     rate = log2_enclosure(Fraction(result.alpha), RATE_WIDTH * n).scaled(Fraction(1, n))
     rung = LadderRung(n, result.alpha, result.witness, rate, result.exact)
     rungs = tuple(sorted(ladder.rungs + (rung,), key=lambda r: r.n))

@@ -1,17 +1,21 @@
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from certcap.channel import (binary_symmetric, hovering_stream, noiseless,
-                             resolving_stream, typewriter)
+from certcap.channel import (Channel, ResourceCapError, binary_symmetric, hovering_stream,
+                             noiseless, resolving_stream, typewriter)
+from certcap.enclosure import DomainError
 from certcap.linalg import as_matrix
 from certcap.plant import Plant
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+DEFAULT_PRODUCT_CAP = 4096
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +67,31 @@ def diagonal_plant(values, disturbance=None):
     b = [[Fraction(1)] if i == 0 else [Fraction(0)] for i in range(n)]
     return Plant(as_matrix(a), c=as_matrix(c), b=as_matrix(b),
                  disturbance_bound=Fraction(disturbance) if disturbance is not None else None)
+
+
+def product_channel(ch: Channel, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> Channel:
+    """n-fold memoryless extension on tuple alphabets, exact entries only: a
+    brute-force reference for strong powers and tuple-labelled channels."""
+    if not ch.is_exact:
+        raise DomainError("product channels need exact entries")
+    if n < 1:
+        raise DomainError("block length must be >= 1")
+    size = len(ch.inputs) ** n
+    if size > cap:
+        raise ResourceCapError(f"{size} input tuples exceed the cap of {cap}")
+    in_tuples = list(product(range(len(ch.inputs)), repeat=n))
+    out_tuples = list(product(range(len(ch.outputs)), repeat=n))
+    rows = []
+    for xs in in_tuples:
+        row = []
+        for ys in out_tuples:
+            w = Fraction(1)
+            for x, y in zip(xs, ys):
+                w *= ch.rows[x][y]
+                if w == 0:
+                    break
+            row.append(w)
+        rows.append(tuple(row))
+    new_inputs = tuple(tuple(ch.inputs[i] for i in xs) for xs in in_tuples)
+    new_outputs = tuple(tuple(ch.outputs[i] for i in ys) for ys in out_tuples)
+    return Channel(new_inputs, new_outputs, rows=tuple(rows))

@@ -1,8 +1,9 @@
-"""Module boundaries, checked from the source.
+"""Module boundaries and imports, checked from the source.
 
 The certificate checker in check.py re-validates what the engine produces,
 so it must not import the engine, the CLI, the simulator or the plant
-module; it imports primitives only.
+module; it imports primitives only.  No module imports a name it never
+reads.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import certcap
 
-CHECK = Path(certcap.__file__).resolve().parent / "check.py"
+PACKAGE = Path(certcap.__file__).resolve().parent
+CHECK = PACKAGE / "check.py"
 FORBIDDEN = {"classify", "cli", "simulate", "plant"}
 
 
@@ -42,3 +44,27 @@ def test_package_attributes_are_the_modules():
         importlib.import_module(f"certcap.{name}")
         assert isinstance(getattr(certcap, name), types.ModuleType), name
     assert certcap.__version__
+
+
+def _unread_imports(tree) -> list[str]:
+    """Names bound by an import (``from __future__`` aside) that no
+    expression in the module reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in read)
+
+
+def test_every_imported_name_is_read():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 1
+    unread = {path.name: _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+              for path in modules}
+    assert not {name: names for name, names in unread.items() if names}

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from certcap.channel import (Channel, ChannelFormatError, ResourceCapError,
                              certify_support, exact_channel, load_channel,
-                             noiseless, product_channel, typewriter)
+                             noiseless, stream_channel, typewriter)
+from conftest import product_channel
 
 F = Fraction
 
@@ -95,6 +96,25 @@ def test_channel_labels_must_be_distinct_and_hashable(inputs, outputs, message):
 
 
 
+WHOLE = (0, F(1), F(1))  # one schedule step pinning an entry to 1
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: exact_channel((0, 1), (0, 1), [[1, 0]]), "row/alphabet shape mismatch"),
+    (lambda: stream_channel((0,), (0, 1), [[(WHOLE,)]]), "schedule/alphabet shape mismatch"),
+    (lambda: stream_channel((0,), (0,), [[(WHOLE, WHOLE)]]),
+     r"schedule levels not increasing at entry \(0,0\)"),
+    (lambda: stream_channel((0,), (0,), [[((0, F(1), F(1, 2)),)]]),
+     r"schedule interval invalid at entry \(0,0\)"),
+    (lambda: stream_channel((0,), (0,), [[((0, F(1, 2), F(1)), (1, F(1, 4), F(1)))]]),
+     r"schedule not nested at entry \(0,0\)"),
+], ids=["exact-shape", "stream-shape", "levels-not-increasing", "interval-invalid",
+        "not-nested"])
+def test_malformed_rows_and_schedules_are_refused(build, message):
+    with pytest.raises(ChannelFormatError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("inputs, outputs, side", [
     ((), (0, 1), "input"), ((0, 1), (), "output"), ((), (), "input"),
 ], ids=["no-inputs", "no-outputs", "neither"])
@@ -137,6 +157,8 @@ class TestSupport:
 
 
 class TestProducts:
+    """The brute-force product channel that strong-power tests compare with."""
+
     def test_block_one_is_identity_on_entries(self, bsc14):
         prod = product_channel(bsc14, 1)
         assert prod.rows == bsc14.rows

@@ -15,8 +15,8 @@ from certcap import classify as classify_module
 from certcap.capacity import (DEFAULT_C0FB_WIDTH, certified_capacity_bounds,
                               feedback_zero_error_capacity, minimax_ladder_step)
 from certcap.channel import (certify_support, exact_channel, hovering_stream,
-                             load_channel, noiseless, product_channel,
-                             stream_channel, support_sets, typewriter)
+                             load_channel, noiseless, stream_channel,
+                             support_sets, typewriter)
 from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               IndependentSetCertificate,
                               InternalInvariantViolation, MinimaxLadderTask,
@@ -27,7 +27,7 @@ from certcap.classify import (BudgetReport, FeedbackCapacityTask,
 from certcap.check import log2_compare
 from certcap.enclosure import DomainError, Enclosure, log2_enclosure
 from certcap.plant import instability_exponent
-from conftest import diagonal_plant, scalar_plant
+from conftest import diagonal_plant, product_channel, scalar_plant
 
 F = Fraction
 
@@ -251,6 +251,12 @@ class TestFixedPlant:
         assert verdict.steps == 0
         assert verdict.certificate.quantity == "alphabet-bound"
         assert revalidate(verdict, nl2)
+
+    def test_alphabet_bound_short_circuit_is_revalidated(self, nl2, monkeypatch):
+        # like every other halted verdict, it raises if its certificate fails
+        monkeypatch.setattr(classify_module, "revalidate", lambda verdict, ch: False)
+        with pytest.raises(InternalInvariantViolation, match="re-validation"):
+            classify_fixed_plant(Enclosure.exact(F(1)), nl2, "capacity-above", 100)
 
     def test_capacity_above_halts_solvable(self, nl2):
         verdict = classify_fixed_plant(Enclosure.exact(F(1, 2)), nl2,
@@ -550,9 +556,13 @@ def test_mistyped_certificate_field_fails_without_raising(pentagon, a, regime, c
     ("complete", "verdict", {"steps": "3"}),
     # a bool is no int: True would pass for n = 1 in every comparison
     ("ladder", "certificate", {"n": True}),
+    # one word fewer than alpha = 2
+    ("ladder", "certificate", {"witness": ((0,),)}),
+    # a budget report proves no halted outcome
+    ("c0fb", "verdict", {"certificate": BudgetReport(1, 100, {})}),
 ], ids=["c0fb-string-eta", "c0fb-no-capacity", "c0fb-list-quantity", "c0fb-list-relation",
         "list-regime", "complete-graph-int", "complete-graph-string", "string-steps",
-        "bool-n"])
+        "bool-n", "witness-count-below-alpha", "budget-report-halted"])
 def test_forged_field_type_fails_without_raising(nl2, bsc14, case, target, change):
     # revalidate answers False, and never raises, whatever a field holds
     if case == "c0fb":

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certcap import cli
-from certcap.channel import noiseless, product_channel
+from certcap.channel import noiseless
 from certcap.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, main
 from certcap.confgraph import max_independent_set
+from conftest import product_channel
 
 
 def run_cli(capsys, *argv):
@@ -232,9 +233,7 @@ def test_directory_path_exits_one(capsys, data_dir, argv):
 
 def test_fixed_eta_analyze(capsys, data_dir):
     code, out, _ = run_cli(capsys, "analyze",
-                           "--plant", str(data_dir / "plant_diag2.json"),
                            "--channel", str(data_dir / "noiseless2.json"),
-                           "--regime", "se-nofb",
                            "--fixed-eta", "1/2", "--direction", "capacity-above",
                            "--budget", "100")
     assert code == EXIT_OK
@@ -243,9 +242,7 @@ def test_fixed_eta_analyze(capsys, data_dir):
 
 def test_fixed_eta_non_dyadic(capsys, data_dir):
     code, out, _ = run_cli(capsys, "analyze",
-                           "--plant", str(data_dir / "plant_3_2.json"),
                            "--channel", str(data_dir / "pentagon.json"),
-                           "--regime", "se-fb",
                            "--fixed-eta", "1/3", "--direction", "capacity-above")
     assert code == EXIT_OK
     assert json.loads(out)["outcome"] == "Solvable"
@@ -599,19 +596,42 @@ def test_direction_without_fixed_eta_exits_one(capsys, data_dir):
 def test_negative_fixed_eta_exits_one(capsys, data_dir, eta, shown):
     for direction in ("capacity-above", "capacity-below"):
         code, out, err = run_cli(capsys, "analyze",
-                                 "--plant", str(data_dir / "plant_3_2.json"),
                                  "--channel", str(data_dir / "pentagon.json"),
-                                 "--regime", "weak", f"--fixed-eta={eta}",
+                                 f"--fixed-eta={eta}",
                                  "--direction", direction, "--budget", "20")
         assert (code, out) == (EXIT_ERROR, "")
         assert err == f"error: the exponent must be >= 0, got {shown}\n"
 
 
 def test_zero_fixed_eta_still_runs(capsys, data_dir):
-    code, out, _ = run_cli(capsys, "analyze", "--plant", str(data_dir / "plant_3_2.json"),
-                           "--channel", str(data_dir / "pentagon.json"),
-                           "--regime", "weak", "--fixed-eta=0", "--budget", "20")
+    code, out, _ = run_cli(capsys, "analyze", "--channel", str(data_dir / "pentagon.json"),
+                           "--fixed-eta=0", "--budget", "20")
     assert code == EXIT_OK and json.loads(out)["outcome"] == "Solvable"
+
+
+@pytest.mark.parametrize("extra, flag", [
+    # the fixed-eta query reads neither a plant nor a regime, so a missing
+    # plant file must not pass unnoticed
+    (["--plant", "/nonexistent.json"], "--plant"),
+    (["--regime", "weak"], "--regime"),
+    (["--plant", "/nonexistent.json", "--regime", "weak"], "--plant"),
+])
+def test_fixed_eta_refuses_a_plant_or_regime(capsys, data_dir, extra, flag):
+    code, out, err = run_cli(capsys, "analyze", *extra,
+                             "--channel", str(data_dir / "pentagon.json"),
+                             "--fixed-eta=1/2", "--budget", "20")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: --fixed-eta takes no {flag}\n"
+
+
+@pytest.mark.parametrize("missing", ["--plant", "--regime"])
+def test_analyze_without_fixed_eta_needs_plant_and_regime(capsys, data_dir, missing):
+    given = {"--plant": str(data_dir / "plant_3_2.json"), "--regime": "se-fb"}
+    argv = [arg for flag, value in given.items() if flag != missing for arg in (flag, value)]
+    code, out, err = run_cli(capsys, "analyze", *argv,
+                             "--channel", str(data_dir / "pentagon.json"))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {missing} is required without --fixed-eta\n"
 
 
 def test_trace_out_streams_the_csv(capsys, data_dir, tmp_path, monkeypatch):
@@ -707,8 +727,8 @@ FUZZ_VALUES = {
     "trace": (["fresh", "existing", "directory", "missing-directory"], [""]),
 }
 FUZZ_COMMANDS = {  # flag, value pool, required
-    "analyze": [("--plant", "plant", True), ("--channel", "channel", True),
-                ("--regime", "regime", True), ("--budget", "int", True),
+    "analyze": [("--plant", "plant", False), ("--channel", "channel", True),
+                ("--regime", "regime", False), ("--budget", "int", True),
                 ("--fixed-eta", "rational", False), ("--direction", "direction", False)],
     "capacity": [("--channel", "channel", True), ("--tolerance", "rational", True),
                  ("--max-block", "block", False)],
@@ -771,7 +791,10 @@ def test_argv_fuzz_never_raises(argv):
     (["zero-error", "--channel", "pentagon.json", "--max-block", "3"], True),
     # buffered, a short report would wait for the interpreter's exit flush
     (["eta", "--plant", "plant_diag2.json"], False),
-], ids=["write", "exit-flush"])
+    # argparse prints the help inside parse_args
+    (["--help"], False),
+    (["analyze", "--help"], False),
+], ids=["write", "exit-flush", "help", "analyze-help"])
 def test_closed_stdout_exits_one_without_a_traceback(data_dir, argv, unbuffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)

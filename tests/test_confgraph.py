@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from certcap import confgraph
 from certcap.channel import (SupportCertificate, certify_support, exact_channel,
-                             noiseless, product_channel, typewriter)
+                             noiseless, typewriter)
 from certcap.confgraph import (CapacityLadder, ConfusabilityGraph, LadderError,
                                _PowerSymmetry, certified_graph, clique_cover_weight,
                                confusability_graph, extend_ladder,
                                fractional_clique_cover, max_independent_set,
                                strong_power)
 from certcap.enclosure import log2_enclosure
+from conftest import product_channel
 
 F = Fraction
 
@@ -513,6 +514,30 @@ def small_power(draw):
     return g, strong_power(g, draw(st.integers(min_value=1, max_value=top)))
 
 
+def matched_automorphism(symmetry, u: int, w: int, fixed: int | None) -> list[int]:
+    """The index map of a coordinate permutation and one base map per
+    coordinate sending u to w (and ``fixed`` to itself), matched greedily:
+    coordinate i of u goes to the first free coordinate j of w that some
+    base map x -> +-x + k step reaches, from (u_i, fixed_i) to
+    (w_j, fixed_j).  Reaching is an equivalence, so a greedy match exists
+    whenever any does."""
+    m, n, step, c = symmetry.m, symmetry.n, symmetry.step, symmetry.reflection
+    maps = [[(x + k) % m for x in range(m)] for k in range(0, m, step)]
+    if c is not None:
+        maps += [[(c + k - x) % m for x in range(m)] for k in range(0, m, step)]
+    digits = lambda x: [x // m ** (n - 1 - i) % m for i in range(n)]  # noqa: E731
+    du, dw = digits(u), digits(w)
+    dv = None if fixed is None else digits(fixed)
+    free, moves = list(range(n)), []
+    for i in range(n):
+        j, f = next((j, f) for j in free for f in maps
+                    if f[du[i]] == dw[j] and (dv is None or f[dv[i]] == dv[j]))
+        free.remove(j)
+        moves.append((j, f))
+    return [sum(f[d] * m ** (n - 1 - j) for (j, f), d in zip(moves, digits(x)))
+            for x in range(m ** n)]
+
+
 def is_fractional_clique_cover(g, cover) -> bool:
     """Reference check, one vertex pair and one vertex at a time."""
     sets = [[x for x in range(len(g)) if clique >> x & 1] for clique, _ in cover]
@@ -567,26 +592,27 @@ class TestOrbitPruning:
 
     @given(drawn=small_power(), data=st.data())
     @settings(max_examples=120, deadline=None)
-    def test_generators_are_automorphisms_of_the_power(self, drawn, data):
+    def test_orbit_masks_are_joined_by_automorphisms(self, drawn, data):
         g, power = drawn
         symmetry = confgraph._power_symmetry(power)
         if symmetry is None:
             return
-        v = data.draw(st.integers(min_value=0, max_value=len(power) - 1))
-        for move in symmetry.generators():
-            assert confgraph._is_automorphism(power, [move(x) for x in range(len(power))])
-        for move in symmetry.stabiliser_generators(v):
-            assert move(v) == v
-            assert confgraph._is_automorphism(power, [move(x) for x in range(len(power))])
+        v, u = (data.draw(st.integers(min_value=0, max_value=len(power) - 1))
+                for _ in range(2))
+        for fixed, masks in ((None, symmetry.orbit_masks()), (v, symmetry.orbit_masks(v))):
+            assert masks[u] >> u & 1
+            for w in (x for x in range(len(power)) if masks[u] >> x & 1):
+                assert masks[w] == masks[u]
+                image = matched_automorphism(symmetry, u, w, fixed)
+                assert image[u] == w and (fixed is None or image[fixed] == fixed)
+                assert confgraph._is_automorphism(power, image)
 
     def test_pentagon_stabiliser_orbits_have_the_wreath_product_sizes(self, pentagon):
         # the stabiliser of (0, 0) in D5 wr S2 has order 8: x -> -x on either
         # coordinate and the swap; an orbit is a multiset of two classes
         # {0}, {1, 4}, {2, 3}, e.g. {1, 2} holds (+-1, +-2) and (+-2, +-1)
         power = strong_power(graph_of(pentagon), 2)
-        symmetry = confgraph._power_symmetry(power)
-        moves = symmetry.stabiliser_generators(0)
-        orbits = {confgraph._orbit(w, moves) for w in range(25)}
+        orbits = set(confgraph._power_symmetry(power).orbit_masks(0))
         assert sorted(o.bit_count() for o in orbits) == [1, 4, 4, 4, 4, 8]
 
     def test_pentagon_cube_takes_the_recorded_nodes(self, pentagon):

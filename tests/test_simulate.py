@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from certcap.classify import Regime
 from certcap.confgraph import confusability_graph, max_independent_set, strong_power
 from certcap.linalg import as_matrix
 from certcap.plant import Plant
-from certcap.simulate import (SimConfig, SimulationError, _dyadic_split,
+from certcap.simulate import (CodeSpec, SimConfig, SimulationError, _dyadic_split,
                               _lowest_terms, identity_code, run_estimation,
                               run_stabilization, run_weak_detection,
                               sample_output, witness_code)
@@ -183,6 +184,45 @@ class TestRefusalsAndShapes:
                         horizon=10, seed=0, x0=(F(5),))
         with pytest.raises(SimulationError, match="outside"):
             run_estimation(cfg)
+
+
+def _config(ch, plant=None, regime="se-nofb", **fields):
+    plant = plant or scalar_plant(F(3, 2), disturbance=F(1, 10))
+    return SimConfig(plant, ch, Regime(regime), identity_code(ch), horizon=10, seed=0,
+                     **fields)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda ch: run_estimation(_config(ch, Plant(as_matrix([[F(3, 2)]]), c=as_matrix([[2]])))),
+     r"full-state sensing \(C = I\) only"),
+    (lambda ch: run_estimation(_config(ch, scalar_plant(F(-3, 2)))),
+     "non-negative diagonal entries"),
+    (lambda ch: run_stabilization(_config(ch, regime="stab-fb")),
+     "stabilization needs an input map B"),
+    (lambda ch: run_stabilization(_config(ch, scalar_plant(F(3, 2), b=0), "stab-fb")),
+     "diagonal invertible B only"),
+    (lambda ch: run_estimation(_config(ch, regime="weak")), r"expects an se-\* regime"),
+    (lambda ch: run_stabilization(_config(ch)), "expects regime stab-fb"),
+    (lambda ch: run_weak_detection(_config(ch, regime="se-fb")), "expects regime weak"),
+    (lambda ch: run_estimation(_config(ch, x0=(F(0), F(0)))), "x0 dimension mismatch"),
+    (lambda ch: witness_code(ch, ()), "empty witness"),
+    (lambda ch: CodeSpec(2, ((0, 1), (1,))), "codeword length mismatch"),
+    (lambda ch: CodeSpec(1, ((0,), (0,))), "duplicate codewords"),
+], ids=["c-not-identity", "negative-mode", "stab-without-b", "singular-b",
+        "estimation-regime", "stabilization-regime", "weak-regime", "x0-length",
+        "empty-witness", "codeword-length", "duplicate-codewords"])
+def test_unrunnable_configuration_is_refused(nl2, run, message):
+    with pytest.raises(SimulationError, match=message):
+        run(nl2)
+
+
+def test_verify_recursion_catches_an_altered_disturbance(nl2):
+    cfg = _config(nl2)
+    traj = run_estimation(cfg)
+    assert traj.verify_recursion(cfg)
+    zetas = list(traj.zetas)
+    zetas[3] = (zetas[3][0] + F(1, 1000),)
+    assert not replace(traj, zetas=tuple(zetas)).verify_recursion(cfg)
 
 
 class TestDeterminismAndSampling:
