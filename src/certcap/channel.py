@@ -145,7 +145,7 @@ def stream_channel(inputs, outputs, schedules) -> Channel:
 
 
 def load_channel(doc) -> Channel:
-    """Validate a channel JSON document (dict, JSON text, or file path)."""
+    """Validate a channel JSON document (dict or JSON text)."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)

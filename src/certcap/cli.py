@@ -84,9 +84,15 @@ def _budget(flag: int | None) -> int:
     return budget
 
 
+class _Parser(argparse.ArgumentParser):  # add_subparsers reuses the class
+    def _print_message(self, message, file=None):  # raises where argparse's swallows OSError
+        if message:
+            (file or sys.stderr).write(message)
+
+
 @functools.cache  # one parser per process; parse_args returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="certcap",
         description="certified capacity bounds and solvability classification "
                     "for control over discrete noisy channels")

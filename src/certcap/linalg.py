@@ -34,10 +34,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                  for row in a)
 
 
-def mat_vec(a: Matrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def is_square(m: Matrix) -> bool:
     return bool(m) and all(len(row) == len(m) for row in m)
 
@@ -105,54 +101,25 @@ def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs))
 
 
-def _row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a rational matrix and its pivot columns."""
+def kernel_basis(rows, ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Basis of the right null space of a matrix with ncols columns, and its
+    free columns: basis vector j is 1 at column free[j] and 0 at the other
+    free columns.  A matrix with no rows leaves every column free.  One
+    Gauss-Jordan pass, on integer rows (``integer_pivot``).
+    """
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"rows must have {ncols} columns")
     rows, den = integer_rows(rows)
     pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        den = integer_pivot(rows, den, r, c)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [[Fraction(v, den) for v in row] for row in rows], pivots
-
-
-def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space, as column vectors."""
-    if not m:
-        return []
-    ncols = len(m[0])
-    rows, pivots = _row_echelon([list(r) for r in m])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
-        basis.append(tuple(vec))
-    return basis
-
-
-def restrict_to_invariant(a: Matrix, basis: list[tuple[Fraction, ...]]) -> Matrix:
-    """Matrix of A on span(basis), assuming the span is A-invariant.
-
-    Solves V Y = A V exactly by one elimination on [V | A V]; V has full
-    column rank by construction, and invariance makes the system consistent.
-    """
-    if not basis:
-        return ()
-    k = len(basis)
-    images = [mat_vec(a, v) for v in basis]
-    rows, pivots = _row_echelon([[v[i] for v in basis] + [w[i] for w in images]
-                                 for i in range(len(a))])
-    if pivots != list(range(k)):
-        raise ValueError("basis does not span an invariant subspace")
-    return tuple(tuple(rows[i][k:]) for i in range(k))
+        pivot = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if pivot is not None:
+            r = len(pivots)
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            den = integer_pivot(rows, den, r, c)
+            pivots.append(c)
+    pivot_row = dict(zip(pivots, rows))
+    free = [c for c in range(ncols) if c not in pivot_row]
+    basis = [tuple(Fraction(-pivot_row[c][f], den) if c in pivot_row else Fraction(int(c == f))
+                   for c in range(ncols)) for f in free]
+    return basis, free

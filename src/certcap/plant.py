@@ -5,10 +5,8 @@ to characteristic polynomials.  The instability exponent sums log2 of the
 eigenvalue moduli >= 1, bracketed by bisecting on the radius of the count;
 InstabilityExponent keeps that bisection, so each narrower enclosure only
 splits the brackets that block it.
-Detectability and stabilizability are decided exactly: the
-unobservable (resp. uncontrollable) subspace is computed over the rationals
-and its induced dynamics are put through the all-roots-inside-the-unit-
-circle test schur_stable.
+Detectability and stabilizability are decided exactly, by schur_stable on
+A restricted to the unobservable (resp. uncontrollable) subspace.
 """
 
 from __future__ import annotations
@@ -18,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosure import DomainError, Enclosure, log2_enclosure, parse_rational, rational_str
-from .linalg import (Matrix, as_matrix, char_poly, is_square, kernel_basis, mat_mul,
-                     restrict_to_invariant, transpose)
+from .linalg import Matrix, as_matrix, char_poly, is_square, kernel_basis, mat_mul, transpose
 from .roots import UnstableModuli, schur_stable
 
 DEFAULT_ETA_WIDTH = Fraction(1, 1 << 30)
@@ -124,30 +121,29 @@ def instability_exponent(a: Matrix, max_width: Fraction = DEFAULT_ETA_WIDTH) -> 
     return InstabilityExponent(a).enclose(max_width)
 
 
-def _unobservable_basis(a: Matrix, c: Matrix):
-    n = len(a)
-    rows = [list(row) for row in c]
-    power = c
-    for _ in range(n - 1):
-        power = mat_mul(power, a)
-        rows.extend(list(row) for row in power)
-    return kernel_basis(as_matrix(rows))
-
-
 def is_detectable(a: Matrix, c: Matrix) -> bool:
     """Every mode outside the open unit circle is visible to the sensor map.
 
     Equivalent to the per-eigenvalue rank condition [A - zI; C] full rank at
-    all |z| >= 1: the rank drops exactly at eigenvalues of A restricted to
-    the unobservable subspace, so it suffices to decide Schur stability of
-    that restriction, which is exact rational work.
+    all |z| >= 1 (Hautus 1969): the rank drops exactly at eigenvalues of A
+    restricted to the unobservable subspace, the kernel V of [C; CA; ...;
+    CA^(n-1)].  V is A-invariant, so A V = V Y, and V's rows at its free
+    columns are the identity, so Y is A V's rows there.  A C with no rows
+    leaves the whole state unobservable, and Y is A.
     """
-    a = as_matrix(a)
-    c = as_matrix(c)
-    basis = _unobservable_basis(a, c)
+    a, c = as_matrix(a), as_matrix(c)
+    rows, power = list(c), c
+    for _ in range(len(a) - 1):
+        power = mat_mul(power, a)
+        rows.extend(power)
+    basis, free = kernel_basis(rows, len(a))
     if not basis:
         return True
-    restriction = restrict_to_invariant(a, basis)
+    v = transpose(basis)
+    image = mat_mul(a, v)
+    restriction = tuple(image[f] for f in free)
+    if mat_mul(v, restriction) != image:
+        raise RuntimeError("unobservable subspace is not A-invariant")
     return schur_stable(char_poly(restriction))
 
 

@@ -3,17 +3,20 @@
 The certificate checker in check.py re-validates what the engine produces,
 so it must not import the engine, the CLI, the simulator or the plant
 module; it imports primitives only.  No module imports a name it never
-reads.
+reads, and no module-level function or class goes unnamed outside its own
+definition.
 """
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
 import certcap
 
 PACKAGE = Path(certcap.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
 CHECK = PACKAGE / "check.py"
 FORBIDDEN = {"classify", "cli", "simulate", "plant"}
 
@@ -68,3 +71,30 @@ def test_every_imported_name_is_read():
     unread = {path.name: _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
               for path in modules}
     assert not {name: names for name, names in unread.items() if names}
+
+
+def _unnamed_definitions(corpus: dict) -> list[str]:
+    """Module-level functions and classes of the package whose name, as a
+    word, appears nowhere in ``corpus`` (path -> source text) outside the
+    lines of their own definition."""
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = corpus[path].splitlines(keepends=True)
+        others = [text for other, text in corpus.items() if other != path]
+        for node in ast.parse(corpus[path]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
+            outside = "".join(lines[:start] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(text) for text in [outside, *others]):
+                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    return unnamed
+
+
+def test_every_definition_is_named_elsewhere():
+    corpus = {path: path.read_text(encoding="utf-8")
+              for folder in ("src", "tests", "scripts", "perfbench")
+              for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert PACKAGE / "plant.py" in corpus
+    assert not _unnamed_definitions(corpus)

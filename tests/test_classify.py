@@ -238,6 +238,21 @@ class TestPreconditions:
         with pytest.raises(RegimePreconditionError, match="input map"):
             classify(plant, pentagon, Regime("stab-fb"), 10)
 
+    def test_plant_without_c_is_rejected(self, pentagon):
+        from certcap.linalg import as_matrix
+        from certcap.plant import Plant
+        plant = Plant(as_matrix([[2]]), disturbance_bound=F(1, 10))
+        with pytest.raises(RegimePreconditionError, match="needs a sensor map C"):
+            classify(plant, pentagon, Regime("se-fb"), 10)
+
+    def test_unstabilizable_plant_rejected(self, pentagon):
+        from certcap.linalg import as_matrix
+        from certcap.plant import Plant
+        plant = Plant(as_matrix([[2, 0], [0, F(1, 2)]]), c=as_matrix([[1, 0], [0, 1]]),
+                      b=as_matrix([[0], [1]]), disturbance_bound=F(1, 10))
+        with pytest.raises(RegimePreconditionError, match="not stabilizable"):
+            classify(plant, pentagon, Regime("stab-fb"), 10)
+
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
             Regime("se-magic")

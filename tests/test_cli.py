@@ -224,6 +224,24 @@ def test_non_list_plant_field_exits_one(capsys, data_dir, tmp_path, plant):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("plant, regime, message", [
+    ({"A": [["3/2"]], "C": [], "D": "1/10"}, "se-fb",
+     "error: pair (A, C) is not detectable\n"),
+    ({"A": [["3/2"]], "C": [["1"]], "B": [[]], "D": "1/10"}, "stab-fb",
+     "error: pair (A, B) is not stabilizable\n"),
+    ({"A": [["1/2"]], "C": [], "D": "1/10"}, "se-fb", ""),
+], ids=["no-sensor", "no-input", "no-sensor-stable"])
+def test_empty_maps_need_a_stable_plant(capsys, data_dir, tmp_path, plant, regime, message):
+    # a C with no rows means no sensor, a B with no columns no input
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps(plant))
+    code, out, err = run_cli(capsys, "analyze", "--plant", str(path), "--regime", regime,
+                             "--channel", str(data_dir / "noiseless2.json"),
+                             "--budget", "100")
+    assert (code, err) == ((EXIT_ERROR, message) if message else (EXIT_OK, ""))
+    assert bool(out) == (not message)
+
+
 @pytest.mark.parametrize("argv", [["fb-capacity", "--channel"], ["eta", "--plant"]])
 def test_directory_path_exits_one(capsys, data_dir, argv):
     code, out, err = run_cli(capsys, *argv, str(data_dir))
@@ -794,7 +812,11 @@ def test_argv_fuzz_never_raises(argv):
     # argparse prints the help inside parse_args
     (["--help"], False),
     (["analyze", "--help"], False),
-], ids=["write", "exit-flush", "help", "analyze-help"])
+    # unbuffered, argparse's own write of the help meets the closed pipe
+    (["--help"], True),
+    (["analyze", "--help"], True),
+], ids=["write", "exit-flush", "help", "analyze-help", "help-unbuffered",
+        "analyze-help-unbuffered"])
 def test_closed_stdout_exits_one_without_a_traceback(data_dir, argv, unbuffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certcap.linalg import as_matrix, char_poly, kernel_basis, mat_mul, mat_vec
+from certcap.linalg import as_matrix, char_poly, kernel_basis, mat_mul, transpose
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 
@@ -62,6 +62,8 @@ def test_char_poly_on_mixed_denominators(m):
 @given(matrices(square=False))
 @settings(max_examples=150, deadline=None)
 def test_kernel_basis_spans_the_null_space(m):
-    basis = kernel_basis(m)
-    assert len(basis) == len(m[0]) - fraction_elimination(m)[0]
-    assert all(v == 0 for vec in basis for v in mat_vec(m, vec))
+    basis, free = kernel_basis(m, len(m[0]))
+    assert len(basis) == len(free) == len(m[0]) - fraction_elimination(m)[0]
+    assert all(v == 0 for row in mat_mul(m, transpose(basis)) for v in row)
+    assert [[vec[f] for f in free] for vec in basis] == [
+        [int(i == j) for i in range(len(free))] for j in range(len(free))]

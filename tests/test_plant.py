@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certcap import plant as plant_module
@@ -134,10 +134,72 @@ class TestStructure:
         a = as_matrix([[0, F(1, 2)], [F(-1, 2), 0]])  # eigenvalues +-i/2
         assert is_detectable(a, as_matrix([[0, 0]])) is True
 
+    def test_empty_maps_hide_every_mode(self):
+        # a C with no rows is no sensor and a B with no columns no input
+        for a, stable in (([[F(3, 2)]], False), ([[F(1, 2)]], True)):
+            assert is_detectable(as_matrix(a), ()) is stable
+            assert is_stabilizable(as_matrix(a), ((),)) is stable
+
     def test_jordan_block_at_one(self):
         a = as_matrix([[1, 1], [0, 1]])
         assert is_detectable(a, as_matrix([[1, 0]])) is True
         assert is_detectable(a, as_matrix([[0, 1]])) is False
+
+
+_block_entries = st.sampled_from(sorted({F(p, q) for p in range(-8, 9) for q in (1, 2, 4)}))
+
+
+def _mul(x, y):
+    return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*y)] for row in x]
+
+
+def _identity(rows, cols):
+    return [[F(int(i == j)) for j in range(cols)] for i in range(rows)]
+
+
+@st.composite
+def _similarity(draw, n):
+    """A random rational T and its inverse, built from elementary row operations."""
+    t, inv = _identity(n, n), _identity(n, n)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        i, j = (draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(2))
+        q = draw(_block_entries.filter(bool))
+        if i == j:  # row i of T times q; column i of T^-1 over q
+            t[i] = [q * v for v in t[i]]
+            for row in inv:
+                row[i] /= q
+        else:  # row j of T plus q row i; column i of T^-1 minus q column j
+            t[j] = [v + q * w for v, w in zip(t[j], t[i])]
+            for row in inv:
+                row[i] -= q * row[j]
+    return t, inv
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_hidden_unobservable_block_decides_detectability(data):
+    """A = [[A11, 0], [X, A22]] with C = [I_k | 0] hides exactly the A22 block
+    from the sensor, and its dual [[A11, X^T], [0, A22]] with B = [I_k; 0]
+    from the input; k = 0 is a C with no rows and a B with no columns.  A
+    random similarity T hides the blocks, and mpmath's eigenvalues of A22
+    give the expected answer."""
+    k = data.draw(st.integers(min_value=0, max_value=2))
+    m = data.draw(st.integers(min_value=1, max_value=2))
+    n = k + m
+    a11, x, a22 = (data.draw(st.lists(st.lists(_block_entries, min_size=cols, max_size=cols),
+                                      min_size=rows, max_size=rows))
+                   for rows, cols in ((k, k), (m, k), (m, m)))
+    moduli = [abs(lam) for lam in mpmath.eig(
+        mpmath.matrix([[mpmath.mpf(v.numerator) / v.denominator for v in row] for row in a22]))[0]]
+    assume(all(abs(r - 1) > 1e-9 for r in moduli))
+    expected = all(r < 1 for r in moduli)
+    lower = [row + [F(0)] * m for row in a11] + [xr + ar for xr, ar in zip(x, a22)]
+    upper = ([row + list(col) for row, col in zip(a11, zip(*x))]
+             + [[F(0)] * k + row for row in a22])
+    t, inv = data.draw(_similarity(n))
+    assert _mul(t, inv) == _identity(n, n)
+    assert is_detectable(_mul(_mul(t, lower), inv), _mul(_identity(k, n), inv)) is expected
+    assert is_stabilizable(_mul(_mul(t, upper), inv), _mul(t, _identity(n, k))) is expected
 
 
 class TestLoading:
@@ -154,6 +216,8 @@ class TestLoading:
             Plant(as_matrix([[1, 2]]))
         with pytest.raises(PlantFormatError):
             Plant(as_matrix([[1]]), c=as_matrix([[1, 2]]))
+        with pytest.raises(PlantFormatError, match="B must have n rows"):
+            Plant(as_matrix([[1, 0], [0, 1]]), b=as_matrix([[1]]))
         with pytest.raises(PlantFormatError):
             load_plant({"A": [["1"]], "D": "-1"})
 

@@ -243,6 +243,24 @@ class TestDeterminismAndSampling:
         for idx, p in enumerate(row):
             assert abs(counts[idx] / draws - float(p)) < 0.02
 
+    @pytest.mark.parametrize("words, output", [
+        ([1431655765, 0], 0),            # floor(2**32 / 3) straddles 1/3; the next word
+        ([1431655765, 2 ** 32 - 1], 1),  # settles the cell
+        ([1431655764], 0),               # one word below the straddle is enough
+    ])
+    def test_sampler_refines_a_draw_that_straddles_a_cell_boundary(self, words, output):
+        class Words:
+            def __init__(self):
+                self.left = list(words)
+
+            def getrandbits(self, k):
+                assert k == 32
+                return self.left.pop(0)
+
+        rng = Words()
+        assert sample_output(rng, (F(1, 3), F(2, 3))) == output
+        assert rng.left == []
+
     def test_sampler_never_returns_zero_probability_output(self):
         import random
         row = (F(1, 2), F(0), F(1, 2))
