@@ -3,11 +3,11 @@
 Each quantity has one routine, driven by the command line and the
 classifier alike: the feedback zero-error capacity through Shannon's minimax
 over output support masses, an exact rational LP solved by
-minimax_ladder_step: once, at level 0, on an exact channel, and once per
-declared level on a stream channel, where each rung is built on the last and
-bounds the capacity from above; and ShannonBounds, two-sided certified
-bounds on the ordinary capacity whose step(log_width) runs one
-alternating-optimization iteration at the width its caller schedules.
+minimax_ladder_step once per declared level of the channel (an exact channel
+declares only level 0), where each rung is built on the last and bounds the
+capacity from above; and ShannonBounds, two-sided certified bounds on the
+ordinary capacity whose step(log_width) runs one alternating-optimization
+iteration at the width its caller schedules.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import Channel, SupportCertificate, certify_support, support_sets
+from .channel import Channel, certify_support, support_sets
 from .confgraph import confusability_graph
 from .enclosure import (DomainError, Enclosure, log2_enclosure, log2_fixed,
                         rational_str, width_bits)
@@ -80,20 +80,13 @@ class FeedbackCapacity:
 
 def feedback_zero_error_capacity(ch: Channel,
                                  max_width: Fraction = DEFAULT_C0FB_WIDTH) -> FeedbackCapacity:
-    """Shannon's feedback zero-error capacity of an exact channel.
-
-    Zero exactly when the confusability graph is complete; otherwise
-    log2(1/mass), mass the level-0 rung of the minimax ladder, with the
-    exact rational 1/mass retained so comparisons can be refined later to
-    any precision.  The graph and the rung share one support certificate.
-    """
+    """Shannon's feedback zero-error capacity of an exact channel: its
+    level-0 rung, with the exact rational 1/mass retained so comparisons
+    can be refined later to any precision."""
     if not ch.is_exact:
         raise DomainError("exact channel required; use the minimax ladder for streams")
-    support = certify_support(ch)
-    if confusability_graph(support, ch.inputs, len(ch.outputs)).is_complete():
-        return FeedbackCapacity(True, Fraction(1), Enclosure.exact(Fraction(0)), None)
-    rung = minimax_ladder_step(ch, 0, None, width=max_width, support=support)
-    return FeedbackCapacity(False, 1 / rung.mass, rung.upper, rung.solution)
+    rung = minimax_ladder_step(ch, 0, None, width=max_width)
+    return FeedbackCapacity(rung.solution is None, 1 / rung.mass, rung.upper, rung.solution)
 
 
 @dataclass(frozen=True)
@@ -101,26 +94,32 @@ class MinimaxRung:
     level: int
     mass: Fraction
     upper: Enclosure | None  # enclosure of log2(1/mass); None while mass == 0
-    solution: MinimaxSolution
+    solution: MinimaxSolution | None  # None when the capacity is zero
 
 
 def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
-                        width: Fraction = DEFAULT_C0FB_WIDTH,
-                        support: SupportCertificate | None = None) -> MinimaxRung:
-    """The rung after ``last`` (None before the first): support certified at
-    ``level``, or ``support`` when the caller has already certified it there.
+                        width: Fraction = DEFAULT_C0FB_WIDTH) -> MinimaxRung:
+    """The rung after ``last`` (None before the first), with the graph and
+    the LP on one support certificate at ``level``.
 
-    Proven support only grows with the level, so the minimax mass is
-    nondecreasing along the rungs and log2(1/mass) is an upper bound on the
-    feedback zero-error capacity of a stream channel that converges downward
-    as entries resolve.  The minimax LP depends only on the support sets,
-    so a level whose sets equal the last rung's reuses that rung's solution
-    and solves no LP.  ``upper`` is always enclosed afresh at ``width``.
+    An exact channel whose confusability graph is complete has capacity
+    zero: mass 1, upper [0, 0], no solution.  (A stream's may-reach graph
+    may have more than the true edges, so its being complete proves
+    nothing.)  Proven support only grows with the level, so the minimax mass
+    is nondecreasing along the rungs and log2(1/mass) is an upper bound on
+    the feedback zero-error capacity of a stream channel that converges
+    downward as entries resolve.  The minimax LP depends only on the support
+    sets, so a level whose sets equal the last rung's reuses that rung's
+    solution and solves no LP.  ``upper`` is always enclosed afresh at
+    ``width``.
     """
     if last is not None and level <= last.level:
         raise DomainError("ladder levels must increase")
-    nx = len(ch.inputs)
-    supports = support_sets(support or certify_support(ch, level), nx, len(ch.outputs))
+    nx, ny = len(ch.inputs), len(ch.outputs)
+    support = certify_support(ch, level)
+    if ch.is_exact and confusability_graph(support, ch.inputs, ny).is_complete():
+        return MinimaxRung(level, Fraction(1), Enclosure.exact(Fraction(0)), None)
+    supports = support_sets(support, nx, ny)
     if last is not None and supports == last.solution.support_sets:
         sol = last.solution
     else:

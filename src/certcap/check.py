@@ -138,7 +138,8 @@ def log2_compare(value: Fraction, exponent: Fraction) -> int:
 
 # deepest endpoint p / 2**m, and narrowest shannon log width, the re-validator
 # settles (log2_compare costs about m**2.3); the engine's deepest endpoint is
-# 2**-118, at FeedbackCapacityTask's last width
+# 2**-120, at FeedbackCapacityTask's last width on a stream (2**-118 on an
+# exact channel)
 _MAX_ENDPOINT_DEPTH = 1024
 
 

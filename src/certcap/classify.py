@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .capacity import ShannonBounds, feedback_zero_error_capacity, minimax_ladder_step
+from .capacity import DEFAULT_C0FB_WIDTH, ShannonBounds, minimax_ladder_step
 from .channel import Channel, ResourceCapError
 from .check import (SOLVABLE, UNDETERMINED, UNSOLVABLE, BudgetReport,
                     IndependentSetCertificate, PsiCertificate, SeparationCertificate,
@@ -140,85 +140,60 @@ class _CapacityTask:
 
 
 class FeedbackCapacityTask(_NarrowingTask, _CapacityTask):
-    """Exact channel: one LP solve, then log-enclosure refinement.
+    """Climbs the channel's declared levels, then narrows log2(1/mass).
 
-    The first step computes the feedback zero-error capacity; later steps
-    keep its exact 1/psi, minimax solution and zero-capacity flag and only
-    re-enclose log2(1/psi) at the narrower width.
+    Each climbing step is one ``minimax_ladder_step`` at the next declared
+    level (intervals change only there, so the levels between would repeat
+    the last rung); the LP is solved only where the support sets change.
+    After the last level each step keeps the rung and re-encloses
+    log2(1/mass) at a width sixteen times narrower.  Only an exact channel's
+    level-0 support is its true support, so only there is the bound also a
+    lower one whose ties are final; a stream's bound is an upper one.
     """
 
     name = "fb-capacity"
-    ties_are_final = True
 
     def __init__(self, ch: Channel):
         self.channel = ch
-        self.width = Fraction(1, 1 << 10)
-        self.result = None
-
-    @property
-    def enclosure(self) -> Enclosure | None:
-        return self.result.enclosure if self.result else None
-
-    lower = upper = enclosure
-
-    def refine(self, width: Fraction) -> None:
-        if self.result is None:
-            self.result = feedback_zero_error_capacity(self.channel, width)
-        else:  # log2 of a zero-capacity result's inverse mass 1 stays exactly 0
-            self.result = replace(self.result, enclosure=log2_enclosure(
-                self.result.inverse_mass, width))
-
-    def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
-        result = self.result
-        if outcome == SOLVABLE:
-            return SeparationCertificate(
-                "c0fb", "eta-below-capacity", eta, result.enclosure,
-                {"inverse_psi": rational_str(result.inverse_mass),
-                 "distribution": [rational_str(p) for p in result.minimax.distribution],
-                 "nonadjacent_pair": list(_nonadjacent_pair(ch))})
-        if result.zero_capacity:
-            return PsiCertificate(Fraction(1), 0, (), True, result.enclosure, eta.lo)
-        return PsiCertificate(result.minimax.value, 0, result.minimax.output_weights,
-                              False, result.enclosure, eta.lo)
-
-
-class MinimaxLadderTask(_CapacityTask):
-    """Stream channel: support level climbs, minimax mass rises monotonically.
-
-    Each step certifies the support at the next declared level (intervals
-    change only there, so the levels between would repeat the last rung);
-    the minimax LP is solved only at levels where the support sets change.
-    """
-
-    name = "psi-ladder"
-
-    def __init__(self, ch: Channel):
-        self.channel = ch
-        levels = ch.declared_levels()
-        self.levels, self.max_level = iter(levels), levels[-1]
-        self.level = -1
+        self.ties_are_final = ch.is_exact
+        self.levels = ch.declared_levels()[::-1]  # the levels left to climb, last first
+        self.width = Fraction(1, 1 << 10) if ch.is_exact else DEFAULT_C0FB_WIDTH
         self.rung = None
 
     @property
-    def upper(self) -> Enclosure | None:
+    def enclosure(self) -> Enclosure | None:
         return self.rung.upper if self.rung else None
 
+    upper = enclosure
+
+    @property
+    def lower(self) -> Enclosure | None:
+        return self.enclosure if self.ties_are_final else None
+
     def exhausted(self) -> bool:
-        return self.level >= self.max_level
+        # a last rung of mass 0 has no bound to narrow
+        return not self.levels and (self.enclosure is None or super().exhausted())
 
     def step(self) -> None:
-        self.level = next(self.levels)
-        self.rung = minimax_ladder_step(self.channel, self.level, self.rung)
-
-    def progress(self) -> dict:
-        rung = self.rung
-        return {"level": self.level, "mass": rational_str(rung.mass) if rung else None,
-                "upper": self.upper.to_json() if self.upper else None}
+        if self.levels:
+            self.rung = minimax_ladder_step(self.channel, self.levels.pop(), self.rung,
+                                            width=self.width)
+        else:
+            self.rung = replace(self.rung, upper=log2_enclosure(1 / self.rung.mass, self.width))
+        if not self.levels:
+            self.width /= 16
 
     def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
         rung = self.rung
-        return PsiCertificate(rung.mass, rung.level, rung.solution.output_weights,
-                              False, rung.upper, eta.lo)
+        if outcome == SOLVABLE:
+            return SeparationCertificate(
+                "c0fb", "eta-below-capacity", eta, rung.upper,
+                {"inverse_psi": rational_str(1 / rung.mass),
+                 "distribution": [rational_str(p) for p in rung.solution.distribution],
+                 "nonadjacent_pair": list(_nonadjacent_pair(ch))})
+        weights = rung.solution.output_weights if rung.solution else ()
+        return PsiCertificate(rung.mass, rung.level, weights, rung.solution is None,
+                              rung.upper, eta.lo)
 
 
 # the ladder task's search limits: vertices of a strong power, B&B nodes per rung
@@ -402,9 +377,8 @@ def classify_fixed_plant(eta: Enclosure, ch: Channel, direction: str,
 
 def _run_classification(eta_task, ch: Channel, kind: str, budget: int) -> Verdict:
     regime, only = _FIXED_PLANT.get(kind, (kind, None))
-    feedback = FeedbackCapacityTask if ch.is_exact else MinimaxLadderTask
-    cap = {"se-nofb": ZeroErrorLadderTask, "se-fb": feedback, "stab-fb": feedback,
-           "weak": CapacityBoundsTask}[regime](ch)
+    cap = {"se-nofb": ZeroErrorLadderTask, "se-fb": FeedbackCapacityTask,
+           "stab-fb": FeedbackCapacityTask, "weak": CapacityBoundsTask}[regime](ch)
     tasks = [eta_task, cap]
 
     def eta() -> Enclosure | None:

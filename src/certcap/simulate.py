@@ -280,11 +280,10 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
     modes = cfg.modes()
     dim = len(modes)
     n = cfg.code.block_length
-    if cfg.plant.c is not None:
-        c = cfg.plant.c
-        if len(c) != dim or any(c[i][j] != (1 if i == j else 0)
-                                for i in range(len(c)) for j in range(dim)):
-            raise SimulationError("simulator supports full-state sensing (C = I) only")
+    c = cfg.plant.c
+    if c is None or len(c) != dim or any(c[i][j] != (1 if i == j else 0)
+                                         for i in range(len(c)) for j in range(dim)):
+        raise SimulationError("simulator supports full-state sensing (C = I) only")
     if any(a < 0 for a in modes):
         raise SimulationError("simulator expects non-negative diagonal entries")
 

@@ -19,7 +19,7 @@ from certcap.channel import (certify_support, exact_channel, hovering_stream,
                              support_sets, typewriter)
 from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               IndependentSetCertificate,
-                              InternalInvariantViolation, MinimaxLadderTask,
+                              InternalInvariantViolation,
                               PsiCertificate, Regime, RegimePreconditionError,
                               SeparationCertificate, Verdict, classify,
                               classify_fixed_plant, dovetail, revalidate,
@@ -196,6 +196,39 @@ class TestOneSidedness:
         for budget in (10, 100, 400):
             verdict = classify(plant, hover_channel, Regime("se-fb"), budget)
             assert verdict.outcome in ("Undetermined",)
+
+    # floor(2**25 log2(5/2)) + 1 over 2**25: above C0fb(pentagon) by less
+    # than the 2**-20 width the stream's climb encloses log2(1/psi') at
+    ABOVE_PENTAGON = F(44356547, 33554432)
+
+    def test_stream_bound_narrows_after_the_climb(self, data_dir):
+        for name, steps in (("pentagon.json", 6), ("stream_pentagon_resolve3.json", 7)):
+            ch = load_channel((data_dir / name).read_text())
+            verdict = classify_fixed_plant(Enclosure.exact(self.ABOVE_PENTAGON), ch,
+                                           "capacity-below", 1000)
+            assert (verdict.outcome, verdict.steps) == ("Unsolvable", steps)
+            assert revalidate(verdict, ch)
+
+    def test_stream_halts_like_the_exact_channel_just_above_capacity(self, data_dir):
+        plant = scalar_plant(F(5, 2) + F(1, 1 << 22), disturbance=F(1, 10))
+        for name in ("pentagon.json", "stream_pentagon_resolve3.json"):
+            ch = load_channel((data_dir / name).read_text())
+            verdict = classify(plant, ch, Regime("se-fb"), 1000)
+            assert (verdict.outcome, verdict.steps) == ("Unsolvable", 10)
+            assert revalidate(verdict, ch)
+
+    def test_stream_of_mass_zero_exhausts_after_the_climb(self):
+        # no entry is ever proven positive, so psi' = 0 at the last declared
+        # level and there is no bound to narrow
+        ch = stream_channel((0, 1), (0, 1), [[[(0, 0, 1), (3, 0, 1)], [(0, 0, 1)]],
+                                             [[(0, 0, 1)], [(0, 0, 1)]]])
+        task = FeedbackCapacityTask(ch)
+        task.step()
+        assert not task.exhausted()
+        task.step()
+        assert task.exhausted() and (task.rung.level, task.rung.mass) == (3, 0)
+        verdict = classify(scalar_plant(2, disturbance=F(1, 10)), ch, Regime("se-fb"), 1000)
+        assert (verdict.outcome, verdict.steps) == ("Undetermined", 3)
 
     def test_nofb_never_unsolvable_on_corpus(self, pentagon, bsc14, nl2,
                                              hover_channel, pentagon_stream):
@@ -798,11 +831,14 @@ class TestNoRepeatedSolves:
         while not task.exhausted():
             width = task.width
             task.step()
-            steps.append((width, task.result))
+            steps.append((width, task.rung))
         assert len(calls) == 1
         assert len(steps) > 20
-        for width, result in steps:
-            assert result == feedback_zero_error_capacity(ch, width)
+        for width, rung in steps:
+            fresh = feedback_zero_error_capacity(ch, width)
+            assert not fresh.zero_capacity
+            assert (1 / rung.mass, rung.upper, rung.solution) == (
+                fresh.inverse_mass, fresh.enclosure, fresh.minimax)
 
     def test_pentagon_tie_verdict_matches_resolving_task(self, data_dir, monkeypatch):
         # a = 5/2 puts eta exactly on C0fb(pentagon) = log2(5/2): both tasks
@@ -817,7 +853,8 @@ class TestNoRepeatedSolves:
 
         class ResolvingTask(FeedbackCapacityTask):
             def step(self):
-                self.result = feedback_zero_error_capacity(self.channel, self.width)
+                self.rung = minimax_ladder_step(self.channel, 0, None, width=self.width)
+                self.levels.clear()
                 self.width /= 16
 
         monkeypatch.setattr(classify_module, "FeedbackCapacityTask", ResolvingTask)
@@ -829,9 +866,9 @@ class TestNoRepeatedSolves:
     def test_minimax_ladder_solves_once_per_support_pattern(self, monkeypatch):
         ch = hovering_stream(noiseless(2), [(0, 1)], 64)
         calls = self._count_solves(monkeypatch)
-        task = MinimaxLadderTask(ch)
+        task = FeedbackCapacityTask(ch)
         rungs = []
-        while not task.exhausted():
+        while task.levels:
             task.step()
             rungs.append(task.rung)
         assert [r.level for r in rungs] == list(range(64))

@@ -302,6 +302,33 @@ def test_simulate_on_a_stream_channel_exits_one(capsys, data_dir):
     assert err == "error: the simulator needs an exact channel, not a stream\n"
 
 
+def test_simulate_refuses_a_plant_without_a_sensor_map(capsys, data_dir, tmp_path):
+    # analyze refuses this plant for want of C; simulate must not run it as C = I
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps({"A": [["3/2"]], "D": "1/10"}))
+    code, out, err = run_cli(capsys, "simulate", "--plant", str(path),
+                             "--channel", str(data_dir / "noiseless2.json"),
+                             "--regime", "se-fb", "--horizon", "5")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: simulator supports full-state sensing (C = I) only\n"
+
+
+# Today's refusals of stream channels where a capacity needs exact entries.
+# ROADMAP item 13 (the weak regime on streams) replaces them and will edit
+# these tests.
+@pytest.mark.parametrize("stream", ["stream_hover.json", "stream_pentagon_resolve3.json"])
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--plant", "plant_weak_3_2.json", "--regime", "weak"],
+     "weak regime needs exact channel entries for capacity bounds"),
+    (["capacity"], "exact channel required; use the minimax ladder for streams"),
+    (["fb-capacity"], "exact channel required; use the minimax ladder for streams"),
+], ids=["weak", "capacity", "fb-capacity"])
+def test_stream_refusals_are_pinned(capsys, data_dir, stream, argv, message):
+    code, out, err = run_cli(capsys, *_resolve(data_dir, argv + ["--channel", stream]))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {message}\n"
+
+
 def test_simulate_negative_horizon_exits_one(capsys, data_dir):
     code, out, err = run_cli(capsys, "simulate",
                              "--plant", str(data_dir / "plant_3_2.json"),
@@ -474,6 +501,33 @@ PIVOT_PATH_DIGESTS = [
                          ids=[" ".join(a[:2]) + f"#{i}" for i, (a, _) in enumerate(PIVOT_PATH_DIGESTS)])
 def test_pivot_path_stdout_is_pinned(capsys, data_dir, argv, pinned):
     code, out, _ = run_cli(capsys, *_resolve(data_dir, list(argv)))
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
+
+
+# sha256 of stdout and the exit code of se-fb and stab-fb runs that end
+# Undetermined with every task exhausted: plant a = 5/2 (B = C = 1,
+# D = 1/10) sits on C0fb(pentagon) = log2(5/2), after 58 steps; plant a = 2
+# over the resolving pentagon stays below C0fb, which a stream's upper bound
+# alone cannot show, after 30 steps
+UNDETERMINED_DIGESTS = [
+    (("5/2", "pentagon.json", "se-fb"),
+     ("1f6bfb7c7f49205e09da351b372b55851da9c9415fff5543ee2887543340cbf7", 3)),
+    (("5/2", "pentagon.json", "stab-fb"),
+     ("5b2fb8aafe0774ce423d3ee23868a5045a6183c0db4655756bf75a3674b3506f", 3)),
+    (("2", "stream_pentagon_resolve3.json", "se-fb"),
+     ("28b7dc422f5a7d4918277cfdbf591e706309ba14b19a38a808abb94438be4b5f", 3)),
+]
+
+
+@pytest.mark.parametrize("run, pinned", UNDETERMINED_DIGESTS,
+                         ids=[" ".join(r) for r, _ in UNDETERMINED_DIGESTS])
+def test_undetermined_stdout_is_pinned(capsys, data_dir, tmp_path, run, pinned):
+    a, channel, regime = run
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps({"A": [[a]], "B": [["1"]], "C": [["1"]], "D": "1/10"}))
+    code, out, _ = run_cli(capsys, "analyze", "--plant", str(path),
+                           "--channel", str(data_dir / channel),
+                           "--regime", regime, "--budget", "500")
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
 
 

@@ -1,0 +1,99 @@
+"""se-fb, stab-fb and fixed-plant capacity-below verdicts against references
+that share no code with certcap.
+
+``perfbench/oracles.py`` imports nothing from certcap: it takes C0fb from
+Shannon's minimax solved by scipy's linprog and eta from mpmath eigenvalues.
+``revalidate`` shares the support, LP and log2 code with the engine, so a
+fault common to both passes it; these references catch such a fault.  Every
+channel is drawn exact, then used as is or wrapped as a stream whose true
+channel it stays, so C0fb of the base channel decides every halted verdict.
+"""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from certcap.channel import exact_channel, hovering_stream, resolving_stream
+from certcap.classify import Regime, classify, classify_fixed_plant
+from certcap.linalg import as_matrix
+from certcap.plant import Plant, instability_exponent
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import oracles  # noqa: E402
+
+F = Fraction
+
+
+@st.composite
+def channels(draw):
+    """(base rows, channel): an exact channel with 2-4 inputs and outputs and
+    a random support, as is, resolving or hovering on one of its zeros."""
+    nx, ny = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rows = []
+    for _ in range(nx):
+        weights = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=ny, max_size=ny))
+        weights[draw(st.integers(0, ny - 1))] += 1  # every input reaches an output
+        rows.append([F(w, sum(weights)) for w in weights])
+    base = exact_channel(range(nx), range(ny), rows)
+    zeros = [(x, y) for x in range(nx) for y in range(ny) if rows[x][y] == 0]
+    wrap = draw(st.sampled_from(["exact", "resolving", "hovering"] if zeros
+                                else ["exact", "resolving"]))
+    if wrap == "resolving":
+        return rows, resolving_stream(base, draw(st.integers(1, 3)))
+    if wrap == "hovering":
+        return rows, hovering_stream(base, [draw(st.sampled_from(zeros))],
+                                     draw(st.integers(2, 8)))
+    return rows, base
+
+
+@st.composite
+def plants(draw):
+    """A scalar or diagonal plant with B = C = I and D = 1/10."""
+    n = draw(st.integers(1, 2))
+    modes = draw(st.lists(st.fractions(F(1, 2), F(5, 2), max_denominator=8),
+                          min_size=n, max_size=n))
+    a = [[modes[i] if i == j else F(0) for j in range(n)] for i in range(n)]
+    identity = as_matrix([[F(int(i == j)) for j in range(n)] for i in range(n)])
+    return Plant(as_matrix(a), c=identity, b=identity, disturbance_bound=F(1, 10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=channels(), plant=plants(),
+       regime=st.sampled_from(["se-fb", "stab-fb", "capacity-below"]),
+       budget=st.integers(1, 40))
+def test_feedback_verdicts_agree_with_float_references(drawn, plant, regime, budget):
+    rows, ch = drawn
+    zero, _, c0fb = oracles.c0fb(rows)
+    true_eta = oracles.eta([[str(v) for v in row] for row in plant.a])
+    eta = float(true_eta)
+    # a float reference cannot tell which side of C0fb an eta this close
+    # lies on: these are the limits of what it can check
+    assume(abs(eta - c0fb) > 10 * oracles.MARGIN)
+    if regime == "capacity-below":
+        verdict = classify_fixed_plant(instability_exponent(plant.a), ch, regime, budget)
+    else:
+        verdict = classify(plant, ch, Regime(regime), budget)
+    cert = verdict.to_json()["certificate"]
+    if verdict.outcome == "Undetermined":
+        assert oracles.enc_contains(cert["progress"]["eta"]["enclosure"], true_eta)
+        if not ch.is_exact or verdict.steps < 2:
+            return
+        # on an exact channel the capacity task, stepped second, has a bound
+        bound = cert["progress"]["fb-capacity"]["enclosure"]
+        assert bound is not None
+    elif verdict.outcome == "Solvable":
+        assert eta < c0fb and cert["kind"] == "separated-intervals"
+        assert oracles.enc_contains(cert["eta"], true_eta)
+        bound = cert["capacity"]
+    else:
+        assert verdict.outcome == "Unsolvable" and eta > c0fb
+        assert cert["kind"] == "psi" and (zero or not cert["complete_graph"])
+        assert oracles.mpf(F(cert["eta_lo"])) <= true_eta + oracles.ETA_TOL
+        bound = cert["c0fb_upper"]
+    # every bound is an upper one; on an exact channel it encloses C0fb
+    assert float(F(bound["hi"])) >= c0fb - oracles.MARGIN
+    assert not ch.is_exact or float(F(bound["lo"])) <= c0fb + oracles.MARGIN

@@ -195,6 +195,9 @@ def _config(ch, plant=None, regime="se-nofb", **fields):
 @pytest.mark.parametrize("run, message", [
     (lambda ch: run_estimation(_config(ch, Plant(as_matrix([[F(3, 2)]]), c=as_matrix([[2]])))),
      r"full-state sensing \(C = I\) only"),
+    (lambda ch: run_estimation(_config(ch, Plant(as_matrix([[F(3, 2)]]),
+                                                 disturbance_bound=F(1, 10)))),
+     r"full-state sensing \(C = I\) only"),
     (lambda ch: run_estimation(_config(ch, scalar_plant(F(-3, 2)))),
      "non-negative diagonal entries"),
     (lambda ch: run_stabilization(_config(ch, regime="stab-fb")),
@@ -208,7 +211,7 @@ def _config(ch, plant=None, regime="se-nofb", **fields):
     (lambda ch: witness_code(ch, ()), "empty witness"),
     (lambda ch: CodeSpec(2, ((0, 1), (1,))), "codeword length mismatch"),
     (lambda ch: CodeSpec(1, ((0,), (0,))), "duplicate codewords"),
-], ids=["c-not-identity", "negative-mode", "stab-without-b", "singular-b",
+], ids=["c-not-identity", "no-sensor", "negative-mode", "stab-without-b", "singular-b",
         "estimation-regime", "stabilization-regime", "weak-regime", "x0-length",
         "empty-witness", "codeword-length", "duplicate-codewords"])
 def test_unrunnable_configuration_is_refused(nl2, run, message):
