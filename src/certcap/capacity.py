@@ -102,8 +102,9 @@ def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
     """The rung after ``last`` (None before the first), with the graph and
     the LP on one support certificate at ``level``.
 
-    An exact channel whose confusability graph is complete has capacity
-    zero: mass 1, upper [0, 0], no solution.  (A stream's may-reach graph
+    A certificate with no unresolved entry is the true support, so if its
+    confusability graph is complete the capacity is zero: mass 1, upper
+    [0, 0], no solution.  (While entries are unresolved, the may-reach graph
     may have more than the true edges, so its being complete proves
     nothing.)  Proven support only grows with the level, so the minimax mass
     is nondecreasing along the rungs and log2(1/mass) is an upper bound on
@@ -117,7 +118,7 @@ def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
         raise DomainError("ladder levels must increase")
     nx, ny = len(ch.inputs), len(ch.outputs)
     support = certify_support(ch, level)
-    if ch.is_exact and confusability_graph(support, ch.inputs, ny).is_complete():
+    if not support.unresolved and confusability_graph(support, ch.inputs, ny).is_complete():
         return MinimaxRung(level, Fraction(1), Enclosure.exact(Fraction(0)), None)
     supports = support_sets(support, nx, ny)
     if last is not None and supports == last.solution.support_sets:

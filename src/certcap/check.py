@@ -249,13 +249,17 @@ def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool
 
 
 def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
-    if cert.complete_graph:
-        return (ch.is_exact and certified_graph(ch).is_complete()
-                and cert.eta_lo > 0 and cert.c0fb_upper.hi == 0)
-    if cert.mass <= 0 or cert.support_level < 0 or cert.eta_lo < 0:
+    if cert.support_level < 0 or cert.eta_lo < 0:
         return False
     nx, ny = len(ch.inputs), len(ch.outputs)
-    supports = support_sets(certify_support(ch, cert.support_level), nx, ny)
+    support = certify_support(ch, cert.support_level)
+    if cert.complete_graph:
+        # only a support with no unresolved entry is the true one
+        return (not support.unresolved and cert.eta_lo > 0 and cert.c0fb_upper.hi == 0
+                and confusability_graph(support, ch.inputs, ny).is_complete())
+    if cert.mass <= 0:
+        return False
+    supports = support_sets(support, nx, ny)
     # the upper endpoint really bounds log2(1/mass)
     return (verify_minimax_lower_bound(cert.output_weights, supports, nx, cert.mass)
             and _log_endpoint_sound(1 / cert.mass, cert.c0fb_upper)

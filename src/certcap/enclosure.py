@@ -212,9 +212,14 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
         return -simplest_between(-hi, -lo)
     if lo <= 0:
         return Fraction(0)
-    ceil_lo = -((-lo.numerator) // lo.denominator)
-    if ceil_lo <= hi:
-        return Fraction(ceil_lo)
-    whole = lo.numerator // lo.denominator
-    frac = simplest_between(1 / (hi - whole), 1 / (lo - whole))
-    return whole + 1 / frac
+    # the continued-fraction walk on lo = a/b <= hi = c/d, with the last two
+    # convergents p1/q1 and p0/q0 of the partial quotients taken so far
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        ceil_lo = -(-a // b)
+        if ceil_lo * d <= c:
+            return Fraction(ceil_lo * p1 + p0, ceil_lo * q1 + q0)
+        whole = a // b
+        p0, q0, p1, q1 = p1, q1, whole * p1 + p0, whole * q1 + q0
+        a, b, c, d = d, c - whole * d, b, a - whole * b

@@ -1,11 +1,12 @@
 """Exact polynomial root machinery over the rationals.
 
 The one root count in the package is count_inside: the number of roots in
-an open disc |z| < r, by the Schur-Cohn-Jury reduction in exact integers.
-On it rest the unit-circle (Schur) stability test, UnstableModuli (a
-resumable bisection that brackets the root moduli >= 1 the instability
-exponent sums) and the certified eigenvalue enclosures of symmetric
-rational matrices, whose real spectrum it counts on intervals.
+an open disc |z| < r, by the Schur-Cohn-Jury reduction in integers (short
+precision first, exact where that cannot decide).  On it rest the
+unit-circle (Schur) stability test, UnstableModuli (a resumable bisection
+on dyadic radii that brackets the root moduli >= 1 the instability exponent
+sums) and the certified eigenvalue enclosures of symmetric rational
+matrices, whose real spectrum it counts on intervals.
 
 Polynomials are tuples of Fractions, low degree first, trailing zeros
 stripped.
@@ -67,8 +68,7 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd of a and b (empty if both are zero)."""
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
+        a, b = b, poly_divmod(a, b)[1]
     return tuple(c / a[-1] for c in a)
 
 
@@ -88,9 +88,8 @@ def _integer_form(p: Poly) -> list[int]:
     return [c // g for c in ints]
 
 
-def _scaled(ints: list[int], r: Fraction) -> list[int]:
-    """Integer coefficients of v^n * q(r z) for q = ints and r = u/v."""
-    u, v = r.numerator, r.denominator
+def _scaled(ints: list[int], u: int, v: int) -> list[int]:
+    """Integer coefficients of v^n * q(u z / v) for q = ints."""
     n = len(ints) - 1
     return [c * u ** k * v ** (n - k) for k, c in enumerate(ints)]
 
@@ -113,6 +112,13 @@ def count_inside(p: Poly, r) -> int | None:
     A step with delta = a_n^2 - a_0^2 = 0 happens whenever p has a root on
     |z| = r, and can happen at other radii too.  The count is then not
     decided and None is returned; it is never guessed.
+
+    Each count runs first on P-bit integers (Fortune and Van Wyk 1996;
+    Shewchuk 1997).  _filtered_count's t stand for T = lambda a, |t - T| <=
+    err, lambda > 0 (2^-shift times the exact gcds' product); it steps only
+    where |a_n| - |a_0| exceeds 2 err and, after an a_0 step, the new
+    leading |t| exceeds err, so its branches and pops, and thus its count,
+    are the exact ones.  Else _exact_count runs, the only source of None.
     """
     r = Fraction(r)
     if r <= 0:
@@ -120,11 +126,44 @@ def count_inside(p: Poly, r) -> int | None:
     p = poly_trim(p)
     if not p:
         raise DomainError("the zero polynomial has no root count")
-    return _count_in_unit_disc(_scaled(_integer_form(p), r))
+    return _count_in_unit_disc(_scaled(_integer_form(p), r.numerator, r.denominator))
 
 
 def _count_in_unit_disc(c: list[int]) -> int | None:
     """count_inside(c, 1) for integer coefficients c, low degree first."""
+    inside = _filtered_count(c)
+    return _exact_count(c) if inside is None else inside
+
+
+def _filtered_count(c: list[int]) -> int | None:
+    """_exact_count(c), or None where P-bit integers cannot certify a step.
+
+    A step errs by <= err (|a_n| + |x| + |a_0| + |y|) + 2 err^2, a shift by
+    < 1 more; P allows for a complex pair 2^-(bits per coefficient) off |z| = 1.
+    """
+    prec = 96 + 2 * max(map(abs, c)).bit_length() // len(c)
+    err = inside = 0
+    while len(c) > 1:
+        s = max(max(map(abs, c)).bit_length() - prec, 0)
+        if s:
+            c, err = [x >> s for x in c], (err >> s) + 2
+        a0, an = c[0], c[-1]
+        gap = abs(an) - abs(a0)
+        if abs(gap) <= 2 * err:
+            return None
+        err = err * ((4 << prec) + 2 * err)
+        if gap > 0:
+            c = [an * x - a0 * y for x, y in zip(c[1:], c[-2::-1])]
+            inside += 1
+        else:
+            c = [a0 * x - an * y for x, y in zip(c[:-1], c[:0:-1])]
+            if abs(c[-1]) <= err:
+                return None
+    return inside
+
+
+def _exact_count(c: list[int]) -> int | None:
+    """The reduction in exact integers, normalised by their gcd at each step."""
     inside = 0
     while len(c) > 1:
         a0, an = c[0], c[-1]
@@ -156,7 +195,7 @@ def schur_stable(p: Poly) -> bool:
     return count_inside(p, 1) == poly_degree(p)
 
 
-def _first_decided(count, points) -> tuple[Fraction, int]:
+def _first_decided(count, points) -> tuple:
     """The first of the points where count(point) is decided, and the count."""
     for x in points:
         inside = count(x)
@@ -165,17 +204,16 @@ def _first_decided(count, points) -> tuple[Fraction, int]:
     raise RuntimeError("no point with a decided root count among the candidates")
 
 
-def _split_radii(lo: Fraction, hi: Fraction):
-    """The midpoint of (lo, hi), then points approaching it from above."""
-    yield (lo + hi) / 2
+def _split_radii(lo, hi):
+    """The midpoint of (lo, hi), then points approaching it from above, as x / 2^j: (x, j)."""
+    yield lo + hi, 1
     for j in range(2, 64):
-        yield lo + (hi - lo) * Fraction((1 << (j - 1)) + 1, 1 << j)
+        yield lo * (1 << j) + (hi - lo) * ((1 << (j - 1)) + 1), j
 
 
 def _square_free_part(p: Poly) -> Poly:
     """p / gcd(p, p'): each distinct root of p once."""
-    s, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
-    return s
+    return poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]
 
 
 def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
@@ -196,7 +234,7 @@ def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
     roots inside the circle as s' has outside (A. Cohn, 1922); none of
     them may lie in rho < |z| < 1.  An undecided count gives False.
     """
-    q = tuple(Fraction(c) for c in _scaled(ints, r))
+    q = tuple(Fraction(c) for c in _scaled(ints, r.numerator, r.denominator))
     g = poly_gcd(q, q[::-1])
     rho = max(lo / r, r / hi)
     inside = count_inside(g, rho)
@@ -219,9 +257,9 @@ class UnstableModuli:
     hi <= max(1, lo) * (1 + tolerance); when lo < 1, some of them may have
     modulus below 1.
 
-    Roots at 0 are dropped.  The moduli are isolated by bisecting on the
-    radius with count_inside, moving to a nearby radius where the count is
-    undecided.  A rational modulus u/v has v dividing the leading
+    Roots at 0 are dropped.  The moduli are isolated by bisecting on dyadic
+    radii, kept as integers, with the count, moving to a nearby radius where
+    it is undecided.  A rational modulus u/v has v dividing the leading
     coefficient L of p's primitive integer form (L^2 |lambda|^2 is an
     algebraic integer), so a bracket narrower than 1/(2 L^2) has at most
     one candidate, its simplest rational, which _exact_bracket tests once
@@ -239,43 +277,45 @@ class UnstableModuli:
         n = poly_degree(p)
         modulus = abs(p[0] / p[1]) if n == 1 else 0  # one rational root
         self.exact = [(modulus, modulus, 1)] if modulus >= 1 else []
-        self.leaves = []  # (lo, count(lo), hi, count(hi), whether its roots were tested)
+        self.leaves = []  # (e, lo, count(lo), hi, count(hi), tested): radii lo/2^e, hi/2^e
         if n <= 1:
             return
-        top = Fraction(1 << int(cauchy_root_bound(p)).bit_length())
+        top = 1 << int(cauchy_root_bound(p)).bit_length()
         self.ints = _integer_form(p)
-        below_one = (1 - Fraction(1, 1 << j) for j in range(4, 64))
-        base, below = _first_decided(self._count, chain([Fraction(1)], below_one))
+        below_one = (((1 << j) - 1, j) for j in range(4, 64))
+        (base, e), below = _first_decided(self._count, chain([(1, 0)], below_one))
         self.lead = abs(self.ints[-1])
-        self.sep = Fraction(1, 2 * self.lead * self.lead)
-        self.leaves.append((base, below, top, n, False))
+        self.leaves.append((e, base, below, top << e, n, False))
 
-    def _count(self, r: Fraction) -> int | None:
-        return _count_in_unit_disc(_scaled(self.ints, r))
+    def _count(self, radius: tuple[int, int]) -> int | None:
+        return _count_in_unit_disc(_scaled(self.ints, radius[0], 1 << radius[1]))
 
     def brackets(self, tolerance: Fraction) -> list[tuple[Fraction, Fraction, int]]:
         tolerance = Fraction(tolerance)
         stack, self.leaves = self.leaves, []
         while stack:
-            lo, n_lo, hi, n_hi, tested = stack.pop()
-            k = n_hi - n_lo
-            if k == 0 or hi <= 1:
+            e, lo, n_lo, hi, n_hi, tested = stack.pop()
+            k, one = n_hi - n_lo, 1 << e
+            if k == 0 or hi <= one:
                 continue
-            if not tested and hi - lo < self.sep:
-                r = simplest_between(lo, hi)
-                if r.denominator <= self.lead and _exact_bracket(self.ints, r, lo, hi, k):
+            if not tested and (hi - lo) * 2 * self.lead ** 2 < one:  # narrower than 1/(2 L^2)
+                a, b = Fraction(lo, one), Fraction(hi, one)
+                r = simplest_between(a, b)
+                if r.denominator <= self.lead and _exact_bracket(self.ints, r, a, b, k):
                     self.exact.append((r, r, k))
                     continue
                 tested = True
-            floor = max(lo, Fraction(1))
-            if tested and hi - floor <= floor * tolerance:
-                self.leaves.append((lo, n_lo, hi, n_hi, True))
+            floor = max(lo, one)
+            if tested and (hi - floor) * tolerance.denominator <= floor * tolerance.numerator:
+                self.leaves.append((e, lo, n_lo, hi, n_hi, True))
                 continue
-            mid, n_mid = _first_decided(self._count, _split_radii(lo, hi))
-            stack.append((lo, n_lo, mid, n_mid, tested and n_mid - n_lo == k))
-            stack.append((mid, n_mid, hi, n_hi, tested and n_hi - n_mid == k))
-        return sorted(self.exact + [(lo, hi, n_hi - n_lo)
-                                    for lo, n_lo, hi, n_hi, _ in self.leaves])
+            (mid, f), n_mid = _first_decided(
+                self._count, ((x, e + j) for x, j in _split_radii(lo, hi)))
+            lo, hi = lo << (f - e), hi << (f - e)
+            stack.append((f, lo, n_lo, mid, n_mid, tested and n_mid - n_lo == k))
+            stack.append((f, mid, n_mid, hi, n_hi, tested and n_hi - n_mid == k))
+        return sorted(self.exact + [(Fraction(lo, 1 << e), Fraction(hi, 1 << e), n_hi - n_lo)
+                                    for e, lo, n_lo, hi, n_hi, _ in self.leaves])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +368,7 @@ def symmetric_eigenvalue_enclosures(m: Matrix, max_width: Fraction) -> list[Encl
         lo, hi, k = stack.pop()
         if k > 1:
             mid, left = _first_decided(lambda x: _count_between(s, lo, x),
-                                       _split_radii(lo, hi))
+                                       (x / (1 << j) for x, j in _split_radii(lo, hi)))
             stack += [(lo, mid, left), (mid, hi, k - left)]
         elif k == 1:
             a, b = lo, hi
@@ -347,7 +387,7 @@ def symmetric_eigenvalue_enclosures(m: Matrix, max_width: Fraction) -> list[Encl
                 a = b = r
             _, mult = _first_decided(
                 lambda t: _count_between(p, a - (a - lo) * t, b + (hi - b) * t),
-                _split_radii(Fraction(0), Fraction(1)))
+                (x / (1 << j) for x, j in _split_radii(Fraction(0), Fraction(1))))
             roots.append((a, b, mult))
     if sum(mult for _, _, mult in roots) != len(m):
         raise RuntimeError("symmetric matrix with non-real spectrum detected")

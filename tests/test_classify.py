@@ -15,8 +15,8 @@ from certcap import classify as classify_module
 from certcap.capacity import (DEFAULT_C0FB_WIDTH, certified_capacity_bounds,
                               feedback_zero_error_capacity, minimax_ladder_step)
 from certcap.channel import (certify_support, exact_channel, hovering_stream,
-                             load_channel, noiseless, stream_channel,
-                             support_sets, typewriter)
+                             load_channel, noiseless, resolving_stream,
+                             stream_channel, support_sets, typewriter)
 from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               IndependentSetCertificate,
                               InternalInvariantViolation,
@@ -229,6 +229,32 @@ class TestOneSidedness:
         assert task.exhausted() and (task.rung.level, task.rung.mass) == (3, 0)
         verdict = classify(scalar_plant(2, disturbance=F(1, 10)), ch, Regime("se-fb"), 1000)
         assert (verdict.outcome, verdict.steps) == ("Undetermined", 3)
+
+    def test_resolved_stream_with_a_complete_graph_has_zero_c0fb(
+            self, hover_channel, pentagon_stream):
+        # every two inputs share an output, so C0fb = 0; once every entry of
+        # the stream is pinned, its support is the true one and says so too
+        half = F(1, 2)
+        ch = exact_channel((0, 1, 2), (0, 1, 2),
+                           [[half, half, 0], [0, half, half], [half, 0, half]])
+        stream = resolving_stream(ch, 3)
+        plant = diagonal_plant([F(5, 4)], disturbance=F(1, 10))
+        for channel, steps in ((ch, 2), (stream, 8)):
+            verdict = classify(plant, channel, Regime("se-fb"), 100_000)
+            assert (verdict.outcome, verdict.steps) == ("Unsolvable", steps)
+            assert verdict.certificate.complete_graph
+            assert revalidate(verdict, channel)
+        # a complete may-reach graph proves nothing while entries are
+        # unresolved: at the stream's level 0, on a stream that never
+        # resolves, or where the resolved graph is not complete
+        cert = verdict.certificate
+        assert certify_support(stream, 0).unresolved
+        assert not revalidate(_with_certificate(verdict, replace(cert, support_level=0)),
+                              stream)
+        assert certify_support(hover_channel, cert.support_level).unresolved
+        assert not revalidate(verdict, hover_channel)
+        assert not certify_support(pentagon_stream, cert.support_level).unresolved
+        assert not revalidate(verdict, pentagon_stream)
 
     def test_nofb_never_unsolvable_on_corpus(self, pentagon, bsc14, nl2,
                                              hover_channel, pentagon_stream):
@@ -902,14 +928,15 @@ class TestNoRepeatedSolves:
 
     def test_minimax_ladder_jumps_to_the_next_declared_level(self):
         # every entry of typewriter(3) is pinned at level 10**6 and unknown
-        # before it: level 0 and the pin are the only distinct rungs
+        # before it: level 0 and the pin are the only distinct rungs, and at
+        # the pin the support is the true one, whose graph is complete
         t3 = typewriter(3)
         ch = stream_channel(t3.inputs, t3.outputs,
                             [[[(10 ** 6, w, w)] for w in row] for row in t3.rows])
         verdict = classify(scalar_plant(2, disturbance=F(1, 10)), ch, Regime("se-fb"), 100)
         assert verdict.outcome == "Unsolvable" and verdict.steps <= 100
         cert = verdict.certificate
-        assert (cert.support_level, cert.mass) == (10 ** 6, F(2, 3))
+        assert (cert.support_level, cert.mass, cert.complete_graph) == (10 ** 6, 1, True)
         assert revalidate(verdict, ch)
 
     def test_reused_rung_encloses_at_the_new_width(self):

@@ -168,6 +168,18 @@ def test_simplest_between():
     assert simplest_between(Fraction(-11, 32), Fraction(-21, 64)) == Fraction(-1, 3)
 
 
+def test_simplest_between_walks_thousands_of_partial_quotients():
+    # F(n+1)/F(n) = [1; 1, ..., 1] has n partial quotients; brackets of
+    # thousand-bit radii reach such depths
+    fib = [0, 1]
+    while len(fib) < 3002:
+        fib.append(fib[-1] + fib[-2])
+    ratio = Fraction(fib[3001], fib[3000])
+    assert simplest_between(ratio, ratio) == ratio
+    tiny = Fraction(1, fib[3000] ** 2 * 4)
+    assert simplest_between(ratio - tiny, ratio + tiny) == ratio
+
+
 @given(lo=st.fractions(min_value=-50, max_value=50),
        width=st.fractions(min_value=Fraction(1, 10 ** 6), max_value=2))
 @settings(max_examples=100, deadline=None)

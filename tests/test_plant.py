@@ -71,6 +71,30 @@ def random_rational_rotation(rng) -> tuple:
     return as_matrix(rot)
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["one-denominator", "own-denominators"])
+def test_exponent_of_a_plant_with_60_digit_denominators_matches_mpmath(shared):
+    """3x3 plants over 60-digit denominators, one shared (moduli about 2.96
+    twice and 0.876) or one per entry (about 2.32 twice and 0.282): the
+    characteristic polynomial has coefficients of hundreds or thousands of
+    bits, and the bisection to 2^-30 runs the root counts' long-precision
+    path, and the simplest rational of brackets narrower than 2^-2000,
+    thousands of times."""
+    rng = random.Random(60)
+    q = rng.randrange(10 ** 59, 10 ** 60)
+    a = as_matrix([[F(rng.randrange(-3 * q, 3 * q),
+                      q if shared else rng.randrange(10 ** 59, 10 ** 60))
+                    for _ in range(3)] for _ in range(3)])
+    enc = instability_exponent(a, F(1, 1 << 30))
+    assert enc.width <= F(1, 1 << 30)
+    with mpmath.workdps(60):
+        eigenvalues = mpmath.eig(mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator
+                                                 for x in row] for row in a]))[0]
+        eta = sum(mpmath.log(abs(v), 2) for v in eigenvalues if abs(v) >= 1)
+        assert sum(abs(v) > 1 for v in eigenvalues) == 2
+        assert mpmath.mpf(enc.lo.numerator) / enc.lo.denominator <= eta
+        assert eta <= mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
+
+
 def test_similarity_invariance_under_orthogonal_conjugation():
     rng = random.Random(20240817)
     a = as_matrix([[2, 1], [0, F(1, 2)]])

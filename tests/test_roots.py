@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from certcap.enclosure import DomainError
 from certcap.linalg import as_matrix, char_poly
-from certcap.roots import (UnstableModuli, _exact_bracket, _integer_form,
+from certcap.roots import (UnstableModuli, _count_in_unit_disc, _exact_bracket,
+                           _exact_count, _filtered_count, _integer_form, _scaled,
                            count_inside, poly_degree, poly_trim, schur_stable,
                            symmetric_eigenvalue_enclosures)
 
@@ -262,7 +263,74 @@ def test_count_inside_against_mpmath_moduli(coeffs, lead, radius, on_circle):
         assert count == sum(1 for m in moduli if m < r)
 
 
+def _assert_filter_agrees(c):
+    exact = _exact_count(list(c))
+    filtered = _filtered_count(list(c))
+    assert filtered is None or filtered == exact
+    if exact is None:  # an undecided count never comes out of the filter
+        assert filtered is None
+    assert _count_in_unit_disc(list(c)) == exact
+    return filtered, exact
+
+
+NEAR = F(1, 1 << 200)
+small_root = st.builds(lambda n, d, sign: F(sign * n, d), st.integers(1, 300),
+                       st.integers(1, 50), st.sampled_from([1, -1]))
+
+
+@st.composite
+def disc_inputs(draw):
+    """Integer coefficients for the unit-disc count, degree <= 8: random ones
+    of up to about 5000 bits, or p(r z) for p built from reciprocal pairs
+    (t, 1/t), roots on a circle and repeated roots, at a radius r equal to
+    a root modulus, within 2^-200 of one, or anywhere."""
+    if draw(st.booleans()):
+        bits = st.integers(0, 5000).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
+        c = draw(st.lists(bits, min_size=1, max_size=9))
+        return c[:-1] + [c[-1] or 1]
+    p, moduli = (F(1),), [F(1)]
+    while poly_degree(p) < 7:
+        kind = draw(st.sampled_from(["root", "pair", "circle", "repeat", "stop"]))
+        t = draw(small_root)
+        if kind == "stop":
+            break
+        if kind == "circle":  # z^2 - 2 c rho z + rho^2 has both roots on |z| = rho
+            c = draw(st.fractions(min_value=-1, max_value=1, max_denominator=20))
+            p, moduli = poly_mul(p, (t * t, -2 * c * abs(t), F(1))), moduli + [abs(t)]
+        else:
+            roots = {"root": [t], "pair": [t, 1 / t], "repeat": [t, t]}[kind]
+            p, moduli = poly_mul(p, poly_from_roots(*roots)), moduli + [abs(x) for x in roots]
+    r = draw(st.sampled_from(moduli)) + draw(st.sampled_from([0, NEAR, -NEAR]))
+    if draw(st.booleans()):
+        r = draw(st.fractions(min_value=F(1, 8), max_value=8, max_denominator=1 << 12))
+    return _scaled(_integer_form(p), r.numerator, r.denominator)
+
+
+@given(c=disc_inputs())
+@settings(max_examples=250, deadline=None)
+def test_filtered_count_agrees_with_exact_reduction(c):
+    """The fixed-precision filter either returns the exact reduction's count
+    or hands over; None, an undecided count, comes only from the exact one."""
+    _assert_filter_agrees(c)
+
+
 class TestCountInside:
+    def test_filter_hands_undecided_and_close_counts_to_exact(self):
+        # radius 2 hits the roots +-2i: undecided, and only the exact code says so
+        p = poly_mul(poly_from_roots(F(3, 2)), poly_trim([F(4), F(0), F(1)]))
+        assert _assert_filter_agrees(_scaled(_integer_form(p), 2, 1)) == (None, None)
+        # |a_0| and |a_n| differ only below bit 400 of 2000: the filter cannot
+        # tell them apart, and the exact count 2 comes from the fallback
+        big = 3 << 2000
+        assert _assert_filter_agrees([big, 0, big + (1 << 399)]) == (None, 2)
+        assert _assert_filter_agrees([big + (1 << 399), 0, big]) == (None, 0)
+        # an a_0 step whose next coefficient cancels too (4 * 1 - 2 * 2 = 0):
+        # the exact code pops it and the filter hands over, also where the
+        # cancellation holds only to within the filter's error
+        assert _assert_filter_agrees([4, 2, 1, 2]) == (None, 0)
+        near = [4 << 3000, 2 << 3000, 1 << 3000, (2 << 3000) + 1]
+        assert _assert_filter_agrees(near) == (None, 0)
+
     def test_singular_radii_are_reported(self):
         # roots 3/2 and +-2i: radii 3/2 and 2 hit the roots, radius 1 hits
         # no root but meets |a_0| = |a_n| for (z - 2)(z - 1/2)
