@@ -15,7 +15,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from certcap.channel import binary_symmetric, noiseless, typewriter
 from certcap.classify import Regime
-from certcap.confgraph import certified_graph, max_independent_set, strong_power
+from certcap.confgraph import max_independent_set, strong_power
+from certcap.graph import certified_graph
 from certcap.linalg import as_matrix
 from certcap.plant import Plant
 from certcap.simulate import (SimConfig, SimulationError, identity_code,

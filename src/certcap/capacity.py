@@ -7,7 +7,8 @@ minimax_ladder_step once per declared level of the channel (an exact channel
 declares only level 0), where each rung is built on the last and bounds the
 capacity from above; and ShannonBounds, two-sided certified bounds on the
 ordinary capacity whose step(log_width) runs one alternating-optimization
-iteration at the width its caller schedules.
+iteration at the width its caller schedules, bounded by the checker's own
+enclosure.certified_capacity_bounds.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import Channel, certify_support, support_sets
-from .confgraph import confusability_graph
-from .enclosure import (DomainError, Enclosure, log2_enclosure, log2_fixed,
-                        rational_str, width_bits)
+from .enclosure import (DomainError, Enclosure, certified_capacity_bounds, log2_enclosure,
+                        rational_str)
+from .graph import confusability_graph
 from .linprog import LinearProgram, solve_lp
 
 DEFAULT_C0FB_WIDTH = Fraction(1, 1 << 20)
@@ -177,45 +178,6 @@ class ShannonBounds:
         return {"lower": self.lower.to_json(), "upper": self.upper.to_json(),
                 "iterations": self.iterations,
                 "input_distribution": [rational_str(p) for p in self.input_distribution]}
-
-
-def certified_capacity_bounds(rows, dist, log_width):
-    """Mutual information and worst relative-entropy enclosures at one dist.
-
-    Both are valid capacity bounds for any input distribution: the mutual
-    information from below, the largest divergence of a row from the output
-    marginal from above.  The sums run in integers over one denominator: the
-    distribution is P/dd and the rows W/wd (lcms of their denominators), so
-    the marginal is M/(dd wd) with M_y = sum_x P_x W_xy and each term is
-    log2_fixed(W_xy dd, M_y).  Each endpoint is one Fraction, built at the end.
-    """
-    m = width_bits(log_width)
-    dd = math.lcm(*(p.denominator for p in dist))
-    wd = math.lcm(*(w.denominator for row in rows for w in row))
-    weights = [p.numerator * (dd // p.denominator) for p in dist]
-    counts = [[w.numerator * (wd // w.denominator) for w in row] for row in rows]
-    marginal = [sum(p * row[y] for p, row in zip(weights, counts))
-                for y in range(len(rows[0]))]
-    if any(mass == 0 and any(row[y] for row in counts) for y, mass in enumerate(marginal)):
-        raise DomainError(
-            "distribution assigns zero mass to a reachable output; "
-            "the divergence upper bound would be vacuous")
-    info_lo = info_hi = level = 0
-    divs = []  # each row's divergence bounds, over wd * 2**m
-    for p, row in zip(weights, counts):
-        lo = hi = 0
-        for w, mass in zip(row, marginal):
-            if w:
-                digits, exact = log2_fixed(w * dd, mass, m)
-                lo, hi = lo + w * digits, hi + w * (digits if exact else digits + 1)
-        divs.append((lo, hi))
-        if p:
-            info_lo, info_hi = info_lo + p * lo, info_hi + p * hi
-            level = m if hi > lo else level  # an inexact term weighs in
-    den = (dd * wd) << m
-    info = Enclosure(Fraction(info_lo, den), Fraction(info_hi, den), level)
-    los, his = zip(*divs)
-    return info, Enclosure(Fraction(max(los), wd << m), Fraction(max(his), wd << m))
 
 
 def next_distribution(rows, dist):

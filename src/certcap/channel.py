@@ -10,11 +10,10 @@ pin in the schedule, never by silence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enclosure import DomainError, parse_rational, rational_str
+from .enclosure import DomainError, load_json, parse_rational, rational_str
 
 
 class ChannelFormatError(ValueError):
@@ -99,7 +98,7 @@ def exact_channel(inputs, outputs, rows) -> Channel:
             raise ChannelFormatError(f"entry outside [0, 1] in row {xi}")
         if sum(row) != 1:
             raise ChannelFormatError(
-                f"row {xi} sums to {sum(row)}, not 1")
+                f"row {xi} sums to {rational_str(sum(row))}, not 1")
     return Channel(inputs, outputs, rows=mat)
 
 
@@ -147,10 +146,7 @@ def stream_channel(inputs, outputs, schedules) -> Channel:
 def load_channel(doc) -> Channel:
     """Validate a channel JSON document (dict or JSON text)."""
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ChannelFormatError(f"invalid JSON: {exc}") from exc
+        doc = load_json(doc, ChannelFormatError)
     if not isinstance(doc, dict):
         raise ChannelFormatError("channel document must be a JSON object")
     try:
@@ -183,10 +179,11 @@ def _list(value, what: str):
 
 def _step(step) -> ScheduleStep:
     try:
-        return int(step["level"]), parse_rational(step["lo"]), parse_rational(step["hi"])
-    except TypeError:  # not an object, or a level int() refuses
+        level = int(step["level"])
+    except (TypeError, ValueError, OverflowError):  # not an object, or a bad level
         raise ChannelFormatError(
             f"schedule steps must be objects with an integer level, got {step!r}") from None
+    return level, parse_rational(step["lo"]), parse_rational(step["hi"])
 
 
 def _bad(value):

@@ -1,10 +1,10 @@
 """Certificates, verdicts and ``revalidate``: a small proof checker beside
 the engine in classify.py, which produces them.
 
-It trusts no solver state, shares the support and adjacency derivation with
-the solvers, and imports primitives only (support certification, the
-may-reach graph, certified capacity bounds, enclosures), never a task, the
-dovetailer, the CLI or the simulator.
+It trusts no solver state and imports the primitives it shares with the
+solvers only: support certification (channel.py), the may-reach graph
+(graph.py), enclosures and the certified capacity bounds (enclosure.py).
+They are its whole trusted base: no task, solver, CLI or simulator.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import typing
 from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 
-from .capacity import certified_capacity_bounds
 from .channel import Channel, certify_support, support_sets
-from .confgraph import certified_graph, confusability_graph, witness_json
-from .enclosure import DomainError, Enclosure, exact_log2, parse_rational, rational_str
+from .enclosure import (DomainError, Enclosure, certified_capacity_bounds, exact_log2,
+                        parse_rational, rational_str)
+from .graph import certified_graph, confusability_graph, witness_json
 
 SOLVABLE, UNSOLVABLE, UNDETERMINED = "Solvable", "Unsolvable", "Undetermined"
 

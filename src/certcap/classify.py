@@ -23,8 +23,9 @@ from .channel import Channel, ResourceCapError
 from .check import (SOLVABLE, UNDETERMINED, UNSOLVABLE, BudgetReport,
                     IndependentSetCertificate, PsiCertificate, SeparationCertificate,
                     Verdict, revalidate)
-from .confgraph import CapacityLadder, certified_graph, extend_ladder
+from .confgraph import CapacityLadder, extend_ladder
 from .enclosure import DomainError, Enclosure, log2_enclosure, rational_str
+from .graph import certified_graph
 from .linalg import Matrix
 from .plant import InstabilityExponent, Plant, is_detectable, is_stabilizable
 

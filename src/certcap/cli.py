@@ -19,10 +19,10 @@ from .capacity import feedback_zero_error_capacity, shannon_capacity
 from .channel import ResourceCapError, load_channel
 from .classify import (Regime, RegimePreconditionError, UNDETERMINED, classify,
                        classify_fixed_plant)
-from .confgraph import (CapacityLadder, certified_graph, check_power_size,
-                        clique_cover_weight, extend_ladder, max_independent_set,
-                        strong_power)
-from .enclosure import DomainError, Enclosure, parse_rational
+from .confgraph import (CapacityLadder, check_power_size, clique_cover_weight, extend_ladder,
+                        fractional_clique_cover, max_independent_set, strong_power)
+from .enclosure import DomainError, Enclosure, load_json, parse_rational
+from .graph import certified_graph
 from .plant import instability_exponent, load_plant
 from .simulate import (SimConfig, SimulationError, identity_code, run_estimation,
                        run_stabilization, run_weak_detection, witness_code)
@@ -41,13 +41,11 @@ class CliError(Exception):
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return load_json(fh.read(), CliError, f" in {path}")
     except FileNotFoundError:
         raise CliError(f"file not found: {path}")
     except OSError as exc:  # a directory, no permission, ...
         raise CliError(f"cannot read {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON in {path}: {exc}")
 
 
 def _emit(doc: dict, mode: str) -> None:
@@ -225,7 +223,7 @@ def _cmd_simulate(args) -> int:
         base, n = certified_graph(ch), args.block_length
 
         def bound() -> int:  # a product of fractional clique covers covers baseⁿ
-            return clique_cover_weight(base, base.clique_cover) ** n // 1
+            return clique_cover_weight(base, fractional_clique_cover(base)) ** n // 1
         power = strong_power(base, n)
         code = witness_code(ch, max_independent_set(power, upper_bound=bound).witness)
     regime = Regime(args.regime)

@@ -1,8 +1,8 @@
-"""Confusability graphs, strong powers, exact independence numbers, and the
-monotone lower-bound ladder for zero-error rates.
+"""Strong powers, exact independence numbers, and the monotone lower-bound
+ladder for zero-error rates, on the confusability graphs of graph.py.
 
-Adjacency is stored as one bitmask per vertex, which keeps the
-branch-and-bound solver allocation-free and deterministic.
+Adjacency is one bitmask per vertex, which keeps the branch-and-bound
+solver allocation-free and deterministic.
 
 Two classical facts let the search close on strong powers it could not
 close by colouring alone; both only ever cut work, never change a witness.
@@ -54,12 +54,14 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 from math import gcd
 
-from .channel import Channel, ResourceCapError, SupportCertificate, certify_support
+from . import graph
+from .channel import ResourceCapError
 from .enclosure import Enclosure, log2_enclosure
+from .graph import ConfusabilityGraph, witness_json
 from .linprog import GEQ, LinearProgram, solve_lp
 
 DEFAULT_VERTEX_CAP = 4096
@@ -71,131 +73,8 @@ class LadderError(ValueError):
     """The ladder refused an unsound extension."""
 
 
-@dataclass(frozen=True)
-class ConfusabilityGraph:
-    """Vertices are channel inputs; edges join inputs some output may confuse.
-
-    Construction checks that every mask stays inside the vertex range, that
-    there are no self-loops and that adjacency is symmetric; the symmetry
-    check compares each 64x64 block of the adjacency matrix, transposed
-    with bit operations, against its mirror block.
-
-    ``power_of`` is ``(base, n)`` on a graph built by ``strong_power`` (and
-    only there: it is not a constructor argument); the independence search
-    reads its automorphisms from it.
-    """
-
-    vertices: tuple
-    adjacency: tuple[int, ...]  # bitmask of neighbours per vertex index
-    power_of: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        n = len(self.vertices)
-        if len(self.adjacency) != n:
-            raise ValueError("one adjacency mask per vertex")
-        for i, mask in enumerate(self.adjacency):
-            if mask >> n:
-                raise ValueError("adjacency mask outside vertex range")
-            if mask & (1 << i):
-                raise ValueError("self-loop in confusability graph")
-        if not _is_symmetric(self.adjacency):
-            raise ValueError("adjacency must be symmetric")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def are_adjacent(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i] & (1 << j))
-
-    def is_complete(self) -> bool:
-        n = len(self.vertices)
-        full = (1 << n) - 1
-        return all(self.adjacency[i] | (1 << i) == full for i in range(n))
-
-    def is_independent(self, indices) -> bool:
-        indices = list(indices)
-        return all(not self.are_adjacent(a, b)
-                   for k, a in enumerate(indices) for b in indices[k + 1:])
-
-    @cached_property
-    def clique_cover(self) -> tuple[tuple[int, Fraction], ...]:
-        """``fractional_clique_cover`` of this graph, solved once."""
-        return fractional_clique_cover(self)
-
-
-_BLOCK = 64
-# _TRANSPOSE_MASKS[j]: the entries (r, c) of a 64x64 bit block, packed as bit
-# 64*r + c, with bit j clear in both r and c: the word of columns with bit j
-# clear, repeated in the rows with bit j clear.
-_TRANSPOSE_MASKS = {
-    j: sum(columns << _BLOCK * r for r in range(_BLOCK) if not r & j)
-    for j, columns in ((32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF),
-                       (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
-                       (2, 0x3333333333333333), (1, 0x5555555555555555))}
-
-
-def _transpose_block(x: int) -> int:
-    """Transpose a 64x64 bit matrix packed row-major (entry (r, c) at bit
-    64*r + c): swap the off-diagonal j x j sub-blocks for j = 32, ..., 1
-    (Hacker's Delight, section 7-3)."""
-    for j, mask in _TRANSPOSE_MASKS.items():
-        t = ((x >> j) ^ (x >> (_BLOCK * j))) & mask
-        x ^= (t << j) | (t << (_BLOCK * j))
-    return x
-
-
-def _is_symmetric(adjacency: tuple[int, ...]) -> bool:
-    """True iff bit j of row i equals bit i of row j for every i, j.
-
-    The rows become one little-endian byte string of 64-bit words, a block
-    row every 64 rows, so block (I, J) is a strided slice of 64 words.  Each
-    block on or above the diagonal is packed, transposed and compared with
-    its mirror block (J, I).
-    """
-    blocks = -(-len(adjacency) // _BLOCK)
-    row_bytes = blocks * _BLOCK // 8
-    padding = bytes(row_bytes) * (blocks * _BLOCK - len(adjacency))
-    words = memoryview(b"".join(mask.to_bytes(row_bytes, "little")
-                                for mask in adjacency) + padding).cast("Q")
-    stride = blocks * _BLOCK  # words per block row
-
-    def block(i: int, j: int) -> int:
-        start = i * stride + j
-        return int.from_bytes(words[start:start + stride:blocks].tobytes(), "little")
-
-    return all(_transpose_block(block(i, j)) == block(j, i)
-               for i in range(blocks) for j in range(i, blocks))
-
-
-def confusability_graph(cert: SupportCertificate, inputs: tuple,
-                        n_outputs: int) -> ConfusabilityGraph:
-    """The may-reach graph on the channel inputs of a support certificate.
-
-    The inputs that may reach an output (proven positive or unresolved) form
-    a clique.  Resolving an unresolved entry either way can only remove
-    edges, so the true confusability graph is a subgraph of this one, and
-    every independent set of it is a genuine zero-error code.
-    """
-    reach = [0] * n_outputs  # the clique of inputs that may reach each output
-    entries = cert.positive | cert.unresolved
-    for x, y in entries:
-        reach[y] |= 1 << x
-    adjacency = [0] * len(inputs)
-    for x, y in entries:
-        adjacency[x] |= reach[y]
-    return ConfusabilityGraph(tuple(inputs), tuple(mask & ~(1 << x)
-                                                   for x, mask in enumerate(adjacency)))
-
-
-def certified_graph(ch: Channel) -> ConfusabilityGraph:
-    """The may-reach graph of ``ch`` at its last declared level.
-
-    The one confusability graph of the package: the zero-error ladder, the
-    re-validator and the command line all take it from here.  Intervals
-    only narrow as the level rises, so no earlier level has fewer edges.
-    """
-    return confusability_graph(certify_support(ch, ch.max_declared_level()),
-                               ch.inputs, len(ch.outputs))
+# perfbench/worker.py calls this name; drop it with the benchmark's next change
+confusability_graph = graph.confusability_graph
 
 
 def check_power_size(g: ConfusabilityGraph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> None:
@@ -536,11 +415,6 @@ class LadderRung:
                 "witness": witness_json(self.witness, self.n), "exact": self.exact}
 
 
-def witness_json(words: tuple, n: int) -> list:
-    """Witness words as JSON: label lists, or bare labels when n = 1."""
-    return [list(w) if n > 1 else w[0] for w in words]
-
-
 @dataclass(frozen=True)
 class CapacityLadder:
     """Monotone lower-bound ladder for the zero-error rate of a graph.
@@ -553,6 +427,7 @@ class CapacityLadder:
 
     rungs: tuple = ()
     running_best: Enclosure | None = None
+    cover_weight: Fraction | None = field(default=None, compare=False)  # alpha*, checked
 
     def recorded(self, n: int) -> LadderRung | None:
         return next((r for r in self.rungs if r.n == n), None)
@@ -576,26 +451,27 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     search.  When rung n - 1 is exact, floor(alpha*(g) alpha(gⁿ⁻¹)) bounds
     the search (the Rosenfeld-Hales bound of the module docstring), which
     then ends exact once the incumbent reaches it; ``ladder`` must hold
-    rungs of ``g`` only.
+    rungs of ``g`` only, and carries alpha*(g) on to the next rung.
     """
     if ladder.recorded(n) is not None:
         raise LadderError(f"rung {n} already recorded")
     power = strong_power(g, n, cap=vertex_cap)
     seed = _best_product_witness(ladder, n)
     previous = ladder.recorded(n - 1)
+    weight = ladder.cover_weight
     bound = None
     if previous is not None and previous.exact:
         def bound() -> int:
-            return previous.alpha * clique_cover_weight(g, g.clique_cover) // 1
+            nonlocal weight
+            weight = weight or clique_cover_weight(g, fractional_clique_cover(g))
+            return previous.alpha * weight // 1
     result = max_independent_set(power, node_budget=node_budget, seed_witness=seed,
                                  upper_bound=bound)
     rate = log2_enclosure(Fraction(result.alpha), RATE_WIDTH * n).scaled(Fraction(1, n))
     rung = LadderRung(n, result.alpha, result.witness, rate, result.exact)
     rungs = tuple(sorted(ladder.rungs + (rung,), key=lambda r: r.n))
     best = ladder.running_best
-    if best is None or rate.lo > best.lo:
-        best = rate
-    return CapacityLadder(rungs, best)
+    return CapacityLadder(rungs, rate if best is None or rate.lo > best.lo else best, weight)
 
 
 def _best_product_witness(ladder: CapacityLadder, n: int) -> tuple:

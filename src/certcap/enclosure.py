@@ -4,14 +4,17 @@ Every real quantity in this package is a closed interval with exact
 rational endpoints.  Each anytime quantity is one object that keeps its exact
 core and narrows on request (plant.InstabilityExponent, capacity.ShannonBounds,
 the ladders' rungs): a refinable real in the manner of iRRAM (Mueller 2000).
+The certified capacity bounds live beside log2_fixed, so check.py imports no solver.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 
 class DomainError(ValueError):
@@ -30,6 +33,16 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:  # past the str-to-int digit limit
         num, _, den = text.partition("/")
         return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def load_json(text: str, error: type[Exception], where: str = ""):
+    """``json.loads``, raising ``error`` on a syntax error or a too long integer."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON{where}: {exc}") from None
+    except ValueError:
+        raise error(f"invalid JSON{where}: an integer too long to read") from None
 
 
 def rational_str(value) -> str:
@@ -85,9 +98,6 @@ class Enclosure:
 
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
-
-    def intersects(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def __add__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo + other.lo, self.hi + other.hi,
@@ -181,6 +191,45 @@ def log2_fixed(n: int, d: int, m: int) -> tuple[int, bool]:
     while (digits := _extract_log_digits(n, d, m, precision)) is None:
         precision *= 2
     return (k << m) + digits, False
+
+
+def certified_capacity_bounds(rows, dist, log_width):
+    """Mutual information and worst relative-entropy enclosures at one dist.
+
+    Both are valid capacity bounds for any input distribution: the mutual
+    information from below, the largest divergence of a row from the output
+    marginal from above.  The sums run in integers over one denominator: the
+    distribution is P/dd and the rows W/wd (lcms of their denominators), so
+    the marginal is M/(dd wd) with M_y = sum_x P_x W_xy and each term is
+    log2_fixed(W_xy dd, M_y).  Each endpoint is one Fraction, built at the end.
+    """
+    m = width_bits(log_width)
+    dd = lcm(*(p.denominator for p in dist))
+    wd = lcm(*(w.denominator for row in rows for w in row))
+    weights = [p.numerator * (dd // p.denominator) for p in dist]
+    counts = [[w.numerator * (wd // w.denominator) for w in row] for row in rows]
+    marginal = [sum(p * row[y] for p, row in zip(weights, counts))
+                for y in range(len(rows[0]))]
+    if any(mass == 0 and any(row[y] for row in counts) for y, mass in enumerate(marginal)):
+        raise DomainError(
+            "distribution assigns zero mass to a reachable output; "
+            "the divergence upper bound would be vacuous")
+    info_lo = info_hi = level = 0
+    divs = []  # each row's divergence bounds, over wd * 2**m
+    for p, row in zip(weights, counts):
+        lo = hi = 0
+        for w, mass in zip(row, marginal):
+            if w:
+                digits, exact = log2_fixed(w * dd, mass, m)
+                lo, hi = lo + w * digits, hi + w * (digits if exact else digits + 1)
+        divs.append((lo, hi))
+        if p:
+            info_lo, info_hi = info_lo + p * lo, info_hi + p * hi
+            level = m if hi > lo else level  # an inexact term weighs in
+    den = (dd * wd) << m
+    info = Enclosure(Fraction(info_lo, den), Fraction(info_hi, den), level)
+    los, his = zip(*divs)
+    return info, Enclosure(Fraction(max(los), wd << m), Fraction(max(his), wd << m))
 
 
 def log2_enclosure(x: Fraction, max_width: Fraction) -> Enclosure:

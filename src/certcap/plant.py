@@ -11,11 +11,11 @@ A restricted to the unobservable (resp. uncontrollable) subspace.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enclosure import DomainError, Enclosure, log2_enclosure, parse_rational, rational_str
+from .enclosure import (DomainError, Enclosure, load_json, log2_enclosure, parse_rational,
+                        rational_str)
 from .linalg import Matrix, as_matrix, char_poly, is_square, kernel_basis, mat_mul, transpose
 from .roots import UnstableModuli, schur_stable
 
@@ -57,10 +57,7 @@ class Plant:
 
 def load_plant(doc) -> Plant:
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise PlantFormatError(f"invalid JSON: {exc}") from exc
+        doc = load_json(doc, PlantFormatError)
     if not isinstance(doc, dict) or "A" not in doc:
         raise PlantFormatError("plant document must be an object with an A matrix")
 

@@ -135,18 +135,6 @@ class Trajectory:
     def to_csv(self) -> str:
         return "".join(self.csv_lines())
 
-    def verify_recursion(self, cfg: SimConfig) -> bool:
-        """Re-check x(t+1) = A x(t) + B u(t) + zeta(t) exactly, post hoc."""
-        modes = cfg.modes()
-        b = cfg.plant.b
-        for t in range(len(self.times) - 1):
-            for i, a_i in enumerate(modes):
-                drive = sum(b[i][j] * u for j, u in enumerate(self.u[t])) if b else 0
-                expect = a_i * self.x[t][i] + drive + self.zetas[t][i]
-                if self.x[t + 1][i] != expect:
-                    return False
-        return True
-
 
 def _vec(values) -> str:
     return ";".join(rational_str(v) for v in values)

@@ -69,6 +69,25 @@ def diagonal_plant(values, disturbance=None):
                  disturbance_bound=Fraction(disturbance) if disturbance is not None else None)
 
 
+def verify_recursion(traj, cfg) -> bool:
+    """Re-check x(t+1) = A x(t) + B u(t) + zeta(t) exactly on a finished
+    trajectory, mode by mode, from the recorded states, inputs and
+    disturbances."""
+    modes = cfg.modes()
+    b = cfg.plant.b
+    for t in range(len(traj.times) - 1):
+        for i, a_i in enumerate(modes):
+            drive = sum(b[i][j] * u for j, u in enumerate(traj.u[t])) if b else 0
+            if traj.x[t + 1][i] != a_i * traj.x[t][i] + drive + traj.zetas[t][i]:
+                return False
+    return True
+
+
+def intersects(a, b) -> bool:
+    """Whether two enclosures share a point."""
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
 def product_channel(ch: Channel, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> Channel:
     """n-fold memoryless extension on tuple alphabets, exact entries only: a
     brute-force reference for strong powers and tuple-labelled channels."""

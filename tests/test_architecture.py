@@ -2,9 +2,10 @@
 
 The certificate checker in check.py re-validates what the engine produces,
 so it must not import the engine, the CLI, the simulator or the plant
-module; it imports primitives only.  No module imports a name it never
-reads, and no module-level function or class goes unnamed outside its own
-definition.
+module; it imports primitives only.  What it imports, transitively, is its
+trusted base: no solver may enter it, and its line count is pinned.  No
+module imports a name it never reads, and no module-level function or class
+goes unnamed outside its own definition.
 """
 
 import ast
@@ -19,6 +20,9 @@ PACKAGE = Path(certcap.__file__).resolve().parent
 ROOT = PACKAGE.parent.parent
 CHECK = PACKAGE / "check.py"
 FORBIDDEN = {"classify", "cli", "simulate", "plant"}
+# the solvers may not enter the checker's closure either
+CLOSURE_FORBIDDEN = FORBIDDEN | {"linprog", "capacity", "confgraph"}
+CLOSURE_LINE_CEILING = 1100  # the closure held 2101 lines with the solvers in it
 
 
 def _imported_modules(tree):
@@ -38,6 +42,36 @@ def test_checker_imports_no_engine_module():
     imported = {name.lstrip(".").removeprefix("certcap.") for name in _imported_modules(tree)}
     assert imported, "no imports found"
     assert not imported & FORBIDDEN, sorted(imported & FORBIDDEN)
+
+
+def _relative_imports(path: Path):
+    """The package modules that a module imports by relative import."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.partition(".")[0]
+            else:  # from . import channel
+                yield from (alias.name for alias in node.names)
+
+
+def _closure(module: str) -> set[str]:
+    """``module`` and every package module it imports, transitively."""
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_relative_imports(PACKAGE / f"{name}.py"))
+    return seen
+
+
+def test_checker_closure_holds_no_solver():
+    closure = _closure("check")
+    assert {"check", "channel", "enclosure", "graph"} <= closure
+    assert not closure & CLOSURE_FORBIDDEN, sorted(closure & CLOSURE_FORBIDDEN)
+    lines = sum(len((PACKAGE / f"{name}.py").read_text(encoding="utf-8").splitlines())
+                for name in closure)
+    assert lines <= CLOSURE_LINE_CEILING, (sorted(closure), lines)
 
 
 def test_package_attributes_are_the_modules():

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from certcap.capacity import (ShannonBounds, certified_capacity_bounds,
-                              feedback_zero_error_capacity, minimax_ladder_step,
-                              shannon_capacity)
+from certcap.capacity import (ShannonBounds, feedback_zero_error_capacity,
+                              minimax_ladder_step, shannon_capacity)
 from certcap.channel import certify_support, exact_channel, resolving_stream
 from certcap.check import verify_minimax_lower_bound
-from certcap.enclosure import DomainError, Enclosure, log2_enclosure, log2_fixed
+from certcap.enclosure import (DomainError, Enclosure, certified_capacity_bounds,
+                               log2_enclosure, log2_fixed)
 
 F = Fraction
 mpmath.mp.dps = 50
@@ -140,7 +140,7 @@ class TestShannonCapacity:
             shannon_capacity(nl2, F(0))
 
     def test_degenerate_distribution_rejected(self, nl2):
-        from certcap.capacity import certified_capacity_bounds
+        from certcap.enclosure import certified_capacity_bounds
         with pytest.raises(DomainError, match="reachable output"):
             certified_capacity_bounds(nl2.rows, (F(1), F(0)), F(1, 256))
 
@@ -194,7 +194,8 @@ class TestShannonBoundsSharedByBothCallers:
 
 def test_ordering_chain_on_corpus(pentagon, nl2, bsc14):
     """Zero-error lower bounds <= feedback zero-error <= ordinary capacity."""
-    from certcap.confgraph import CapacityLadder, confusability_graph, extend_ladder
+    from certcap.confgraph import CapacityLadder, extend_ladder
+    from certcap.graph import confusability_graph
 
     tolerance = F(1, 10 ** 4)
     for ch in (pentagon, nl2, bsc14):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from certcap import capacity, confgraph
+from certcap import capacity
+from certcap import channel as channel_module
 from certcap import classify as classify_module
-from certcap.capacity import (DEFAULT_C0FB_WIDTH, certified_capacity_bounds,
-                              feedback_zero_error_capacity, minimax_ladder_step)
+from certcap.capacity import (DEFAULT_C0FB_WIDTH, feedback_zero_error_capacity,
+                              minimax_ladder_step)
 from certcap.channel import (certify_support, exact_channel, hovering_stream,
                              load_channel, noiseless, resolving_stream,
                              stream_channel, support_sets, typewriter)
@@ -25,7 +26,7 @@ from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               classify_fixed_plant, dovetail, revalidate,
                               _assert_monotone_predicates)
 from certcap.check import log2_compare
-from certcap.enclosure import DomainError, Enclosure, log2_enclosure
+from certcap.enclosure import DomainError, Enclosure, certified_capacity_bounds, log2_enclosure
 from certcap.plant import instability_exponent
 from conftest import diagonal_plant, product_channel, scalar_plant
 
@@ -919,7 +920,7 @@ class TestNoRepeatedSolves:
             calls.append(args)
             return real(*args)
 
-        for module in (capacity, confgraph):
+        for module in (capacity, channel_module):
             monkeypatch.setattr(module, "certify_support", counting)
         for ch, zero in ((pentagon, False), (bsc14, True)):
             calls.clear()

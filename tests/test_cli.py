@@ -242,6 +242,38 @@ def test_empty_maps_need_a_stable_plant(capsys, data_dir, tmp_path, plant, regim
     assert bool(out) == (not message)
 
 
+HUGE = "1" + "0" * 4999  # past the interpreter's 4300-digit int-to-str limit
+# JSON text with the first row, or the one schedule level, left to fill in
+EXACT_TEXT = '{"inputs": [0, 1], "outputs": [0, 1], "mode": "exact", "rows": [[%s], ["0", "1"]]}'
+STREAM_TEXT = ('{"inputs": [0], "outputs": [0], "mode": "stream", '
+               '"schedules": [[[{"level": %s, "lo": "1", "hi": "1"}]]]}')
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("channel", EXACT_TEXT % f'"1/{HUGE}", "0"', "row 0 sums to 1/100"),
+    ("channel", STREAM_TEXT % f'"{HUGE}"', "an integer level"),
+    ("channel", STREAM_TEXT % "1e999", "an integer level"),
+    ("channel", EXACT_TEXT % f'"1", {HUGE}', "an integer too long to read"),
+    ("plant", '{"A": [[%s]]}' % HUGE, "an integer too long to read"),
+    ("channel", EXACT_TEXT % f'"1/{HUGE}", "{"9" * 4999}/{HUGE}"', None),
+], ids=["row-sum", "level", "infinite-level", "channel-integer", "plant-integer", "valid-row"])
+def test_hostile_documents_get_their_own_error_line(capsys, data_dir, tmp_path, kind, text,
+                                                    message):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    argv = (["eta", "--plant", str(path)] if kind == "plant"
+            else ["fb-capacity", "--channel", str(path)])
+    code, out, err = run_cli(capsys, *argv)
+    if message is None:
+        assert (code, err) == (EXIT_OK, "") and out
+        return
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "digits" not in err
+    if "JSON" in err:
+        assert str(path) in err
+
+
 @pytest.mark.parametrize("argv", [["fb-capacity", "--channel"], ["eta", "--plant"]])
 def test_directory_path_exits_one(capsys, data_dir, argv):
     code, out, err = run_cli(capsys, *argv, str(data_dir))

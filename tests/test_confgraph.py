@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from certcap import confgraph
 from certcap.channel import (SupportCertificate, certify_support, exact_channel,
                              noiseless, typewriter)
-from certcap.confgraph import (CapacityLadder, ConfusabilityGraph, LadderError,
-                               _PowerSymmetry, certified_graph, clique_cover_weight,
-                               confusability_graph, extend_ladder,
-                               fractional_clique_cover, max_independent_set,
-                               strong_power)
+from certcap.confgraph import (CapacityLadder, LadderError, _PowerSymmetry,
+                               clique_cover_weight, extend_ladder, fractional_clique_cover,
+                               max_independent_set, strong_power)
 from certcap.enclosure import log2_enclosure
-from conftest import product_channel
+from certcap.graph import ConfusabilityGraph, certified_graph, confusability_graph
+from conftest import intersects, product_channel
 
 F = Fraction
 
@@ -346,7 +345,7 @@ class TestLadder:
         assert ladder.rungs[1].alpha == 5
         # running best switched to the better rung: (1/2) log2 5
         half_log5 = log2_enclosure(F(5), F(1, 2 ** 20)).scaled(F(1, 2))
-        assert ladder.running_best.intersects(half_log5)
+        assert intersects(ladder.running_best, half_log5)
 
     def test_running_best_lo_never_decreases(self, pentagon):
         g = graph_of(pentagon)
@@ -448,7 +447,7 @@ class TestLadder:
         ladder = extend_ladder(CapacityLadder(), g, 1)
         assert ladder.rungs[0].alpha == 3
         enc = log2_enclosure(F(3), F(1, 2 ** 20))
-        assert ladder.running_best.intersects(enc)
+        assert intersects(ladder.running_best, enc)
 
 
 class TestPinnedBytes:
@@ -642,7 +641,20 @@ class TestRungBound:
         g = graph_of(pentagon)
         cover = fractional_clique_cover(g)
         assert clique_cover_weight(g, cover) == F(5, 2)
-        assert g.clique_cover == cover
+
+    def test_the_ladder_solves_the_cover_lp_once(self, pentagon, monkeypatch):
+        covers = []
+
+        def counting(g):
+            covers.append(g)
+            return fractional_clique_cover(g)
+
+        monkeypatch.setattr(confgraph, "fractional_clique_cover", counting)
+        g, ladder = graph_of(pentagon), CapacityLadder()
+        for n in (1, 2, 3):
+            ladder = extend_ladder(ladder, g, n, **ENGINE_LIMITS)
+            assert ladder.cover_weight == (None if n == 1 else F(5, 2))
+        assert covers == [g]
 
     @pytest.mark.parametrize("cover,message", [
         # {0, 2} is not an edge of C5

@@ -1,18 +1,22 @@
-"""se-fb, stab-fb and fixed-plant capacity-below verdicts against references
-that share no code with certcap.
+"""se-fb, stab-fb, se-nofb and both fixed-plant directions against
+references that share no code with certcap.
 
 ``perfbench/oracles.py`` imports nothing from certcap: it takes C0fb from
-Shannon's minimax solved by scipy's linprog and eta from mpmath eigenvalues.
-``revalidate`` shares the support, LP and log2 code with the engine, so a
-fault common to both passes it; these references catch such a fault.  Every
-channel is drawn exact, then used as is or wrapped as a stream whose true
-channel it stays, so C0fb of the base channel decides every halted verdict.
+Shannon's minimax solved by scipy's linprog, eta from mpmath eigenvalues,
+confusability from the base rows and independence numbers of strong powers
+from networkx.  ``revalidate`` shares the support, graph, LP and log2 code
+with the engine, so a fault common to both passes it; these references
+catch such a fault.  Every channel is drawn exact, then used as is or
+wrapped as a stream whose true channel it stays, so the base channel's
+capacities decide every halted verdict.
 """
 
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -97,3 +101,33 @@ def test_feedback_verdicts_agree_with_float_references(drawn, plant, regime, bud
     # every bound is an upper one; on an exact channel it encloses C0fb
     assert float(F(bound["hi"])) >= c0fb - oracles.MARGIN
     assert not ch.is_exact or float(F(bound["lo"])) <= c0fb + oracles.MARGIN
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=channels(), plant=plants(),
+       regime=st.sampled_from(["se-nofb", "capacity-above"]), budget=st.integers(1, 40))
+def test_zero_error_verdicts_agree_with_graph_references(drawn, plant, regime, budget):
+    rows, ch = drawn
+    true_eta = oracles.eta([[str(v) for v in row] for row in plant.a])
+    if regime == "capacity-above":
+        verdict = classify_fixed_plant(instability_exponent(plant.a), ch, regime, budget)
+    else:
+        verdict = classify(plant, ch, Regime(regime), budget)
+    cert = verdict.to_json()["certificate"]
+    if verdict.outcome == "Undetermined":
+        assert oracles.enc_contains(cert["progress"]["eta"]["enclosure"], true_eta)
+        return
+    if verdict.outcome == "Unsolvable":
+        # only the alphabet bound proves it: no zero-error rate beats log2 min(|X|, |Y|)
+        assert regime == "capacity-above" and cert["quantity"] == "alphabet-bound"
+        assert float(true_eta) >= math.log2(min(len(rows), len(rows[0]))) - oracles.MARGIN
+        return
+    assert verdict.outcome == "Solvable" and cert["kind"] == "independent-set"
+    n, alpha = cert["n"], cert["alpha"]
+    words = [tuple(w) if n > 1 else (w,) for w in cert["witness"]]
+    # the witness is a zero-error code of the base channel, so log2(alpha)/n <= C0
+    assert len(set(words)) == alpha and oracles.independent(rows, words)
+    assert oracles.enc_contains(cert["eta"], true_eta)
+    assert oracles.mpf(F(cert["eta"]["hi"])) < mpmath.log(alpha, 2) / n
+    reference = oracles.alpha(rows, n)
+    assert reference is None or alpha <= reference

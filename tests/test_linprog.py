@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from certcap import capacity, confgraph
 from certcap.capacity import minimax_ladder_step
 from certcap.channel import typewriter
-from certcap.confgraph import certified_graph, fractional_clique_cover
+from certcap.confgraph import fractional_clique_cover
+from certcap.graph import certified_graph
 from certcap.linprog import (Constraint, Infeasible, LinearProgram, LpSolution,
                              Unbounded, _assert_certificates, solve_lp)
 

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from certcap.channel import binary_symmetric, certify_support, noiseless, typewriter
 from certcap.classify import Regime
-from certcap.confgraph import confusability_graph, max_independent_set, strong_power
+from certcap.confgraph import max_independent_set, strong_power
+from certcap.graph import confusability_graph
 from certcap.linalg import as_matrix
 from certcap.plant import Plant
 from certcap.simulate import (CodeSpec, SimConfig, SimulationError, _dyadic_split,
                               _lowest_terms, identity_code, run_estimation,
                               run_stabilization, run_weak_detection,
                               sample_output, witness_code)
-from conftest import diagonal_plant, scalar_plant
+from conftest import diagonal_plant, scalar_plant, verify_recursion
 
 F = Fraction
 
@@ -40,7 +41,7 @@ class TestBoundedTracking:
         assert F(traj.summary["max_error"]) <= 1
         late = traj.error[-100:]
         assert all(e <= F(2, 5) for e in late)
-        assert traj.verify_recursion(cfg)
+        assert verify_recursion(traj, cfg)
         assert traj.summary["zero_error_transcript"] is True
 
     def test_pentagon_witness_code_tracks(self, pentagon):
@@ -50,7 +51,7 @@ class TestBoundedTracking:
         traj = run_estimation(cfg)
         assert traj.summary["bounded"] is True
         assert traj.summary["zero_error_transcript"] is True
-        assert traj.verify_recursion(cfg)
+        assert verify_recursion(traj, cfg)
 
     def test_error_never_exceeds_radius_with_zero_error_code(self, nl2):
         cfg = SimConfig(scalar_plant(F(3, 2), disturbance=F(1, 10)), nl2,
@@ -89,7 +90,7 @@ class TestStabilization:
                         horizon=1_000, seed=3)
         traj = run_stabilization(cfg)
         assert traj.summary["bounded"] is True
-        assert traj.verify_recursion(cfg)
+        assert verify_recursion(traj, cfg)
         # state stays within a * bound(|x - xhat|) + D
         limit = F(3, 2) * F(traj.summary["analytic_bound"]) + F(1, 10)
         assert all(abs(x[0]) <= limit for x in traj.x)
@@ -222,10 +223,10 @@ def test_unrunnable_configuration_is_refused(nl2, run, message):
 def test_verify_recursion_catches_an_altered_disturbance(nl2):
     cfg = _config(nl2)
     traj = run_estimation(cfg)
-    assert traj.verify_recursion(cfg)
+    assert verify_recursion(traj, cfg)
     zetas = list(traj.zetas)
     zetas[3] = (zetas[3][0] + F(1, 1000),)
-    assert not replace(traj, zetas=tuple(zetas)).verify_recursion(cfg)
+    assert not verify_recursion(replace(traj, zetas=tuple(zetas)), cfg)
 
 
 class TestDeterminismAndSampling:
@@ -446,7 +447,7 @@ def zero_error_runs(draw):
 def test_zero_error_loop_invariants(run):
     runner, cfg = run
     traj = runner(cfg)
-    assert traj.verify_recursion(cfg)
+    assert verify_recursion(traj, cfg)
     assert all(e <= r for e, r in zip(traj.error, traj.radius))
     assert traj.summary["bounded"] is True
     assert traj.summary["zero_error_transcript"] is True
