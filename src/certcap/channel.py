@@ -178,11 +178,10 @@ def _list(value, what: str):
 
 
 def _step(step) -> ScheduleStep:
-    try:
-        level = int(step["level"])
-    except (TypeError, ValueError, OverflowError):  # not an object, or a bad level
+    level = step.get("level") if isinstance(step, dict) else None
+    if type(level) is not int:  # a JSON integer: not a bool, a float or a string
         raise ChannelFormatError(
-            f"schedule steps must be objects with an integer level, got {step!r}") from None
+            f"schedule steps must be objects with an integer level, got {step!r}")
     return level, parse_rational(step["lo"]), parse_rational(step["hi"])
 
 

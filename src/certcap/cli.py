@@ -46,6 +46,8 @@ def _read_json(path: str) -> dict:
         raise CliError(f"file not found: {path}")
     except OSError as exc:  # a directory, no permission, ...
         raise CliError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise CliError(f"cannot read {path}: not UTF-8 text")
 
 
 def _emit(doc: dict, mode: str) -> None:

@@ -4,8 +4,8 @@ ladder for zero-error rates, on the confusability graphs of graph.py.
 Adjacency is one bitmask per vertex, which keeps the branch-and-bound
 solver allocation-free and deterministic.
 
-Two classical facts let the search close on strong powers it could not
-close by colouring alone; both only ever cut work, never change a witness.
+Two classical facts let the search close strong powers that colouring
+alone leaves open, and a memo spares it repainting; none changes a witness.
 
 * **Orbit pruning.**  A strong power Gⁿ made by ``strong_power`` is
   invariant under every coordinate permutation and under a base
@@ -47,6 +47,13 @@ close by colouring alone; both only ever cut work, never change a witness.
   floor(W alpha(Gⁿ⁻¹)) to the search when rung n - 1 is exact.  The search
   stops as soon as the incumbent reaches that bound; no later node could
   have raised it, so the witness is again the unbounded search's.
+
+* **Colouring memo.**  A node's greedy colouring depends on the graph and
+  its candidate set alone.  Per candidate set, the search keeps how many
+  leading classes it painted and the candidates they left; a node meeting
+  the set again extends that prefix forward if it may skip at least that
+  many classes, and repaints from scratch otherwise.  Either way it sees
+  the colour list an unmemoised node would, so nodes and witness match.
 """
 
 from __future__ import annotations
@@ -247,6 +254,10 @@ def max_independent_set(g: ConfusabilityGraph, *,
     so the nodes visited are a subsequence of the unpruned search's and a
     finished search returns the same alpha and witness.
 
+    A dict local to the call keeps each candidate set's painted classes and
+    what they left (module docstring), so a node whose set was met before
+    paints only the classes it lacks; the colouring depends on the set alone.
+
     ``upper_bound`` returns a proven bound on alpha.  It is called once,
     when the root's colouring has not closed the search (a search that
     closes at once never pays for the bound), and ends the search, exact,
@@ -273,6 +284,7 @@ def max_independent_set(g: ConfusabilityGraph, *,
     stopped = False  # the budget ran out, or the incumbent met the limit
     exact = True
     group = cache(lambda: _power_symmetry(g))  # found at the first orbit asked for
+    painted: dict[int, tuple[int, int]] = {}  # candidates -> (classes, what they left)
 
     def orbit_of(v: int | None = None):
         """Orbit lookup of the group, or of root vertex v's stabiliser."""
@@ -287,9 +299,11 @@ def max_independent_set(g: ConfusabilityGraph, *,
         nodes += 1
         # greedy colouring of the candidate set for the pruning bound; the
         # vertices of colours up to best - size would cut the node at once,
-        # so those colours are painted without recording them
-        rest = candidates
-        colour = 0
+        # so those colours are painted without recording them, forward from
+        # the classes this candidate set already painted at an earlier node
+        colour, rest = painted.get(candidates, (0, candidates))
+        if colour > best[0] - size:
+            colour, rest = 0, candidates
         while rest and colour < best[0] - size:
             colour += 1
             avail = rest
@@ -297,6 +311,7 @@ def max_independent_set(g: ConfusabilityGraph, *,
                 low = avail & -avail
                 avail &= drop[low.bit_length() - 1]
                 rest ^= low
+        painted[candidates] = colour, rest
         colour_of: list[tuple[int, int]] = []  # (vertex, colour) in paint order
         while rest:
             colour += 1

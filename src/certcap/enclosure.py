@@ -36,11 +36,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def load_json(text: str, error: type[Exception], where: str = ""):
-    """``json.loads``, raising ``error`` on a syntax error or a too long integer."""
+    """``json.loads``, raising ``error`` on a syntax error, a too long integer
+    or nesting too deep to decode."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON{where}: {exc}") from None
+    except RecursionError:
+        raise error(f"invalid JSON{where}: nested too deeply to read") from None
     except ValueError:
         raise error(f"invalid JSON{where}: an integer too long to read") from None
 

@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -9,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from certcap.channel import (Channel, ResourceCapError, binary_symmetric, hovering_stream,
                              noiseless, resolving_stream, typewriter)
+from certcap.confgraph import IndependenceResult, _power_symmetry
 from certcap.enclosure import DomainError
 from certcap.linalg import as_matrix
 from certcap.plant import Plant
@@ -114,3 +116,85 @@ def product_channel(ch: Channel, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> Chan
     new_inputs = tuple(tuple(ch.inputs[i] for i in xs) for xs in in_tuples)
     new_outputs = tuple(tuple(ch.outputs[i] for i in ys) for ys in out_tuples)
     return Channel(new_inputs, new_outputs, rows=tuple(rows))
+
+
+def reference_independent_set(g, *, node_budget=None, seed_witness=(), upper_bound=None):
+    """``confgraph.max_independent_set`` without its colouring memo: every
+    node paints its whole candidate set afresh.  The same branch and bound,
+    orbit pruning and rung bound, so it must agree node for node."""
+    n = len(g)
+    if n == 0:
+        return IndependenceResult(0, (), True)
+    full = (1 << n) - 1
+    comp = [(~g.adjacency[i]) & full & ~(1 << i) for i in range(n)]
+    drop = [full & ~(comp[v] | 1 << v) for v in range(n)]
+    label_index = {v: i for i, v in enumerate(g.vertices)}
+    best_mask = 0
+    for label in seed_witness:
+        best_mask |= 1 << label_index[label]
+    if not g.is_independent(i for i in range(n) if best_mask >> i & 1):
+        raise ValueError("seed witness is not independent")
+    best = [best_mask.bit_count(), best_mask]
+    nodes = 0
+    limit = upper_bound
+    stopped = False
+    exact = True
+    group = cache(lambda: _power_symmetry(g))
+
+    def orbit_of(v=None):
+        masks = cache(lambda: None if group() is None else group().orbit_masks(v))
+        return lambda w: 1 << w if masks() is None else masks()[w]
+
+    def expand(candidates, size, mask, orbit):
+        nonlocal nodes, limit, stopped, exact
+        if nodes == node_budget:
+            stopped, exact = True, False
+            return
+        nodes += 1
+        colour_of = []  # (vertex, colour) in paint order, every class
+        rest = candidates
+        colour = 0
+        while rest:
+            colour += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                colour_of.append((v, colour))
+                avail &= drop[v]
+                rest ^= low
+        explored = 0
+        unfolded = None
+        for v, colour in reversed(colour_of):
+            if size + colour <= best[0]:
+                return
+            if callable(limit):
+                limit = limit()
+                if best[0] >= limit:
+                    stopped = True
+                    return
+            if unfolded is not None:
+                explored |= orbit(unfolded)
+                unfolded = None
+            if not explored >> v & 1:
+                new_mask = mask | (1 << v)
+                new_candidates = candidates & comp[v]
+                if new_candidates:
+                    expand(new_candidates, size + 1, new_mask,
+                           orbit_of(v) if size == 0 else None)
+                    if stopped:
+                        return
+                elif size + 1 > best[0]:
+                    best[0] = size + 1
+                    best[1] = new_mask
+                    if limit is not None and best[0] >= limit:
+                        stopped = True
+                        return
+                if orbit is not None:
+                    unfolded = v
+            candidates ^= 1 << v
+
+    expand(full, 0, 0, orbit_of())
+    witness_idx = sorted(i for i in range(n) if best[1] >> i & 1)
+    assert g.is_independent(witness_idx)
+    return IndependenceResult(best[0], tuple(g.vertices[i] for i in witness_idx), exact, nodes)

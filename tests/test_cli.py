@@ -255,8 +255,15 @@ STREAM_TEXT = ('{"inputs": [0], "outputs": [0], "mode": "stream", '
     ("channel", STREAM_TEXT % "1e999", "an integer level"),
     ("channel", EXACT_TEXT % f'"1", {HUGE}', "an integer too long to read"),
     ("plant", '{"A": [[%s]]}' % HUGE, "an integer too long to read"),
+    ("channel", STREAM_TEXT % "1.5", "an integer level"),
+    ("channel", STREAM_TEXT % "true", "an integer level"),
+    ("channel", STREAM_TEXT % '"1"', "an integer level"),
+    ("plant", "[" * 100_000, "nested too deeply"),
+    ("channel", "[" * 100_000, "nested too deeply"),
     ("channel", EXACT_TEXT % f'"1/{HUGE}", "{"9" * 4999}/{HUGE}"', None),
-], ids=["row-sum", "level", "infinite-level", "channel-integer", "plant-integer", "valid-row"])
+], ids=["row-sum", "level", "infinite-level", "channel-integer", "plant-integer",
+        "float-level", "bool-level", "string-level", "nested-plant", "nested-channel",
+        "valid-row"])
 def test_hostile_documents_get_their_own_error_line(capsys, data_dir, tmp_path, kind, text,
                                                     message):
     path = tmp_path / f"{kind}.json"
@@ -279,6 +286,15 @@ def test_directory_path_exits_one(capsys, data_dir, argv):
     code, out, err = run_cli(capsys, *argv, str(data_dir))
     assert (code, out) == (EXIT_ERROR, "")
     assert err == f"error: cannot read {data_dir}: Is a directory\n"
+
+
+@pytest.mark.parametrize("argv", [["fb-capacity", "--channel"], ["eta", "--plant"]])
+def test_file_that_is_not_utf8_exits_one(capsys, tmp_path, argv):
+    path = tmp_path / "utf16.json"
+    path.write_bytes('{"A": [["2"]]}'.encode("utf-16"))  # starts ff fe
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: cannot read {path}: not UTF-8 text\n"
 
 
 def test_fixed_eta_analyze(capsys, data_dir):
@@ -534,6 +550,17 @@ PIVOT_PATH_DIGESTS = [
 def test_pivot_path_stdout_is_pinned(capsys, data_dir, argv, pinned):
     code, out, _ = run_cli(capsys, *_resolve(data_dir, list(argv)))
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == pinned
+
+
+def test_pentagon_rung_five_is_pinned(capsys, data_dir):
+    # rung 5 spends the whole 200 000-node budget and records alpha 50, not
+    # exact; the digest was taken from the search before its colouring memo
+    code, out, _ = run_cli(capsys, "zero-error", "--channel", str(data_dir / "pentagon.json"),
+                           "--max-block", "5")
+    rung = json.loads(out)["rungs"][-1]
+    assert (rung["n"], rung["alpha"], rung["exact"]) == (5, 50, False)
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == (
+        "5f33d4bf778089a2e577f60c4c90bab2c31c32c04e89afc11c46d00efcac6a7c", EXIT_OK)
 
 
 # sha256 of stdout and the exit code of se-fb and stab-fb runs that end

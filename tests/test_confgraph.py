@@ -16,7 +16,7 @@ from certcap.confgraph import (CapacityLadder, LadderError, _PowerSymmetry,
                                max_independent_set, strong_power)
 from certcap.enclosure import log2_enclosure
 from certcap.graph import ConfusabilityGraph, certified_graph, confusability_graph
-from conftest import intersects, product_channel
+from conftest import intersects, product_channel, reference_independent_set
 
 F = Fraction
 
@@ -713,3 +713,56 @@ class TestRungBound:
         result = max_independent_set(power, upper_bound=lambda: 10)
         assert (result.alpha, result.witness, result.exact) == (10, plain.witness, True)
         assert result.nodes < plain.nodes
+
+
+@st.composite
+def memo_case(draw):
+    """A graph, a node budget, an independent seed and maybe a bound.
+
+    The graph is random on up to 14 vertices, a strong power of at most 64
+    vertices, or the cube of a cycle or circulant on 5 to 7 vertices: only
+    powers revisit many candidate sets (the cubes at different depths too),
+    and only their orbits are pruned.  Cubes always keep a budget, since
+    some take millions of nodes.  The bound, near the seed's size, need not
+    be proven: both searches read it alike."""
+    kind = draw(st.sampled_from(("random", "power", "cube")))
+    if kind == "random":
+        size = draw(st.integers(min_value=1, max_value=14))
+        pairs = list(combinations(range(size), 2))
+        g = graph_from_edges(size, draw(st.lists(st.sampled_from(pairs), unique=True))
+                             if pairs else [])
+    elif kind == "power":
+        g = draw(small_power())[1]
+    else:
+        size = draw(st.integers(min_value=5, max_value=7))
+        jumps = draw(st.sets(st.integers(min_value=1, max_value=size // 2), min_size=1))
+        g = strong_power(graph_from_edges(size, [(i, (i + j) % size) for i in range(size)
+                                                 for j in jumps]), 3)
+    budget = draw(st.integers(min_value=0, max_value=3000) if kind == "cube" else
+                  st.sampled_from((0, 1, None)) | st.integers(min_value=2, max_value=60))
+    seed: list[int] = []
+    for i in draw(st.permutations(range(len(g))))[:draw(st.integers(0, len(g)))]:
+        if g.is_independent(seed + [i]):
+            seed.append(i)
+    bound = None
+    if draw(st.booleans()):
+        value = len(seed) + draw(st.integers(min_value=0, max_value=3))
+        bound = lambda: value  # noqa: E731
+    return g, budget, tuple(g.vertices[i] for i in seed), bound
+
+
+class TestColouringMemo:
+    @given(case=memo_case())
+    @settings(max_examples=150, deadline=None)
+    def test_memo_keeps_every_node_of_the_reference(self, case):
+        g, budget, seed, bound = case
+        limits = dict(node_budget=budget, seed_witness=seed, upper_bound=bound)
+        result = max_independent_set(g, **limits)
+        assert result == reference_independent_set(g, **limits)
+
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_cycle_cubes_keep_every_node_of_the_reference(self, size):
+        # both searches meet a candidate set again deeper down, where the
+        # classes stored for it outnumber those the node may skip
+        power = strong_power(cycle(size), 3)
+        assert max_independent_set(power) == reference_independent_set(power)
