@@ -21,7 +21,7 @@ from .channel import Channel, certify_support, support_sets
 from .enclosure import (DomainError, Enclosure, certified_capacity_bounds, log2_enclosure,
                         rational_str)
 from .graph import confusability_graph
-from .linprog import LinearProgram, solve_lp
+from .linprog import EQ, GEQ, LEQ, solve_lp
 
 DEFAULT_C0FB_WIDTH = Fraction(1, 1 << 20)
 
@@ -44,24 +44,18 @@ def _solve_minimax(nx: int, supports: tuple[tuple[int, ...], ...]) -> MinimaxSol
     if all(not s for s in supports):
         return MinimaxSolution(Fraction(0), (Fraction(1),) + (Fraction(0),) * (nx - 1),
                                (Fraction(0),) * ny, supports)
-    names = [f"p{x}" for x in range(nx)] + ["t"]
-    lp = LinearProgram("min", names, {"t": 1})
-    lp.add({f"p{x}": 1 for x in range(nx)}, "=", 1)
-    for x in range(nx):
-        lp.add({f"p{x}": 1}, ">=", 0)
-    constraint_outputs = []
-    for y in range(ny):
-        if supports[y]:
-            coeffs = {f"p{x}": Fraction(1) for x in supports[y]}
-            coeffs["t"] = Fraction(-1)
-            lp.add(coeffs, "<=", 0)
-            constraint_outputs.append(y)
-    sol = solve_lp(lp)
-    dist = tuple(sol.assignment[f"p{x}"] for x in range(nx))
+    # variables p_0 .. p_{nx-1}, t: minimise t subject to sum p = 1, p >= 0
+    # and, for each output with a support, its mass - t <= 0
+    outputs = [y for y in range(ny) if supports[y]]
+    rows = [((1,) * nx + (0,), EQ, 1)]
+    rows += [(tuple(int(x == k) for k in range(nx)) + (0,), GEQ, 0) for x in range(nx)]
+    rows += [(tuple(int(x in supports[y]) for x in range(nx)) + (-1,), LEQ, 0)
+             for y in outputs]
+    sol = solve_lp((0,) * nx + (1,), rows)
     weights = [Fraction(0)] * ny
-    for idx, y in enumerate(constraint_outputs):
+    for idx, y in enumerate(outputs):
         weights[y] = -sol.dual[1 + nx + idx]  # <=-row duals are nonpositive here
-    return MinimaxSolution(sol.optimum, dist, tuple(weights), supports)
+    return MinimaxSolution(sol.optimum, sol.assignment[:nx], tuple(weights), supports)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,8 @@ def stream_channel(inputs, outputs, schedules) -> Channel:
             prev_level = -1
             prev = (Fraction(0), Fraction(1))
             for lv, lo, hi in cell:
+                if lv < 0:
+                    raise ChannelFormatError(f"negative schedule level at entry ({xi},{yi})")
                 if lv <= prev_level:
                     raise ChannelFormatError(
                         f"schedule levels not increasing at entry ({xi},{yi})")
@@ -182,6 +184,10 @@ def _step(step) -> ScheduleStep:
     if type(level) is not int:  # a JSON integer: not a bool, a float or a string
         raise ChannelFormatError(
             f"schedule steps must be objects with an integer level, got {step!r}")
+    for name in ("lo", "hi"):
+        if not isinstance(step.get(name), str):
+            raise ChannelFormatError(
+                f"schedule step field {name!r} must be a rational string, got {step!r}")
     return level, parse_rational(step["lo"]), parse_rational(step["hi"])
 
 

@@ -15,15 +15,15 @@ import json
 import os
 import sys
 
-from .capacity import feedback_zero_error_capacity, shannon_capacity
+from .capacity import DEFAULT_C0FB_WIDTH, feedback_zero_error_capacity, shannon_capacity
 from .channel import ResourceCapError, load_channel
-from .classify import (Regime, RegimePreconditionError, UNDETERMINED, classify,
+from .classify import (REGIME_KINDS, Regime, RegimePreconditionError, UNDETERMINED, classify,
                        classify_fixed_plant)
 from .confgraph import (CapacityLadder, check_power_size, clique_cover_weight, extend_ladder,
                         fractional_clique_cover, max_independent_set, strong_power)
-from .enclosure import DomainError, Enclosure, load_json, parse_rational
+from .enclosure import DomainError, Enclosure, load_json, parse_rational, rational_str
 from .graph import certified_graph
-from .plant import instability_exponent, load_plant
+from .plant import DEFAULT_ETA_WIDTH, instability_exponent, load_plant
 from .simulate import (SimConfig, SimulationError, identity_code, run_estimation,
                        run_stabilization, run_weak_detection, witness_code)
 
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="classify a (plant, channel, regime) triple")
     an.add_argument("--plant", help="required, except with --fixed-eta")
     an.add_argument("--channel", required=True)
-    an.add_argument("--regime", choices=("se-nofb", "se-fb", "stab-fb", "weak"),
+    an.add_argument("--regime", choices=REGIME_KINDS,
                     help="required, except with --fixed-eta")
     an.add_argument("--budget", type=int, default=None)
     an.add_argument("--fixed-eta", default=None,
@@ -121,17 +121,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fb = sub.add_parser("fb-capacity", help="feedback zero-error capacity")
     fb.add_argument("--channel", required=True)
-    fb.add_argument("--width", default="1/1048576")
+    fb.add_argument("--width", default=rational_str(DEFAULT_C0FB_WIDTH))
 
     et = sub.add_parser("eta", help="instability exponent enclosure")
     et.add_argument("--plant", required=True)
-    et.add_argument("--width", default="1/1073741824")
+    et.add_argument("--width", default=rational_str(DEFAULT_ETA_WIDTH))
 
     sim = sub.add_parser("simulate", help="run the control-loop simulator")
     sim.add_argument("--plant", required=True)
     sim.add_argument("--channel", required=True)
-    sim.add_argument("--regime", required=True,
-                     choices=("se-nofb", "se-fb", "stab-fb", "weak"))
+    sim.add_argument("--regime", required=True, choices=REGIME_KINDS)
     sim.add_argument("--horizon", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--block-length", type=int, default=1)

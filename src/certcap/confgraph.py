@@ -69,7 +69,7 @@ from . import graph
 from .channel import ResourceCapError
 from .enclosure import Enclosure, log2_enclosure
 from .graph import ConfusabilityGraph, witness_json
-from .linprog import GEQ, LinearProgram, solve_lp
+from .linprog import GEQ, solve_lp
 
 DEFAULT_VERTEX_CAP = 4096
 DEFAULT_NODE_BUDGET = 200_000
@@ -386,14 +386,11 @@ def fractional_clique_cover(g: ConfusabilityGraph) -> tuple[tuple[int, Fraction]
     """A minimum fractional clique cover of g: (clique mask, weight) pairs
     from an exact LP over the maximal cliques; its weight is alpha*(g)."""
     cliques = _maximal_cliques(g)
-    names = [f"k{i}" for i in range(len(cliques))]
-    lp = LinearProgram("min", names, {k: 1 for k in names})
-    for x in range(len(g)):
-        lp.add({k: 1 for k, clique in zip(names, cliques) if clique >> x & 1}, GEQ, 1)
-    for k in names:
-        lp.add({k: 1}, GEQ, 0)
-    weights = solve_lp(lp).assignment
-    return tuple((clique, weights[k]) for k, clique in zip(names, cliques) if weights[k])
+    rows = [(tuple(clique >> x & 1 for clique in cliques), GEQ, 1) for x in range(len(g))]
+    rows += [(tuple(int(i == k) for i in range(len(cliques))), GEQ, 0)
+             for k in range(len(cliques))]
+    weights = solve_lp((1,) * len(cliques), rows).assignment
+    return tuple((clique, w) for clique, w in zip(cliques, weights) if w)
 
 
 def clique_cover_weight(g: ConfusabilityGraph, cover) -> Fraction:

@@ -1,21 +1,24 @@
 """Exact rational linear programming via two-phase simplex with Bland's rule.
 
-Variables are free; sign restrictions enter as ordinary constraints.  Every
-solve returns a primal assignment, the exact optimum, and a dual vector that
-is verified here to satisfy strong duality before anything is returned.
+One form only: minimise objective . x over free x subject to rows, each row
+(coefficients, one per variable; relation; rhs).  Sign restrictions enter as
+ordinary rows; each free variable is split into x+ - x- in the tableau.
+Every solve returns the optimizer as a tuple indexed like the objective,
+the exact optimum, and a dual vector that is verified here to satisfy
+strong duality before anything is returned.
 
 The tableau holds integers over one positive shared denominator
-(``linalg.integer_pivot``).  Bland's rule reads numerator signs and the ratio
-test cross-multiplies, so every pivot is the one a tableau of Fractions takes.
+(``linalg.integer_rows``, ``linalg.integer_pivot``).  Bland's rule reads
+numerator signs and the ratio test cross-multiplies, so every pivot is the
+one a tableau of Fractions takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .linalg import integer_pivot
+from .linalg import integer_pivot, integer_rows
 
 
 class Infeasible(Exception):
@@ -27,38 +30,12 @@ class Unbounded(Exception):
 
 
 LEQ, EQ, GEQ = "<=", "=", ">="
-_RELATIONS = (LEQ, EQ, GEQ)
-
-
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: dict
-    relation: str
-    rhs: Fraction
-
-    def __post_init__(self):
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
-
-
-@dataclass
-class LinearProgram:
-    """min or max of a linear objective subject to linear constraints."""
-
-    sense: str  # "min" | "max"
-    variables: list[str]
-    objective: dict = field(default_factory=dict)
-    constraints: list[Constraint] = field(default_factory=list)
-
-    def add(self, coeffs: dict, relation: str, rhs) -> None:
-        self.constraints.append(Constraint(
-            {v: Fraction(c) for v, c in coeffs.items()}, relation, Fraction(rhs)))
 
 
 @dataclass(frozen=True)
 class LpSolution:
     optimum: Fraction
-    assignment: dict
+    assignment: tuple[Fraction, ...]
     dual: tuple[Fraction, ...]
 
 
@@ -92,68 +69,49 @@ def _simplex(tableau: list[list[int]], den: int, basis: list[int],
         basis[best_row] = col
 
 
-def solve_lp(problem: LinearProgram) -> LpSolution:
-    """Exact optimum, optimizer and dual certificate of a feasible bounded LP.
+def solve_lp(objective, rows) -> LpSolution:
+    """Exact optimum, optimizer and dual certificate of min objective . x
+    over free x subject to ``rows``, for a feasible bounded LP.
 
-    The dual vector d (one entry per constraint, in input order) satisfies
-    sum_i d_i * a_i = c componentwise and d . b = optimum, with the sign
-    conventions of the problem's sense; both identities are asserted here in
+    Each row is (coefficients, relation, rhs), one coefficient per variable
+    and relation one of <=, =, >=.  The dual vector d (one entry per row, in
+    input order) satisfies sum_i d_i * a_i = c componentwise, d_i <= 0 on <=
+    rows, d_i >= 0 on >= rows, and d . b = optimum; all are asserted here in
     exact arithmetic before returning.
     """
-    minimize = problem.sense == "min"
-    if problem.sense not in ("min", "max"):
-        raise ValueError(f"unknown sense {problem.sense!r}")
-    names = list(problem.variables)
-    nvar = len(names)
-    obj = [Fraction(problem.objective.get(v, 0)) for v in names]
-    if not minimize:
-        obj = [-c for c in obj]
-
-    m = len(problem.constraints)
+    nvar, m = len(objective), len(rows)
     # columns: x+ (nvar), x- (nvar), slacks (one per inequality), artificials (m)
-    slack_of: dict[int, int] = {}
-    nslack = 0
-    for i, con in enumerate(problem.constraints):
-        if con.relation != EQ:
-            slack_of[i] = nslack
-            nslack += 1
-    width = 2 * nvar + nslack + m + 1
-    art0 = 2 * nvar + nslack
-
-    # one integer tableau over the lcm of the LP's denominators
-    scale = lcm(*(c.denominator for c in obj),
-                *(c.denominator for con in problem.constraints
-                  for c in (*con.coeffs.values(), con.rhs)))
-    tableau: list[list[int]] = []
-    row_sign: list[int] = []
-    for i, con in enumerate(problem.constraints):
-        line = [0] * width
-        for v, c in con.coeffs.items():
-            j = names.index(v)
-            c = c.numerator * (scale // c.denominator)
-            line[j] += c
-            line[nvar + j] -= c
-        if con.relation != EQ:
-            line[2 * nvar + slack_of[i]] = scale if con.relation == LEQ else -scale
-        line[-1] = con.rhs.numerator * (scale // con.rhs.denominator)
-        sign = 1
-        if line[-1] < 0:
+    art0 = 2 * nvar + sum(relation != EQ for _, relation, _ in rows)
+    width = art0 + m + 1
+    lines = []
+    slack = 2 * nvar
+    for i, (coeffs, relation, rhs) in enumerate(rows):
+        if relation not in (LEQ, EQ, GEQ):
+            raise ValueError(f"unknown relation {relation!r}")
+        if len(coeffs) != nvar:
+            raise ValueError(f"rows must have {nvar} coefficients")
+        line = [*coeffs, *(-c for c in coeffs), *[0] * (width - 2 * nvar - 1), rhs]
+        if relation != EQ:
+            line[slack] = 1 if relation == LEQ else -1
+            slack += 1
+        if rhs < 0:  # artificials start basic, so every rhs is made nonnegative
             line = [-v for v in line]
-            sign = -1
-        line[art0 + i] = scale
-        tableau.append(line)
-        row_sign.append(sign)
+        line[art0 + i] = 1
+        lines.append(line)
+    # one integer tableau over the lcm of the LP's denominators; the last
+    # row is phase 2's cost row
+    tableau, den = integer_rows(
+        lines + [[*objective, *(-c for c in objective), *[0] * (width - 2 * nvar)]])
 
     # phase 1 minimizes the sum of artificials (the last row); every pivot
-    # also prices out the row above it, phase 2's cost row
-    cost = [c.numerator * (scale // c.denominator) for c in obj]
-    phase1 = [-sum(line[j] for line in tableau) for j in range(width)]
+    # also prices out the row above it, the cost row
+    phase1 = [-sum(column) for column in zip(*tableau[:m])] or [0] * width
     for i in range(m):
         phase1[art0 + i] = 0
-    tableau += [cost + [-c for c in cost] + [0] * (width - 2 * nvar), phase1]
+    tableau.append(phase1)
     basis = [art0 + i for i in range(m)]
     allowed = [True] * (width - 1)
-    den = _simplex(tableau, scale, basis, allowed)
+    den = _simplex(tableau, den, basis, allowed)
     if tableau[-1][-1] != 0:
         raise Infeasible("phase-1 optimum is nonzero")
 
@@ -178,41 +136,34 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     values = [0] * width
     for r, bvar in enumerate(basis):
         values[bvar] = tableau[r][-1]
-    assignment = {names[j]: Fraction(values[j] - values[nvar + j], den)
-                  for j in range(nvar)}
-    optimum_min = sum(obj[j] * assignment[names[j]] for j in range(nvar))
-    dual_internal = [Fraction(-tableau[-1][art0 + i] * row_sign[i], den)
-                     for i in range(m)]
-    optimum = optimum_min if minimize else -optimum_min
-    dual = tuple(d if minimize else -d for d in dual_internal)
+    assignment = tuple(Fraction(values[j] - values[nvar + j], den) for j in range(nvar))
+    optimum = sum(c * x for c, x in zip(objective, assignment))
+    dual = tuple(Fraction(tableau[-1][art0 + i] * (1 if rhs < 0 else -1), den)
+                 for i, (_, _, rhs) in enumerate(rows))
 
-    _assert_certificates(problem, names, assignment, optimum, dual)
+    _assert_certificates(objective, rows, assignment, optimum, dual)
     return LpSolution(optimum, assignment, dual)
 
 
-def _assert_certificates(problem, names, assignment, optimum, dual):
-    minimize = problem.sense == "min"
-    # primal feasibility, exactly
-    for con in problem.constraints:
-        lhs = sum(c * assignment[v] for v, c in con.coeffs.items())
-        ok = (lhs <= con.rhs if con.relation == LEQ else
-              lhs >= con.rhs if con.relation == GEQ else lhs == con.rhs)
-        if not ok:
-            raise AssertionError(f"primal infeasible at {con}")
-    # dual feasibility: sign pattern and A^T d = c (variables are free),
-    # the residual A^T d - c summed over each row's own coefficients
-    residual = {v: -Fraction(problem.objective.get(v, 0)) for v in names}
-    for d, con in zip(dual, problem.constraints):
-        if con.relation == LEQ and (d > 0 if minimize else d < 0):
+def _assert_certificates(objective, rows, assignment, optimum, dual):
+    """Primal feasibility, dual signs, A^T d = c and d . b = optimum, exactly;
+    every sum skips zero coefficients."""
+    residual = [-Fraction(c) for c in objective]  # A^T d - c, row by row
+    for i, ((coeffs, relation, rhs), d) in enumerate(zip(rows, dual)):
+        lhs = sum(c * x for c, x in zip(coeffs, assignment) if c)
+        if not (lhs <= rhs if relation == LEQ else lhs >= rhs if relation == GEQ
+                else lhs == rhs):
+            raise AssertionError(f"primal infeasible at row {i}")
+        if relation == LEQ and d > 0:
             raise AssertionError("dual sign violation on <= row")
-        if con.relation == GEQ and (d < 0 if minimize else d > 0):
+        if relation == GEQ and d < 0:
             raise AssertionError("dual sign violation on >= row")
         if d:
-            for v, c in con.coeffs.items():
-                residual[v] += d * c
-    for v in names:
-        if residual[v]:
-            raise AssertionError(f"dual equation violated for {v}")
-    gap = sum(dual[i] * con.rhs for i, con in enumerate(problem.constraints))
-    if gap != optimum:
+            for j, c in enumerate(coeffs):
+                if c:
+                    residual[j] += d * c
+    for j, r in enumerate(residual):
+        if r:
+            raise AssertionError(f"dual equation violated for variable {j}")
+    if sum(d * rhs for d, (_, _, rhs) in zip(dual, rows) if d) != optimum:
         raise AssertionError("strong duality gap is nonzero")

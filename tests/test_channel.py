@@ -104,12 +104,14 @@ WHOLE = (0, F(1), F(1))  # one schedule step pinning an entry to 1
     (lambda: stream_channel((0,), (0, 1), [[(WHOLE,)]]), "schedule/alphabet shape mismatch"),
     (lambda: stream_channel((0,), (0,), [[(WHOLE, WHOLE)]]),
      r"schedule levels not increasing at entry \(0,0\)"),
+    (lambda: stream_channel((0,), (0,), [[((-1, F(1), F(1)),)]]),
+     r"negative schedule level at entry \(0,0\)"),
     (lambda: stream_channel((0,), (0,), [[((0, F(1), F(1, 2)),)]]),
      r"schedule interval invalid at entry \(0,0\)"),
     (lambda: stream_channel((0,), (0,), [[((0, F(1, 2), F(1)), (1, F(1, 4), F(1)))]]),
      r"schedule not nested at entry \(0,0\)"),
-], ids=["exact-shape", "stream-shape", "levels-not-increasing", "interval-invalid",
-        "not-nested"])
+], ids=["exact-shape", "stream-shape", "levels-not-increasing", "negative-level",
+        "interval-invalid", "not-nested"])
 def test_malformed_rows_and_schedules_are_refused(build, message):
     with pytest.raises(ChannelFormatError, match=message):
         build()

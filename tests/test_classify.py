@@ -843,9 +843,9 @@ class TestNoRepeatedSolves:
         calls = []
         real = capacity.solve_lp
 
-        def counting(lp):
-            calls.append(lp)
-            return real(lp)
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
 
         monkeypatch.setattr(capacity, "solve_lp", counting)
         return calls

@@ -247,6 +247,9 @@ HUGE = "1" + "0" * 4999  # past the interpreter's 4300-digit int-to-str limit
 EXACT_TEXT = '{"inputs": [0, 1], "outputs": [0, 1], "mode": "exact", "rows": [[%s], ["0", "1"]]}'
 STREAM_TEXT = ('{"inputs": [0], "outputs": [0], "mode": "stream", '
                '"schedules": [[[{"level": %s, "lo": "1", "hi": "1"}]]]}')
+# the same channel with the whole schedule step left to fill in
+STEP_TEXT = ('{"inputs": [0], "outputs": [0], "mode": "stream", '
+             '"schedules": [[[{%s}]]]}')
 
 
 @pytest.mark.parametrize("kind, text, message", [
@@ -261,9 +264,15 @@ STREAM_TEXT = ('{"inputs": [0], "outputs": [0], "mode": "stream", '
     ("plant", "[" * 100_000, "nested too deeply"),
     ("channel", "[" * 100_000, "nested too deeply"),
     ("channel", EXACT_TEXT % f'"1/{HUGE}", "{"9" * 4999}/{HUGE}"', None),
+    ("channel", STEP_TEXT % '"level": 1, "hi": "1"', "field 'lo' must be a rational string"),
+    ("channel", STEP_TEXT % '"level": 1, "lo": "1"', "field 'hi' must be a rational string"),
+    ("channel", STEP_TEXT % '"level": 1, "lo": 1, "hi": "1"',
+     "field 'lo' must be a rational string"),
+    ("channel", STEP_TEXT % '"level": -1, "lo": "1", "hi": "1"',
+     "negative schedule level at entry (0,0)"),
 ], ids=["row-sum", "level", "infinite-level", "channel-integer", "plant-integer",
         "float-level", "bool-level", "string-level", "nested-plant", "nested-channel",
-        "valid-row"])
+        "valid-row", "missing-lo", "missing-hi", "integer-lo", "negative-level"])
 def test_hostile_documents_get_their_own_error_line(capsys, data_dir, tmp_path, kind, text,
                                                     message):
     path = tmp_path / f"{kind}.json"

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certcap import capacity, confgraph
@@ -11,38 +11,43 @@ from certcap.capacity import minimax_ladder_step
 from certcap.channel import typewriter
 from certcap.confgraph import fractional_clique_cover
 from certcap.graph import certified_graph
-from certcap.linprog import (Constraint, Infeasible, LinearProgram, LpSolution,
-                             Unbounded, _assert_certificates, solve_lp)
+from certcap.linprog import Infeasible, LpSolution, Unbounded, _assert_certificates, solve_lp
+
+F = Fraction
+
+
+def unit(k, n):
+    """The coefficients of variable k alone, among n variables."""
+    return tuple(int(i == k) for i in range(n))
 
 
 def balance_lp():
-    lp = LinearProgram("min", ["p1", "p2", "t"], {"t": 1})
-    lp.add({"p1": 1, "p2": 1}, "=", 1)
-    lp.add({"p1": 1}, ">=", 0)
-    lp.add({"p2": 1}, ">=", 0)
-    lp.add({"p1": 1, "t": -1}, "<=", 0)
-    lp.add({"p2": 1, "t": -1}, "<=", 0)
-    return lp
+    # variables p1, p2, t: min t, p1 + p2 = 1, p >= 0, each p <= t
+    return (0, 0, 1), [
+        ((1, 1, 0), "=", 1),
+        ((1, 0, 0), ">=", 0),
+        ((0, 1, 0), ">=", 0),
+        ((1, 0, -1), "<=", 0),
+        ((0, 1, -1), "<=", 0),
+    ]
 
 
 def test_two_point_balance():
-    sol = solve_lp(balance_lp())
+    sol = solve_lp(*balance_lp())
     assert sol.optimum == Fraction(1, 2)
-    assert sol.assignment["p1"] == sol.assignment["p2"] == Fraction(1, 2)
+    assert sol.assignment == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
 
 PENTAGON_SUPPORTS = [(y, (y - 1) % 5) for y in range(5)]
 
 
 def pentagon_minimax_lp():
-    names = [f"p{x}" for x in range(5)] + ["t"]
-    lp = LinearProgram("min", names, {"t": 1})
-    lp.add({f"p{x}": 1 for x in range(5)}, "=", 1)
-    for x in range(5):
-        lp.add({f"p{x}": 1}, ">=", 0)
-    for support in PENTAGON_SUPPORTS:
-        lp.add({f"p{x}": 1 for x in support} | {"t": -1}, "<=", 0)
-    return lp
+    # variables p0 .. p4, t
+    rows = [((1,) * 5 + (0,), "=", 1)]
+    rows += [(unit(x, 6), ">=", 0) for x in range(5)]
+    rows += [(tuple(int(x in support) for x in range(5)) + (-1,), "<=", 0)
+             for support in PENTAGON_SUPPORTS]
+    return unit(5, 6), rows
 
 
 def grid_minimax_oracle(denominator=10) -> Fraction:
@@ -61,34 +66,34 @@ def grid_minimax_oracle(denominator=10) -> Fraction:
 def test_pentagon_lp_matches_grid_oracle():
     oracle = grid_minimax_oracle()
     assert oracle == Fraction(2, 5)  # uniform lies on the grid and is optimal
-    sol = solve_lp(pentagon_minimax_lp())
+    sol = solve_lp(*pentagon_minimax_lp())
     assert sol.optimum == Fraction(2, 5)
 
 
 def _certificate(forged: str | None = None):
     """The balance LP's solution as _assert_certificates takes it, with one
     part of the certificate forged."""
-    lp = balance_lp()
-    sol = solve_lp(lp)
-    assignment, optimum, dual = dict(sol.assignment), sol.optimum, list(sol.dual)
+    objective, rows = balance_lp()
+    sol = solve_lp(objective, rows)
+    assignment, optimum, dual = list(sol.assignment), sol.optimum, list(sol.dual)
     if forged == "assignment":
-        assignment["p2"] = Fraction(-1)  # breaks p2 >= 0
+        assignment[1] = Fraction(-1)  # breaks p2 >= 0
     elif forged == "dual-sign-leq":
-        dual[3] = Fraction(1)  # a <= row of a min problem needs a dual <= 0
+        dual[3] = Fraction(1)  # a <= row needs a dual <= 0
     elif forged == "dual-sign-geq":
-        dual[1] = Fraction(-1)  # a >= row of a min problem needs a dual >= 0
+        dual[1] = Fraction(-1)  # a >= row needs a dual >= 0
     elif forged == "dual-equation":
         dual = [Fraction(0)] * len(dual)  # signs hold, t's column does not
     elif forged == "optimum":
         optimum += 1
-    return lp, list(lp.variables), assignment, optimum, tuple(dual)
+    return objective, rows, tuple(assignment), optimum, tuple(dual)
 
 
 @pytest.mark.parametrize("forged, message", [
     ("assignment", "primal infeasible"),
     ("dual-sign-leq", "dual sign violation on <= row"),
     ("dual-sign-geq", "dual sign violation on >= row"),
-    ("dual-equation", "dual equation violated for t"),
+    ("dual-equation", "dual equation violated for variable 2"),
     ("optimum", "strong duality gap is nonzero"),
 ])
 def test_forged_certificate_fails_its_check(forged, message):
@@ -98,35 +103,46 @@ def test_forged_certificate_fails_its_check(forged, message):
 
 
 def test_infeasible():
-    lp = LinearProgram("max", ["x"], {})
-    lp.add({"x": 1}, "<=", 0)
-    lp.add({"x": 1}, ">=", 1)
     with pytest.raises(Infeasible):
-        solve_lp(lp)
+        solve_lp((0,), [((1,), "<=", 0), ((1,), ">=", 1)])
 
 
 def test_unbounded():
-    lp = LinearProgram("max", ["x"], {"x": 1})
-    lp.add({"x": 1}, ">=", 0)
+    # max x over x >= 0, as min -x
     with pytest.raises(Unbounded):
-        solve_lp(lp)
+        solve_lp((-1,), [((1,), ">=", 0)])
 
 
-def test_max_sense_and_duals():
-    lp = LinearProgram("max", ["x", "y"], {"x": 3, "y": 2})
-    lp.add({"x": 1, "y": 1}, "<=", 4)
-    lp.add({"x": 1}, "<=", 2)
-    lp.add({"x": 1}, ">=", 0)
-    lp.add({"y": 1}, ">=", 0)
-    sol = solve_lp(lp)
-    assert sol.optimum == 10
-    assert sol.assignment == {"x": 2, "y": 2}
-    # strong duality re-checked by hand
-    rhs = [con.rhs for con in lp.constraints]
-    assert sum(d * b for d, b in zip(sol.dual, rhs)) == 10
+def test_negated_objective_and_duals():
+    # max 3x + 2y over x + y <= 4, x <= 2, x, y >= 0, as min -3x - 2y
+    objective = (-3, -2)
+    rows = [((1, 1), "<=", 4), ((1, 0), "<=", 2), ((1, 0), ">=", 0), ((0, 1), ">=", 0)]
+    sol = solve_lp(objective, rows)
+    assert sol.optimum == -10
+    assert sol.assignment == (2, 2)
+    # the dual certificate re-checked by hand
+    assert all(d <= 0 for d in sol.dual[:2]) and all(d >= 0 for d in sol.dual[2:])
+    for j, c in enumerate(objective):
+        assert sum(d * a[j] for d, (a, _, _) in zip(sol.dual, rows)) == c
+    assert sum(d * b for d, (_, _, b) in zip(sol.dual, rows)) == -10
+
+
+def test_solve_lp_rejects_malformed_rows():
+    with pytest.raises(ValueError, match="unknown relation"):
+        solve_lp((1,), [((1,), "<", 0)])
+    with pytest.raises(ValueError, match="rows must have 2 coefficients"):
+        solve_lp((1, 0), [((1,), "<=", 0)])
 
 
 coeffs = st.fractions(min_value=-5, max_value=5)
+
+
+def random_lp(n, rows, objective, boxed):
+    """n variables, each boxed to [-10, 10] or not, then the drawn rows."""
+    lp_rows = [row for i in range(n) if boxed
+               for row in ((unit(i, n), "<=", 10), (unit(i, n), ">=", -10))]
+    lp_rows += [(tuple(coefficients[:n]), relation, rhs) for coefficients, relation, rhs in rows]
+    return tuple(objective[:n]), lp_rows
 
 
 @given(
@@ -136,30 +152,24 @@ coeffs = st.fractions(min_value=-5, max_value=5)
                             coeffs),
                   min_size=0, max_size=3),
     objective=st.lists(coeffs, min_size=3, max_size=3),
-    sense=st.sampled_from(["min", "max"]),
 )
 @settings(max_examples=120, deadline=None)
-def test_random_boxed_lps_satisfy_strong_duality(n, rows, objective, sense):
+def test_random_boxed_lps_satisfy_strong_duality(n, rows, objective):
     """Box constraints keep every instance feasible-or-infeasible but never
-    unbounded, and solve_lp asserts primal/dual certificates internally."""
-    names = [f"x{i}" for i in range(n)]
-    lp = LinearProgram(sense, names, {names[i]: objective[i] for i in range(n)})
-    for i in range(n):
-        lp.add({names[i]: 1}, "<=", 10)
-        lp.add({names[i]: 1}, ">=", -10)
-    for coefficients, relation, rhs in rows:
-        coeff_map = {names[i]: coefficients[i] for i in range(n)}
-        lp.add(coeff_map, relation, rhs)
+    unbounded, and solve_lp asserts primal/dual certificates internally.
+    The objective's sign is drawn, so a max problem is covered as the min
+    of its negation."""
+    objective, rows = random_lp(n, rows, objective, boxed=True)
     try:
-        sol = solve_lp(lp)
+        sol = solve_lp(objective, rows)
     except Infeasible:
         return
     # feasibility of the assignment, re-checked here
-    for con in lp.constraints:
-        lhs = sum(c * sol.assignment[v] for v, c in con.coeffs.items())
-        assert (lhs <= con.rhs if con.relation == "<="
-                else lhs >= con.rhs if con.relation == ">=" else lhs == con.rhs)
-    assert sum(d * con.rhs for d, con in zip(sol.dual, lp.constraints)) == sol.optimum
+    for coefficients, relation, rhs in rows:
+        lhs = sum(c * x for c, x in zip(coefficients, sol.assignment))
+        assert (lhs <= rhs if relation == "<="
+                else lhs >= rhs if relation == ">=" else lhs == rhs)
+    assert sum(d * rhs for d, (_, _, rhs) in zip(sol.dual, rows)) == sol.optimum
 
 
 # Reference solver: the two-phase simplex as it stood over a tableau of
@@ -200,30 +210,25 @@ def reference_simplex(tableau, basis, allowed):
         basis[best_row] = col
 
 
-def reference_solve_lp(problem):
-    minimize = problem.sense == "min"
-    names = list(problem.variables)
-    nvar = len(names)
-    obj = [Fraction(problem.objective.get(v, 0)) for v in names]
-    if not minimize:
-        obj = [-c for c in obj]
-    m = len(problem.constraints)
+def reference_solve_lp(objective, rows):
+    nvar = len(objective)
+    obj = [Fraction(c) for c in objective]
+    m = len(rows)
     slack_of = {}
-    for i, con in enumerate(problem.constraints):
-        if con.relation != "=":
+    for i, (_, relation, _) in enumerate(rows):
+        if relation != "=":
             slack_of[i] = len(slack_of)
     width = 2 * nvar + len(slack_of) + m + 1
     art0 = 2 * nvar + len(slack_of)
     tableau, row_sign = [], []
-    for i, con in enumerate(problem.constraints):
+    for i, (coefficients, relation, rhs) in enumerate(rows):
         line = [Fraction(0)] * width
-        for v, c in con.coeffs.items():
-            j = names.index(v)
+        for j, c in enumerate(coefficients):
             line[j] += c
             line[nvar + j] -= c
-        if con.relation != "=":
-            line[2 * nvar + slack_of[i]] = Fraction(1 if con.relation == "<=" else -1)
-        line[-1] = con.rhs
+        if relation != "=":
+            line[2 * nvar + slack_of[i]] = Fraction(1 if relation == "<=" else -1)
+        line[-1] = Fraction(rhs)
         sign = 1
         if line[-1] < 0:
             line = [-v for v in line]
@@ -262,17 +267,16 @@ def reference_solve_lp(problem):
     values = [Fraction(0)] * width
     for r, bvar in enumerate(basis):
         values[bvar] = tableau[r][-1]
-    assignment = {names[j]: values[j] - values[nvar + j] for j in range(nvar)}
-    optimum_min = sum(obj[j] * (values[j] - values[nvar + j]) for j in range(nvar))
+    assignment = tuple(values[j] - values[nvar + j] for j in range(nvar))
+    optimum = sum(obj[j] * assignment[j] for j in range(nvar))
     dual = [-tableau[-1][art0 + i] * row_sign[i] for i in range(m)]
-    optimum = optimum_min if minimize else -optimum_min
-    return LpSolution(optimum, assignment, tuple(d if minimize else -d for d in dual))
+    return LpSolution(optimum, assignment, tuple(dual))
 
 
 def _outcome(solver, lp):
     """The solution, or the type of the exception raised."""
     try:
-        return solver(lp)
+        return solver(*lp)
     except (Infeasible, Unbounded) as exc:
         return type(exc)
 
@@ -288,32 +292,23 @@ def assert_matches_reference(lp):
                             coeffs),
                   min_size=0, max_size=4),
     objective=st.lists(coeffs, min_size=4, max_size=4),
-    sense=st.sampled_from(["min", "max"]),
     boxed=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_integer_tableau_matches_fraction_reference(n, rows, objective, sense, boxed):
+def test_integer_tableau_matches_fraction_reference(n, rows, objective, boxed):
     """Rational LPs, boxed or not (so unbounded ones occur): the integer
     tableau returns the reference's optimum, assignment and dual, or raises
     the same exception."""
-    names = [f"x{i}" for i in range(n)]
-    lp = LinearProgram(sense, names, {names[i]: objective[i] for i in range(n)})
-    if boxed:
-        for i in range(n):
-            lp.add({names[i]: 1}, "<=", 10)
-            lp.add({names[i]: 1}, ">=", -10)
-    for coefficients, relation, rhs in rows:
-        lp.add({names[i]: coefficients[i] for i in range(n)}, relation, rhs)
-    assert_matches_reference(lp)
+    assert_matches_reference(random_lp(n, rows, objective, boxed))
 
 
 def _captured_lps(run, module):
-    """Every LinearProgram that run() hands to ``module``'s solve_lp."""
+    """Every (objective, rows) that run() hands to ``module``'s solve_lp."""
     seen = []
 
-    def record(lp):
+    def record(*lp):
         seen.append(lp)
-        return solve_lp(lp)
+        return solve_lp(*lp)
 
     with mock.patch.object(module, "solve_lp", record):
         run()
@@ -329,6 +324,29 @@ def test_typewriter_minimax_lp_matches_reference(q):
         assert_matches_reference(lp)
 
 
+@given(nx=st.integers(min_value=1, max_value=6), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_minimax_lps_match_reference(nx, data):
+    """Random support patterns up to 6 x 6, empty outputs included: the
+    minimax LP's solution is the reference's, pivot for pivot."""
+    subsets = st.lists(st.integers(min_value=0, max_value=nx - 1), unique=True).map(
+        lambda xs: tuple(sorted(xs)))
+    supports = tuple(data.draw(st.lists(subsets, min_size=1, max_size=6)))
+    assume(any(supports))  # with no support at all no LP is solved
+    for lp in _captured_lps(lambda: capacity._solve_minimax(nx, supports), capacity):
+        assert_matches_reference(lp)
+
+
+def test_degenerate_minimax_optimizer_follows_the_free_pivots():
+    """Two distributions reach the value 1/2 here; the split of free
+    variables into x+ - x- picks (0, 1/2, 1/2, 0, 0), where a tableau over
+    nonnegative variables would pick (0, 1/2, 0, 0, 1/2)."""
+    sol = capacity._solve_minimax(5, ((0, 2, 3, 4), (0, 1, 3), (0, 4)))
+    assert sol.value == F(1, 2)
+    assert sol.distribution == (0, F(1, 2), F(1, 2), 0, 0)
+    assert sol.output_weights == (F(1, 2), F(1, 2), 0)
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_cycle_cover_lp_matches_reference(q):
     graph = certified_graph(typewriter(q))
@@ -336,28 +354,21 @@ def test_cycle_cover_lp_matches_reference(q):
         assert_matches_reference(lp)
 
 
-def test_constraint_rejects_unknown_relation():
-    with pytest.raises(ValueError):
-        Constraint({"x": Fraction(1)}, "<", Fraction(0))
-
-
 def test_redundant_equalities_are_handled():
-    lp = LinearProgram("max", ["x", "y"], {"x": 1})
-    lp.add({"x": 1, "y": 1}, "=", 1)
-    lp.add({"x": 1, "y": 1}, "=", 1)   # duplicate row
-    lp.add({"x": 2, "y": 2}, "=", 2)   # scaled duplicate
-    lp.add({"x": 1}, ">=", 0)
-    lp.add({"y": 1}, ">=", 0)
-    sol = solve_lp(lp)
-    assert sol.optimum == 1
-    assert sol.assignment == {"x": 1, "y": 0}
+    # max x, as min -x, over variables x, y
+    sol = solve_lp((-1, 0), [
+        ((1, 1), "=", 1),
+        ((1, 1), "=", 1),   # duplicate row
+        ((2, 2), "=", 2),   # scaled duplicate
+        ((1, 0), ">=", 0),
+        ((0, 1), ">=", 0),
+    ])
+    assert sol.optimum == -1
+    assert sol.assignment == (1, 0)
 
 
 def test_degenerate_start_with_unbounded_direction():
-    # the equality pins z; x stays free to run off to infinity
-    lp = LinearProgram("max", ["x", "z"], {"x": 1})
-    lp.add({"z": 1}, "=", 0)
-    lp.add({"z": 1}, "<=", 0)
-    lp.add({"x": 1}, ">=", 0)
+    # the equality pins z; x stays free to run off to infinity (max x, as
+    # min -x, over variables x, z)
     with pytest.raises(Unbounded):
-        solve_lp(lp)
+        solve_lp((-1, 0), [((0, 1), "=", 0), ((0, 1), "<=", 0), ((1, 0), ">=", 0)])
