@@ -25,6 +25,7 @@ class ResourceCapError(RuntimeError):
 
 
 ScheduleStep = tuple[int, Fraction, Fraction]  # (level, lo, hi)
+_UNIT = (Fraction(0), Fraction(1))  # an entry's interval before its first step
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class Channel:
         if self.is_exact:
             w = self.rows[xi][yi]
             return w, w
-        lo, hi = Fraction(0), Fraction(1)
+        lo, hi = _UNIT
         for step_level, step_lo, step_hi in self.schedules[xi][yi]:
             if step_level > level:
                 break
@@ -107,7 +108,9 @@ def stream_channel(inputs, outputs, schedules) -> Channel:
 
     Each cell is a list of (level, lo, hi), strictly increasing in level and
     nested in interval; a step with lo == hi == 0 is the explicit exact-zero
-    pin.  Row sums must contain 1 at every declared level.
+    pin.  Row sums must contain 1 at every declared level: a row's sums change
+    only at its own cells' levels, so one walk over those finds the lowest
+    level where a row fails, and the error names the lowest such (level, row).
     """
     inputs = tuple(inputs)
     outputs = tuple(outputs)
@@ -116,10 +119,12 @@ def stream_channel(inputs, outputs, schedules) -> Channel:
                         for cell in row) for row in schedules)
     if len(sched) != len(inputs) or any(len(r) != len(outputs) for r in sched):
         raise ChannelFormatError("schedule/alphabet shape mismatch")
+    failure = None  # (level, row) of the first row sum that excludes 1
     for xi, row in enumerate(sched):
+        changes = {0: [0, 0]}  # level -> change of the row's (lo, hi) sums
         for yi, cell in enumerate(row):
             prev_level = -1
-            prev = (Fraction(0), Fraction(1))
+            prev = _UNIT
             for lv, lo, hi in cell:
                 if lv < 0:
                     raise ChannelFormatError(f"negative schedule level at entry ({xi},{yi})")
@@ -132,16 +137,23 @@ def stream_channel(inputs, outputs, schedules) -> Channel:
                 if lo < prev[0] or hi > prev[1]:
                     raise ChannelFormatError(
                         f"schedule not nested at entry ({xi},{yi})")
+                change = changes.setdefault(lv, [0, 0])
+                if lo != prev[0]:
+                    change[0] += lo - prev[0]
+                if hi != prev[1]:
+                    change[1] += hi - prev[1]
                 prev_level, prev = lv, (lo, hi)
+        lo_sum, hi_sum = 0, len(row)
+        for level in sorted(changes):
+            lo_sum += changes[level][0]
+            hi_sum += changes[level][1]
+            if not lo_sum <= 1 <= hi_sum:
+                failure = min(failure or (level, xi), (level, xi))
+                break
     ch = Channel(inputs, outputs, schedules=sched)
-    for level in ch.declared_levels():  # the other levels need no check
-        for xi in range(len(inputs)):
-            bounds = [ch.entry_interval(xi, yi, level) for yi in range(len(outputs))]
-            lo_sum = sum(b[0] for b in bounds)
-            hi_sum = sum(b[1] for b in bounds)
-            if not (lo_sum <= 1 <= hi_sum):
-                raise ChannelFormatError(
-                    f"row {xi} interval sum excludes 1 at level {level}")
+    if failure is not None:
+        raise ChannelFormatError(
+            f"row {failure[1]} interval sum excludes 1 at level {failure[0]}")
     return ch
 
 

@@ -5,7 +5,7 @@ Adjacency is one bitmask per vertex, which keeps the branch-and-bound
 solver allocation-free and deterministic.
 
 Two classical facts let the search close strong powers that colouring
-alone leaves open, and a memo spares it repainting; none changes a witness.
+alone leaves open, and two memos spare it work; none changes a witness.
 
 * **Orbit pruning.**  A strong power Gⁿ made by ``strong_power`` is
   invariant under every coordinate permutation and under a base
@@ -54,6 +54,15 @@ alone leaves open, and a memo spares it repainting; none changes a witness.
   the set again extends that prefix forward if it may skip at least that
   many classes, and repaints from scratch otherwise.  Either way it sees
   the colour list an unmemoised node would, so nodes and witness match.
+
+* **Repeated subtrees.**  Below depth 1 no orbit is pruned, so until the
+  incumbent improves, a node's subtree depends only on its candidate set
+  and its gap best - size: colour lists depend on the set, every cut
+  compares a colour with the gap, and the chosen vertices are read only on
+  an improvement.  A subtree finished with no improvement stores its gap and
+  node count in its set's memo entry; a later node with that set and gap
+  adds the count and returns (it explores instead if that would pass the
+  node budget), so counts, cuts by the budget and witnesses all match.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd
+from math import gcd, inf
 
 from . import graph
 from .channel import ResourceCapError
@@ -228,7 +237,7 @@ class IndependenceResult:
     alpha: int
     witness: tuple  # vertex labels
     exact: bool     # False when the node budget cut the search short
-    nodes: int = 0  # search nodes expanded
+    nodes: int = 0  # nodes the search visits without its memos (not expansions)
 
 
 def max_independent_set(g: ConfusabilityGraph, *,
@@ -243,20 +252,15 @@ def max_independent_set(g: ConfusabilityGraph, *,
     vertices independent in the complement, and visits them from the last
     painted back; a candidate whose colour number cannot lift the clique
     above the incumbent cuts the node.  ``seed_witness`` (vertex labels)
-    primes the incumbent, and ``node_budget`` caps the search; when the
-    budget runs out the best set found is returned flagged as a lower bound
-    only.
+    primes the incumbent, and ``node_budget`` (0 or more) caps the search;
+    when the budget runs out the best set found is returned flagged as a
+    lower bound only.
 
     On a graph built by ``strong_power`` the root and depth-1 loops skip
-    children in the orbit of an explored sibling (see the module
-    docstring): the skipped subtree could not have raised the incumbent,
-    and the skipped vertex leaves the candidates as an explored one does,
-    so the nodes visited are a subsequence of the unpruned search's and a
-    finished search returns the same alpha and witness.
-
-    A dict local to the call keeps each candidate set's painted classes and
-    what they left (module docstring), so a node whose set was met before
-    paints only the classes it lacks; the colouring depends on the set alone.
+    children in the orbit of an explored sibling, and a dict local to the
+    call keeps the colouring and repeated-subtree memos per candidate set
+    (module docstring).  ``nodes`` counts the nodes of the search without
+    the memos, so a budget stops where it would without them.
 
     ``upper_bound`` returns a proven bound on alpha.  It is called once,
     when the root's colouring has not closed the search (a search that
@@ -264,6 +268,9 @@ def max_independent_set(g: ConfusabilityGraph, *,
     as soon as the incumbent reaches it; the witness is the one the
     unbounded search would keep.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError("node budget must be >= 0")
+    budget = inf if node_budget is None else node_budget
     n = len(g)
     if n == 0:
         return IndependenceResult(0, (), True)
@@ -284,7 +291,7 @@ def max_independent_set(g: ConfusabilityGraph, *,
     stopped = False  # the budget ran out, or the incumbent met the limit
     exact = True
     group = cache(lambda: _power_symmetry(g))  # found at the first orbit asked for
-    painted: dict[int, tuple[int, int]] = {}  # candidates -> (classes, what they left)
+    painted: dict[int, tuple] = {}  # candidates -> (classes, what they left, gap, nodes)
 
     def orbit_of(v: int | None = None):
         """Orbit lookup of the group, or of root vertex v's stabiliser."""
@@ -293,25 +300,31 @@ def max_independent_set(g: ConfusabilityGraph, *,
 
     def expand(candidates: int, size: int, mask: int, orbit) -> None:
         nonlocal nodes, limit, stopped, exact
-        if nodes == node_budget:
+        if nodes >= budget:
             stopped, exact = True, False
             return
+        gap = best[0] - size
+        colour, rest, seen_gap, count = painted.get(candidates, (0, candidates, None, 0))
+        if seen_gap == gap and orbit is None and nodes + count <= budget:
+            nodes += count  # what this set's subtree visited at this gap before
+            return
+        start = nodes
         nodes += 1
         # greedy colouring of the candidate set for the pruning bound; the
-        # vertices of colours up to best - size would cut the node at once,
-        # so those colours are painted without recording them, forward from
+        # vertices of colours up to the gap would cut the node at once, so
+        # those colours are painted without recording them, forward from
         # the classes this candidate set already painted at an earlier node
-        colour, rest = painted.get(candidates, (0, candidates))
-        if colour > best[0] - size:
+        if colour > gap:
             colour, rest = 0, candidates
-        while rest and colour < best[0] - size:
+        while rest and colour < gap:
             colour += 1
             avail = rest
             while avail:
                 low = avail & -avail
                 avail &= drop[low.bit_length() - 1]
                 rest ^= low
-        painted[candidates] = colour, rest
+        painted[candidates] = colour, rest, seen_gap, count
+        key, prefix = candidates, (colour, rest)
         colour_of: list[tuple[int, int]] = []  # (vertex, colour) in paint order
         while rest:
             colour += 1
@@ -326,7 +339,7 @@ def max_independent_set(g: ConfusabilityGraph, *,
         unfolded = None   # the last explored child, its orbit not yet added
         for v, colour in reversed(colour_of):
             if size + colour <= best[0]:
-                return
+                break
             if callable(limit):  # the root's first branching
                 limit = limit()
                 if best[0] >= limit:
@@ -352,6 +365,8 @@ def max_independent_set(g: ConfusabilityGraph, *,
                 if orbit is not None:
                     unfolded = v
             candidates ^= 1 << v
+        if orbit is None and best[0] - size == gap:
+            painted[key] = prefix + (gap, nodes - start)
 
     expand(full, 0, 0, orbit_of())
 

@@ -119,9 +119,10 @@ def product_channel(ch: Channel, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> Chan
 
 
 def reference_independent_set(g, *, node_budget=None, seed_witness=(), upper_bound=None):
-    """``confgraph.max_independent_set`` without its colouring memo: every
-    node paints its whole candidate set afresh.  The same branch and bound,
-    orbit pruning and rung bound, so it must agree node for node."""
+    """``confgraph.max_independent_set`` without either memo: every node
+    paints its whole candidate set afresh and explores every subtree it
+    meets again.  The same branch and bound, orbit pruning and rung bound,
+    so it must agree node for node."""
     n = len(g)
     if n == 0:
         return IndependenceResult(0, (), True)

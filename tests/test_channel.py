@@ -74,6 +74,20 @@ class TestLoading:
             load_channel({"inputs": [0], "outputs": [0, 1], "mode": "stream",
                           "schedules": [[dips, wide]]})
 
+    def test_row_sum_failing_first_at_a_middle_level_names_it(self):
+        # levels 0, 2, 4, 6, 8 are declared; row 1 first misses 1 at level 4
+        # (its upper sum 1/8 + 3/4), row 0 only at level 6 (1/4 + 1/2): the
+        # error names the lowest level, not the lowest row or the last level
+        def cell(*steps):
+            return [{"level": lv, "lo": lo, "hi": hi} for lv, lo, hi in steps]
+        row0 = [cell((0, "0", "1"), (6, "0", "1/4")),
+                cell((0, "0", "1"), (2, "1/4", "1/2"), (8, "1/2", "1/2"))]
+        row1 = [cell((0, "0", "1"), (4, "0", "1/8")), cell((0, "0", "1"), (2, "1/4", "3/4"))]
+        with pytest.raises(ChannelFormatError,
+                           match=r"^row 1 interval sum excludes 1 at level 4$"):
+            load_channel({"inputs": [0, 1], "outputs": [0, 1], "mode": "stream",
+                          "schedules": [row0, row1]})
+
 
 @pytest.mark.parametrize("inputs, outputs, message", [
     (("a", "a"), (0, 1), "duplicate input labels"),

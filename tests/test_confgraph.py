@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -322,6 +323,14 @@ class TestIndependence:
         seed = ((0, 0), (1, 2))
         result = max_independent_set(g2, seed_witness=seed, node_budget=0)
         assert result.alpha >= 2 and not result.exact
+
+    def test_negative_budget_is_refused_and_zero_returns_the_seed(self, pentagon):
+        g2 = strong_power(graph_of(pentagon), 2)
+        with pytest.raises(ValueError, match="node budget must be >= 0"):
+            max_independent_set(g2, node_budget=-1)
+        seed = ((0, 0), (1, 2))
+        result = max_independent_set(g2, seed_witness=seed, node_budget=0)
+        assert (result.alpha, result.witness, result.exact, result.nodes) == (2, seed, False, 0)
 
 
 class TestZeroCapacity:
@@ -716,8 +725,9 @@ class TestRungBound:
 
 
 @st.composite
-def memo_case(draw):
-    """A graph, a node budget, an independent seed and maybe a bound.
+def memo_case(draw, kinds=("random", "power", "cube")):
+    """A graph of one of ``kinds``, a node budget, an independent seed and
+    maybe a bound.
 
     The graph is random on up to 14 vertices, a strong power of at most 64
     vertices, or the cube of a cycle or circulant on 5 to 7 vertices: only
@@ -725,7 +735,7 @@ def memo_case(draw):
     and only their orbits are pruned.  Cubes always keep a budget, since
     some take millions of nodes.  The bound, near the seed's size, need not
     be proven: both searches read it alike."""
-    kind = draw(st.sampled_from(("random", "power", "cube")))
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
         size = draw(st.integers(min_value=1, max_value=14))
         pairs = list(combinations(range(size), 2))
@@ -766,3 +776,69 @@ class TestColouringMemo:
         # classes stored for it outnumber those the node may skip
         power = strong_power(cycle(size), 3)
         assert max_independent_set(power) == reference_independent_set(power)
+
+
+def search_calls(g, **limits) -> tuple[list[int], int]:
+    """Run max_independent_set under a profiler that watches its inner
+    ``expand``.  Returns the node counts at which a call charged more than
+    one node without calling itself (a repeated subtree skipped), and the
+    number of calls."""
+    code_file = confgraph.__file__
+    starts: list[tuple[int, int]] = []  # (nodes at the call, calls made before it)
+    ends: list[int] = []
+    calls = 0
+
+    def spy(frame, event, arg):
+        nonlocal calls
+        if frame.f_code.co_name != "expand" or frame.f_code.co_filename != code_file:
+            return
+        if event == "call":
+            starts.append((frame.f_locals["nodes"], calls))
+            calls += 1
+        elif event == "return":
+            nodes, before = starts.pop()
+            if calls == before + 1 and frame.f_locals["nodes"] > nodes + 1:
+                ends.append(frame.f_locals["nodes"])
+
+    sys.setprofile(spy)
+    try:
+        max_independent_set(g, **limits)
+    finally:
+        sys.setprofile(None)
+    return ends, calls
+
+
+class TestRepeatedSubtrees:
+    @given(case=memo_case(kinds=("random", "cube")), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_budgets_around_a_skipped_subtree_keep_the_reference(self, case, data):
+        # a budget one below the end of a skipped subtree must explore it and
+        # stop inside; at its end and one above, the skip fits.  The skips
+        # are looked for unbudgeted, or up to 3000 nodes on the cubes
+        g, budget, seed, bound = case
+        limits = dict(node_budget=3000 if len(g) > 64 else None,
+                      seed_witness=seed, upper_bound=bound)
+        ends, _ = search_calls(g, **limits)
+        budgets = [budget]
+        if ends:
+            end = data.draw(st.sampled_from(ends))
+            budgets += [end - 1, end, end + 1]
+        for limits["node_budget"] in budgets:
+            assert max_independent_set(g, **limits) == reference_independent_set(g, **limits)
+
+    @pytest.mark.parametrize("jump", [1, 2])
+    def test_heptagon_cubes_keep_the_reference_at_large_budgets(self, jump):
+        # jump 2 relabels the heptagon; its cube meets a candidate set again
+        # at the entry gap of a subtree that raised the incumbent, whose node
+        # count must not be charged (it changes the witness at 5000 nodes)
+        g = strong_power(graph_from_edges(7, [(i, (i + jump) % 7) for i in range(7)]), 3)
+        for budget in (5000, ENGINE_LIMITS["node_budget"]):
+            assert (max_independent_set(g, node_budget=budget)
+                    == reference_independent_set(g, node_budget=budget))
+
+    def test_heptagon_cube_expands_under_a_quarter_of_its_nodes(self):
+        power = strong_power(cycle(7), 3)
+        budget = ENGINE_LIMITS["node_budget"]
+        ends, calls = search_calls(power, node_budget=budget)
+        assert max_independent_set(power, node_budget=budget).nodes == budget
+        assert ends and calls < budget / 4
