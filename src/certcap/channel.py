@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .enclosure import DomainError, load_json, parse_rational, rational_str
 
@@ -89,65 +90,70 @@ class Channel:
 
 
 def exact_channel(inputs, outputs, rows) -> Channel:
+    """Exact channel; Fractions are kept, each row is checked over its lcm d."""
     inputs = tuple(inputs)
     outputs = tuple(outputs)
-    mat = tuple(tuple(Fraction(w) for w in row) for row in rows)
+    mat = tuple(tuple(w if type(w) is Fraction else Fraction(w) for w in row) for row in rows)
     if len(mat) != len(inputs) or any(len(r) != len(outputs) for r in mat):
         raise ChannelFormatError("row/alphabet shape mismatch")
     for xi, row in enumerate(mat):
-        if any(w < 0 or w > 1 for w in row):
+        d = lcm(*(w.denominator for w in row))
+        nums = [w.numerator * (d // w.denominator) for w in row]
+        if any(w < 0 or w > d for w in nums):
             raise ChannelFormatError(f"entry outside [0, 1] in row {xi}")
-        if sum(row) != 1:
+        if sum(nums) != d:
             raise ChannelFormatError(
-                f"row {xi} sums to {rational_str(sum(row))}, not 1")
+                f"row {xi} sums to {rational_str(Fraction(sum(nums), d))}, not 1")
     return Channel(inputs, outputs, rows=mat)
 
 
 def stream_channel(inputs, outputs, schedules) -> Channel:
-    """Stream channel from per-entry interval schedules.
+    """Stream channel from per-entry interval schedules; Fractions are kept.
 
     Each cell is a list of (level, lo, hi), strictly increasing in level and
     nested in interval; a step with lo == hi == 0 is the explicit exact-zero
     pin.  Row sums must contain 1 at every declared level: a row's sums change
     only at its own cells' levels, so one walk over those finds the lowest
     level where a row fails, and the error names the lowest such (level, row).
+    The walk compares and adds integers: numerators over the lcm of the row's
+    denominators.
     """
     inputs = tuple(inputs)
     outputs = tuple(outputs)
-    sched = tuple(tuple(tuple((int(lv), Fraction(lo), Fraction(hi))
+    sched = tuple(tuple(tuple((int(lv), lo if type(lo) is Fraction else Fraction(lo),
+                               hi if type(hi) is Fraction else Fraction(hi))
                               for lv, lo, hi in cell)
                         for cell in row) for row in schedules)
     if len(sched) != len(inputs) or any(len(r) != len(outputs) for r in sched):
         raise ChannelFormatError("schedule/alphabet shape mismatch")
     failure = None  # (level, row) of the first row sum that excludes 1
     for xi, row in enumerate(sched):
-        changes = {0: [0, 0]}  # level -> change of the row's (lo, hi) sums
+        d = lcm(*(w.denominator for cell in row for _, lo, hi in cell for w in (lo, hi)))
+        changes = {0: [0, 0]}  # level -> change of the row's (lo, hi) sums, times d
         for yi, cell in enumerate(row):
-            prev_level = -1
-            prev = _UNIT
+            prev_level, prev_lo, prev_hi = -1, 0, d
             for lv, lo, hi in cell:
+                lo, hi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
                 if lv < 0:
                     raise ChannelFormatError(f"negative schedule level at entry ({xi},{yi})")
                 if lv <= prev_level:
                     raise ChannelFormatError(
                         f"schedule levels not increasing at entry ({xi},{yi})")
-                if not (0 <= lo <= hi <= 1):
+                if not (0 <= lo <= hi <= d):
                     raise ChannelFormatError(
                         f"schedule interval invalid at entry ({xi},{yi})")
-                if lo < prev[0] or hi > prev[1]:
+                if lo < prev_lo or hi > prev_hi:
                     raise ChannelFormatError(
                         f"schedule not nested at entry ({xi},{yi})")
                 change = changes.setdefault(lv, [0, 0])
-                if lo != prev[0]:
-                    change[0] += lo - prev[0]
-                if hi != prev[1]:
-                    change[1] += hi - prev[1]
-                prev_level, prev = lv, (lo, hi)
-        lo_sum, hi_sum = 0, len(row)
+                change[0] += lo - prev_lo
+                change[1] += hi - prev_hi
+                prev_level, prev_lo, prev_hi = lv, lo, hi
+        lo_sum, hi_sum = 0, len(row) * d
         for level in sorted(changes):
             lo_sum += changes[level][0]
             hi_sum += changes[level][1]
-            if not lo_sum <= 1 <= hi_sum:
+            if not lo_sum <= d <= hi_sum:
                 failure = min(failure or (level, xi), (level, xi))
                 break
     ch = Channel(inputs, outputs, schedules=sched)

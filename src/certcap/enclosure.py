@@ -21,17 +21,18 @@ class DomainError(ValueError):
     """An operation was evaluated outside its mathematical domain."""
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# the only gate before int(), which would take spaces, "_" and non-ASCII digits
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact Fraction; reject anything else."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise DomainError(f"malformed rational: {text!r}")
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den or 1))
     except ValueError:  # past the str-to-int digit limit
-        num, _, den = text.partition("/")
         return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 

@@ -16,7 +16,8 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def as_matrix(rows) -> Matrix:
-    mat = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    """rows as a Matrix; the Fractions in it are kept, not rebuilt."""
+    mat = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
     return mat

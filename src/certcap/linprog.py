@@ -7,10 +7,12 @@ Every solve returns the optimizer as a tuple indexed like the objective,
 the exact optimum, and a dual vector that is verified here to satisfy
 strong duality before anything is returned.
 
-The tableau holds integers over one positive shared denominator
+The LP is scaled to integers by the lcm of its denominators, and the
+tableau holds integers over one positive shared denominator
 (``linalg.integer_rows``, ``linalg.integer_pivot``).  Bland's rule reads
 numerator signs and the ratio test cross-multiplies, so every pivot is the
-one a tableau of Fractions takes.
+one a tableau of Fractions takes.  The certificate is checked in the same
+integers, before any Fraction is built.
 """
 
 from __future__ import annotations
@@ -80,28 +82,28 @@ def solve_lp(objective, rows) -> LpSolution:
     exact arithmetic before returning.
     """
     nvar, m = len(objective), len(rows)
+    # the LP in integers: objective and rows times the lcm of their denominators
+    (cost, *lines), scale = integer_rows([objective, *([*a, b] for a, _, b in rows)])
+    lp = [(line[:-1], relation, line[-1]) for line, (_, relation, _) in zip(lines, rows)]
     # columns: x+ (nvar), x- (nvar), slacks (one per inequality), artificials (m)
     art0 = 2 * nvar + sum(relation != EQ for _, relation, _ in rows)
     width = art0 + m + 1
-    lines = []
+    tableau = []  # over scale, then over den; the last row is phase 2's cost row
     slack = 2 * nvar
-    for i, (coeffs, relation, rhs) in enumerate(rows):
+    for i, (coeffs, relation, rhs) in enumerate(lp):
         if relation not in (LEQ, EQ, GEQ):
             raise ValueError(f"unknown relation {relation!r}")
         if len(coeffs) != nvar:
             raise ValueError(f"rows must have {nvar} coefficients")
         line = [*coeffs, *(-c for c in coeffs), *[0] * (width - 2 * nvar - 1), rhs]
         if relation != EQ:
-            line[slack] = 1 if relation == LEQ else -1
+            line[slack] = scale if relation == LEQ else -scale
             slack += 1
         if rhs < 0:  # artificials start basic, so every rhs is made nonnegative
             line = [-v for v in line]
-        line[art0 + i] = 1
-        lines.append(line)
-    # one integer tableau over the lcm of the LP's denominators; the last
-    # row is phase 2's cost row
-    tableau, den = integer_rows(
-        lines + [[*objective, *(-c for c in objective), *[0] * (width - 2 * nvar)]])
+        line[art0 + i] = scale
+        tableau.append(line)
+    tableau.append([*cost, *(-c for c in cost), *[0] * (width - 2 * nvar)])
 
     # phase 1 minimizes the sum of artificials (the last row); every pivot
     # also prices out the row above it, the cost row
@@ -111,7 +113,7 @@ def solve_lp(objective, rows) -> LpSolution:
     tableau.append(phase1)
     basis = [art0 + i for i in range(m)]
     allowed = [True] * (width - 1)
-    den = _simplex(tableau, den, basis, allowed)
+    den = _simplex(tableau, scale, basis, allowed)
     if tableau[-1][-1] != 0:
         raise Infeasible("phase-1 optimum is nonzero")
 
@@ -136,21 +138,23 @@ def solve_lp(objective, rows) -> LpSolution:
     values = [0] * width
     for r, bvar in enumerate(basis):
         values[bvar] = tableau[r][-1]
-    assignment = tuple(Fraction(values[j] - values[nvar + j], den) for j in range(nvar))
-    optimum = sum(c * x for c, x in zip(objective, assignment))
-    dual = tuple(Fraction(tableau[-1][art0 + i] * (1 if rhs < 0 else -1), den)
-                 for i, (_, _, rhs) in enumerate(rows))
+    assignment = [values[j] - values[nvar + j] for j in range(nvar)]
+    dual = [tableau[-1][art0 + i] * (1 if rhs < 0 else -1) for i, (_, _, rhs) in enumerate(lp)]
+    optimum = sum(c * x for c, x in zip(cost, assignment))
+    _assert_certificates(cost, lp, assignment, optimum, dual, den)
+    return LpSolution(Fraction(optimum, scale * den), tuple(Fraction(x, den) for x in assignment),
+                      tuple(Fraction(d, den) for d in dual))
 
-    _assert_certificates(objective, rows, assignment, optimum, dual)
-    return LpSolution(optimum, assignment, dual)
 
-
-def _assert_certificates(objective, rows, assignment, optimum, dual):
-    """Primal feasibility, dual signs, A^T d = c and d . b = optimum, exactly;
-    every sum skips zero coefficients."""
-    residual = [-Fraction(c) for c in objective]  # A^T d - c, row by row
+def _assert_certificates(objective, rows, assignment, optimum, dual, den):
+    """Primal feasibility, dual signs, A^T d = c and d . b = optimum, exactly,
+    for the certificate x = assignment / den, d = dual / den and optimum /
+    den of the LP (objective, rows).  Multiplied through by den every check
+    is one of numerators, so on the integer LP that solve_lp scales its input
+    to, no Fraction is built; every sum skips zero coefficients."""
+    residual = [-c * den for c in objective]  # A^T d - c, row by row, times den
     for i, ((coeffs, relation, rhs), d) in enumerate(zip(rows, dual)):
-        lhs = sum(c * x for c, x in zip(coeffs, assignment) if c)
+        lhs, rhs = sum(c * x for c, x in zip(coeffs, assignment) if c), rhs * den
         if not (lhs <= rhs if relation == LEQ else lhs >= rhs if relation == GEQ
                 else lhs == rhs):
             raise AssertionError(f"primal infeasible at row {i}")

@@ -124,16 +124,23 @@ def is_detectable(a: Matrix, c: Matrix) -> bool:
     Equivalent to the per-eigenvalue rank condition [A - zI; C] full rank at
     all |z| >= 1 (Hautus 1969): the rank drops exactly at eigenvalues of A
     restricted to the unobservable subspace, the kernel V of [C; CA; ...;
-    CA^(n-1)].  V is A-invariant, so A V = V Y, and V's rows at its free
-    columns are the identity, so Y is A V's rows there.  A C with no rows
-    leaves the whole state unobservable, and Y is A.
+    CA^(n-1)].  The stack stops at the first block C A^k that annihilates the
+    kernel K of the blocks above it: C A^j (A K) = 0 for j < k, so A K lies in
+    K, every later block annihilates K, and K is V.  V is A-invariant, so
+    A V = V Y, and V's rows at its free columns are the identity, so Y is A V's
+    rows there.  A C with no rows leaves the whole state unobservable: Y is A.
     """
     a, c = as_matrix(a), as_matrix(c)
     rows, power = list(c), c
-    for _ in range(len(a) - 1):
-        power = mat_mul(power, a)
-        rows.extend(power)
     basis, free = kernel_basis(rows, len(a))
+    for _ in range(len(a) - 1):
+        if not basis:
+            return True
+        power = mat_mul(power, a)
+        if not any(map(any, mat_mul(power, transpose(basis)))):
+            break
+        rows.extend(power)
+        basis, free = kernel_basis(rows, len(a))
     if not basis:
         return True
     v = transpose(basis)

@@ -12,8 +12,9 @@ from certcap.channel import (Channel, ResourceCapError, binary_symmetric, hoveri
                              noiseless, resolving_stream, typewriter)
 from certcap.confgraph import IndependenceResult, _power_symmetry
 from certcap.enclosure import DomainError
-from certcap.linalg import as_matrix
+from certcap.linalg import as_matrix, char_poly, kernel_basis, mat_mul, transpose
 from certcap.plant import Plant
+from certcap.roots import schur_stable
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -116,6 +117,25 @@ def product_channel(ch: Channel, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> Chan
     new_inputs = tuple(tuple(ch.inputs[i] for i in xs) for xs in in_tuples)
     new_outputs = tuple(tuple(ch.outputs[i] for i in ys) for ys in out_tuples)
     return Channel(new_inputs, new_outputs, rows=tuple(rows))
+
+
+def reference_detectability(a, c):
+    """``plant.is_detectable`` on the full stack [C; CA; ...; CA^(n-1)],
+    without stopping early: the kernel basis and free columns of the whole
+    stack, and the verdict from A restricted to that kernel."""
+    a, c = as_matrix(a), as_matrix(c)
+    rows, power = list(c), c
+    for _ in range(len(a) - 1):
+        power = mat_mul(power, a)
+        rows.extend(power)
+    basis, free = kernel_basis(rows, len(a))
+    if not basis:
+        return basis, free, True
+    v = transpose(basis)
+    image = mat_mul(a, v)
+    restriction = tuple(image[f] for f in free)
+    assert mat_mul(v, restriction) == image
+    return basis, free, schur_stable(char_poly(restriction))
 
 
 def reference_independent_set(g, *, node_budget=None, seed_witness=(), upper_bound=None):

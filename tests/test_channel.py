@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from certcap.channel import (Channel, ChannelFormatError, ResourceCapError,
                              certify_support, exact_channel, load_channel,
                              noiseless, stream_channel, typewriter)
+from certcap.enclosure import rational_str
 from conftest import product_channel
 
 F = Fraction
@@ -129,6 +130,121 @@ WHOLE = (0, F(1), F(1))  # one schedule step pinning an entry to 1
 def test_malformed_rows_and_schedules_are_refused(build, message):
     with pytest.raises(ChannelFormatError, match=message):
         build()
+
+
+BIG = 10 ** 99 + 289  # a 100-digit denominator
+ENTRIES = [F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(5, 4), F(-1, 3),
+           F(1, BIG), F(BIG - 1, BIG), F(BIG // 2, BIG), F(BIG // 2 + 1, BIG)]
+entries = st.sampled_from(ENTRIES)
+
+
+def reference_exact_error(rows):
+    """The error exact_channel must raise on well-shaped rows, by Fraction
+    comparisons and sums, or None."""
+    for xi, row in enumerate(rows):
+        if any(w < 0 or w > 1 for w in row):
+            return f"entry outside [0, 1] in row {xi}"
+        if sum(row) != 1:
+            return f"row {xi} sums to {rational_str(sum(row))}, not 1"
+    return None
+
+
+def reference_stream_error(sched):
+    """The error stream_channel must raise on well-shaped schedules, or None:
+    each step in order, then each declared level from the lowest and each row
+    from the first, with every interval sum taken afresh in Fractions."""
+    for xi, row in enumerate(sched):
+        for yi, cell in enumerate(row):
+            prev_level, prev = -1, (F(0), F(1))
+            for lv, lo, hi in cell:
+                if lv < 0:
+                    return f"negative schedule level at entry ({xi},{yi})"
+                if lv <= prev_level:
+                    return f"schedule levels not increasing at entry ({xi},{yi})"
+                if not 0 <= lo <= hi <= 1:
+                    return f"schedule interval invalid at entry ({xi},{yi})"
+                if lo < prev[0] or hi > prev[1]:
+                    return f"schedule not nested at entry ({xi},{yi})"
+                prev_level, prev = lv, (lo, hi)
+    for level in sorted({0} | {lv for row in sched for cell in row for lv, _, _ in cell}):
+        for xi, row in enumerate(sched):
+            at = [next(((lo, hi) for lv, lo, hi in reversed(cell) if lv <= level), (F(0), F(1)))
+                  for cell in row]
+            if not sum(lo for lo, _ in at) <= 1 <= sum(hi for _, hi in at):
+                return f"row {xi} interval sum excludes 1 at level {level}"
+    return None
+
+
+@st.composite
+def exact_rows(draw):
+    """Rows of drawn entries, each closed to sum 1 by its last entry or not."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = []
+    for _ in range(nx):
+        row = draw(st.lists(entries, min_size=ny - 1, max_size=ny - 1))
+        rows.append(row + [1 - sum(row) if draw(st.booleans()) else draw(entries)])
+    return rows
+
+
+@st.composite
+def schedule_cell(draw):
+    """Steps at drawn levels (repeated, unsorted or negative ones unless the
+    cell is tidy) with drawn intervals, clipped to nest in the previous one
+    unless the cell is loose; lo > hi, exact-zero pins and 100-digit
+    denominators all come up."""
+    levels = draw(st.lists(st.integers(-1, 5), max_size=4))
+    if draw(st.booleans()):
+        levels = sorted(set(levels) - {-1})
+    nested = draw(st.booleans())
+    steps, prev = [], (F(0), F(1))
+    for level in levels:
+        lo, hi = draw(entries), draw(entries)
+        if draw(st.integers(0, 4)) == 0:
+            lo = hi = F(0)  # the exact-zero pin
+        elif nested:
+            lo, hi = max(lo, prev[0]), min(hi, prev[1])
+            if lo > hi:
+                lo, hi = (hi, hi) if hi >= prev[0] else (lo, lo) if lo <= prev[1] else prev
+        steps.append((level, lo, hi))
+        prev = (lo, hi)
+    return tuple(steps)
+
+
+@given(rows=exact_rows())
+@settings(max_examples=300, deadline=None)
+def test_exact_validation_agrees_with_fraction_reference(rows):
+    expected = reference_exact_error(rows)
+    try:
+        ch = exact_channel(range(len(rows)), range(len(rows[0])), rows)
+    except ChannelFormatError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert ch.rows == tuple(map(tuple, rows))
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_stream_validation_agrees_with_fraction_reference(data):
+    nx, ny = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    sched = [[data.draw(schedule_cell()) for _ in range(ny)] for _ in range(nx)]
+    expected = reference_stream_error(sched)
+    try:
+        ch = stream_channel(range(nx), range(ny), sched)
+    except ChannelFormatError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert ch.schedules == tuple(map(tuple, sched))
+
+
+def test_validation_keeps_the_fractions_it_is_given():
+    lo, hi, pin = F(1, 3), F(2, 3), F(1, 2)
+    ch = stream_channel((0,), (0, 1), [[((0, lo, hi), (2, pin, pin)), ((0, F(1, 3), F(2, 3)),)]])
+    (first, second), _ = ch.schedules[0]
+    assert first[1] is lo and first[2] is hi and second[1] is pin and second[2] is pin
+    row = [F(1, 3), F(2, 3)]
+    assert all(a is b for a, b in zip(exact_channel((0,), (0, 1), [row]).rows[0], row))
 
 
 @pytest.mark.parametrize("inputs, outputs, side", [

@@ -144,7 +144,7 @@ def test_rational_parsing():
     assert parse_rational("5/2") == Fraction(5, 2)
     assert parse_rational("-3") == Fraction(-3)
     assert rational_str(Fraction(10, 4)) == "5/2"
-    for bad in ("0.5", "5/0", "a/b", "1/-2", ""):
+    for bad in ("0.5", "5/0", "a/b", "1/-2", "", "1\n", "3/4\n", "\u0663", "-\u0663/4"):
         with pytest.raises(DomainError):
             parse_rational(bad)
 

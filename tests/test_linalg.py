@@ -67,3 +67,11 @@ def test_kernel_basis_spans_the_null_space(m):
     assert all(v == 0 for row in mat_mul(m, transpose(basis)) for v in row)
     assert [[vec[f] for f in free] for vec in basis] == [
         [int(i == j) for i in range(len(free))] for j in range(len(free))]
+
+
+def test_as_matrix_keeps_fractions_and_converts_the_rest():
+    third = Fraction(1, 3)
+    m = as_matrix([[third, 2], ["3/4", 0]])
+    assert m[0][0] is third
+    assert m == ((Fraction(1, 3), Fraction(2)), (Fraction(3, 4), Fraction(0)))
+    assert all(type(v) is Fraction for row in m for v in row)

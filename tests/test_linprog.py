@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -71,22 +72,26 @@ def test_pentagon_lp_matches_grid_oracle():
 
 
 def _certificate(forged: str | None = None):
-    """The balance LP's solution as _assert_certificates takes it, with one
-    part of the certificate forged."""
+    """The balance LP's solution as _assert_certificates takes it, numerators
+    over one den (the LP's data are integers already), with one part of the
+    certificate forged."""
     objective, rows = balance_lp()
     sol = solve_lp(objective, rows)
-    assignment, optimum, dual = list(sol.assignment), sol.optimum, list(sol.dual)
+    den = lcm(*(v.denominator for v in (*sol.assignment, sol.optimum, *sol.dual)))
+    assignment = [int(x * den) for x in sol.assignment]
+    optimum = int(sol.optimum * den)
+    dual = [int(d * den) for d in sol.dual]
     if forged == "assignment":
-        assignment[1] = Fraction(-1)  # breaks p2 >= 0
+        assignment[1] = -den  # p2 = -1 breaks p2 >= 0
     elif forged == "dual-sign-leq":
-        dual[3] = Fraction(1)  # a <= row needs a dual <= 0
+        dual[3] = den  # a dual of 1 on a <= row, which needs a dual <= 0
     elif forged == "dual-sign-geq":
-        dual[1] = Fraction(-1)  # a >= row needs a dual >= 0
+        dual[1] = -den  # a dual of -1 on a >= row, which needs a dual >= 0
     elif forged == "dual-equation":
-        dual = [Fraction(0)] * len(dual)  # signs hold, t's column does not
+        dual = [0] * len(dual)  # signs hold, t's column does not
     elif forged == "optimum":
-        optimum += 1
-    return objective, rows, tuple(assignment), optimum, tuple(dual)
+        optimum += den  # one more than the optimum
+    return objective, rows, tuple(assignment), optimum, tuple(dual), den
 
 
 @pytest.mark.parametrize("forged, message", [

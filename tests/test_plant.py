@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 from certcap import plant as plant_module
 from certcap.classify import EtaTask, Regime, classify, revalidate
 from certcap.enclosure import Enclosure
-from certcap.linalg import as_matrix, char_poly, mat_mul
+from certcap.linalg import as_matrix, char_poly, kernel_basis, mat_mul, transpose
 from certcap.plant import (Plant, PlantFormatError, instability_exponent,
                            is_detectable, is_stabilizable, load_plant)
 from certcap.roots import UnstableModuli, schur_stable
-from conftest import intersects
+from conftest import intersects, reference_detectability
 
 F = Fraction
 mpmath.mp.dps = 40
@@ -225,6 +226,67 @@ def test_hidden_unobservable_block_decides_detectability(data):
     assert _mul(t, inv) == _identity(n, n)
     assert is_detectable(_mul(_mul(t, lower), inv), _mul(_identity(k, n), inv)) is expected
     assert is_stabilizable(_mul(_mul(t, upper), inv), _mul(t, _identity(n, k))) is expected
+
+
+# many zeros, so that unobservable subspaces and rank-deficient C come often
+_sparse_entries = st.sampled_from([F(0)] * 6 + [F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(4, 3)])
+
+
+def _last_kernel(a, c):
+    """is_detectable(a, c) and the (basis, free) of its last kernel_basis call."""
+    seen = []
+
+    def spy(rows, ncols):
+        seen.append(kernel_basis(rows, ncols))
+        return seen[-1]
+
+    with mock.patch.object(plant_module, "kernel_basis", spy):
+        verdict = is_detectable(a, c)
+    return seen[-1], verdict
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_stopped_stack_matches_the_full_stack(data):
+    """The stack stopped at the first block that annihilates the current
+    kernel ends at the full stack's kernel: the same basis, free columns and
+    verdict, on random (mostly non-normal) A up to 4x4 and C of 0 to 4 rows,
+    rank-deficient ones included (repeated, zero and dependent rows)."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    a = as_matrix(data.draw(st.lists(st.lists(_sparse_entries, min_size=n, max_size=n),
+                                     min_size=n, max_size=n)))
+    c = data.draw(st.lists(st.lists(_sparse_entries, min_size=n, max_size=n), max_size=4))
+    if c and data.draw(st.booleans()):  # a dependent row: a multiple of the first
+        c.append([F(-2) * v for v in c[0]])
+    c = as_matrix(c)
+    basis, free, expected = reference_detectability(a, c)
+    (stopped_basis, stopped_free), verdict = _last_kernel(a, c)
+    assert (stopped_basis, stopped_free) == (basis, free)
+    assert verdict is expected
+    assert is_stabilizable(transpose(a), transpose(c)) is expected
+
+
+@pytest.mark.parametrize("a", [[[3]], [[2, 1], [0, F(1, 2)]],
+                               [[0, 1, 0], [0, 0, 1], [F(1, 2), 2, 1]],
+                               [[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 4], [5, 0, 0, 1]]])
+def test_identity_sensor_needs_no_matrix_product(a):
+    """C = I leaves no unobservable state: one kernel, no product."""
+    a = as_matrix(a)
+    eye = as_matrix([[int(i == j) for j in range(len(a))] for i in range(len(a))])
+    with mock.patch.object(plant_module, "mat_mul", wraps=mat_mul) as spy:
+        assert is_detectable(a, eye) is True
+        assert is_stabilizable(a, eye) is True
+    assert spy.call_count == 0
+
+
+def test_hidden_invariant_kernel_stops_after_one_block():
+    """ker C is A-invariant here, so C A annihilates it and the stack stops
+    after one block: one product for the block, one for the test, two for
+    the invariance guard."""
+    a = as_matrix([[3, 0, 0, 0], [1, F(1, 2), 1, 0], [0, 0, F(-1, 3), 1], [2, 0, 0, F(1, 4)]])
+    with mock.patch.object(plant_module, "mat_mul", wraps=mat_mul) as spy:
+        assert is_detectable(a, as_matrix([[1, 0, 0, 0]])) is True
+    assert spy.call_count == 4
 
 
 class TestLoading:
