@@ -212,6 +212,16 @@ def test_non_list_channel_field_exits_one(capsys, data_dir, tmp_path, command, c
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", ["1\n", "\u0661"], ids=["trailing-newline", "arabic-indic-one"])
+def test_rational_with_newline_or_non_ascii_digit_exits_one(capsys, tmp_path, entry):
+    # both once parsed to 1, so fb-capacity reported the channel noiseless
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"inputs": [0], "outputs": [0], "rows": [[entry]]}))
+    code, out, err = run_cli(capsys, "fb-capacity", "--channel", str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: malformed rational: {entry!r}\n"
+
+
 @pytest.mark.parametrize("plant", [
     {"A": 5}, {"A": [5]}, {"A": [["3/2"]], "B": 5}, {"A": [["3/2"]], "C": [5]},
 ], ids=["A", "A-row", "B", "C-row"])
