@@ -1,10 +1,10 @@
 """Certificates, verdicts and ``revalidate``: a small proof checker beside
 the engine in classify.py, which produces them.
 
-It trusts no solver state and imports the primitives it shares with the
-solvers only: support certification (channel.py), the may-reach graph
-(graph.py), enclosures and the certified capacity bounds (enclosure.py).
-They are its whole trusted base: no task, solver, CLI or simulator.
+It trusts no solver state and imports only primitives it shares with the
+solvers: support certification (channel.py), the may-reach graph (graph.py),
+enclosures, the capacity bounds and log2_fixed, the one certified log2
+(enclosure.py).  They are its whole trusted base: no solver, CLI or simulator.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 
 from .channel import Channel, certify_support, support_sets
-from .enclosure import (DomainError, Enclosure, certified_capacity_bounds, exact_log2,
+from .enclosure import (DomainError, Enclosure, certified_capacity_bounds, log2_fixed,
                         parse_rational, rational_str)
 from .graph import certified_graph, confusability_graph, witness_json
 
@@ -105,41 +105,20 @@ def _is_dyadic(x: Fraction) -> bool:
 def log2_compare(value: Fraction, exponent: Fraction) -> int:
     """Exact sign of log2(value) - exponent for a dyadic exponent p / 2**m.
 
-    Brackets value**(2**m) by m fixed-point squarings rounded outward and
-    doubles the precision until the bracket clears 2**p.  The two sides can
-    be equal only when value is a power of two, which is compared directly,
-    so the loop terminates.  Independent of ``log2_enclosure``.
+    log2_fixed, the one certified log2, gives D = floor(2**m log2(value)):
+    log2(value) is D / 2**m for a power of two, else in (D, D + 1) / 2**m.
     """
     if not _is_dyadic(exponent):
         raise ValueError("exponent must be dyadic")
-    p, denom = exponent.numerator, exponent.denominator
-    if value <= 0:
+    if value <= 0:  # log2_fixed would return a wrong digit
         return -1
-    k = exact_log2(value)
-    if k is not None:
-        return (k * denom > p) - (k * denom < p)
-    n, d = value.numerator, value.denominator
-    m = denom.bit_length() - 1
-    precision = m + 64
-    while True:
-        # value**(2**j) lies in [lo, hi] * 2**e; lo keeps about `precision` bits
-        shift = max(0, precision - n.bit_length() + d.bit_length())
-        lo, hi, e = (n << shift) // d, -((-n << shift) // d), -shift
-        for _ in range(m):
-            lo, hi = lo * lo, hi * hi
-            drop = lo.bit_length() - precision
-            lo, hi, e = lo >> drop, -(-hi >> drop), 2 * e + drop
-        if lo.bit_length() - 1 + e >= p:
-            return 1
-        if (hi - 1).bit_length() + e <= p:
-            return -1
-        precision *= 2
+    p, m = exponent.numerator, exponent.denominator.bit_length() - 1
+    digits, exact = log2_fixed(value.numerator, value.denominator, m)
+    return 0 if exact and digits == p else 1 if digits >= p else -1
 
 
-# deepest endpoint p / 2**m, and narrowest shannon log width, the re-validator
-# settles (log2_compare costs about m**2.3); the engine's deepest endpoint is
-# 2**-120, at FeedbackCapacityTask's last width on a stream (2**-118 on an
-# exact channel)
+# the deepest endpoint 2**-m, and narrowest shannon log width, the re-validator settles;
+# log2_fixed costs about m**2.5, and the engine's deepest is 2**-120 (a stream's c0fb)
 _MAX_ENDPOINT_DEPTH = 1024
 
 
@@ -262,7 +241,7 @@ def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
     supports = support_sets(support, nx, ny)
     # the upper endpoint really bounds log2(1/mass)
     return (verify_minimax_lower_bound(cert.output_weights, supports, nx, cert.mass)
-            and _log_endpoint_sound(1 / cert.mass, cert.c0fb_upper)
+            and _log_endpoint_sound(Fraction(1) / cert.mass, cert.c0fb_upper)
             and cert.c0fb_upper.hi < cert.eta_lo)
 
 

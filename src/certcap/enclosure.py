@@ -81,7 +81,7 @@ class Enclosure:
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
-            raise ValueError(f"empty enclosure: {self.lo} > {self.hi}")
+            raise DomainError(f"empty enclosure: {self.lo} > {self.hi}")
 
     @staticmethod
     def exact(value: Fraction, level: int = 0) -> "Enclosure":
@@ -122,17 +122,12 @@ class Enclosure:
                 "level": self.level}
 
     @staticmethod
-    def from_json(doc: dict) -> "Enclosure":
-        return Enclosure(parse_rational(doc["lo"]), parse_rational(doc["hi"]),
-                         int(doc["level"]))
-
-
-def exact_log2(x: Fraction) -> int | None:
-    """Return k when x == 2**k exactly, else None."""
-    n, d = x.numerator, x.denominator
-    if n > 0 and n & (n - 1) == 0 and d & (d - 1) == 0:
-        return n.bit_length() - d.bit_length()
-    return None
+    def from_json(doc) -> "Enclosure":
+        """The enclosure ``to_json`` wrote; DomainError on any other document."""
+        level = doc.get("level") if isinstance(doc, dict) else None
+        if type(level) is not int or level < 0:  # a JSON integer: not a bool, float or string
+            raise DomainError("an enclosure must be an object with an integer level >= 0")
+        return Enclosure(parse_rational(doc.get("lo")), parse_rational(doc.get("hi")), level)
 
 
 def floor_log2(x: Fraction) -> int:

@@ -2,9 +2,9 @@
 
 Everything here rests on one exact root count, roots.count_inside, applied
 to characteristic polynomials.  The instability exponent sums log2 of the
-eigenvalue moduli >= 1, bracketed by bisecting on the radius of the count;
-InstabilityExponent keeps that bisection, so each narrower enclosure only
-splits the brackets that block it.
+eigenvalue moduli >= 1, which UnstableModuli brackets by bisecting on the
+radius of the count; InstabilityExponent, its one caller, keeps that
+bisection, so each narrower enclosure only splits the brackets that block it.
 Detectability and stabilizability are decided exactly, by schur_stable on
 A restricted to the unobservable (resp. uncontrollable) subspace.
 """
@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .enclosure import (DomainError, Enclosure, load_json, log2_enclosure, parse_rational,
-                        rational_str)
+                        rational_str, simplest_between)
 from .linalg import Matrix, as_matrix, char_poly, is_square, kernel_basis, mat_mul, transpose
-from .roots import UnstableModuli, schur_stable
+from .roots import (Poly, _count_in_unit_disc, _first_decided, _integer_form, _scaled,
+                    _split_radii, _square_free_part, cauchy_root_bound, count_inside,
+                    poly_degree, poly_deriv, poly_gcd, poly_trim, schur_stable)
 
 DEFAULT_ETA_WIDTH = Fraction(1, 1 << 30)
 
@@ -73,13 +76,115 @@ def load_plant(doc) -> Plant:
     return Plant(mat("A"), c=mat("C"), b=mat("B"), disturbance_bound=bound)
 
 
+def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
+                   k: int) -> bool:
+    """Whether the k roots of p = ints in lo < |z| < hi add exactly k log2 r to eta.
+
+    With q(z) = p(r z) and p(0) != 0, g = gcd(q, q*) holds each root zeta of
+    q whose inverse is a root too, at the smaller of the two multiplicities,
+    so the roots of g are closed under inversion.  Its roots in the annulus
+    rho < |z| < 1/rho, rho = max(lo/r, r/hi), number deg g - 2 count(g, rho)
+    and lie among the k roots of q in lo/r < |z| < hi/r.  If that number is
+    k, those k roots are the inversion-closed set, so the moduli of p's
+    roots multiply to r^k; that settles a bracket with lo >= 1.
+
+    Around r = 1 (lo < 1) the k roots must moreover lie on the unit circle,
+    since a pair (t, 1/t) adds log2 |t| > 0.  The square-free part s of g is
+    self-inversive, so s' has no root on the circle, and s has as many
+    roots inside the circle as s' has outside (A. Cohn, 1922); none of
+    them may lie in rho < |z| < 1.  An undecided count gives False.
+    """
+    q = tuple(Fraction(c) for c in _scaled(ints, r.numerator, r.denominator))
+    g = poly_gcd(q, q[::-1])
+    rho = max(lo / r, r / hi)
+    inside = count_inside(g, rho)
+    if inside is None or poly_degree(g) - 2 * inside != k:
+        return False
+    if lo >= 1:
+        return True
+    s = _square_free_part(g)
+    critical = count_inside(poly_deriv(s), 1)
+    inner = count_inside(s, rho)
+    return None not in (critical, inner) and poly_degree(s) - 1 - critical == inner
+
+
+class UnstableModuli:
+    """Brackets (lo, hi, k) that hold every root of p with modulus >= 1 once.
+
+    lo == hi: the k roots add exactly k log2 lo to eta; their moduli are
+    >= 1 and multiply to lo^k (each modulus is lo, or they pair up as lo*t
+    and lo/t).  lo < hi: the k roots have moduli in (lo, hi), with
+    hi <= max(1, lo) * (1 + tolerance); when lo < 1, some of them may have
+    modulus below 1.
+
+    Roots at 0 are dropped.  The moduli are isolated by bisecting on dyadic
+    radii, kept as integers, with the count, moving to a nearby radius where
+    it is undecided.  A rational modulus u/v has v dividing the leading
+    coefficient L of p's primitive integer form (L^2 |lambda|^2 is an
+    algebraic integer), so a bracket narrower than 1/(2 L^2) has at most
+    one candidate, its simplest rational, which _exact_bracket tests once
+    per set of roots.
+
+    The bisection is kept between calls: brackets(tolerance) splits only the
+    leaves too wide for it.  A split depends on nothing but its bracket, so
+    a narrower call returns exactly what a fresh UnstableModuli would.
+    """
+
+    def __init__(self, p: Poly):
+        p = poly_trim(p)
+        while p and p[0] == 0:
+            p = p[1:]
+        n = poly_degree(p)
+        modulus = abs(p[0] / p[1]) if n == 1 else 0  # one rational root
+        self.exact = [(modulus, modulus, 1)] if modulus >= 1 else []
+        self.leaves = []  # (e, lo, count(lo), hi, count(hi), tested): radii lo/2^e, hi/2^e
+        if n <= 1:
+            return
+        top = 1 << int(cauchy_root_bound(p)).bit_length()
+        self.ints = _integer_form(p)
+        below_one = (((1 << j) - 1, j) for j in range(4, 64))
+        (base, e), below = _first_decided(self._count, chain([(1, 0)], below_one))
+        self.lead = abs(self.ints[-1])
+        self.leaves.append((e, base, below, top << e, n, False))
+
+    def _count(self, radius: tuple[int, int]) -> int | None:
+        return _count_in_unit_disc(_scaled(self.ints, radius[0], 1 << radius[1]))
+
+    def brackets(self, tolerance: Fraction) -> list[tuple[Fraction, Fraction, int]]:
+        tolerance = Fraction(tolerance)
+        stack, self.leaves = self.leaves, []
+        while stack:
+            e, lo, n_lo, hi, n_hi, tested = stack.pop()
+            k, one = n_hi - n_lo, 1 << e
+            if k == 0 or hi <= one:
+                continue
+            if not tested and (hi - lo) * 2 * self.lead ** 2 < one:  # narrower than 1/(2 L^2)
+                a, b = Fraction(lo, one), Fraction(hi, one)
+                r = simplest_between(a, b)
+                if r.denominator <= self.lead and _exact_bracket(self.ints, r, a, b, k):
+                    self.exact.append((r, r, k))
+                    continue
+                tested = True
+            floor = max(lo, one)
+            if tested and (hi - floor) * tolerance.denominator <= floor * tolerance.numerator:
+                self.leaves.append((e, lo, n_lo, hi, n_hi, True))
+                continue
+            (mid, f), n_mid = _first_decided(
+                self._count, ((x, e + j) for x, j in _split_radii(lo, hi)))
+            lo, hi = lo << (f - e), hi << (f - e)
+            stack.append((f, lo, n_lo, mid, n_mid, tested and n_mid - n_lo == k))
+            stack.append((f, mid, n_mid, hi, n_hi, tested and n_hi - n_mid == k))
+        return sorted(self.exact + [(Fraction(lo, 1 << e), Fraction(hi, 1 << e), n_hi - n_lo)
+                                    for e, lo, n_lo, hi, n_hi, _ in self.leaves])
+
+
 class InstabilityExponent:
     """eta(A) as a refinable real: the unstable moduli of A, bracketed once.
 
     eta(A) = sum of log2 |lambda| over the eigenvalues of A with
     |lambda| >= 1, counted with multiplicity.  The characteristic
     polynomial is computed once and its moduli are bracketed by one
-    roots.UnstableModuli, which enclose(w) only narrows; each bracket of k
+    UnstableModuli, which enclose(w) only narrows; each bracket of k
     roots adds k * [log2 lo, log2 hi], with log2 taken as 0 below one.
     Rational moduli are found exactly, so a plant whose unstable moduli are
     powers of two, one, or all below one yields a zero-width enclosure.

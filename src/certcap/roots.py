@@ -3,10 +3,9 @@
 The one root count in the package is count_inside: the number of roots in
 an open disc |z| < r, by the Schur-Cohn-Jury reduction in integers (short
 precision first, exact where that cannot decide).  On it rest the
-unit-circle (Schur) stability test, UnstableModuli (a resumable bisection
-on dyadic radii that brackets the root moduli >= 1 the instability exponent
-sums) and the certified eigenvalue enclosures of symmetric rational
-matrices, whose real spectrum it counts on intervals.
+unit-circle (Schur) stability test, the certified eigenvalue enclosures of
+symmetric rational matrices, whose real spectrum it counts on intervals, and
+the producer's bisection of the unstable moduli, which lives in plant.py.
 
 Polynomials are tuples of Fractions, low degree first, trailing zeros
 stripped.
@@ -15,7 +14,6 @@ stripped.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 from .enclosure import DomainError, Enclosure, simplest_between
@@ -95,7 +93,7 @@ def _scaled(ints: list[int], u: int, v: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# roots in a disc (Schur-Cohn-Jury count), stability and unstable moduli
+# roots in a disc (Schur-Cohn-Jury count) and stability
 
 def count_inside(p: Poly, r) -> int | None:
     """Number of roots of p, with multiplicity, strictly inside |z| < r.
@@ -214,108 +212,6 @@ def _split_radii(lo, hi):
 def _square_free_part(p: Poly) -> Poly:
     """p / gcd(p, p'): each distinct root of p once."""
     return poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]
-
-
-def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
-                   k: int) -> bool:
-    """Whether the k roots of p = ints in lo < |z| < hi add exactly k log2 r to eta.
-
-    With q(z) = p(r z) and p(0) != 0, g = gcd(q, q*) holds each root zeta of
-    q whose inverse is a root too, at the smaller of the two multiplicities,
-    so the roots of g are closed under inversion.  Its roots in the annulus
-    rho < |z| < 1/rho, rho = max(lo/r, r/hi), number deg g - 2 count(g, rho)
-    and lie among the k roots of q in lo/r < |z| < hi/r.  If that number is
-    k, those k roots are the inversion-closed set, so the moduli of p's
-    roots multiply to r^k; that settles a bracket with lo >= 1.
-
-    Around r = 1 (lo < 1) the k roots must moreover lie on the unit circle,
-    since a pair (t, 1/t) adds log2 |t| > 0.  The square-free part s of g is
-    self-inversive, so s' has no root on the circle, and s has as many
-    roots inside the circle as s' has outside (A. Cohn, 1922); none of
-    them may lie in rho < |z| < 1.  An undecided count gives False.
-    """
-    q = tuple(Fraction(c) for c in _scaled(ints, r.numerator, r.denominator))
-    g = poly_gcd(q, q[::-1])
-    rho = max(lo / r, r / hi)
-    inside = count_inside(g, rho)
-    if inside is None or poly_degree(g) - 2 * inside != k:
-        return False
-    if lo >= 1:
-        return True
-    s = _square_free_part(g)
-    critical = count_inside(poly_deriv(s), 1)
-    inner = count_inside(s, rho)
-    return None not in (critical, inner) and poly_degree(s) - 1 - critical == inner
-
-
-class UnstableModuli:
-    """Brackets (lo, hi, k) that hold every root of p with modulus >= 1 once.
-
-    lo == hi: the k roots add exactly k log2 lo to eta; their moduli are
-    >= 1 and multiply to lo^k (each modulus is lo, or they pair up as lo*t
-    and lo/t).  lo < hi: the k roots have moduli in (lo, hi), with
-    hi <= max(1, lo) * (1 + tolerance); when lo < 1, some of them may have
-    modulus below 1.
-
-    Roots at 0 are dropped.  The moduli are isolated by bisecting on dyadic
-    radii, kept as integers, with the count, moving to a nearby radius where
-    it is undecided.  A rational modulus u/v has v dividing the leading
-    coefficient L of p's primitive integer form (L^2 |lambda|^2 is an
-    algebraic integer), so a bracket narrower than 1/(2 L^2) has at most
-    one candidate, its simplest rational, which _exact_bracket tests once
-    per set of roots.
-
-    The bisection is kept between calls: brackets(tolerance) splits only the
-    leaves too wide for it.  A split depends on nothing but its bracket, so
-    a narrower call returns exactly what a fresh UnstableModuli would.
-    """
-
-    def __init__(self, p: Poly):
-        p = poly_trim(p)
-        while p and p[0] == 0:
-            p = p[1:]
-        n = poly_degree(p)
-        modulus = abs(p[0] / p[1]) if n == 1 else 0  # one rational root
-        self.exact = [(modulus, modulus, 1)] if modulus >= 1 else []
-        self.leaves = []  # (e, lo, count(lo), hi, count(hi), tested): radii lo/2^e, hi/2^e
-        if n <= 1:
-            return
-        top = 1 << int(cauchy_root_bound(p)).bit_length()
-        self.ints = _integer_form(p)
-        below_one = (((1 << j) - 1, j) for j in range(4, 64))
-        (base, e), below = _first_decided(self._count, chain([(1, 0)], below_one))
-        self.lead = abs(self.ints[-1])
-        self.leaves.append((e, base, below, top << e, n, False))
-
-    def _count(self, radius: tuple[int, int]) -> int | None:
-        return _count_in_unit_disc(_scaled(self.ints, radius[0], 1 << radius[1]))
-
-    def brackets(self, tolerance: Fraction) -> list[tuple[Fraction, Fraction, int]]:
-        tolerance = Fraction(tolerance)
-        stack, self.leaves = self.leaves, []
-        while stack:
-            e, lo, n_lo, hi, n_hi, tested = stack.pop()
-            k, one = n_hi - n_lo, 1 << e
-            if k == 0 or hi <= one:
-                continue
-            if not tested and (hi - lo) * 2 * self.lead ** 2 < one:  # narrower than 1/(2 L^2)
-                a, b = Fraction(lo, one), Fraction(hi, one)
-                r = simplest_between(a, b)
-                if r.denominator <= self.lead and _exact_bracket(self.ints, r, a, b, k):
-                    self.exact.append((r, r, k))
-                    continue
-                tested = True
-            floor = max(lo, one)
-            if tested and (hi - floor) * tolerance.denominator <= floor * tolerance.numerator:
-                self.leaves.append((e, lo, n_lo, hi, n_hi, True))
-                continue
-            (mid, f), n_mid = _first_decided(
-                self._count, ((x, e + j) for x, j in _split_radii(lo, hi)))
-            lo, hi = lo << (f - e), hi << (f - e)
-            stack.append((f, lo, n_lo, mid, n_mid, tested and n_mid - n_lo == k))
-            stack.append((f, mid, n_mid, hi, n_hi, tested and n_hi - n_mid == k))
-        return sorted(self.exact + [(Fraction(lo, 1 << e), Fraction(hi, 1 << e), n_hi - n_lo)
-                                    for e, lo, n_lo, hi, n_hi, _ in self.leaves])
 
 
 # ---------------------------------------------------------------------------

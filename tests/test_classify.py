@@ -463,6 +463,13 @@ class TestForgedCertificates:
         bad = replace(verdict.certificate, mass=F(0))
         assert revalidate(_with_certificate(verdict, bad), pentagon) is False
 
+    def test_integer_psi_mass_is_read_as_a_rational(self, bsc14):
+        # the type guard lets an int stand for a Fraction; 1 / 1 would be a float
+        for mass in (F(1), 1):
+            cert = PsiCertificate(mass, 0, (F(1, 2), F(1, 2)), False,
+                                  Enclosure.exact(F(0)), F(1, 2))
+            assert revalidate(Verdict("Unsolvable", "se-fb", cert, 1, 100), bsc14) is True
+
     def test_psi_weights_of_the_wrong_length(self, pentagon):
         verdict = classify(diagonal_plant([3], disturbance=F(1, 10)),
                            pentagon, Regime("se-fb"), 10_000)
@@ -571,6 +578,50 @@ class TestForgedCertificates:
         assert revalidate(_with_certificate(verdict, replace(cert, capacity=deep)),
                           pentagon) is False
         assert time.monotonic() - start < 0.5
+
+
+def _real_log_certificate(case, pentagon):
+    """A halted verdict, its certificate's log enclosure field, and the value
+    and factor n with n * enclosure checked against log2(value)."""
+    if case == "rate-lo":
+        verdict = classify(diagonal_plant([2], disturbance=F(1, 10)), pentagon,
+                           Regime("se-nofb"), 10_000)
+        cert = verdict.certificate
+        return verdict, "rate_lo", F(cert.alpha), cert.n
+    if case == "psi":
+        verdict = classify(diagonal_plant([3], disturbance=F(1, 10)), pentagon,
+                           Regime("se-fb"), 10_000)
+        return verdict, "c0fb_upper", 1 / verdict.certificate.mass, 1
+    if case == "c0fb":
+        verdict = classify(diagonal_plant([F(12, 5)], disturbance=F(1, 10)), pentagon,
+                           Regime("se-fb"), 10_000)
+        return verdict, "capacity", F(verdict.certificate.payload["inverse_psi"]), 1
+    verdict = classify_fixed_plant(Enclosure.exact(F(5, 2)), pentagon, "capacity-above", 100)
+    return verdict, "capacity", F(verdict.certificate.payload["alphabet"]), 1
+
+
+@pytest.mark.parametrize("case, depth", [
+    ("rate-lo", 15), ("psi", 10), ("c0fb", 10), ("alphabet-bound", 20)])
+def test_one_ulp_forged_log_endpoint_fails(pentagon, case, depth):
+    # [D, D + 1] / 2**m with one end moved a step of 2**-m past log2(value):
+    # the comparison must tell D from D + 1 on both sides
+    verdict, name, value, n = _real_log_certificate(case, pentagon)
+    cert = verdict.certificate
+    assert revalidate(verdict, pentagon)
+    enclosure = getattr(cert, name)
+    checked = enclosure.scaled(n)
+    step = F(1, 1 << depth)
+    assert checked.width == step
+    with mpmath.workprec(depth + 100):
+        def real(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        # each forgery lands past the true log: a lower end above it, an upper below
+        assert real(checked.lo + step) > mpmath.log(real(value), 2) > real(checked.hi - step)
+    for forged in (Enclosure(enclosure.lo + step / n, enclosure.hi, enclosure.level),
+                   Enclosure(enclosure.lo, enclosure.hi - step / n, enclosure.level)):
+        bad = _with_certificate(verdict, replace(cert, **{name: forged}))
+        assert revalidate(bad, pentagon) is False
 
 
 _DROP = object()

@@ -140,6 +140,36 @@ def test_enclosure_invariants():
     assert Enclosure.from_json(e.to_json()) == e
 
 
+@pytest.mark.parametrize("doc", [
+    {"lo": "1/3", "hi": "1/2", "level": 2.9},
+    {"lo": "1/3", "hi": "1/2", "level": True},
+    {"lo": "1/3", "hi": "1/2", "level": "3"},
+    {"lo": "1/3", "hi": "1/2", "level": -4},
+    {"lo": "1/3", "hi": "1/2", "level": None},
+    {"lo": "1/3", "hi": "1/2"},
+    {"hi": "1/2", "level": 0},
+    {"lo": "1/3", "level": 0},
+    {"lo": 0, "hi": "1/2", "level": 0},
+    {"lo": "1/3", "hi": "1/2.5", "level": 0},
+    {"lo": "1/2", "hi": "1/3", "level": 0},
+    ["1/3", "1/2", 0],
+    "1/3",
+    None,
+], ids=["float-level", "bool-level", "string-level", "negative-level", "null-level",
+        "no-level", "no-lo", "no-hi", "int-lo", "malformed-hi", "empty", "list",
+        "string", "null"])
+def test_enclosure_from_json_rejects_what_to_json_never_writes(doc):
+    with pytest.raises(DomainError):
+        Enclosure.from_json(doc)
+
+
+def test_enclosure_from_json_reads_what_to_json_writes():
+    for e in (Enclosure(Fraction(-7, 3), Fraction(1, 2), 0), Enclosure.exact(Fraction(5), 40),
+              Enclosure(Fraction(1, 1 << 130), Fraction(1, 1 << 129), 1 << 70)):
+        assert Enclosure.from_json(e.to_json()) == e
+        assert type(Enclosure.from_json(e.to_json()).level) is int
+
+
 def test_rational_parsing():
     assert parse_rational("5/2") == Fraction(5, 2)
     assert parse_rational("-3") == Fraction(-3)

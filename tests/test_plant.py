@@ -11,9 +11,9 @@ from certcap import plant as plant_module
 from certcap.classify import EtaTask, Regime, classify, revalidate
 from certcap.enclosure import Enclosure
 from certcap.linalg import as_matrix, char_poly, kernel_basis, mat_mul, transpose
-from certcap.plant import (Plant, PlantFormatError, instability_exponent,
+from certcap.plant import (Plant, PlantFormatError, UnstableModuli, instability_exponent,
                            is_detectable, is_stabilizable, load_plant)
-from certcap.roots import UnstableModuli, schur_stable
+from certcap.roots import schur_stable
 from conftest import intersects, reference_detectability
 
 F = Fraction

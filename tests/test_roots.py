@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from certcap.enclosure import DomainError
 from certcap.linalg import as_matrix, char_poly
-from certcap.roots import (UnstableModuli, _count_in_unit_disc, _exact_bracket,
-                           _exact_count, _filtered_count, _integer_form, _scaled,
-                           count_inside, poly_degree, poly_trim, schur_stable,
-                           symmetric_eigenvalue_enclosures)
+from certcap.plant import UnstableModuli, _exact_bracket
+from certcap.roots import (_count_in_unit_disc, _exact_count, _filtered_count,
+                           _integer_form, _scaled, count_inside, poly_degree, poly_trim,
+                           schur_stable, symmetric_eigenvalue_enclosures)
 
 F = Fraction
 
