@@ -6,8 +6,8 @@
 Runs perfbench/run.py on the decide, ladder and track workloads at seed 1
 with --seconds 25, once with --trace 0 (the end-to-end metrics) and once
 with --trace 1 (the per-layer metrics), and writes their result lines with
-the commit, whether the checkout differs from it, the Python version and
-the machine, keys sorted.  Six runs take about five minutes on a 2-vCPU
+the commit, whether src/ or perfbench/ differ from it, the Python version and
+the machine, keys sorted.  The six runs take under a minute on a 2-vCPU
 Xeon.  perfbench is only run, never changed; its own outputs still go to
 .bench_out/.
 """
