@@ -11,10 +11,11 @@ what the divergence smoke runs demonstrate.
 All state arithmetic is exact.  Each mode keeps one integer denominator L
 with x, the coder centre, the decoder centre and the radius (the two boxes
 share it: the radius recursion never reads a message) as integer numerators
-over it: a refine multiplies L by the cell count, a plant step moves L to
-lcm(L q, 2^32 D_den) for a = p/q, and disturbances are integer numerators
-over 2^32 D_den; without a drive x is also kept over its own denominator,
-free of cell counts.  Rows are reduced by a binary-gcd split and a few-bit
+over it: a refine multiplies L by the cell count and a plant step by q for
+a = p/q.  L starts with the factors of 2^32 D_den that the first step would
+otherwise take in, so from then on it is a multiple of 2^32 D_den, over which
+the disturbances are integer numerators; without a drive x is also kept over
+its own denominator, free of cell counts.  Rows are reduced by a binary-gcd split and a few-bit
 base holding every odd prime of L, so the gcd with L's large odd part is
 rarely taken; maxima and the divergence test compare integer numerators.
 Noise and disturbances come from a seeded generator with exact inverse-CDF
@@ -250,13 +251,6 @@ def _allocate_cells(modes, n: int, total: int, allow_boundary: bool):
 # ---------------------------------------------------------------------------
 # the epoch quantizer loop
 
-def _lift(den: int, q: int, zeta_den: int) -> tuple[int, int, int]:
-    """(lcm(den q, zeta_den), s, w) with lcm(den q, zeta_den) = den q s = zeta_den w."""
-    dq = den * q
-    g = gcd(dq, zeta_den)
-    return dq * (zeta_den // g), zeta_den // g, dq // g
-
-
 def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Trajectory:
     if not cfg.channel.is_exact:
         raise SimulationError("the simulator needs an exact channel, not a stream")
@@ -283,42 +277,47 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
                                    for j in range(dim) if i != j) \
                 or any(b[i][i] == 0 for i in range(dim)):
             raise SimulationError("stabilization supports diagonal invertible B only")
+        # the deadbeat control u = -a x_hat / b of each mode
+        control = [-a / b[i][i] for i, a in enumerate(modes)]
 
     bound = cfg.plant.disturbance_bound or Fraction(0)
-    gains = tuple(b[i][i] for i in range(dim)) if with_control else None
-
     cells = _allocate_cells(modes, n, cfg.code.size, allow_boundary)
     used = prod(cells)
+    ps, qs = [a.numerator for a in modes], [a.denominator for a in modes]
 
     # x, coder centre, decoder centre, radius of mode i = X, C, H, R[i] / L[i];
     # every disturbance is z / zeta_den for an integer z
     rng = random.Random(cfg.seed)
+    getrandbits = rng.getrandbits
     zeta_den = bound.denominator << 32 if bound else 1
     bound_num = bound.numerator << 32
     r0 = Fraction(cfg.initial_radius)
     start = cfg.start_state()
-    L = [lcm(r0.denominator, v.denominator) for v in start]
+    # L starts at L0 s with L0 m q s = lcm(L0 m q, zeta_den): the first step,
+    # after the first refine, lands on a multiple of zeta_den.  Without a
+    # drive x is also kept as Y / K, K started alike but never refined
+    L0 = [lcm(r0.denominator, v.denominator) for v in start]
+    L = [d * (zeta_den // gcd(d * m * q, zeta_den)) for d, m, q in zip(L0, cells, qs)]
+    K = [d * (zeta_den // gcd(d * q, zeta_den)) for d, q in zip(L0, qs)]
     X = [v.numerator * (d // v.denominator) for v, d in zip(start, L)]
+    Y = [v.numerator * (d // v.denominator) for v, d in zip(start, K)]
     C, H = [0] * dim, [0] * dim
     R = [r0.numerator * (d // r0.denominator) for d in L]
-    # L starts from the radius and start-state denominators and gains only
-    # cell counts, mode denominators and zeta_den: base holds its odd primes
-    base = _dyadic_split(prod(cells) * prod(a.denominator for a in modes) * zeta_den
+    # L and K gain only cell counts, mode denominators and factors of
+    # zeta_den: base holds their odd primes
+    base = _dyadic_split(used * prod(qs) * zeta_den
                          * r0.denominator * prod(v.denominator for v in start))[2]
-    zeta_split = _dyadic_split(zeta_den, base)
-    # without a drive, x = a x + zeta needs no cell count in its denominator:
-    # the recorded x is Y[i] / K[i], kept as L and X are but without refines
-    Y, K = X[:], L[:]
+    zeta_split = _dyadic_split(zeta_den)
 
     xs, xhats, us, errors, radii, zetas, transcript = [], [], [], [], [], [], []
     decodes = {}
-    rows = cfg.channel.rows
+    rows, codewords = cfg.channel.rows, cfg.code.codewords
     tables = [_inverse_cdf(row) for row in rows]
-    t, diverged_at = 0, None
+    t, diverged_at, horizon = 0, None, cfg.horizon
     max_error, max_size = Fraction(0), -inf
-    limit = DIVERGENCE_THRESHOLD
+    limit_num, limit_den = DIVERGENCE_THRESHOLD.numerator, DIVERGENCE_THRESHOLD.denominator
 
-    while t < cfg.horizon and diverged_at is None:
+    while t < horizon and diverged_at is None:
         # quantize against the coder's box: cell floor((x - c + r) m / 2r),
         # clamped, and transmit the mixed-radix cell index
         message = 0
@@ -326,8 +325,8 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
             m = cells[i]
             idx = 0 if R[i] == 0 else (X[i] - C[i] + R[i]) * m // (2 * R[i])
             message = message * m + min(max(idx, 0), m - 1)
-        codeword = cfg.code.codewords[message]
-        received = tuple(_draw(rng, *tables[sym]) for sym in codeword)
+        codeword = codewords[message]
+        received = tuple([_draw(rng, *tables[sym]) for sym in codeword])
         decoded = decodes.get(received)
         if decoded is None:
             decoded = decodes[received] = _decode(rows, cfg.code, used, received)
@@ -344,50 +343,50 @@ def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Tr
             H[i] = H[i] * m + R[i] * (2 * j + 1 - m)
 
         for step in range(n):
-            if t >= cfg.horizon or diverged_at is not None:
+            if t >= horizon or diverged_at is not None:
                 break
             splits = [_dyadic_split(d, base) for d in L]
-            radius = tuple(_lowest_terms(R[i], splits[i]) for i in range(dim))
+            radius = tuple([_lowest_terms(R[i], splits[i]) for i in range(dim)])
             if not step:
                 transcript.append(EpochRecord(len(transcript), message, codeword,
                                               received, decoded, radius))
-            x_hat = tuple(_lowest_terms(H[i], splits[i]) for i in range(dim))
+            x_hat = tuple([_lowest_terms(H[i], splits[i]) for i in range(dim)])
             gap = [abs(X[i] - H[i]) for i in range(dim)]
-            top = _widest(gap, L)
+            top = _widest(gap, L) if dim > 1 else 0
             err = _lowest_terms(gap[top], splits[top])
-            xs.append(tuple(_lowest_terms(X[i], splits[i]) if with_control
-                            else _lowest_terms(Y[i], _dyadic_split(K[i], base))
-                            for i in range(dim)))
+            xs.append(tuple([_lowest_terms(X[i], splits[i]) if with_control
+                             else _lowest_terms(Y[i], _dyadic_split(K[i], base))
+                             for i in range(dim)]))
             xhats.append(x_hat)
-            us.append(tuple(-modes[i] * x_hat[i] / gains[i] for i in range(dim))
+            us.append(tuple([control[i] * x_hat[i] for i in range(dim)])
                       if with_control else ())
             errors.append(err)
-            radii.append(radius[_widest(R, L)])
+            radii.append(radius[_widest(R, L)] if dim > 1 else radius[0])
             # err < 2**(size + 1) and max_error > 2**(max_size - 1), so the bit
             # lengths settle most comparisons without a product
             size = gap[top].bit_length() - L[top].bit_length()
             if size + 2 > max_size and (err.numerator * max_error.denominator
                                         > max_error.numerator * err.denominator):
                 max_error, max_size = err, size
-            if gap[top] * limit.denominator > limit.numerator * L[top]:
+            if gap[top] * limit_den > limit_num * L[top]:
                 diverged_at = t
-            zeta = [bound.numerator * (2 * rng.getrandbits(32) - (1 << 32)) if bound else 0
+            zeta = [bound.numerator * (2 * getrandbits(32) - (1 << 32)) if bound else 0
                     for _ in range(dim)]
-            zetas.append(tuple(_lowest_terms(z, zeta_split) for z in zeta))
+            zetas.append(tuple([_lowest_terms(z, zeta_split) for z in zeta]))
             for i in range(dim):
-                # x -> a x + b u + zeta over L' = lcm(L q, zeta_den), a = p/q;
+                # x -> a x + b u + zeta over L q for a = p/q and zeta = z w / (L q);
                 # the deadbeat drive b u = -a x_hat cancels the decoder centre
-                p, q = modes[i].numerator, modes[i].denominator
-                L[i], s, w = _lift(L[i], q, zeta_den)
-                ps = p * s
+                p = ps[i]
+                L[i] = d = L[i] * qs[i]
+                w = d // zeta_den
                 drive = H[i] if with_control else 0
-                X[i] = ps * (X[i] - drive) + zeta[i] * w
-                C[i] = ps * (C[i] - drive)
-                H[i] = ps * (H[i] - drive)
-                R[i] = ps * R[i] + bound_num * w
+                X[i] = p * (X[i] - drive) + zeta[i] * w
+                C[i] = p * (C[i] - drive)
+                H[i] = p * (H[i] - drive)
+                R[i] = p * R[i] + bound_num * w
                 if not with_control:
-                    K[i], s, w = _lift(K[i], q, zeta_den)
-                    Y[i] = p * s * Y[i] + zeta[i] * w
+                    K[i] = d = K[i] * qs[i]
+                    Y[i] = p * Y[i] + zeta[i] * (d // zeta_den)
             t += 1
 
     # each mode's radius recursion r -> a^n r / cells + drift has a fixed

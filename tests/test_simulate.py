@@ -330,6 +330,19 @@ PINNED_RUNS = [
     ("bsc13-diverges", run_estimation,
      lambda: scalar_plant(F(16, 9), disturbance=F(2, 21)),
      "bsc13", "se-nofb", "identity", 3000, 43, {"x0": (F(4, 11),)}),
+    # start states whose denominators share primes with zeta_den = 2**32 D_den,
+    # or exceed its power of two, and a weak run with zeta_den = 1: L's first
+    # plant step takes only the factors of zeta_den that L does not yet hold
+    ("x0-past-zeta-twos", run_estimation,
+     lambda: scalar_plant(F(3, 2), disturbance=F(1, 10)),
+     "nl2", "se-nofb", "identity", 200, 5, {"x0": (F(3, 2 ** 40),)}),
+    ("odd-start-est", run_estimation, lambda: scalar_plant(F(3, 2), disturbance=F(3, 14)),
+     "nl2", "se-nofb", "identity", 200, 5, {"x0": (F(5, 21),), "initial_radius": F(7, 6)}),
+    ("odd-start-stab", run_stabilization,
+     lambda: scalar_plant(F(3, 2), b=F(-2, 3), disturbance=F(3, 14)),
+     "nl2", "stab-fb", "identity", 200, 5, {"x0": (F(5, 21),), "initial_radius": F(7, 6)}),
+    ("weak-x0-sevenths", run_weak_detection, lambda: scalar_plant(F(3, 2)),
+     "nl2", "weak", "identity", 200, 5, {"x0": (F(2, 7),)}),
 ]
 
 # the channels of PINNED_RUNS that are not fixtures
@@ -357,6 +370,10 @@ PINNED_DIGESTS = {
     "diag-q9": "f839ccfe0f117b8ec406217d344ca57ab01a2f5f31190af76edd7eaaa42e5f7f",
     "weak-q9": "82a1e1c7a8298c433db864e63bef879d95cc44076b7586d5f1fe9f68b2bcbe53",
     "bsc13-diverges": "e08dbcd70a84d792775be30b467bdfa570e17dc6d0cacf04336fcd1fd9a5a022",
+    "x0-past-zeta-twos": "c65e936ac3a0273f0c6272639688a34a5ee38cbe7fce7bfde7d09eb90e21a84e",
+    "odd-start-est": "b1a652ef9c2d967b6b72a490814d38aa999d78be7d1d5a826a5c96126318f2e2",
+    "odd-start-stab": "f4e4e81b04c14df7fc2c507a847e35118186105acdedcab70d0ea82b4f1835b8",
+    "weak-x0-sevenths": "9e2563fe42ad490eed95c795d91e9fd9f6a3bb0bfd22e3dbd2615a9721e84c4a",
 }
 
 
@@ -395,6 +412,10 @@ PINNED_CSV_DIGESTS = {
     "diag-q9": "9619bd5a348fa73d87feb1fbeac126dec4b2d67faf0a5394378fe05c2b74a49f",
     "weak-q9": "c1c1e4a5e8a63eb1f460382476ac61556fca30cd07d8765274d04171dec2a5cd",
     "bsc13-diverges": "617a4e779d26505899dab6150fa292dac745a8468bd6543ed762293624e8ef22",
+    "x0-past-zeta-twos": "4f0d63507d74a5ee158d70f4e653edf7394b84b9d712c469afa8016891b0bcf1",
+    "odd-start-est": "f09e29b2bd38b84828f3021fa6bdb769cdf612944b4654ef2490a8f17fdb379e",
+    "odd-start-stab": "4d49dd95c097c8dc96219aef9a02af41cd3e130d3126f1f2ffafd210e8352aea",
+    "weak-x0-sevenths": "b9f7c0ec5c90ad3e44c56a3273dd67e2e4e952d4d3780f2b0dbb20a8e2a32144",
 }
 
 
@@ -453,10 +474,9 @@ def test_zero_error_loop_invariants(run):
     assert traj.summary["zero_error_transcript"] is True
 
 
-def test_row_gcds_have_a_word_sized_operand(monkeypatch, nl2):
-    """Reducing a row costs no gcd on two numbers as large as the shared
-    denominator, which gains a bit per step: every gcd the loops call, their
-    own and the ones inside Fraction, has an operand of at most 64 bits."""
+def _spy_on_gcds(monkeypatch) -> list:
+    """The bit length of the smaller operand of every gcd called from now
+    on, the loop's own and the ones inside Fraction."""
     import certcap.simulate as sim
 
     widest = []
@@ -469,6 +489,15 @@ def test_row_gcds_have_a_word_sized_operand(monkeypatch, nl2):
 
     monkeypatch.setattr(math, "gcd", spy(math.gcd))
     monkeypatch.setattr(sim, "gcd", spy(sim.gcd))
+    return widest
+
+
+def test_row_gcds_have_a_word_sized_operand(monkeypatch, nl2):
+    """Reducing a row costs no gcd on two numbers as large as the shared
+    denominator, which gains a bit per step: in these noiseless(2) runs every
+    gcd the loops call has an operand of at most 64 bits (over the pentagon
+    some rows still fall back to the gcd with L's odd part; see below)."""
+    widest = _spy_on_gcds(monkeypatch)
     for runner, plant, regime in [
             (run_estimation, scalar_plant(F(3, 2), disturbance=F(1, 10)), "se-nofb"),
             (run_stabilization, scalar_plant(F(3, 2), b=1, disturbance=F(1, 10)), "stab-fb"),
@@ -476,6 +505,26 @@ def test_row_gcds_have_a_word_sized_operand(monkeypatch, nl2):
         runner(SimConfig(plant, nl2, Regime(regime), identity_code(nl2),
                          horizon=1_000, seed=7))
     assert widest and max(widest) <= 64
+
+
+@pytest.mark.parametrize("runner, plant, regime, most", [
+    (run_estimation, scalar_plant(2, disturbance=F(1, 10)), "se-nofb", 577),
+    (run_estimation, diagonal_plant([F(5, 4), F(6, 5)], disturbance=F(1, 10)), "se-nofb",
+     938),
+    (run_stabilization, scalar_plant(2, b=F(3, 7), disturbance=F(1, 10)), "stab-fb", 274)],
+    ids=["a2-se-nofb", "diag-se-nofb", "a2-stab-fb"])
+def test_block2_row_gcds_rarely_take_both_operands_large(monkeypatch, runner, plant,
+                                                         regime, most):
+    """Over the pentagon's block-2 code L gains factors 5 from the cells and
+    the modes, and a row that shares a power of 5 with L falls back to the gcd
+    with L's whole odd part.  A factor of 5 too many in L sends more rows
+    there; the bounds are the counts of the loop that lifted L by an lcm
+    every step."""
+    pentagon = typewriter(5)
+    code = witness_code(pentagon, [(x, 2 * x % 5) for x in range(5)])
+    widest = _spy_on_gcds(monkeypatch)
+    runner(SimConfig(plant, pentagon, Regime(regime), code, horizon=1_000, seed=7))
+    assert sum(bits > 64 for bits in widest) <= most
 
 
 @settings(max_examples=300, deadline=None)
