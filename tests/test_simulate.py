@@ -515,11 +515,11 @@ def test_row_gcds_have_a_word_sized_operand(monkeypatch, nl2):
     ids=["a2-se-nofb", "diag-se-nofb", "a2-stab-fb"])
 def test_block2_row_gcds_rarely_take_both_operands_large(monkeypatch, runner, plant,
                                                          regime, most):
-    """Over the pentagon's block-2 code L gains factors 5 from the cells and
-    the modes, and a row that shares a power of 5 with L falls back to the gcd
-    with L's whole odd part.  A factor of 5 too many in L sends more rows
-    there; the bounds are the counts of the loop that lifted L by an lcm
-    every step."""
+    """Over the pentagon's block-2 code L gains factors 5 from the cells, the
+    mode denominators and 2**32 D_den, and a row that shares a power of 5 with
+    L may fall back to the gcd with L's whole odd part.  A factor 5 too many
+    in L sends more rows there; the bounds are the counts measured when each
+    step lifted L to lcm(L q, 2**32 D_den)."""
     pentagon = typewriter(5)
     code = witness_code(pentagon, [(x, 2 * x % 5) for x in range(5)])
     widest = _spy_on_gcds(monkeypatch)
