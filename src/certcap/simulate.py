@@ -12,12 +12,12 @@ All state arithmetic is exact.  Each mode keeps one integer denominator L
 with x, the coder centre, the decoder centre and the radius (the two boxes
 share it: the radius recursion never reads a message) as integer numerators
 over it: a refine multiplies L by the cell count and a plant step by q for
-a = p/q.  L starts with the factors of 2^32 D_den that the first step would
-otherwise take in, so from then on it is a multiple of 2^32 D_den, over which
-the disturbances are integer numerators; without a drive x is also kept over
-its own denominator, free of cell counts.  Rows are reduced by a binary-gcd split and a few-bit
-base holding every odd prime of L, so the gcd with L's large odd part is
-rarely taken; maxima and the divergence test compare integer numerators.
+a = p/q; L starts with the factors of 2^32 D_den its first step needs, so
+disturbances are integer numerators over 2^32 D_den, which divides L from
+then on.  Without a drive x is also kept over its own denominator, free of
+cell counts.  Rows are reduced by a binary-gcd split and a few-bit base
+holding every odd prime of L, so the gcd with L's large odd part is rarely
+taken; maxima and the divergence test compare integer numerators.
 Noise and disturbances come from a seeded generator with exact inverse-CDF
 comparisons (one table per channel row and run), so identical
 configurations reproduce identical trajectories byte for byte.
