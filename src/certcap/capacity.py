@@ -58,30 +58,13 @@ def _solve_minimax(nx: int, supports: tuple[tuple[int, ...], ...]) -> MinimaxSol
     return MinimaxSolution(sol.optimum, sol.assignment[:nx], tuple(weights), supports)
 
 
-@dataclass(frozen=True)
-class FeedbackCapacity:
-    """Feedback zero-error capacity: exact symbolic form plus an enclosure."""
-
-    zero_capacity: bool
-    inverse_mass: Fraction  # capacity = log2 of this (1 when zero_capacity)
-    enclosure: Enclosure
-    minimax: MinimaxSolution | None
-
-    def to_json(self) -> dict:
-        return {"exact_inverse_psi": rational_str(self.inverse_mass),
-                "zero_capacity": self.zero_capacity,
-                "enclosure": self.enclosure.to_json()}
-
-
 def feedback_zero_error_capacity(ch: Channel,
-                                 max_width: Fraction = DEFAULT_C0FB_WIDTH) -> FeedbackCapacity:
-    """Shannon's feedback zero-error capacity of an exact channel: its
-    level-0 rung, with the exact rational 1/mass retained so comparisons
-    can be refined later to any precision."""
+                                 max_width: Fraction = DEFAULT_C0FB_WIDTH) -> MinimaxRung:
+    """Shannon's feedback zero-error capacity of an exact channel: its level-0
+    rung, log2 of the exact rational 1/mass, refinable to any precision."""
     if not ch.is_exact:
         raise DomainError("exact channel required; use the minimax ladder for streams")
-    rung = minimax_ladder_step(ch, 0, None, width=max_width)
-    return FeedbackCapacity(rung.solution is None, 1 / rung.mass, rung.upper, rung.solution)
+    return minimax_ladder_step(ch, 0, None, width=max_width)
 
 
 @dataclass(frozen=True)
@@ -90,6 +73,11 @@ class MinimaxRung:
     mass: Fraction
     upper: Enclosure | None  # enclosure of log2(1/mass); None while mass == 0
     solution: MinimaxSolution | None  # None when the capacity is zero
+
+    def to_json(self) -> dict:
+        return {"exact_inverse_psi": rational_str(1 / self.mass),
+                "zero_capacity": self.solution is None,
+                "enclosure": self.upper.to_json()}
 
 
 def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,

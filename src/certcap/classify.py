@@ -1,21 +1,22 @@
 """Budgeted semi-decision engine for estimation/stabilization solvability.
 
-Each regime compares the instability exponent with one capacity: C0 for
-se-nofb, C0fb for se-fb and stab-fb, Shannon's C for weak.  An exponent task
-and that regime's capacity task refine anytime, interleaved fairly by a
-deterministic dovetailer.  Every capacity task has the same interface:
-``lower`` bounds the capacity from below and drives Solvable, ``upper``
-bounds it from above and drives Unsolvable, each None while the task has no
-such bound, and ``certificate(outcome, eta, ch)`` builds the proof of the
-outcome that fired.  A verdict is emitted only with a machine-checkable
-certificate that check.py re-validates from raw rationals; anything that
-cannot fire within the step budget is reported as Undetermined with a
-progress report, never guessed.
+Each regime (plant.Regime, which also validates the plant-side hypotheses)
+compares the instability exponent with one capacity: C0 for se-nofb, C0fb
+for se-fb and stab-fb, Shannon's C for weak.  An exponent task and that
+regime's capacity task refine anytime, interleaved fairly by a deterministic
+dovetailer.  Every capacity task has the same interface: ``lower`` bounds
+the capacity from below and drives Solvable, ``upper`` bounds it from above
+and drives Unsolvable, each None while the task has no such bound, and
+``certificate(outcome, eta, ch)`` builds the proof of the outcome that
+fired.  A verdict is emitted only with a machine-checkable certificate that
+check.py re-validates from raw rationals; anything that cannot fire within
+the step budget is reported as Undetermined with a progress report, never
+guessed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from .capacity import DEFAULT_C0FB_WIDTH, ShannonBounds, minimax_ladder_step
@@ -27,47 +28,11 @@ from .confgraph import CapacityLadder, extend_ladder
 from .enclosure import DomainError, Enclosure, log2_enclosure, rational_str
 from .graph import certified_graph
 from .linalg import Matrix
-from .plant import InstabilityExponent, Plant, is_detectable, is_stabilizable
-
-REGIME_KINDS = ("se-nofb", "se-fb", "stab-fb", "weak")
-
-
-class RegimePreconditionError(ValueError):
-    """A regime prerequisite (detectability, stabilizability, ...) fails."""
+from .plant import InstabilityExponent, Plant, Regime, RegimePreconditionError
 
 
 class InternalInvariantViolation(RuntimeError):
     """A halting predicate un-fired under refinement."""
-
-
-@dataclass(frozen=True)
-class Regime:
-    """Problem flavour: estimation / stabilization, with or without feedback."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in REGIME_KINDS:
-            raise ValueError(f"unknown regime {self.kind!r}")
-
-    def validate(self, plant: Plant) -> None:
-        if self.kind in ("se-nofb", "se-fb", "stab-fb"):
-            if plant.disturbance_bound is None or plant.disturbance_bound <= 0:
-                raise RegimePreconditionError(
-                    f"regime {self.kind} models a disturbed plant: D > 0 required")
-        else:
-            if plant.disturbance_bound not in (None, 0):
-                raise RegimePreconditionError(
-                    "regime weak models an undisturbed plant: drop D or set it to 0")
-        if plant.c is None:
-            raise RegimePreconditionError(f"regime {self.kind} needs a sensor map C")
-        if not is_detectable(plant.a, plant.c):
-            raise RegimePreconditionError("pair (A, C) is not detectable")
-        if self.kind == "stab-fb":
-            if plant.b is None:
-                raise RegimePreconditionError("regime stab-fb needs an input map B")
-            if not is_stabilizable(plant.a, plant.b):
-                raise RegimePreconditionError("pair (A, B) is not stabilizable")
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,14 @@ import sys
 
 from .capacity import DEFAULT_C0FB_WIDTH, feedback_zero_error_capacity, shannon_capacity
 from .channel import ResourceCapError, load_channel
-from .classify import (REGIME_KINDS, Regime, RegimePreconditionError, UNDETERMINED, classify,
-                       classify_fixed_plant)
+from .classify import UNDETERMINED, classify, classify_fixed_plant
 from .confgraph import (CapacityLadder, check_power_size, clique_cover_weight, extend_ladder,
                         fractional_clique_cover, max_independent_set, strong_power)
-from .enclosure import DomainError, Enclosure, load_json, parse_rational, rational_str
+from .enclosure import Enclosure, load_json, parse_rational, rational_str
 from .graph import certified_graph
-from .plant import DEFAULT_ETA_WIDTH, instability_exponent, load_plant
-from .simulate import (SimConfig, SimulationError, identity_code, run_estimation,
-                       run_stabilization, run_weak_detection, witness_code)
+from .plant import DEFAULT_ETA_WIDTH, REGIME_KINDS, Regime, instability_exponent, load_plant
+from .simulate import (SimConfig, identity_code, run_estimation, run_stabilization,
+                       run_weak_detection, witness_code)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -205,6 +204,8 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.block_length < 1:
+        raise CliError(f"--block-length must be >= 1, got {args.block_length}")
     if args.trace_out:  # fail before the run, and leave no file behind
         existed = os.path.lexists(args.trace_out)
         try:
@@ -261,8 +262,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader is gone (| head); as on SIGPIPE, no traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
-    except (CliError, DomainError, SimulationError, RegimePreconditionError,
-            ResourceCapError, ValueError, KeyError) as exc:
+    except (CliError, ResourceCapError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

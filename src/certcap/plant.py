@@ -1,12 +1,12 @@
-"""Plant descriptions and certified structural analysis.
+"""Plant descriptions, the regimes' plant-side hypotheses and the exponent.
 
-Everything here rests on one exact root count, roots.count_inside, applied
-to characteristic polynomials.  The instability exponent sums log2 of the
-eigenvalue moduli >= 1, which UnstableModuli brackets by bisecting on the
-radius of the count; InstabilityExponent, its one caller, keeps that
-bisection, so each narrower enclosure only splits the brackets that block it.
-Detectability and stabilizability are decided exactly, by schur_stable on
-A restricted to the unobservable (resp. uncontrollable) subspace.
+Regime.validate checks what a regime's thresholds need of the plant: D > 0
+(D = 0 for weak), (A, C) detectable and, for stab-fb, (A, B) stabilizable,
+by roots.is_detectable and roots.is_stabilizable.  The instability exponent
+sums log2 of the eigenvalue moduli >= 1, which UnstableModuli brackets by
+bisecting on the radius of the one exact root count, roots.count_inside;
+InstabilityExponent, its one caller, keeps that bisection, so each narrower
+enclosure only splits the brackets that block it.
 """
 
 from __future__ import annotations
@@ -17,16 +17,22 @@ from itertools import chain
 
 from .enclosure import (DomainError, Enclosure, load_json, log2_enclosure, parse_rational,
                         rational_str, simplest_between)
-from .linalg import Matrix, as_matrix, char_poly, is_square, kernel_basis, mat_mul, transpose
+from .linalg import Matrix, as_matrix, char_poly, is_square
 from .roots import (Poly, _count_in_unit_disc, _first_decided, _integer_form, _scaled,
                     _split_radii, _square_free_part, cauchy_root_bound, count_inside,
-                    poly_degree, poly_deriv, poly_gcd, poly_trim, schur_stable)
+                    is_detectable, is_stabilizable, poly_degree, poly_deriv, poly_gcd,
+                    poly_trim)
 
 DEFAULT_ETA_WIDTH = Fraction(1, 1 << 30)
+REGIME_KINDS = ("se-nofb", "se-fb", "stab-fb", "weak")
 
 
 class PlantFormatError(ValueError):
     """Plant document fails the schema or shape checks."""
+
+
+class RegimePreconditionError(ValueError):
+    """A regime prerequisite (detectability, stabilizability, ...) fails."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,35 @@ def load_plant(doc) -> Plant:
 
     bound = parse_rational(doc["D"]) if "D" in doc else None
     return Plant(mat("A"), c=mat("C"), b=mat("B"), disturbance_bound=bound)
+
+
+@dataclass(frozen=True)
+class Regime:
+    """Problem flavour: estimation / stabilization, with or without feedback."""
+
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in REGIME_KINDS:
+            raise ValueError(f"unknown regime {self.kind!r}")
+
+    def validate(self, plant: Plant) -> None:
+        if self.kind in ("se-nofb", "se-fb", "stab-fb"):
+            if plant.disturbance_bound is None or plant.disturbance_bound <= 0:
+                raise RegimePreconditionError(
+                    f"regime {self.kind} models a disturbed plant: D > 0 required")
+        elif plant.disturbance_bound not in (None, 0):
+            raise RegimePreconditionError(
+                "regime weak models an undisturbed plant: drop D or set it to 0")
+        if plant.c is None:
+            raise RegimePreconditionError(f"regime {self.kind} needs a sensor map C")
+        if not is_detectable(plant.a, plant.c):
+            raise RegimePreconditionError("pair (A, C) is not detectable")
+        if self.kind == "stab-fb":
+            if plant.b is None:
+                raise RegimePreconditionError("regime stab-fb needs an input map B")
+            if not is_stabilizable(plant.a, plant.b):
+                raise RegimePreconditionError("pair (A, B) is not stabilizable")
 
 
 def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
@@ -221,41 +256,3 @@ class InstabilityExponent:
 def instability_exponent(a: Matrix, max_width: Fraction = DEFAULT_ETA_WIDTH) -> Enclosure:
     """eta(A), the data rate the plant's unstable part generates, to max_width."""
     return InstabilityExponent(a).enclose(max_width)
-
-
-def is_detectable(a: Matrix, c: Matrix) -> bool:
-    """Every mode outside the open unit circle is visible to the sensor map.
-
-    Equivalent to the per-eigenvalue rank condition [A - zI; C] full rank at
-    all |z| >= 1 (Hautus 1969): the rank drops exactly at eigenvalues of A
-    restricted to the unobservable subspace, the kernel V of [C; CA; ...;
-    CA^(n-1)].  The stack stops at the first block C A^k that annihilates the
-    kernel K of the blocks above it: C A^j (A K) = 0 for j < k, so A K lies in
-    K, every later block annihilates K, and K is V.  V is A-invariant, so
-    A V = V Y, and V's rows at its free columns are the identity, so Y is A V's
-    rows there.  A C with no rows leaves the whole state unobservable: Y is A.
-    """
-    a, c = as_matrix(a), as_matrix(c)
-    rows, power = list(c), c
-    basis, free = kernel_basis(rows, len(a))
-    for _ in range(len(a) - 1):
-        if not basis:
-            return True
-        power = mat_mul(power, a)
-        if not any(map(any, mat_mul(power, transpose(basis)))):
-            break
-        rows.extend(power)
-        basis, free = kernel_basis(rows, len(a))
-    if not basis:
-        return True
-    v = transpose(basis)
-    image = mat_mul(a, v)
-    restriction = tuple(image[f] for f in free)
-    if mat_mul(v, restriction) != image:
-        raise RuntimeError("unobservable subspace is not A-invariant")
-    return schur_stable(char_poly(restriction))
-
-
-def is_stabilizable(a: Matrix, b: Matrix) -> bool:
-    """Every mode outside the open unit circle is reachable from the inputs."""
-    return is_detectable(transpose(as_matrix(a)), transpose(as_matrix(b)))

@@ -3,9 +3,10 @@
 The one root count in the package is count_inside: the number of roots in
 an open disc |z| < r, by the Schur-Cohn-Jury reduction in integers (short
 precision first, exact where that cannot decide).  On it rest the
-unit-circle (Schur) stability test, the certified eigenvalue enclosures of
-symmetric rational matrices, whose real spectrum it counts on intervals, and
-the producer's bisection of the unstable moduli, which lives in plant.py.
+unit-circle (Schur) stability test and, by it, exact detectability and
+stabilizability; the certified eigenvalue enclosures of symmetric rational
+matrices, whose real spectrum it counts on intervals; and the producer's
+bisection of the unstable moduli, which lives in plant.py.
 
 Polynomials are tuples of Fractions, low degree first, trailing zeros
 stripped.
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .enclosure import DomainError, Enclosure, simplest_between
-from .linalg import Matrix, char_poly, is_symmetric
+from .linalg import Matrix, as_matrix, char_poly, is_symmetric, kernel_basis, mat_mul, transpose
 
 Poly = tuple[Fraction, ...]
 
@@ -191,6 +192,44 @@ def schur_stable(p: Poly) -> bool:
     if poly_degree(p) < 1:
         return True
     return count_inside(p, 1) == poly_degree(p)
+
+
+def is_detectable(a: Matrix, c: Matrix) -> bool:
+    """Every mode outside the open unit circle is visible to the sensor map.
+
+    Equivalent to the per-eigenvalue rank condition [A - zI; C] full rank at
+    all |z| >= 1 (Hautus 1969): the rank drops exactly at eigenvalues of A
+    restricted to the unobservable subspace, the kernel V of [C; CA; ...;
+    CA^(n-1)].  The stack stops at the first block C A^k that annihilates the
+    kernel K of the blocks above it: C A^j (A K) = 0 for j < k, so A K lies in
+    K, every later block annihilates K, and K is V.  V is A-invariant, so
+    A V = V Y, and V's rows at its free columns are the identity, so Y is A V's
+    rows there.  A C with no rows leaves the whole state unobservable: Y is A.
+    """
+    a, c = as_matrix(a), as_matrix(c)
+    rows, power = list(c), c
+    basis, free = kernel_basis(rows, len(a))
+    for _ in range(len(a) - 1):
+        if not basis:
+            return True
+        power = mat_mul(power, a)
+        if not any(map(any, mat_mul(power, transpose(basis)))):
+            break
+        rows.extend(power)
+        basis, free = kernel_basis(rows, len(a))
+    if not basis:
+        return True
+    v = transpose(basis)
+    image = mat_mul(a, v)
+    restriction = tuple(image[f] for f in free)
+    if mat_mul(v, restriction) != image:
+        raise RuntimeError("unobservable subspace is not A-invariant")
+    return schur_stable(char_poly(restriction))
+
+
+def is_stabilizable(a: Matrix, b: Matrix) -> bool:
+    """Every mode outside the open unit circle is reachable from the inputs."""
+    return is_detectable(transpose(as_matrix(a)), transpose(as_matrix(b)))
 
 
 def _first_decided(count, points) -> tuple:

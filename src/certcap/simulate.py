@@ -33,9 +33,8 @@ from itertools import accumulate
 from math import gcd, inf, lcm, prod
 
 from .channel import Channel
-from .classify import Regime
 from .enclosure import rational_str
-from .plant import Plant
+from .plant import Plant, Regime
 
 
 DIVERGENCE_THRESHOLD = Fraction(1000)  # a run stops once its error exceeds this

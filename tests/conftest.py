@@ -120,7 +120,7 @@ def product_channel(ch: Channel, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> Chan
 
 
 def reference_detectability(a, c):
-    """``plant.is_detectable`` on the full stack [C; CA; ...; CA^(n-1)],
+    """``roots.is_detectable`` on the full stack [C; CA; ...; CA^(n-1)],
     without stopping early: the kernel basis and free columns of the whole
     stack, and the verdict from A restricted to that kernel."""
     a, c = as_matrix(a), as_matrix(c)

@@ -62,12 +62,12 @@ def test_criterion_1_pentagon_ladder(pentagon):
 def test_criterion_2_feedback_capacity(pentagon, bsc14):
     with criterion(2, "feedback zero-error capacity: exact 5/2 and exact 0 cases"):
         fb = feedback_zero_error_capacity(pentagon, F(1, 2 ** 20))
-        assert fb.inverse_mass == F(5, 2)
-        assert fb.enclosure.width <= F(1, 2 ** 20)
-        assert fb.enclosure.contains(F(13219281, 10 ** 7))
+        assert 1 / fb.mass == F(5, 2)
+        assert fb.upper.width <= F(1, 2 ** 20)
+        assert fb.upper.contains(F(13219281, 10 ** 7))
         zero = feedback_zero_error_capacity(bsc14)
-        assert zero.zero_capacity
-        assert zero.enclosure.lo == zero.enclosure.hi == 0
+        assert zero.solution is None
+        assert zero.upper.lo == zero.upper.hi == 0
 
 
 def test_criterion_3_shannon_capacity(bsc110):

@@ -5,7 +5,9 @@ so it must not import the engine, the CLI, the simulator or the plant
 module; it imports primitives only.  What it imports, transitively, is its
 trusted base: no solver may enter it, and its line count is pinned.  No
 module imports a name it never reads, and no module-level function or class
-goes unnamed outside its own definition.
+goes unnamed in src/ or scripts/ outside its own definition, save the few on
+a list that may only shrink.  The simulator imports no engine module, and
+each plant-side decision is defined in the one module that owns it.
 """
 
 import ast
@@ -15,6 +17,7 @@ import types
 from pathlib import Path
 
 import certcap
+from certcap import plant, roots
 
 PACKAGE = Path(certcap.__file__).resolve().parent
 ROOT = PACKAGE.parent.parent
@@ -23,6 +26,20 @@ FORBIDDEN = {"classify", "cli", "simulate", "plant"}
 # the solvers may not enter the checker's closure either
 CLOSURE_FORBIDDEN = FORBIDDEN | {"linprog", "capacity", "confgraph"}
 CLOSURE_LINE_CEILING = 1045  # the closure held 2101 lines with the solvers in it
+# the engine, the solvers and the checker stay out of the simulator's closure
+SIMULATOR_FORBIDDEN = {"classify", "capacity", "check", "confgraph", "linprog", "graph"}
+SIMULATOR_MODULE_CEILING = 6  # simulate, plant, roots, linalg, channel, enclosure
+# definitions that only tests or the benchmark name, each with its reason;
+# the list may only shrink, so its length is a ceiling
+TEST_ONLY_DEFINITIONS = {
+    "channel.resolving_stream":
+        "a library constructor of stream channels; tests and the benchmark build streams",
+    "roots.symmetric_eigenvalue_enclosures":
+        "a layer the benchmark traces by name, until its layer rename deletes it",
+    "simulate.sample_output":
+        "a layer the benchmark traces by name, until its layer rename deletes it",
+}
+TEST_ONLY_CEILING = 3
 
 
 def _imported_modules(tree):
@@ -82,6 +99,43 @@ def test_unstable_moduli_bisection_lives_in_plant_only():
     assert naming == {"plant.py"}, sorted(naming)
 
 
+def test_simulator_imports_no_engine_module():
+    closure = _closure("simulate")
+    assert not closure & SIMULATOR_FORBIDDEN, sorted(closure & SIMULATOR_FORBIDDEN)
+    assert len(closure) <= SIMULATOR_MODULE_CEILING, sorted(closure)
+
+
+def _defining_modules(name: str) -> set[str]:
+    """The package modules that bind ``name`` at module level by a def,
+    a class or an assignment."""
+    defining = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = {node.name}
+            elif isinstance(node, ast.Assign):
+                bound = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            if name in bound:
+                defining.add(path.stem)
+    return defining
+
+
+def test_plant_side_decisions_live_in_their_modules():
+    # detectability beside schur_stable, the regimes beside the plant
+    owners = {"is_detectable": "roots", "is_stabilizable": "roots", "Regime": "plant",
+              "REGIME_KINDS": "plant", "RegimePreconditionError": "plant"}
+    assert {name: _defining_modules(name) for name in owners} == {
+        name: {module} for name, module in owners.items()}
+
+
+def test_plant_binds_the_detectability_of_roots():
+    # a wrapper that rebinds plant.is_detectable by identity reaches roots' too
+    assert plant.is_detectable is roots.is_detectable
+    assert plant.is_stabilizable is roots.is_stabilizable
+
+
 def test_package_attributes_are_the_modules():
     # the package root exports only __version__, so no function of the same
     # name hides a submodule
@@ -116,9 +170,9 @@ def test_every_imported_name_is_read():
 
 
 def _unnamed_definitions(corpus: dict) -> list[str]:
-    """Module-level functions and classes of the package whose name, as a
-    word, appears nowhere in ``corpus`` (path -> source text) outside the
-    lines of their own definition."""
+    """Module-level functions and classes of the package, as module.name,
+    whose name, as a word, appears nowhere in ``corpus`` (path -> source
+    text) outside the lines of their own definition."""
     unnamed = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = corpus[path].splitlines(keepends=True)
@@ -130,13 +184,17 @@ def _unnamed_definitions(corpus: dict) -> list[str]:
             outside = "".join(lines[:start] + lines[node.end_lineno:])
             word = re.compile(rf"\b{node.name}\b")
             if not any(word.search(text) for text in [outside, *others]):
-                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+                unnamed.append(f"{path.stem}.{node.name}")
     return unnamed
 
 
 def test_every_definition_is_named_elsewhere():
+    # a name in tests/ or perfbench/ is no use: test-only code must be listed
     corpus = {path: path.read_text(encoding="utf-8")
-              for folder in ("src", "tests", "scripts", "perfbench")
+              for folder in ("src", "scripts")
               for path in sorted((ROOT / folder).rglob("*.py"))}
     assert PACKAGE / "plant.py" in corpus
-    assert not _unnamed_definitions(corpus)
+    # equal, so an entry whose definition came into use or went must go too
+    assert sorted(_unnamed_definitions(corpus)) == sorted(TEST_ONLY_DEFINITIONS)
+    assert len(TEST_ONLY_DEFINITIONS) <= TEST_ONLY_CEILING
+    assert all(reason.strip() for reason in TEST_ONLY_DEFINITIONS.values())

@@ -42,33 +42,33 @@ class TestMinimaxMass:
 class TestFeedbackCapacity:
     def test_bsc_zero_case(self, bsc14):
         fb = feedback_zero_error_capacity(bsc14)
-        assert fb.zero_capacity
-        assert fb.enclosure.lo == fb.enclosure.hi == 0
+        assert fb.solution is None
+        assert fb.upper.lo == fb.upper.hi == 0
 
     def test_noiseless_binary_exactly_one(self, nl2):
         fb = feedback_zero_error_capacity(nl2)
-        assert fb.inverse_mass == 2
-        assert fb.enclosure.lo == fb.enclosure.hi == 1
+        assert 1 / fb.mass == 2
+        assert fb.upper.lo == fb.upper.hi == 1
 
     def test_pentagon_enclosure(self, pentagon):
         fb = feedback_zero_error_capacity(pentagon, F(1, 2 ** 20))
-        assert fb.inverse_mass == F(5, 2)
-        assert fb.enclosure.width <= F(1, 2 ** 20)
+        assert 1 / fb.mass == F(5, 2)
+        assert fb.upper.width <= F(1, 2 ** 20)
         value = mpmath.log(mpmath.mpf(5) / 2, 2)
-        assert float(fb.enclosure.lo) <= value <= float(fb.enclosure.hi)
+        assert float(fb.upper.lo) <= value <= float(fb.upper.hi)
 
     def test_output_permutation_invariance(self, pentagon):
         perm = [2, 0, 4, 1, 3]
         rows = [[pentagon.rows[x][perm[y]] for y in range(5)] for x in range(5)]
         permuted = exact_channel(pentagon.inputs, pentagon.outputs, rows)
-        assert feedback_zero_error_capacity(permuted).inverse_mass == F(5, 2)
+        assert 1 / feedback_zero_error_capacity(permuted).mass == F(5, 2)
 
     def test_output_column_split_invariance(self, pentagon):
         # split output 0 into two half-probability copies: support unchanged
         rows = [[pentagon.rows[x][0] / 2, pentagon.rows[x][0] / 2]
                 + [pentagon.rows[x][y] for y in range(1, 5)] for x in range(5)]
         split = exact_channel(pentagon.inputs, tuple(range(6)), rows)
-        assert feedback_zero_error_capacity(split).inverse_mass == F(5, 2)
+        assert 1 / feedback_zero_error_capacity(split).mass == F(5, 2)
 
 
 class TestMinimaxLadder:
@@ -106,7 +106,7 @@ class TestMinimaxLadder:
         for level in range(1, 4):
             rung = minimax_ladder_step(pentagon_stream, level, rung)
             if rung.upper is not None:
-                assert rung.upper.hi >= true_fb.enclosure.lo
+                assert rung.upper.hi >= true_fb.upper.lo
 
 
 class TestShannonCapacity:
@@ -201,7 +201,7 @@ def test_ordering_chain_on_corpus(pentagon, nl2, bsc14):
     for ch in (pentagon, nl2, bsc14):
         fb = feedback_zero_error_capacity(ch)
         shannon = shannon_capacity(ch, tolerance)
-        assert fb.enclosure.lo <= shannon.upper.hi + tolerance
+        assert fb.upper.lo <= shannon.upper.hi + tolerance
         cert = certify_support(ch, 0)
         g = confusability_graph(cert, ch.inputs, len(ch.outputs))
         if g.is_complete():
@@ -209,7 +209,7 @@ def test_ordering_chain_on_corpus(pentagon, nl2, bsc14):
         ladder = CapacityLadder()
         for n in (1, 2):
             ladder = extend_ladder(ladder, g, n)
-        assert ladder.running_best.lo <= fb.enclosure.hi
+        assert ladder.running_best.lo <= fb.upper.hi
 
 
 # Reference bounds: certified_capacity_bounds and log2_enclosure as they

@@ -914,9 +914,9 @@ class TestNoRepeatedSolves:
         assert len(steps) > 20
         for width, rung in steps:
             fresh = feedback_zero_error_capacity(ch, width)
-            assert not fresh.zero_capacity
+            assert fresh.solution is not None
             assert (1 / rung.mass, rung.upper, rung.solution) == (
-                fresh.inverse_mass, fresh.enclosure, fresh.minimax)
+                1 / fresh.mass, fresh.upper, fresh.solution)
 
     def test_pentagon_tie_verdict_matches_resolving_task(self, data_dir, monkeypatch):
         # a = 5/2 puts eta exactly on C0fb(pentagon) = log2(5/2): both tasks
@@ -975,7 +975,7 @@ class TestNoRepeatedSolves:
             monkeypatch.setattr(module, "certify_support", counting)
         for ch, zero in ((pentagon, False), (bsc14, True)):
             calls.clear()
-            assert feedback_zero_error_capacity(ch).zero_capacity is zero
+            assert (feedback_zero_error_capacity(ch).solution is None) is zero
             assert len(calls) == 1
 
     def test_minimax_ladder_jumps_to_the_next_declared_level(self):

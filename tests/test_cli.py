@@ -434,6 +434,17 @@ def test_simulate_identity_code_rejects_longer_blocks(capsys, data_dir):
                    "--block-length must be 1, got 3\n")
 
 
+@pytest.mark.parametrize("block", ["0", "-2"])
+def test_simulate_block_length_below_one_names_the_flag(capsys, data_dir, block):
+    code, out, err = run_cli(capsys, "simulate",
+                             "--plant", str(data_dir / "plant_3_2.json"),
+                             "--channel", str(data_dir / "pentagon.json"),
+                             "--regime", "se-nofb", "--code", "auto",
+                             "--block-length", block)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: --block-length must be >= 1, got {block}\n"
+
+
 def test_analyze_negative_budget_exits_one(capsys, data_dir):
     code, out, err = run_cli(capsys, "analyze",
                              "--plant", str(data_dir / "plant_diag3.json"),

@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certcap import plant as plant_module
+from certcap import roots as roots_module
 from certcap.classify import EtaTask, Regime, classify, revalidate
 from certcap.enclosure import Enclosure
 from certcap.linalg import as_matrix, char_poly, kernel_basis, mat_mul, transpose
 from certcap.plant import (Plant, PlantFormatError, UnstableModuli, instability_exponent,
-                           is_detectable, is_stabilizable, load_plant)
-from certcap.roots import schur_stable
+                           load_plant)
+from certcap.roots import is_detectable, is_stabilizable, schur_stable
 from conftest import intersects, reference_detectability
 
 F = Fraction
@@ -240,7 +241,7 @@ def _last_kernel(a, c):
         seen.append(kernel_basis(rows, ncols))
         return seen[-1]
 
-    with mock.patch.object(plant_module, "kernel_basis", spy):
+    with mock.patch.object(roots_module, "kernel_basis", spy):
         verdict = is_detectable(a, c)
     return seen[-1], verdict
 
@@ -273,7 +274,7 @@ def test_identity_sensor_needs_no_matrix_product(a):
     """C = I leaves no unobservable state: one kernel, no product."""
     a = as_matrix(a)
     eye = as_matrix([[int(i == j) for j in range(len(a))] for i in range(len(a))])
-    with mock.patch.object(plant_module, "mat_mul", wraps=mat_mul) as spy:
+    with mock.patch.object(roots_module, "mat_mul", wraps=mat_mul) as spy:
         assert is_detectable(a, eye) is True
         assert is_stabilizable(a, eye) is True
     assert spy.call_count == 0
@@ -284,7 +285,7 @@ def test_hidden_invariant_kernel_stops_after_one_block():
     after one block: one product for the block, one for the test, two for
     the invariance guard."""
     a = as_matrix([[3, 0, 0, 0], [1, F(1, 2), 1, 0], [0, 0, F(-1, 3), 1], [2, 0, 0, F(1, 4)]])
-    with mock.patch.object(plant_module, "mat_mul", wraps=mat_mul) as spy:
+    with mock.patch.object(roots_module, "mat_mul", wraps=mat_mul) as spy:
         assert is_detectable(a, as_matrix([[1, 0, 0, 0]])) is True
     assert spy.call_count == 4
 
