@@ -2,7 +2,14 @@
 ladder for zero-error rates, on the confusability graphs of graph.py.
 
 Adjacency is one bitmask per vertex, which keeps the branch-and-bound
-solver allocation-free and deterministic.
+solver deterministic.  Masks are Python integers, and each mask operation
+allocates a new one.  In graph.py vertex i is bit i; inside
+``max_independent_set`` every mask holds vertex i as bit n - 1 - i.  The
+search paints lowest index first, which is then the top bit, read by
+``bit_length`` alone, where the low bit took ``avail & -avail``: two fewer
+integers per painted vertex.  Each call reverses the adjacency masks once,
+and each orbit lookup its masks once, by a byte table; only the witness
+goes back to index order.
 
 Two classical facts let the search close strong powers that colouring
 alone leaves open, and two memos spare it work; none changes a witness.
@@ -94,9 +101,14 @@ confusability_graph = graph.confusability_graph
 
 
 def check_power_size(g: ConfusabilityGraph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> None:
-    """Raise unless the n-th strong power of g exists and fits in ``cap`` vertices."""
+    """Raise unless the n-th strong power of g exists and fits in ``cap`` vertices.
+
+    A power too large to build (m >= 2 and 2^n > cap) is named as m^n.
+    """
     if n < 1:
         raise ValueError("power must be >= 1")
+    if len(g) >= 2 and n >= cap.bit_length():
+        raise ResourceCapError(f"{len(g)}^{n} vertices exceed the cap of {cap}")
     size = len(g) ** n
     if size > cap:
         raise ResourceCapError(f"{size} vertices exceed the cap of {cap}")
@@ -142,6 +154,17 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed_masks(masks, width: int) -> list[int]:
+    """Masks below 2**width, one per vertex, in reverse order and each with
+    bit i moved to bit width - 1 - i (an involution)."""
+    size = (width + 7) // 8
+    return [int.from_bytes(mask.to_bytes(size, "little").translate(_BYTE_REVERSED), "big")
+            >> 8 * size - width for mask in reversed(masks)]
 
 
 def _is_automorphism(g: ConfusabilityGraph, image: list[int]) -> bool:
@@ -262,6 +285,11 @@ def max_independent_set(g: ConfusabilityGraph, *,
     (module docstring).  ``nodes`` counts the nodes of the search without
     the memos, so a budget stops where it would without them.
 
+    Every mask of the search holds vertex i as bit n - 1 - i: adjacency,
+    candidates and memo keys, the incumbent and the orbit masks.  Lowest
+    index first is then top bit first, and the witness alone is read back
+    in index order (module docstring).
+
     ``upper_bound`` returns a proven bound on alpha.  It is called once,
     when the root's colouring has not closed the search (a search that
     closes at once never pays for the bound), and ends the search, exact,
@@ -275,15 +303,17 @@ def max_independent_set(g: ConfusabilityGraph, *,
     if n == 0:
         return IndependenceResult(0, (), True)
     full = (1 << n) - 1
-    comp = [(~g.adjacency[i]) & full & ~(1 << i) for i in range(n)]
-    # painting v removes v and its complement-neighbours from the colour class
-    drop = [full & ~(comp[v] | 1 << v) for v in range(n)]
+    bit = [1 << p for p in range(n)]
+    # vertex i is bit n - 1 - i in every mask below (module docstring); painting
+    # v removes v and its complement-neighbours, leaving its neighbours in g
+    drop = _reversed_masks(g.adjacency, n)
+    comp = [full & ~(drop[v] | bit[v]) for v in range(n)]
 
     label_index = {v: i for i, v in enumerate(g.vertices)}
     best_mask = 0
     for label in seed_witness:
-        best_mask |= 1 << label_index[label]
-    if not g.is_independent(i for i in range(n) if best_mask >> i & 1):
+        best_mask |= bit[n - 1 - label_index[label]]
+    if not g.is_independent(i for i in range(n) if best_mask >> n - 1 - i & 1):
         raise ValueError("seed witness is not independent")
     best = [best_mask.bit_count(), best_mask]
     nodes = 0
@@ -294,9 +324,10 @@ def max_independent_set(g: ConfusabilityGraph, *,
     painted: dict[int, tuple] = {}  # candidates -> (classes, what they left, gap, nodes)
 
     def orbit_of(v: int | None = None):
-        """Orbit lookup of the group, or of root vertex v's stabiliser."""
-        masks = cache(lambda: None if group() is None else group().orbit_masks(v))
-        return lambda w: 1 << w if masks() is None else masks()[w]
+        """Orbit lookup of the group, or of the stabiliser of the root vertex at bit v."""
+        masks = cache(lambda: None if group() is None else _reversed_masks(
+            group().orbit_masks(None if v is None else n - 1 - v), n))
+        return lambda w: bit[w] if masks() is None else masks()[w]
 
     def expand(candidates: int, size: int, mask: int, orbit) -> None:
         nonlocal nodes, limit, stopped, exact
@@ -320,9 +351,9 @@ def max_independent_set(g: ConfusabilityGraph, *,
             colour += 1
             avail = rest
             while avail:
-                low = avail & -avail
-                avail &= drop[low.bit_length() - 1]
-                rest ^= low
+                v = avail.bit_length() - 1
+                avail &= drop[v]
+                rest ^= bit[v]
         painted[candidates] = colour, rest, seen_gap, count
         key, prefix = candidates, (colour, rest)
         colour_of: list[tuple[int, int]] = []  # (vertex, colour) in paint order
@@ -330,11 +361,10 @@ def max_independent_set(g: ConfusabilityGraph, *,
             colour += 1
             avail = rest
             while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
+                v = avail.bit_length() - 1
                 colour_of.append((v, colour))
                 avail &= drop[v]
-                rest ^= low
+                rest ^= bit[v]
         explored = 0      # orbits of the handled children (root and depth 1)
         unfolded = None   # the last explored child, its orbit not yet added
         for v, colour in reversed(colour_of):
@@ -349,7 +379,7 @@ def max_independent_set(g: ConfusabilityGraph, *,
                 explored |= orbit(unfolded)
                 unfolded = None
             if not explored >> v & 1:
-                new_mask = mask | (1 << v)
+                new_mask = mask | bit[v]
                 new_candidates = candidates & comp[v]
                 if new_candidates:
                     expand(new_candidates, size + 1, new_mask,
@@ -364,13 +394,13 @@ def max_independent_set(g: ConfusabilityGraph, *,
                         return
                 if orbit is not None:
                     unfolded = v
-            candidates ^= 1 << v
+            candidates ^= bit[v]
         if orbit is None and best[0] - size == gap:
             painted[key] = prefix + (gap, nodes - start)
 
     expand(full, 0, 0, orbit_of())
 
-    witness_idx = sorted(i for i in range(n) if best[1] >> i & 1)
+    witness_idx = [i for i in range(n) if best[1] >> n - 1 - i & 1]
     witness = tuple(g.vertices[i] for i in witness_idx)
     if not g.is_independent(witness_idx):
         raise RuntimeError("solver produced a dependent witness")
@@ -504,26 +534,29 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
 def _best_product_witness(ladder: CapacityLadder, n: int) -> tuple:
     """Largest concatenation of recorded witnesses filling block length n.
 
-    Every split of n into recorded block lengths, parts in non-increasing
-    order, is tried largest part first; a later split replaces the incumbent
-    only when its product of alphas is strictly larger, so on ties the
-    greedy largest-first split wins.
+    Among the splits of n into recorded block lengths, parts in
+    non-increasing order, the one with the strictly largest product of
+    alphas wins, and on ties the one that comes first largest part first
+    (the greedy largest-first split).  The best split of each (remaining,
+    largest part) state is found once.
     """
     sizes = sorted({r.n: r for r in ladder.rungs}.items(), reverse=True)
-    best_parts: list = []
-    best_size = 0
 
-    def search(remaining: int, largest: int, parts: list, count: int) -> None:
-        nonlocal best_parts, best_size
+    @cache
+    def split(remaining: int, largest: int) -> tuple[int, tuple]:
+        """(product, parts) of the best split of remaining into parts <= largest."""
         if remaining == 0:
-            if count > best_size:
-                best_parts, best_size = parts, count
-            return
+            return 1, ()
+        best: tuple[int, tuple] = (0, ())
+        top = min(remaining, largest)
         for k, rung in sizes:
-            if k <= min(remaining, largest):
-                search(remaining - k, k, parts + [rung], count * len(rung.witness))
+            if k <= top:
+                count, parts = split(remaining - k, k)
+                if count * len(rung.witness) > best[0]:
+                    best = count * len(rung.witness), (rung,) + parts
+        return best
 
-    search(n, n, [], 1)
+    best_parts = split(n, n)[1]
     combined = [()] if best_parts else []
     for rung in best_parts:
         combined = [prefix + w for prefix in combined for w in rung.witness]

@@ -138,6 +138,32 @@ def reference_detectability(a, c):
     return basis, free, schur_stable(char_poly(restriction))
 
 
+def reference_product_witness(ladder, n):
+    """``confgraph._best_product_witness`` by enumeration: every split of n
+    into recorded block lengths, parts in non-increasing order, largest part
+    first; a later split replaces the incumbent only when its product of
+    alphas is strictly larger."""
+    sizes = sorted({r.n: r for r in ladder.rungs}.items(), reverse=True)
+    best_parts: list = []
+    best_size = 0
+
+    def search(remaining: int, largest: int, parts: list, count: int) -> None:
+        nonlocal best_parts, best_size
+        if remaining == 0:
+            if count > best_size:
+                best_parts, best_size = parts, count
+            return
+        for k, rung in sizes:
+            if k <= min(remaining, largest):
+                search(remaining - k, k, parts + [rung], count * len(rung.witness))
+
+    search(n, n, [], 1)
+    combined = [()] if best_parts else []
+    for rung in best_parts:
+        combined = [prefix + w for prefix in combined for w in rung.witness]
+    return tuple(combined)
+
+
 def reference_independent_set(g, *, node_budget=None, seed_witness=(), upper_bound=None):
     """``confgraph.max_independent_set`` without either memo: every node
     paints its whole candidate set afresh and explores every subtree it

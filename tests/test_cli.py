@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -708,6 +709,36 @@ def test_simulate_auto_code_past_the_vertex_cap_exits_one(capsys, data_dir):
                              "--code", "auto", "--block-length", "6")
     assert (code, out) == (EXIT_ERROR, "")
     assert err == "error: 15625 vertices exceed the cap of 4096\n"
+
+
+SIMULATE_PENTAGON = ("simulate", "--plant", "plant_3_2.json", "--regime", "se-nofb",
+                     "--horizon", "5", "--code", "auto", "--block-length")
+
+
+@pytest.mark.parametrize("argv", [("zero-error", "--max-block"), ("capacity", "--max-block"),
+                                  SIMULATE_PENTAGON], ids=["zero-error", "capacity", "simulate"])
+def test_huge_block_length_exits_one_at_once(capsys, data_dir, argv):
+    # 5^(10^9) is never built: 10^9 digits would take minutes to format
+    argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "1000000000",
+                             "--channel", str(data_dir / "pentagon.json"))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: 5^1000000000 vertices exceed the cap of 4096\n"
+
+
+def test_one_input_ladder_to_block_sixty_is_quick(capsys, tmp_path):
+    # every power of a one-input channel has one vertex, so the vertex cap
+    # never stops the ladder; the product seed must not enumerate partitions
+    channel = tmp_path / "one.json"
+    channel.write_text('{"inputs":[0],"outputs":[0],"mode":"exact","rows":[["1"]]}')
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "zero-error", "--channel", str(channel), "--max-block", "60")
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_OK
+    assert [(r["n"], r["alpha"], r["exact"]) for r in json.loads(out)["rungs"]] == \
+        [(n, 1, True) for n in range(1, 61)]
 
 
 @pytest.mark.parametrize("target", ["directory", "missing-directory"])

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from certcap import confgraph
 from certcap.channel import (SupportCertificate, certify_support, exact_channel,
                              noiseless, typewriter)
-from certcap.confgraph import (CapacityLadder, LadderError, _PowerSymmetry,
+from certcap.confgraph import (CapacityLadder, LadderError, LadderRung, _PowerSymmetry,
                                clique_cover_weight, extend_ladder, fractional_clique_cover,
                                max_independent_set, strong_power)
 from certcap.enclosure import log2_enclosure
 from certcap.graph import ConfusabilityGraph, certified_graph, confusability_graph
-from conftest import intersects, product_channel, reference_independent_set
+from conftest import (intersects, product_channel, reference_independent_set,
+                      reference_product_witness)
 
 F = Fraction
 
@@ -333,6 +334,16 @@ class TestIndependence:
         assert (result.alpha, result.witness, result.exact, result.nodes) == (2, seed, False, 0)
 
 
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 64, 65, 125, 343, 625])
+def test_reversed_masks_are_the_string_reversal_and_an_involution(width):
+    # the independence search's layout: vertex i at bit width - 1 - i
+    rng = random.Random(width)
+    masks = [0, 1, 1 << width - 1, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(20)]
+    flipped = confgraph._reversed_masks(masks, width)
+    assert flipped == [int(format(m, f"0{width}b")[::-1], 2) for m in reversed(masks)]
+    assert confgraph._reversed_masks(flipped, width) == masks
+
+
 class TestZeroCapacity:
     def test_complete_means_zero(self, bsc14):
         assert graph_of(bsc14).is_complete() is True
@@ -457,6 +468,34 @@ class TestLadder:
         assert ladder.rungs[0].alpha == 3
         enc = log2_enclosure(F(3), F(1, 2 ** 20))
         assert intersects(ladder.running_best, enc)
+
+
+@st.composite
+def recorded_rungs(draw):
+    """A ladder of rungs at some block lengths up to 7, with alphas up to 4
+    so that many splits tie, and a block length up to 7 to fill (the seed
+    can hold 4^7 words).  Word j of rung k is k copies of (k, j), so a
+    concatenation shows its parts in order."""
+    alphas = draw(st.dictionaries(st.integers(min_value=1, max_value=7),
+                                  st.integers(min_value=1, max_value=4), min_size=1))
+    rungs = tuple(LadderRung(k, a, tuple(((k, j),) * k for j in range(a)), None, True)
+                  for k, a in sorted(alphas.items()))
+    return CapacityLadder(rungs), draw(st.integers(min_value=1, max_value=7))
+
+
+class TestProductSeed:
+    @given(case=recorded_rungs())
+    @settings(max_examples=300, deadline=None)
+    def test_memoised_split_matches_the_enumeration(self, case):
+        ladder, n = case
+        assert confgraph._best_product_witness(ladder, n) == reference_product_witness(ladder, n)
+
+    def test_a_tie_keeps_the_largest_first_split(self):
+        # rung 2 (alpha 4) ties the split 1 + 1 (alpha 2 * 2): rung 2 wins
+        rungs = tuple(LadderRung(k, a, tuple(((k, j),) * k for j in range(a)), None, True)
+                      for k, a in ((1, 2), (2, 4)))
+        assert confgraph._best_product_witness(CapacityLadder(rungs), 2) == \
+            tuple(((2, j),) * 2 for j in range(4))
 
 
 class TestPinnedBytes:
