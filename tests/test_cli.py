@@ -718,7 +718,7 @@ SIMULATE_PENTAGON = ("simulate", "--plant", "plant_3_2.json", "--regime", "se-no
 @pytest.mark.parametrize("argv", [("zero-error", "--max-block"), ("capacity", "--max-block"),
                                   SIMULATE_PENTAGON], ids=["zero-error", "capacity", "simulate"])
 def test_huge_block_length_exits_one_at_once(capsys, data_dir, argv):
-    # 5^(10^9) is never built: 10^9 digits would take minutes to format
+    # 5^(10^9) is never built: its 7 * 10^8 digits would take minutes to format
     argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv, "1000000000",

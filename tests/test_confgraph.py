@@ -470,17 +470,22 @@ class TestLadder:
         assert intersects(ladder.running_best, enc)
 
 
+def ladder_of(alphas: dict) -> CapacityLadder:
+    """Rungs k with alphas[k] words; word j of rung k is k copies of (k, j),
+    so a concatenation shows its parts in order.  Rates are left out."""
+    return CapacityLadder(tuple(
+        LadderRung(k, a, tuple(((k, j),) * k for j in range(a)), None, True)
+        for k, a in sorted(alphas.items())))
+
+
 @st.composite
 def recorded_rungs(draw):
     """A ladder of rungs at some block lengths up to 7, with alphas up to 4
     so that many splits tie, and a block length up to 7 to fill (the seed
-    can hold 4^7 words).  Word j of rung k is k copies of (k, j), so a
-    concatenation shows its parts in order."""
+    can hold 4^7 words)."""
     alphas = draw(st.dictionaries(st.integers(min_value=1, max_value=7),
                                   st.integers(min_value=1, max_value=4), min_size=1))
-    rungs = tuple(LadderRung(k, a, tuple(((k, j),) * k for j in range(a)), None, True)
-                  for k, a in sorted(alphas.items()))
-    return CapacityLadder(rungs), draw(st.integers(min_value=1, max_value=7))
+    return ladder_of(alphas), draw(st.integers(min_value=1, max_value=7))
 
 
 class TestProductSeed:
@@ -492,9 +497,7 @@ class TestProductSeed:
 
     def test_a_tie_keeps_the_largest_first_split(self):
         # rung 2 (alpha 4) ties the split 1 + 1 (alpha 2 * 2): rung 2 wins
-        rungs = tuple(LadderRung(k, a, tuple(((k, j),) * k for j in range(a)), None, True)
-                      for k, a in ((1, 2), (2, 4)))
-        assert confgraph._best_product_witness(CapacityLadder(rungs), 2) == \
+        assert confgraph._best_product_witness(ladder_of({1: 2, 2: 4}), 2) == \
             tuple(((2, j),) * 2 for j in range(4))
 
 
