@@ -23,8 +23,8 @@ from .confgraph import (CapacityLadder, check_power_size, clique_cover_weight, e
 from .enclosure import Enclosure, load_json, parse_rational, rational_str
 from .graph import certified_graph
 from .plant import DEFAULT_ETA_WIDTH, REGIME_KINDS, Regime, instability_exponent, load_plant
-from .simulate import (SimConfig, identity_code, run_estimation, run_stabilization,
-                       run_weak_detection, witness_code)
+from .simulate import (SimConfig, check_setup, identity_code, run_estimation,
+                       run_stabilization, run_weak_detection, witness_code)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -216,6 +216,8 @@ def _cmd_simulate(args) -> int:
             os.remove(args.trace_out)
     plant = load_plant(_read_json(args.plant))
     ch = load_channel(_read_json(args.channel))
+    regime, radius = Regime(args.regime), parse_rational(args.radius)
+    check_setup(plant, ch, regime, args.horizon, radius)  # before any code search
     if args.code == "identity":
         if args.block_length != 1:
             raise CliError("--code identity sends one symbol per message; "
@@ -228,9 +230,8 @@ def _cmd_simulate(args) -> int:
             return clique_cover_weight(base, fractional_clique_cover(base)) ** n // 1
         power = strong_power(base, n)
         code = witness_code(ch, max_independent_set(power, upper_bound=bound).witness)
-    regime = Regime(args.regime)
     cfg = SimConfig(plant, ch, regime, code, horizon=args.horizon, seed=args.seed,
-                    initial_radius=parse_rational(args.radius))
+                    initial_radius=radius)
     run = {"weak": run_weak_detection, "stab-fb": run_stabilization}.get(
         regime.kind, run_estimation)
     traj = run(cfg)

@@ -52,8 +52,9 @@ alone leaves open, and two memos spare it work; none changes a witness.
   <= W alpha(H).  ``extend_ladder`` takes the cover from an exact LP over
   the base graph's maximal cliques, checks it exactly, and hands
   floor(W alpha(Gⁿ⁻¹)) to the search when rung n - 1 is exact.  The search
-  stops as soon as the incumbent reaches that bound; no later node could
-  have raised it, so the witness is again the unbounded search's.
+  asks for it once, at the root, unless the root's colouring closes the
+  search, and stops as soon as the incumbent reaches it: no later node
+  could have raised it, so the witness is again the unbounded search's.
 
 * **Colouring memo.**  A node's greedy colouring depends on the graph and
   its candidate set alone.  Per candidate set, the search keeps how many
@@ -139,13 +140,9 @@ def strong_power(g: ConfusabilityGraph, n: int,
 
 
 def _kronecker_row(closed: int, row: int, width: int) -> int:
-    """OR of ``row << p * width`` over the set bits p of ``closed``."""
-    out = 0
-    while closed:
-        low = closed & -closed
-        out |= row << (low.bit_length() - 1) * width
-        closed ^= low
-    return out
+    """OR of ``row << p * width`` over the set bits p of ``closed``: rows
+    below 2**width never overlap once shifted, so the OR is a sum."""
+    return sum(row << p * width for p in _bits(closed))
 
 
 def _bits(mask: int):
@@ -290,11 +287,11 @@ def max_independent_set(g: ConfusabilityGraph, *,
     index first is then top bit first, and the witness alone is read back
     in index order (module docstring).
 
-    ``upper_bound`` returns a proven bound on alpha.  It is called once,
-    when the root's colouring has not closed the search (a search that
-    closes at once never pays for the bound), and ends the search, exact,
-    as soon as the incumbent reaches it; the witness is the one the
-    unbounded search would keep.
+    ``upper_bound`` returns a proven bound on alpha.  It is called once, at
+    the root before its child loop, and only when the root's top colour is
+    above the incumbent (a search its colouring closes at once never pays
+    for the bound); the search ends, exact, as soon as the incumbent
+    reaches it, and the witness is the one the unbounded search would keep.
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError("node budget must be >= 0")
@@ -317,7 +314,7 @@ def max_independent_set(g: ConfusabilityGraph, *,
         raise ValueError("seed witness is not independent")
     best = [best_mask.bit_count(), best_mask]
     nodes = 0
-    limit = upper_bound
+    limit: int | None = None  # upper_bound(), asked at the root (docstring)
     stopped = False  # the budget ran out, or the incumbent met the limit
     exact = True
     group = cache(lambda: _power_symmetry(g))  # found at the first orbit asked for
@@ -365,16 +362,15 @@ def max_independent_set(g: ConfusabilityGraph, *,
                 colour_of.append((v, colour))
                 avail &= drop[v]
                 rest ^= bit[v]
+        if size == 0 and colour > best[0] and upper_bound is not None:
+            limit = upper_bound()  # the root's colouring leaves the search open
+            if best[0] >= limit:
+                return
         explored = 0      # orbits of the handled children (root and depth 1)
         unfolded = None   # the last explored child, its orbit not yet added
         for v, colour in reversed(colour_of):
             if size + colour <= best[0]:
                 break
-            if callable(limit):  # the root's first branching
-                limit = limit()
-                if best[0] >= limit:
-                    stopped = True
-                    return
             if unfolded is not None:
                 explored |= orbit(unfolded)
                 unfolded = None
@@ -501,63 +497,54 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> CapacityLadder:
     """Append rung n: alpha of the n-th strong power plus its rate enclosure.
 
-    On a may-reach graph (``certified_graph``) every witness is a genuine
-    zero-error code of the channel.  The incumbent is seeded with products of
-    earlier witnesses, so recorded alphas always satisfy the
+    Rungs come in order: n must be one past the last rung, or LadderError is
+    raised.  On a may-reach graph (``certified_graph``) every witness is a
+    genuine zero-error code of the channel.  The incumbent is seeded with
+    products of earlier witnesses, so recorded alphas always satisfy the
     supermultiplicative inequality even when the node budget truncates the
     search.  When rung n - 1 is exact, floor(alpha*(g) alpha(gⁿ⁻¹)) bounds
     the search (the Rosenfeld-Hales bound of the module docstring), which
     then ends exact once the incumbent reaches it; ``ladder`` must hold
     rungs of ``g`` only, and carries alpha*(g) on to the next rung.
     """
-    if ladder.recorded(n) is not None:
-        raise LadderError(f"rung {n} already recorded")
+    if n != len(ladder.rungs) + 1:
+        raise LadderError(f"rung {n} is out of order after {len(ladder.rungs)} rungs")
     power = strong_power(g, n, cap=vertex_cap)
     seed = _best_product_witness(ladder, n)
-    previous = ladder.recorded(n - 1)
     weight = ladder.cover_weight
     bound = None
-    if previous is not None and previous.exact:
+    if ladder.rungs and ladder.rungs[-1].exact:
         def bound() -> int:
             nonlocal weight
             weight = weight or clique_cover_weight(g, fractional_clique_cover(g))
-            return previous.alpha * weight // 1
+            return ladder.rungs[-1].alpha * weight // 1
     result = max_independent_set(power, node_budget=node_budget, seed_witness=seed,
                                  upper_bound=bound)
     rate = log2_enclosure(Fraction(result.alpha), RATE_WIDTH * n).scaled(Fraction(1, n))
     rung = LadderRung(n, result.alpha, result.witness, rate, result.exact)
-    rungs = tuple(sorted(ladder.rungs + (rung,), key=lambda r: r.n))
     best = ladder.running_best
-    return CapacityLadder(rungs, rate if best is None or rate.lo > best.lo else best, weight)
+    return CapacityLadder(ladder.rungs + (rung,),
+                          rate if best is None or rate.lo > best.lo else best, weight)
 
 
 def _best_product_witness(ladder: CapacityLadder, n: int) -> tuple:
     """Largest concatenation of recorded witnesses filling block length n.
 
-    Among the splits of n into recorded block lengths, parts in
-    non-increasing order, the one with the strictly largest product of
-    alphas wins, and on ties the one that comes first largest part first
-    (the greedy largest-first split).  The best split of each (remaining,
-    largest part) state is found once.
+    ``best[r]`` holds the largest product of alphas over the splits of r
+    into recorded block lengths, and the largest first part that reaches
+    it.  Following those first parts from n gives parts that never increase
+    (a larger part at r - k would also reach ``best[r]`` at r), so the split
+    is the first of the maximal ones in largest-part-first order.
     """
     sizes = sorted({r.n: r for r in ladder.rungs}.items(), reverse=True)
-
-    @cache
-    def split(remaining: int, largest: int) -> tuple[int, tuple]:
-        """(product, parts) of the best split of remaining into parts <= largest."""
-        if remaining == 0:
-            return 1, ()
-        best: tuple[int, tuple] = (0, ())
-        top = min(remaining, largest)
+    best: list[tuple[int, LadderRung | None]] = [(1, None)] + [(0, None)] * n
+    for r in range(1, n + 1):
         for k, rung in sizes:
-            if k <= top:
-                count, parts = split(remaining - k, k)
-                if count * len(rung.witness) > best[0]:
-                    best = count * len(rung.witness), (rung,) + parts
-        return best
-
-    best_parts = split(n, n)[1]
-    combined = [()] if best_parts else []
-    for rung in best_parts:
+            if k <= r and best[r - k][0] * len(rung.witness) > best[r][0]:
+                best[r] = best[r - k][0] * len(rung.witness), rung
+    combined = [()] if best[n][0] else []
+    while combined and n:
+        rung = best[n][1]
         combined = [prefix + w for prefix in combined for w in rung.witness]
+        n -= rung.n
     return tuple(combined)

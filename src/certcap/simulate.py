@@ -86,12 +86,6 @@ class SimConfig:
     initial_radius: Fraction = Fraction(1)
     x0: tuple | None = None
 
-    def modes(self) -> tuple[Fraction, ...]:
-        a, n = self.plant.a, len(self.plant.a)
-        if any(a[i][j] != 0 for i in range(n) for j in range(n) if i != j):
-            raise SimulationError("simulator supports scalar/diagonal A only")
-        return tuple(a[i][i] for i in range(n))
-
     def start_state(self) -> tuple[Fraction, ...]:
         if self.x0 is not None:
             xs = tuple(Fraction(v) for v in self.x0)
@@ -250,34 +244,48 @@ def _allocate_cells(modes, n: int, total: int, allow_boundary: bool):
 # ---------------------------------------------------------------------------
 # the epoch quantizer loop
 
-def _run_loop(cfg: SimConfig, *, with_control: bool, allow_boundary: bool) -> Trajectory:
-    if not cfg.channel.is_exact:
+def check_setup(plant: Plant, channel: Channel, regime: Regime, horizon: int,
+                initial_radius: Fraction) -> tuple[Fraction, ...]:
+    """Refuse what the simulator cannot run with any code; return A's diagonal.
+
+    None of these checks reads the code, so ``simulate --code auto`` makes
+    them before it searches for one.
+    """
+    if regime.kind == "weak" and (plant.disturbance_bound or 0) != 0:
+        raise SimulationError("weak detection models an undisturbed plant (D = 0)")
+    if not channel.is_exact:
         raise SimulationError("the simulator needs an exact channel, not a stream")
-    if cfg.horizon < 0:
-        raise SimulationError(f"horizon must be >= 0, got {cfg.horizon}")
-    if cfg.initial_radius < 0:
-        raise SimulationError(
-            f"initial radius must be >= 0, got {rational_str(cfg.initial_radius)}")
-    modes = cfg.modes()
-    dim = len(modes)
-    n = cfg.code.block_length
-    c = cfg.plant.c
+    if horizon < 0:
+        raise SimulationError(f"horizon must be >= 0, got {horizon}")
+    if initial_radius < 0:
+        raise SimulationError(f"initial radius must be >= 0, got {rational_str(initial_radius)}")
+    a, dim = plant.a, len(plant.a)
+    if any(a[i][j] != 0 for i in range(dim) for j in range(dim) if i != j):
+        raise SimulationError("simulator supports scalar/diagonal A only")
+    c, b = plant.c, plant.b
     if c is None or len(c) != dim or any(c[i][j] != (1 if i == j else 0)
                                          for i in range(len(c)) for j in range(dim)):
         raise SimulationError("simulator supports full-state sensing (C = I) only")
-    if any(a < 0 for a in modes):
+    if any(a[i][i] < 0 for i in range(dim)):
         raise SimulationError("simulator expects non-negative diagonal entries")
-
-    b = cfg.plant.b
-    if with_control:
+    if regime.kind == "stab-fb":
         if b is None:
             raise SimulationError("stabilization needs an input map B")
         if len(b[0]) != dim or any(b[i][j] != 0 for i in range(dim)
                                    for j in range(dim) if i != j) \
                 or any(b[i][i] == 0 for i in range(dim)):
             raise SimulationError("stabilization supports diagonal invertible B only")
-        # the deadbeat control u = -a x_hat / b of each mode
-        control = [-a / b[i][i] for i, a in enumerate(modes)]
+    return tuple(a[i][i] for i in range(dim))
+
+
+def _run_loop(cfg: SimConfig) -> Trajectory:
+    modes = check_setup(cfg.plant, cfg.channel, cfg.regime, cfg.horizon, cfg.initial_radius)
+    # stab-fb drives the plant (check_setup checked its B); weak allows a_i^n = M_i
+    with_control, allow_boundary = cfg.regime.kind == "stab-fb", cfg.regime.kind == "weak"
+    dim = len(modes)
+    n = cfg.code.block_length
+    if with_control:  # the deadbeat control u = -a x_hat / b of each mode
+        control = [-a / cfg.plant.b[i][i] for i, a in enumerate(modes)]
 
     bound = cfg.plant.disturbance_bound or Fraction(0)
     cells = _allocate_cells(modes, n, cfg.code.size, allow_boundary)
@@ -443,7 +451,7 @@ def run_estimation(cfg: SimConfig) -> Trajectory:
     """
     if cfg.regime.kind not in ("se-nofb", "se-fb"):
         raise SimulationError("estimation run expects an se-* regime")
-    return _run_loop(cfg, with_control=False, allow_boundary=False)
+    return _run_loop(cfg)
 
 
 def run_stabilization(cfg: SimConfig) -> Trajectory:
@@ -455,7 +463,7 @@ def run_stabilization(cfg: SimConfig) -> Trajectory:
     """
     if cfg.regime.kind != "stab-fb":
         raise SimulationError("stabilization run expects regime stab-fb")
-    return _run_loop(cfg, with_control=True, allow_boundary=False)
+    return _run_loop(cfg)
 
 
 def run_weak_detection(cfg: SimConfig) -> Trajectory:
@@ -464,6 +472,4 @@ def run_weak_detection(cfg: SimConfig) -> Trajectory:
     rather than refused)."""
     if cfg.regime.kind != "weak":
         raise SimulationError("weak detection expects regime weak")
-    if (cfg.plant.disturbance_bound or 0) != 0:
-        raise SimulationError("weak detection models an undisturbed plant (D = 0)")
-    return _run_loop(cfg, with_control=False, allow_boundary=True)
+    return _run_loop(cfg)

@@ -76,7 +76,7 @@ def verify_recursion(traj, cfg) -> bool:
     """Re-check x(t+1) = A x(t) + B u(t) + zeta(t) exactly on a finished
     trajectory, mode by mode, from the recorded states, inputs and
     disturbances."""
-    modes = cfg.modes()
+    modes = [row[i] for i, row in enumerate(cfg.plant.a)]
     b = cfg.plant.b
     for t in range(len(traj.times) - 1):
         for i, a_i in enumerate(modes):

@@ -741,6 +741,64 @@ def test_one_input_ladder_to_block_sixty_is_quick(capsys, tmp_path):
         [(n, 1, True) for n in range(1, 61)]
 
 
+def test_one_input_ladder_to_block_three_hundred_is_quick(capsys, tmp_path):
+    # the product seed fills each block length bottom up, once per rung
+    channel = tmp_path / "one.json"
+    channel.write_text('{"inputs":[0],"outputs":[0],"mode":"exact","rows":[["1"]]}')
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "zero-error", "--channel", str(channel), "--max-block", "300")
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_OK
+    assert [(r["n"], r["alpha"], r["exact"]) for r in json.loads(out)["rungs"]] == \
+        [(n, 1, True) for n in range(1, 301)]
+
+
+UNRUNNABLE_PLANTS = {
+    "undisturbed-weak": ({"A": [["3/2"]], "C": [["1"]], "D": "1/10"}, "weak",
+                         "weak detection models an undisturbed plant (D = 0)"),
+    "negative-mode": ({"A": [["-3/2"]], "C": [["1"]], "D": "1/10"}, "se-nofb",
+                      "simulator expects non-negative diagonal entries"),
+    "no-sensor": ({"A": [["3/2"]], "D": "1/10"}, "se-fb",
+                  "simulator supports full-state sensing (C = I) only"),
+    "stab-without-b": ({"A": [["3/2"]], "C": [["1"]], "D": "1/10"}, "stab-fb",
+                       "stabilization needs an input map B"),
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--plant", "plant_3_2.json", "--channel", "stream_pentagon_resolve3.json",
+      "--regime", "se-fb", "--block-length", "5"),
+     "the simulator needs an exact channel, not a stream"),
+    (("--plant", "plant_dense4.json", "--channel", "pentagon.json",
+      "--regime", "se-nofb", "--block-length", "4"),
+     "simulator supports scalar/diagonal A only"),
+    (("--plant", "plant_3_2.json", "--channel", "pentagon.json", "--regime", "se-nofb",
+      "--block-length", "4", "--horizon", "-1"), "horizon must be >= 0, got -1"),
+    (("--plant", "plant_3_2.json", "--channel", "pentagon.json", "--regime", "se-nofb",
+      "--block-length", "4", "--radius=-1/2"), "initial radius must be >= 0, got -1/2"),
+] + [((name, "--channel", "pentagon.json", "--regime", regime, "--block-length", "4"), message)
+     for name, (_, regime, message) in UNRUNNABLE_PLANTS.items()],
+    ids=["stream", "dense-a", "negative-horizon", "negative-radius", *UNRUNNABLE_PLANTS])
+def test_auto_code_refuses_an_unrunnable_setup_before_searching(capsys, data_dir, tmp_path,
+                                                                monkeypatch, argv, message):
+    # these refusals do not depend on the code, so no independence search runs
+    def search_never_starts(*args, **kwargs):
+        raise AssertionError("the code search ran")
+
+    monkeypatch.setattr(cli, "max_independent_set", search_never_starts)
+    argv = list(argv)
+    if argv[0] in UNRUNNABLE_PLANTS:
+        plant = tmp_path / "plant.json"
+        plant.write_text(json.dumps(UNRUNNABLE_PLANTS[argv[0]][0]))
+        argv[:1] = ["--plant", str(plant)]
+    argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--code", "auto", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("target", ["directory", "missing-directory"])
 def test_unwritable_trace_out_exits_one_before_the_run(capsys, data_dir, tmp_path,
                                                        monkeypatch, target):

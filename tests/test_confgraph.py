@@ -460,6 +460,14 @@ class TestLadder:
         with pytest.raises(LadderError):
             extend_ladder(ladder, g, 1)
 
+    def test_rungs_come_in_order(self, pentagon):
+        g = graph_of(pentagon)
+        ladder = extend_ladder(CapacityLadder(), g, 1)
+        for n in (1, 3):  # a repeated rung and a skipped one
+            with pytest.raises(LadderError, match=f"rung {n} is out of order after 1 rungs"):
+                extend_ladder(ladder, g, n)
+        assert [r.n for r in extend_ladder(ladder, g, 2).rungs] == [1, 2]
+
     def test_empty_graph_rung_is_log_alphabet(self):
         ch = exact_channel((0, 1, 2), (0, 1, 2),
                            [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -480,12 +488,13 @@ def ladder_of(alphas: dict) -> CapacityLadder:
 
 @st.composite
 def recorded_rungs(draw):
-    """A ladder of rungs at some block lengths up to 7, with alphas up to 4
-    so that many splits tie, and a block length up to 7 to fill (the seed
-    can hold 4^7 words)."""
-    alphas = draw(st.dictionaries(st.integers(min_value=1, max_value=7),
-                                  st.integers(min_value=1, max_value=4), min_size=1))
-    return ladder_of(alphas), draw(st.integers(min_value=1, max_value=7))
+    """A ladder of rungs at some block lengths up to 12, with alphas up to 6
+    so that many splits tie, and a block length n up to 12 to fill.  Rung k
+    keeps alpha^n <= 4096^k, so no split of n holds more than 4096 words."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    lengths = draw(st.sets(st.integers(min_value=1, max_value=12), min_size=1))
+    return ladder_of({k: draw(st.integers(min_value=1, max_value=max(
+        a for a in range(1, 7) if a ** n <= 4096 ** k))) for k in sorted(lengths)}), n
 
 
 class TestProductSeed:
