@@ -6,17 +6,19 @@ by roots.is_detectable and roots.is_stabilizable.  The instability exponent
 sums log2 of the eigenvalue moduli >= 1, which UnstableModuli brackets by
 bisecting on the radius of the one exact root count, roots.count_inside;
 InstabilityExponent, its one caller, keeps that bisection, so each narrower
-enclosure only splits the brackets that block it.
+enclosure only splits the brackets that block it.  A bracket above one stops
+as soon as its ends agree in the binary digits of log2 the enclosure reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
-from .enclosure import (DomainError, Enclosure, load_json, log2_enclosure, parse_rational,
-                        rational_str, simplest_between)
+from .enclosure import (DomainError, Enclosure, load_json, log2_fixed, parse_rational,
+                        rational_str, simplest_between, width_bits)
 from .linalg import Matrix, as_matrix, char_poly, is_square
 from .roots import (Poly, _count_in_unit_disc, _first_decided, _integer_form, _scaled,
                     _split_radii, _square_free_part, cauchy_root_bound, count_inside,
@@ -148,9 +150,10 @@ class UnstableModuli:
 
     lo == hi: the k roots add exactly k log2 lo to eta; their moduli are
     >= 1 and multiply to lo^k (each modulus is lo, or they pair up as lo*t
-    and lo/t).  lo < hi: the k roots have moduli in (lo, hi), with
-    hi <= max(1, lo) * (1 + tolerance); when lo < 1, some of them may have
-    modulus below 1.
+    and lo/t).  lo < hi: the k roots have moduli in (lo, hi), and either
+    hi <= max(1, lo) * (1 + tolerance) or 1 < lo and log2 lo and log2 hi
+    share their first ``bits`` binary digits; when lo < 1, some of the
+    roots may have modulus below 1.
 
     Roots at 0 are dropped.  The moduli are isolated by bisecting on dyadic
     radii, kept as integers, with the count, moving to a nearby radius where
@@ -160,9 +163,17 @@ class UnstableModuli:
     one candidate, its simplest rational, which _exact_bracket tests once
     per set of roots.
 
-    The bisection is kept between calls: brackets(tolerance) splits only the
-    leaves too wide for it.  A split depends on nothing but its bracket, so
-    a narrower call returns exactly what a fresh UnstableModuli would.
+    A bracket with 1 < lo and floor(2^bits log2 lo) = floor(2^bits log2 hi)
+    = D stops before that test: its log2 enclosure at 2^-bits is
+    k * [D, D + 1] / 2^bits, and so is the sum over the brackets, exact ones
+    included, that splitting it would leave, for they lie in (lo, hi],
+    which holds no power of two.  Only a bracket about a power of two (or
+    about one) is narrowed to 1/(2 L^2).
+
+    The bisection is kept between calls: brackets(tolerance, bits) splits
+    only the leaves too wide for it.  A split depends on nothing but its
+    bracket and every leaf is a node of the same tree, so a narrower call
+    returns exactly what a fresh UnstableModuli would.
     """
 
     def __init__(self, p: Poly):
@@ -185,13 +196,21 @@ class UnstableModuli:
     def _count(self, radius: tuple[int, int]) -> int | None:
         return _count_in_unit_disc(_scaled(self.ints, radius[0], 1 << radius[1]))
 
-    def brackets(self, tolerance: Fraction) -> list[tuple[Fraction, Fraction, int]]:
+    def brackets(self, tolerance: Fraction, bits: int) -> list[tuple[Fraction, Fraction, int]]:
         tolerance = Fraction(tolerance)
+        # (floor(2^bits log2 x), whether x is a power of two), once per radius x and
+        # call; InstabilityExponent.enclose reads the leaves' digits from it
+        self.log2 = log2 = cache(lambda x: log2_fixed(x.numerator, x.denominator, bits))
         stack, self.leaves = self.leaves, []
         while stack:
             e, lo, n_lo, hi, n_hi, tested = stack.pop()
             k, one = n_hi - n_lo, 1 << e
             if k == 0 or hi <= one:
+                continue
+            # log2(hi / lo) >= (hi - lo) / hi: only a narrower bracket can have settled digits
+            if (one < lo and (hi - lo) << bits < hi
+                    and log2(Fraction(lo, one))[0] == log2(Fraction(hi, one))[0]):
+                self.leaves.append((e, lo, n_lo, hi, n_hi, tested))
                 continue
             if not tested and (hi - lo) * 2 * self.lead ** 2 < one:  # narrower than 1/(2 L^2)
                 a, b = Fraction(lo, one), Fraction(hi, one)
@@ -221,8 +240,9 @@ class InstabilityExponent:
     polynomial is computed once and its moduli are bracketed by one
     UnstableModuli, which enclose(w) only narrows; each bracket of k
     roots adds k * [log2 lo, log2 hi], with log2 taken as 0 below one.
-    Rational moduli are found exactly, so a plant whose unstable moduli are
-    powers of two, one, or all below one yields a zero-width enclosure.
+    Moduli that are powers of two or one are found exactly, so a plant whose
+    unstable moduli are powers of two, one, or all below one yields a
+    zero-width enclosure.
     """
 
     def __init__(self, a: Matrix):
@@ -236,18 +256,16 @@ class InstabilityExponent:
         if max_width <= 0:
             raise DomainError("target width must be positive")
         n = self.dim
-        log_width = max_width / (16 * n)
-        lo_sum = hi_sum = Fraction(0)
+        bits = width_bits(max_width / (16 * n))
+        lo_sum = hi_sum = 0  # over 2^bits
         # hi <= lo * (1 + max_width / (3n)) keeps log2(hi / lo) below max_width / (2n)
-        for lo, hi, k in self.moduli.brackets(max_width / (3 * n)):
-            upper = log2_enclosure(hi, log_width)
-            if lo == hi:
-                lower = upper
-            else:
-                lower = log2_enclosure(lo, log_width) if lo > 1 else Enclosure.exact(Fraction(0))
-            lo_sum += k * lower.lo
-            hi_sum += k * upper.hi
-        result = Enclosure(lo_sum, hi_sum)
+        brackets = self.moduli.brackets(max_width / (3 * n), bits)
+        log2 = self.moduli.log2
+        for lo, hi, k in brackets:
+            digits, exact = log2(hi)
+            lo_sum += k * (log2(lo)[0] if lo > 1 else 0)
+            hi_sum += k * (digits if exact else digits + 1)
+        result = Enclosure(Fraction(lo_sum, 1 << bits), Fraction(hi_sum, 1 << bits))
         if result.width > max_width:
             raise RuntimeError("width budget violated in exponent assembly")
         return result

@@ -28,6 +28,13 @@ class TestMinimaxMass:
         assert not verify_minimax_lower_bound(sol.output_weights[:-1], sol.support_sets, 5,
                                               sol.value)
 
+    def test_weights_must_sum_to_one(self, pentagon):
+        # doubled weights cover every input twice over, but are no convex combination
+        sol = minimax_ladder_step(pentagon, 0, None).solution
+        doubled = [2 * w for w in sol.output_weights]
+        assert sum(doubled) == 2
+        assert not verify_minimax_lower_bound(doubled, sol.support_sets, 5, 2 * sol.value)
+
     def test_noiseless_binary(self, nl2):
         assert minimax_ladder_step(nl2, 0, None).mass == F(1, 2)
 

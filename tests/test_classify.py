@@ -527,6 +527,31 @@ class TestForgedCertificates:
             {"inverse_psi": "0", "distribution": ["1/2", "1/2"], "nonadjacent_pair": [0, 1]})
         assert revalidate(Verdict("Solvable", "se-fb", cert, 1, 100), nl2) is False
 
+    def test_c0fb_zero_inverse_psi_with_a_plant_eta(self, nl2):
+        # eta >= 0 passes the sign and separation tests, so only the inverse_psi
+        # test stands between this certificate and a division by zero
+        cert = SeparationCertificate(
+            "c0fb", "eta-below-capacity", Enclosure.exact(F(1, 2)), Enclosure.exact(F(1)),
+            {"inverse_psi": "0", "distribution": ["1/2", "1/2"], "nonadjacent_pair": [0, 1]})
+        assert revalidate(Verdict("Solvable", "se-fb", cert, 1, 100), nl2) is False
+
+    def test_c0fb_pair_index_equal_to_the_input_count(self, nl2):
+        # a bit test reads input 2 of noiseless(2) as not adjacent to input 0
+        verdict = classify(scalar_plant(F(3, 2), disturbance=F(1, 10)), nl2,
+                           Regime("se-fb"), 100)
+        cert = verdict.certificate
+        assert cert.quantity == "c0fb" and revalidate(verdict, nl2)
+        bad = replace(cert, payload={**cert.payload, "nonadjacent_pair": [0, 2]})
+        assert revalidate(_with_certificate(verdict, bad), nl2) is False
+
+    def test_complete_graph_psi_at_zero_eta(self, bsc14):
+        # eta = 0 = C0fb is a tie, not an Unsolvable instance
+        verdict = classify(diagonal_plant([2], disturbance=F(1, 10)), bsc14,
+                           Regime("se-fb"), 10_000)
+        assert verdict.certificate.complete_graph is True and revalidate(verdict, bsc14)
+        bad = replace(verdict.certificate, eta_lo=F(0))
+        assert revalidate(_with_certificate(verdict, bad), bsc14) is False
+
     def test_shannon_bounds_on_a_stream(self, hover_channel):
         # a stream has no rows to recompute the bounds from
         cert = SeparationCertificate(

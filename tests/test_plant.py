@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from certcap import plant as plant_module
 from certcap import roots as roots_module
 from certcap.classify import EtaTask, Regime, classify, revalidate
-from certcap.enclosure import Enclosure
+from certcap.enclosure import Enclosure, log2_enclosure, width_bits
 from certcap.linalg import as_matrix, char_poly, kernel_basis, mat_mul, transpose
-from certcap.plant import (Plant, PlantFormatError, UnstableModuli, instability_exponent,
-                           load_plant)
+from certcap.plant import (InstabilityExponent, Plant, PlantFormatError, UnstableModuli,
+                           instability_exponent, load_plant)
 from certcap.roots import is_detectable, is_stabilizable, schur_stable
 from conftest import intersects, reference_detectability
 
@@ -79,9 +79,9 @@ def test_exponent_of_a_plant_with_60_digit_denominators_matches_mpmath(shared):
     """3x3 plants over 60-digit denominators, one shared (moduli about 2.96
     twice and 0.876) or one per entry (about 2.32 twice and 0.282): the
     characteristic polynomial has coefficients of hundreds or thousands of
-    bits, and the bisection to 2^-30 runs the root counts' long-precision
-    path, and the simplest rational of brackets narrower than 2^-2000,
-    thousands of times."""
+    bits.  Each bracket stops once log2 of its ends agree to the digits the
+    enclosure reports, after 41 root counts and no exact-modulus test;
+    test_a_power_of_two_beside_a_60_digit_block keeps the deep path."""
     rng = random.Random(60)
     q = rng.randrange(10 ** 59, 10 ** 60)
     a = as_matrix([[F(rng.randrange(-3 * q, 3 * q),
@@ -96,6 +96,68 @@ def test_exponent_of_a_plant_with_60_digit_denominators_matches_mpmath(shared):
         assert sum(abs(v) > 1 for v in eigenvalues) == 2
         assert mpmath.mpf(enc.lo.numerator) / enc.lo.denominator <= eta
         assert eta <= mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
+
+
+def _huge_rational_matrix(digits: int, n: int, shared: bool) -> list:
+    rng = random.Random(digits)
+    q = rng.randrange(10 ** (digits - 1), 10 ** digits)
+    return [[F(rng.randrange(-3 * q, 3 * q),
+               q if shared else rng.randrange(10 ** (digits - 1), 10 ** digits))
+             for _ in range(n)] for _ in range(n)]
+
+
+def _mpmath_eta(a, dps: int):
+    with mpmath.workdps(dps):
+        eigenvalues = mpmath.eig(mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator
+                                                 for x in row] for row in a]))[0]
+        return sum(mpmath.log(abs(v), 2) for v in eigenvalues if abs(v) >= 1)
+
+
+def _encloses(enc: Enclosure, value) -> bool:
+    return (mpmath.mpf(enc.lo.numerator) / enc.lo.denominator <= value
+            <= mpmath.mpf(enc.hi.numerator) / enc.hi.denominator)
+
+
+def _spy_root_counts(monkeypatch) -> list:
+    calls = []
+    real = plant_module._count_in_unit_disc
+    monkeypatch.setattr(plant_module, "_count_in_unit_disc",
+                        lambda p: calls.append(1) or real(p))
+    return calls
+
+
+def test_a_power_of_two_beside_a_60_digit_block(monkeypatch):
+    """block-diag(2, B), B 2x2 over its own 60-digit denominators: every
+    bracket about the modulus 2 holds a power of two, so its digits never
+    settle and the bisection takes it below 1/(2 L^2), past 2^-1500, with
+    root counts on the long-precision path, to the exact leaf (2, 2, 1)."""
+    widths = []
+    real = plant_module.simplest_between
+    monkeypatch.setattr(plant_module, "simplest_between",
+                        lambda lo, hi: widths.append(hi - lo) or real(lo, hi))
+    b = _huge_rational_matrix(60, 2, shared=False)
+    a = as_matrix([[2, 0, 0], [0] + b[0], [0] + b[1]])
+    width = F(1, 1 << 30)
+    exponent = InstabilityExponent(a)
+    enc = exponent.enclose(width)
+    assert enc.width <= width
+    assert min(widths) < F(1, 1 << 1500)
+    brackets = exponent.moduli.brackets(width / 9, width_bits(width / 48))
+    assert (F(2), F(2), 1) in brackets
+    assert _encloses(enc, _mpmath_eta(a, 60))
+
+
+@pytest.mark.parametrize("shared, ceiling", [(True, 140), (False, 60)],
+                         ids=["one-denominator", "own-denominators"])
+def test_exponent_of_a_plant_with_400_digit_denominators(monkeypatch, shared, ceiling):
+    # the one-denominator plant took 23 921 root counts (24 s on a 2-vCPU Xeon)
+    # when every bracket went down to 1/(2 L^2); now 112, and 42 with own ones
+    calls = _spy_root_counts(monkeypatch)
+    a = as_matrix(_huge_rational_matrix(400, 3, shared))
+    enc = instability_exponent(a, F(1, 1 << 30))
+    assert len(calls) <= ceiling
+    assert enc.width <= F(1, 1 << 30)
+    assert _encloses(enc, _mpmath_eta(a, 450))
 
 
 def test_similarity_invariance_under_orthogonal_conjugation():
@@ -421,7 +483,9 @@ def test_eta_task_narrows_one_refiner_exactly_like_fresh_enclosures(a):
         task.step()
         assert task.enclosure == instability_exponent(a, width)
         tolerance = width / (3 * len(a))
-        assert moduli.brackets(tolerance) == UnstableModuli(char_poly(a)).brackets(tolerance)
+        bits = width_bits(width / (16 * len(a)))
+        assert (moduli.brackets(tolerance, bits)
+                == UnstableModuli(char_poly(a)).brackets(tolerance, bits))
 
 
 def test_eta_task_computes_the_characteristic_polynomial_once(monkeypatch):
@@ -433,3 +497,93 @@ def test_eta_task_computes_the_characteristic_polynomial_once(monkeypatch):
         task.step()
     assert len(calls) == 1
     assert task.enclosure == instability_exponent(as_matrix(EXPANDING5), task.width * 16)
+
+
+class FullDepthModuli(UnstableModuli):
+    """UnstableModuli.brackets as it was before brackets stopped at settled
+    log2 digits: every bracket goes down to 1/(2 L^2) for the exact-modulus
+    test, whatever the caller reads, and then to the tolerance."""
+
+    def brackets(self, tolerance):
+        tolerance = F(tolerance)
+        stack, self.leaves = self.leaves, []
+        while stack:
+            e, lo, n_lo, hi, n_hi, tested = stack.pop()
+            k, one = n_hi - n_lo, 1 << e
+            if k == 0 or hi <= one:
+                continue
+            if not tested and (hi - lo) * 2 * self.lead ** 2 < one:
+                a, b = F(lo, one), F(hi, one)
+                r = plant_module.simplest_between(a, b)
+                if (r.denominator <= self.lead
+                        and plant_module._exact_bracket(self.ints, r, a, b, k)):
+                    self.exact.append((r, r, k))
+                    continue
+                tested = True
+            floor = max(lo, one)
+            if tested and (hi - floor) * tolerance.denominator <= floor * tolerance.numerator:
+                self.leaves.append((e, lo, n_lo, hi, n_hi, True))
+                continue
+            (mid, f), n_mid = plant_module._first_decided(
+                self._count, ((x, e + j) for x, j in plant_module._split_radii(lo, hi)))
+            lo, hi = lo << (f - e), hi << (f - e)
+            stack.append((f, lo, n_lo, mid, n_mid, tested and n_mid - n_lo == k))
+            stack.append((f, mid, n_mid, hi, n_hi, tested and n_hi - n_mid == k))
+        return sorted(self.exact + [(F(lo, 1 << e), F(hi, 1 << e), n_hi - n_lo)
+                                    for e, lo, n_lo, hi, n_hi, _ in self.leaves])
+
+
+def _full_depth_enclosures(a, widths):
+    """eta at each of the decreasing widths from one FullDepthModuli, each
+    bracket adding k * [log2 lo, log2 hi] at log width max_width / (16 n)."""
+    n = len(a)
+    moduli = FullDepthModuli(char_poly(a))
+    for width in widths:
+        log_width = width / (16 * n)
+        lo_sum = hi_sum = F(0)
+        for lo, hi, k in moduli.brackets(width / (3 * n)):
+            upper = log2_enclosure(hi, log_width)
+            lower = (upper if lo == hi else log2_enclosure(lo, log_width) if lo > 1
+                     else Enclosure.exact(F(0)))
+            lo_sum += k * lower.lo
+            hi_sum += k * upper.hi
+        yield Enclosure(lo_sum, hi_sum)
+
+
+DIGIT_WIDTHS = [F(1, 1 << bits) for bits in (4, 30, 64, 100)]
+EDGE_PLANTS = [
+    [[2, 0], [0, F(1, 2)]],                            # modulus 2 beside 1/2
+    [[0, F(5, 2)], [1, 0]],                            # eta = log2(5/2), the pentagon's C0fb
+    [[0, F(5, 2) - F(1, 1 << 130)], [1, 0]],           # just below that tie
+]
+
+
+def _assert_matches_full_depth(a):
+    a = as_matrix(a)
+    task = EtaTask(a)
+    for width, expected in zip(DIGIT_WIDTHS, _full_depth_enclosures(a, DIGIT_WIDTHS)):
+        assert instability_exponent(a, width) == expected
+        task.width = width
+        task.step()
+        assert task.enclosure == expected
+
+
+@pytest.mark.parametrize("a", HOSTILE_PLANTS + EDGE_PLANTS)
+def test_settled_digits_give_the_full_depth_enclosure(a):
+    _assert_matches_full_depth(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_random_plants)
+def test_settled_digits_give_the_full_depth_enclosure_on_random_plants(a):
+    _assert_matches_full_depth(a)
+
+
+def test_expanding_plant_root_counts_stay_under_their_ceilings(monkeypatch):
+    # 307 counts each while every bracket went down to 1/(2 L^2); 47 and 150 now
+    calls = _spy_root_counts(monkeypatch)
+    EtaTask(as_matrix(EXPANDING5)).step()
+    assert len(calls) <= 60
+    calls.clear()
+    instability_exponent(as_matrix(EXPANDING5), F(1, 1 << 30))
+    assert len(calls) <= 180

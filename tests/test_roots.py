@@ -376,7 +376,7 @@ class TestCountInside:
         # a double root on the circle
         double = _integer_form(poly_mul(on_circle, on_circle))
         assert _exact_bracket(double, F(1), F(1, 2), F(2), 4) is True
-        assert UnstableModuli(poly_mul(on_circle, pair)).brackets(F(1, 100)) == [
+        assert UnstableModuli(poly_mul(on_circle, pair)).brackets(F(1, 100), 10) == [
             (F(1), F(1), 2), (F(2), F(2), 1)]
 
 
@@ -399,7 +399,7 @@ def test_unstable_moduli_exact_claims_hold(scale, offsets, extra):
     roots += [x for x in extra if x != 0]
     p = poly_from_roots(*roots)
     moduli = sorted(abs(r) for r in roots if abs(r) >= 1)
-    brackets = UnstableModuli(p).brackets(F(1, 1000))
+    brackets = UnstableModuli(p).brackets(F(1, 1000), 10)
     assert sum(k for _, _, k in brackets) >= len(moduli)
     eta = sum(mpmath.log(mpmath.mpf(m.numerator) / m.denominator, 2) for m in moduli)
     lo = sum(k * mpmath.log(max(1, mpmath.mpf(a.numerator) / a.denominator), 2)
