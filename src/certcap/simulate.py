@@ -15,9 +15,11 @@ over it: a refine multiplies L by the cell count and a plant step by q for
 a = p/q; L starts with the factors of 2^32 D_den its first step needs, so
 disturbances are integer numerators over 2^32 D_den, which divides L from
 then on.  Without a drive x is also kept over its own denominator, free of
-cell counts.  Rows are reduced by a binary-gcd split and a few-bit base
-holding every odd prime of L, so the gcd with L's large odd part is rarely
-taken; maxima and the divergence test compare integer numerators.
+cell counts.  Each step reduces every mode's rows in one pass, by a
+binary-gcd split and a few-bit base holding every odd prime of L: the gcd
+with L's large odd part is taken only when a test with the base, which
+divides nothing, fails.  Maxima and the divergence test compare integer
+numerators once bit lengths leave the comparison open.
 Noise and disturbances come from a seeded generator with exact inverse-CDF
 comparisons (one table per channel row and run), so identical
 configurations reproduce identical trajectories byte for byte.
@@ -28,9 +30,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from math import gcd, inf, lcm, prod
+from typing import NamedTuple
 
 from .channel import Channel
 from .enclosure import rational_str
@@ -97,8 +99,7 @@ class SimConfig:
         return tuple(Fraction(self.initial_radius) / 3 for _ in range(len(self.plant.a)))
 
 
-@dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(NamedTuple):
     epoch: int
     message_sent: int
     codeword: tuple
@@ -186,25 +187,26 @@ def _lowest_terms(n: int, split) -> Fraction:
     two comes out by shifts, exact for negative n too.  Every prime of odd
     divides base, so g = gcd(n, base) is gcd(n, odd) when g divides odd and
     n / g is coprime to base; only otherwise is the gcd with odd taken.  The
-    pair is coprime with a positive denominator, so the Fraction is built
-    without a second gcd, as ``Fraction._from_coprime_ints`` does; the
-    result equals Fraction(n, den).
+    coprimality test takes no division: for each prime p of base,
+    v_p(gcd(n, g base)) = min(v_p(n), v_p(g) + v_p(base)), which is v_p(g)
+    exactly when v_p(n) = v_p(g), so gcd(n, g base) = g just when
+    gcd(n / g, base) = 1.  The pair is coprime with a positive denominator,
+    so the Fraction is built without a second gcd, as
+    ``Fraction._from_coprime_ints`` does; the result equals Fraction(n, den).
     """
     den, v, odd, base = split
     k = min((n & -n).bit_length() - 1, v) if n else v
     g = gcd(n, base)
-    if g != 1 and base != odd and (odd % g or gcd(n // g, base) != 1):
+    if g != 1 and base != odd and (odd % g or gcd(n, g * base) != g):
         g = gcd(n, odd)
+    if k:
+        n, den = n >> k, den >> k
+    if g != 1:
+        n, den = n // g, den // g
     value = object.__new__(Fraction)
-    value._numerator = (n >> k) // g
-    value._denominator = (den >> k) // g
+    value._numerator = n
+    value._denominator = den
     return value
-
-
-def _widest(nums, dens) -> int:
-    """The first index i with the largest nums[i] / dens[i] (dens > 0)."""
-    return reduce(lambda top, i: i if nums[i] * dens[top] > nums[top] * dens[i] else top,
-                  range(len(nums)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,11 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
     tables = [_inverse_cdf(row) for row in rows]
     t, diverged_at, horizon = 0, None, cfg.horizon
     max_error, max_size = Fraction(0), -inf
+    # 2**limit_bits <= DIVERGENCE_THRESHOLD: an error of bit size below it cannot pass
     limit_num, limit_den = DIVERGENCE_THRESHOLD.numerator, DIVERGENCE_THRESHOLD.denominator
+    limit_bits = limit_num.bit_length() - limit_den.bit_length() - 1
+    # without a disturbance every step draws the same zero row
+    zeta, zeta_row = [0] * dim, (Fraction(0),) * dim
 
     while t < horizon and diverged_at is None:
         # quantize against the coder's box: cell floor((x - c + r) m / 2r),
@@ -352,34 +358,43 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
         for step in range(n):
             if t >= horizon or diverged_at is not None:
                 break
-            splits = [_dyadic_split(d, base) for d in L]
-            radius = tuple([_lowest_terms(R[i], splits[i]) for i in range(dim)])
+            # one pass; top and wide are the first modes of largest error and radius
+            radius, x_hat, x = [], [], []
+            for i in range(dim):
+                split = _dyadic_split(L[i], base)
+                radius.append(_lowest_terms(R[i], split))
+                x_hat.append(_lowest_terms(H[i], split))
+                x.append(_lowest_terms(X[i], split) if with_control
+                         else _lowest_terms(Y[i], _dyadic_split(K[i], base)))
+                gap = abs(X[i] - H[i])
+                if not i or gap * L[top] > top_gap * L[i]:
+                    top, top_gap, top_split = i, gap, split
+                if not i or R[i] * L[wide] > R[wide] * L[i]:
+                    wide = i
+            radius, x_hat = tuple(radius), tuple(x_hat)
             if not step:
                 transcript.append(EpochRecord(len(transcript), message, codeword,
                                               received, decoded, radius))
-            x_hat = tuple([_lowest_terms(H[i], splits[i]) for i in range(dim)])
-            gap = [abs(X[i] - H[i]) for i in range(dim)]
-            top = _widest(gap, L) if dim > 1 else 0
-            err = _lowest_terms(gap[top], splits[top])
-            xs.append(tuple([_lowest_terms(X[i], splits[i]) if with_control
-                             else _lowest_terms(Y[i], _dyadic_split(K[i], base))
-                             for i in range(dim)]))
+            err = _lowest_terms(top_gap, top_split)
+            xs.append(tuple(x))
             xhats.append(x_hat)
             us.append(tuple([control[i] * x_hat[i] for i in range(dim)])
                       if with_control else ())
             errors.append(err)
-            radii.append(radius[_widest(R, L)] if dim > 1 else radius[0])
+            radii.append(radius[wide])
             # err < 2**(size + 1) and max_error > 2**(max_size - 1), so the bit
             # lengths settle most comparisons without a product
-            size = gap[top].bit_length() - L[top].bit_length()
+            size = top_gap.bit_length() - L[top].bit_length()
             if size + 2 > max_size and (err.numerator * max_error.denominator
                                         > max_error.numerator * err.denominator):
                 max_error, max_size = err, size
-            if gap[top] * limit_den > limit_num * L[top]:
+            if size >= limit_bits and top_gap * limit_den > limit_num * L[top]:
                 diverged_at = t
-            zeta = [bound.numerator * (2 * getrandbits(32) - (1 << 32)) if bound else 0
-                    for _ in range(dim)]
-            zetas.append(tuple([_lowest_terms(z, zeta_split) for z in zeta]))
+            if bound:
+                zeta = [bound.numerator * (2 * getrandbits(32) - (1 << 32))
+                        for _ in range(dim)]
+                zeta_row = tuple([_lowest_terms(z, zeta_split) for z in zeta])
+            zetas.append(zeta_row)
             for i in range(dim):
                 # x -> a x + b u + zeta over L q for a = p/q and zeta = z w / (L q);
                 # the deadbeat drive b u = -a x_hat cancels the decoder centre

@@ -604,6 +604,63 @@ class TestForgedCertificates:
                           pentagon) is False
         assert time.monotonic() - start < 0.5
 
+    def test_endpoint_at_the_depth_cap_is_settled(self, pentagon):
+        # the cap admits a denominator of exactly 2**1024 and no deeper one
+        verdict = classify(diagonal_plant([2], disturbance=F(1, 10)),
+                           pentagon, Regime("se-fb"), 10_000)
+        cert = verdict.certificate
+        assert cert.quantity == "c0fb" and cert.capacity.lo.denominator < 1 << 1024
+        for depth, valid in ((1024, True), (1025, False)):
+            deep = Enclosure(cert.capacity.lo - F(1, 1 << depth), cert.capacity.hi)
+            assert revalidate(_with_certificate(verdict, replace(cert, capacity=deep)),
+                              pentagon) is valid
+
+    def test_shannon_log_width_at_the_depth_cap_is_settled(self, nl2):
+        # the narrowest log width the checker takes is exactly 2**-1024
+        verdict = classify(scalar_plant(F(3, 2)), nl2, Regime("weak"), 100)
+        cert = verdict.certificate
+        assert cert.quantity == "shannon" and cert.relation == "eta-below-capacity"
+        dist = tuple(F(v) for v in cert.payload["input_distribution"])
+        for depth, valid in ((1024, True), (1025, False)):
+            width = F(1, 1 << depth)
+            lower, _ = certified_capacity_bounds(nl2.rows, dist, width)
+            payload = {**cert.payload, "log_width": f"1/{1 << depth}"}
+            bad = replace(cert, capacity=lower, payload=payload)
+            assert revalidate(_with_certificate(verdict, bad), nl2) is valid
+
+
+def _touching_certificate(case, nl2, pentagon, bsc14):
+    """A halted verdict, its channel, and its certificate with eta moved so
+    that the two enclosures of its separation touch at one endpoint."""
+    if case == "rate-lo":
+        verdict, ch = classify(diagonal_plant([2], disturbance=F(1, 10)), pentagon,
+                               Regime("se-nofb"), 10_000), pentagon
+        cert = verdict.certificate
+        return verdict, ch, replace(cert, eta=Enclosure(cert.eta.lo, cert.rate_lo.lo))
+    if case == "psi":
+        verdict, ch = classify(diagonal_plant([3], disturbance=F(1, 10)), pentagon,
+                               Regime("se-fb"), 10_000), pentagon
+        return verdict, ch, replace(verdict.certificate,
+                                    eta_lo=verdict.certificate.c0fb_upper.hi)
+    if case == "c0fb-below":
+        verdict, ch = classify(scalar_plant(F(3, 2), disturbance=F(1, 10)), nl2,
+                               Regime("se-fb"), 100), nl2
+        cert = verdict.certificate
+        return verdict, ch, replace(cert, eta=Enclosure(cert.eta.lo, cert.capacity.lo))
+    verdict, ch = classify(scalar_plant(F(3, 2)), bsc14, Regime("weak"), 100), bsc14
+    cert = verdict.certificate
+    assert cert.relation == "capacity-below-eta"
+    return verdict, ch, replace(cert, eta=Enclosure(cert.capacity.hi, cert.eta.hi))
+
+
+@pytest.mark.parametrize("case", ["rate-lo", "psi", "c0fb-below", "shannon-above"])
+def test_touching_separation_fails(nl2, pentagon, bsc14, case):
+    # a separation is strict: eta at the very endpoint of a rate or capacity
+    # enclosure proves neither side
+    verdict, ch, touching = _touching_certificate(case, nl2, pentagon, bsc14)
+    assert revalidate(verdict, ch)
+    assert revalidate(_with_certificate(verdict, touching), ch) is False
+
 
 def _real_log_certificate(case, pentagon):
     """A halted verdict, its certificate's log enclosure field, and the value

@@ -343,6 +343,14 @@ PINNED_RUNS = [
      "nl2", "stab-fb", "identity", 200, 5, {"x0": (F(5, 21),), "initial_radius": F(7, 6)}),
     ("weak-x0-sevenths", run_weak_detection, lambda: scalar_plant(F(3, 2)),
      "nl2", "weak", "identity", 200, 5, {"x0": (F(2, 7),)}),
+    # two modes over a code that is not zero-error: it diverges at t = 37, and
+    # 14 of its 18 mis-decoded epochs get one mode's cell right, the other's wrong
+    ("pentagon-identity-diag", run_estimation,
+     lambda: diagonal_plant([F(5, 4), F(6, 5)], disturbance=F(1, 10)),
+     "pentagon", "se-nofb", "identity", 300, 2, {}),
+    # q = 1 over the block-2 witness, long enough for radius rows of 1700 bits
+    ("pentagon-block2-long", run_estimation, lambda: scalar_plant(2, disturbance=F(1, 10)),
+     "pentagon", "se-nofb", "block2", 1500, 7, {}),
 ]
 
 # the channels of PINNED_RUNS that are not fixtures
@@ -374,6 +382,8 @@ PINNED_DIGESTS = {
     "odd-start-est": "b1a652ef9c2d967b6b72a490814d38aa999d78be7d1d5a826a5c96126318f2e2",
     "odd-start-stab": "f4e4e81b04c14df7fc2c507a847e35118186105acdedcab70d0ea82b4f1835b8",
     "weak-x0-sevenths": "9e2563fe42ad490eed95c795d91e9fd9f6a3bb0bfd22e3dbd2615a9721e84c4a",
+    "pentagon-identity-diag": "f3c08bc7a0af516552abec8fda6d058c40209c9af607d2ca8973b85dc2c6f717",
+    "pentagon-block2-long": "6bae503981f64bb4da6397e4a0ad11ae5456e1988f031b0b658f02c4d2c83264",
 }
 
 
@@ -416,6 +426,8 @@ PINNED_CSV_DIGESTS = {
     "odd-start-est": "f09e29b2bd38b84828f3021fa6bdb769cdf612944b4654ef2490a8f17fdb379e",
     "odd-start-stab": "4d49dd95c097c8dc96219aef9a02af41cd3e130d3126f1f2ffafd210e8352aea",
     "weak-x0-sevenths": "b9f7c0ec5c90ad3e44c56a3273dd67e2e4e952d4d3780f2b0dbb20a8e2a32144",
+    "pentagon-identity-diag": "879d962b7b6aca7d684c9f747478040e674836ff3b069ca6dc079dcb687abbf8",
+    "pentagon-block2-long": "2429d6ef3b11d7b43850355bf050d6e460e6ad8341aafec22b6b88f008a850b0",
 }
 
 
@@ -568,12 +580,12 @@ def test_error_at_the_threshold_does_not_stop_the_run(monkeypatch, nl2):
     """A run stops only once its error exceeds DIVERGENCE_THRESHOLD."""
     import certcap.simulate as sim
 
-    def run(x0):
-        # cell [0, 4000) of the box [-4000, 4000): error |x0 - 2000| at t = 0,
-        # then 0, since a = 1 and the box halves onto x0
+    def run(x0, limit=F(1000)):
+        # cell [0, 4T) of the box [-4T, 4T) for T = limit: error |x0 - 2T| at
+        # t = 0, then |x0 - 3T|, since a = 1 and the box halves onto [2T, 4T)
         return run_weak_detection(SimConfig(
             scalar_plant(1), nl2, Regime("weak"), identity_code(nl2), horizon=5,
-            seed=0, initial_radius=F(4000), x0=(x0,)))
+            seed=0, initial_radius=4 * limit, x0=(x0,)))
 
     at = run(F(3000))
     assert at.error[:2] == (F(1000), F(0)) == (sim.DIVERGENCE_THRESHOLD, 0)
@@ -585,6 +597,48 @@ def test_error_at_the_threshold_does_not_stop_the_run(monkeypatch, nl2):
     assert run(F(3000)).summary["diverged_at"] == 0
     monkeypatch.setattr(sim, "DIVERGENCE_THRESHOLD", F(1001))
     assert run(F(3001)).summary["diverged_at"] is None
+    # thresholds of other bit sizes, and below 1: a bit-size shortcut that
+    # still assumes 1000 lets the errors just above them through
+    for limit in (F(512), F(3, 2), F(1, 3)):
+        monkeypatch.setattr(sim, "DIVERGENCE_THRESHOLD", limit)
+        at = run(3 * limit, limit)
+        assert at.error[:2] == (limit, 0) and at.summary["diverged_at"] is None
+        above = run(3 * limit + F(1, 1000), limit)
+        assert above.error == (limit + F(1, 1000),) and above.summary["diverged_at"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F(9, 8), F(5, 4), F(3, 2), F(15, 8)]), st.integers(0, 2 ** 30))
+def test_a_run_diverges_at_its_first_error_above_the_threshold(a, seed):
+    """diverged_at is the first t whose recorded error exceeds
+    DIVERGENCE_THRESHOLD, and the run ends there."""
+    import certcap.simulate as sim
+
+    traj = run_estimation(SimConfig(scalar_plant(a, disturbance=F(1, 10)), BSC14,
+                                    Regime("se-nofb"), identity_code(BSC14),
+                                    horizon=400, seed=seed))
+    first = next((t for t, e in zip(traj.times, traj.error)
+                  if e > sim.DIVERGENCE_THRESHOLD), None)
+    assert traj.summary["diverged_at"] == first
+    assert len(traj.times) == (400 if first is None else first + 1)
+
+
+def test_epoch_record_contract(pentagon):
+    """Transcript records are read by field name, cannot be assigned to, and
+    print as the frozen dataclass they once were printed (the pinned digests
+    hash that repr)."""
+    traj = run_estimation(SimConfig(
+        diagonal_plant([F(5, 4), F(6, 5)], disturbance=F(1, 10)), pentagon,
+        Regime("se-nofb"), identity_code(pentagon), horizon=4, seed=2))
+    record = traj.transcript[3]
+    assert (record.epoch, record.message_sent, record.message_decoded) == (3, 2, 1)
+    assert (record.codeword, record.received) == ((2,), (2,))
+    assert record.radius_after == (F(1141, 5120), F(103, 500))
+    with pytest.raises(AttributeError):
+        record.message_decoded = 2
+    assert repr(traj.transcript[0]) == (
+        "EpochRecord(epoch=0, message_sent=3, codeword=(3,), received=(4,), "
+        "message_decoded=3, radius_after=(Fraction(1, 2), Fraction(1, 2)))")
 
 
 @settings(max_examples=60, deadline=None)
