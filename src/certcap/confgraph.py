@@ -55,6 +55,8 @@ alone leaves open, and two memos spare it work; none changes a witness.
   asks for it once, at the root, unless the root's colouring closes the
   search, and stops as soon as the incumbent reaches it: no later node
   could have raised it, so the witness is again the unbounded search's.
+  With W carried, a product seed that meets the bound is the rung, before Gⁿ
+  exists: the search would stop on it at the root, and its words are in order.
 
 * **Colouring memo.**  A node's greedy colouring depends on the graph and
   its candidate set alone.  Per candidate set, the search keeps how many
@@ -503,13 +505,13 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     products of earlier witnesses, so recorded alphas always satisfy the
     supermultiplicative inequality even when the node budget truncates the
     search.  When rung n - 1 is exact, floor(alpha*(g) alpha(gⁿ⁻¹)) bounds
-    the search (the Rosenfeld-Hales bound of the module docstring), which
-    then ends exact once the incumbent reaches it; ``ladder`` must hold
-    rungs of ``g`` only, and carries alpha*(g) on to the next rung.
+    the search (Rosenfeld-Hales, module docstring), which ends exact once the
+    incumbent reaches it, before gⁿ is built if the seed does and ``ladder``
+    carries alpha*(g); ``ladder`` holds rungs of ``g`` only, and carries it on.
     """
     if n != len(ladder.rungs) + 1:
         raise LadderError(f"rung {n} is out of order after {len(ladder.rungs)} rungs")
-    power = strong_power(g, n, cap=vertex_cap)
+    check_power_size(g, n, vertex_cap)
     seed = _best_product_witness(ladder, n)
     weight = ladder.cover_weight
     bound = None
@@ -518,13 +520,24 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
             nonlocal weight
             weight = weight or clique_cover_weight(g, fractional_clique_cover(g))
             return ladder.rungs[-1].alpha * weight // 1
-    result = max_independent_set(power, node_budget=node_budget, seed_witness=seed,
-                                 upper_bound=bound)
+    if bound and weight and node_budget != 0 and len(seed) >= bound() and _is_code(g, seed, n):
+        result = IndependenceResult(len(seed), seed, True)
+    else:
+        result = max_independent_set(strong_power(g, n, cap=vertex_cap), node_budget=node_budget,
+                                     seed_witness=seed, upper_bound=bound)
     rate = log2_enclosure(Fraction(result.alpha), RATE_WIDTH * n).scaled(Fraction(1, n))
     rung = LadderRung(n, result.alpha, result.witness, rate, result.exact)
     best = ladder.running_best
     return CapacityLadder(ladder.rungs + (rung,),
                           rate if best is None or rate.lo > best.lo else best, weight)
+
+
+def _is_code(g: ConfusabilityGraph, words: tuple, n: int) -> bool:
+    """Whether ``words``, n labels of g each, are independent in gⁿ (no repeats)."""
+    codes = [[g.vertices.index(a) for a in w] for w in words if len(w) == n]
+    return len(codes) == len(words) and all(
+        any(a != b and not g.are_adjacent(a, b) for a, b in zip(u, w))
+        for k, u in enumerate(codes) for w in codes[k + 1:])
 
 
 def _best_product_witness(ladder: CapacityLadder, n: int) -> tuple:

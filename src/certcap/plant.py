@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 
 from .enclosure import (DomainError, Enclosure, load_json, log2_fixed, parse_rational,
@@ -183,6 +182,7 @@ class UnstableModuli:
         n = poly_degree(p)
         modulus = abs(p[0] / p[1]) if n == 1 else 0  # one rational root
         self.exact = [(modulus, modulus, 1)] if modulus >= 1 else []
+        self.digits = {}  # x -> (m, floor(2^m log2 x), whether x is a power of two)
         self.leaves = []  # (e, lo, count(lo), hi, count(hi), tested): radii lo/2^e, hi/2^e
         if n <= 1:
             return
@@ -196,11 +196,19 @@ class UnstableModuli:
     def _count(self, radius: tuple[int, int]) -> int | None:
         return _count_in_unit_disc(_scaled(self.ints, radius[0], 1 << radius[1]))
 
+    def log2(self, x: Fraction, bits: int) -> tuple[int, bool]:
+        """(floor(2^bits log2 x), whether x is a power of two): x's m stored digits, shifted
+        (floor(floor(2^m y) / 2^(m - bits)) = floor(2^bits y)), or max(bits, 2m) new ones."""
+        m, digits, exact = self.digits.get(x, (-1, 0, False))
+        if m < bits:
+            m = max(bits, 2 * m)
+            digits, exact = log2_fixed(x.numerator, x.denominator, m)
+            self.digits[x] = m, digits, exact
+        return digits >> m - bits, exact
+
     def brackets(self, tolerance: Fraction, bits: int) -> list[tuple[Fraction, Fraction, int]]:
         tolerance = Fraction(tolerance)
-        # (floor(2^bits log2 x), whether x is a power of two), once per radius x and
-        # call; InstabilityExponent.enclose reads the leaves' digits from it
-        self.log2 = log2 = cache(lambda x: log2_fixed(x.numerator, x.denominator, bits))
+        log2 = self.log2
         stack, self.leaves = self.leaves, []
         while stack:
             e, lo, n_lo, hi, n_hi, tested = stack.pop()
@@ -209,7 +217,7 @@ class UnstableModuli:
                 continue
             # log2(hi / lo) >= (hi - lo) / hi: only a narrower bracket can have settled digits
             if (one < lo and (hi - lo) << bits < hi
-                    and log2(Fraction(lo, one))[0] == log2(Fraction(hi, one))[0]):
+                    and log2(Fraction(lo, one), bits)[0] == log2(Fraction(hi, one), bits)[0]):
                 self.leaves.append((e, lo, n_lo, hi, n_hi, tested))
                 continue
             if not tested and (hi - lo) * 2 * self.lead ** 2 < one:  # narrower than 1/(2 L^2)
@@ -260,10 +268,9 @@ class InstabilityExponent:
         lo_sum = hi_sum = 0  # over 2^bits
         # hi <= lo * (1 + max_width / (3n)) keeps log2(hi / lo) below max_width / (2n)
         brackets = self.moduli.brackets(max_width / (3 * n), bits)
-        log2 = self.moduli.log2
         for lo, hi, k in brackets:
-            digits, exact = log2(hi)
-            lo_sum += k * (log2(lo)[0] if lo > 1 else 0)
+            digits, exact = self.moduli.log2(hi, bits)
+            lo_sum += k * (self.moduli.log2(lo, bits)[0] if lo > 1 else 0)
             hi_sum += k * (digits if exact else digits + 1)
         result = Enclosure(Fraction(lo_sum, 1 << bits), Fraction(hi_sum, 1 << bits))
         if result.width > max_width:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certcap import confgraph
-from certcap.channel import (SupportCertificate, certify_support, exact_channel,
-                             noiseless, typewriter)
+from certcap.channel import (ResourceCapError, SupportCertificate, certify_support,
+                             exact_channel, noiseless, typewriter)
 from certcap.confgraph import (CapacityLadder, LadderError, LadderRung, _PowerSymmetry,
                                clique_cover_weight, extend_ladder, fractional_clique_cover,
                                max_independent_set, strong_power)
@@ -504,6 +505,14 @@ class TestProductSeed:
         ladder, n = case
         assert confgraph._best_product_witness(ladder, n) == reference_product_witness(ladder, n)
 
+    @given(case=recorded_rungs())
+    @settings(max_examples=300, deadline=None)
+    def test_product_seed_is_in_power_index_order(self, case):
+        # each rung's words are in index order, and one split fixes the rung
+        # behind every coordinate, whose labels (k, j) then sort as j does
+        seed = confgraph._best_product_witness(*case)
+        assert all(u < w for u, w in zip(seed, seed[1:]))
+
     def test_a_tie_keeps_the_largest_first_split(self):
         # rung 2 (alpha 4) ties the split 1 + 1 (alpha 2 * 2): rung 2 wins
         assert confgraph._best_product_witness(ladder_of({1: 2, 2: 4}), 2) == \
@@ -773,6 +782,84 @@ class TestRungBound:
         result = max_independent_set(power, upper_bound=lambda: 10)
         assert (result.alpha, result.witness, result.exact) == (10, plain.witness, True)
         assert result.nodes < plain.nodes
+
+
+@st.composite
+def small_ladder(draw):
+    """A base graph, its top block length with |V|^n <= 256, a node budget,
+    and whether the ladder carries alpha*(g) from its start: a ladder
+    carries it only once a search asked for the bound, which colouring
+    alone mostly spares these small graphs."""
+    g = draw(base_graph())
+    top = max(n for n in range(1, 9) if len(g) ** n <= 256)
+    return g, top, draw(st.sampled_from((None, 0, 1, 30, 2000))), draw(st.booleans())
+
+
+class TestSettledRungs:
+    """A rung whose product seed meets the rung bound is recorded without gⁿ."""
+
+    def test_pentagon_builds_no_fourth_power(self, pentagon, monkeypatch):
+        built = []
+        real = confgraph.strong_power
+        monkeypatch.setattr(confgraph, "strong_power",
+                            lambda g, n, cap: built.append(n) or real(g, n, cap))
+        rung = build_ladder(pentagon, 4, **ENGINE_LIMITS).recorded(4)
+        assert built == [1, 2, 3]
+        assert (rung.alpha, rung.exact) == (25, True)
+        assert digest(rung.to_json()["witness"]) == \
+            "5afffffb22226cecbe41fc6c089f376dfcc2cefd71a2d835d3337ae65fec9428"
+
+    @given(case=small_ladder())
+    @settings(max_examples=150, deadline=None)
+    def test_every_rung_is_the_bounded_search(self, case):
+        g, top, budget, carried = case
+        weight = clique_cover_weight(g, fractional_clique_cover(g))
+        # rung 1 unbudgeted: an empty first witness has no rate (log2 0)
+        ladder = extend_ladder(CapacityLadder(cover_weight=weight if carried else None), g, 1)
+        for n in range(2, top + 1):
+            seed = confgraph._best_product_witness(ladder, n)
+            previous = ladder.rungs[-1]
+            bound = previous.alpha * weight // 1 if previous.exact else None
+            expected = max_independent_set(
+                strong_power(g, n), node_budget=budget, seed_witness=seed,
+                upper_bound=None if bound is None else lambda: bound)
+            ladder = extend_ladder(ladder, g, n, node_budget=budget)
+            rung = ladder.recorded(n)
+            assert (rung.alpha, rung.witness, rung.exact) == \
+                (expected.alpha, expected.witness, expected.exact)
+
+    def test_a_zero_budget_rung_is_not_exact(self, pentagon):
+        ladder = build_ladder(pentagon, 3, **ENGINE_LIMITS)
+        assert ladder.cover_weight == F(5, 2)
+        rung = extend_ladder(ladder, graph_of(pentagon), 4, node_budget=0).recorded(4)
+        assert (rung.alpha, rung.exact) == (25, False)
+
+    def test_the_vertex_cap_refuses_before_any_seed_or_bound(self, pentagon, monkeypatch):
+        ladder = build_ladder(pentagon, 3, **ENGINE_LIMITS)
+
+        def refuse(*_):
+            raise AssertionError("seed or bound work before the cap check")
+        for name in ("_best_product_witness", "_is_code", "clique_cover_weight",
+                     "fractional_clique_cover", "strong_power"):
+            monkeypatch.setattr(confgraph, name, refuse)
+        with pytest.raises(ResourceCapError, match="625 vertices exceed the cap of 624"):
+            extend_ladder(ladder, graph_of(pentagon), 4, vertex_cap=624)
+
+    def test_a_dependent_seed_takes_the_search_and_is_refused(self, pentagon):
+        ladder = build_ladder(pentagon, 3, **ENGINE_LIMITS)
+        # rung 2's five words, which the 2 + 2 split of rung 4 repeats, become
+        # (0, j): 0 ~ 1 in C5, so (0, 0) and (0, 1) are confusable
+        second = replace(ladder.rungs[1], witness=tuple((0, j) for j in range(5)))
+        forged = replace(ladder, rungs=ladder.rungs[:1] + (second,) + ladder.rungs[2:])
+        with pytest.raises(ValueError, match="seed witness is not independent"):
+            extend_ladder(forged, graph_of(pentagon), 4, **ENGINE_LIMITS)
+
+    def test_the_word_check_refuses_repeats_confusable_pairs_and_short_words(self, pentagon):
+        g = graph_of(pentagon)
+        assert confgraph._is_code(g, ((0, 0), (2, 2)), 2)
+        assert not confgraph._is_code(g, ((0, 0), (2, 2), (0, 0)), 2)
+        assert not confgraph._is_code(g, ((0, 0), (1, 4)), 2)  # 0 ~ 1 and 0 ~ 4
+        assert not confgraph._is_code(g, ((0, 0), (2,)), 2)
 
 
 @st.composite

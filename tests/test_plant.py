@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from certcap import plant as plant_module
 from certcap import roots as roots_module
 from certcap.classify import EtaTask, Regime, classify, revalidate
-from certcap.enclosure import Enclosure, log2_enclosure, width_bits
+from certcap.enclosure import Enclosure, log2_enclosure, log2_fixed, width_bits
 from certcap.linalg import as_matrix, char_poly, kernel_basis, mat_mul, transpose
 from certcap.plant import (InstabilityExponent, Plant, PlantFormatError, UnstableModuli,
                            instability_exponent, load_plant)
@@ -587,3 +587,41 @@ def test_expanding_plant_root_counts_stay_under_their_ceilings(monkeypatch):
     calls.clear()
     instability_exponent(as_matrix(EXPANDING5), F(1, 1 << 30))
     assert len(calls) <= 180
+
+
+def _spy_log2_digits(monkeypatch) -> list:
+    """The m of every log2_fixed call plant.py makes."""
+    calls = []
+    monkeypatch.setattr(plant_module, "log2_fixed",
+                        lambda n, d, m: calls.append(m) or log2_fixed(n, d, m))
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=10 ** 6),
+       requests=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=10))
+def test_stored_digits_answer_every_request_like_a_fresh_log2(x, requests):
+    moduli = UnstableModuli((F(-2), F(1)))
+    for bits in requests:
+        assert moduli.log2(x, bits) == log2_fixed(x.numerator, x.denominator, bits)
+
+
+def test_a_first_request_computes_exactly_its_digits(monkeypatch):
+    calls = _spy_log2_digits(monkeypatch)
+    moduli = UnstableModuli((F(-2), F(1)))
+    moduli.log2(F(3), 37)
+    moduli.log2(F(3), 20)  # served by a shift
+    moduli.log2(F(5, 2), 20)
+    assert calls == [37, 20]
+    moduli.log2(F(3), 41)  # past 37: twice as deep
+    assert calls == [37, 20, 74]
+
+
+def test_eta_of_three_to_the_width_floor_reads_log2_five_times(monkeypatch):
+    # 30 calls, one per step, while each call computed its own digits
+    calls = _spy_log2_digits(monkeypatch)
+    task = EtaTask(as_matrix([[3]]))
+    while not task.exhausted():
+        task.step()
+    assert task.enclosure.width <= F(1, 1 << 120)
+    assert calls == [8, 16, 32, 64, 128]
