@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from certcap.channel import binary_symmetric, noiseless, typewriter
 from certcap.classify import Regime
-from certcap.confgraph import max_independent_set, strong_power
+from certcap.confgraph import CapacityLadder, extend_ladder
 from certcap.graph import certified_graph
 from certcap.linalg import as_matrix
 from certcap.plant import Plant
@@ -50,9 +50,10 @@ def main() -> int:
           [Fraction(5, 4), Fraction(3, 2), Fraction(7, 4), Fraction(2)])
 
     pentagon = typewriter(5)
-    witness = max_independent_set(strong_power(certified_graph(pentagon), 2)).witness
+    graph = certified_graph(pentagon)
+    ladder = extend_ladder(extend_ladder(CapacityLadder(), graph, 1), graph, 2)
     sweep("pentagon + block-2 zero-error code", pentagon,
-          witness_code(pentagon, witness),
+          witness_code(pentagon, ladder.rungs[-1].witness),
           [Fraction(3, 2), Fraction(2), Fraction(9, 4), Fraction(5, 2)],
           horizon=1200)
 

@@ -18,8 +18,7 @@ import sys
 from .capacity import DEFAULT_C0FB_WIDTH, feedback_zero_error_capacity, shannon_capacity
 from .channel import ResourceCapError, load_channel
 from .classify import UNDETERMINED, classify, classify_fixed_plant
-from .confgraph import (CapacityLadder, check_power_size, clique_cover_weight, extend_ladder,
-                        fractional_clique_cover, max_independent_set, strong_power)
+from .confgraph import CapacityLadder, check_power_size, extend_ladder
 from .enclosure import Enclosure, load_json, parse_rational, rational_str
 from .graph import certified_graph
 from .plant import DEFAULT_ETA_WIDTH, REGIME_KINDS, Regime, instability_exponent, load_plant
@@ -161,15 +160,18 @@ def _cmd_analyze(args) -> int:
     return EXIT_UNDETERMINED if verdict.outcome == UNDETERMINED else EXIT_OK
 
 
+def _ladder(ch, n: int) -> CapacityLadder:
+    """Rungs 1..n of the zero-error ladder, under extend_ladder's default limits."""
+    graph = certified_graph(ch)
+    check_power_size(graph, n)  # fail before the lower rungs run
+    return functools.reduce(lambda ladder, k: extend_ladder(ladder, graph, k),
+                            range(1, n + 1), CapacityLadder())
+
+
 def _ladder_report(ch, max_block: int) -> dict:
     if max_block < 1:
         raise CliError(f"--max-block must be >= 1, got {max_block}")
-    graph = certified_graph(ch)
-    check_power_size(graph, max_block)  # fail before the lower rungs run
-    ladder = CapacityLadder()
-    for n in range(1, max_block + 1):
-        ladder = extend_ladder(ladder, graph, n)
-    return ladder.to_json()
+    return _ladder(ch, max_block).to_json()
 
 
 def _cmd_capacity(args) -> int:
@@ -223,13 +225,8 @@ def _cmd_simulate(args) -> int:
             raise CliError("--code identity sends one symbol per message; "
                            f"--block-length must be 1, got {args.block_length}")
         code = identity_code(ch)
-    else:
-        base, n = certified_graph(ch), args.block_length
-
-        def bound() -> int:  # a product of fractional clique covers covers baseⁿ
-            return clique_cover_weight(base, fractional_clique_cover(base)) ** n // 1
-        power = strong_power(base, n)
-        code = witness_code(ch, max_independent_set(power, upper_bound=bound).witness)
+    else:  # rung n of the ladder: the one search for a zero-error code
+        code = witness_code(ch, _ladder(ch, args.block_length).rungs[-1].witness)
     cfg = SimConfig(plant, ch, regime, code, horizon=args.horizon, seed=args.seed,
                     initial_radius=radius)
     run = {"weak": run_weak_detection, "stab-fb": run_stabilization}.get(

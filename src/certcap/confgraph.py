@@ -525,6 +525,8 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     else:
         result = max_independent_set(strong_power(g, n, cap=vertex_cap), node_budget=node_budget,
                                      seed_witness=seed, upper_bound=bound)
+    if not result.alpha:  # rung 1 with no search, or an empty graph; log2(0) is no rate
+        raise LadderError(f"rung {n} would record alpha = 0 (node budget {node_budget})")
     rate = log2_enclosure(Fraction(result.alpha), RATE_WIDTH * n).scaled(Fraction(1, n))
     rung = LadderRung(n, result.alpha, result.witness, rate, result.exact)
     best = ladder.running_best

@@ -6,8 +6,9 @@ module; it imports primitives only.  What it imports, transitively, is its
 trusted base: no solver may enter it, and its line count is pinned.  No
 module imports a name it never reads, and no module-level function or class
 goes unnamed in src/ or scripts/ outside its own definition, save the few on
-a list that may only shrink.  The simulator imports no engine module, and
-each plant-side decision is defined in the one module that owns it.
+a list that may only shrink.  The simulator imports no engine module,
+each plant-side decision is defined in the one module that owns it, and
+only confgraph.py builds a strong power or searches one for a code.
 """
 
 import ast
@@ -103,6 +104,23 @@ def test_simulator_imports_no_engine_module():
     closure = _closure("simulate")
     assert not closure & SIMULATOR_FORBIDDEN, sorted(closure & SIMULATOR_FORBIDDEN)
     assert len(closure) <= SIMULATOR_MODULE_CEILING, sorted(closure)
+
+
+def test_only_the_ladder_searches_for_a_zero_error_code():
+    # extend_ladder is the one search: its seed, rung bound and node budget
+    # hold only if no other module builds a power or searches it itself
+    search = {"strong_power", "max_independent_set"}
+    modules = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert PACKAGE / "cli.py" in modules and ROOT / "scripts" / "tracking_thresholds.py" in modules
+    reaching = {}
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if names & search and path.name != "confgraph.py":
+            reaching[path.name] = sorted(names & search)
+    assert not reaching, reaching
 
 
 def _defining_modules(name: str) -> set[str]:

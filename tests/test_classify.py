@@ -544,6 +544,19 @@ class TestForgedCertificates:
         bad = replace(cert, payload={**cert.payload, "nonadjacent_pair": [0, 2]})
         assert revalidate(_with_certificate(verdict, bad), nl2) is False
 
+    def test_c0fb_pair_of_one_input_on_a_complete_graph(self):
+        # inputs reach {0, 1}, {1, 2} and {0, 2}: every pair confuses, so C0fb = 0,
+        # yet the uniform input puts mass 2/3 on each output, a genuine psi whose
+        # log2(3/2) would prove the claim; only i < j stops the pair (0, 0)
+        half = F(1, 2)
+        ch = exact_channel((0, 1, 2), (0, 1, 2),
+                           [[half, half, 0], [0, half, half], [half, 0, half]])
+        cert = SeparationCertificate(
+            "c0fb", "eta-below-capacity", Enclosure.exact(half),
+            log2_enclosure(F(3, 2), F(1, 1 << 20)),
+            {"inverse_psi": "3/2", "distribution": ["1/3"] * 3, "nonadjacent_pair": [0, 0]})
+        assert revalidate(Verdict("Solvable", "se-fb", cert, 1, 100), ch) is False
+
     def test_complete_graph_psi_at_zero_eta(self, bsc14):
         # eta = 0 = C0fb is a tie, not an Unsolvable instance
         verdict = classify(diagonal_plant([2], disturbance=F(1, 10)), bsc14,

@@ -7,16 +7,20 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certcap import cli
-from certcap.channel import noiseless
+from certcap import cli, confgraph
+from certcap.channel import noiseless, typewriter
+from certcap.check import IndependentSetCertificate, _check_independent_set
 from certcap.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, main
-from certcap.confgraph import max_independent_set
+from certcap.confgraph import RATE_WIDTH
+from certcap.enclosure import Enclosure, log2_enclosure
+from certcap.graph import witness_json
 from conftest import product_channel
 
 
@@ -134,14 +138,15 @@ def test_simulate_auto_code(capsys, data_dir):
 def test_simulate_auto_code_search_stops_at_the_cover_bound(capsys, data_dir, monkeypatch):
     # sparse8.json: inputs 0-3 isolated, edges 4-5, 4-6 and 5-7 (alpha 6,
     # fractional clique cover weight 6).  Unbounded, the search on the square
-    # expands about 15 million nodes; floor(6^2) = 36 ends it exact at once.
-    results = []
+    # expands about 15 million nodes; the product seed of 36 meets the rung
+    # bound floor(6 * 6) = 36, which ends it exact at once.
+    results, search = [], confgraph.max_independent_set
 
     def spy(*args, **kwargs):
-        results.append(max_independent_set(*args, **kwargs))
+        results.append(search(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(cli, "max_independent_set", spy)
+    monkeypatch.setattr(confgraph, "max_independent_set", spy)
     code, out, _ = run_cli(capsys, "simulate",
                            "--plant", str(data_dir / "plant_3_2.json"),
                            "--channel", str(data_dir / "sparse8.json"),
@@ -149,7 +154,8 @@ def test_simulate_auto_code_search_stops_at_the_cover_bound(capsys, data_dir, mo
                            "--seed", "1", "--code", "auto", "--block-length", "2")
     assert code == EXIT_OK
     assert json.loads(out)["message_count"] == 36
-    [result] = results
+    [base, result] = results  # rung 1, then the square
+    assert (base.alpha, base.exact) == (6, True)
     assert (result.alpha, result.exact) == (36, True)
     assert result.nodes <= 36
 
@@ -168,6 +174,71 @@ def test_simulate_auto_code_block_one_on_tuple_labels(capsys, data_dir, monkeypa
     doc = json.loads(out)
     assert doc["message_count"] == 4 and doc["block_length"] == 1
     assert doc["zero_error_transcript"] is True
+
+
+def spy_on_sent_code(monkeypatch) -> list:
+    """The (channel, words) that each simulate run turns into its code."""
+    sent, make_code = [], cli.witness_code
+
+    def spy(ch, words):
+        sent.append((ch, words))
+        return make_code(ch, words)
+
+    monkeypatch.setattr(cli, "witness_code", spy)
+    return sent
+
+
+def is_zero_error_code(ch, words) -> bool:
+    # the checker's test of an independent-set certificate: n labels per
+    # word, no repeats, and each two words distinguishable in certified_graph(ch)
+    alpha, n = len(words), len(words[0])
+    rate = log2_enclosure(Fraction(alpha), RATE_WIDTH * n).scaled(Fraction(1, n))
+    return _check_independent_set(
+        IndependentSetCertificate(n, alpha, words, rate, Enclosure.exact(Fraction(0))), ch)
+
+
+@pytest.mark.parametrize("seven, block, alpha", [(False, 4, 25), (True, 3, 30)],
+                         ids=["pentagon-4", "typewriter7-3"])
+def test_simulate_auto_code_on_long_blocks_is_quick(capsys, data_dir, monkeypatch,
+                                                    seven, block, alpha):
+    # the ladder's product seed meets its rung bound on both; a search of the
+    # power bounded by floor(alpha*(G)^n) alone, with no seed, runs past 10 s
+    if seven:
+        monkeypatch.setattr(cli, "load_channel", lambda doc: typewriter(7))
+    sent = spy_on_sent_code(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate",
+                             "--plant", str(data_dir / "plant_3_2.json"),
+                             "--channel", str(data_dir / "pentagon.json"),
+                             "--regime", "se-nofb", "--horizon", "20",
+                             "--code", "auto", "--block-length", str(block))
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["message_count"] == alpha
+    [(ch, words)] = sent
+    assert len(ch.inputs) == (7 if seven else 5)
+    assert is_zero_error_code(ch, words)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("channel", ["asym3x4", "bsc_1_10", "bsc_1_4", "noiseless2",
+                                     "pentagon", "sparse8", "typewriter4"])
+def test_simulate_auto_code_is_the_last_ladder_rung(capsys, data_dir, tmp_path, monkeypatch,
+                                                    channel, block):
+    # one code search: simulate sends the witness that zero-error reports
+    path = str(data_dir / f"{channel}.json")
+    _, out, _ = run_cli(capsys, "zero-error", "--channel", path, "--max-block", str(block))
+    rung = json.loads(out)["rungs"][-1]
+    plant = tmp_path / "stable.json"  # a stable plant runs on any code, one word included
+    plant.write_text('{"A": [["1/2"]], "C": [["1"]], "D": "1/10"}')
+    sent = spy_on_sent_code(monkeypatch)
+    code, out, err = run_cli(capsys, "simulate", "--plant", str(plant), "--channel", path,
+                             "--regime", "se-nofb", "--horizon", "5",
+                             "--code", "auto", "--block-length", str(block))
+    assert (code, err) == (EXIT_OK, "")
+    [(_, words)] = sent
+    assert json.loads(json.dumps(witness_json(words, block))) == rung["witness"]
+    assert json.loads(out)["message_count"] == rung["alpha"]
 
 
 @pytest.mark.parametrize("command, inputs, message", [
@@ -785,7 +856,9 @@ def test_auto_code_refuses_an_unrunnable_setup_before_searching(capsys, data_dir
     def search_never_starts(*args, **kwargs):
         raise AssertionError("the code search ran")
 
-    monkeypatch.setattr(cli, "max_independent_set", search_never_starts)
+    monkeypatch.setattr(cli, "extend_ladder", search_never_starts)
+    for name in ("strong_power", "max_independent_set"):
+        monkeypatch.setattr(confgraph, name, search_never_starts)
     argv = list(argv)
     if argv[0] in UNRUNNABLE_PLANTS:
         plant = tmp_path / "plant.json"

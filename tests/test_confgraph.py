@@ -469,6 +469,15 @@ class TestLadder:
                 extend_ladder(ladder, g, n)
         assert [r.n for r in extend_ladder(ladder, g, 2).rungs] == [1, 2]
 
+    def test_a_zero_budget_first_rung_is_refused_before_any_log2(self, pentagon, monkeypatch):
+        # rung 1 has no product seed, so a zero budget leaves alpha = 0, which has no log2
+        def no_log2(*_):
+            raise AssertionError("log2 taken of an empty code")
+
+        monkeypatch.setattr(confgraph, "log2_enclosure", no_log2)
+        with pytest.raises(LadderError, match=r"rung 1 would record alpha = 0 \(node budget 0\)"):
+            extend_ladder(CapacityLadder(), certified_graph(pentagon), 1, node_budget=0)
+
     def test_empty_graph_rung_is_log_alphabet(self):
         ch = exact_channel((0, 1, 2), (0, 1, 2),
                            [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
