@@ -77,7 +77,7 @@ alone leaves open, and two memos spare it work; none changes a witness.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -127,24 +127,20 @@ def strong_power(g: ConfusabilityGraph, n: int,
     neighbourhoods, so the masks are built one coordinate at a time: the
     row of ``(a, rest)`` is the OR of ``rows[rest] << p * width`` over the
     bits ``p`` of a's closed mask, where width is the size of the previous
-    power.  Clearing each vertex's own bit then gives the adjacency.
+    power, so the shifted rows never overlap and the OR is a sum.  Clearing
+    each vertex's own bit then gives the adjacency.
     """
     check_power_size(g, n, cap)
     closed = [mask | 1 << a for a, mask in enumerate(g.adjacency)]
+    shifts = [list(_bits(c)) for c in closed]
     rows = closed
     for _ in range(n - 1):
         width = len(rows)
-        rows = [_kronecker_row(c, row, width) for c in closed for row in rows]
+        rows = [sum(row << p * width for p in bits) for bits in shifts for row in rows]
     adjacency = tuple(row ^ 1 << i for i, row in enumerate(rows))
     power = ConfusabilityGraph(tuple(product(g.vertices, repeat=n)), adjacency)
     object.__setattr__(power, "power_of", (g, n))
     return power
-
-
-def _kronecker_row(closed: int, row: int, width: int) -> int:
-    """OR of ``row << p * width`` over the set bits p of ``closed``: rows
-    below 2**width never overlap once shifted, so the OR is a sum."""
-    return sum(row << p * width for p in _bits(closed))
 
 
 def _bits(mask: int):
@@ -483,6 +479,7 @@ class CapacityLadder:
     rungs: tuple = ()
     running_best: Enclosure | None = None
     cover_weight: Fraction | None = field(default=None, compare=False)  # alpha*, checked
+    splits: Sequence[tuple[int, int]] = field(default=(), compare=False)  # best[:n]
 
     def recorded(self, n: int) -> LadderRung | None:
         return next((r for r in self.rungs if r.n == n), None)
@@ -507,12 +504,14 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     search.  When rung n - 1 is exact, floor(alpha*(g) alpha(gⁿ⁻¹)) bounds
     the search (Rosenfeld-Hales, module docstring), which ends exact once the
     incumbent reaches it, before gⁿ is built if the seed does and ``ladder``
-    carries alpha*(g); ``ladder`` holds rungs of ``g`` only, and carries it on.
+    carries alpha*(g), or if the seed has all |g|ⁿ words.  ``ladder`` holds
+    rungs of ``g`` only; it carries alpha*(g) and the split table on.
     """
     if n != len(ladder.rungs) + 1:
         raise LadderError(f"rung {n} is out of order after {len(ladder.rungs)} rungs")
     check_power_size(g, n, vertex_cap)
-    seed = _best_product_witness(ladder, n)
+    splits = _split_table(ladder, n)
+    seed = _best_product_witness(ladder, n, splits)
     weight = ladder.cover_weight
     bound = None
     if ladder.rungs and ladder.rungs[-1].exact:
@@ -520,7 +519,8 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
             nonlocal weight
             weight = weight or clique_cover_weight(g, fractional_clique_cover(g))
             return ladder.rungs[-1].alpha * weight // 1
-    if bound and weight and node_budget != 0 and len(seed) >= bound() and _is_code(g, seed, n):
+    settled = len(seed) == len(g) ** n or bound and weight and len(seed) >= bound()
+    if node_budget != 0 and settled and _is_code(g, seed, n):
         result = IndependenceResult(len(seed), seed, True)
     else:
         result = max_independent_set(strong_power(g, n, cap=vertex_cap), node_budget=node_budget,
@@ -531,7 +531,7 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     rung = LadderRung(n, result.alpha, result.witness, rate, result.exact)
     best = ladder.running_best
     return CapacityLadder(ladder.rungs + (rung,),
-                          rate if best is None or rate.lo > best.lo else best, weight)
+                          rate if best is None or rate.lo > best.lo else best, weight, splits[:n])
 
 
 def _is_code(g: ConfusabilityGraph, words: tuple, n: int) -> bool:
@@ -542,24 +542,32 @@ def _is_code(g: ConfusabilityGraph, words: tuple, n: int) -> bool:
         for k, u in enumerate(codes) for w in codes[k + 1:])
 
 
-def _best_product_witness(ladder: CapacityLadder, n: int) -> tuple:
-    """Largest concatenation of recorded witnesses filling block length n.
+def _split_table(ladder: CapacityLadder, n: int) -> list[tuple[int, int]]:
+    """best[r], r = 0..n: the largest product of alphas over the splits of r
+    into recorded block lengths, and the largest first part that reaches it.
+    Entry r reads only block lengths <= r, so the ladder carries best[:n]."""
+    sizes = {r.n: len(r.witness) for r in ladder.rungs}.items()
+    best = list(ladder.splits[:n + 1]) or [(1, 0)]
+    for r in range(len(best), n + 1):
+        best.append(_best_split(best, sizes, r))
+    return best
 
-    ``best[r]`` holds the largest product of alphas over the splits of r
-    into recorded block lengths, and the largest first part that reaches
-    it.  Following those first parts from n gives parts that never increase
-    (a larger part at r - k would also reach ``best[r]`` at r), so the split
-    is the first of the maximal ones in largest-part-first order.
-    """
-    sizes = sorted({r.n: r for r in ladder.rungs}.items(), reverse=True)
-    best: list[tuple[int, LadderRung | None]] = [(1, None)] + [(0, None)] * n
-    for r in range(1, n + 1):
-        for k, rung in sizes:
-            if k <= r and best[r - k][0] * len(rung.witness) > best[r][0]:
-                best[r] = best[r - k][0] * len(rung.witness), rung
+
+def _best_split(best: list, sizes, r: int) -> tuple[int, int]:
+    """best[r] from best[:r]: the largest product, and of its ties the largest part."""
+    return max(((best[r - k][0] * alpha, k) for k, alpha in sizes if k <= r), default=(0, 0))
+
+
+def _best_product_witness(ladder: CapacityLadder, n: int, best: list | None = None) -> tuple:
+    """Largest concatenation of recorded witnesses filling block length n:
+    the first parts of ``best`` (``_split_table``), followed from n, never
+    increase (a larger part at r - k would also reach ``best[r]`` at r), so
+    the split is the first of the maximal ones in largest-part-first order."""
+    best = best or _split_table(ladder, n)
+    rungs = {r.n: r for r in ladder.rungs}
     combined = [()] if best[n][0] else []
     while combined and n:
-        rung = best[n][1]
+        rung = rungs[best[n][1]]
         combined = [prefix + w for prefix in combined for w in rung.witness]
         n -= rung.n
     return tuple(combined)

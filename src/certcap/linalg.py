@@ -2,14 +2,13 @@
 
 Matrices are tuples of tuples of Fractions; everything here is pure and
 allocation-light, sized for the small systems this package analyzes.
-Elimination runs on integer numerators over one shared denominator
+Elimination runs on integer rows, each over its own positive denominator
 (``integer_pivot``), so no Fraction is built inside a pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -51,32 +50,29 @@ def integer_rows(rows) -> tuple[list[list[int]], int]:
     return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
 
 
-def integer_pivot(rows: list[list[int]], den: int, row: int, col: int) -> int:
-    """Gauss-Jordan pivot on (row, col) of rows / den, in place; returns the
-    new den.  Integer-preserving (Edmonds 1967; Bareiss 1968): with p the
-    pivot, each other row becomes p * row - f * pivot_row, the pivot row
-    den * pivot_row and den den * p, a negative pivot row being negated
-    first so that den stays positive and numerators carry their values'
-    signs; then all is divided by gcd(den, *entries).
+def integer_pivot(rows: list[list[int]], dens: list[int], row: int, col: int) -> None:
+    """Gauss-Jordan pivot on (row, col), in place, of the matrix whose row r
+    is rows[r] / dens[r], each den positive.  Integer-preserving (Edmonds
+    1967): the pivot row is divided by the gcd of its entries, signed like
+    its pivot p, and goes over den p; each row with f != 0 in the pivot
+    column becomes p * row - f * pivot_row over dens[r] * p, reduced by the
+    gcd of its entries and den.  Rows with a 0 there are not touched.
     """
     line = rows[row]
-    if line[col] < 0:
-        line = [-w for w in line]
-    p = line[col]
+    g = gcd(*line) if line[col] > 0 else -gcd(*line)
+    if g != 1:
+        line = rows[row] = [w // g for w in line]
+    p = dens[row] = line[col]
+    nonzero = [(j, w) for j, w in enumerate(line) if w]
     for r, other in enumerate(rows):
         f = other[col]
-        if r == row:
-            rows[r] = [den * w for w in line]
-        elif f:
-            rows[r] = [p * v - f * w for v, w in zip(other, line)]
-        elif p != 1:
-            rows[r] = [p * v for v in other]
-    den *= p
-    g = gcd(den, *chain.from_iterable(rows))
-    if g > 1:
-        rows[:] = [[v // g for v in other] for other in rows]
-        den //= g
-    return den
+        if f and r != row:
+            other = [p * v for v in other] if p != 1 else other[:]
+            for j, w in nonzero:
+                other[j] -= f * w
+            den = dens[r] * p
+            g = gcd(den, *other)
+            rows[r], dens[r] = [v // g for v in other] if g > 1 else other, den // g
 
 
 def char_poly(m: Matrix) -> tuple[Fraction, ...]:
@@ -106,21 +102,19 @@ def kernel_basis(rows, ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int
     """Basis of the right null space of a matrix with ncols columns, and its
     free columns: basis vector j is 1 at column free[j] and 0 at the other
     free columns.  A matrix with no rows leaves every column free.  One
-    Gauss-Jordan pass, on integer rows (``integer_pivot``).
+    Gauss-Jordan pass, on integer rows each over its own den (``integer_pivot``).
     """
     if any(len(row) != ncols for row in rows):
         raise ValueError(f"rows must have {ncols} columns")
-    rows, den = integer_rows(rows)
-    pivots: list[int] = []
+    rows, dens = integer_rows(rows)[0], [1] * len(rows)  # d M, with M's kernel
+    row_of: dict[int, int] = {}  # pivot column -> its row
     for c in range(ncols):
-        pivot = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        pivot = next((i for i in range(len(row_of), len(rows)) if rows[i][c]), None)
         if pivot is not None:
-            r = len(pivots)
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            den = integer_pivot(rows, den, r, c)
-            pivots.append(c)
-    pivot_row = dict(zip(pivots, rows))
-    free = [c for c in range(ncols) if c not in pivot_row]
-    basis = [tuple(Fraction(-pivot_row[c][f], den) if c in pivot_row else Fraction(int(c == f))
-                   for c in range(ncols)) for f in free]
+            r = row_of[c] = len(row_of)
+            rows[r], rows[pivot], dens[r], dens[pivot] = rows[pivot], rows[r], dens[pivot], dens[r]
+            integer_pivot(rows, dens, r, c)
+    free = [c for c in range(ncols) if c not in row_of]
+    basis = [tuple(Fraction(-rows[row_of[c]][f], dens[row_of[c]]) if c in row_of
+                   else Fraction(int(c == f)) for c in range(ncols)) for f in free]
     return basis, free

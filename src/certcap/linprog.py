@@ -7,18 +7,19 @@ Every solve returns the optimizer as a tuple indexed like the objective,
 the exact optimum, and a dual vector that is verified here to satisfy
 strong duality before anything is returned.
 
-The LP is scaled to integers by the lcm of its denominators, and the
-tableau holds integers over one positive shared denominator
-(``linalg.integer_rows``, ``linalg.integer_pivot``).  Bland's rule reads
-numerator signs and the ratio test cross-multiplies, so every pivot is the
-one a tableau of Fractions takes.  The certificate is checked in the same
-integers, before any Fraction is built.
+The LP is scaled to integers by the lcm of its denominators; each tableau
+row is integers over its own positive den (``linalg.integer_pivot``), so a
+pivot rewrites only the rows with a nonzero in its column.  Bland's rule
+reads numerator signs and the ratio test cross-multiplies within rows, so
+every pivot is a Fraction tableau's; the certificate is checked in integers
+over the lcm of the dens before any Fraction is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import integer_pivot, integer_rows
 
@@ -41,33 +42,27 @@ class LpSolution:
     dual: tuple[Fraction, ...]
 
 
-def _simplex(tableau: list[list[int]], den: int, basis: list[int],
-             allowed: list[bool]) -> int:
-    """Minimize the last row of tableau / den in place; Bland's rule, hence
-    terminating.  Rows below the len(basis) constraint rows are pivoted but
-    never leave; returns the final den."""
+def _simplex(tableau: list[list[int]], dens: list[int], basis: list[int], allowed: list[bool]):
+    """Minimize the last row of the tableau (row r over dens[r]) in place;
+    Bland's rule, hence terminating.  Rows below the len(basis) constraint
+    rows are pivoted but never leave."""
     m = len(basis)
     while True:
         obj = tableau[-1]
-        col = next((j for j in range(len(obj) - 1)
-                    if allowed[j] and obj[j] < 0), None)
+        col = next((j for j in range(len(obj) - 1) if allowed[j] and obj[j] < 0), None)
         if col is None:
-            return den
-        best_row = None
-        for r in range(m):
-            a = tableau[r][col]
-            if a > 0:
-                if best_row is None:
-                    best_row = r
-                    continue
-                # rhs_r / a against rhs_best / a_best, both a positive
-                lhs = tableau[r][-1] * tableau[best_row][col]
-                rhs = tableau[best_row][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[best_row]):
-                    best_row = r
-        if best_row is None:
+            return
+        candidates = [r for r in range(m) if tableau[r][col] > 0]
+        if not candidates:
             raise Unbounded("no leaving variable for an improving column")
-        den = integer_pivot(tableau, den, best_row, col)
+        best_row = candidates[0]
+        for r in candidates[1:]:
+            # rhs_r / a_r < rhs_best / a_best, each row's den cancelling in its ratio
+            lhs = tableau[r][-1] * tableau[best_row][col]
+            rhs = tableau[best_row][-1] * tableau[r][col]
+            if lhs < rhs or (lhs == rhs and basis[r] < basis[best_row]):
+                best_row = r
+        integer_pivot(tableau, dens, best_row, col)
         basis[best_row] = col
 
 
@@ -88,7 +83,7 @@ def solve_lp(objective, rows) -> LpSolution:
     # columns: x+ (nvar), x- (nvar), slacks (one per inequality), artificials (m)
     art0 = 2 * nvar + sum(relation != EQ for _, relation, _ in rows)
     width = art0 + m + 1
-    tableau = []  # over scale, then over den; the last row is phase 2's cost row
+    tableau = []  # each row over scale, then over its den; the last row is phase 2's cost row
     slack = 2 * nvar
     for i, (coeffs, relation, rhs) in enumerate(lp):
         if relation not in (LEQ, EQ, GEQ):
@@ -108,12 +103,12 @@ def solve_lp(objective, rows) -> LpSolution:
     # phase 1 minimizes the sum of artificials (the last row); every pivot
     # also prices out the row above it, the cost row
     phase1 = [-sum(column) for column in zip(*tableau[:m])] or [0] * width
-    for i in range(m):
-        phase1[art0 + i] = 0
+    phase1[art0:-1] = [0] * m
     tableau.append(phase1)
     basis = [art0 + i for i in range(m)]
     allowed = [True] * (width - 1)
-    den = _simplex(tableau, scale, basis, allowed)
+    dens = [scale] * len(tableau)
+    _simplex(tableau, dens, basis, allowed)
     if tableau[-1][-1] != 0:
         raise Infeasible("phase-1 optimum is nonzero")
 
@@ -124,22 +119,23 @@ def solve_lp(objective, rows) -> LpSolution:
         if basis[r] >= art0:
             col = next((j for j in range(art0) if tableau[r][j] != 0), None)
             if col is not None:
-                den = integer_pivot(tableau, den, r, col)
+                integer_pivot(tableau, dens, r, col)
                 basis[r] = col
 
     # phase 2: real objective; surviving artificials sit on redundant rows,
     # are barred from entering, and their columns retain basis-inverse data
     # for the dual read-out.
-    tableau.pop()
-    for i in range(m):
-        allowed[art0 + i] = False
-    den = _simplex(tableau, den, basis, allowed)
+    del tableau[-1], dens[-1]
+    allowed[art0:] = [False] * m
+    _simplex(tableau, dens, basis, allowed)
 
+    den = lcm(*dens)  # values and duals read out over one den
     values = [0] * width
     for r, bvar in enumerate(basis):
-        values[bvar] = tableau[r][-1]
+        values[bvar] = tableau[r][-1] * (den // dens[r])
     assignment = [values[j] - values[nvar + j] for j in range(nvar)]
-    dual = [tableau[-1][art0 + i] * (1 if rhs < 0 else -1) for i, (_, _, rhs) in enumerate(lp)]
+    dual = [tableau[-1][art0 + i] * (den // dens[-1]) * (1 if rhs < 0 else -1)
+            for i, (_, _, rhs) in enumerate(lp)]
     optimum = sum(c * x for c, x in zip(cost, assignment))
     _assert_certificates(cost, lp, assignment, optimum, dual, den)
     return LpSolution(Fraction(optimum, scale * den), tuple(Fraction(x, den) for x in assignment),

@@ -15,10 +15,11 @@ stripped.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .enclosure import DomainError, Enclosure, simplest_between
-from .linalg import Matrix, as_matrix, char_poly, is_symmetric, kernel_basis, mat_mul, transpose
+from .linalg import (Matrix, as_matrix, char_poly, integer_rows, is_symmetric, kernel_basis,
+                     mat_mul, transpose)
 
 Poly = tuple[Fraction, ...]
 
@@ -81,8 +82,7 @@ def cauchy_root_bound(p: Poly) -> Fraction:
 
 def _integer_form(p: Poly) -> list[int]:
     """Coprime integer coefficients of a nonzero p: the same roots as p."""
-    denom = lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (denom // c.denominator) for c in p]
+    ints = integer_rows([p])[0][0]
     g = gcd(*ints)
     return [c // g for c in ints]
 
@@ -202,18 +202,20 @@ def is_detectable(a: Matrix, c: Matrix) -> bool:
     restricted to the unobservable subspace, the kernel V of [C; CA; ...;
     CA^(n-1)].  The stack stops at the first block C A^k that annihilates the
     kernel K of the blocks above it: C A^j (A K) = 0 for j < k, so A K lies in
-    K, every later block annihilates K, and K is V.  V is A-invariant, so
-    A V = V Y, and V's rows at its free columns are the identity, so Y is A V's
-    rows there.  A C with no rows leaves the whole state unobservable: Y is A.
+    K, every later block annihilates K, and K is V.  Stack and test use the
+    integer rows of (d C)(e A)^k and d' K, d, e, d' > 0: the same kernels.
+    V is A-invariant, so A V = V Y, and V's rows at its free columns are the
+    identity, so Y is A V's rows there (A itself when C has no rows).
     """
     a, c = as_matrix(a), as_matrix(c)
-    rows, power = list(c), c
+    step, power = integer_rows(a)[0], integer_rows(c)[0]
+    rows = list(power)
     basis, free = kernel_basis(rows, len(a))
     for _ in range(len(a) - 1):
         if not basis:
             return True
-        power = mat_mul(power, a)
-        if not any(map(any, mat_mul(power, transpose(basis)))):
+        power = mat_mul(power, step)
+        if not any(map(any, mat_mul(power, transpose(integer_rows(basis)[0])))):
             break
         rows.extend(power)
         basis, free = kernel_basis(rows, len(a))

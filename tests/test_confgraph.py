@@ -804,6 +804,32 @@ def small_ladder(draw):
     return g, top, draw(st.sampled_from((None, 0, 1, 30, 2000))), draw(st.booleans())
 
 
+class TestCarriedSplits:
+    """The split table behind the product seed rides on the ladder."""
+
+    @given(case=small_ladder())
+    @settings(max_examples=100, deadline=None)
+    def test_the_carried_table_equals_a_fresh_rebuild(self, case):
+        g, top, budget, carried = case
+        ladder = extend_ladder(CapacityLadder(), g, 1)
+        for n in range(2, top + 1):
+            ladder = extend_ladder(ladder, g, n, node_budget=budget)
+            assert list(ladder.splits) == \
+                confgraph._split_table(CapacityLadder(ladder.rungs), n)[:n]
+
+    def test_each_rung_computes_two_entries_over_the_recorded_sizes(self, monkeypatch):
+        # one input: every power has one vertex, so only the seed costs
+        computed, real = [], confgraph._best_split
+        monkeypatch.setattr(confgraph, "_best_split", lambda best, sizes, r: (
+            computed.append((r, len(sizes))) or real(best, sizes, r)))
+        g, ladder = certified_graph(noiseless(1)), CapacityLadder()
+        for n in range(1, 41):
+            computed.clear()
+            ladder = extend_ladder(ladder, g, n)
+            assert computed == ([(1, 0)] if n == 1 else [(n - 1, n - 1), (n, n - 1)])
+        assert [r.alpha for r in ladder.rungs] == [1] * 40
+
+
 class TestSettledRungs:
     """A rung whose product seed meets the rung bound is recorded without gⁿ."""
 
@@ -836,6 +862,22 @@ class TestSettledRungs:
             rung = ladder.recorded(n)
             assert (rung.alpha, rung.witness, rung.exact) == \
                 (expected.alpha, expected.witness, expected.exact)
+
+    @pytest.mark.parametrize("q, top", [(1, 30), (2, 6), (3, 4)])
+    def test_a_seed_of_every_word_builds_no_power(self, q, top, monkeypatch):
+        # noiseless(q): every rung past the first is seeded with all qⁿ words
+        built, real = [], confgraph.strong_power
+        monkeypatch.setattr(confgraph, "strong_power",
+                            lambda g, n, cap: built.append(n) or real(g, n, cap))
+        g, ladder = certified_graph(noiseless(q)), CapacityLadder()
+        for n in range(1, top + 1):
+            seed = confgraph._best_product_witness(ladder, n)
+            expected = max_independent_set(real(g, n), seed_witness=seed)
+            ladder = extend_ladder(ladder, g, n)
+            rung = ladder.recorded(n)
+            assert (rung.alpha, rung.witness, rung.exact) == \
+                (expected.alpha, expected.witness, expected.exact) == (q ** n, rung.witness, True)
+        assert built == [1]
 
     def test_a_zero_budget_rung_is_not_exact(self, pentagon):
         ladder = build_ladder(pentagon, 3, **ENGINE_LIMITS)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from certcap import capacity, confgraph
-from certcap.capacity import minimax_ladder_step
-from certcap.channel import typewriter
+from certcap import capacity, confgraph, linprog
+from certcap.channel import certify_support, support_sets, typewriter
 from certcap.confgraph import fractional_clique_cover
 from certcap.graph import certified_graph
+from certcap.linalg import integer_pivot
 from certcap.linprog import Infeasible, LpSolution, Unbounded, _assert_certificates, solve_lp
 
 F = Fraction
@@ -179,9 +179,12 @@ def test_random_boxed_lps_satisfy_strong_duality(n, rows, objective):
 
 # Reference solver: the two-phase simplex as it stood over a tableau of
 # Fractions, one Fraction per entry.  The integer tableau must take every
-# decision it takes, so optimum, assignment, dual and exceptions agree.
+# decision it takes: the same (row, column) pivots in the same order, hence
+# the same optimum, assignment, dual and exceptions.  ``path`` collects the
+# reference's pivots.
 
-def reference_pivot(tableau, row, col):
+def reference_pivot(tableau, row, col, path):
+    path.append((row, col))
     inv = 1 / tableau[row][col]
     pivot_line = [v * inv if v else v for v in tableau[row]]
     tableau[row] = pivot_line
@@ -193,7 +196,7 @@ def reference_pivot(tableau, row, col):
                 line[j] -= f * w
 
 
-def reference_simplex(tableau, basis, allowed):
+def reference_simplex(tableau, basis, allowed, path):
     m = len(tableau) - 1
     while True:
         obj = tableau[-1]
@@ -211,11 +214,11 @@ def reference_simplex(tableau, basis, allowed):
                     best_row, best_ratio = r, ratio
         if best_row is None:
             raise Unbounded("no leaving variable for an improving column")
-        reference_pivot(tableau, best_row, col)
+        reference_pivot(tableau, best_row, col, path)
         basis[best_row] = col
 
 
-def reference_solve_lp(objective, rows):
+def reference_solve_lp(objective, rows, path):
     nvar = len(objective)
     obj = [Fraction(c) for c in objective]
     m = len(rows)
@@ -249,14 +252,14 @@ def reference_solve_lp(objective, rows):
     tableau.append(phase1)
     basis = [art0 + i for i in range(m)]
     allowed = [True] * (width - 1)
-    reference_simplex(tableau, basis, allowed)
+    reference_simplex(tableau, basis, allowed, path)
     if tableau[-1][-1] != 0:
         raise Infeasible("phase-1 optimum is nonzero")
     for r in range(m):
         if basis[r] >= art0:
             col = next((j for j in range(art0) if tableau[r][j] != 0), None)
             if col is not None:
-                reference_pivot(tableau, r, col)
+                reference_pivot(tableau, r, col, path)
                 basis[r] = col
     objrow = [Fraction(0)] * width
     objrow[:nvar] = obj
@@ -268,7 +271,7 @@ def reference_solve_lp(objective, rows):
     tableau[-1] = objrow
     for i in range(m):
         allowed[art0 + i] = False
-    reference_simplex(tableau, basis, allowed)
+    reference_simplex(tableau, basis, allowed, path)
     values = [Fraction(0)] * width
     for r, bvar in enumerate(basis):
         values[bvar] = tableau[r][-1]
@@ -278,16 +281,34 @@ def reference_solve_lp(objective, rows):
     return LpSolution(optimum, assignment, tuple(dual))
 
 
-def _outcome(solver, lp):
+def _outcome(solve):
     """The solution, or the type of the exception raised."""
     try:
-        return solver(*lp)
+        return solve()
     except (Infeasible, Unbounded) as exc:
         return type(exc)
 
 
+def pivot_path(lp):
+    """solve_lp's outcome on lp and the (row, column) of each of its pivots."""
+    path = []
+
+    def pivot(rows, dens, row, col):
+        path.append((row, col))
+        integer_pivot(rows, dens, row, col)
+
+    with mock.patch.object(linprog, "integer_pivot", pivot):
+        return _outcome(lambda: solve_lp(*lp)), path
+
+
+def reference_path(lp):
+    """The reference's outcome on lp and the (row, column) of each of its pivots."""
+    path = []
+    return _outcome(lambda: reference_solve_lp(*lp, path)), path
+
+
 def assert_matches_reference(lp):
-    assert _outcome(solve_lp, lp) == _outcome(reference_solve_lp, lp)
+    assert pivot_path(lp) == reference_path(lp)
 
 
 @given(
@@ -302,8 +323,8 @@ def assert_matches_reference(lp):
 @settings(max_examples=200, deadline=None)
 def test_integer_tableau_matches_fraction_reference(n, rows, objective, boxed):
     """Rational LPs, boxed or not (so unbounded ones occur): the integer
-    tableau returns the reference's optimum, assignment and dual, or raises
-    the same exception."""
+    tableau takes the reference's pivots and returns its optimum, assignment
+    and dual, or raises the same exception."""
     assert_matches_reference(random_lp(n, rows, objective, boxed))
 
 
@@ -321,11 +342,15 @@ def _captured_lps(run, module):
     return seen
 
 
-@pytest.mark.parametrize("q", [4, 5, 6, 7])
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7])
 def test_typewriter_minimax_lp_matches_reference(q):
     """Typewriter minimax optima are not unique (uniform and alternating
-    inputs both reach psi), so the reported optimizer follows the pivots."""
-    for lp in _captured_lps(lambda: minimax_ladder_step(typewriter(q), 0, None), capacity):
+    inputs both reach psi), so the reported optimizer follows the pivots.
+    The LP is solved on the true supports directly: typewriter(3)'s graph is
+    complete, so its capacity step solves none."""
+    ch = typewriter(q)
+    supports = support_sets(certify_support(ch, 0), q, q)
+    for lp in _captured_lps(lambda: capacity._solve_minimax(q, supports), capacity):
         assert_matches_reference(lp)
 
 

@@ -329,6 +329,43 @@ def test_stopped_stack_matches_the_full_stack(data):
     assert is_stabilizable(transpose(a), transpose(c)) is expected
 
 
+def fraction_is_detectable(a, c):
+    """``roots.is_detectable`` with its stack and its stopping test in
+    Fractions, one per entry."""
+    a, c = as_matrix(a), as_matrix(c)
+    rows, power = list(c), c
+    basis, free = kernel_basis(rows, len(a))
+    for _ in range(len(a) - 1):
+        if not basis:
+            return True
+        power = mat_mul(power, a)
+        if not any(map(any, mat_mul(power, transpose(basis)))):
+            break
+        rows.extend(power)
+        basis, free = kernel_basis(rows, len(a))
+    if not basis:
+        return True
+    v = transpose(basis)
+    image = mat_mul(a, v)
+    return schur_stable(char_poly(tuple(image[f] for f in free)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_stack_matches_the_fraction_stack(data):
+    """Random A up to 5x5 and C (or B) of 0 to 5 rows, mixed denominators:
+    the integer stack returns the Fraction stack's verdict, for
+    detectability and for stabilizability."""
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    entries = st.one_of(_sparse_entries, st.fractions(min_value=-4, max_value=4,
+                                                      max_denominator=9))
+    a = as_matrix(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                     min_size=n, max_size=n)))
+    c = as_matrix(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5)))
+    assert is_detectable(a, c) is fraction_is_detectable(a, c)
+    assert is_stabilizable(a, transpose(c)) is fraction_is_detectable(transpose(a), c)
+
+
 @pytest.mark.parametrize("a", [[[3]], [[2, 1], [0, F(1, 2)]],
                                [[0, 1, 0], [0, 0, 1], [F(1, 2), 2, 1]],
                                [[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 4], [5, 0, 0, 1]]])
