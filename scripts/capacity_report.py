@@ -14,8 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from certcap.capacity import feedback_zero_error_capacity, shannon_capacity
 from certcap.channel import binary_symmetric, noiseless, typewriter
-from certcap.confgraph import CapacityLadder, extend_ladder
-from certcap.graph import certified_graph
+from certcap.confgraph import CapacityLadder, certified_graph, extend_ladder
 
 CORPUS = [
     ("noiseless binary", noiseless(2)),

@@ -15,8 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from certcap.channel import binary_symmetric, noiseless, typewriter
 from certcap.classify import Regime
-from certcap.confgraph import CapacityLadder, extend_ladder
-from certcap.graph import certified_graph
+from certcap.confgraph import CapacityLadder, certified_graph, extend_ladder
 from certcap.linalg import as_matrix
 from certcap.plant import Plant
 from certcap.simulate import (SimConfig, SimulationError, identity_code,

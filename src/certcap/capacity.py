@@ -4,23 +4,23 @@ Each quantity has one routine, driven by the command line and the
 classifier alike: the feedback zero-error capacity through Shannon's minimax
 over output support masses, an exact rational LP solved by
 minimax_ladder_step once per declared level of the channel (an exact channel
-declares only level 0), where each rung is built on the last and bounds the
-capacity from above; and ShannonBounds, two-sided certified bounds on the
-ordinary capacity whose step(log_width) runs one alternating-optimization
-iteration at the width its caller schedules, bounded by the checker's own
-enclosure.certified_capacity_bounds.
+declares only level 0) on the graph.Support that its rung keeps, where each
+rung is built on the last and bounds the capacity from above; and
+ShannonBounds, two-sided certified bounds on the ordinary capacity whose
+step(log_width) runs one alternating-optimization iteration at the width its
+caller schedules, bounded by the checker's own enclosure.certified_capacity_bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .channel import Channel, certify_support, support_sets
+from .channel import Channel
 from .enclosure import (DomainError, Enclosure, certified_capacity_bounds, log2_enclosure,
                         rational_str)
-from .graph import confusability_graph
+from .graph import Support
 from .linprog import EQ, GEQ, LEQ, solve_lp
 
 DEFAULT_C0FB_WIDTH = Fraction(1, 1 << 20)
@@ -35,7 +35,6 @@ class MinimaxSolution:
     # dual weights over the output constraints; they certify the value from
     # below, which is the direction the feedback capacity bound needs
     output_weights: tuple[Fraction, ...]
-    support_sets: tuple[tuple[int, ...], ...]
 
 
 def _solve_minimax(nx: int, supports: tuple[tuple[int, ...], ...]) -> MinimaxSolution:
@@ -43,7 +42,7 @@ def _solve_minimax(nx: int, supports: tuple[tuple[int, ...], ...]) -> MinimaxSol
     ny = len(supports)
     if all(not s for s in supports):
         return MinimaxSolution(Fraction(0), (Fraction(1),) + (Fraction(0),) * (nx - 1),
-                               (Fraction(0),) * ny, supports)
+                               (Fraction(0),) * ny)
     # variables p_0 .. p_{nx-1}, t: minimise t subject to sum p = 1, p >= 0
     # and, for each output with a support, its mass - t <= 0
     outputs = [y for y in range(ny) if supports[y]]
@@ -55,7 +54,7 @@ def _solve_minimax(nx: int, supports: tuple[tuple[int, ...], ...]) -> MinimaxSol
     weights = [Fraction(0)] * ny
     for idx, y in enumerate(outputs):
         weights[y] = -sol.dual[1 + nx + idx]  # <=-row duals are nonpositive here
-    return MinimaxSolution(sol.optimum, sol.assignment[:nx], tuple(weights), supports)
+    return MinimaxSolution(sol.optimum, sol.assignment[:nx], tuple(weights))
 
 
 def feedback_zero_error_capacity(ch: Channel,
@@ -73,6 +72,7 @@ class MinimaxRung:
     mass: Fraction
     upper: Enclosure | None  # enclosure of log2(1/mass); None while mass == 0
     solution: MinimaxSolution | None  # None when the capacity is zero
+    support: Support = field(compare=False, repr=False)  # the support at ``level``
 
     def to_json(self) -> dict:
         return {"exact_inverse_psi": rational_str(1 / self.mass),
@@ -83,9 +83,9 @@ class MinimaxRung:
 def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
                         width: Fraction = DEFAULT_C0FB_WIDTH) -> MinimaxRung:
     """The rung after ``last`` (None before the first), with the graph and
-    the LP on one support certificate at ``level``.
+    the LP on one graph.Support at ``level``, which the rung keeps.
 
-    A certificate with no unresolved entry is the true support, so if its
+    A settled support (no entry unresolved) is the true one, so if its
     confusability graph is complete the capacity is zero: mass 1, upper
     [0, 0], no solution.  (While entries are unresolved, the may-reach graph
     may have more than the true edges, so its being complete proves
@@ -99,19 +99,17 @@ def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
     """
     if last is not None and level <= last.level:
         raise DomainError("ladder levels must increase")
-    nx, ny = len(ch.inputs), len(ch.outputs)
-    support = certify_support(ch, level)
-    if not support.unresolved and confusability_graph(support, ch.inputs, ny).is_complete():
-        return MinimaxRung(level, Fraction(1), Enclosure.exact(Fraction(0)), None)
-    supports = support_sets(support, nx, ny)
-    if last is not None and supports == last.solution.support_sets:
+    support = Support(ch, level)
+    if support.settled and support.graph.is_complete():
+        return MinimaxRung(level, Fraction(1), Enclosure.exact(Fraction(0)), None, support)
+    if last is not None and support.sets == last.support.sets:
         sol = last.solution
     else:
-        sol = _solve_minimax(nx, supports)
+        sol = _solve_minimax(len(ch.inputs), support.sets)
     if last is not None and sol.value < last.mass:
         raise RuntimeError("support refinement decreased the minimax mass")
     upper = None if sol.value == 0 else log2_enclosure(1 / sol.value, width)
-    return MinimaxRung(level, sol.value, upper, sol)
+    return MinimaxRung(level, sol.value, upper, sol, support)
 
 
 # ---------------------------------------------------------------------------

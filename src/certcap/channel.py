@@ -232,12 +232,6 @@ class SupportCertificate:
             raise ValueError("support certificate sets must be disjoint")
 
 
-def support_sets(cert: SupportCertificate, nx: int, ny: int) -> tuple[tuple[int, ...], ...]:
-    """For each output y, the inputs proven to reach it, in increasing order."""
-    return tuple(tuple(x for x in range(nx) if (x, y) in cert.positive)
-                 for y in range(ny))
-
-
 def certify_support(ch: Channel, level: int = 0) -> SupportCertificate:
     if level < 0:
         raise DomainError("level must be non-negative")

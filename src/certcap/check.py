@@ -2,9 +2,9 @@
 the engine in classify.py, which produces them.
 
 It trusts no solver state and imports only primitives it shares with the
-solvers: support certification (channel.py), the may-reach graph (graph.py),
-enclosures, the capacity bounds and log2_fixed, the one certified log2
-(enclosure.py).  They are its whole trusted base: no solver, CLI or simulator.
+solvers: the one support derivation and zero-error word check (graph.py, on
+channel.py), enclosures, the capacity bounds and log2_fixed, the one certified
+log2 (enclosure.py).  They are its whole trusted base: no solver, CLI or simulator.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import typing
 from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 
-from .channel import Channel, certify_support, support_sets
+from .channel import Channel
 from .enclosure import (DomainError, Enclosure, certified_capacity_bounds, log2_fixed,
                         parse_rational, rational_str)
-from .graph import certified_graph, confusability_graph, witness_json
+from .graph import Support, witness_json
 
 SOLVABLE, UNSOLVABLE, UNDETERMINED = "Solvable", "Unsolvable", "Undetermined"
 
@@ -161,9 +161,9 @@ def revalidate(verdict: Verdict, ch: Channel) -> bool:
     A verdict whose fields do not have their declared types fails before
     any check runs.  A certificate proves one outcome, and only in the
     regimes whose capacity it bounds from the right side.  Interval
-    separations are recomputed by direct comparisons, witnesses are
-    re-verified pairwise against the confusability graph of the certified
-    support, minimax bounds are re-derived from the stored dual weights, and
+    separations are recomputed by direct comparisons, witness words by the
+    shared word check on the may-reach graph of the channel's last level,
+    minimax bounds are re-derived from the stored dual weights, and
     dyadic log endpoints are checked by ``log2_compare``.
     """
     if not _well_typed(verdict, Verdict):
@@ -215,32 +215,25 @@ def _check_independent_set(cert: IndependentSetCertificate, ch: Channel) -> bool
         return False
     if len(words) != cert.alpha or len(set(words)) != cert.alpha:
         return False
-    graph = certified_graph(ch)  # the producer's graph
-    index = {v: i for i, v in enumerate(ch.inputs)}
-    for a, va in enumerate(words):
-        for vb in words[a + 1:]:
-            if all(x == y or graph.are_adjacent(index[x], index[y])
-                   for x, y in zip(va, vb)):
-                return False
-    # rate_lo really encloses log2(alpha) / n
-    return (_log_endpoint_sound(Fraction(cert.alpha), cert.rate_lo.scaled(cert.n))
+    # a code of the narrowest may-reach graph, whose rate_lo really encloses log2(alpha) / n
+    return (Support(ch, ch.max_declared_level()).graph.is_code(words, cert.n)
+            and _log_endpoint_sound(Fraction(cert.alpha), cert.rate_lo.scaled(cert.n))
             and cert.eta.hi < cert.rate_lo.lo)
 
 
 def _check_psi(cert: PsiCertificate, ch: Channel) -> bool:
     if cert.support_level < 0 or cert.eta_lo < 0:
         return False
-    nx, ny = len(ch.inputs), len(ch.outputs)
-    support = certify_support(ch, cert.support_level)
+    support = Support(ch, cert.support_level)
     if cert.complete_graph:
-        # only a support with no unresolved entry is the true one
-        return (not support.unresolved and cert.eta_lo > 0 and cert.c0fb_upper.hi == 0
-                and confusability_graph(support, ch.inputs, ny).is_complete())
+        # only a settled support is the true one
+        return (support.settled and cert.eta_lo > 0 and cert.c0fb_upper.hi == 0
+                and support.graph.is_complete())
     if cert.mass <= 0:
         return False
-    supports = support_sets(support, nx, ny)
     # the upper endpoint really bounds log2(1/mass)
-    return (verify_minimax_lower_bound(cert.output_weights, supports, nx, cert.mass)
+    return (verify_minimax_lower_bound(cert.output_weights, support.sets, len(ch.inputs),
+                                       cert.mass)
             and _log_endpoint_sound(Fraction(1) / cert.mass, cert.c0fb_upper)
             and cert.c0fb_upper.hi < cert.eta_lo)
 
@@ -259,8 +252,6 @@ def _check_separation(cert: SeparationCertificate, ch: Channel) -> bool:
     if not ch.is_exact or cert.eta.lo < 0 or not (cert.eta.hi < cert.capacity.lo if below
                                                   else cert.capacity.hi < cert.eta.lo):
         return False
-    support = certify_support(ch, 0)
-    supports = support_sets(support, nx, ny)
     if cert.quantity == "c0fb":
         inverse = _payload_rational(cert.payload.get("inverse_psi"))
         dist = _payload_distribution(cert.payload.get("distribution"), nx)
@@ -269,22 +260,23 @@ def _check_separation(cert: SeparationCertificate, ch: Channel) -> bool:
                 or not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(type(v) is int for v in pair)):
             return False
-        worst = max((sum(dist[x] for x in s) for s in supports if s), default=Fraction(1))
+        support = Support(ch, 0)
+        worst = max((sum(dist[x] for x in s) for s in support.sets if s), default=Fraction(1))
         i, j = pair
         # a bit test would read an out-of-range index as "not adjacent"
-        if worst > 1 / inverse or not 0 <= i < j < nx or confusability_graph(
-                support, ch.inputs, ny).are_adjacent(i, j):
+        if worst > 1 / inverse or not 0 <= i < j < nx or support.graph.are_adjacent(i, j):
             return False
         # capacity enclosure really brackets log2(inverse)
         return _log_endpoint_sound(inverse, cert.capacity)
     # shannon: the stored bound is the one its distribution and width give
     dist = _payload_distribution(cert.payload.get("input_distribution"), nx)
     width = _payload_rational(cert.payload.get("log_width"))
-    if (dist is None or width is None or width < Fraction(1, 1 << _MAX_ENDPOINT_DEPTH)
-            # a reachable output without mass makes the divergence bound vacuous
-            or any(s and not any(dist[x] for x in s) for s in supports)):
+    if dist is None or width is None or width < Fraction(1, 1 << _MAX_ENDPOINT_DEPTH):
         return False
-    lower, upper = certified_capacity_bounds(ch.rows, dist, width)
+    try:
+        lower, upper = certified_capacity_bounds(ch.rows, dist, width)
+    except DomainError:  # a reachable output without mass: the divergence bound is vacuous
+        return False
     return cert.capacity == (lower if below else upper)
 
 

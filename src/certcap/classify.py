@@ -7,11 +7,11 @@ regime's capacity task refine anytime, interleaved fairly by a deterministic
 dovetailer.  Every capacity task has the same interface: ``lower`` bounds
 the capacity from below and drives Solvable, ``upper`` bounds it from above
 and drives Unsolvable, each None while the task has no such bound, and
-``certificate(outcome, eta, ch)`` builds the proof of the outcome that
-fired.  A verdict is emitted only with a machine-checkable certificate that
-check.py re-validates from raw rationals; anything that cannot fire within
-the step budget is reported as Undetermined with a progress report, never
-guessed.
+``certificate(outcome, eta)`` builds the proof of the outcome that fired
+from the task's own state, certifying no support again.  A verdict is
+emitted only with a machine-checkable certificate that check.py
+re-validates from raw rationals; anything that cannot fire within the step
+budget is reported as Undetermined with a progress report, never guessed.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from .channel import Channel, ResourceCapError
 from .check import (SOLVABLE, UNDETERMINED, UNSOLVABLE, BudgetReport,
                     IndependentSetCertificate, PsiCertificate, SeparationCertificate,
                     Verdict, revalidate)
-from .confgraph import CapacityLadder, extend_ladder
+from .confgraph import CapacityLadder, certified_graph, extend_ladder
 from .enclosure import DomainError, Enclosure, log2_enclosure, rational_str
-from .graph import certified_graph
 from .linalg import Matrix
 from .plant import InstabilityExponent, Plant, Regime, RegimePreconditionError
 
@@ -149,14 +148,17 @@ class FeedbackCapacityTask(_NarrowingTask, _CapacityTask):
         if not self.levels:
             self.width /= 16
 
-    def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
+    def certificate(self, outcome: str, eta: Enclosure):
         rung = self.rung
-        if outcome == SOLVABLE:
+        if outcome == SOLVABLE:  # only an exact channel's rung, whose support is settled
+            g = rung.support.graph
+            pair = next([i, j] for i in range(len(g)) for j in range(i + 1, len(g))
+                        if not g.are_adjacent(i, j))  # the graph of a capacity > 0
             return SeparationCertificate(
                 "c0fb", "eta-below-capacity", eta, rung.upper,
                 {"inverse_psi": rational_str(1 / rung.mass),
                  "distribution": [rational_str(p) for p in rung.solution.distribution],
-                 "nonadjacent_pair": list(_nonadjacent_pair(ch))})
+                 "nonadjacent_pair": pair})
         weights = rung.solution.output_weights if rung.solution else ()
         return PsiCertificate(rung.mass, rung.level, weights, rung.solution is None,
                               rung.upper, eta.lo)
@@ -198,7 +200,7 @@ class ZeroErrorLadderTask(_CapacityTask):
         return {"rungs": len(self.ladder.rungs),
                 "running_best": self.lower.to_json() if self.lower else None}
 
-    def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
+    def certificate(self, outcome: str, eta: Enclosure):
         best = max(self.ladder.rungs, key=lambda r: r.rate_lo.lo)
         return IndependentSetCertificate(best.n, best.alpha, best.witness, best.rate_lo, eta)
 
@@ -231,7 +233,7 @@ class CapacityBoundsTask(_CapacityTask):
                 "lower": self.lower.to_json() if self.lower else None,
                 "upper": self.upper.to_json() if self.upper else None}
 
-    def certificate(self, outcome: str, eta: Enclosure, ch: Channel):
+    def certificate(self, outcome: str, eta: Enclosure):
         below = outcome == SOLVABLE
         dist, width = self.bounds.lower_from if below else self.bounds.upper_from
         return SeparationCertificate(
@@ -369,7 +371,7 @@ def _run_classification(eta_task, ch: Channel, kind: str, budget: int) -> Verdic
         progress = {t.name: t.progress() for t in tasks}
         return Verdict(UNDETERMINED, kind, BudgetReport(steps, budget, progress, note),
                        steps, budget)
-    verdict = Verdict(fired, kind, cap.certificate(fired, eta(), ch), steps, budget)
+    verdict = Verdict(fired, kind, cap.certificate(fired, eta()), steps, budget)
     return _revalidated(verdict, ch)
 
 
@@ -379,12 +381,3 @@ def _revalidated(verdict: Verdict, ch: Channel) -> Verdict:
         raise InternalInvariantViolation("certificate failed re-validation")
     return verdict
 
-
-def _nonadjacent_pair(ch: Channel) -> tuple[int, int]:
-    graph = certified_graph(ch)
-    n = len(graph)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not graph.are_adjacent(i, j):
-                return i, j
-    raise RegimePreconditionError("confusability graph is complete")

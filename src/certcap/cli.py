@@ -18,9 +18,8 @@ import sys
 from .capacity import DEFAULT_C0FB_WIDTH, feedback_zero_error_capacity, shannon_capacity
 from .channel import ResourceCapError, load_channel
 from .classify import UNDETERMINED, classify, classify_fixed_plant
-from .confgraph import CapacityLadder, check_power_size, extend_ladder
+from .confgraph import CapacityLadder, certified_graph, check_power_size, extend_ladder
 from .enclosure import Enclosure, load_json, parse_rational, rational_str
-from .graph import certified_graph
 from .plant import DEFAULT_ETA_WIDTH, REGIME_KINDS, Regime, instability_exponent, load_plant
 from .simulate import (SimConfig, check_setup, identity_code, run_estimation,
                        run_stabilization, run_weak_detection, witness_code)

@@ -85,9 +85,9 @@ from itertools import product
 from math import gcd, inf
 
 from . import graph
-from .channel import ResourceCapError
+from .channel import Channel, ResourceCapError
 from .enclosure import Enclosure, log2_enclosure
-from .graph import ConfusabilityGraph, witness_json
+from .graph import ConfusabilityGraph, Support, witness_json
 from .linprog import GEQ, solve_lp
 
 DEFAULT_VERTEX_CAP = 4096
@@ -101,6 +101,12 @@ class LadderError(ValueError):
 
 # perfbench/worker.py calls this name; drop it with the benchmark's next change
 confusability_graph = graph.confusability_graph
+
+
+def certified_graph(ch: Channel) -> ConfusabilityGraph:
+    """The graph the ladder searches: the may-reach graph of ``ch`` at its last
+    declared level, where intervals are narrowest, so no level has fewer edges."""
+    return Support(ch, ch.max_declared_level()).graph
 
 
 def check_power_size(g: ConfusabilityGraph, n: int, cap: int = DEFAULT_VERTEX_CAP) -> None:
@@ -520,7 +526,7 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
             weight = weight or clique_cover_weight(g, fractional_clique_cover(g))
             return ladder.rungs[-1].alpha * weight // 1
     settled = len(seed) == len(g) ** n or bound and weight and len(seed) >= bound()
-    if node_budget != 0 and settled and _is_code(g, seed, n):
+    if node_budget != 0 and settled and g.is_code(seed, n):
         result = IndependenceResult(len(seed), seed, True)
     else:
         result = max_independent_set(strong_power(g, n, cap=vertex_cap), node_budget=node_budget,
@@ -532,14 +538,6 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     best = ladder.running_best
     return CapacityLadder(ladder.rungs + (rung,),
                           rate if best is None or rate.lo > best.lo else best, weight, splits[:n])
-
-
-def _is_code(g: ConfusabilityGraph, words: tuple, n: int) -> bool:
-    """Whether ``words``, n labels of g each, are independent in gⁿ (no repeats)."""
-    codes = [[g.vertices.index(a) for a in w] for w in words if len(w) == n]
-    return len(codes) == len(words) and all(
-        any(a != b and not g.are_adjacent(a, b) for a, b in zip(u, w))
-        for k, u in enumerate(codes) for w in codes[k + 1:])
 
 
 def _split_table(ladder: CapacityLadder, n: int) -> list[tuple[int, int]]:

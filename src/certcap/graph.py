@@ -1,9 +1,10 @@
-"""Confusability graphs and their one derivation from a support certificate,
-shared by the solvers (confgraph.py) and the checker; imports only channel.py."""
+"""Confusability graphs with ``is_code``, the one zero-error word check, and
+``Support``, the one support derivation shared by the solvers and the checker."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import channel
 
@@ -49,6 +50,14 @@ class ConfusabilityGraph:
         indices = list(indices)
         return all(not self.are_adjacent(a, b)
                    for k, a in enumerate(indices) for b in indices[k + 1:])
+
+    def is_code(self, words, n: int) -> bool:
+        """Whether ``words``, n labels each, are distinct and independent in the n-th power."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        codes = [[index[x] for x in w] for w in words if len(w) == n]
+        return len(codes) == len(words) and all(
+            any(a != b and not self.are_adjacent(a, b) for a, b in zip(u, w))
+            for k, u in enumerate(codes) for w in codes[k + 1:])
 
 
 _BLOCK = 64
@@ -115,16 +124,21 @@ def confusability_graph(cert: channel.SupportCertificate, inputs: tuple,
                                                    for x, mask in enumerate(adjacency)))
 
 
-def certified_graph(ch: channel.Channel) -> ConfusabilityGraph:
-    """The may-reach graph of ``ch`` at its last declared level.
+class Support:
+    """A channel's support certified at one level: ``sets``, the inputs proven
+    to reach each output; ``settled``, no entry unresolved (the proven support
+    is the true one); and the may-reach ``graph``, built on first read."""
 
-    The one confusability graph of the package: the zero-error ladder, the
-    re-validator and the command line all take it from here.  Intervals
-    only narrow as the level rises, so no earlier level has fewer edges.
-    """
-    # looked up on channel when called, so perfbench's span tracer sees it
-    return confusability_graph(channel.certify_support(ch, ch.max_declared_level()),
-                               ch.inputs, len(ch.outputs))
+    def __init__(self, ch: channel.Channel, level: int):
+        # looked up on channel when called, so perfbench's span tracer sees it
+        self.certificate = cert = channel.certify_support(ch, level)
+        self.inputs, self.settled = ch.inputs, not cert.unresolved
+        self.sets = tuple(tuple(x for x in range(len(ch.inputs)) if (x, y) in cert.positive)
+                          for y in range(len(ch.outputs)))
+
+    @cached_property
+    def graph(self) -> ConfusabilityGraph:
+        return confusability_graph(self.certificate, self.inputs, len(self.sets))
 
 
 def witness_json(words: tuple, n: int) -> list:

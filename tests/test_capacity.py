@@ -18,22 +18,24 @@ mpmath.mp.dps = 50
 
 class TestMinimaxMass:
     def test_pentagon_uniform(self, pentagon):
-        sol = minimax_ladder_step(pentagon, 0, None).solution
+        rung = minimax_ladder_step(pentagon, 0, None)
+        sol, supports = rung.solution, rung.support.sets
         assert sol.value == F(2, 5)
         assert sol.distribution == (F(1, 5),) * 5
-        assert verify_minimax_lower_bound(sol.output_weights, sol.support_sets, 5, sol.value)
-        assert not verify_minimax_lower_bound(sol.output_weights, sol.support_sets, 5,
+        assert verify_minimax_lower_bound(sol.output_weights, supports, 5, sol.value)
+        assert not verify_minimax_lower_bound(sol.output_weights, supports, 5,
                                               sol.value + F(1, 100))
         # one weight per output, or the coverage sums are not defined
-        assert not verify_minimax_lower_bound(sol.output_weights[:-1], sol.support_sets, 5,
+        assert not verify_minimax_lower_bound(sol.output_weights[:-1], supports, 5,
                                               sol.value)
 
     def test_weights_must_sum_to_one(self, pentagon):
         # doubled weights cover every input twice over, but are no convex combination
-        sol = minimax_ladder_step(pentagon, 0, None).solution
-        doubled = [2 * w for w in sol.output_weights]
+        rung = minimax_ladder_step(pentagon, 0, None)
+        doubled = [2 * w for w in rung.solution.output_weights]
         assert sum(doubled) == 2
-        assert not verify_minimax_lower_bound(doubled, sol.support_sets, 5, 2 * sol.value)
+        assert not verify_minimax_lower_bound(doubled, rung.support.sets, 5,
+                                              2 * rung.solution.value)
 
     def test_noiseless_binary(self, nl2):
         assert minimax_ladder_step(nl2, 0, None).mass == F(1, 2)

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import sys
 import time
 from dataclasses import replace
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import certcap
 from certcap import capacity
 from certcap import channel as channel_module
 from certcap import classify as classify_module
@@ -17,7 +20,7 @@ from certcap.capacity import (DEFAULT_C0FB_WIDTH, feedback_zero_error_capacity,
                               minimax_ladder_step)
 from certcap.channel import (certify_support, exact_channel, hovering_stream,
                              load_channel, noiseless, resolving_stream,
-                             stream_channel, support_sets, typewriter)
+                             stream_channel, typewriter)
 from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               IndependentSetCertificate,
                               InternalInvariantViolation,
@@ -27,6 +30,7 @@ from certcap.classify import (BudgetReport, FeedbackCapacityTask,
                               _assert_monotone_predicates)
 from certcap.check import log2_compare
 from certcap.enclosure import DomainError, Enclosure, certified_capacity_bounds, log2_enclosure
+from certcap.graph import Support
 from certcap.plant import instability_exponent
 from conftest import diagonal_plant, product_channel, scalar_plant
 
@@ -766,6 +770,28 @@ def test_mistyped_certificate_field_fails_without_raising(pentagon, a, regime, c
     assert revalidate(_with_certificate(verdict, bad), pentagon) is False
 
 
+@pytest.mark.parametrize("forge", [
+    lambda words: ((words[0][0], [words[0][1]]),) + words[1:],
+    lambda words: (({0: 1}, words[0][1]),) + words[1:],
+    lambda words: ((words[0][0], 5),) + words[1:],
+    lambda words: (("0", words[0][1]),) + words[1:],
+    lambda words: words[:-1] + (words[0],),
+    lambda words: ((words[0][0],),) + words[1:],
+    lambda words: (words[0] + (0,),) + words[1:],
+], ids=["list-label", "dict-label", "unknown-label", "string-label", "repeated-word",
+        "short-word", "long-word"])
+def test_hostile_witness_words_fail_without_raising(pentagon, forge):
+    # the checker's guards test each label without hashing it before the
+    # shared word check indexes the labels
+    verdict = classify(diagonal_plant([2], disturbance=F(1, 10)), pentagon,
+                       Regime("se-nofb"), 10_000)
+    cert = verdict.certificate
+    assert cert.n == 2 and revalidate(verdict, pentagon)
+    bad = replace(cert, witness=forge(cert.witness))
+    assert len(bad.witness) == cert.alpha
+    assert revalidate(_with_certificate(verdict, bad), pentagon) is False
+
+
 @pytest.mark.parametrize("case, target, change", [
     ("c0fb", "certificate", {"eta": "1/2"}),
     ("c0fb", "certificate", {"capacity": None}),
@@ -1045,13 +1071,12 @@ class TestNoRepeatedSolves:
             task.step()
             rungs.append(task.rung)
         assert [r.level for r in rungs] == list(range(64))
-        patterns = {support_sets(certify_support(ch, r.level), 2, 2) for r in rungs}
+        patterns = {Support(ch, r.level).sets for r in rungs}
         assert len(patterns) == 2
         assert len(calls) == len(patterns)
         for rung in rungs:
-            cert = certify_support(ch, rung.level)
             fresh = minimax_ladder_step(ch, rung.level, None).solution
-            assert rung.solution.support_sets == support_sets(cert, 2, 2)
+            assert rung.support.sets == Support(ch, rung.level).sets
             assert rung.solution == fresh
             assert rung.mass == fresh.value
             assert rung.upper == (None if fresh.value == 0
@@ -1060,18 +1085,38 @@ class TestNoRepeatedSolves:
     def test_feedback_capacity_certifies_the_support_once(self, monkeypatch, pentagon,
                                                          bsc14):
         calls = []
-        real = capacity.certify_support
+        real = channel_module.certify_support
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        for module in (capacity, channel_module):
-            monkeypatch.setattr(module, "certify_support", counting)
+        monkeypatch.setattr(channel_module, "certify_support", counting)
         for ch, zero in ((pentagon, False), (bsc14, True)):
             calls.clear()
             assert (feedback_zero_error_capacity(ch).solution is None) is zero
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("regime", ["se-fb", "stab-fb", "se-nofb"])
+    def test_a_solvable_verdict_certifies_the_support_twice(self, monkeypatch, pentagon,
+                                                            regime):
+        # once for the producer's rung or graph, once in the checker; the spy
+        # replaces every module's binding, so an import by name is counted too
+        calls = []
+        real = channel_module.certify_support
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for info in pkgutil.iter_modules(certcap.__path__):
+            module = importlib.import_module(f"certcap.{info.name}")
+            if getattr(module, "certify_support", None) is real:
+                monkeypatch.setattr(module, "certify_support", counting)
+        verdict = classify(diagonal_plant([F(3, 2)], disturbance=F(1, 10)), pentagon,
+                           Regime(regime), 10_000)
+        assert verdict.outcome == "Solvable"
+        assert len(calls) == 2
 
     def test_minimax_ladder_jumps_to_the_next_declared_level(self):
         # every entry of typewriter(3) is pinned at level 10**6 and unknown

@@ -14,10 +14,10 @@ from certcap import confgraph
 from certcap.channel import (ResourceCapError, SupportCertificate, certify_support,
                              exact_channel, noiseless, typewriter)
 from certcap.confgraph import (CapacityLadder, LadderError, LadderRung, _PowerSymmetry,
-                               clique_cover_weight, extend_ladder, fractional_clique_cover,
-                               max_independent_set, strong_power)
+                               certified_graph, clique_cover_weight, extend_ladder,
+                               fractional_clique_cover, max_independent_set, strong_power)
 from certcap.enclosure import log2_enclosure
-from certcap.graph import ConfusabilityGraph, certified_graph, confusability_graph
+from certcap.graph import ConfusabilityGraph, confusability_graph
 from conftest import (intersects, product_channel, reference_independent_set,
                       reference_product_witness)
 
@@ -890,9 +890,10 @@ class TestSettledRungs:
 
         def refuse(*_):
             raise AssertionError("seed or bound work before the cap check")
-        for name in ("_best_product_witness", "_is_code", "clique_cover_weight",
+        for name in ("_best_product_witness", "clique_cover_weight",
                      "fractional_clique_cover", "strong_power"):
             monkeypatch.setattr(confgraph, name, refuse)
+        monkeypatch.setattr(ConfusabilityGraph, "is_code", refuse)
         with pytest.raises(ResourceCapError, match="625 vertices exceed the cap of 624"):
             extend_ladder(ladder, graph_of(pentagon), 4, vertex_cap=624)
 
@@ -907,10 +908,24 @@ class TestSettledRungs:
 
     def test_the_word_check_refuses_repeats_confusable_pairs_and_short_words(self, pentagon):
         g = graph_of(pentagon)
-        assert confgraph._is_code(g, ((0, 0), (2, 2)), 2)
-        assert not confgraph._is_code(g, ((0, 0), (2, 2), (0, 0)), 2)
-        assert not confgraph._is_code(g, ((0, 0), (1, 4)), 2)  # 0 ~ 1 and 0 ~ 4
-        assert not confgraph._is_code(g, ((0, 0), (2,)), 2)
+        assert g.is_code(((0, 0), (2, 2)), 2)
+        assert not g.is_code(((0, 0), (2, 2), (0, 0)), 2)
+        assert not g.is_code(((0, 0), (1, 4)), 2)  # 0 ~ 1 and 0 ~ 4
+        assert not g.is_code(((0, 0), (2,)), 2)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_word_check_agrees_with_the_strong_power(self, data):
+        # labels are not indices, so a check that mixed them up would disagree
+        base = data.draw(small_graph().filter(lambda g: len(g) <= 5))
+        g = ConfusabilityGraph(tuple(f"v{i}" for i in range(len(base))), base.adjacency)
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        power = strong_power(g, n)
+        words = data.draw(st.lists(st.sampled_from(power.vertices), unique=True, max_size=8))
+        assert g.is_code(words, n) == power.is_independent(
+            [power.vertices.index(w) for w in words])
+        if words:  # a repeated word is confusable with itself
+            assert not g.is_code(words + [words[0]], n)
 
 
 @st.composite

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certcap import capacity, confgraph, linprog
-from certcap.channel import certify_support, support_sets, typewriter
-from certcap.confgraph import fractional_clique_cover
-from certcap.graph import certified_graph
+from certcap.channel import typewriter
+from certcap.confgraph import certified_graph, fractional_clique_cover
+from certcap.graph import Support
 from certcap.linalg import integer_pivot
 from certcap.linprog import Infeasible, LpSolution, Unbounded, _assert_certificates, solve_lp
 
@@ -349,7 +349,7 @@ def test_typewriter_minimax_lp_matches_reference(q):
     The LP is solved on the true supports directly: typewriter(3)'s graph is
     complete, so its capacity step solves none."""
     ch = typewriter(q)
-    supports = support_sets(certify_support(ch, 0), q, q)
+    supports = Support(ch, 0).sets
     for lp in _captured_lps(lambda: capacity._solve_minimax(q, supports), capacity):
         assert_matches_reference(lp)
 
