@@ -58,19 +58,17 @@ alone leaves open, and two memos spare it work; none changes a witness.
   With W carried, a product seed that meets the bound is the rung, before Gⁿ
   exists: the search would stop on it at the root, and its words are in order.
 
-* **Colouring memo.**  A node's greedy colouring depends on the graph and
-  its candidate set alone.  Per candidate set, the search keeps how many
-  leading classes it painted and the candidates they left; a node meeting
-  the set again extends that prefix forward if it may skip at least that
-  many classes, and repaints from scratch otherwise.  Either way it sees
-  the colour list an unmemoised node would, so nodes and witness match.
+* **Class memo.**  The greedy class painted from v, the top candidate,
+  reads only v and the candidates below v that survive v.  Keyed by that
+  set plus v (its top bit names v), every class but {v} is painted once a
+  call, and every node sees the colour list of the unmemoised search.
 
 * **Repeated subtrees.**  Below depth 1 no orbit is pruned, so until the
   incumbent improves, a node's subtree depends only on its candidate set
   and its gap best - size: colour lists depend on the set, every cut
   compares a colour with the gap, and the chosen vertices are read only on
   an improvement.  A subtree finished with no improvement stores its gap and
-  node count in its set's memo entry; a later node with that set and gap
+  node count under its set; a later node with that set and gap
   adds the count and returns (it explores instead if that would pass the
   node budget), so counts, cuts by the budget and witnesses all match.
 """
@@ -281,8 +279,8 @@ def max_independent_set(g: ConfusabilityGraph, *,
     lower bound only.
 
     On a graph built by ``strong_power`` the root and depth-1 loops skip
-    children in the orbit of an explored sibling, and a dict local to the
-    call keeps the colouring and repeated-subtree memos per candidate set
+    children in the orbit of an explored sibling, and dicts local to the
+    call keep the class memo and the repeated subtrees per candidate set
     (module docstring).  ``nodes`` counts the nodes of the search without
     the memos, so a budget stops where it would without them.
 
@@ -322,7 +320,16 @@ def max_independent_set(g: ConfusabilityGraph, *,
     stopped = False  # the budget ran out, or the incumbent met the limit
     exact = True
     group = cache(lambda: _power_symmetry(g))  # found at the first orbit asked for
-    painted: dict[int, tuple] = {}  # candidates -> (classes, what they left, gap, nodes)
+    painted: dict[int, tuple] = {}  # candidates -> (gap, nodes) of a finished subtree
+    classes: dict[int, int] = {}  # v and its survivors below it -> the class painted from v
+
+    def paint(key: int) -> int:  # the greedy class of key's top bit over key, stored
+        cls, avail = 0, key
+        while avail:
+            v = avail.bit_length() - 1
+            cls |= bit[v]
+            avail &= drop[v]
+        return classes.setdefault(key, cls)
 
     def orbit_of(v: int | None = None):
         """Orbit lookup of the group, or of the stabiliser of the root vertex at bit v."""
@@ -336,27 +343,20 @@ def max_independent_set(g: ConfusabilityGraph, *,
             stopped, exact = True, False
             return
         gap = best[0] - size
-        colour, rest, seen_gap, count = painted.get(candidates, (0, candidates, None, 0))
+        seen_gap, count = painted.get(candidates, (None, 0))
         if seen_gap == gap and orbit is None and nodes + count <= budget:
             nodes += count  # what this set's subtree visited at this gap before
             return
-        start = nodes
+        start, entry = nodes, candidates
         nodes += 1
-        # greedy colouring of the candidate set for the pruning bound; the
-        # vertices of colours up to the gap would cut the node at once, so
-        # those colours are painted without recording them, forward from
-        # the classes this candidate set already painted at an earlier node
-        if colour > gap:
-            colour, rest = 0, candidates
+        # greedy colouring for the pruning bound; the classes up to the gap
+        # would cut the node at once, so they are removed, not recorded
+        colour, rest = 0, candidates
         while rest and colour < gap:
             colour += 1
-            avail = rest
-            while avail:
-                v = avail.bit_length() - 1
-                avail &= drop[v]
-                rest ^= bit[v]
-        painted[candidates] = colour, rest, seen_gap, count
-        key, prefix = candidates, (colour, rest)
+            v = rest.bit_length() - 1
+            key = rest & drop[v] | bit[v]
+            rest ^= key if key == bit[v] else classes.get(key) or paint(key)
         colour_of: list[tuple[int, int]] = []  # (vertex, colour) in paint order
         while rest:
             colour += 1
@@ -396,7 +396,7 @@ def max_independent_set(g: ConfusabilityGraph, *,
                     unfolded = v
             candidates ^= bit[v]
         if orbit is None and best[0] - size == gap:
-            painted[key] = prefix + (gap, nodes - start)
+            painted[entry] = gap, nodes - start
 
     expand(full, 0, 0, orbit_of())
 

@@ -982,6 +982,16 @@ class TestColouringMemo:
         assert max_independent_set(power) == reference_independent_set(power)
 
 
+class TestClassMemo:
+    def test_each_search_paints_its_own_classes(self):
+        # a class memo that outlived one search would hand the hexagon cube
+        # classes painted on the pentagon cube under the same keys
+        for size in (5, 6):
+            power = strong_power(cycle(size), 3)
+            assert (max_independent_set(power, node_budget=5000)
+                    == reference_independent_set(power, node_budget=5000))
+
+
 def search_calls(g, **limits) -> tuple[list[int], int]:
     """Run max_independent_set under a profiler that watches its inner
     ``expand``.  Returns the node counts at which a call charged more than
