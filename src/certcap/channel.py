@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .enclosure import DomainError, load_json, parse_rational, rational_str
@@ -164,7 +165,7 @@ def stream_channel(inputs, outputs, schedules) -> Channel:
 
 
 def load_channel(doc) -> Channel:
-    """Validate a channel JSON document (dict or JSON text)."""
+    """Validate a channel document (dict or JSON text), parsing each distinct string once."""
     if isinstance(doc, str):
         doc = load_json(doc, ChannelFormatError)
     if not isinstance(doc, dict):
@@ -175,16 +176,17 @@ def load_channel(doc) -> Channel:
         mode = doc.get("mode", "exact")
     except KeyError as exc:
         raise ChannelFormatError(f"missing channel field: {exc}") from exc
+    parse = cache(parse_rational)  # this document's strings only
     if mode == "exact":
         if "rows" not in doc:
             raise ChannelFormatError("exact channel requires rows")
-        rows = [[parse_rational(w) if isinstance(w, str) else _bad(w)
+        rows = [[parse(w) if isinstance(w, str) else _bad(w)
                  for w in _list(row, "a row")] for row in _list(doc["rows"], "rows")]
         return exact_channel(inputs, outputs, rows)
     if mode == "stream":
         if "schedules" not in doc:
             raise ChannelFormatError("stream channel requires schedules")
-        sched = [[[_step(step) for step in _list(cell, "a schedule cell")]
+        sched = [[[_step(step, parse) for step in _list(cell, "a schedule cell")]
                   for cell in _list(row, "a schedule row")]
                  for row in _list(doc["schedules"], "schedules")]
         return stream_channel(inputs, outputs, sched)
@@ -197,7 +199,7 @@ def _list(value, what: str):
     return value
 
 
-def _step(step) -> ScheduleStep:
+def _step(step, parse) -> ScheduleStep:
     level = step.get("level") if isinstance(step, dict) else None
     if type(level) is not int:  # a JSON integer: not a bool, a float or a string
         raise ChannelFormatError(
@@ -206,7 +208,7 @@ def _step(step) -> ScheduleStep:
         if not isinstance(step.get(name), str):
             raise ChannelFormatError(
                 f"schedule step field {name!r} must be a rational string, got {step!r}")
-    return level, parse_rational(step["lo"]), parse_rational(step["hi"])
+    return level, parse(step["lo"]), parse(step["hi"])
 
 
 def _bad(value):
@@ -239,9 +241,9 @@ def certify_support(ch: Channel, level: int = 0) -> SupportCertificate:
     for xi in range(len(ch.inputs)):
         for yi in range(len(ch.outputs)):
             lo, hi = ch.entry_interval(xi, yi, level)
-            if lo > 0:
+            if lo.numerator > 0:  # a Fraction or an int has its numerator's sign
                 positive.add((xi, yi))
-            elif lo == hi == 0:
+            elif lo.numerator == 0 == hi.numerator:
                 zero.add((xi, yi))
             else:
                 unresolved.add((xi, yi))

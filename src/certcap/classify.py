@@ -27,7 +27,7 @@ from .check import (SOLVABLE, UNDETERMINED, UNSOLVABLE, BudgetReport,
 from .confgraph import CapacityLadder, certified_graph, extend_ladder
 from .enclosure import DomainError, Enclosure, log2_enclosure, rational_str
 from .linalg import Matrix
-from .plant import InstabilityExponent, Plant, Regime, RegimePreconditionError
+from .plant import InstabilityExponent, Plant, RefinableLog2, Regime, RegimePreconditionError
 
 
 class InternalInvariantViolation(RuntimeError):
@@ -110,10 +110,10 @@ class FeedbackCapacityTask(_NarrowingTask, _CapacityTask):
     Each climbing step is one ``minimax_ladder_step`` at the next declared
     level (intervals change only there, so the levels between would repeat
     the last rung); the LP is solved only where the support sets change.
-    After the last level each step keeps the rung and re-encloses
-    log2(1/mass) at a width sixteen times narrower.  Only an exact channel's
-    level-0 support is its true support, so only there is the bound also a
-    lower one whose ties are final; a stream's bound is an upper one.
+    After the last level each step keeps the rung and re-encloses log2(1/mass)
+    sixteen times narrower, from digits a RefinableLog2 keeps.  Only an exact
+    channel's level-0 support is its true support, so only there is the bound
+    also a lower one whose ties are final; a stream's bound is an upper one.
     """
 
     name = "fb-capacity"
@@ -124,6 +124,7 @@ class FeedbackCapacityTask(_NarrowingTask, _CapacityTask):
         self.levels = ch.declared_levels()[::-1]  # the levels left to climb, last first
         self.width = Fraction(1, 1 << 10) if ch.is_exact else DEFAULT_C0FB_WIDTH
         self.rung = None
+        self.log2 = RefinableLog2()
 
     @property
     def enclosure(self) -> Enclosure | None:
@@ -144,7 +145,7 @@ class FeedbackCapacityTask(_NarrowingTask, _CapacityTask):
             self.rung = minimax_ladder_step(self.channel, self.levels.pop(), self.rung,
                                             width=self.width)
         else:
-            self.rung = replace(self.rung, upper=log2_enclosure(1 / self.rung.mass, self.width))
+            self.rung = replace(self.rung, upper=self.log2.enclose(1 / self.rung.mass, self.width))
         if not self.levels:
             self.width /= 16
 

@@ -3,7 +3,8 @@
 Every real quantity in this package is a closed interval with exact
 rational endpoints.  Each anytime quantity is one object that keeps its exact
 core and narrows on request (plant.InstabilityExponent, capacity.ShannonBounds,
-the ladders' rungs): a refinable real in the manner of iRRAM (Mueller 2000).
+the ladders' rungs, plant.RefinableLog2: the log2 digits that eta and the C0fb
+bound share): a refinable real in the manner of iRRAM (Mueller 2000).
 The certified capacity bounds live beside log2_fixed, so check.py imports no solver.
 """
 
@@ -245,29 +246,3 @@ def log2_enclosure(x: Fraction, max_width: Fraction) -> Enclosure:
     if exact:
         return Enclosure.exact(Fraction(digits >> m))
     return Enclosure(Fraction(digits, 1 << m), Fraction(digits + 1, 1 << m), level=m)
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator in the closed interval [lo, hi].
-
-    Ties on denominator are broken by the continued-fraction walk, which is
-    deterministic.  Used to pin down exact rational roots once an isolating
-    interval is narrow enough.
-    """
-    if lo > hi:
-        raise ValueError("empty interval")
-    if hi < 0:
-        return -simplest_between(-hi, -lo)
-    if lo <= 0:
-        return Fraction(0)
-    # the continued-fraction walk on lo = a/b <= hi = c/d, with the last two
-    # convergents p1/q1 and p0/q0 of the partial quotients taken so far
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        ceil_lo = -(-a // b)
-        if ceil_lo * d <= c:
-            return Fraction(ceil_lo * p1 + p0, ceil_lo * q1 + q0)
-        whole = a // b
-        p0, q0, p1, q1 = p1, q1, whole * p1 + p0, whole * q1 + q0
-        a, b, c, d = d, c - whole * d, b, a - whole * b

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 from .enclosure import (DomainError, Enclosure, load_json, log2_fixed, parse_rational,
-                        rational_str, simplest_between, width_bits)
+                        rational_str, width_bits)
 from .linalg import Matrix, as_matrix, char_poly, is_square
 from .roots import (Poly, _count_in_unit_disc, _first_decided, _integer_form, _scaled,
                     _split_radii, _square_free_part, cauchy_root_bound, count_inside,
                     is_detectable, is_stabilizable, poly_degree, poly_deriv, poly_gcd,
-                    poly_trim)
+                    poly_trim, simplest_between)
 
 DEFAULT_ETA_WIDTH = Fraction(1, 1 << 30)
 REGIME_KINDS = ("se-nofb", "se-fb", "stab-fb", "weak")
@@ -66,10 +67,15 @@ class Plant:
 
 
 def load_plant(doc) -> Plant:
+    """Validate a plant document (dict or JSON text), parsing each distinct string once."""
     if isinstance(doc, str):
         doc = load_json(doc, PlantFormatError)
     if not isinstance(doc, dict) or "A" not in doc:
         raise PlantFormatError("plant document must be an object with an A matrix")
+    memo = cache(parse_rational)  # this document's strings
+
+    def parse(v):  # any other value, a list too, goes straight to parse_rational's refusal
+        return (memo if isinstance(v, str) else parse_rational)(v)
 
     def mat(key):
         if key not in doc or doc[key] is None:
@@ -77,9 +83,9 @@ def load_plant(doc) -> Plant:
         rows = doc[key]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise PlantFormatError(f"{key} must be a list of rows, got {rows!r}")
-        return as_matrix([[parse_rational(v) for v in row] for row in rows])
+        return as_matrix([[parse(v) for v in row] for row in rows])
 
-    bound = parse_rational(doc["D"]) if "D" in doc else None
+    bound = parse(doc["D"]) if "D" in doc else None
     return Plant(mat("A"), c=mat("C"), b=mat("B"), disturbance_bound=bound)
 
 
@@ -110,6 +116,32 @@ class Regime:
                 raise RegimePreconditionError("regime stab-fb needs an input map B")
             if not is_stabilizable(plant.a, plant.b):
                 raise RegimePreconditionError("pair (A, B) is not stabilizable")
+
+
+class RefinableLog2:
+    """log2 of positive rationals, each refinable to any depth.  Each x keeps
+    the m digits last computed; fewer bits are a shift of them
+    (floor(floor(2^m y) / 2^(m - bits)) = floor(2^bits y)), more compute
+    max(bits, 2m), so ever narrower requests cost few log2_fixed runs."""
+
+    def __init__(self):
+        self.digits = {}  # x -> (m, floor(2^m log2 x), whether x is a power of two)
+
+    def __call__(self, x: Fraction, bits: int) -> tuple[int, bool]:
+        """(floor(2^bits log2 x), whether x is a power of two)."""
+        m, digits, exact = self.digits.get(x, (-1, 0, False))
+        if m < bits:
+            m = max(bits, 2 * m)
+            digits, exact = log2_fixed(x.numerator, x.denominator, m)
+            self.digits[x] = m, digits, exact
+        return digits >> m - bits, exact
+
+    def enclose(self, x: Fraction, max_width: Fraction) -> Enclosure:
+        """log2_enclosure(x, max_width), level included, from the stored digits."""
+        m = width_bits(max_width)
+        digits, exact = self(x, m)
+        lo = Fraction(digits, 1 << m)
+        return Enclosure.exact(lo) if exact else Enclosure(lo, lo + Fraction(1, 1 << m), m)
 
 
 def _exact_bracket(ints: list[int], r: Fraction, lo: Fraction, hi: Fraction,
@@ -182,7 +214,7 @@ class UnstableModuli:
         n = poly_degree(p)
         modulus = abs(p[0] / p[1]) if n == 1 else 0  # one rational root
         self.exact = [(modulus, modulus, 1)] if modulus >= 1 else []
-        self.digits = {}  # x -> (m, floor(2^m log2 x), whether x is a power of two)
+        self.log2 = RefinableLog2()
         self.leaves = []  # (e, lo, count(lo), hi, count(hi), tested): radii lo/2^e, hi/2^e
         if n <= 1:
             return
@@ -195,16 +227,6 @@ class UnstableModuli:
 
     def _count(self, radius: tuple[int, int]) -> int | None:
         return _count_in_unit_disc(_scaled(self.ints, radius[0], 1 << radius[1]))
-
-    def log2(self, x: Fraction, bits: int) -> tuple[int, bool]:
-        """(floor(2^bits log2 x), whether x is a power of two): x's m stored digits, shifted
-        (floor(floor(2^m y) / 2^(m - bits)) = floor(2^bits y)), or max(bits, 2m) new ones."""
-        m, digits, exact = self.digits.get(x, (-1, 0, False))
-        if m < bits:
-            m = max(bits, 2 * m)
-            digits, exact = log2_fixed(x.numerator, x.denominator, m)
-            self.digits[x] = m, digits, exact
-        return digits >> m - bits, exact
 
     def brackets(self, tolerance: Fraction, bits: int) -> list[tuple[Fraction, Fraction, int]]:
         tolerance = Fraction(tolerance)

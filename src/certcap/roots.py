@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .enclosure import DomainError, Enclosure, simplest_between
+from .enclosure import DomainError, Enclosure
 from .linalg import (Matrix, as_matrix, char_poly, integer_rows, is_symmetric, kernel_basis,
                      mat_mul, transpose)
 
@@ -253,6 +253,32 @@ def _split_radii(lo, hi):
 def _square_free_part(p: Poly) -> Poly:
     """p / gcd(p, p'): each distinct root of p once."""
     return poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]
+
+
+def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational with smallest denominator in the closed interval [lo, hi].
+
+    Ties on denominator are broken by the continued-fraction walk, which is
+    deterministic.  Used to pin down exact rational roots once an isolating
+    interval is narrow enough.
+    """
+    if lo > hi:
+        raise ValueError("empty interval")
+    if hi < 0:
+        return -simplest_between(-hi, -lo)
+    if lo <= 0:
+        return Fraction(0)
+    # the continued-fraction walk on lo = a/b <= hi = c/d, with the last two
+    # convergents p1/q1 and p0/q0 of the partial quotients taken so far
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        ceil_lo = -(-a // b)
+        if ceil_lo * d <= c:
+            return Fraction(ceil_lo * p1 + p0, ceil_lo * q1 + q0)
+        whole = a // b
+        p0, q0, p1, q1 = p1, q1, whole * p1 + p0, whole * q1 + q0
+        a, b, c, d = d, c - whole * d, b, a - whole * b
 
 
 # ---------------------------------------------------------------------------

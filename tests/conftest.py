@@ -5,6 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -245,3 +246,33 @@ def reference_independent_set(g, *, node_budget=None, seed_witness=(), upper_bou
     witness_idx = sorted(i for i in range(n) if best[1] >> i & 1)
     assert g.is_independent(witness_idx)
     return IndependenceResult(best[0], tuple(g.vertices[i] for i in witness_idx), exact, nodes)
+
+
+# strings that parse_rational must refuse: a decimal point, spaces, a zero
+# or signed denominator, "_" and "+" (which int() takes), non-ASCII digits
+MALFORMED_RATIONALS = ["0.5", " 1", "1/0", "1_0", "", "+1", "1/-2", "\u0663", "1//2"]
+
+
+@st.composite
+def rational_spelling(draw, value: Fraction, spoil: int = 0) -> str:
+    """A document's string for ``value``: mostly its canonical "p/q", which
+    repeats wherever the value does, else unreduced or with 5000-digit terms
+    (past the interpreter's str-to-int limit); with ``spoil`` percent chance,
+    a malformed string from MALFORMED_RATIONALS instead."""
+    if draw(st.integers(0, 99)) < spoil:
+        return draw(st.sampled_from(MALFORMED_RATIONALS))
+    p, q = value.numerator, value.denominator
+    kind = draw(st.integers(0, 9))
+    if kind <= 1:
+        return f"{p * (kind + 2)}/{q * (kind + 2)}"
+    if kind == 2:
+        zeros = "0" * 4999
+        return f"{p}{zeros}/{q}{zeros}"
+    return f"{p}/{q}" if q > 1 else str(p)
+
+def load_outcome(load, doc):
+    """What ``load`` returns on ``doc``, or the type and text of its error."""
+    try:
+        return load(doc)
+    except ValueError as exc:  # the format errors and DomainError
+        return type(exc), str(exc)

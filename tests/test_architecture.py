@@ -10,7 +10,8 @@ a list that may only shrink.  The simulator imports no engine module,
 each plant-side decision is defined in the one module that owns it, only
 confgraph.py builds a strong power or searches one for a code, and only
 graph.py turns a support certificate into support sets and graphs.  The
-line count of src/ may only fall.
+line count of src/ may only fall.  The only caches that outlive a call are
+two keyed by code, never by input data.
 """
 
 import ast
@@ -18,6 +19,8 @@ import importlib
 import re
 import types
 from pathlib import Path
+
+import pytest
 
 import certcap
 from certcap import plant, roots
@@ -28,8 +31,8 @@ CHECK = PACKAGE / "check.py"
 FORBIDDEN = {"classify", "cli", "simulate", "plant"}
 # the solvers may not enter the checker's closure either
 CLOSURE_FORBIDDEN = FORBIDDEN | {"linprog", "capacity", "confgraph"}
-CLOSURE_LINE_CEILING = 1045  # the closure held 2101 lines with the solvers in it
-SRC_LINE_CEILING = 3875  # src/ may only shrink; a PR that must raise it names what it replaced
+CLOSURE_LINE_CEILING = 1022  # the closure held 2101 lines with the solvers in it
+SRC_LINE_CEILING = 3901  # src/ may only shrink; a PR that must raise it names what it replaced
 # the engine, the solvers and the checker stay out of the simulator's closure
 SIMULATOR_FORBIDDEN = {"classify", "capacity", "check", "confgraph", "linprog", "graph"}
 SIMULATOR_MODULE_CEILING = 6  # simulate, plant, roots, linalg, channel, enclosure
@@ -44,6 +47,10 @@ TEST_ONLY_DEFINITIONS = {
         "a layer the benchmark traces by name, until its layer rename deletes it",
 }
 TEST_ONLY_CEILING = 3
+# the caches that live as long as the process: each is keyed by code (the one
+# parser, the dataclasses' type hints), not by a document or a channel, so
+# every memo keyed by input data stays local to the call that fills it
+PROCESS_CACHES = {"cli._build_parser", "check._field_types"}
 
 
 def _imported_modules(tree):
@@ -253,3 +260,96 @@ def test_every_definition_is_named_elsewhere():
     assert sorted(_unnamed_definitions(corpus)) == sorted(TEST_ONLY_DEFINITIONS)
     assert len(TEST_ONLY_DEFINITIONS) <= TEST_ONLY_CEILING
     assert all(reason.strip() for reason in TEST_ONLY_DEFINITIONS.values())
+
+
+def _called_name(expr):
+    """The name ``expr`` ends in (``functools.cache`` -> "cache"), or None."""
+    return getattr(expr, "attr", getattr(expr, "id", None))
+
+
+def _is_cache(expr) -> bool:
+    """Whether ``expr`` is functools.cache or lru_cache, called or not."""
+    if isinstance(expr, ast.Call):
+        return _is_cache(expr.func)
+    return _called_name(expr) in {"cache", "lru_cache"}
+
+
+def _is_empty_mapping(expr) -> bool:
+    """Whether ``expr`` makes an empty dict, the usual start of a memo."""
+    if isinstance(expr, ast.Dict):
+        return not expr.keys
+    if not isinstance(expr, ast.Call):
+        return False
+    name = _called_name(expr.func)
+    return name == "defaultdict" or (not expr.args and not expr.keywords and name in {
+        "dict", "OrderedDict", "WeakKeyDictionary", "WeakValueDictionary"})
+
+
+def _process_caches(module: str, tree) -> set[str]:
+    """module.name for each cache in ``tree`` that outlives a call: a cached
+    function or method, a cache or an empty dict bound at module or class
+    level, a module-level name that a function stores into or rebinds by
+    ``global``."""
+    found = set()
+    scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in (node for body in scopes for node in body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_is_cache(d) for d in node.decorator_list):
+                found.add(f"{module}.{node.name}")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            if _is_cache(node.value) or _is_empty_mapping(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {f"{module}.{t.id}" for t in targets if isinstance(t, ast.Name)}
+    module_names = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    if isinstance(t, ast.Name)}
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        local = {n.id for n in ast.walk(function)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local |= {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+        for n in ast.walk(function):
+            if isinstance(n, ast.Global):
+                found |= {f"{module}.{name}" for name in n.names}
+            target = (n.value if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+                      else n.func.value if isinstance(n, ast.Call)
+                      and isinstance(n.func, ast.Attribute)
+                      and n.func.attr in {"setdefault", "update", "__setitem__"} else None)
+            if isinstance(target, ast.Name) and target.id in module_names - local:
+                found.add(f"{module}.{target.id}")
+    return found
+
+
+def test_only_code_keyed_caches_outlive_a_call():
+    # a memo keyed by documents, channels or plants must be made inside the
+    # call that fills it (load_channel's parse memo, max_independent_set's
+    # classes), so repeated operations in one process each derive afresh
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _process_caches(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    assert found == PROCESS_CACHES, sorted(found ^ PROCESS_CACHES)
+
+
+@pytest.mark.parametrize("source, name", [
+    ("import functools\n@functools.lru_cache(maxsize=None)\ndef f(x): return x", "m.f"),
+    ("from functools import cache\nclass C:\n    @cache\n    def f(self, x): return x", "m.f"),
+    ("from functools import cache\ng = cache(abs)", "m.g"),
+    ("_MEMO = {}", "m._MEMO"),
+    ("from collections import defaultdict\n_MEMO = defaultdict(list)", "m._MEMO"),
+    ("class C:\n    seen: dict = dict()", "m.seen"),
+    ("TABLE = {1: 2}\ndef f(x):\n    TABLE[x] = x", "m.TABLE"),
+    ("TABLE = {1: 2}\ndef f(x):\n    return TABLE.setdefault(x, x)", "m.TABLE"),
+    ("state = 0\ndef f():\n    global state\n    state = 1", "m.state"),
+], ids=["lru-cache", "cached-method", "cache-call", "empty-dict", "defaultdict",
+        "class-dict", "stored-into", "setdefault", "global"])
+def test_a_cache_that_outlives_its_call_is_found(source, name):
+    assert _process_caches("m", ast.parse(source)) == {name}
+
+
+def test_a_memo_local_to_its_call_is_no_process_cache():
+    source = ("from functools import cache\nTABLE = {1: 2}\n"
+              "def f(xs):\n    memo = cache(abs)\n    seen = {}\n"
+              "    TABLE = {}\n    TABLE[0] = 1\n"
+              "    @cache\n    def g(y): return y\n    return [memo(x) for x in xs]")
+    assert _process_caches("m", ast.parse(source)) == set()

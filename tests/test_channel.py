@@ -1,15 +1,19 @@
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certcap import channel as channel_module
 from certcap.channel import (Channel, ChannelFormatError, ResourceCapError,
-                             certify_support, exact_channel, load_channel,
-                             noiseless, stream_channel, typewriter)
-from certcap.enclosure import rational_str
-from conftest import product_channel
+                             binary_symmetric, certify_support, exact_channel, load_channel,
+                             noiseless, resolving_stream, stream_channel, typewriter)
+from certcap.enclosure import DomainError, parse_rational, rational_str
+from conftest import MALFORMED_RATIONALS, load_outcome, product_channel, rational_spelling
 
 F = Fraction
 
@@ -238,6 +242,68 @@ def test_stream_validation_agrees_with_fraction_reference(data):
         assert ch.schedules == tuple(map(tuple, sched))
 
 
+def reference_load_channel(doc):
+    """load_channel on a well-shaped document without its memo: every string
+    parsed afresh, in document order."""
+    if doc["mode"] == "exact":
+        rows = [[parse_rational(w) for w in row] for row in doc["rows"]]
+        return exact_channel(doc["inputs"], doc["outputs"], rows)
+    sched = [[[(step["level"], parse_rational(step["lo"]), parse_rational(step["hi"]))
+               for step in cell] for cell in row] for row in doc["schedules"]]
+    return stream_channel(doc["inputs"], doc["outputs"], sched)
+
+
+def document_strings(doc) -> list[str]:
+    """Every rational string of a well-shaped channel document, in document order."""
+    if doc["mode"] == "exact":
+        return [w for row in doc["rows"] for w in row]
+    return [step[k] for row in doc["schedules"] for cell in row for step in cell
+            for k in ("lo", "hi")]
+
+
+@st.composite
+def channel_documents(draw):
+    """Exact rows or schedules, drawn as above or a resolving stream of a
+    valid channel, with each rational spelled by rational_spelling and, in
+    some documents, some of them malformed."""
+    kind = draw(st.sampled_from(["exact", "stream", "resolving"]))
+    spoil = draw(st.sampled_from([0, 0, 1, 10]))
+
+    def spell(value):
+        return draw(rational_spelling(value, spoil))
+
+    if kind == "exact":
+        rows = draw(exact_rows())
+        return {"inputs": list(range(len(rows))), "outputs": list(range(len(rows[0]))),
+                "mode": "exact", "rows": [[spell(w) for w in row] for row in rows]}
+    if kind == "stream":
+        nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        sched = [[draw(schedule_cell()) for _ in range(ny)] for _ in range(nx)]
+    else:
+        base = draw(st.sampled_from([typewriter(3), noiseless(2), binary_symmetric(F(1, 3))]))
+        sched = resolving_stream(base, draw(st.integers(0, 3))).schedules
+    return {"inputs": list(range(len(sched))), "outputs": list(range(len(sched[0]))),
+            "mode": "stream",
+            "schedules": [[[{"level": lv, "lo": spell(lo), "hi": spell(hi)}
+                            for lv, lo, hi in cell] for cell in row] for row in sched]}
+
+
+@given(doc=channel_documents())
+@settings(max_examples=300, deadline=None)
+def test_loading_parses_each_string_once_and_agrees_with_a_fresh_parse(doc):
+    expected = load_outcome(reference_load_channel, doc)
+    with mock.patch.object(channel_module, "parse_rational", wraps=parse_rational) as spy:
+        assert load_outcome(load_channel, doc) == expected
+    parsed = Counter(call.args[0] for call in spy.call_args_list)
+    assert set(parsed.values()) <= {1}
+    strings = document_strings(doc)
+    if not any(w in MALFORMED_RATIONALS for w in strings):
+        assert parsed.keys() == set(strings)
+    else:  # the first malformed string stops the load, with the same error
+        first = next(w for w in strings if w in MALFORMED_RATIONALS)
+        assert expected == (DomainError, f"malformed rational: {first!r}")
+
+
 def test_validation_keeps_the_fractions_it_is_given():
     lo, hi, pin = F(1, 3), F(2, 3), F(1, 2)
     ch = stream_channel((0,), (0, 1), [[((0, lo, hi), (2, pin, pin)), ((0, F(1, 3), F(2, 3)),)]])
@@ -286,6 +352,55 @@ class TestSupport:
                 assert prev.zero <= cur.zero
                 assert cur.unresolved <= prev.unresolved
                 prev = cur
+
+
+def reference_support(ch, level) -> tuple[set, set, set]:
+    """certify_support's (positive, zero, unresolved), by Fraction comparisons."""
+    sets = {"positive": set(), "zero": set(), "unresolved": set()}
+    for xi, yi in product(range(len(ch.inputs)), range(len(ch.outputs))):
+        lo, hi = (F(w) for w in ch.entry_interval(xi, yi, level))
+        sets["positive" if lo > 0 else "zero" if lo == hi == 0 else "unresolved"].add((xi, yi))
+    return sets["positive"], sets["zero"], sets["unresolved"]
+
+
+def _certified(ch, level) -> tuple[set, set, set]:
+    cert = certify_support(ch, level)
+    return cert.positive, cert.zero, cert.unresolved
+
+
+HOSTILE = (0, F(-1, 3), 0)  # a negative lo under hi = 0: no pin, so never zero
+
+
+def test_support_reads_ints_pins_and_hostile_entries_like_fractions():
+    exact = Channel((0, 1), (0, 1, 2), rows=((1, 0, 0), (F(1, 2), 0, F(1, 2))))
+    assert _certified(exact, 0) == ({(0, 0), (1, 0), (1, 2)}, {(0, 1), (0, 2), (1, 1)}, set())
+    stream = Channel((0, 1), (0, 1), schedules=(
+        (((0, 0, F(1, 2)), (2, 0, 0)), ((0, F(1, 2), 1), (1, 1, 1))),
+        ((HOSTILE,), ((0, -1, 0), (3, F(-1, 2), F(0))))))
+    for level in range(5):
+        assert _certified(stream, level) == reference_support(stream, level)
+        positive, zero, unresolved = _certified(stream, level)
+        assert {(1, 0), (1, 1)} <= unresolved and (0, 1) in positive
+        assert ((0, 0) in zero) == (level >= 2)
+
+
+ENDPOINTS = [0, 1, -1, 2, F(0), F(1, 2), F(-1, 3), F(3, 2), F(1, 10 ** 40)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_support_agrees_with_a_fraction_reference(data):
+    nx, ny = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    steps = st.tuples(st.integers(0, 4), st.sampled_from(ENDPOINTS), st.sampled_from(ENDPOINTS))
+    cell = st.lists(steps, max_size=3, unique_by=lambda step: step[0]).map(sorted).map(tuple)
+    if data.draw(st.booleans()):
+        ch = Channel(tuple(range(nx)), tuple(range(ny)), rows=tuple(
+            tuple(data.draw(st.sampled_from(ENDPOINTS)) for _ in range(ny)) for _ in range(nx)))
+    else:
+        ch = Channel(tuple(range(nx)), tuple(range(ny)), schedules=tuple(
+            tuple(data.draw(cell) for _ in range(ny)) for _ in range(nx)))
+    for level in range(5):
+        assert _certified(ch, level) == reference_support(ch, level)
 
 
 class TestProducts:

@@ -16,6 +16,7 @@ import certcap
 from certcap import capacity
 from certcap import channel as channel_module
 from certcap import classify as classify_module
+from certcap import plant as plant_module
 from certcap.capacity import (DEFAULT_C0FB_WIDTH, feedback_zero_error_capacity,
                               minimax_ladder_step)
 from certcap.channel import (certify_support, exact_channel, hovering_stream,
@@ -1160,3 +1161,47 @@ def test_complete_graph_ladder_stops_after_rung_one(data_dir, monkeypatch):
     assert verdict.outcome == "Undetermined"
     assert calls == [1]
     assert verdict.certificate.progress["ladder"]["rungs"] == 1
+
+
+class TestStoredC0fbDigits:
+    """After its climb, FeedbackCapacityTask narrows log2(1/mass) from the
+    digits one plant.RefinableLog2 keeps, to what a fresh log2_enclosure gives."""
+
+    @pytest.mark.parametrize("name", ["pentagon", "typewriter7", "pentagon-stream"])
+    def test_every_step_encloses_like_a_fresh_log2_enclosure(self, name, pentagon):
+        ch = {"pentagon": pentagon, "typewriter7": typewriter(7),
+              "pentagon-stream": resolving_stream(pentagon, 3)}[name]
+        task = FeedbackCapacityTask(ch)
+        narrowing = 0
+        while not task.exhausted():
+            width, climbing = task.width, bool(task.levels)
+            task.step()
+            narrowing += not climbing
+            mass = task.rung.mass  # a stream's rungs may have mass 0 before it resolves
+            # Enclosure equality takes in the level too
+            assert task.rung.upper == (None if mass == 0 else log2_enclosure(1 / mass, width))
+        assert narrowing >= 20 and task.rung.upper.width < F(1, 1 << 116)
+
+    def test_the_pentagon_tie_narrows_from_five_log2_runs(self, pentagon, monkeypatch):
+        # a = 5/2 puts eta on C0fb(pentagon) = log2(5/2): the task narrows 27
+        # times, down to the width floor, from the digits of five log2_fixed runs
+        runs, steps, narrowing = [], [], [False]  # narrowing[0]: inside a narrowing step
+        real_fixed, real_step = plant_module.log2_fixed, FeedbackCapacityTask.step
+
+        def fixed(n, d, m):
+            if narrowing[0]:
+                runs.append(m)
+            return real_fixed(n, d, m)
+
+        def step(task):
+            narrowing[0] = not task.levels
+            steps.append(narrowing[0])
+            real_step(task)
+            narrowing[0] = False
+
+        monkeypatch.setattr(plant_module, "log2_fixed", fixed)
+        monkeypatch.setattr(FeedbackCapacityTask, "step", step)
+        verdict = classify(scalar_plant(F(5, 2), disturbance=1), pentagon, Regime("se-fb"), 500)
+        assert verdict.outcome == "Undetermined"
+        assert sum(steps) == 27
+        assert runs == [14, 28, 56, 112, 224]  # each run twice as deep as the last

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certcap.enclosure import (DomainError, Enclosure, floor_log2, log2_enclosure,
-                               parse_rational, rational_str, simplest_between)
+                               parse_rational, rational_str)
+from certcap.roots import simplest_between
 
 mpmath.mp.dps = 60
 

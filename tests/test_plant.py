@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from certcap import plant as plant_module
 from certcap import roots as roots_module
 from certcap.classify import EtaTask, Regime, classify, revalidate
-from certcap.enclosure import Enclosure, log2_enclosure, log2_fixed, width_bits
+from certcap.enclosure import (DomainError, Enclosure, log2_enclosure, log2_fixed,
+                               parse_rational, width_bits)
 from certcap.linalg import as_matrix, char_poly, kernel_basis, mat_mul, transpose
-from certcap.plant import (InstabilityExponent, Plant, PlantFormatError, UnstableModuli,
-                           instability_exponent, load_plant)
+from certcap.plant import (InstabilityExponent, Plant, PlantFormatError, RefinableLog2,
+                           UnstableModuli, instability_exponent, load_plant)
 from certcap.roots import is_detectable, is_stabilizable, schur_stable
-from conftest import intersects, reference_detectability
+from conftest import (MALFORMED_RATIONALS, intersects, load_outcome, rational_spelling,
+                      reference_detectability)
 
 F = Fraction
 mpmath.mp.dps = 40
@@ -409,6 +412,60 @@ class TestLoading:
             load_plant({"A": [["1"]], "D": "-1"})
 
 
+def reference_load_plant(doc):
+    """load_plant on a well-shaped document without its memo: every value
+    parsed afresh, D first, then A, C and B."""
+    bound = parse_rational(doc["D"]) if "D" in doc else None
+    a, c, b = (None if doc.get(key) is None else
+               as_matrix([[parse_rational(v) for v in row] for row in doc[key]])
+               for key in "ACB")
+    return Plant(a, c=c, b=b, disturbance_bound=bound)
+
+
+PLANT_VALUES = [F(0), F(1), F(-1), F(1, 2), F(5, 2), F(-3, 2), F(2), F(1, 10), F(10 ** 60 + 1, 3)]
+NOT_STRINGS = [1, 0.5, None, [1], {"p": 1}, True]  # parse_rational refuses each
+
+
+@st.composite
+def plant_documents(draw):
+    """A, optional C, B and D over a few values, so strings repeat, each
+    spelled by rational_spelling; in some documents some values are
+    malformed strings or no strings at all."""
+    n = draw(st.integers(1, 3))
+    spoil = draw(st.sampled_from([0, 0, 1, 10]))
+
+    def value():
+        if draw(st.integers(0, 99)) < spoil:
+            return draw(st.sampled_from(NOT_STRINGS))
+        return draw(rational_spelling(draw(st.sampled_from(PLANT_VALUES)), spoil))
+
+    doc = {"A": [[value() for _ in range(n)] for _ in range(n)]}
+    for key, rows, cols in (("C", draw(st.integers(1, 2)), n), ("B", n, 1)):
+        if draw(st.booleans()):
+            doc[key] = [[value() for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        doc["D"] = value()
+    return doc
+
+
+@given(doc=plant_documents())
+@settings(max_examples=300, deadline=None)
+def test_loading_parses_each_string_once_and_agrees_with_a_fresh_parse(doc):
+    expected = load_outcome(reference_load_plant, doc)
+    with mock.patch.object(plant_module, "parse_rational", wraps=parse_rational) as spy:
+        assert load_outcome(load_plant, doc) == expected
+    parsed = Counter(call.args[0] for call in spy.call_args_list
+                     if isinstance(call.args[0], str))
+    assert set(parsed.values()) <= {1}
+    values = ([doc["D"]] if "D" in doc else []) + [
+        v for key in "ACB" for row in doc.get(key, ()) for v in row]
+    bad = [v for v in values if not isinstance(v, str) or v in MALFORMED_RATIONALS]
+    if not bad:
+        assert parsed.keys() == set(values)
+    else:  # the first bad value stops the load, with the same error
+        assert expected == (DomainError, f"malformed rational: {bad[0]!r}")
+
+
 def test_char_poly_poles():
     p = char_poly(as_matrix([[2, 0], [0, 3]]))
     # (t-2)(t-3) = 6 - 5t + t^2
@@ -641,6 +698,19 @@ def test_stored_digits_answer_every_request_like_a_fresh_log2(x, requests):
     moduli = UnstableModuli((F(-2), F(1)))
     for bits in requests:
         assert moduli.log2(x, bits) == log2_fixed(x.numerator, x.denominator, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=10 ** 6),
+                   st.integers(-40, 40).map(lambda k: F(2) ** k)),
+       widths=st.lists(st.fractions(min_value=F(1, 1 << 300), max_value=4), min_size=1,
+                       max_size=10))
+def test_stored_digits_enclose_like_a_fresh_log2_enclosure(x, widths):
+    store = RefinableLog2()
+    for width in widths:
+        enc = store.enclose(x, width)
+        assert enc == log2_enclosure(x, width)
+        assert enc.level == log2_enclosure(x, width).level
 
 
 def test_a_first_request_computes_exactly_its_digits(monkeypatch):
