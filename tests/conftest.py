@@ -270,6 +270,7 @@ def rational_spelling(draw, value: Fraction, spoil: int = 0) -> str:
         return f"{p}{zeros}/{q}{zeros}"
     return f"{p}/{q}" if q > 1 else str(p)
 
+
 def load_outcome(load, doc):
     """What ``load`` returns on ``doc``, or the type and text of its error."""
     try:
