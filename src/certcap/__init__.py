@@ -2,7 +2,7 @@
 control loops over discrete noisy channels.
 
 Everything is exact rational arithmetic or certified interval enclosures;
-there is no floating-point fast path in any reported quantity.
+no module uses floats: the capacity proposer, a heuristic, runs in decimal.
 """
 
 __version__ = "0.1.0"

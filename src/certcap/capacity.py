@@ -6,20 +6,21 @@ over output support masses, an exact rational LP solved by
 minimax_ladder_step once per declared level of the channel (an exact channel
 declares only level 0) on the graph.Support that its rung keeps, where each
 rung is built on the last and bounds the capacity from above; and
-ShannonBounds, two-sided certified bounds on the ordinary capacity whose
-step(log_width) runs one alternating-optimization iteration at the width its
-caller schedules, bounded by the checker's own enclosure.certified_capacity_bounds.
+ShannonBounds, two-sided certified bounds on the ordinary capacity at input
+distributions from propose_distribution, in exact-decimal Newton and
+Blahut-Arimoto steps, bounded by the checker's enclosure.certified_capacity_bounds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, DivisionByZero, InvalidOperation, localcontext
 from fractions import Fraction
+from operator import mul
 
 from .channel import Channel
 from .enclosure import (DomainError, Enclosure, certified_capacity_bounds, log2_enclosure,
-                        rational_str)
+                        rational_str, width_bits)
 from .graph import Support
 from .linprog import EQ, GEQ, LEQ, solve_lp
 
@@ -94,21 +95,20 @@ def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
     the feedback zero-error capacity of a stream channel that converges
     downward as entries resolve.  The minimax LP depends only on the support
     sets, so a level whose sets equal the last rung's reuses that rung's
-    solution and solves no LP.  ``upper`` is always enclosed afresh at
-    ``width``.
+    solution and solves no LP, and its ``upper`` if that is exact or has
+    ``width``'s digits: log2_enclosure would return it again.
     """
     if last is not None and level <= last.level:
         raise DomainError("ladder levels must increase")
     support = Support(ch, level)
     if support.settled and support.graph.is_complete():
         return MinimaxRung(level, Fraction(1), Enclosure.exact(Fraction(0)), None, support)
-    if last is not None and support.sets == last.support.sets:
-        sol = last.solution
-    else:
-        sol = _solve_minimax(len(ch.inputs), support.sets)
+    kept = last is not None and support.sets == last.support.sets
+    sol = last.solution if kept else _solve_minimax(len(ch.inputs), support.sets)
     if last is not None and sol.value < last.mass:
         raise RuntimeError("support refinement decreased the minimax mass")
-    upper = None if sol.value == 0 else log2_enclosure(1 / sol.value, width)
+    reuse = kept and last.upper and (last.upper.is_exact or last.upper.level == width_bits(width))
+    upper = last.upper if reuse else log2_enclosure(1 / sol.value, width) if sol.value else None
     return MinimaxRung(level, sol.value, upper, sol, support)
 
 
@@ -118,21 +118,18 @@ def minimax_ladder_step(ch: Channel, level: int, last: MinimaxRung | None, *,
 class ShannonBounds:
     """Anytime certified bracket [lower.lo, upper.hi] around the capacity.
 
-    The input distribution evolves by the Blahut-Arimoto update in floating
-    point, on rows converted to floats once.  Each step recomputes both
-    bounds exactly at the current distribution (certified_capacity_bounds:
-    integer sums, one Fraction per endpoint) with log2 terms of the width it
-    is given, so the bracket is sound however the iteration behaves.  Each
-    side keeps its best bound, with the distribution and log width that give it.
+    The first step certifies the uniform distribution, each later one the next
+    from propose_distribution, with both bounds computed exactly (integer sums,
+    one Fraction per endpoint) by certified_capacity_bounds at the log width it
+    is given, so the bracket is sound however the proposals behave.  Each side
+    keeps its best bound, with the distribution and log width that give it.
     """
 
     def __init__(self, ch: Channel):
         if not ch.is_exact:
             raise DomainError("exact channel required")
         self.rows = ch.rows
-        self.float_rows = [[float(w) for w in row] for row in ch.rows]
-        nx = len(ch.inputs)
-        self.dist = tuple(Fraction(1, nx) for _ in range(nx))
+        self.dist = (Fraction(1, len(ch.inputs)),) * len(ch.inputs)
         self.iterations = 0
         self.lower = self.upper = None  # the best Enclosure on each side so far
         self.lower_from = self.upper_from = None  # (distribution, log width)
@@ -146,12 +143,13 @@ class ShannonBounds:
         return self.lower_from[0]
 
     def step(self, log_width: Fraction) -> None:
+        if self.iterations:  # proposed lazily: a run that halts in one step never pays
+            self.dist = propose_distribution(self.rows, self.dist, log_width)
         lower, upper = certified_capacity_bounds(self.rows, self.dist, log_width)
         if self.lower is None or lower.lo > self.lower.lo:
             self.lower, self.lower_from = lower, (self.dist, log_width)
         if self.upper is None or upper.hi < self.upper.hi:
             self.upper, self.upper_from = upper, (self.dist, log_width)
-        self.dist = next_distribution(self.float_rows, self.dist)
         self.iterations += 1
 
     def to_json(self) -> dict:
@@ -160,31 +158,74 @@ class ShannonBounds:
                 "input_distribution": [rational_str(p) for p in self.input_distribution]}
 
 
-def next_distribution(rows, dist):
-    """One heuristic alternating-optimization update in floating point on
-    ``rows`` as floats, snapped to a positive rational distribution;
-    certification never trusts it.
+def propose_distribution(rows, dist, log_width) -> tuple[Fraction, ...]:
+    """The next input distribution after the positive ``dist``, in ``decimal``
+    under its own context, so the same everywhere: the first of a Newton step
+    and its halvings that lowers the estimated gap max_x D(W_x||q) - I, else
+    a Blahut-Arimoto step, snapped to a 2**-bits grid with every entry at
+    least one unit, so every reachable output keeps mass."""
+    bits = max(60, width_bits(log_width) + 16)  # the grid and the digits grow with the width
+    with localcontext(Context(prec=max(40, bits // 3 + 20), rounding="ROUND_HALF_EVEN",
+                              Emin=-999999, Emax=999999, traps=[InvalidOperation, DivisionByZero])):
+        def divergences(p):  # the output marginal q of p and each D(W_x||q) in nats
+            q = [sum(map(mul, p, column)) for column in zip(*w)]
+            return q, [sum(v * (v / m).ln() for v, m in zip(row, q) if v) for row in w]
 
-    The snap to a 2**-40 grid keeps entries strictly positive (so output
-    marginals never vanish on reachable outputs) and renormalizes exactly.
-    """
-    nx, ny = len(rows), len(rows[0])
-    p = [float(v) for v in dist]
-    q = [sum(p[x] * rows[x][y] for x in range(nx)) for y in range(ny)]
-    logs = []
-    for x in range(nx):
-        acc = 0.0
-        for y in range(ny):
-            w = rows[x][y]
-            if w > 0 and q[y] > 0:
-                acc += w * math.log2(w / q[y])
-        logs.append(acc)
-    peak = max(logs)
-    weights = [p[x] * (2.0 ** (logs[x] - peak)) for x in range(nx)]
-    total = sum(weights)
-    nums = [max(1, round(w / total * (1 << 40))) for w in weights]
-    grid = sum(nums)
-    return tuple(Fraction(v, grid) for v in nums)
+        def snap(masses):
+            return [max(1, round(v * (1 << bits) / sum(masses))) for v in masses]
+
+        w = [[Decimal(v.numerator) / v.denominator for v in row] for row in rows]
+        p = [Decimal(v.numerator) / v.denominator for v in dist]
+        q, div = divergences(p)
+        least = max(div) - sum(map(mul, p, div))
+        for k in range(4 if (target := _newton_target(w, q, div, p)) else 0):
+            nums = snap([a + (t - a) / (1 << k) for a, t in zip(p, target)])
+            at = divergences([Decimal(v) / sum(nums) for v in nums])[1]
+            if max(at) - sum(map(mul, nums, at)) / sum(nums) < least:
+                break
+        else:
+            nums = snap([a * (d - max(div)).exp() for a, d in zip(p, div)])
+    return tuple(Fraction(v, sum(nums)) for v in nums)
+
+
+def _newton_target(w, q, div, p):
+    """The maximizer t over the simplex of the mutual information's quadratic
+    model at ``p`` (Hessian -M - rI, M_xz = sum_y W_xy W_zy / q_y, a ridge r
+    keeping flat directions finite) by a primal active-set method, or None:
+    D(W_x||q) - ((M + rI)(t - p))_x is one value where t_x > 0, no more elsewhere."""
+    m = [[sum(a * b / c for a, b, c in zip(u, v, q) if a and b) for v in w] for u in w]
+    ridge = max(map(max, m)).scaleb(-20)
+    t, free = p[:], list(range(len(p)))
+    for _ in range(4 * len(p)):
+        sol = _solve([[m[x][z] + ridge * (x == z) for z in free] + [1, div[x] + ridge * p[x]]
+                      for x in free] + [[1] * len(free) + [0, 1]])
+        if sol is None:
+            return None
+        ratios = {x: t[x] / (t[x] - s) for x, s in zip(free, sol) if s < 0}
+        block = min(ratios, key=ratios.get, default=None)  # the first bound on the way
+        for x, s in zip(free, sol):
+            t[x] = Decimal(0) if x == block else t[x] + ratios.get(block, 1) * (s - t[x])
+        if ratios:
+            free.remove(block)
+            continue
+        slack = {x: div[x] + ridge * p[x] - sum(map(mul, m[x], t)) - sol[-1]
+                 for x in range(len(p)) if x not in free}
+        if all(v <= 0 for v in slack.values()):
+            return t
+        free.append(max(slack, key=slack.get))
+    return None
+
+
+def _solve(a):
+    """Gauss-Jordan on the augmented rows ``a``; None if a pivot vanishes."""
+    for c in range(len(a)):
+        r = max(range(c, len(a)), key=lambda i: abs(a[i][c]))
+        if not a[r][c]:
+            return None
+        a[c], a[r] = a[r], a[c]
+        for i in [i for i in range(len(a)) if i != c and a[i][c]]:
+            a[i] = [u - a[i][c] / a[c][c] * v for u, v in zip(a[i], a[c])]
+    return [row[-1] / row[i] for i, row in enumerate(a)]
 
 
 def shannon_capacity(ch: Channel, tolerance) -> ShannonBounds:
@@ -199,8 +240,7 @@ def shannon_capacity(ch: Channel, tolerance) -> ShannonBounds:
     bounds = ShannonBounds(ch)
     nx, ny = len(ch.inputs), len(ch.outputs)
     log_width = tolerance / (8 * (nx * ny + nx + 4))
-    bounds.step(log_width)
-    while bounds.gap > tolerance:
+    while bounds.lower is None or bounds.gap > tolerance:
         if bounds.iterations >= 100_000:
             raise RuntimeError(f"no certified gap <= {tolerance} within 100000 iterations")
         bounds.step(log_width)

@@ -1,3 +1,7 @@
+import json
+import random
+from decimal import (ROUND_DOWN, Clamped, Context, DivisionByZero, FloatOperation, Inexact,
+                     InvalidOperation, Overflow, Rounded, Subnormal, Underflow, localcontext)
 from fractions import Fraction
 
 import mpmath
@@ -5,12 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from certcap import capacity
 from certcap.capacity import (ShannonBounds, feedback_zero_error_capacity,
-                              minimax_ladder_step, shannon_capacity)
-from certcap.channel import certify_support, exact_channel, resolving_stream
+                              minimax_ladder_step, propose_distribution, shannon_capacity)
+from certcap.channel import (certify_support, exact_channel, hovering_stream, load_channel,
+                             noiseless, resolving_stream)
 from certcap.check import verify_minimax_lower_bound
+from certcap.classify import Regime, classify, revalidate
 from certcap.enclosure import (DomainError, Enclosure, certified_capacity_bounds,
                                log2_enclosure, log2_fixed)
+from certcap.plant import load_plant
+from conftest import scalar_plant
 
 F = Fraction
 mpmath.mp.dps = 50
@@ -199,6 +208,183 @@ class TestShannonBoundsSharedByBothCallers:
         assert width == task.log_width == F(1, 1 << 60)
         assert (task.bounds.lower_from, task.bounds.upper_from) == (
             bounds.lower_from, bounds.upper_from)
+
+
+def test_a_kept_rung_keeps_its_enclosure(monkeypatch):
+    # a hovering entry never resolves, so the 64 declared levels keep one
+    # support and one minimax solution: log2(1/mass) is enclosed once
+    ch = hovering_stream(noiseless(2), [(0, 1)], 64)
+    calls = []
+    monkeypatch.setattr(capacity, "log2_enclosure",
+                        lambda *args: calls.append(args) or log2_enclosure(*args))
+    rung = None
+    for level in ch.declared_levels():
+        rung = minimax_ladder_step(ch, level, rung)
+    monkeypatch.undo()
+    assert len(ch.declared_levels()) == 64 and len(calls) == 1
+    assert rung.upper == log2_enclosure(1 / rung.mass, capacity.DEFAULT_C0FB_WIDTH)
+
+
+@pytest.mark.parametrize("width", [F(1, 1 << 10), F(1, 1 << 20), F(1, 3)])
+def test_a_kept_inexact_enclosure_is_made_again_only_at_a_new_width(pentagon_stream, width):
+    # level 4 keeps level 3's settled support, so its LP solution, and keeps
+    # log2(5/2)'s enclosure only at the same width
+    rung = minimax_ladder_step(pentagon_stream, 3, None, width=F(1, 1 << 20))
+    again = minimax_ladder_step(pentagon_stream, 4, rung, width=width)
+    assert again.solution is rung.solution and again.mass == F(2, 5)
+    assert again.upper == log2_enclosure(F(5, 2), width)
+    assert (again.upper is rung.upper) == (width == F(1, 1 << 20))
+
+
+# ---------------------------------------------------------------------------
+# the decimal proposer: hostile channels, the KKT reference, determinism
+
+def kkt_capacity(rows, dist):
+    """C in bits from the KKT conditions, in mpmath at 50 digits: Newton
+    (findroot) on D(W_x||q) = C, sum p = 1 over the inputs that ``dist``
+    gives more than 2**-30, started at ``dist``; then every mass must be
+    positive and every other input's divergence at most C, which makes C
+    the capacity (the mutual information is concave)."""
+    w = [[mpmath.mpf(v.numerator) / v.denominator for v in row] for row in rows]
+    kept = [x for x, p in enumerate(dist) if p > F(1, 1 << 30)]
+
+    def divergence(row, q):
+        if any(v and not m for v, m in zip(row, q)):
+            return mpmath.inf
+        return mpmath.fsum(v * mpmath.log(v / m, 2) for v, m in zip(row, q) if v)
+
+    def marginal(masses):
+        return [mpmath.fsum(p * w[x][y] for p, x in zip(masses, kept)) for y in range(len(w[0]))]
+
+    def equations(*v):
+        q = marginal(v[:-1])
+        return [divergence(w[x], q) - v[-1] for x in kept] + [mpmath.fsum(v[:-1]) - 1]
+
+    start = [mpmath.mpf(dist[x].numerator) / dist[x].denominator for x in kept]
+    root = mpmath.findroot(equations, start + [divergence(w[kept[0]], marginal(start))])
+    masses, c = [root[i] for i in range(len(kept))], root[len(kept)]
+    assert all(p > 0 for p in masses)
+    q = marginal(masses)
+    assert all(divergence(w[x], q) <= c + mpmath.mpf(10) ** -40 for x in range(len(w)))
+    return c
+
+
+def brackets(bounds, value) -> bool:
+    return F(bounds.lower.lo) <= F(mpmath.nstr(value, 45)) <= F(bounds.upper.hi)
+
+
+def seeded_sparse_rows(k: int, seed: int):
+    """k inputs over k outputs with one support per k (input x reaches x,
+    x + 1 and, on a fixed draw, one output across the cycle) and transition
+    weights 1 to 4 drawn from ``seed``."""
+    shape, rng = random.Random(f"support/{k}"), random.Random(f"weights/{k}/{seed}")
+    rows = []
+    for x in range(k):
+        support = {x, (x + 1) % k}
+        if shape.random() < 0.5:
+            support.add((x + shape.randrange(2, k - 1)) % k)
+        weights = {y: rng.randint(1, 4) for y in sorted(support)}
+        rows.append([F(weights.get(y, 0), sum(weights.values())) for y in range(k)])
+    return rows
+
+
+@pytest.mark.parametrize("k", [6, 7])
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_sparse_channels_close_in_a_few_steps(k, seed):
+    # the float Blahut-Arimoto proposer took 85 to 447 steps on these twelve
+    rows = seeded_sparse_rows(k, seed)
+    bounds = shannon_capacity(exact_channel(range(k), range(k), rows), F(1, 10 ** 6))
+    assert bounds.iterations <= 20 and bounds.gap <= F(1, 10 ** 6)
+    assert brackets(bounds, kkt_capacity(rows, bounds.input_distribution))
+
+
+DOMINATED = [[F(1, 2), 0, F(1, 2)], [F(1, 3), 0, F(2, 3)], [0, F(2, 3), F(1, 3)],
+             [F(2, 3), 0, F(1, 3)]]
+Z_CHANNEL = [[F(1), F(0)], [F(1, 3), F(2, 3)]]
+# the Z-channel's log2(1 + (1 - e) e^(e / (1 - e))) at e = 1/3
+Z_CAPACITY = mpmath.log(1 + 2 / (3 * mpmath.sqrt(3)), 2)
+
+
+@pytest.mark.parametrize("name, tolerance, steps", [
+    ("dominated", F(1, 10 ** 12), 6),  # inputs 0 (the mean of 1 and 3) and 1 get mass 0
+    ("sparse8", F(1, 10 ** 12), 8),  # only inputs 4 and 5 reach output 4; no unique optimum
+    ("identical", F(1, 10 ** 12), 4),  # two equal rows: the optimum is no single point
+    ("one-input", F(1, 10 ** 12), 1),
+    ("z-channel", F(1, 10 ** 30), 6),
+])
+def test_hostile_channels_close_without_raising(data_dir, name, tolerance, steps):
+    rows = {"dominated": DOMINATED, "identical": [[F(1, 3), F(2, 3)]] * 2 + [[F(3, 4), F(1, 4)]],
+            "one-input": [[F(1, 3), F(2, 3)]], "z-channel": Z_CHANNEL}.get(name)
+    ch = (load_channel((data_dir / "sparse8.json").read_text())
+          if rows is None else exact_channel(range(len(rows)), range(len(rows[0])), rows))
+    bounds = shannon_capacity(ch, tolerance)
+    assert bounds.gap <= tolerance and bounds.iterations <= steps
+    if name == "dominated":
+        assert brackets(bounds, kkt_capacity(DOMINATED, bounds.input_distribution))
+    if name == "identical":  # the two equal rows act as one input
+        merged = (bounds.input_distribution[0] + bounds.input_distribution[1],
+                  bounds.input_distribution[2])
+        assert brackets(bounds, kkt_capacity(rows[1:], merged))
+    if name == "sparse8":  # 0.16 on inputs 0 to 3, 0.04 on 4 and 5, 0.14 on 6 and 7
+        assert brackets(bounds, mpmath.log(mpmath.mpf(25) / 4, 2))
+    if name == "z-channel":
+        assert brackets(bounds, Z_CAPACITY)
+    if name == "one-input":
+        assert bounds.lower.lo == bounds.upper.hi == 0
+
+
+@pytest.mark.parametrize("log_width, bits", [(F(1, 1 << 12), 60), (F(1, 1 << 100), 100)])
+def test_proposals_stay_positive_on_a_grid_that_grows_with_the_width(log_width, bits):
+    # every entry keeps at least one grid unit, so no reachable output loses
+    # mass: the first Newton step gives input 0 none, and it keeps one unit
+    proposed = propose_distribution(DOMINATED, (F(1, 4),) * 4, log_width)
+    assert sum(proposed) == 1 and min(proposed) > 0
+    assert proposed[0].numerator == 1 and proposed[0].denominator >= 1 << bits
+
+
+def test_proposals_run_between_steps_only(monkeypatch, pentagon, data_dir):
+    # lazily: a run that closes in one step never proposes, and no run
+    # proposes after its last step
+    calls = []
+    real = capacity.propose_distribution
+    monkeypatch.setattr(capacity, "propose_distribution",
+                        lambda *args: calls.append(args) or real(*args))
+    assert shannon_capacity(pentagon, F(1, 10 ** 6)).iterations == 1 and not calls
+    bounds = shannon_capacity(load_channel((data_dir / "asym3x4.json").read_text()), F(1, 10 ** 6))
+    assert len(calls) == bounds.iterations - 1 > 0
+
+
+HOSTILE_CONTEXT = Context(prec=5, rounding=ROUND_DOWN, traps=[
+    Clamped, DivisionByZero, FloatOperation, Inexact, InvalidOperation, Overflow, Rounded,
+    Subnormal, Underflow])
+
+
+def test_proposals_ignore_the_callers_decimal_context(data_dir):
+    asym = load_channel((data_dir / "asym3x4.json").read_text())
+    plant = load_plant((data_dir / "plant_weak_1093_1000.json").read_text())
+
+    def outputs():
+        return (json.dumps(shannon_capacity(asym, F(1, 10 ** 12)).to_json()),
+                json.dumps(classify(plant, asym, Regime("weak"), 10_000).to_json()))
+
+    first = outputs()
+    assert json.loads(first[0])["iterations"] > 1  # the proposer ran
+    assert outputs() == first  # twice in one process
+    with localcontext(HOSTILE_CONTEXT):
+        assert outputs() == first
+
+
+# the weak Z-channel plants of the Baseline that stayed Undetermined at budget
+# 4000 under the float proposer: log2 a is C + 2**-k, a rational to 60 digits
+@pytest.mark.parametrize("k, steps", [(44, 34), (50, 40)])
+def test_weak_z_channel_just_above_capacity_halts_unsolvable(k, steps):
+    with mpmath.workdps(80):
+        a = F(mpmath.nstr(mpmath.mpf(2) ** (Z_CAPACITY + mpmath.mpf(2) ** -k), 60))
+        assert mpmath.log(mpmath.mpf(a.numerator) / a.denominator, 2) > Z_CAPACITY
+    z = exact_channel((0, 1), (0, 1), Z_CHANNEL)
+    verdict = classify(scalar_plant(a), z, Regime("weak"), 200)
+    assert (verdict.outcome, verdict.steps) == ("Unsolvable", steps)
+    assert revalidate(verdict, z)
 
 
 def test_ordering_chain_on_corpus(pentagon, nl2, bsc14):
