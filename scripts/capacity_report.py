@@ -40,7 +40,7 @@ def main() -> int:
                 ladder = extend_ladder(ladder, graph, n)
             c0_lo = f"{float(ladder.running_best.lo):.5f}"
         fb = feedback_zero_error_capacity(ch)
-        fb_text = f"{float(fb.upper.midpoint):.5f}"
+        fb_text = f"{float((fb.upper.lo + fb.upper.hi) / 2):.5f}"
         bounds = shannon_capacity(ch, Fraction(1, 10 ** 6))
         bracket = f"[{float(bounds.lower.lo):.6f}, {float(bounds.upper.hi):.6f}]"
         print(f"{name:<22} {c0_lo:>10} {fb_text:>10} {bracket:>24}")

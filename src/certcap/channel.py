@@ -50,10 +50,6 @@ class Channel:
                 raise ChannelFormatError(f"{side} labels must be hashable") from None
 
     @property
-    def mode(self) -> str:
-        return "exact" if self.rows is not None else "stream"
-
-    @property
     def is_exact(self) -> bool:
         return self.rows is not None
 
@@ -80,7 +76,7 @@ class Channel:
 
     def to_json(self) -> dict:
         doc = {"inputs": list(self.inputs), "outputs": list(self.outputs),
-               "mode": self.mode}
+               "mode": "exact" if self.is_exact else "stream"}
         if self.is_exact:
             doc["rows"] = [[rational_str(w) for w in row] for row in self.rows]
         else:

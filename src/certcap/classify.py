@@ -5,13 +5,14 @@ compares the instability exponent with one capacity: C0 for se-nofb, C0fb
 for se-fb and stab-fb, Shannon's C for weak.  An exponent task and that
 regime's capacity task refine anytime, interleaved fairly by a deterministic
 dovetailer.  Every capacity task has the same interface: ``lower`` bounds
-the capacity from below and drives Solvable, ``upper`` bounds it from above
-and drives Unsolvable, each None while the task has no such bound, and
-``certificate(outcome, eta)`` builds the proof of the outcome that fired
-from the task's own state, certifying no support again.  A verdict is
-emitted only with a machine-checkable certificate that check.py
-re-validates from raw rationals; anything that cannot fire within the step
-budget is reported as Undetermined with a progress report, never guessed.
+the capacity from below and drives Solvable, ``upper`` from above and drives
+Unsolvable, each None while there is none (``upper`` always on the ladder
+task); ``ties_are_final`` marks bounds on one exact value, never separable
+from an equal exact exponent; ``certificate(outcome, eta)`` builds the proof
+of the outcome that fired from the task's own state, certifying no support
+again.  A verdict is emitted only with a machine-checkable certificate that
+check.py re-validates from raw rationals; anything that cannot fire within
+the budget is reported as Undetermined with a progress report, never guessed.
 """
 
 from __future__ import annotations
@@ -92,19 +93,7 @@ class FixedEtaTask:
         return {"enclosure": self.enclosure.to_json()}
 
 
-class _CapacityTask:
-    """Bounds on a regime's capacity, as the module docstring describes.
-
-    ``ties_are_final`` marks bounds that enclose one exact value, which an
-    exact exponent equal to it can never be separated from.
-    """
-
-    lower: Enclosure | None = None
-    upper: Enclosure | None = None
-    ties_are_final = False
-
-
-class FeedbackCapacityTask(_NarrowingTask, _CapacityTask):
+class FeedbackCapacityTask(_NarrowingTask):
     """Climbs the channel's declared levels, then narrows log2(1/mass).
 
     Each climbing step is one ``minimax_ladder_step`` at the next declared
@@ -169,11 +158,13 @@ class FeedbackCapacityTask(_NarrowingTask, _CapacityTask):
 _LADDER_VERTEX_CAP, _LADDER_NODE_BUDGET = 1024, 20_000
 
 
-class ZeroErrorLadderTask(_CapacityTask):
+class ZeroErrorLadderTask:
     """Independence-number rungs of ``certified_graph``, which never misses a
     true edge: every witness is a zero-error code, on streams too."""
 
     name = "ladder"
+    upper = None
+    ties_are_final = False
 
     def __init__(self, ch: Channel):
         self.graph = certified_graph(ch)
@@ -206,10 +197,11 @@ class ZeroErrorLadderTask(_CapacityTask):
         return IndependentSetCertificate(best.n, best.alpha, best.witness, best.rate_lo, eta)
 
 
-class CapacityBoundsTask(_CapacityTask):
+class CapacityBoundsTask:
     """Steps one ShannonBounds at a log width that narrows fourfold to 2**-60."""
 
     name = "shannon"
+    ties_are_final = False
 
     def __init__(self, ch: Channel):
         if not ch.is_exact:
@@ -271,8 +263,6 @@ def dovetail(tasks, predicates, budget: int):
         for task in active:
             if steps >= budget:
                 break
-            if task.exhausted():
-                continue
             task.step()
             steps += 1
             current = {name: bool(check()) for name, check in predicates}

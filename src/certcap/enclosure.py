@@ -85,9 +85,9 @@ class Enclosure:
             raise DomainError(f"empty enclosure: {self.lo} > {self.hi}")
 
     @staticmethod
-    def exact(value: Fraction, level: int = 0) -> "Enclosure":
+    def exact(value: Fraction) -> "Enclosure":
         value = Fraction(value)
-        return Enclosure(value, value, level)
+        return Enclosure(value, value)
 
     @property
     def width(self) -> Fraction:
@@ -96,13 +96,6 @@ class Enclosure:
     @property
     def is_exact(self) -> bool:
         return self.lo == self.hi
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
 
     def __add__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo + other.lo, self.hi + other.hi,
@@ -131,19 +124,12 @@ class Enclosure:
         return Enclosure(parse_rational(doc.get("lo")), parse_rational(doc.get("hi")), level)
 
 
-def floor_log2(x: Fraction) -> int:
-    """Largest k with 2**k <= x, for x > 0."""
-    if x <= 0:
-        raise DomainError("floor_log2 requires a positive argument")
-    return log2_fixed(x.numerator, x.denominator, 0)[0]
-
-
 def width_bits(max_width: Fraction) -> int:
     """The smallest m >= 1 with 2**-m <= max_width."""
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise DomainError("target width must be positive")
-    return max(1, -floor_log2(max_width))
+    return max(1, -log2_fixed(max_width.numerator, max_width.denominator, 0)[0])
 
 
 def _extract_log_digits(n: int, d: int, m: int, precision: int) -> int | None:

@@ -17,8 +17,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 
-from .enclosure import (DomainError, Enclosure, load_json, log2_fixed, parse_rational,
-                        rational_str, width_bits)
+from .enclosure import Enclosure, load_json, log2_fixed, parse_rational, width_bits
 from .linalg import Matrix, as_matrix, char_poly, is_square
 from .roots import (Poly, _count_in_unit_disc, _first_decided, _integer_form, _scaled,
                     _split_radii, _square_free_part, cauchy_root_bound, count_inside,
@@ -54,16 +53,6 @@ class Plant:
             raise PlantFormatError("B must have n rows")
         if self.disturbance_bound is not None and self.disturbance_bound < 0:
             raise PlantFormatError("disturbance bound must be >= 0")
-
-    def to_json(self) -> dict:
-        doc = {"A": [[rational_str(v) for v in row] for row in self.a]}
-        if self.c is not None:
-            doc["C"] = [[rational_str(v) for v in row] for row in self.c]
-        if self.b is not None:
-            doc["B"] = [[rational_str(v) for v in row] for row in self.b]
-        if self.disturbance_bound is not None:
-            doc["D"] = rational_str(self.disturbance_bound)
-        return doc
 
 
 def load_plant(doc) -> Plant:
@@ -283,8 +272,6 @@ class InstabilityExponent:
     def enclose(self, max_width: Fraction) -> Enclosure:
         """Enclosure of eta of width <= max_width, the same as a fresh one."""
         max_width = Fraction(max_width)
-        if max_width <= 0:
-            raise DomainError("target width must be positive")
         n = self.dim
         bits = width_bits(max_width / (16 * n))
         lo_sum = hi_sum = 0  # over 2^bits

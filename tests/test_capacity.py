@@ -1,7 +1,8 @@
 import json
 import random
-from decimal import (ROUND_DOWN, Clamped, Context, DivisionByZero, FloatOperation, Inexact,
-                     InvalidOperation, Overflow, Rounded, Subnormal, Underflow, localcontext)
+from decimal import (ROUND_DOWN, Clamped, Context, Decimal, DivisionByZero, FloatOperation,
+                     Inexact, InvalidOperation, Overflow, Rounded, Subnormal, Underflow,
+                     localcontext)
 from fractions import Fraction
 
 import mpmath
@@ -352,6 +353,54 @@ def test_proposals_run_between_steps_only(monkeypatch, pentagon, data_dir):
     assert shannon_capacity(pentagon, F(1, 10 ** 6)).iterations == 1 and not calls
     bounds = shannon_capacity(load_channel((data_dir / "asym3x4.json").read_text()), F(1, 10 ** 6))
     assert len(calls) == bounds.iterations - 1 > 0
+
+
+def test_blahut_arimoto_steps_alone_close_the_z_channel(monkeypatch):
+    # with no Newton target every proposal is a Blahut-Arimoto step: slower
+    # (Newton targets take 3 steps here) but as sound
+    monkeypatch.setattr(capacity, "_newton_target", lambda *args: None)
+    bounds = shannon_capacity(exact_channel((0, 1), (0, 1), Z_CHANNEL), F(1, 10 ** 4))
+    assert bounds.gap <= F(1, 10 ** 4) and bounds.iterations <= 11
+    assert brackets(bounds, Z_CAPACITY)
+
+
+def test_singular_systems_have_no_solution():
+    d = Decimal
+    assert capacity._solve([[d(1), d(2), d(3)], [d(2), d(4), d(6)]]) is None  # rank one
+    assert capacity._solve([[d(0), d(1)]]) is None
+    assert capacity._solve([[d(2), d(1), d(4)], [d(1), d(3), d(7)]]) == [1, 2]
+
+
+def _targets_with_solver(monkeypatch, solver):
+    """Each _newton_target result of one proposal on the Z-channel under
+    ``solver`` in place of _solve, and the proposal."""
+    targets, real = [], capacity._newton_target
+    monkeypatch.setattr(capacity, "_solve", solver)
+    monkeypatch.setattr(capacity, "_newton_target",
+                        lambda *args: targets.append(real(*args)) or targets[-1])
+    return targets, propose_distribution(Z_CHANNEL, (F(1, 2),) * 2, F(1, 1 << 12))
+
+
+def test_a_singular_newton_system_falls_back_to_blahut_arimoto(monkeypatch):
+    targets, proposed = _targets_with_solver(monkeypatch, lambda a: None)
+    assert targets == [None]
+    monkeypatch.setattr(capacity, "_newton_target", lambda *args: None)
+    assert proposed == propose_distribution(Z_CHANNEL, (F(1, 2),) * 2, F(1, 1 << 12))
+
+
+def test_a_cycling_active_set_gives_up_after_4n_solves(monkeypatch):
+    # a solver that drops a free input, then lets it back in on a positive
+    # slack, forever
+    solves = []
+
+    def cycling(a):
+        solves.append(len(a))
+        both_free = len(a) == 3
+        return [Decimal(v) for v in ((-1, 1, 0) if both_free else (1, -10 ** 6))]
+
+    targets, proposed = _targets_with_solver(monkeypatch, cycling)
+    assert targets == [None] and solves == [3, 2] * 4
+    assert sum(proposed) == 1 and min(proposed) > 0
 
 
 HOSTILE_CONTEXT = Context(prec=5, rounding=ROUND_DOWN, traps=[

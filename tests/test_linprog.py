@@ -402,3 +402,58 @@ def test_degenerate_start_with_unbounded_direction():
     # min -x, over variables x, z)
     with pytest.raises(Unbounded):
         solve_lp((-1, 0), [((0, 1), "=", 0), ((0, 1), "<=", 0), ((1, 0), ">=", 0)])
+
+
+def drive_out_pivots(lp):
+    """solve_lp's outcome on lp and the (row, column) of each pivot made
+    outside the simplex loops: the degenerate pivots that drive leftover
+    basic artificials out between the two phases."""
+    pivots, in_simplex = [], []
+    real_simplex = linprog._simplex
+
+    def simplex(*args):
+        in_simplex.append(True)
+        try:
+            return real_simplex(*args)
+        finally:
+            in_simplex.pop()
+
+    def pivot(rows, dens, row, col):
+        if not in_simplex:
+            pivots.append((row, col))
+        integer_pivot(rows, dens, row, col)
+
+    with mock.patch.object(linprog, "_simplex", simplex), \
+            mock.patch.object(linprog, "integer_pivot", pivot):
+        return _outcome(lambda: solve_lp(*lp)), pivots
+
+
+@pytest.mark.parametrize("lp, driven", [
+    # -2x >= 0 and x >= 0: phase 1 ends with x's second artificial basic at 0
+    (((0,), [((-2,), ">=", 0), ((1,), ">=", 0)]), [(1, 2)]),
+    # x pinned to 0 four ways, one of them the all-zero row 0 <= 0
+    (((3,), [((1,), "<=", 0), ((-1,), ">=", 0), ((0,), "<=", 0), ((1,), ">=", 0)]),
+     [(1, 2), (3, 3)]),
+], ids=["two-rows", "four-rows"])
+def test_leftover_artificials_are_driven_out(lp, driven):
+    solution, pivots = drive_out_pivots(lp)
+    assert pivots == driven
+    assert solution.optimum == 0 and solution.assignment == (0,)
+    assert pivot_path(lp) == reference_path(lp)  # optimum, assignment and duals too
+
+
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    rows=st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                            st.sampled_from(["<=", ">=", "="])),
+                  min_size=1, max_size=4),
+    objective=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_homogeneous_lps_match_fraction_reference(n, rows, objective):
+    """Rows with rhs 0 end phase 1 at a degenerate vertex, where about one
+    LP in four leaves an artificial basic for the drive-out pivot; the
+    integer tableau still takes the reference's pivots and returns its
+    optimum (0, or Unbounded), assignment and dual."""
+    lp = tuple(objective[:n]), [(tuple(c[:n]), relation, 0) for c, relation in rows]
+    assert_matches_reference(lp)

@@ -398,8 +398,6 @@ class TestLoading:
         assert plant.a == as_matrix([[2]])
         assert plant.b == as_matrix([[1]])
         assert plant.disturbance_bound == F(1, 10)
-        again = load_plant(plant.to_json())
-        assert again == plant
 
     def test_shape_errors(self):
         with pytest.raises(PlantFormatError):
