@@ -26,7 +26,7 @@ from .check import (SOLVABLE, UNDETERMINED, UNSOLVABLE, BudgetReport,
                     IndependentSetCertificate, PsiCertificate, SeparationCertificate,
                     Verdict, revalidate)
 from .confgraph import CapacityLadder, certified_graph, extend_ladder
-from .enclosure import DomainError, Enclosure, log2_enclosure, rational_str
+from .enclosure import DomainError, Enclosure, log2_enclosure, rational_str, width_bits
 from .linalg import Matrix
 from .plant import InstabilityExponent, Plant, RefinableLog2, Regime, RegimePreconditionError
 
@@ -113,7 +113,7 @@ class FeedbackCapacityTask(_NarrowingTask):
         self.levels = ch.declared_levels()[::-1]  # the levels left to climb, last first
         self.width = Fraction(1, 1 << 10) if ch.is_exact else DEFAULT_C0FB_WIDTH
         self.rung = None
-        self.log2 = RefinableLog2()
+        self.log2 = RefinableLog2(width_bits(_WIDTH_FLOOR))  # no request passes the floor
 
     @property
     def enclosure(self) -> Enclosure | None:

@@ -111,16 +111,18 @@ class RefinableLog2:
     """log2 of positive rationals, each refinable to any depth.  Each x keeps
     the m digits last computed; fewer bits are a shift of them
     (floor(floor(2^m y) / 2^(m - bits)) = floor(2^bits y)), more compute
-    max(bits, 2m), so ever narrower requests cost few log2_fixed runs."""
+    max(bits, 2m), so ever narrower requests cost few log2_fixed runs; a
+    caller that never asks past ``cap`` bits caps the doubling there."""
 
-    def __init__(self):
+    def __init__(self, cap: int | None = None):
         self.digits = {}  # x -> (m, floor(2^m log2 x), whether x is a power of two)
+        self.cap = cap
 
     def __call__(self, x: Fraction, bits: int) -> tuple[int, bool]:
         """(floor(2^bits log2 x), whether x is a power of two)."""
         m, digits, exact = self.digits.get(x, (-1, 0, False))
         if m < bits:
-            m = max(bits, 2 * m)
+            m = max(bits, min(2 * m, self.cap or 2 * m))
             digits, exact = log2_fixed(x.numerator, x.denominator, m)
             self.digits[x] = m, digits, exact
         return digits >> m - bits, exact

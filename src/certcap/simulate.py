@@ -15,11 +15,13 @@ over it: a refine multiplies L by the cell count and a plant step by q for
 a = p/q; L starts with the factors of 2^32 D_den its first step needs, so
 disturbances are integer numerators over 2^32 D_den, which divides L from
 then on.  Without a drive x is also kept over its own denominator, free of
-cell counts.  Each step reduces every mode's rows in one pass, by a
-binary-gcd split and a few-bit base holding every odd prime of L: the gcd
-with L's large odd part is taken only when a test with the base, which
-divides nothing, fails.  Maxima and the divergence test compare integer
-numerators once bit lengths leave the comparison open.
+cell counts.  Each step reduces x, x_hat and the error in one pass over the
+modes, by a binary-gcd split and a few-bit base holding every odd prime of
+L; a row the base test leaves open strips the base's primes by small gcds,
+never by a gcd with L's large odd part.  The radius, disturbance and
+transcript rows keep the loop's integers and are reduced alike on first
+read.  Maxima and the divergence test compare integer numerators once bit
+lengths leave the comparison open.
 Noise and disturbances come from a seeded generator with exact inverse-CDF
 comparisons (one table per channel row and run), so identical
 configurations reproduce identical trajectories byte for byte.
@@ -28,8 +30,10 @@ configurations reproduce identical trajectories byte for byte.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, inf, lcm, prod
 from typing import NamedTuple
@@ -108,16 +112,52 @@ class EpochRecord(NamedTuple):
     radius_after: tuple
 
 
+class _Rows(Sequence):
+    """The tuple ``build()`` returns, built on first read: it reads, prints,
+    compares, hashes and pickles as that tuple."""
+
+    def __init__(self, build):
+        self._build = build
+
+    @cached_property
+    def rows(self) -> tuple:
+        rows, self._build = tuple(self._build()), None
+        return rows
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __eq__(self, other):
+        return self.rows == (other.rows if isinstance(other, _Rows) else other)
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return repr(self.rows)
+
+    def __reduce__(self):
+        return tuple, (self.rows,)
+
+
 @dataclass(frozen=True)
 class Trajectory:
+    """A run's rows, one per step (``transcript``: one per epoch).  The loop
+    builds ``times``, ``x``, ``x_hat``, ``u``, ``error`` and ``summary``;
+    ``radius``, ``zetas`` and ``transcript`` keep its integers and build their
+    Fractions and EpochRecords on first read, so unread they cost nothing."""
+
     times: tuple
     x: tuple
     x_hat: tuple
     u: tuple
     error: tuple          # sup-norm estimation error per step
-    radius: tuple         # decoder's certified radius per step (sup-norm)
-    zetas: tuple
-    transcript: tuple
+    radius: Sequence      # decoder's certified radius per step (sup-norm)
+    zetas: Sequence       # disturbance per step
+    transcript: Sequence  # an EpochRecord per epoch
     summary: dict
 
     def csv_lines(self):
@@ -186,11 +226,14 @@ def _lowest_terms(n: int, split) -> Fraction:
     gcd(n, den) = 2**min(v2(n), v) * gcd(n, odd) (Stein 1967): the power of
     two comes out by shifts, exact for negative n too.  Every prime of odd
     divides base, so g = gcd(n, base) is gcd(n, odd) when g divides odd and
-    n / g is coprime to base; only otherwise is the gcd with odd taken.  The
-    coprimality test takes no division: for each prime p of base,
-    v_p(gcd(n, g base)) = min(v_p(n), v_p(g) + v_p(base)), which is v_p(g)
-    exactly when v_p(n) = v_p(g), so gcd(n, g base) = g just when
-    gcd(n / g, base) = 1.  The pair is coprime with a positive denominator,
+    n / g is coprime to base.  The coprimality test takes no division: for
+    each prime p of base, v_p(gcd(n, g base)) = min(v_p(n), v_p(g) +
+    v_p(base)), which is v_p(g) exactly when v_p(n) = v_p(g), so
+    gcd(n, g base) = g just when gcd(n / g, base) = 1.  Otherwise gcd(n, odd)
+    is built from small gcds, not taken whole: every common prime of rest and
+    left divides base, so h = gcd(gcd(rest, base), left) is 1 just when they
+    are coprime, and g gathers each h that rest and left are divided by
+    (gcd(0, odd) = odd).  The pair is coprime with a positive denominator,
     so the Fraction is built without a second gcd, as
     ``Fraction._from_coprime_ints`` does; the result equals Fraction(n, den).
     """
@@ -198,7 +241,9 @@ def _lowest_terms(n: int, split) -> Fraction:
     k = min((n & -n).bit_length() - 1, v) if n else v
     g = gcd(n, base)
     if g != 1 and base != odd and (odd % g or gcd(n, g * base) != g):
-        g = gcd(n, odd)
+        g, rest, left = (1, n, odd) if n else (odd, 0, 1)
+        while (h := gcd(gcd(rest, base), left)) != 1:
+            g, rest, left = g * h, rest // h, left // h
     if k:
         n, den = n >> k, den >> k
     if g != 1:
@@ -318,7 +363,10 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
                          * r0.denominator * prod(v.denominator for v in start))[2]
     zeta_split = _dyadic_split(zeta_den)
 
-    xs, xhats, us, errors, radii, zetas, transcript = [], [], [], [], [], [], []
+    # per step the widest mode's (R, L) and the disturbance numerators, per
+    # epoch (message, codeword, received, decoded, R, L): the rows built on read
+    xs, xhats, us, errors, radii, zetas, epochs = [], [], [], [], [], [], []
+    zero_error = True
     decodes = {}
     rows, codewords = cfg.channel.rows, cfg.code.codewords
     tables = [_inverse_cdf(row) for row in rows]
@@ -327,8 +375,7 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
     # 2**limit_bits <= DIVERGENCE_THRESHOLD: an error of bit size below it cannot pass
     limit_num, limit_den = DIVERGENCE_THRESHOLD.numerator, DIVERGENCE_THRESHOLD.denominator
     limit_bits = limit_num.bit_length() - limit_den.bit_length() - 1
-    # without a disturbance every step draws the same zero row
-    zeta, zeta_row = [0] * dim, (Fraction(0),) * dim
+    zeta = [0] * dim  # without a disturbance every step draws this zero row
 
     while t < horizon and diverged_at is None:
         # quantize against the coder's box: cell floor((x - c + r) m / 2r),
@@ -354,15 +401,16 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
             X[i] *= m
             C[i] = C[i] * m + R[i] * (2 * k + 1 - m)
             H[i] = H[i] * m + R[i] * (2 * j + 1 - m)
+        epochs.append((message, codeword, received, decoded, tuple(R), tuple(L)))
+        zero_error = zero_error and decoded == message
 
-        for step in range(n):
+        for _ in range(n):
             if t >= horizon or diverged_at is not None:
                 break
             # one pass; top and wide are the first modes of largest error and radius
-            radius, x_hat, x = [], [], []
+            x_hat, x = [], []
             for i in range(dim):
                 split = _dyadic_split(L[i], base)
-                radius.append(_lowest_terms(R[i], split))
                 x_hat.append(_lowest_terms(H[i], split))
                 x.append(_lowest_terms(X[i], split) if with_control
                          else _lowest_terms(Y[i], _dyadic_split(K[i], base)))
@@ -371,17 +419,14 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
                     top, top_gap, top_split = i, gap, split
                 if not i or R[i] * L[wide] > R[wide] * L[i]:
                     wide = i
-            radius, x_hat = tuple(radius), tuple(x_hat)
-            if not step:
-                transcript.append(EpochRecord(len(transcript), message, codeword,
-                                              received, decoded, radius))
+            x_hat = tuple(x_hat)
             err = _lowest_terms(top_gap, top_split)
             xs.append(tuple(x))
             xhats.append(x_hat)
             us.append(tuple([control[i] * x_hat[i] for i in range(dim)])
                       if with_control else ())
             errors.append(err)
-            radii.append(radius[wide])
+            radii.append((R[wide], L[wide]))
             # err < 2**(size + 1) and max_error > 2**(max_size - 1), so the bit
             # lengths settle most comparisons without a product
             size = top_gap.bit_length() - L[top].bit_length()
@@ -393,8 +438,7 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
             if bound:
                 zeta = [bound.numerator * (2 * getrandbits(32) - (1 << 32))
                         for _ in range(dim)]
-                zeta_row = tuple([_lowest_terms(z, zeta_split) for z in zeta])
-            zetas.append(zeta_row)
+            zetas.append(zeta)
             for i in range(dim):
                 # x -> a x + b u + zeta over L q for a = p/q and zeta = z w / (L q);
                 # the deadbeat drive b u = -a x_hat cancels the decoder centre
@@ -423,7 +467,7 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
         "regime": cfg.regime.kind,
         "horizon": cfg.horizon,
         "seed": cfg.seed,
-        "epochs": len(transcript),
+        "epochs": len(epochs),
         "block_length": n,
         "message_count": cfg.code.size,
         "cells": list(cells),
@@ -433,12 +477,19 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
         "decay_ratio": rational_str(decay_ratio),
         "boundary": decay_ratio == 1,
         "diverged_at": diverged_at,
-        "zero_error_transcript": all(r.message_sent == r.message_decoded
-                                     for r in transcript),
+        "zero_error_transcript": zero_error,
     }
-    return Trajectory(tuple(range(t)), tuple(xs), tuple(xhats), tuple(us),
-                      tuple(errors), tuple(radii), tuple(zetas),
-                      tuple(transcript), summary)
+
+    def reduced(r, d):  # r / d in lowest terms, d one of the L above
+        return _lowest_terms(r, _dyadic_split(d, base))
+
+    return Trajectory(
+        tuple(range(t)), tuple(xs), tuple(xhats), tuple(us), tuple(errors),
+        _Rows(lambda: [reduced(r, d) for r, d in radii]),
+        _Rows(lambda: [tuple([_lowest_terms(z, zeta_split) for z in zeta]) for zeta in zetas]),
+        _Rows(lambda: [EpochRecord(e, *record[:4], tuple(map(reduced, *record[4:])))
+                       for e, record in enumerate(epochs)]),
+        summary)
 
 
 def _decode(rows, code: CodeSpec, used: int, received) -> int:

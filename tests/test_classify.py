@@ -1204,4 +1204,19 @@ class TestStoredC0fbDigits:
         verdict = classify(scalar_plant(F(5, 2), disturbance=1), pentagon, Regime("se-fb"), 500)
         assert verdict.outcome == "Undetermined"
         assert sum(steps) == 27
-        assert runs == [14, 28, 56, 112, 224]  # each run twice as deep as the last
+        # each run twice as deep as the last, the last capped at the floor's 120 bits
+        assert runs == [14, 28, 56, 112, 120]
+
+    def test_a_request_past_the_cap_is_still_answered(self, monkeypatch):
+        runs = []
+        real_fixed = plant_module.log2_fixed
+
+        def fixed(n, d, m):
+            runs.append(m)
+            return real_fixed(n, d, m)
+
+        monkeypatch.setattr(plant_module, "log2_fixed", fixed)
+        capped, x = plant_module.RefinableLog2(20), F(5, 2)
+        answers = [capped(x, bits) for bits in (12, 16, 30, 8)]
+        assert runs == [12, 20, 30]
+        assert answers == [real_fixed(5, 2, bits) for bits in (12, 16, 30, 8)]

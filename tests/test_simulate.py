@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -218,6 +219,70 @@ def _config(ch, plant=None, regime="se-nofb", **fields):
 def test_unrunnable_configuration_is_refused(nl2, run, message):
     with pytest.raises(SimulationError, match=message):
         run(nl2)
+
+
+def _pentagon_diag_config(pentagon, horizon):
+    return SimConfig(diagonal_plant([F(5, 4), F(6, 5)], disturbance=F(1, 10)), pentagon,
+                     Regime("se-nofb"), pentagon_block2_code(pentagon), horizon=horizon,
+                     seed=17)
+
+
+class TestRowsBuiltOnFirstRead:
+    """radius, zetas and transcript are built from the loop's integers when
+    first read, and then read, print, compare and hash as tuples."""
+
+    def test_any_read_order_gives_the_same_rows(self, pentagon):
+        cfg = _pentagon_diag_config(pentagon, 200)
+        first, second = run_estimation(cfg), run_estimation(cfg)
+        # transcript before radius in one run, the other way round in the other
+        transcript, radius, zetas = (tuple(first.transcript), tuple(first.radius),
+                                     tuple(first.zetas))
+        assert (tuple(second.radius), tuple(second.zetas),
+                tuple(second.transcript)) == (radius, zetas, transcript)
+        assert (tuple(first.transcript), tuple(first.radius),
+                tuple(first.zetas)) == (transcript, radius, zetas)
+        assert transcript[0].radius_after == (radius[0], radius[0])
+        assert len(first.radius) == len(first.zetas) == 2 * len(first.transcript) == 200
+
+    def test_rows_print_compare_and_hash_as_tuples(self, pentagon):
+        cfg = _pentagon_diag_config(pentagon, 60)
+        first, second = run_estimation(cfg), run_estimation(cfg)
+        assert first == second
+        for name in ("radius", "zetas", "transcript"):
+            rows, other = getattr(first, name), getattr(second, name)
+            plain = tuple(rows)
+            assert repr(rows) == repr(plain) and str(rows) == str(plain)
+            assert rows == plain and plain == rows and rows == other
+            assert not rows != plain and rows != plain[1:] and rows != list(plain)
+            assert hash(rows) == hash(other) == hash(plain)
+            assert rows[1:3] == plain[1:3] and rows[-1] == plain[-1]
+            assert pickle.loads(pickle.dumps(rows)) == plain
+        assert replace(first, zetas=second.zetas) == second
+
+    def test_unread_rows_cost_no_reduction(self, pentagon, monkeypatch):
+        """A run makes the x, x_hat and error reductions only; the radius,
+        disturbance and transcript rows are reduced once, on first read."""
+        import certcap.simulate as sim
+
+        calls = []
+
+        def spy(n, split):
+            calls.append(n)
+            return real(n, split)
+
+        real = sim._lowest_terms
+        monkeypatch.setattr(sim, "_lowest_terms", spy)
+        traj = run_estimation(_pentagon_diag_config(pentagon, 1_000))
+        steps, dim = len(traj.times), 2
+        assert steps == 1_000 and traj.summary["epochs"] == 500
+        assert len(calls) == steps * (2 * dim + 1)  # x and x_hat per mode, the error
+        del calls[:]
+        assert len(traj.radius) == steps and len(calls) == steps
+        assert len(traj.zetas) == steps and len(calls) == steps * (1 + dim)
+        assert len(traj.transcript) == 500 and len(calls) == steps * (1 + dim) + 500 * dim
+        del calls[:]
+        repr((traj.radius, traj.zetas, traj.transcript))
+        assert calls == []
 
 
 def test_verify_recursion_catches_an_altered_disturbance(nl2):
@@ -508,7 +573,7 @@ def test_row_gcds_have_a_word_sized_operand(monkeypatch, nl2):
     """Reducing a row costs no gcd on two numbers as large as the shared
     denominator, which gains a bit per step: in these noiseless(2) runs every
     gcd the loops call has an operand of at most 64 bits (over the pentagon
-    some rows still fall back to the gcd with L's odd part; see below)."""
+    too; see below)."""
     widest = _spy_on_gcds(monkeypatch)
     for runner, plant, regime in [
             (run_estimation, scalar_plant(F(3, 2), disturbance=F(1, 10)), "se-nofb"),
@@ -519,24 +584,23 @@ def test_row_gcds_have_a_word_sized_operand(monkeypatch, nl2):
     assert widest and max(widest) <= 64
 
 
-@pytest.mark.parametrize("runner, plant, regime, most", [
-    (run_estimation, scalar_plant(2, disturbance=F(1, 10)), "se-nofb", 577),
-    (run_estimation, diagonal_plant([F(5, 4), F(6, 5)], disturbance=F(1, 10)), "se-nofb",
-     938),
-    (run_stabilization, scalar_plant(2, b=F(3, 7), disturbance=F(1, 10)), "stab-fb", 274)],
+@pytest.mark.parametrize("runner, plant, regime", [
+    (run_estimation, scalar_plant(2, disturbance=F(1, 10)), "se-nofb"),
+    (run_estimation, diagonal_plant([F(5, 4), F(6, 5)], disturbance=F(1, 10)), "se-nofb"),
+    (run_stabilization, scalar_plant(2, b=F(3, 7), disturbance=F(1, 10)), "stab-fb")],
     ids=["a2-se-nofb", "diag-se-nofb", "a2-stab-fb"])
-def test_block2_row_gcds_rarely_take_both_operands_large(monkeypatch, runner, plant,
-                                                         regime, most):
+def test_block2_row_gcds_rarely_take_both_operands_large(monkeypatch, runner, plant, regime):
     """Over the pentagon's block-2 code L gains factors 5 from the cells, the
     mode denominators and 2**32 D_den, and a row that shares a power of 5 with
-    L may fall back to the gcd with L's whole odd part.  A factor 5 too many
-    in L sends more rows there; the bounds are the counts measured when each
-    step lifted L to lcm(L q, 2**32 D_den)."""
+    L may fail the test with the base.  Such a row strips base's primes by
+    gcds with the base, never by a gcd with L's whole odd part, so no gcd of
+    the loop or of the rows built on first read takes two large operands."""
     pentagon = typewriter(5)
     code = witness_code(pentagon, [(x, 2 * x % 5) for x in range(5)])
     widest = _spy_on_gcds(monkeypatch)
-    runner(SimConfig(plant, pentagon, Regime(regime), code, horizon=1_000, seed=7))
-    assert sum(bits > 64 for bits in widest) <= most
+    traj = runner(SimConfig(plant, pentagon, Regime(regime), code, horizon=1_000, seed=7))
+    repr((traj.radius, traj.zetas, traj.transcript))  # the rows reduced on first read
+    assert widest and max(widest) <= 64
 
 
 @settings(max_examples=300, deadline=None)
