@@ -75,7 +75,7 @@ alone leaves open, and two memos spare it work; none changes a witness.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -485,7 +485,6 @@ class CapacityLadder:
     rungs: tuple = ()
     running_best: Enclosure | None = None
     cover_weight: Fraction | None = field(default=None, compare=False)  # alpha*, checked
-    splits: Sequence[tuple[int, int]] = field(default=(), compare=False)  # best[:n]
 
     def recorded(self, n: int) -> LadderRung | None:
         return next((r for r in self.rungs if r.n == n), None)
@@ -511,13 +510,12 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     the search (Rosenfeld-Hales, module docstring), which ends exact once the
     incumbent reaches it, before gⁿ is built if the seed does and ``ladder``
     carries alpha*(g), or if the seed has all |g|ⁿ words.  ``ladder`` holds
-    rungs of ``g`` only; it carries alpha*(g) and the split table on.
+    rungs of ``g`` only; it carries alpha*(g) on.
     """
     if n != len(ladder.rungs) + 1:
         raise LadderError(f"rung {n} is out of order after {len(ladder.rungs)} rungs")
     check_power_size(g, n, vertex_cap)
-    splits = _split_table(ladder, n)
-    seed = _best_product_witness(ladder, n, splits)
+    seed = _best_product_witness(ladder, n)
     weight = ladder.cover_weight
     bound = None
     if ladder.rungs and ladder.rungs[-1].exact:
@@ -537,35 +535,16 @@ def extend_ladder(ladder: CapacityLadder, g: ConfusabilityGraph, n: int, *,
     rung = LadderRung(n, result.alpha, result.witness, rate, result.exact)
     best = ladder.running_best
     return CapacityLadder(ladder.rungs + (rung,),
-                          rate if best is None or rate.lo > best.lo else best, weight, splits[:n])
+                          rate if best is None or rate.lo > best.lo else best, weight)
 
 
-def _split_table(ladder: CapacityLadder, n: int) -> list[tuple[int, int]]:
-    """best[r], r = 0..n: the largest product of alphas over the splits of r
-    into recorded block lengths, and the largest first part that reaches it.
-    Entry r reads only block lengths <= r, so the ladder carries best[:n]."""
-    sizes = {r.n: len(r.witness) for r in ladder.rungs}.items()
-    best = list(ladder.splits[:n + 1]) or [(1, 0)]
-    for r in range(len(best), n + 1):
-        best.append(_best_split(best, sizes, r))
-    return best
-
-
-def _best_split(best: list, sizes, r: int) -> tuple[int, int]:
-    """best[r] from best[:r]: the largest product, and of its ties the largest part."""
-    return max(((best[r - k][0] * alpha, k) for k, alpha in sizes if k <= r), default=(0, 0))
-
-
-def _best_product_witness(ladder: CapacityLadder, n: int, best: list | None = None) -> tuple:
-    """Largest concatenation of recorded witnesses filling block length n:
-    the first parts of ``best`` (``_split_table``), followed from n, never
-    increase (a larger part at r - k would also reach ``best[r]`` at r), so
-    the split is the first of the maximal ones in largest-part-first order."""
-    best = best or _split_table(ladder, n)
-    rungs = {r.n: r for r in ladder.rungs}
-    combined = [()] if best[n][0] else []
-    while combined and n:
-        rung = rungs[best[n][1]]
-        combined = [prefix + w for prefix in combined for w in rung.witness]
-        n -= rung.n
-    return tuple(combined)
+def _best_product_witness(ladder: CapacityLadder, n: int) -> tuple:
+    """Each word of rung k, then each of rung n - k, for k the first maximizer
+    of alpha_k alpha_(n-k) from n - 1 down (() for n = 1).  Every rung's search
+    starts from such a product, so by induction alpha_r bounds the product over
+    any split of r, and no split into more parts beats the best two-part one."""
+    rungs = ladder.rungs
+    if n < 2:
+        return ()
+    k = max(range(n - 1, 0, -1), key=lambda k: rungs[k - 1].alpha * rungs[n - k - 1].alpha)
+    return tuple(u + w for u in rungs[k - 1].witness for w in rungs[n - k - 1].witness)

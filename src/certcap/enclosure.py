@@ -97,19 +97,10 @@ class Enclosure:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    def __add__(self, other: "Enclosure") -> "Enclosure":
-        return Enclosure(self.lo + other.lo, self.hi + other.hi,
-                         max(self.level, other.level))
-
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo, self.level)
-
     def scaled(self, factor: Fraction) -> "Enclosure":
-        """Multiply by an exact scalar (either sign)."""
+        """Multiply by an exact scalar, factor >= 0."""
         factor = Fraction(factor)
-        if factor >= 0:
-            return Enclosure(self.lo * factor, self.hi * factor, self.level)
-        return Enclosure(self.hi * factor, self.lo * factor, self.level)
+        return Enclosure(self.lo * factor, self.hi * factor, self.level)
 
     def to_json(self) -> dict:
         return {"lo": rational_str(self.lo), "hi": rational_str(self.hi),

@@ -32,8 +32,8 @@ CHECK = PACKAGE / "check.py"
 FORBIDDEN = {"classify", "cli", "simulate", "plant"}
 # the solvers may not enter the checker's closure either
 CLOSURE_FORBIDDEN = FORBIDDEN | {"linprog", "capacity", "confgraph"}
-CLOSURE_LINE_CEILING = 1004  # the closure held 2101 lines with the solvers in it
-SRC_LINE_CEILING = 3953  # src/ may only shrink; a PR that must raise it names what it replaced
+CLOSURE_LINE_CEILING = 995  # the closure held 2101 lines with the solvers in it
+SRC_LINE_CEILING = 3923  # src/ may only shrink; a PR that must raise it names what it replaced
 # the engine, the solvers and the checker stay out of the simulator's closure
 SIMULATOR_FORBIDDEN = {"classify", "capacity", "check", "confgraph", "linprog", "graph"}
 SIMULATOR_MODULE_CEILING = 6  # simulate, plant, roots, linalg, channel, enclosure

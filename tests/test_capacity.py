@@ -505,7 +505,8 @@ def reference_log2_enclosure(x, max_width):
     if k is not None:
         return Enclosure.exact(Fraction(k))
     if x < 1:
-        return -reference_log2_enclosure(1 / x, max_width)
+        inverse = reference_log2_enclosure(1 / x, max_width)
+        return Enclosure(-inverse.hi, -inverse.lo, inverse.level)
     m = max(1, -reference_floor_log2(max_width))
     k = reference_floor_log2(x)
     y = x / Fraction(2) ** k
@@ -525,20 +526,20 @@ def reference_capacity_bounds(rows, dist, log_width):
     for y in range(ny):
         if marginal[y] == 0 and any(row[y] > 0 for row in rows):
             raise DomainError("distribution assigns zero mass to a reachable output")
-    info = Enclosure.exact(Fraction(0))
-    per_input = []
-    for x, row in enumerate(rows):
-        div = Enclosure.exact(Fraction(0))
-        for y, w in enumerate(row):
-            if w == 0:
-                continue
-            term = reference_log2_enclosure(w / marginal[y], log_width)
-            div = div + term.scaled(w)
-        per_input.append(div)
-        if dist[x] > 0:
-            info = info + div.scaled(dist[x])
+    per_input = [reference_sum(reference_log2_enclosure(w / marginal[y], log_width).scaled(w)
+                               for y, w in enumerate(row) if w)
+                 for row in rows]
+    info = reference_sum(div.scaled(dist[x]) for x, div in enumerate(per_input) if dist[x] > 0)
     upper = Enclosure(max(d.lo for d in per_input), max(d.hi for d in per_input))
     return info, upper
+
+
+def reference_sum(terms):
+    """The sum of enclosures, endpoint by endpoint, at the deepest of their levels."""
+    terms = list(terms)
+    return Enclosure(sum((t.lo for t in terms), Fraction(0)),
+                     sum((t.hi for t in terms), Fraction(0)),
+                     max((t.level for t in terms), default=0))
 
 
 def _same_outcome(fn, reference, *args):

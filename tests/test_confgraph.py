@@ -7,13 +7,13 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from certcap import confgraph
 from certcap.channel import (ResourceCapError, SupportCertificate, certify_support,
                              exact_channel, noiseless, typewriter)
-from certcap.confgraph import (CapacityLadder, LadderError, LadderRung, _PowerSymmetry,
+from certcap.confgraph import (CapacityLadder, LadderError, _PowerSymmetry,
                                certified_graph, clique_cover_weight, extend_ladder,
                                fractional_clique_cover, max_independent_set, strong_power)
 from certcap.enclosure import log2_enclosure
@@ -59,6 +59,7 @@ def include_exclude_alpha(g) -> int:
 
 # the classification engine's search limits (classify.ZeroErrorLadderTask)
 ENGINE_LIMITS = {"node_budget": 20_000, "vertex_cap": 1024}
+PENTAGON = certified_graph(typewriter(5))
 
 # a channel whose graph no map x -> +-x + c preserves
 ASYMMETRIC6 = exact_channel(tuple(range(6)), tuple(range(6)), [
@@ -356,6 +357,40 @@ class TestZeroCapacity:
         assert graph_of(nl2).is_complete() is False
 
 
+@st.composite
+def base_graph(draw):
+    """Cycles and circulants, whose rotations are automorphisms, and paths
+    and random graphs, where the rotation mostly is not.
+
+    Random graphs stay at six vertices: the squares of some sparse graphs
+    on eight take the colouring search millions of nodes, pruned or not.
+    """
+    kind = draw(st.sampled_from(("cycle", "circulant", "path", "random")))
+    size = draw(st.integers(min_value=2, max_value=6 if kind == "random" else 8))
+    if kind == "cycle":
+        edges = [(i, (i + 1) % size) for i in range(size)]
+    elif kind == "circulant":
+        jumps = draw(st.sets(st.integers(min_value=1, max_value=size // 2), min_size=1))
+        edges = [(i, (i + j) % size) for i in range(size) for j in jumps]
+    elif kind == "path":
+        edges = [(i, i + 1) for i in range(size - 1)]
+    else:
+        pairs = list(combinations(range(size), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return graph_from_edges(size, [(i, j) for i, j in edges if i != j])
+
+
+@st.composite
+def small_ladder(draw):
+    """A base graph, its top block length with |V|^n <= 256, a node budget,
+    and whether the ladder carries alpha*(g) from its start: a ladder
+    carries it only once a search asked for the bound, which colouring
+    alone mostly spares these small graphs."""
+    g = draw(base_graph())
+    top = max(n for n in range(1, 9) if len(g) ** n <= 256)
+    return g, top, draw(st.sampled_from((None, 0, 1, 30, 2000))), draw(st.booleans())
+
+
 class TestLadder:
     def test_pentagon_two_rungs(self, pentagon):
         g = graph_of(pentagon)
@@ -378,32 +413,25 @@ class TestLadder:
                 assert ladder.running_best.lo >= last
             last = ladder.running_best.lo
 
-    def test_supermultiplicativity_of_recorded_rungs(self, pentagon):
-        g = graph_of(pentagon)
-        ladder = CapacityLadder()
-        for n in (1, 2, 3):
-            ladder = extend_ladder(ladder, g, n, node_budget=2000)
-        alphas = {r.n: r.alpha for r in ladder.rungs}
-        for m in alphas:
-            for n in alphas:
-                if m + n in alphas:
-                    assert alphas[m + n] >= alphas[m] * alphas[n]
-
-    def test_supermultiplicative_through_rung_four(self, pentagon):
-        g = graph_of(pentagon)
-        ladder = CapacityLadder()
-        for n in (1, 2, 3, 4):
-            ladder = extend_ladder(ladder, g, n, **ENGINE_LIMITS)
-        alphas = {r.n: r.alpha for r in ladder.rungs}
-        assert alphas[4] >= 25  # alpha(C5^2)^2, seeded by the 2+2 split
-        for m in alphas:
-            for n in alphas:
-                if m + n in alphas:
-                    assert alphas[m + n] >= alphas[m] * alphas[n]
-        # proved at the engine's limits: C5^3 by orbit pruning, C5^4 by the
-        # rung bound floor(5/2 * 10) = 25, which the product seed meets
-        assert [(r.n, r.alpha, r.exact) for r in ladder.rungs] == [
-            (1, 2, True), (2, 5, True), (3, 10, True), (4, 25, True)]
+    @given(case=small_ladder())
+    @example(case=(PENTAGON, 3, 2000, False))
+    @example(case=(PENTAGON, 4, ENGINE_LIMITS["node_budget"], False))
+    @settings(max_examples=100, deadline=None)
+    def test_supermultiplicativity_of_recorded_rungs(self, case):
+        # the product seed is the enumeration of every split before each rung,
+        # and each rung holds the product over every split of its length
+        g, top, budget, carried = case
+        weight = clique_cover_weight(g, fractional_clique_cover(g)) if carried else None
+        ladder = CapacityLadder(cover_weight=weight)
+        for n in range(1, top + 1):
+            assert confgraph._best_product_witness(ladder, n) == \
+                reference_product_witness(ladder, n)
+            # rung 1 unbudgeted: an empty first witness has no rate (log2 0)
+            ladder = extend_ladder(ladder, g, n, node_budget=None if n == 1 else budget)
+        alphas = [1] + [r.alpha for r in ladder.rungs]
+        for k in range(1, top):
+            for m in range(1, top - k + 1):
+                assert alphas[k + m] >= alphas[k] * alphas[m]
 
     def test_typewriter7_at_engine_limits(self):
         ladder = build_ladder(typewriter(7), 3, **ENGINE_LIMITS)
@@ -488,44 +516,34 @@ class TestLadder:
         assert intersects(ladder.running_best, enc)
 
 
-def ladder_of(alphas: dict) -> CapacityLadder:
-    """Rungs k with alphas[k] words; word j of rung k is k copies of (k, j),
-    so a concatenation shows its parts in order.  Rates are left out."""
-    return CapacityLadder(tuple(
-        LadderRung(k, a, tuple(((k, j),) * k for j in range(a)), None, True)
-        for k, a in sorted(alphas.items())))
-
-
-@st.composite
-def recorded_rungs(draw):
-    """A ladder of rungs at some block lengths up to 12, with alphas up to 6
-    so that many splits tie, and a block length n up to 12 to fill.  Rung k
-    keeps alpha^n <= 4096^k, so no split of n holds more than 4096 words."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    lengths = draw(st.sets(st.integers(min_value=1, max_value=12), min_size=1))
-    return ladder_of({k: draw(st.integers(min_value=1, max_value=max(
-        a for a in range(1, 7) if a ** n <= 4096 ** k))) for k in sorted(lengths)}), n
-
-
 class TestProductSeed:
-    @given(case=recorded_rungs())
-    @settings(max_examples=300, deadline=None)
-    def test_memoised_split_matches_the_enumeration(self, case):
-        ladder, n = case
-        assert confgraph._best_product_witness(ladder, n) == reference_product_witness(ladder, n)
+    """The seed of rung n is rung k's words, each followed by rung n - k's."""
 
-    @given(case=recorded_rungs())
-    @settings(max_examples=300, deadline=None)
+    @given(case=small_ladder())
+    @settings(max_examples=50, deadline=None)
     def test_product_seed_is_in_power_index_order(self, case):
-        # each rung's words are in index order, and one split fixes the rung
-        # behind every coordinate, whose labels (k, j) then sort as j does
-        seed = confgraph._best_product_witness(*case)
-        assert all(u < w for u, w in zip(seed, seed[1:]))
+        # vertices are labelled by their indices, rung k's words are in index
+        # order, and one split fixes the rung behind every coordinate
+        g, top, budget, _ = case
+        ladder = extend_ladder(CapacityLadder(), g, 1)
+        for n in range(2, top + 1):
+            seed = confgraph._best_product_witness(ladder, n)
+            assert all(u < w for u, w in zip(seed, seed[1:]))
+            ladder = extend_ladder(ladder, g, n, node_budget=budget)
 
-    def test_a_tie_keeps_the_largest_first_split(self):
-        # rung 2 (alpha 4) ties the split 1 + 1 (alpha 2 * 2): rung 2 wins
-        assert confgraph._best_product_witness(ladder_of({1: 2, 2: 4}), 2) == \
-            tuple(((2, j),) * 2 for j in range(4))
+    def test_a_tie_keeps_the_largest_first_split(self, pentagon):
+        # at n = 3 the splits 2 + 1 and 1 + 2 tie at 5 * 2: rung 2's words go first
+        ladder = build_ladder(pentagon, 2)
+        first, second = ladder.rungs
+        seed = confgraph._best_product_witness(ladder, 3)
+        assert seed == tuple(u + w for u in second.witness for w in first.witness)
+        assert seed != tuple(u + w for u in first.witness for w in second.witness)
+
+    def test_a_one_input_climb_records_one_word_per_rung(self):
+        # one input: every power has one vertex, and every seed is its one word
+        ladder = build_ladder(noiseless(1), 40)
+        assert [(r.alpha, r.witness, r.exact) for r in ladder.rungs] == \
+            [(1, ((0,) * n,), True) for n in range(1, 41)]
 
 
 class TestPinnedBytes:
@@ -558,29 +576,6 @@ class TestPinnedBytes:
             rung = ladder.recorded(n)
             assert rung.alpha == alpha
             assert digest(rung.to_json()["witness"]) == witness_digest
-
-
-@st.composite
-def base_graph(draw):
-    """Cycles and circulants, whose rotations are automorphisms, and paths
-    and random graphs, where the rotation mostly is not.
-
-    Random graphs stay at six vertices: the squares of some sparse graphs
-    on eight take the colouring search millions of nodes, pruned or not.
-    """
-    kind = draw(st.sampled_from(("cycle", "circulant", "path", "random")))
-    size = draw(st.integers(min_value=2, max_value=6 if kind == "random" else 8))
-    if kind == "cycle":
-        edges = [(i, (i + 1) % size) for i in range(size)]
-    elif kind == "circulant":
-        jumps = draw(st.sets(st.integers(min_value=1, max_value=size // 2), min_size=1))
-        edges = [(i, (i + j) % size) for i in range(size) for j in jumps]
-    elif kind == "path":
-        edges = [(i, i + 1) for i in range(size - 1)]
-    else:
-        pairs = list(combinations(range(size), 2))
-        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
-    return graph_from_edges(size, [(i, j) for i, j in edges if i != j])
 
 
 @st.composite
@@ -793,43 +788,6 @@ class TestRungBound:
         assert result.nodes < plain.nodes
 
 
-@st.composite
-def small_ladder(draw):
-    """A base graph, its top block length with |V|^n <= 256, a node budget,
-    and whether the ladder carries alpha*(g) from its start: a ladder
-    carries it only once a search asked for the bound, which colouring
-    alone mostly spares these small graphs."""
-    g = draw(base_graph())
-    top = max(n for n in range(1, 9) if len(g) ** n <= 256)
-    return g, top, draw(st.sampled_from((None, 0, 1, 30, 2000))), draw(st.booleans())
-
-
-class TestCarriedSplits:
-    """The split table behind the product seed rides on the ladder."""
-
-    @given(case=small_ladder())
-    @settings(max_examples=100, deadline=None)
-    def test_the_carried_table_equals_a_fresh_rebuild(self, case):
-        g, top, budget, carried = case
-        ladder = extend_ladder(CapacityLadder(), g, 1)
-        for n in range(2, top + 1):
-            ladder = extend_ladder(ladder, g, n, node_budget=budget)
-            assert list(ladder.splits) == \
-                confgraph._split_table(CapacityLadder(ladder.rungs), n)[:n]
-
-    def test_each_rung_computes_two_entries_over_the_recorded_sizes(self, monkeypatch):
-        # one input: every power has one vertex, so only the seed costs
-        computed, real = [], confgraph._best_split
-        monkeypatch.setattr(confgraph, "_best_split", lambda best, sizes, r: (
-            computed.append((r, len(sizes))) or real(best, sizes, r)))
-        g, ladder = certified_graph(noiseless(1)), CapacityLadder()
-        for n in range(1, 41):
-            computed.clear()
-            ladder = extend_ladder(ladder, g, n)
-            assert computed == ([(1, 0)] if n == 1 else [(n - 1, n - 1), (n, n - 1)])
-        assert [r.alpha for r in ladder.rungs] == [1] * 40
-
-
 class TestSettledRungs:
     """A rung whose product seed meets the rung bound is recorded without gⁿ."""
 
@@ -838,10 +796,13 @@ class TestSettledRungs:
         real = confgraph.strong_power
         monkeypatch.setattr(confgraph, "strong_power",
                             lambda g, n, cap: built.append(n) or real(g, n, cap))
-        rung = build_ladder(pentagon, 4, **ENGINE_LIMITS).recorded(4)
+        ladder = build_ladder(pentagon, 4, **ENGINE_LIMITS)
         assert built == [1, 2, 3]
-        assert (rung.alpha, rung.exact) == (25, True)
-        assert digest(rung.to_json()["witness"]) == \
+        # proved at the engine's limits: C5^3 by orbit pruning, C5^4 by the
+        # rung bound floor(5/2 * 10) = 25, which the 2 + 2 product seed meets
+        assert [(r.n, r.alpha, r.exact) for r in ladder.rungs] == [
+            (1, 2, True), (2, 5, True), (3, 10, True), (4, 25, True)]
+        assert digest(ladder.recorded(4).to_json()["witness"]) == \
             "5afffffb22226cecbe41fc6c089f376dfcc2cefd71a2d835d3337ae65fec9428"
 
     @given(case=small_ladder())

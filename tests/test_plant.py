@@ -63,7 +63,7 @@ class TestExponent:
         e1 = instability_exponent(a1, width)
         e2 = instability_exponent(a2, width)
         eb = instability_exponent(block, width)
-        assert intersects(eb, e1 + e2)
+        assert intersects(eb, Enclosure(e1.lo + e2.lo, e1.hi + e2.hi))
 
 
 def random_rational_rotation(rng) -> tuple:

@@ -106,7 +106,7 @@ class TestRationalRoots:
         encs = symmetric_eigenvalue_enclosures(as_matrix([[1, 1], [1, -1]]), F(1, 1000))
         assert len(encs) == 2 and not any(e.is_exact for e in encs)
         assert encs[0].hi < 0 < encs[1].lo
-        assert all(e.lo * e.lo < 2 < e.hi * e.hi for e in (encs[1], -encs[0]))
+        assert encs[1].lo ** 2 < 2 < encs[1].hi ** 2 and encs[0].hi ** 2 < 2 < encs[0].lo ** 2
 
 
 class TestSchurStability:
