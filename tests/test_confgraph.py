@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from certcap import confgraph
 from certcap.channel import (ResourceCapError, SupportCertificate, certify_support,
                              exact_channel, noiseless, typewriter)
-from certcap.confgraph import (CapacityLadder, LadderError, _PowerSymmetry,
+from certcap.confgraph import (CapacityLadder, LadderError, LadderRung, _PowerSymmetry,
                                certified_graph, clique_cover_weight, extend_ladder,
                                fractional_clique_cover, max_independent_set, strong_power)
 from certcap.enclosure import log2_enclosure
@@ -415,7 +415,6 @@ class TestLadder:
 
     @given(case=small_ladder())
     @example(case=(PENTAGON, 3, 2000, False))
-    @example(case=(PENTAGON, 4, ENGINE_LIMITS["node_budget"], False))
     @settings(max_examples=100, deadline=None)
     def test_supermultiplicativity_of_recorded_rungs(self, case):
         # the product seed is the enumeration of every split before each rung,
@@ -432,6 +431,22 @@ class TestLadder:
         for k in range(1, top):
             for m in range(1, top - k + 1):
                 assert alphas[k + m] >= alphas[k] * alphas[m]
+
+    def test_supermultiplicative_through_rung_four(self, pentagon):
+        g = graph_of(pentagon)
+        ladder = CapacityLadder()
+        for n in (1, 2, 3, 4):
+            ladder = extend_ladder(ladder, g, n, **ENGINE_LIMITS)
+        alphas = {r.n: r.alpha for r in ladder.rungs}
+        assert alphas[4] >= 25  # alpha(C5^2)^2, seeded by the 2+2 split
+        for m in alphas:
+            for n in alphas:
+                if m + n in alphas:
+                    assert alphas[m + n] >= alphas[m] * alphas[n]
+        # proved at the engine's limits: C5^3 by orbit pruning, C5^4 by the
+        # rung bound floor(5/2 * 10) = 25, which the product seed meets
+        assert [(r.n, r.alpha, r.exact) for r in ladder.rungs] == [
+            (1, 2, True), (2, 5, True), (3, 10, True), (4, 25, True)]
 
     def test_typewriter7_at_engine_limits(self):
         ladder = build_ladder(typewriter(7), 3, **ENGINE_LIMITS)
@@ -516,8 +531,42 @@ class TestLadder:
         assert intersects(ladder.running_best, enc)
 
 
+def ladder_of(alphas: list) -> CapacityLadder:
+    """Rungs 1, 2, ... with alphas[k - 1] words at rung k; word j of rung k
+    is k copies of (k, j), so a concatenation shows its parts in order.
+    Rates are left out."""
+    return CapacityLadder(tuple(
+        LadderRung(k, a, tuple(((k, j),) * k for j in range(a)), None, True)
+        for k, a in enumerate(alphas, start=1)))
+
+
+@st.composite
+def recorded_rungs(draw):
+    """Rungs 1 to n - 1, as extend_ladder records them, and a block length n
+    up to 12 to fill.  Each alpha is the best product over the splits of its
+    length or up to two more, so that many splits tie, and stays at most 64,
+    so that no split of n holds more than 4096 words."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    alphas: list = []
+    for k in range(1, n):
+        floor = max((alphas[i - 1] * alphas[k - i - 1] for i in range(1, k)), default=1)
+        alpha = floor + draw(st.integers(min_value=0, max_value=2))
+        if alpha > 64:
+            n = k
+            break
+        alphas.append(alpha)
+    return ladder_of(alphas), n
+
+
 class TestProductSeed:
     """The seed of rung n is rung k's words, each followed by rung n - k's."""
+
+    @given(case=recorded_rungs())
+    @settings(max_examples=300, deadline=None)
+    def test_memoised_split_matches_the_enumeration(self, case):
+        # the two-part split the seed reads is the best split into any parts
+        ladder, n = case
+        assert confgraph._best_product_witness(ladder, n) == reference_product_witness(ladder, n)
 
     @given(case=small_ladder())
     @settings(max_examples=50, deadline=None)
@@ -796,13 +845,10 @@ class TestSettledRungs:
         real = confgraph.strong_power
         monkeypatch.setattr(confgraph, "strong_power",
                             lambda g, n, cap: built.append(n) or real(g, n, cap))
-        ladder = build_ladder(pentagon, 4, **ENGINE_LIMITS)
+        rung = build_ladder(pentagon, 4, **ENGINE_LIMITS).recorded(4)
         assert built == [1, 2, 3]
-        # proved at the engine's limits: C5^3 by orbit pruning, C5^4 by the
-        # rung bound floor(5/2 * 10) = 25, which the 2 + 2 product seed meets
-        assert [(r.n, r.alpha, r.exact) for r in ladder.rungs] == [
-            (1, 2, True), (2, 5, True), (3, 10, True), (4, 25, True)]
-        assert digest(ladder.recorded(4).to_json()["witness"]) == \
+        assert (rung.alpha, rung.exact) == (25, True)
+        assert digest(rung.to_json()["witness"]) == \
             "5afffffb22226cecbe41fc6c089f376dfcc2cefd71a2d835d3337ae65fec9428"
 
     @given(case=small_ladder())
