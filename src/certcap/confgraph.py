@@ -542,9 +542,11 @@ def _best_product_witness(ladder: CapacityLadder, n: int) -> tuple:
     """Each word of rung k, then each of rung n - k, for k the first maximizer
     of alpha_k alpha_(n-k) from n - 1 down (() for n = 1).  Every rung's search
     starts from such a product, so by induction alpha_r bounds the product over
-    any split of r, and no split into more parts beats the best two-part one."""
+    any split of r, and no split into more parts beats the best two-part one.
+    The product is symmetric in k and n - k, so that maximizer is >= n / 2."""
     rungs = ladder.rungs
     if n < 2:
         return ()
-    k = max(range(n - 1, 0, -1), key=lambda k: rungs[k - 1].alpha * rungs[n - k - 1].alpha)
+    k = max(range(n - 1, (n - 1) // 2, -1),
+            key=lambda k: rungs[k - 1].alpha * rungs[n - k - 1].alpha)
     return tuple(u + w for u in rungs[k - 1].witness for w in rungs[n - k - 1].witness)

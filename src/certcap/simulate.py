@@ -18,10 +18,8 @@ then on.  Without a drive x is also kept over its own denominator, free of
 cell counts.  Each step reduces x, x_hat and the error in one pass over the
 modes, by a binary-gcd split and a few-bit base holding every odd prime of
 L; a row the base test leaves open strips the base's primes by small gcds,
-never by a gcd with L's large odd part.  The radius, disturbance and
-transcript rows keep the loop's integers and are reduced alike on first
-read.  Maxima and the divergence test compare integer numerators once bit
-lengths leave the comparison open.
+never by a gcd with L's large odd part.  Maxima and the divergence test
+compare integer numerators once bit lengths leave the comparison open.
 Noise and disturbances come from a seeded generator with exact inverse-CDF
 comparisons (one table per channel row and run), so identical
 configurations reproduce identical trajectories byte for byte.
@@ -30,13 +28,10 @@ configurations reproduce identical trajectories byte for byte.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from math import gcd, inf, lcm, prod
-from typing import NamedTuple
 
 from .channel import Channel
 from .enclosure import rational_str
@@ -103,61 +98,15 @@ class SimConfig:
         return tuple(Fraction(self.initial_radius) / 3 for _ in range(len(self.plant.a)))
 
 
-class EpochRecord(NamedTuple):
-    epoch: int
-    message_sent: int
-    codeword: tuple
-    received: tuple
-    message_decoded: int
-    radius_after: tuple
-
-
-class _Rows(Sequence):
-    """The tuple ``build()`` returns, built on first read: it reads, prints,
-    compares, hashes and pickles as that tuple."""
-
-    def __init__(self, build):
-        self._build = build
-
-    @cached_property
-    def rows(self) -> tuple:
-        rows, self._build = tuple(self._build()), None
-        return rows
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __eq__(self, other):
-        return self.rows == (other.rows if isinstance(other, _Rows) else other)
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return repr(self.rows)
-
-    def __reduce__(self):
-        return tuple, (self.rows,)
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """A run's rows, one per step (``transcript``: one per epoch).  The loop
-    builds ``times``, ``x``, ``x_hat``, ``u``, ``error`` and ``summary``;
-    ``radius``, ``zetas`` and ``transcript`` keep its integers and build their
-    Fractions and EpochRecords on first read, so unread they cost nothing."""
+    """A run's rows, one per step, and its summary."""
 
     times: tuple
     x: tuple
     x_hat: tuple
     u: tuple
-    error: tuple          # sup-norm estimation error per step
-    radius: Sequence      # decoder's certified radius per step (sup-norm)
-    zetas: Sequence       # disturbance per step
-    transcript: Sequence  # an EpochRecord per epoch
+    error: tuple  # sup-norm estimation error per step
     summary: dict
 
     def csv_lines(self):
@@ -361,12 +310,9 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
     # zeta_den: base holds their odd primes
     base = _dyadic_split(used * prod(qs) * zeta_den
                          * r0.denominator * prod(v.denominator for v in start))[2]
-    zeta_split = _dyadic_split(zeta_den)
 
-    # per step the widest mode's (R, L) and the disturbance numerators, per
-    # epoch (message, codeword, received, decoded, R, L): the rows built on read
-    xs, xhats, us, errors, radii, zetas, epochs = [], [], [], [], [], [], []
-    zero_error = True
+    xs, xhats, us, errors = [], [], [], []
+    epochs, zero_error = 0, True
     decodes = {}
     rows, codewords = cfg.channel.rows, cfg.code.codewords
     tables = [_inverse_cdf(row) for row in rows]
@@ -385,8 +331,7 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
             m = cells[i]
             idx = 0 if R[i] == 0 else (X[i] - C[i] + R[i]) * m // (2 * R[i])
             message = message * m + min(max(idx, 0), m - 1)
-        codeword = codewords[message]
-        received = tuple([_draw(rng, *tables[sym]) for sym in codeword])
+        received = tuple([_draw(rng, *tables[sym]) for sym in codewords[message]])
         decoded = decodes.get(received)
         if decoded is None:
             decoded = decodes[received] = _decode(rows, cfg.code, used, received)
@@ -401,13 +346,13 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
             X[i] *= m
             C[i] = C[i] * m + R[i] * (2 * k + 1 - m)
             H[i] = H[i] * m + R[i] * (2 * j + 1 - m)
-        epochs.append((message, codeword, received, decoded, tuple(R), tuple(L)))
+        epochs += 1
         zero_error = zero_error and decoded == message
 
         for _ in range(n):
             if t >= horizon or diverged_at is not None:
                 break
-            # one pass; top and wide are the first modes of largest error and radius
+            # one pass; top is the first mode of largest error
             x_hat, x = [], []
             for i in range(dim):
                 split = _dyadic_split(L[i], base)
@@ -417,8 +362,6 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
                 gap = abs(X[i] - H[i])
                 if not i or gap * L[top] > top_gap * L[i]:
                     top, top_gap, top_split = i, gap, split
-                if not i or R[i] * L[wide] > R[wide] * L[i]:
-                    wide = i
             x_hat = tuple(x_hat)
             err = _lowest_terms(top_gap, top_split)
             xs.append(tuple(x))
@@ -426,7 +369,6 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
             us.append(tuple([control[i] * x_hat[i] for i in range(dim)])
                       if with_control else ())
             errors.append(err)
-            radii.append((R[wide], L[wide]))
             # err < 2**(size + 1) and max_error > 2**(max_size - 1), so the bit
             # lengths settle most comparisons without a product
             size = top_gap.bit_length() - L[top].bit_length()
@@ -438,7 +380,6 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
             if bound:
                 zeta = [bound.numerator * (2 * getrandbits(32) - (1 << 32))
                         for _ in range(dim)]
-            zetas.append(zeta)
             for i in range(dim):
                 # x -> a x + b u + zeta over L q for a = p/q and zeta = z w / (L q);
                 # the deadbeat drive b u = -a x_hat cancels the decoder centre
@@ -467,7 +408,7 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
         "regime": cfg.regime.kind,
         "horizon": cfg.horizon,
         "seed": cfg.seed,
-        "epochs": len(epochs),
+        "epochs": epochs,
         "block_length": n,
         "message_count": cfg.code.size,
         "cells": list(cells),
@@ -480,16 +421,7 @@ def _run_loop(cfg: SimConfig) -> Trajectory:
         "zero_error_transcript": zero_error,
     }
 
-    def reduced(r, d):  # r / d in lowest terms, d one of the L above
-        return _lowest_terms(r, _dyadic_split(d, base))
-
-    return Trajectory(
-        tuple(range(t)), tuple(xs), tuple(xhats), tuple(us), tuple(errors),
-        _Rows(lambda: [reduced(r, d) for r, d in radii]),
-        _Rows(lambda: [tuple([_lowest_terms(z, zeta_split) for z in zeta]) for zeta in zetas]),
-        _Rows(lambda: [EpochRecord(e, *record[:4], tuple(map(reduced, *record[4:])))
-                       for e, record in enumerate(epochs)]),
-        summary)
+    return Trajectory(tuple(range(t)), tuple(xs), tuple(xhats), tuple(us), tuple(errors), summary)
 
 
 def _decode(rows, code: CodeSpec, used: int, received) -> int:

@@ -75,16 +75,36 @@ def diagonal_plant(values, disturbance=None):
 
 def verify_recursion(traj, cfg) -> bool:
     """Re-check x(t+1) = A x(t) + B u(t) + zeta(t) exactly on a finished
-    trajectory, mode by mode, from the recorded states, inputs and
-    disturbances."""
+    trajectory, mode by mode, from the recorded states and inputs: each
+    residual zeta(t) must be a draw the sampler can make, D (g / 2**31 - 1)
+    for an integer g in [0, 2**32), or exactly 0 when D = 0."""
     modes = [row[i] for i, row in enumerate(cfg.plant.a)]
-    b = cfg.plant.b
+    b, bound = cfg.plant.b, cfg.plant.disturbance_bound or 0
     for t in range(len(traj.times) - 1):
         for i, a_i in enumerate(modes):
             drive = sum(b[i][j] * u for j, u in enumerate(traj.u[t])) if b else 0
-            if traj.x[t + 1][i] != a_i * traj.x[t][i] + drive + traj.zetas[t][i]:
+            zeta = traj.x[t + 1][i] - a_i * traj.x[t][i] - drive
+            g = (zeta / bound + 1) * 2 ** 31 if bound else zeta
+            if g.denominator != 1 or not 0 <= g < (2 ** 32 if bound else 1):
                 return False
     return True
+
+
+def reference_radius(traj, cfg) -> list:
+    """The decoder's radius at each step, from the recursion rather than the
+    loop: every mode starts at the initial radius, an epoch's first step
+    divides it by the mode's cell count, and a step maps r to a r + D; each
+    row is the largest mode's radius."""
+    n, cells = cfg.code.block_length, traj.summary["cells"]
+    modes = [row[i] for i, row in enumerate(cfg.plant.a)]
+    bound = cfg.plant.disturbance_bound or 0
+    radii, rows = [Fraction(cfg.initial_radius)] * len(modes), []
+    for t in range(len(traj.times)):
+        if t % n == 0:
+            radii = [r / m for r, m in zip(radii, cells)]
+        rows.append(max(radii))
+        radii = [a * r + bound for a, r in zip(modes, radii)]
+    return rows
 
 
 def intersects(a, b) -> bool:

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ from certcap.simulate import (CodeSpec, SimConfig, SimulationError, _dyadic_spli
                               _lowest_terms, identity_code, run_estimation,
                               run_stabilization, run_weak_detection,
                               sample_output, witness_code)
-from conftest import diagonal_plant, scalar_plant, verify_recursion
+from conftest import diagonal_plant, reference_radius, scalar_plant, verify_recursion
 
 F = Fraction
 
@@ -59,7 +58,7 @@ class TestBoundedTracking:
                         Regime("se-nofb"), identity_code(nl2),
                         horizon=400, seed=3)
         traj = run_estimation(cfg)
-        assert all(e <= r for e, r in zip(traj.error, traj.radius))
+        assert all(e <= r for e, r in zip(traj.error, reference_radius(traj, cfg)))
 
 
 class TestDivergenceSmoke:
@@ -122,8 +121,9 @@ class TestWeakDetection:
         traj = run_weak_detection(cfg)
         assert F(traj.summary["decay_ratio"]) == F(3, 4)
         assert traj.summary["boundary"] is False
-        radii = [rec.radius_after[0] for rec in traj.transcript]
-        for a, b in zip(radii[1:], radii[2:]):
+        radii = reference_radius(traj, cfg)
+        assert all(e <= r for e, r in zip(traj.error, radii))
+        for a, b in zip(radii, radii[1:]):  # one step per epoch
             assert b == a * F(3, 4)
 
     def test_boundary_rate_is_flagged_not_refused(self, nl2):
@@ -227,71 +227,31 @@ def _pentagon_diag_config(pentagon, horizon):
                      seed=17)
 
 
-class TestRowsBuiltOnFirstRead:
-    """radius, zetas and transcript are built from the loop's integers when
-    first read, and then read, print, compare and hash as tuples."""
+def test_a_run_reduces_only_x_x_hat_and_error(pentagon, monkeypatch):
+    """Per step a run reduces x and x_hat per mode and the error, nothing else."""
+    import certcap.simulate as sim
 
-    def test_any_read_order_gives_the_same_rows(self, pentagon):
-        cfg = _pentagon_diag_config(pentagon, 200)
-        first, second = run_estimation(cfg), run_estimation(cfg)
-        # transcript before radius in one run, the other way round in the other
-        transcript, radius, zetas = (tuple(first.transcript), tuple(first.radius),
-                                     tuple(first.zetas))
-        assert (tuple(second.radius), tuple(second.zetas),
-                tuple(second.transcript)) == (radius, zetas, transcript)
-        assert (tuple(first.transcript), tuple(first.radius),
-                tuple(first.zetas)) == (transcript, radius, zetas)
-        assert transcript[0].radius_after == (radius[0], radius[0])
-        assert len(first.radius) == len(first.zetas) == 2 * len(first.transcript) == 200
+    calls = []
 
-    def test_rows_print_compare_and_hash_as_tuples(self, pentagon):
-        cfg = _pentagon_diag_config(pentagon, 60)
-        first, second = run_estimation(cfg), run_estimation(cfg)
-        assert first == second
-        for name in ("radius", "zetas", "transcript"):
-            rows, other = getattr(first, name), getattr(second, name)
-            plain = tuple(rows)
-            assert repr(rows) == repr(plain) and str(rows) == str(plain)
-            assert rows == plain and plain == rows and rows == other
-            assert not rows != plain and rows != plain[1:] and rows != list(plain)
-            assert hash(rows) == hash(other) == hash(plain)
-            assert rows[1:3] == plain[1:3] and rows[-1] == plain[-1]
-            assert pickle.loads(pickle.dumps(rows)) == plain
-        assert replace(first, zetas=second.zetas) == second
+    def spy(n, split):
+        calls.append(n)
+        return real(n, split)
 
-    def test_unread_rows_cost_no_reduction(self, pentagon, monkeypatch):
-        """A run makes the x, x_hat and error reductions only; the radius,
-        disturbance and transcript rows are reduced once, on first read."""
-        import certcap.simulate as sim
-
-        calls = []
-
-        def spy(n, split):
-            calls.append(n)
-            return real(n, split)
-
-        real = sim._lowest_terms
-        monkeypatch.setattr(sim, "_lowest_terms", spy)
-        traj = run_estimation(_pentagon_diag_config(pentagon, 1_000))
-        steps, dim = len(traj.times), 2
-        assert steps == 1_000 and traj.summary["epochs"] == 500
-        assert len(calls) == steps * (2 * dim + 1)  # x and x_hat per mode, the error
-        del calls[:]
-        assert len(traj.radius) == steps and len(calls) == steps
-        assert len(traj.zetas) == steps and len(calls) == steps * (1 + dim)
-        assert len(traj.transcript) == 500 and len(calls) == steps * (1 + dim) + 500 * dim
-        del calls[:]
-        repr((traj.radius, traj.zetas, traj.transcript))
-        assert calls == []
+    real = sim._lowest_terms
+    monkeypatch.setattr(sim, "_lowest_terms", spy)
+    traj = run_estimation(_pentagon_diag_config(pentagon, 1_000))
+    steps, dim = len(traj.times), 2
+    assert steps == 1_000 and traj.summary["epochs"] == 500
+    assert len(calls) == steps * (2 * dim + 1)
 
 
-def test_verify_recursion_catches_an_altered_disturbance(nl2):
+def test_verify_recursion_catches_an_altered_state(nl2):
     cfg = _config(nl2)
     traj = run_estimation(cfg)
     assert verify_recursion(traj, cfg)
-    zetas = list(traj.zetas)
-    zetas[3] = (zetas[3][0] + F(1, 1000),)
-    assert not verify_recursion(replace(traj, zetas=tuple(zetas)), cfg)
+    x = list(traj.x)
+    x[4] = (x[4][0] + F(1, 1000),)  # off the sampler's grid of disturbances
+    assert not verify_recursion(replace(traj, x=tuple(x)), cfg)
 
 
 class TestDeterminismAndSampling:
@@ -299,7 +259,9 @@ class TestDeterminismAndSampling:
         cfg = SimConfig(scalar_plant(F(3, 2), disturbance=F(1, 10)), bsc14,
                         Regime("se-nofb"), identity_code(bsc14),
                         horizon=300, seed=5)
-        assert run_estimation(cfg).to_csv() == run_estimation(cfg).to_csv()
+        first, second = run_estimation(cfg), run_estimation(cfg)
+        assert first == second
+        assert first.to_csv() == second.to_csv()
 
     def test_sampler_honors_probabilities_exactly(self):
         import random
@@ -339,8 +301,7 @@ class TestDeterminismAndSampling:
 
 
 def _trajectory_digest(traj) -> str:
-    text = (traj.to_csv() + repr(traj.radius) + repr(traj.zetas)
-            + repr(traj.transcript) + json.dumps(traj.summary, sort_keys=True))
+    text = traj.to_csv() + json.dumps(traj.summary, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -422,33 +383,33 @@ PINNED_RUNS = [
 PINNED_CHANNELS = {"nl3": noiseless(3), "nl4": noiseless(4), "nl9": noiseless(9),
                    "bsc13": binary_symmetric(F(1, 3))}
 
-# sha256 of each run's CSV, radius, zetas, transcript and summary, computed
-# with the reference Fraction loop; a change to the loop's arithmetic must
-# leave every one of them as it is
+# sha256 of each run's CSV and summary, the bytes the reference Fraction loop
+# first made; a change to the loop's arithmetic must leave every one of them
+# as it is
 PINNED_DIGESTS = {
-    "noiseless2-est": "359812a374e6d403de97a5e4ee2122f22bde050326dc53f4865df0818f5f4ea6",
-    "pentagon-block2": "4c9c04f9212042009834b575daac04c0c4375e6bb0f65597109f0c1d17a22248",
-    "diag-se-fb": "724f832a1ef9d5a4f295dacd8b4d8002597a9c8bd91d0bd701df705585a8b030",
-    "stab-fb": "a390861fafbddfb844c5a2577c2cef3dd53723ec2675ed4d6e6a93dd40ba3e30",
-    "weak-boundary": "ea5207b9c2d5cc4c2b1ca5e98c4479ba90faf34c159db23cb23143a57e4dc40f",
-    "bsc-diverges": "13c5fcc3616c7fb6633cebab29fd48e10d0d7f5e08460fc25dc3c0de85dd5f00",
-    "negative-x0": "ad2947f6244b764b06a867b09085f53a3512e832bebe6978789ec02739481ae7",
-    "radius-zero": "f15ba954ed620b6b796d24be6e8aae02f93113118ccec7c5616e3aab67c99ef0",
-    "odd-denominator": "ea4b88cd499b90325060e94da65cf437047bdf168bdef822b2714b694c399b31",
-    "pentagon-diag": "9646d78e566aca1b8dcc9625f4d9cb29d0a2d38c4334b81f249904459649e687",
-    "pentagon-mixed-cells": "38537ba87c271ef08dfcd8f39e74761c41b829b96c133de2297da2caa6daa21a",
-    "pentagon-stab": "00bc2dda4c9c7dbc67da5f904ad00f77373b348c5abfb20e9d9e3b5ffd518451",
-    "noiseless3-est": "5ec6e283d1de57754ae7ba9c495e782222457249c0f55e6c7f08ce99c59759fb",
-    "noiseless3-stab": "6fcdb3eff7ecf5c82e1a2ead15e1d99c68f76a4f437c202584a57ed80dab3c20",
-    "diag-q9": "f839ccfe0f117b8ec406217d344ca57ab01a2f5f31190af76edd7eaaa42e5f7f",
-    "weak-q9": "82a1e1c7a8298c433db864e63bef879d95cc44076b7586d5f1fe9f68b2bcbe53",
-    "bsc13-diverges": "e08dbcd70a84d792775be30b467bdfa570e17dc6d0cacf04336fcd1fd9a5a022",
-    "x0-past-zeta-twos": "c65e936ac3a0273f0c6272639688a34a5ee38cbe7fce7bfde7d09eb90e21a84e",
-    "odd-start-est": "b1a652ef9c2d967b6b72a490814d38aa999d78be7d1d5a826a5c96126318f2e2",
-    "odd-start-stab": "f4e4e81b04c14df7fc2c507a847e35118186105acdedcab70d0ea82b4f1835b8",
-    "weak-x0-sevenths": "9e2563fe42ad490eed95c795d91e9fd9f6a3bb0bfd22e3dbd2615a9721e84c4a",
-    "pentagon-identity-diag": "f3c08bc7a0af516552abec8fda6d058c40209c9af607d2ca8973b85dc2c6f717",
-    "pentagon-block2-long": "6bae503981f64bb4da6397e4a0ad11ae5456e1988f031b0b658f02c4d2c83264",
+    "noiseless2-est": "8d8674eb50c2456e4618e4822cd617ca89a75f9055861ab1cd4470a7de1e3886",
+    "pentagon-block2": "acd10c460207735e7e48488752d51c32ae223cfc1ed2a4f7cce16fc5105cc112",
+    "diag-se-fb": "ef6869fe0d7ed5e92288a4897505499bfdfb5737b658606ad3aef3167186dd40",
+    "stab-fb": "fdccaa8f90a14f88b4e01689a55ffd4a46ad90a4998a8e390db50712ec45845d",
+    "weak-boundary": "0e9fd582c644d752b5451481dcc97261064200fc32d3d6238e629175a09e1fbc",
+    "bsc-diverges": "ea5759b173fe385599c851fb4a47dbb6b9fb084fed248a25c1234a358cc15980",
+    "negative-x0": "4ae845e953e86fbfa1aeeb47ae350b056a4008c117528b6bbadad102c5827641",
+    "radius-zero": "43b516d0709dcbde24f5647888044f341bb4c76c7e150efe29a31a21b28f9eae",
+    "odd-denominator": "6395fec818b7f83b0a9b535dcb85c474c20594b4b3602f0d7b32e1a00fdbdb92",
+    "pentagon-diag": "a9c118cc9b75ff660cf2597e3314161c64d25d466cdc7c243e3650fe9d7e0077",
+    "pentagon-mixed-cells": "0228e50017d7df70343da278bf9da43607824e7b1f1350a3a90b91648d98a9df",
+    "pentagon-stab": "5a004ac11d334ddf31975ea04b31e84f100f85c38d277660ec0c7be8e6274903",
+    "noiseless3-est": "62a1ccd78f68127b1ad52cd82956eafbb106db4e0c7c3b83eb69f31322fe43cc",
+    "noiseless3-stab": "4204e6673f2eb72b8c1e480283ed7a03afa2ade208bb59bf4f5af5bfefeeafe1",
+    "diag-q9": "f5140d08437f821f19f3c793f8cf328f86f63f54dc76809e3e39515b2488fa65",
+    "weak-q9": "399846f8c271740538c16763de5c75077cdd3cf99ca6207d22262d5e96aa4374",
+    "bsc13-diverges": "da957926a7b9054c6191aea0bdba8d5fddaf366076a5e88ebc56c07a5f72816f",
+    "x0-past-zeta-twos": "344e839f7effe6a2d85bf850ecb4f5f9729ec56026170aae801036a55f2ed73d",
+    "odd-start-est": "2f57932dfc0200095f18895897bdde52ebf904bfba08e07818bb1289023daeda",
+    "odd-start-stab": "65f9d8bb4f2929881dc0aff9f432b06600b8f6b431d8461f9b3a2fcd7a7f01ed",
+    "weak-x0-sevenths": "cd6570c5aa217e733cacf958e670a9032017e08712074456f364d3962a6b8887",
+    "pentagon-identity-diag": "22a27c25d7cda7c9252965341ae68d16e11b7f898047a5e7e7af8a5eddb9e08d",
+    "pentagon-block2-long": "486d80467ec5b3efdef7c89587a993e7aa6b6628b7ac626ac5f9407eac85c04c",
 }
 
 
@@ -546,7 +507,7 @@ def test_zero_error_loop_invariants(run):
     runner, cfg = run
     traj = runner(cfg)
     assert verify_recursion(traj, cfg)
-    assert all(e <= r for e, r in zip(traj.error, traj.radius))
+    assert all(e <= r for e, r in zip(traj.error, reference_radius(traj, cfg)))
     assert traj.summary["bounded"] is True
     assert traj.summary["zero_error_transcript"] is True
 
@@ -594,12 +555,11 @@ def test_block2_row_gcds_rarely_take_both_operands_large(monkeypatch, runner, pl
     mode denominators and 2**32 D_den, and a row that shares a power of 5 with
     L may fail the test with the base.  Such a row strips base's primes by
     gcds with the base, never by a gcd with L's whole odd part, so no gcd of
-    the loop or of the rows built on first read takes two large operands."""
+    the loop takes two large operands."""
     pentagon = typewriter(5)
     code = witness_code(pentagon, [(x, 2 * x % 5) for x in range(5)])
     widest = _spy_on_gcds(monkeypatch)
-    traj = runner(SimConfig(plant, pentagon, Regime(regime), code, horizon=1_000, seed=7))
-    repr((traj.radius, traj.zetas, traj.transcript))  # the rows reduced on first read
+    runner(SimConfig(plant, pentagon, Regime(regime), code, horizon=1_000, seed=7))
     assert widest and max(widest) <= 64
 
 
@@ -685,24 +645,6 @@ def test_a_run_diverges_at_its_first_error_above_the_threshold(a, seed):
                   if e > sim.DIVERGENCE_THRESHOLD), None)
     assert traj.summary["diverged_at"] == first
     assert len(traj.times) == (400 if first is None else first + 1)
-
-
-def test_epoch_record_contract(pentagon):
-    """Transcript records are read by field name, cannot be assigned to, and
-    print as the frozen dataclass they once were printed (the pinned digests
-    hash that repr)."""
-    traj = run_estimation(SimConfig(
-        diagonal_plant([F(5, 4), F(6, 5)], disturbance=F(1, 10)), pentagon,
-        Regime("se-nofb"), identity_code(pentagon), horizon=4, seed=2))
-    record = traj.transcript[3]
-    assert (record.epoch, record.message_sent, record.message_decoded) == (3, 2, 1)
-    assert (record.codeword, record.received) == ((2,), (2,))
-    assert record.radius_after == (F(1141, 5120), F(103, 500))
-    with pytest.raises(AttributeError):
-        record.message_decoded = 2
-    assert repr(traj.transcript[0]) == (
-        "EpochRecord(epoch=0, message_sent=3, codeword=(3,), received=(4,), "
-        "message_decoded=3, radius_after=(Fraction(1, 2), Fraction(1, 2)))")
 
 
 @settings(max_examples=60, deadline=None)
